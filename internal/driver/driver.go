@@ -679,10 +679,7 @@ func (r *run) account(name string, sg vtopo.Subgrid, steps float64, c model.Step
 		r.journal = append(r.journal, acctOp{name: name, sg: sg, steps: steps, c: c})
 		return
 	}
-	for _, rank := range sg.Ranks() {
-		r.waitAvg[rank] += steps * c.CommAvg
-		r.waitMax[rank] += steps * c.CommMax
-	}
+	r.addWait(sg, steps*c.CommAvg, steps*c.CommMax)
 	w := steps * float64(c.Ranks)
 	r.hopNum += c.HopsAvg * w
 	r.hopDen += w
@@ -695,15 +692,24 @@ func (r *run) account(name string, sg vtopo.Subgrid, steps float64, c model.Step
 	}
 }
 
+// addWait adds avg and max to the accumulated wait of every rank of sg,
+// walking its rows in local-rank order.
+func (r *run) addWait(sg vtopo.Subgrid, avg, max float64) {
+	for y := sg.Rect.Y; y < sg.Rect.Y+sg.Rect.H; y++ {
+		row := sg.Parent.Rank(sg.Rect.X, y)
+		for rank := row; rank < row+sg.Rect.W; rank++ {
+			r.waitAvg[rank] += avg
+			r.waitMax[rank] += max
+		}
+	}
+}
+
 func (r *run) unaccount(name string, sg vtopo.Subgrid, steps float64, c model.StepCost) {
 	if r.journaling {
 		r.journal = append(r.journal, acctOp{name: name, sg: sg, steps: steps, c: c, un: true})
 		return
 	}
-	for _, rank := range sg.Ranks() {
-		r.waitAvg[rank] -= steps * c.CommAvg
-		r.waitMax[rank] -= steps * c.CommMax
-	}
+	r.addWait(sg, -(steps * c.CommAvg), -(steps * c.CommMax))
 	w := steps * float64(c.Ranks)
 	r.hopNum -= c.HopsAvg * w
 	r.hopDen -= w

@@ -8,20 +8,18 @@ import (
 	"nestwrf/internal/machine"
 	"nestwrf/internal/model"
 	"nestwrf/internal/nest"
-	"nestwrf/internal/netsim"
 )
 
 // TestConcurrentRunWithToggles is the concurrent-server guard for the
-// package-level toggles: many goroutines Run simultaneously while
-// another flips model.SetMemoize and netsim.SetReference. Before the
-// toggles became atomic this was a data race (a server could observe a
+// remaining package-level toggle on the planning path: many goroutines
+// Run simultaneously while another flips model.SetMemoize. Before the
+// toggle became atomic this was a data race (a server could observe a
 // torn read mid-request); now every Run must complete race-free and —
-// because the fast and reference paths are equivalence-guarded —
-// produce the identical Result regardless of the toggle state it
-// observed. Run under -race in CI.
+// because the memoized and unmemoized evaluations are
+// equivalence-guarded — produce the identical Result regardless of the
+// toggle state it observed. Run under -race in CI.
 func TestConcurrentRunWithToggles(t *testing.T) {
 	defer func() {
-		netsim.SetReference(false)
 		model.SetMemoize(true)
 		model.ResetCache()
 	}()
@@ -44,7 +42,7 @@ func TestConcurrentRunWithToggles(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
-	go func() { // toggler: flip both switches while runs are in flight
+	go func() { // toggler: flip the switch while runs are in flight
 		defer wg.Done()
 		on := false
 		for {
@@ -54,8 +52,7 @@ func TestConcurrentRunWithToggles(t *testing.T) {
 			default:
 			}
 			on = !on
-			netsim.SetReference(on)
-			model.SetMemoize(!on)
+			model.SetMemoize(on)
 		}
 	}()
 	errs := make(chan error, workers*iters)

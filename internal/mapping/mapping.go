@@ -309,14 +309,11 @@ func serpentineCoord(t torus.Torus, i int) torus.Coord {
 // AvgHops returns the mean torus hop distance over the given rank
 // pairs. It returns 0 for an empty pair list.
 func AvgHops(m *Mapping, pairs [][2]int) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
 	total := 0
 	for _, p := range pairs {
 		total += m.Hops(p[0], p[1])
 	}
-	return float64(total) / float64(len(pairs))
+	return mean(total, len(pairs))
 }
 
 // MaxHops returns the maximum torus hop distance over the given rank
@@ -348,37 +345,56 @@ type Report struct {
 // partitions given by rects.
 func Analyze(m *Mapping, rects []alloc.Rect) (Report, error) {
 	rep := Report{Name: m.Name}
-	parentPairs := m.Grid.NeighborPairs()
-	rep.ParentAvg = AvgHops(m, parentPairs)
-	rep.ParentMax = MaxHops(m, parentPairs)
-	total := 0
-	count := 0
-	for _, p := range parentPairs {
-		total += m.Hops(p[0], p[1])
+	total, count, max := m.haloHops(alloc.Rect{W: m.Grid.Px, H: m.Grid.Py})
+	rep.ParentAvg, rep.ParentMax = mean(total, count), max
+	if len(rects) > 0 {
+		rep.SiblingAvg = make([]float64, len(rects))
+		rep.SiblingMax = make([]int, len(rects))
 	}
-	count += len(parentPairs)
-
-	for _, rect := range rects {
-		sg, err := vtopo.NewSubgrid(m.Grid, rect)
-		if err != nil {
+	for i, rect := range rects {
+		if _, err := vtopo.NewSubgrid(m.Grid, rect); err != nil {
 			return Report{}, err
 		}
-		local := sg.Grid()
-		pairs := local.NeighborPairs()
-		global := make([][2]int, len(pairs))
-		for i, p := range pairs {
-			global[i] = [2]int{sg.GlobalRank(p[0]), sg.GlobalRank(p[1])}
-		}
-		rep.SiblingAvg = append(rep.SiblingAvg, AvgHops(m, global))
-		rep.SiblingMax = append(rep.SiblingMax, MaxHops(m, global))
-		for _, p := range global {
-			total += m.Hops(p[0], p[1])
-		}
-		count += len(global)
+		sum, n, max := m.haloHops(rect)
+		rep.SiblingAvg[i], rep.SiblingMax[i] = mean(sum, n), max
+		total += sum
+		count += n
 	}
-	if count > 0 {
-		rep.OverallAvg = float64(total) / float64(count)
-	}
+	rep.OverallAvg = mean(total, count)
 	rep.OverallPairs = count
 	return rep, nil
+}
+
+// haloHops walks the rows of rect once and returns the summed and
+// maximal torus hop distance over its adjacent rank pairs (each rank
+// with its East and North neighbour inside rect) and their number.
+func (m *Mapping) haloHops(rect alloc.Rect) (sum, pairs, max int) {
+	note := func(a, b torus.Coord) {
+		h := m.Torus.Hops(a, b)
+		sum += h
+		pairs++
+		if h > max {
+			max = h
+		}
+	}
+	for y := rect.Y; y < rect.Y+rect.H; y++ {
+		for x := rect.X; x < rect.X+rect.W; x++ {
+			r := m.Grid.Rank(x, y)
+			if x+1 < rect.X+rect.W {
+				note(m.nodeOf[r], m.nodeOf[r+1])
+			}
+			if y+1 < rect.Y+rect.H {
+				note(m.nodeOf[r], m.nodeOf[r+m.Grid.Px])
+			}
+		}
+	}
+	return sum, pairs, max
+}
+
+// mean returns total/count, 0 for an empty count.
+func mean(total, count int) float64 {
+	if count == 0 {
+		return 0
+	}
+	return float64(total) / float64(count)
 }

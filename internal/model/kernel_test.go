@@ -1,0 +1,211 @@
+package model
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"nestwrf/internal/alloc"
+	"nestwrf/internal/machine"
+	"nestwrf/internal/mapping"
+	"nestwrf/internal/nest"
+	"nestwrf/internal/netsim"
+	"nestwrf/internal/vtopo"
+)
+
+// definitionCosts is the test-only oracle for evalPhase: the phase as
+// the model defines it, spelled out through pair lists and netsim's
+// ad-hoc queries. Every placement's NeighborPairs are loaded in both
+// directions, then every rank prices the messages to its West, East,
+// South and North neighbours with TransferTime (or UncontendedTime on
+// the idle network) and Torus.Hops, routing each message again.
+func definitionCosts(t *testing.T, m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
+	t.Helper()
+	net, err := netsim.New(mp.Torus, m.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contention {
+		for _, p := range placements {
+			for _, pr := range p.SG.Grid().NeighborPairs() {
+				a, b := mp.NodeOf(p.SG.GlobalRank(pr[0])), mp.NodeOf(p.SG.GlobalRank(pr[1]))
+				net.AddFlow(a, b)
+				net.AddFlow(b, a)
+			}
+		}
+	}
+	out := make([]StepCost, len(placements))
+	for i, p := range placements {
+		local := p.SG.Grid()
+		lx, ly := ceilDiv(p.D.NX, local.Px), ceilDiv(p.D.NY, local.Py)
+		cost := StepCost{
+			Compute: m.PointCost*float64(lx)*float64(ly) + m.StepOverhead,
+			Ranks:   local.Size(),
+		}
+		msgs := float64(m.ExchangesPerStep)
+		var commSum, hopSum, hopCnt float64
+		for r := 0; r < local.Size(); r++ {
+			var commR float64
+			src := mp.NodeOf(p.SG.GlobalRank(r))
+			for d := vtopo.West; d <= vtopo.North; d++ {
+				nb := local.Neighbor(r, d)
+				if nb < 0 {
+					continue
+				}
+				dst := mp.NodeOf(p.SG.GlobalRank(nb))
+				edge := ly
+				if d == vtopo.South || d == vtopo.North {
+					edge = lx
+				}
+				perMsg := float64(edge) * m.BytesPerPoint / msgs
+				if contention {
+					commR += msgs * net.TransferTime(src, dst, int(perMsg))
+				} else {
+					commR += msgs * net.UncontendedTime(src, dst, int(perMsg))
+				}
+				hopSum += float64(mp.Torus.Hops(src, dst))
+				hopCnt++
+			}
+			commSum += commR
+			if commR > cost.CommMax {
+				cost.CommMax = commR
+			}
+		}
+		cost.CommAvg = commSum / float64(local.Size())
+		if hopCnt > 0 {
+			cost.HopsAvg = hopSum / hopCnt
+		}
+		out[i] = cost
+	}
+	return out
+}
+
+// kernelCases returns phases over one 256-rank grid and torus: every
+// mapping constructor, sibling rectangles that are offset, one rank
+// wide, one rank high and a single rank, plus the full grid.
+func kernelCases(t *testing.T) (machine.Machine, []*mapping.Mapping, [][]Placement) {
+	t.Helper()
+	m := machine.BGL()
+	g, err := machine.GridFor(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tor, err := machine.TorusFor(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halves := []alloc.Rect{{X: 0, Y: 0, W: g.Px / 2, H: g.Py}, {X: g.Px / 2, Y: 0, W: g.Px - g.Px/2, H: g.Py}}
+	uneven := []alloc.Rect{
+		{X: 0, Y: 0, W: 5, H: g.Py}, {X: 5, Y: 0, W: 1, H: g.Py},
+		{X: 6, Y: 0, W: g.Px - 6, H: 1}, {X: 6, Y: 1, W: g.Px - 6, H: g.Py - 1},
+	}
+	var mps []*mapping.Mapping
+	for _, build := range []func() (*mapping.Mapping, error){
+		func() (*mapping.Mapping, error) { return mapping.Sequential(g, tor) },
+		func() (*mapping.Mapping, error) { return mapping.TXYZ(g, tor, m.CoresPerNode) },
+		func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) },
+		func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, halves) },
+		func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, uneven) },
+	} {
+		mp, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mps = append(mps, mp)
+	}
+	root := nest.Root("parent", 286, 307)
+	doms := []*nest.Domain{
+		root.AddChild("s1", 394, 418, 3, 5, 5),
+		root.AddChild("s2", 313, 337, 3, 140, 150),
+		root.AddChild("s3", 232, 202, 3, 60, 20),
+		root.AddChild("s4", 271, 250, 3, 20, 200),
+	}
+	place := func(rects []alloc.Rect) []Placement {
+		var ps []Placement
+		for i, r := range rects {
+			sg, err := vtopo.NewSubgrid(g, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps = append(ps, Placement{D: doms[i], SG: sg})
+		}
+		return ps
+	}
+	phases := [][]Placement{
+		place(halves),
+		place(uneven),
+		place([]alloc.Rect{{W: g.Px, H: g.Py}}),
+		place([]alloc.Rect{{X: 3, Y: 2, W: 1, H: 1}, {X: 4, Y: 2, W: 7, H: 9}}),
+	}
+	return m, mps, phases
+}
+
+// TestRecordedFlowsMatchDefinition holds the single-pass kernel (flows
+// recorded once by addPhaseFlows, priced back by cursor in stepCost) to
+// the pair-list definition bit for bit, with and without contention.
+func TestRecordedFlowsMatchDefinition(t *testing.T) {
+	m, mps, phases := kernelCases(t)
+	SetMemoize(false)
+	defer SetMemoize(true)
+	for _, mp := range mps {
+		for pi, placements := range phases {
+			for _, contention := range []bool{true, false} {
+				got := phaseCosts(m, mp, placements, contention)
+				want := definitionCosts(t, m, mp, placements, contention)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s phase %d contention=%v placement %d:\n got %+v\nwant %+v", mp.Name, pi, contention, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentPhaseCostsMatchSerial runs PhaseCosts from GOMAXPROCS
+// goroutines on distinct mappings of one torus shape, from an empty
+// memo, and asserts every result equals the serial one bit for bit —
+// the scenario the shared route cache's RWMutex used to serialise. Run
+// under -race in CI.
+func TestConcurrentPhaseCostsMatchSerial(t *testing.T) {
+	m, mps, phases := kernelCases(t)
+	want := make([][][]StepCost, len(mps))
+	for i, mp := range mps {
+		for _, placements := range phases {
+			want[i] = append(want[i], definitionCosts(t, m, mp, placements, true))
+		}
+	}
+	ResetCache()
+	defer ResetCache()
+
+	workers := runtime.GOMAXPROCS(0)
+	if workers < 4 {
+		workers = 4 // still interleaves under -race on a small host
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				// Workers start on different mappings, so at any moment
+				// several cold evaluations of one torus shape overlap.
+				for k := range mps {
+					i := (w + k) % len(mps)
+					for pi, placements := range phases {
+						got := PhaseCosts(m, mps[i], placements)
+						for j := range got {
+							if got[j] != want[i][pi][j] {
+								t.Errorf("worker %d %s phase %d placement %d:\n got %+v\nwant %+v", w, mps[i].Name, pi, j, got[j], want[i][pi][j])
+							}
+						}
+					}
+				}
+				if w == 0 {
+					ResetCache() // keep later rounds cold as well
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

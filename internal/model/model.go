@@ -51,17 +51,6 @@ type Placement struct {
 	SG vtopo.Subgrid
 }
 
-// haloPairs returns the global-rank neighbour pairs of a placement.
-func haloPairs(p Placement) [][2]int {
-	local := p.SG.Grid()
-	pairs := local.NeighborPairs()
-	out := make([][2]int, len(pairs))
-	for i, pr := range pairs {
-		out[i] = [2]int{p.SG.GlobalRank(pr[0]), p.SG.GlobalRank(pr[1])}
-	}
-	return out
-}
-
 // PhaseCosts computes the StepCost of every placement executing
 // concurrently: link loads from all placements' halo exchanges are
 // accumulated first, then each placement's communication times are
@@ -87,11 +76,7 @@ func PhaseCostsNoContention(m machine.Machine, mp *mapping.Mapping, placements [
 // identical.
 func PhaseCostsCongestion(m machine.Machine, mp *mapping.Mapping, placements []Placement) ([]StepCost, netsim.Congestion) {
 	net := acquireNet(mp.Torus, m.Net)
-	addPhaseFlows(net, mp, placements)
-	out := make([]StepCost, len(placements))
-	for i, p := range placements {
-		out[i] = stepCost(m, mp, net, p)
-	}
+	out := evalPhase(m, mp, net, placements, true)
 	stats := net.Stats()
 	releaseNet(net)
 	return out, stats
@@ -222,13 +207,7 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 		}
 	}
 	net := acquireNet(mp.Torus, m.Net)
-	if contention {
-		addPhaseFlows(net, mp, placements)
-	}
-	out := make([]StepCost, len(placements))
-	for i, p := range placements {
-		out[i] = stepCost(m, mp, net, p)
-	}
+	out := evalPhase(m, mp, net, placements, contention)
 	releaseNet(net)
 	if cacheable {
 		phaseMu.Lock()
@@ -238,61 +217,115 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 	return out
 }
 
+// evalPhase evaluates every placement on the (empty) network net: under
+// contention the halo messages of all placements are first added to net
+// as flows, which stepCost then prices back in the order they were
+// added, so no route is walked twice.
+func evalPhase(m machine.Machine, mp *mapping.Mapping, net *netsim.Network, placements []Placement, contention bool) []StepCost {
+	flow := -1 // no recorded flows: price messages on the idle network
+	if contention {
+		addPhaseFlows(net, mp, placements)
+		flow = 0
+	}
+	out := make([]StepCost, len(placements))
+	for i, p := range placements {
+		out[i], flow = stepCost(m, mp, net, p, flow)
+	}
+	return out
+}
+
 // addPhaseFlows accumulates the halo-exchange link loads of every
-// placement onto net.
+// placement onto net: one flow per rank and existing West, East, South,
+// North neighbour, in placement, local-rank and direction order.
 func addPhaseFlows(net *netsim.Network, mp *mapping.Mapping, placements []Placement) {
 	for _, p := range placements {
-		for _, pr := range haloPairs(p) {
-			net.AddFlow(mp.NodeOf(pr[0]), mp.NodeOf(pr[1]))
-			net.AddFlow(mp.NodeOf(pr[1]), mp.NodeOf(pr[0]))
+		for y := p.SG.Rect.Y; y < p.SG.Rect.Y+p.SG.Rect.H; y++ {
+			for x := p.SG.Rect.X; x < p.SG.Rect.X+p.SG.Rect.W; x++ {
+				r := p.SG.Parent.Rank(x, y)
+				src := mp.NodeOf(r)
+				for _, nb := range haloNeighbors(p.SG, r, x, y) {
+					if nb >= 0 {
+						net.AddFlow(src, mp.NodeOf(nb))
+					}
+				}
+			}
 		}
 	}
 }
 
-// stepCost evaluates one placement under the prepared network loads.
-func stepCost(m machine.Machine, mp *mapping.Mapping, net *netsim.Network, p Placement) StepCost {
-	local := p.SG.Grid()
-	w, h := local.Px, local.Py
+// haloNeighbors returns the parent ranks of the West, East, South and
+// North neighbours of parent rank r at parent position (x, y) inside
+// sg, -1 where the subgrid ends (weather domains do not wrap).
+func haloNeighbors(sg vtopo.Subgrid, r, x, y int) [4]int {
+	nb := [4]int{-1, -1, -1, -1}
+	if x > sg.Rect.X {
+		nb[vtopo.West] = r - 1
+	}
+	if x+1 < sg.Rect.X+sg.Rect.W {
+		nb[vtopo.East] = r + 1
+	}
+	if y > sg.Rect.Y {
+		nb[vtopo.South] = r - sg.Parent.Px
+	}
+	if y+1 < sg.Rect.Y+sg.Rect.H {
+		nb[vtopo.North] = r + sg.Parent.Px
+	}
+	return nb
+}
+
+// stepCost evaluates one placement. With flow >= 0 the placement's
+// messages are the recorded flows of net starting at index flow (see
+// addPhaseFlows) and the index after its last one is returned; with
+// flow < 0 the network is idle and a message's cost follows from its
+// hop count alone.
+func stepCost(m machine.Machine, mp *mapping.Mapping, net *netsim.Network, p Placement, flow int) (StepCost, int) {
+	w, h := p.SG.Rect.W, p.SG.Rect.H
 	lx := ceilDiv(p.D.NX, w)
 	ly := ceilDiv(p.D.NY, h)
 
 	cost := StepCost{
 		Compute: m.PointCost*float64(lx)*float64(ly) + m.StepOverhead,
-		Ranks:   local.Size(),
+		Ranks:   w * h,
 	}
 
+	// East/west messages carry a column of the tile, south/north ones a
+	// row, each split over the step's exchanges.
 	msgs := float64(m.ExchangesPerStep)
+	col := int(float64(ly) * m.BytesPerPoint / msgs)
+	row := int(float64(lx) * m.BytesPerPoint / msgs)
+	msgBytes := [4]int{vtopo.West: col, vtopo.East: col, vtopo.South: row, vtopo.North: row}
+
 	var commSum float64
-	var hopSum, hopCnt float64
-	for r := 0; r < local.Size(); r++ {
-		var commR float64
-		src := mp.NodeOf(p.SG.GlobalRank(r))
-		for d := vtopo.West; d <= vtopo.North; d++ {
-			nb := local.Neighbor(r, d)
-			if nb < 0 {
-				continue
+	var hopSum, hopCnt int
+	for y := p.SG.Rect.Y; y < p.SG.Rect.Y+h; y++ {
+		for x := p.SG.Rect.X; x < p.SG.Rect.X+w; x++ {
+			var commR float64
+			r := p.SG.Parent.Rank(x, y)
+			for d, nb := range haloNeighbors(p.SG, r, x, y) {
+				if nb < 0 {
+					continue
+				}
+				if flow >= 0 {
+					commR += msgs * net.FlowTime(flow, msgBytes[d])
+					hopSum += net.FlowHops(flow)
+					flow++
+				} else {
+					commR += msgs * net.UncontendedTime(mp.NodeOf(r), mp.NodeOf(nb), msgBytes[d])
+					hopSum += mp.Hops(r, nb)
+				}
+				hopCnt++
 			}
-			dst := mp.NodeOf(p.SG.GlobalRank(nb))
-			edge := ly // east/west messages carry a column of the tile
-			if d == vtopo.South || d == vtopo.North {
-				edge = lx
+			commSum += commR
+			if commR > cost.CommMax {
+				cost.CommMax = commR
 			}
-			bytes := float64(edge) * m.BytesPerPoint
-			perMsg := bytes / msgs
-			commR += msgs * net.TransferTime(src, dst, int(perMsg))
-			hopSum += float64(mp.Torus.Hops(src, dst))
-			hopCnt++
-		}
-		commSum += commR
-		if commR > cost.CommMax {
-			cost.CommMax = commR
 		}
 	}
-	cost.CommAvg = commSum / float64(local.Size())
+	cost.CommAvg = commSum / float64(cost.Ranks)
 	if hopCnt > 0 {
-		cost.HopsAvg = hopSum / hopCnt
+		cost.HopsAvg = float64(hopSum) / float64(hopCnt)
 	}
-	return cost
+	return cost, flow
 }
 
 // SingleDomainStep computes the cost of one sub-step of a domain that

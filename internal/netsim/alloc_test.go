@@ -7,9 +7,11 @@ import (
 )
 
 // TestHotPathAllocationFree asserts the netsim inner loops allocate
-// nothing in the steady state (after the first AddFlow per pair has
-// populated the shared route cache). A regression here silently undoes
-// the PR 4 hot-path rework, so it is enforced, not just benchmarked.
+// nothing in the steady state: a reused Network that has seen a phase
+// of the same size runs Reset -> AddFlow xN -> FlowTime xN, and the
+// ad-hoc PathLoad/TransferTime queries, out of its own buffers. A
+// regression here shows up as allocs_per_op on every planning
+// workload, so it is enforced, not just benchmarked.
 func TestHotPathAllocationFree(t *testing.T) {
 	tor, err := torus.New(8, 8, 8)
 	if err != nil {
@@ -20,24 +22,32 @@ func TestHotPathAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := torus.Coord{X: 0, Y: 0, Z: 0}
-	b := torus.Coord{X: 5, Y: 3, Z: 6}
-	c := torus.Coord{X: 2, Y: 7, Z: 1}
-	// Warm the route cache and the touched-links buffer.
-	n.AddFlow(a, b)
-	n.AddFlow(b, c)
-	n.AddFlow(c, a)
-	n.Reset()
-	n.AddFlow(a, b)
-
-	if avg := testing.AllocsPerRun(100, func() {
-		n.Reset()
-		n.AddFlow(a, b)
-		n.AddFlow(b, c)
-		n.AddFlow(c, a)
-	}); avg != 0 {
-		t.Errorf("Reset+AddFlow allocates %v allocs/op, want 0", avg)
+	// One phase: every node sends to its +x neighbour and to a far node.
+	var flows [][2]torus.Coord
+	for i := 0; i < tor.Nodes(); i++ {
+		c := tor.CoordOf(i)
+		flows = append(flows,
+			[2]torus.Coord{c, tor.Neighbor(c, torus.DimX, 1)},
+			[2]torus.Coord{c, tor.CoordOf((i + 293) % tor.Nodes())})
 	}
+	phase := func() {
+		n.Reset()
+		for _, f := range flows {
+			n.AddFlow(f[0], f[1])
+		}
+		for i := range flows {
+			if n.FlowTime(i, 4096) <= 0 || n.FlowHops(i) == 0 {
+				t.Fatal("unexpected flow cost")
+			}
+		}
+	}
+	phase() // size the arena, the end offsets and the touched-links list
+
+	if avg := testing.AllocsPerRun(20, phase); avg != 0 {
+		t.Errorf("Reset+AddFlow+FlowTime allocates %v allocs/op, want 0", avg)
+	}
+	a, b := flows[1][0], flows[1][1]
+	n.PathLoad(a, b) // size the scratch buffer
 	if avg := testing.AllocsPerRun(100, func() {
 		if n.PathLoad(a, b) < 1 {
 			t.Fatal("unexpected path load")

@@ -8,23 +8,24 @@
 // "leads to lesser congestion and smaller delay for point-to-point
 // message transfer between neighbouring processes" (Section 4.3.2).
 //
-// Hot-path engineering (DESIGN.md Section 8): link loads live in a
-// dense []int32 indexed by torus.LinkIndex rather than a map keyed by
-// Link structs, routes are resolved through a per-torus cache shared
-// by all Networks (halo pairs repeat across phases, steps and sweep
-// configurations), and Reset clears only the links touched since the
-// previous phase. AddFlow, PathLoad and TransferTime are
-// allocation-free in the steady state. A map-based reference
-// implementation is retained behind an unexported switch so the
-// equivalence tests can mechanically compare the two paths.
+// The kernel (DESIGN.md Section 8): link loads live in a dense []int32
+// indexed by torus.LinkIndex, and Reset clears only the links touched
+// since the previous phase. AddFlow walks a message's route exactly
+// once: the walk appends the route's link indices to an arena owned by
+// the Network and bumps the loads as it goes, so that FlowTime can
+// later price the i-th recorded flow without routing it again. Halo
+// routes are one to three hops, and walking them (a compare and an add
+// per hop) is cheaper than looking them up, so nothing is cached and a
+// Network shares no state with any other: distinct Networks can be
+// driven from distinct goroutines without synchronisation. A single
+// Network is not safe for concurrent use. Every buffer is reused across
+// phases, so the steady state allocates nothing.
 package netsim
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"nestwrf/internal/torus"
 )
@@ -51,78 +52,24 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// reference switches newly constructed Networks onto the original
-// map-based load accounting and per-call route construction. It exists
-// solely for the equivalence tests, which assert the dense fast path
-// produces byte-identical results. The flag is atomic so a toggle is
-// race-free against concurrent Network construction (each Network
-// commits to one path at New and never re-reads the flag).
-var reference atomic.Bool
-
-// SetReference selects the retained slow path (true) or the dense fast
-// path (false, the default) for Networks constructed after the call.
-// Only tests should call this.
-func SetReference(on bool) { reference.Store(on) }
-
-// routeCache memoizes dimension-ordered routes (as dense link indices)
-// per source/destination node pair of one torus shape. Halo pairs
-// repeat across phases, steps and sweep configurations, so the cache
-// is shared by every Network over the same torus and guarded for the
-// experiment harness's parallel runs.
-type routeCache struct {
-	mu sync.RWMutex
-	m  map[int64][]torus.LinkIndex
-}
-
-// routeCaches maps torus.Torus (comparable) -> *routeCache.
-var routeCaches sync.Map
-
-func cacheFor(t torus.Torus) *routeCache {
-	if c, ok := routeCaches.Load(t); ok {
-		return c.(*routeCache)
-	}
-	c, _ := routeCaches.LoadOrStore(t, &routeCache{m: make(map[int64][]torus.LinkIndex)})
-	return c.(*routeCache)
-}
-
-// route returns the cached dense-index route from a to b, computing
-// and caching it on first use. The returned slice is shared and must
-// not be mutated. len(route) equals the hop count.
-func (c *routeCache) route(t torus.Torus, a, b torus.Coord) []torus.LinkIndex {
-	key := int64(t.Index(a))<<32 | int64(t.Index(b))
-	c.mu.RLock()
-	r, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok {
-		return r
-	}
-	r = t.RouteIndicesInto(a, b, make([]torus.LinkIndex, 0, t.Hops(a, b)))
-	c.mu.Lock()
-	if prev, ok := c.m[key]; ok {
-		r = prev // another goroutine won the race; keep its slice
-	} else {
-		c.m[key] = r
-	}
-	c.mu.Unlock()
-	return r
-}
-
 // Network accumulates per-link loads for a communication phase and
 // computes message transfer times under the resulting contention.
 type Network struct {
 	Torus  torus.Torus
 	Params Params
 
-	// Fast path: dense per-link loads indexed by torus.LinkIndex, the
-	// unique list of touched (load > 0) links for O(touched) Reset and
-	// stats, and the shared per-torus route cache.
+	// load is the dense per-link load indexed by torus.LinkIndex;
+	// touched lists the links with load > 0, for O(touched) Reset and
+	// stats.
 	load    []int32
 	touched []torus.LinkIndex
-	routes  *routeCache
-
-	// Reference path (enabled by SetReference): the original map-based
-	// accounting.
-	refLoad map[torus.Link]int
+	// arena holds the routes of the flows added since the last Reset,
+	// back to back in AddFlow order; flow i ends at arena[ends[i]].
+	arena []torus.LinkIndex
+	ends  []int32
+	// scratch receives the route of an ad-hoc PathLoad/TransferTime
+	// query.
+	scratch []torus.LinkIndex
 }
 
 // New returns a Network for the given torus and parameters.
@@ -130,45 +77,35 @@ func New(t torus.Torus, p Params) (*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Torus: t, Params: p}
-	if reference.Load() {
-		n.refLoad = make(map[torus.Link]int)
-		return n, nil
-	}
-	n.load = make([]int32, t.LinkIndexCount())
-	n.routes = cacheFor(t)
-	return n, nil
+	return &Network{Torus: t, Params: p, load: make([]int32, t.LinkIndexCount())}, nil
 }
 
-// Reset clears the accumulated link loads, starting a new phase. Only
-// links touched since the previous Reset are cleared.
+// Reset clears the accumulated link loads and forgets the recorded
+// flows, starting a new phase. Only links touched since the previous
+// Reset are cleared.
 func (n *Network) Reset() {
-	if n.refLoad != nil {
-		n.refLoad = make(map[torus.Link]int)
-		return
-	}
 	for _, li := range n.touched {
 		n.load[li] = 0
 	}
 	n.touched = n.touched[:0]
+	n.arena = n.arena[:0]
+	n.ends = n.ends[:0]
 }
 
 // AddFlow registers one message from a to b for the current phase,
-// loading every directed link along its dimension-ordered route.
+// loading every directed link along its dimension-ordered route, and
+// records the route as the phase's next flow (see FlowTime).
 // Self-messages add no load.
 func (n *Network) AddFlow(a, b torus.Coord) {
-	if n.refLoad != nil {
-		for _, l := range n.Torus.Route(a, b) {
-			n.refLoad[l]++
-		}
-		return
-	}
-	for _, li := range n.routes.route(n.Torus, a, b) {
+	start := len(n.arena)
+	n.arena = n.Torus.RouteIndicesInto(a, b, n.arena)
+	for _, li := range n.arena[start:] {
 		if n.load[li] == 0 {
 			n.touched = append(n.touched, li)
 		}
 		n.load[li]++
 	}
+	n.ends = append(n.ends, int32(len(n.arena)))
 }
 
 // AddFlows registers all messages of a phase given as coordinate pairs;
@@ -180,28 +117,35 @@ func (n *Network) AddFlows(pairs [][2]torus.Coord) {
 	}
 }
 
-// PathLoad returns the maximum link multiplicity along the route from a
-// to b under the current phase's loads. The returned value is at least
-// 1 for distinct endpoints (the message itself always uses its links)
-// and 0 for a == b.
-func (n *Network) PathLoad(a, b torus.Coord) int {
-	max := 0
-	if n.refLoad != nil {
-		for _, l := range n.Torus.Route(a, b) {
-			c := n.refLoad[l]
-			if c == 0 {
-				c = 1 // count the message under consideration
-			}
-			if c > max {
-				max = c
-			}
-		}
-		return max
+// flow returns the recorded route of the i-th flow of the phase.
+func (n *Network) flow(i int) []torus.LinkIndex {
+	start := int32(0)
+	if i > 0 {
+		start = n.ends[i-1]
 	}
-	for _, li := range n.routes.route(n.Torus, a, b) {
-		c := int(n.load[li])
+	return n.arena[start:n.ends[i]]
+}
+
+// FlowHops returns the hop count of the i-th flow added since the last
+// Reset.
+func (n *Network) FlowHops(i int) int { return len(n.flow(i)) }
+
+// FlowTime is TransferTime for the i-th flow added since the last
+// Reset (in AddFlow order), priced from its recorded route instead of
+// routing the message again. Call it once the phase's flows are all
+// added: like TransferTime it sees the loads as they are now.
+func (n *Network) FlowTime(i, bytes int) float64 {
+	return n.routeTime(n.flow(i), bytes)
+}
+
+// pathLoad returns the highest load along route, counting the message
+// under consideration on links that carry nothing else.
+func (n *Network) pathLoad(route []torus.LinkIndex) int32 {
+	max := int32(0)
+	for _, li := range route {
+		c := n.load[li]
 		if c == 0 {
-			c = 1 // count the message under consideration
+			c = 1
 		}
 		if c > max {
 			max = c
@@ -210,18 +154,29 @@ func (n *Network) PathLoad(a, b torus.Coord) int {
 	return max
 }
 
+// routeTime prices one message over route under the current loads.
+func (n *Network) routeTime(route []torus.LinkIndex, bytes int) float64 {
+	if len(route) == 0 {
+		return n.Params.Overhead
+	}
+	return n.Params.Overhead +
+		float64(len(route))*n.Params.LatencyPerHop +
+		float64(bytes)*float64(n.pathLoad(route))/n.Params.Bandwidth
+}
+
+// PathLoad returns the maximum link multiplicity along the route from a
+// to b under the current phase's loads. The returned value is at least
+// 1 for distinct endpoints (the message itself always uses its links)
+// and 0 for a == b.
+func (n *Network) PathLoad(a, b torus.Coord) int {
+	n.scratch = n.Torus.RouteIndicesInto(a, b, n.scratch[:0])
+	return int(n.pathLoad(n.scratch))
+}
+
 // MaxLinkLoad returns the highest load on any link in the current
 // phase.
 func (n *Network) MaxLinkLoad() int {
 	max := 0
-	if n.refLoad != nil {
-		for _, c := range n.refLoad {
-			if c > max {
-				max = c
-			}
-		}
-		return max
-	}
 	for _, li := range n.touched {
 		if c := int(n.load[li]); c > max {
 			max = c
@@ -235,12 +190,6 @@ func (n *Network) MaxLinkLoad() int {
 // paper's Section 2.3 (with unit message size).
 func (n *Network) TotalHops() int {
 	sum := 0
-	if n.refLoad != nil {
-		for _, c := range n.refLoad {
-			sum += c
-		}
-		return sum
-	}
 	for _, li := range n.touched {
 		sum += int(n.load[li])
 	}
@@ -272,27 +221,15 @@ type Congestion struct {
 // histogram makes visible *why* compact mappings cut MPI_Wait: better
 // placements shift links toward lower multiplicities.
 func (n *Network) Stats() Congestion {
-	var c Congestion
+	c := Congestion{Links: len(n.touched)}
 	counts := map[int]int{}
-	if n.refLoad != nil {
-		c.Links = len(n.refLoad)
-		for _, load := range n.refLoad {
-			c.TotalHops += load
-			if load > c.MaxLoad {
-				c.MaxLoad = load
-			}
-			counts[load]++
+	for _, li := range n.touched {
+		load := int(n.load[li])
+		c.TotalHops += load
+		if load > c.MaxLoad {
+			c.MaxLoad = load
 		}
-	} else {
-		c.Links = len(n.touched)
-		for _, li := range n.touched {
-			load := int(n.load[li])
-			c.TotalHops += load
-			if load > c.MaxLoad {
-				c.MaxLoad = load
-			}
-			counts[load]++
-		}
+		counts[load]++
 	}
 	loads := make([]int, 0, len(counts))
 	for l := range counts {
@@ -312,32 +249,8 @@ func (n *Network) Stats() Congestion {
 //
 // A self-message costs only the software overhead.
 func (n *Network) TransferTime(a, b torus.Coord, bytes int) float64 {
-	if n.refLoad != nil {
-		hops := n.Torus.Hops(a, b)
-		if hops == 0 {
-			return n.Params.Overhead
-		}
-		kappa := float64(n.PathLoad(a, b))
-		if kappa < 1 {
-			kappa = 1
-		}
-		return n.Params.Overhead +
-			float64(hops)*n.Params.LatencyPerHop +
-			float64(bytes)*kappa/n.Params.Bandwidth
-	}
-	route := n.routes.route(n.Torus, a, b)
-	if len(route) == 0 {
-		return n.Params.Overhead
-	}
-	max := int32(1)
-	for _, li := range route {
-		if c := n.load[li]; c > max {
-			max = c
-		}
-	}
-	return n.Params.Overhead +
-		float64(len(route))*n.Params.LatencyPerHop +
-		float64(bytes)*float64(max)/n.Params.Bandwidth
+	n.scratch = n.Torus.RouteIndicesInto(a, b, n.scratch[:0])
+	return n.routeTime(n.scratch, bytes)
 }
 
 // UncontendedTime is TransferTime with an empty network (path load 1).

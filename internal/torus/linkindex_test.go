@@ -81,3 +81,73 @@ func TestRouteSelfEmpty(t *testing.T) {
 		t.Fatalf("RouteInto(c,c,nil) = %v, want empty", r)
 	}
 }
+
+// TestRouteIndicesMatchRouteAllPairs is the property the division-free
+// walk must hold: over every ordered node pair of tori built from ring
+// sizes 1, 2, 3, 4, 5 and 8, RouteIndicesInto equals LinkIndexOf mapped
+// over RouteInto link for link, its length equals Hops, and ties on
+// even rings are walked in the positive direction.
+func TestRouteIndicesMatchRouteAllPairs(t *testing.T) {
+	sizes := []int{1, 2, 3, 4, 5, 8}
+	var links []Link
+	var idx []LinkIndex
+	for _, x := range sizes {
+		for _, y := range sizes {
+			for _, z := range sizes {
+				tor := Torus{x, y, z}
+				for i := 0; i < tor.Nodes(); i++ {
+					for j := 0; j < tor.Nodes(); j++ {
+						a, b := tor.CoordOf(i), tor.CoordOf(j)
+						links = tor.RouteInto(a, b, links[:0])
+						idx = tor.RouteIndicesInto(a, b, idx[:0])
+						if len(idx) != tor.Hops(a, b) || len(idx) != len(links) {
+							t.Fatalf("%v: %v->%v: %d indices, %d links, Hops = %d", tor, a, b, len(idx), len(links), tor.Hops(a, b))
+						}
+						for k, l := range links {
+							if idx[k] != tor.LinkIndexOf(l) {
+								t.Fatalf("%v: %v->%v hop %d: index %d (%v), want %d (%v)", tor, a, b, k, idx[k], tor.LinkAt(idx[k]), tor.LinkIndexOf(l), l)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// Half-way round an even ring: positive direction, as before.
+	for _, size := range []int{2, 4, 8} {
+		tor := Torus{size, size, size}
+		for _, l := range tor.RouteInto(Coord{}, Coord{size / 2, size / 2, size / 2}, nil) {
+			if l.Dir != 1 {
+				t.Fatalf("ring %d: tie walked in direction %d", size, l.Dir)
+			}
+		}
+		for _, li := range tor.RouteIndicesInto(Coord{}, Coord{size / 2, size / 2, size / 2}, nil) {
+			if tor.LinkAt(li).Dir != 1 {
+				t.Fatalf("ring %d: tie indexed in direction %d", size, tor.LinkAt(li).Dir)
+			}
+		}
+	}
+}
+
+// TestRouteIndicesWrapOutOfRange pins the fallback for coordinates off
+// the torus: they are taken modulo the ring sizes.
+func TestRouteIndicesWrapOutOfRange(t *testing.T) {
+	tor := Torus{4, 3, 5}
+	for _, off := range []Coord{{-1, 0, 0}, {4, 3, 5}, {-9, 7, -11}, {0, -3, 12}} {
+		a := Coord{1 + off.X, 2 + off.Y, 3 + off.Z}
+		b := Coord{3 - 2*off.X, off.Y, 4 + 3*off.Z}
+		got := tor.RouteIndicesInto(a, b, nil)
+		want := tor.RouteIndicesInto(tor.wrap(a), tor.wrap(b), nil)
+		if len(got) != len(want) {
+			t.Fatalf("%v->%v: %d links, wrapped %d", a, b, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] || got[k] < 0 || int(got[k]) >= tor.LinkIndexCount() {
+				t.Fatalf("%v->%v hop %d: index %d, wrapped %d", a, b, k, got[k], want[k])
+			}
+		}
+		if !tor.Valid(tor.wrap(a)) || !tor.Valid(tor.wrap(b)) {
+			t.Fatalf("wrap(%v), wrap(%v) not on the torus", a, b)
+		}
+	}
+}

@@ -58,9 +58,16 @@ func (t Torus) CoordOf(i int) Coord {
 
 // wrapDelta returns the signed minimal step count from a to b along a
 // dimension of the given size, preferring the positive direction on
-// ties.
+// ties. Positions on the ring (0 <= a, b < size) need no division; the
+// modular definition remains as the fallback for anything else.
 func wrapDelta(a, b, size int) int {
-	d := ((b-a)%size + size) % size
+	d := b - a
+	if d < 0 {
+		d += size
+	}
+	if uint(d) >= uint(size) {
+		d = ((b-a)%size + size) % size
+	}
 	if d*2 > size {
 		return d - size
 	}
@@ -213,28 +220,58 @@ func (t Torus) LinkAt(i LinkIndex) Link {
 
 // RouteIndicesInto appends the dense link indices of the
 // dimension-ordered route from a to b onto buf and returns the
-// extended slice. It is the allocation-free workhorse of the network
-// simulator's route cache.
+// extended slice. It is the allocation-free, division-free workhorse of
+// the network simulator: each hop is a compare-and-wrap on the ring
+// position and an add on the linear node index. Coordinates outside
+// the torus are first wrapped onto it.
 func (t Torus) RouteIndicesInto(a, b Coord, buf []LinkIndex) []LinkIndex {
-	cur := a
-	curIdx := t.Index(cur)
-	for dim := DimX; dim <= DimZ; dim++ {
-		pos, target, size := routeAxis(cur, b, t, dim)
-		delta := wrapDelta(pos, target, size)
-		dir := int8(1)
-		slot := 2 * int(dim)
-		if delta < 0 {
-			dir = -1
-			delta = -delta
-			slot++
-		}
-		for i := 0; i < delta; i++ {
-			buf = append(buf, LinkIndex(6*curIdx+slot))
-			cur = t.Neighbor(cur, dim, dir)
-			curIdx = t.Index(cur)
-		}
+	if !t.Valid(a) || !t.Valid(b) {
+		a, b = t.wrap(a), t.wrap(b)
+	}
+	idx := t.Index(a)
+	if a.X != b.X {
+		buf, idx = walkRing(buf, idx, a.X, b.X, t.X, 1, 2*int(DimX))
+	}
+	if a.Y != b.Y {
+		buf, idx = walkRing(buf, idx, a.Y, b.Y, t.Y, t.X, 2*int(DimY))
+	}
+	if a.Z != b.Z {
+		buf, _ = walkRing(buf, idx, a.Z, b.Z, t.Z, t.X*t.Y, 2*int(DimZ))
 	}
 	return buf
+}
+
+// walkRing appends the links of the minimal walk from pos to target on
+// one ring of the torus. idx is the linear index of the current node,
+// stride the index distance of one step along the ring and slot the
+// link slot of the ring's positive direction; the node index after the
+// walk is returned with the extended buffer.
+func walkRing(buf []LinkIndex, idx, pos, target, size, stride, slot int) ([]LinkIndex, int) {
+	delta := wrapDelta(pos, target, size)
+	wrap := stride * (size - 1) // index distance from the ring's last node back to its first
+	for ; delta > 0; delta-- {
+		buf = append(buf, LinkIndex(6*idx+slot))
+		if pos++; pos == size {
+			pos, idx = 0, idx-wrap
+		} else {
+			idx += stride
+		}
+	}
+	for ; delta < 0; delta++ {
+		buf = append(buf, LinkIndex(6*idx+slot+1))
+		if pos--; pos < 0 {
+			pos, idx = size-1, idx+wrap
+		} else {
+			idx -= stride
+		}
+	}
+	return buf, idx
+}
+
+// wrap maps an arbitrary coordinate onto the torus.
+func (t Torus) wrap(c Coord) Coord {
+	mod := func(v, size int) int { return (v%size + size) % size }
+	return Coord{X: mod(c.X, t.X), Y: mod(c.Y, t.Y), Z: mod(c.Z, t.Z)}
 }
 
 // Neighbor returns the coordinate one hop from c in dimension d,

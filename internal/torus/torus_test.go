@@ -214,3 +214,25 @@ func TestWrapDelta(t *testing.T) {
 		}
 	}
 }
+
+// TestWrapDeltaMatchesModularDefinition sweeps the division-free
+// wrapDelta against the modular definition it replaced, including
+// positions that are negative or beyond the ring.
+func TestWrapDeltaMatchesModularDefinition(t *testing.T) {
+	modular := func(a, b, size int) int {
+		d := ((b-a)%size + size) % size
+		if d*2 > size {
+			return d - size
+		}
+		return d
+	}
+	for _, size := range []int{1, 2, 3, 4, 5, 8, 17} {
+		for a := -3 * size; a <= 3*size; a++ {
+			for b := -3 * size; b <= 3*size; b++ {
+				if got, want := wrapDelta(a, b, size), modular(a, b, size); got != want {
+					t.Fatalf("wrapDelta(%d,%d,%d) = %d, modular definition %d", a, b, size, got, want)
+				}
+			}
+		}
+	}
+}
