@@ -1,0 +1,181 @@
+package mpi
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"unsafe"
+)
+
+// A rank that fails strands its peers, which then report a deadlock.
+// Run must return the root cause whichever rank index it landed on,
+// and still return the deadlock when that is all there is — in both
+// runtimes.
+func TestRunReturnsRootCauseOverDeadlock(t *testing.T) {
+	boom := errors.New("boom")
+	for _, ref := range []bool{false, true} {
+		SetReference(ref)
+		_, failed := Run(4, tm(), func(p *Proc) error {
+			if p.Rank() == 3 {
+				return boom
+			}
+			return p.World().Barrier() // ranks 0-2 wait on rank 3 forever
+		})
+		_, stuck := Run(4, tm(), func(p *Proc) error {
+			if p.Rank() == 3 {
+				return nil // exits cleanly, but never joins the barrier
+			}
+			return p.World().Barrier()
+		})
+		SetReference(false)
+		if !errors.Is(failed, boom) || errors.Is(failed, ErrDeadlock) {
+			t.Errorf("ref=%v: rank 3 returned boom, Run returned %v", ref, failed)
+		}
+		if !errors.Is(stuck, ErrDeadlock) {
+			t.Errorf("ref=%v: no rank failed, Run returned %v, want the deadlock", ref, stuck)
+		}
+	}
+}
+
+// Messages that can unblock no one must not keep a stranded world
+// looking busy: one sent to a rank that has exited, and one sitting in
+// the mailbox of a rank blocked on a different key, used to leave the
+// deadlock undeclared and Run waiting forever. A parked message must
+// also count again once its receiver moves on to it.
+func TestDeadlockDespiteUndeliverableMessages(t *testing.T) {
+	boom := errors.New("boom")
+	for _, ref := range []bool{false, true} {
+		SetReference(ref)
+		_, err := Run(4, tm(), func(p *Proc) error {
+			w := p.World()
+			switch p.Rank() {
+			case 3:
+				return boom
+			case 2:
+				w.Send(3, 1, []float64{1}) // to the failed rank: undeliverable
+				w.Send(0, 5, []float64{2}) // reaches rank 0 while it wants tag 7
+				_, err := w.Recv(0, 8)     // never sent
+				return err
+			case 1:
+				if _, err := w.Recv(0, 4); err != nil {
+					return err
+				}
+				w.Send(0, 7, nil)
+				_, err := w.Recv(3, 1) // from the failed rank: never comes
+				return err
+			}
+			w.Send(2, 9, nil) // rank 2 never asks for tag 9
+			w.Send(1, 4, nil)
+			if _, err := w.Recv(1, 7); err != nil {
+				return err
+			}
+			d, err := w.Recv(2, 5) // parked or not meanwhile, it is still delivered
+			if err != nil {
+				return err
+			}
+			if len(d) != 1 || d[0] != 2 {
+				t.Errorf("ref=%v: Recv(2, 5) = %v, want [2]", ref, d)
+			}
+			_, err = w.Recv(3, 7) // from the failed rank: never comes
+			return err
+		})
+		SetReference(false)
+		if !errors.Is(err, boom) {
+			t.Errorf("ref=%v: Run returned %v, want boom", ref, err)
+		}
+	}
+}
+
+// funnelProgram makes rank 0 the receiver of 300 distinct (src, tag)
+// queues, each holding two messages, fed in an order unrelated to the
+// order it drains them in. It returns the rank function.
+func funnelProgram(t *testing.T) (n int, fn func(p *Proc) error) {
+	const senders, tags, depth = 100, 3, 2
+	return senders + 1, func(p *Proc) error {
+		w := p.World()
+		if me := w.Rank(); me != 0 {
+			p.Compute(float64(me%7) * 1e-6)
+			for seq := 0; seq < depth; seq++ {
+				for i := 0; i < tags; i++ {
+					tag := (i + me) % tags // each sender starts on a different tag
+					w.Send(0, tag, []float64{float64(me), float64(tag), float64(seq)})
+				}
+				p.Compute(1e-6)
+			}
+			return nil
+		}
+		// Drain the newest queues first, one message per queue per sweep.
+		for seq := 0; seq < depth; seq++ {
+			for tag := tags - 1; tag >= 0; tag-- {
+				for src := senders; src >= 1; src-- {
+					d, err := w.Recv(src, tag)
+					if err != nil {
+						return err
+					}
+					if got, want := fmt.Sprint(d), fmt.Sprint([]float64{float64(src), float64(tag), float64(seq)}); got != want {
+						t.Errorf("Recv(src %d, tag %d) #%d = %s, want %s", src, tag, seq, got, want)
+					}
+					w.FreePayload(d)
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// A mailbox that outgrows its linear scan must keep per-key FIFO order
+// and change no clock: the funnel root indexes its 300 queues, every
+// other rank stays map-free, and all virtual-time observables equal the
+// reference runtime's.
+func TestMailboxManyQueuesFIFOAndClocks(t *testing.T) {
+	n, fn := funnelProgram(t)
+	sharded := snapshotRun(t, n, fn)
+	SetReference(true)
+	ref := snapshotRun(t, n, fn)
+	SetReference(false)
+	equalRuns(t, "sharded vs reference", sharded, ref)
+
+	procs, err := Run(n, tm(), fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mboxes := procs[0].w.mboxes
+	if got := len(mboxes[0].qs); got != 300 || mboxes[0].idx == nil {
+		t.Errorf("funnel root: %d queues, indexed=%v; want 300, indexed", got, mboxes[0].idx != nil)
+	}
+	for r := 1; r < n; r++ {
+		if mboxes[r].qs != nil || mboxes[r].idx != nil {
+			t.Fatalf("rank %d received nothing but its mailbox allocated", r)
+		}
+	}
+}
+
+// Mailboxes sit in one slab, so each must fill whole cache lines or
+// neighboring ranks' locks would false-share.
+func TestMailboxFillsCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(mailbox{}); sz%64 != 0 {
+		t.Errorf("mailbox is %d bytes, not a multiple of the 64-byte cache line", sz)
+	}
+}
+
+// World set-up must cost a constant number of heap objects per rank:
+// the Procs, communicators, mailboxes and payload caches come from
+// slabs, and no map, queue or phase table exists before first use. What
+// remains per rank is its goroutine's closure (measured: 1034 objects
+// for 1024 ranks), plus a goroutine descriptor whenever the runtime has
+// none to reuse, hence the budget of 2.
+func TestRunSetupAllocsPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const n = 1024
+	noop := func(*Proc) error { return nil }
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := Run(n, tm(), noop); err != nil {
+			t.Error(err)
+		}
+	})
+	if perRank := avg / n; perRank > 2 {
+		t.Errorf("Run(%d, noop): %.0f allocs, %.2f per rank, want at most 2", n, avg, perRank)
+	}
+}

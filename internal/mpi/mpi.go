@@ -12,14 +12,16 @@
 //
 // The runtime is sharded for scale (DESIGN.md Section 13): each rank
 // owns a private mailbox (lock + condition variable), the
-// blocked/queued/alive bookkeeping is atomic, and payload pools are
-// lock-striped, so worlds of 10k+ virtual ranks run without funneling
-// every operation through one mutex. The previous single-mutex runtime
-// is retained behind SetReference and produces bit-identical virtual
+// blocked/queued/alive bookkeeping is atomic, and payloads recycle
+// through an unlocked per-rank cache over one locked free list per size
+// class, so worlds of 10k+ virtual ranks run without funneling every
+// operation through one mutex. The previous single-mutex runtime is
+// retained behind SetReference and produces bit-identical virtual
 // clocks, wait times and results.
 package mpi
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,26 +63,52 @@ type message struct {
 // fixed set of buffers instead of allocating per message.
 var msgPool = sync.Pool{New: func() any { return new(message) }}
 
-// matchKey identifies a receive queue.
+// matchKey identifies a receive queue: global sender rank,
+// communicator id and tag (16 bytes, so a mailbox's scan compares two
+// words per queue).
 type matchKey struct {
-	src  int
-	tag  int
-	comm int
+	src, comm int32
+	tag       int
+}
+
+// waitOf describes rank blocked in a receive on k, for a deadlock
+// report.
+func (k matchKey) waitOf(rank int) RankWait {
+	return RankWait{Rank: rank, Src: int(k.src), Tag: k.tag, Comm: int(k.comm)}
 }
 
 // msgq is one (src, tag, comm) receive queue. Queues are created on
-// first use and then live for the world's lifetime with their backing
-// array reused, so steady-state delivery never allocates (the previous
-// map-of-slices mailbox allocated a fresh one-element slice per
-// message, because drained keys were deleted).
+// first use and then live for the world's lifetime. A queue holds its
+// head message inline: eager sends are usually received before the next
+// one arrives, so most queues never hold two messages and never
+// allocate; a queue that does back up spills into q, whose backing
+// array is reused, so steady-state delivery never allocates either.
 type msgq struct {
+	key  matchKey // set by the sharded runtime's mailbox, which scans for it
+	one  *message // the oldest queued message, set only while q is drained
 	q    []*message
 	head int
+}
+
+// empty reports whether no message is queued.
+func (q *msgq) empty() bool { return q.one == nil && q.head == len(q.q) }
+
+// push appends msg in arrival order.
+func (q *msgq) push(msg *message) {
+	if q.empty() {
+		q.one = msg
+		return
+	}
+	q.q = append(q.q, msg)
 }
 
 // pop removes and returns the queue's head message. The caller must
 // have checked that the queue is non-empty.
 func (q *msgq) pop() *message {
+	if msg := q.one; msg != nil {
+		q.one = nil
+		return msg
+	}
 	msg := q.q[q.head]
 	q.q[q.head] = nil
 	q.head++
@@ -164,12 +192,14 @@ type World struct {
 }
 
 // Run executes fn on n ranks and blocks until all complete. It returns
-// the first error any rank produced (or a deadlock error). The returned
-// procs expose final clocks and wait times, indexed by rank.
+// the lowest-ranked error that is not a deadlock report if any rank
+// produced one, else the deadlock error if the world deadlocked. The
+// returned procs expose final clocks and wait times, indexed by rank.
 //
-// Setup is O(n) total: every rank's world communicator aliases one
-// shared read-only rank list (the previous per-rank copies were O(n²),
-// half a gigabyte at 8192 ranks).
+// Setup allocates a fixed number of slabs (Procs, world communicators,
+// mailboxes, payload caches, one shared read-only rank list) plus one
+// goroutine and its closure per rank: no per-rank map, queue or
+// communicator object exists until a rank's first message or phase.
 func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	if n <= 0 {
 		return nil, errBadRanks(n)
@@ -195,34 +225,47 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 		for i := range w.mboxes {
 			mb := &w.mboxes[i]
 			mb.cond.L = &mb.mu
-			mb.boxes = make(map[matchKey]*msgq)
 		}
 	}
+	// Per-rank state comes from slabs, so a world costs a constant
+	// number of heap objects plus one goroutine (and its closure) per rank.
+	procSlab := make([]Proc, n)
+	comms := make([]Comm, n)
+	caches := make([]rankCache, n) // sharded runtime per-rank payload caches
 	procs := make([]*Proc, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
-	caches := make([]rankCache, n) // sharded runtime per-rank payload caches
 	for r := 0; r < n; r++ {
-		p := &Proc{w: w, rank: r}
+		p := &procSlab[r]
+		p.w, p.rank = w, r
 		if !w.ref {
 			p.pcache = &caches[r]
 		}
-		p.world = &Comm{w: w, id: 0, ranks: worldRanks, me: r, proc: p}
+		comms[r] = Comm{w: w, id: 0, ranks: worldRanks, me: r, proc: p}
+		p.world = &comms[r]
 		procs[r] = p
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			defer w.rankExit(procs[r])
-			errs[r] = fn(procs[r])
-		}(r)
+			defer w.rankExit(p)
+			errs[r] = fn(p)
+		}()
 	}
 	wg.Wait()
+	// A rank that fails leaves its peers blocked on it, and they then
+	// report a deadlock: the root cause wins over that symptom, whichever
+	// rank index each landed on.
+	var deadlock error
 	for _, err := range errs {
-		if err != nil {
+		switch {
+		case err == nil:
+		case !errors.Is(err, ErrDeadlock):
 			return procs, err
+		case deadlock == nil:
+			deadlock = err
 		}
 	}
-	return procs, nil
+	return procs, deadlock
 }
 
 // rankExit records one rank's completion. A rank's exit can complete
@@ -233,6 +276,10 @@ func (w *World) rankExit(p *Proc) {
 	if w.ref {
 		w.mu.Lock()
 		w.alive--
+		rw := &w.waits[p.rank]
+		rw.exited = true
+		w.queued -= rw.count // undeliverable now
+		rw.parked = rw.count
 		if w.failed || (w.blocked >= w.alive && w.queued == 0) {
 			w.wakeAll()
 		}
@@ -240,6 +287,14 @@ func (w *World) rankExit(p *Proc) {
 		return
 	}
 	w.foldRankCache(p.pcache)
+	// Whatever the rank left unreceived can unblock no one.
+	mb := &w.mboxes[p.rank]
+	mb.mu.Lock()
+	mb.dead = true
+	mb.parked = mb.count
+	undeliverable := int64(mb.count)
+	mb.mu.Unlock()
+	w.packed.Add(-undeliverable)
 	alive := w.aliveS.Add(-1)
 	st := w.packed.Load()
 	if w.failedS.Load() || (st>>32 >= alive && st&queuedMask == 0) {
@@ -299,10 +354,9 @@ type Proc struct {
 
 	// Phase instrumentation: nil until the first BeginPhase, so
 	// uninstrumented runs pay only a nil check per operation.
-	cur      *PhaseStats
-	curAt    time.Time // wall-clock entry into the current phase
-	phases   []Phase
-	phaseIdx map[string]int
+	cur    *PhaseStats
+	curAt  time.Time // wall-clock entry into the current phase
+	phases []Phase
 
 	// pcache is the rank's private payload cache (sharded runtime
 	// only; nil under SetReference). See pool.go.
@@ -347,17 +401,20 @@ func (p *Proc) PoolStats() PoolStats { return p.w.PoolStats() }
 // accumulation. Phases are purely observational — they never advance
 // virtual time.
 func (p *Proc) BeginPhase(name string) {
-	if p.phaseIdx == nil {
-		p.phaseIdx = make(map[string]int)
-	}
 	now := time.Now()
 	if p.cur != nil {
 		p.cur.Wall += now.Sub(p.curAt).Seconds()
 	}
-	i, ok := p.phaseIdx[name]
-	if !ok {
-		i = len(p.phases)
-		p.phaseIdx[name] = i
+	// A rank has a handful of phases, so a scan is cheaper than a
+	// per-rank map and leaves the GC nothing extra to trace.
+	i := 0
+	for i < len(p.phases) && p.phases[i].Name != name {
+		i++
+	}
+	if i == len(p.phases) {
+		if p.phases == nil {
+			p.phases = make([]Phase, 0, 8)
+		}
 		p.phases = append(p.phases, Phase{Name: name})
 	}
 	p.cur = &p.phases[i].Stats
@@ -461,7 +518,7 @@ func (c *Comm) SendOwned(to, tag int, data []float64) {
 		p.cur.SendCount++
 		p.cur.SendBytes += bytes
 	}
-	key := matchKey{src: p.rank, tag: tag, comm: c.id}
+	key := matchKey{src: int32(p.rank), comm: int32(c.id), tag: tag}
 	if c.w.ref {
 		c.w.refSend(dst, key, msg)
 	} else {
@@ -484,7 +541,7 @@ func (c *Comm) FreePayload(b []float64) { c.w.freePayload(c.proc, b) }
 // accounts blocked time as wait time.
 func (c *Comm) Recv(from, tag int) ([]float64, error) {
 	p := c.proc
-	key := matchKey{src: c.ranks[from], tag: tag, comm: c.id}
+	key := matchKey{src: int32(c.ranks[from]), comm: int32(c.id), tag: tag}
 	var msg *message
 	var err error
 	if c.w.ref {

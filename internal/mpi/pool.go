@@ -181,6 +181,9 @@ func (w *World) freePayload(p *Proc, b []float64) {
 	}
 	if rc := p.pcache; rc != nil && len(rc.free[cl]) < rankCacheCap(cl) {
 		rc.frees++
+		if rc.free[cl] == nil {
+			rc.free[cl] = make([][]float64, 0, rankCacheCap(cl)) // full size at once: no regrowth
+		}
 		rc.free[cl] = append(rc.free[cl], b[:0])
 		return
 	}

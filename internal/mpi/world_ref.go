@@ -3,16 +3,22 @@ package mpi
 // Retained reference runtime (SetReference): the pre-sharding design —
 // one world-wide mutex guarding every mailbox, the payload pool and
 // the blocked/queued/alive counters, with per-rank condition variables
-// (all sharing that mutex) for targeted wakeups. Kept verbatim as the
+// (all sharing that mutex) for targeted wakeups. Kept as the
 // equivalence oracle for the sharded runtime; it is bit-identical in
-// every virtual-time observable and differs only in real-time
-// scalability.
+// every virtual-time observable, detects the same deadlocks, and
+// differs only in real-time scalability.
 
 // waitRecord is one rank's current blocked receive (reference runtime;
 // guarded by World.mu). It feeds the deadlock report's sample.
+//
+// queued counts only messages that can still unblock someone, by the
+// sharded runtime's parking rule: of the count messages a rank holds,
+// parked are left out — all once it has exited, the ones not matching
+// its receive while it is blocked, none otherwise.
 type waitRecord struct {
-	active         bool
-	src, tag, comm int
+	active, exited bool
+	key            matchKey
+	count, parked  int
 }
 
 // refSend queues msg for dst under the world mutex.
@@ -23,8 +29,14 @@ func (w *World) refSend(dst int, key matchKey, msg *message) {
 		q = &msgq{}
 		w.boxes[dst][key] = q
 	}
-	q.q = append(q.q, msg)
-	w.queued++
+	q.push(msg)
+	rw := &w.waits[dst]
+	rw.count++
+	if rw.exited || (rw.active && rw.key != key) {
+		rw.parked++
+	} else {
+		w.queued++
+	}
 	w.conds[dst].Signal() // wake only the receiver, not the whole world
 	w.mu.Unlock()
 }
@@ -36,13 +48,23 @@ func (w *World) refRecv(p *Proc, key matchKey) (*message, error) {
 	w.mu.Lock()
 	w.blocked++
 	rw := &w.waits[p.rank]
-	rw.active, rw.src, rw.tag, rw.comm = true, key.src, key.tag, key.comm
+	rw.active, rw.key = true, key
+	if q, ok := w.boxes[p.rank][key]; !ok || q.empty() {
+		// Nothing held matches: park it all for as long as we block.
+		rw.parked = rw.count
+		w.queued -= rw.parked
+	}
+	unblock := func() {
+		w.blocked--
+		w.queued += rw.parked
+		rw.active, rw.parked = false, 0
+	}
 	for {
-		if q, ok := w.boxes[p.rank][key]; ok && q.head < len(q.q) {
+		if q, ok := w.boxes[p.rank][key]; ok && !q.empty() {
 			msg := q.pop()
+			rw.count--
 			w.queued--
-			w.blocked--
-			rw.active = false
+			unblock()
 			w.mu.Unlock()
 			return msg, nil
 		}
@@ -55,8 +77,7 @@ func (w *World) refRecv(p *Proc, key matchKey) (*message, error) {
 			if err == nil {
 				err = ErrDeadlock
 			}
-			w.blocked--
-			rw.active = false
+			unblock()
 			w.wakeAll()
 			w.mu.Unlock()
 			return nil, err
@@ -77,7 +98,7 @@ func (w *World) refDeadlockError() error {
 		}
 		rw := &w.waits[r]
 		if rw.active {
-			e.Sample = append(e.Sample, RankWait{Rank: r, Src: rw.src, Tag: rw.tag, Comm: rw.comm})
+			e.Sample = append(e.Sample, rw.key.waitOf(r))
 		}
 	}
 	return e

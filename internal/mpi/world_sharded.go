@@ -8,58 +8,136 @@ import "sync"
 // no code path ever holds two mailbox locks — and the detector mutex
 // is only ever taken with no mailbox lock held, so the runtime is
 // trivially deadlock-free itself.
+//
+// The queued half counts only messages that can still unblock someone.
+// A message is parked — held in its mailbox but left out of the count —
+// while its receiver is blocked on a different key, and for good once
+// its receiver has exited. Without parking, a rank that fails strands
+// its peers with unrelated or undeliverable messages still "queued",
+// and the world hangs instead of reporting the failure.
 
 // queuedMask extracts the queued half of World.packed; the blocked
 // half lives in the upper 32 bits.
 const queuedMask = (1 << 32) - 1
+
+// linearQueues is the queue count up to which a mailbox finds a queue
+// by scanning: a rank of a stencil code talks to a handful of
+// (src, tag, comm) keys, fewer than a hash costs.
+const linearQueues = 32
 
 // mailbox is one rank's receive state: its queues, its private lock,
 // and the condition variable only the owning rank ever waits on.
 // Senders lock exactly the destination mailbox, so traffic between
 // disjoint rank pairs never contends, and a delivery wakes exactly the
 // receiving rank.
+//
+// Queues sit in one slice in first-use order and are found by a linear
+// scan. Only a mailbox that outgrows linearQueues — the root of a
+// world-wide Split or Gather funnel, with one queue per source — builds
+// a map index over the slice, so those lookups stay O(1) while an
+// ordinary rank's mailbox costs no heap object until its first message.
 type mailbox struct {
-	mu    sync.Mutex
-	cond  sync.Cond // L is &mu, set at world setup
-	boxes map[matchKey]*msgq
+	mu   sync.Mutex
+	cond sync.Cond // L is &mu, set at world setup
+	qs   []msgq
+	idx  map[matchKey]int32 // key -> index in qs; nil up to linearQueues
 
-	// waiting describes the receive this rank is currently blocked on,
+	// count is the number of messages held; parked of them are not in
+	// World.packed's queued half (all while dead, the ones not matching
+	// wkey while waiting, none otherwise).
+	count, parked int32
+
+	// waiting says the rank is blocked in the receive wkey describes,
 	// valid while the rank is counted in the blocked half of
-	// World.packed; it feeds the deadlock report's sample.
-	waiting           bool
-	wsrc, wtag, wcomm int
+	// World.packed; it feeds the deadlock report's sample. dead says the
+	// rank has exited and will receive nothing more.
+	waiting, dead bool
+	wkey          matchKey
 
-	// Pad mailboxes apart so neighboring ranks' hot send/recv locks do
-	// not false-share one cache line.
-	_ [24]byte
+	// The fields above fill 128 bytes, two whole cache lines, so in the
+	// world's mailbox slab neighboring ranks' hot send/recv locks never
+	// share a line (TestMailboxFillsCacheLines).
 }
 
-// shardSend queues msg for dst. The queued counter is incremented
-// before the message becomes visible, so the deadlock predicate
-// (blocked >= alive && queued == 0) can never hold while a delivery is
-// in flight.
+// queue returns the mailbox's queue for key, or nil when no message
+// with that key was ever sent. The pointer is valid until the next
+// queueFor call. Caller holds mb.mu.
+func (mb *mailbox) queue(key matchKey) *msgq {
+	if mb.idx != nil {
+		if i, ok := mb.idx[key]; ok {
+			return &mb.qs[i]
+		}
+		return nil
+	}
+	for i := range mb.qs {
+		if mb.qs[i].key == key {
+			return &mb.qs[i]
+		}
+	}
+	return nil
+}
+
+// queueFor is queue, creating the queue on first use.
+func (mb *mailbox) queueFor(key matchKey) *msgq {
+	if q := mb.queue(key); q != nil {
+		return q
+	}
+	if mb.qs == nil {
+		// One allocation covers an ordinary rank: at 8192 ranks of the
+		// paper's four-sibling domain 97 % of mailboxes hold 7-16 queues.
+		mb.qs = make([]msgq, 0, 16)
+	}
+	mb.qs = append(mb.qs, msgq{key: key})
+	n := len(mb.qs)
+	switch {
+	case mb.idx != nil:
+		mb.idx[key] = int32(n - 1)
+	case n > linearQueues:
+		mb.idx = make(map[matchKey]int32, 2*n)
+		for i := range mb.qs {
+			mb.idx[mb.qs[i].key] = int32(i)
+		}
+	}
+	return &mb.qs[n-1]
+}
+
+// shardSend queues msg for dst, counting it as queued unless it is
+// parked on arrival. The sender is alive and not blocked for the whole
+// call, so the deadlock predicate (blocked >= alive && queued == 0)
+// cannot hold while a delivery is in flight, and the count is in place
+// before the sender can next block.
 func (w *World) shardSend(dst int, key matchKey, msg *message) {
-	w.packed.Add(1)
 	mb := &w.mboxes[dst]
 	mb.mu.Lock()
-	q, ok := mb.boxes[key]
-	if !ok {
-		q = &msgq{}
-		mb.boxes[key] = q
+	if mb.dead || (mb.waiting && mb.wkey != key) {
+		mb.parked++
+	} else {
+		w.packed.Add(1)
 	}
-	q.q = append(q.q, msg)
+	mb.count++
+	mb.queueFor(key).push(msg)
 	mb.cond.Signal()
 	mb.mu.Unlock()
+}
+
+// unblock ends the mailbox's blocked receive and returns the change to
+// World.packed that goes with it: one blocked rank fewer, the parked
+// messages queued again. Caller holds mb.mu.
+func (mb *mailbox) unblock() int64 {
+	d := int64(mb.parked) - 1<<32
+	mb.waiting, mb.parked = false, 0
+	return d
 }
 
 // shardRecv blocks rank p until a message matching key is available.
 //
 // Counter protocol: on first finding the queue empty the receiver
-// atomically enters the blocked count (and publishes what it waits on
-// under its mailbox lock); when a blocked receiver finally consumes a
-// message it leaves the blocked count and consumes the queued count in
-// ONE atomic add, so no interleaving shows "everyone blocked, nothing
-// queued" while a handoff is mid-flight.
+// atomically enters the blocked count and parks everything its mailbox
+// holds (none of it matches), publishing what it waits on under its
+// mailbox lock; when a blocked receiver finally consumes a message it
+// leaves the blocked count, consumes the queued count and un-parks the
+// rest in ONE atomic add, so no interleaving shows "everyone blocked,
+// nothing queued" while a handoff is mid-flight.
 //
 // Deadlock check ordering: alive is loaded BEFORE packed. alive only
 // decreases, so a stale value can only make the predicate harder to
@@ -73,11 +151,11 @@ func (w *World) shardRecv(p *Proc, key matchKey) (*message, error) {
 	blocked := false
 	mb.mu.Lock()
 	for {
-		if q, ok := mb.boxes[key]; ok && q.head < len(q.q) {
+		if q := mb.queue(key); q != nil && !q.empty() {
 			msg := q.pop()
+			mb.count--
 			if blocked {
-				mb.waiting = false
-				w.packed.Add(-(1 << 32) - 1) // leave blocked, consume queued
+				w.packed.Add(mb.unblock() - 1) // leave blocked, un-park, consume queued
 			} else {
 				w.packed.Add(-1)
 			}
@@ -86,8 +164,7 @@ func (w *World) shardRecv(p *Proc, key matchKey) (*message, error) {
 		}
 		if w.failedS.Load() {
 			if blocked {
-				mb.waiting = false
-				w.packed.Add(-(1 << 32))
+				w.packed.Add(mb.unblock())
 			}
 			mb.mu.Unlock()
 			return nil, w.shardFailure()
@@ -95,8 +172,9 @@ func (w *World) shardRecv(p *Proc, key matchKey) (*message, error) {
 		if !blocked {
 			blocked = true
 			mb.waiting = true
-			mb.wsrc, mb.wtag, mb.wcomm = key.src, key.tag, key.comm
-			w.packed.Add(1 << 32)
+			mb.wkey = key
+			mb.parked = mb.count
+			w.packed.Add(1<<32 - int64(mb.parked))
 		}
 		alive := w.aliveS.Load()
 		st := w.packed.Load()
@@ -108,8 +186,7 @@ func (w *World) shardRecv(p *Proc, key matchKey) (*message, error) {
 			err := w.declareDeadlock()
 			mb.mu.Lock()
 			if err != nil {
-				mb.waiting = false
-				w.packed.Add(-(1 << 32))
+				w.packed.Add(mb.unblock())
 				mb.mu.Unlock()
 				return nil, err
 			}
@@ -154,7 +231,7 @@ func (w *World) shardDeadlockError(blocked, alive int) error {
 		mb := &w.mboxes[r]
 		mb.mu.Lock()
 		if mb.waiting {
-			e.Sample = append(e.Sample, RankWait{Rank: r, Src: mb.wsrc, Tag: mb.wtag, Comm: mb.wcomm})
+			e.Sample = append(e.Sample, mb.wkey.waitOf(r))
 		}
 		mb.mu.Unlock()
 	}

@@ -117,7 +117,7 @@ type Tile struct {
 	// lines for rows y-1, y and y+1 of the sweep. Each cell's six flux
 	// components are computed exactly once per step instead of four
 	// times, with bit-identical results (same expressions, same inputs).
-	flm, flc, flp *fluxLine
+	fl [3]fluxLine
 }
 
 // fluxLine holds the six flux components of one halo-extended row
@@ -128,13 +128,12 @@ type fluxLine struct {
 	gh, ghu, ghv []float64
 }
 
-// newFluxLine allocates a flux line for n cells in one backing slab.
-func newFluxLine(n int) *fluxLine {
-	b := make([]float64, 6*n)
-	return &fluxLine{
-		fh: b[0:n], fhu: b[n : 2*n], fhv: b[2*n : 3*n],
-		gh: b[3*n : 4*n], ghu: b[4*n : 5*n], ghv: b[5*n : 6*n],
-	}
+// carve cuts the next n floats off the front of *slab, with capacity
+// clipped so neighbours in the slab can never be appended into.
+func carve(slab *[]float64, n int) []float64 {
+	b := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return b
 }
 
 // reference selects the retained pre-PR5 slow paths (closure-based
@@ -161,13 +160,20 @@ func NewTile(gnx, gny, x0, y0, w, h int, p Params) (*Tile, error) {
 	if w <= 0 || h <= 0 || x0 < 0 || y0 < 0 || x0+w > gnx || y0+h > gny {
 		return nil, fmt.Errorf("%w: [%d,%d)+%dx%d in %dx%d", ErrBadTile, x0, y0, w, h, gnx, gny)
 	}
-	n := (w + 2) * (h + 2)
-	return &Tile{
-		GNX: gnx, GNY: gny, X0: x0, Y0: y0, W: w, H: h, P: p,
-		h: make([]float64, n), hu: make([]float64, n), hv: make([]float64, n),
-		nh: make([]float64, n), nhu: make([]float64, n), nhv: make([]float64, n),
-		flm: newFluxLine(w + 2), flc: newFluxLine(w + 2), flp: newFluxLine(w + 2),
-	}, nil
+	// One slab holds the six fields and the three flux lines: a tile is
+	// two heap objects, which is what keeps an 8192-rank world (two
+	// tiles per rank) cheap to build and to garbage-collect.
+	n, ln := (w+2)*(h+2), w+2
+	slab := make([]float64, 6*n+18*ln)
+	t := &Tile{GNX: gnx, GNY: gny, X0: x0, Y0: y0, W: w, H: h, P: p}
+	t.h, t.hu, t.hv = carve(&slab, n), carve(&slab, n), carve(&slab, n)
+	t.nh, t.nhu, t.nhv = carve(&slab, n), carve(&slab, n), carve(&slab, n)
+	for i := range t.fl {
+		l := &t.fl[i]
+		l.fh, l.fhu, l.fhv = carve(&slab, ln), carve(&slab, ln), carve(&slab, ln)
+		l.gh, l.ghu, l.ghv = carve(&slab, ln), carve(&slab, ln), carve(&slab, ln)
+	}
+	return t, nil
 }
 
 // idx returns the buffer index of local cell (x, y), where (0,0) is the
@@ -297,7 +303,7 @@ func (t *Tile) stepLF() {
 	fcor := t.P.F * t.P.Dt
 	drag := t.P.Drag * t.P.Dt
 	stride := t.W + 2
-	lm, lc, lp := t.flm, t.flc, t.flp
+	lm, lc, lp := &t.fl[0], &t.fl[1], &t.fl[2]
 	t.fillFluxLine(-1, lm)
 	t.fillFluxLine(0, lc)
 	t.fillFluxLine(1, lp)

@@ -23,6 +23,51 @@ func TestNewTileValidation(t *testing.T) {
 	}
 }
 
+// A tile is two heap objects — the struct and one slab holding its six
+// fields and three flux lines — so worlds of thousands of tiles stay
+// cheap to build and to garbage-collect, and the views carved from the
+// slab must not overlap.
+func TestNewTileOneSlab(t *testing.T) {
+	if !raceEnabled {
+		avg := testing.AllocsPerRun(20, func() {
+			if _, err := NewTile(40, 40, 3, 4, 5, 3, DefaultParams()); err != nil {
+				t.Error(err)
+			}
+		})
+		if avg > 2 {
+			t.Errorf("NewTile: %v allocs, want at most 2", avg)
+		}
+	}
+	tile, err := NewTile(40, 40, 3, 4, 5, 3, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := [][]float64{tile.h, tile.hu, tile.hv, tile.nh, tile.nhu, tile.nhv}
+	for i := range tile.fl {
+		l := &tile.fl[i]
+		views = append(views, l.fh, l.fhu, l.fhv, l.gh, l.ghu, l.ghv)
+	}
+	for i, v := range views {
+		want := (5 + 2) * (3 + 2)
+		if i >= 6 {
+			want = 5 + 2
+		}
+		if len(v) != want || cap(v) != want {
+			t.Fatalf("view %d: len %d cap %d, want %d", i, len(v), cap(v), want)
+		}
+		for j := range v {
+			v[j] = float64(i + 1)
+		}
+	}
+	for i, v := range views {
+		for j := range v {
+			if v[j] != float64(i+1) {
+				t.Fatalf("view %d overlaps another: [%d] = %v", i, j, v[j])
+			}
+		}
+	}
+}
+
 func TestMassConservation(t *testing.T) {
 	nx, ny := 40, 30
 	init := GaussianHill(nx, ny, 20, 15, 0.5, 4)

@@ -55,6 +55,13 @@ func ownerIdx(n, parts, g int) int {
 	return rem + (g-bound)/base
 }
 
+// span returns part i's cells [start, start+size) along one dimension
+// of solver.Decompose's block decomposition; ownerIdx is its inverse.
+func span(n, parts, i int) (start, size int) {
+	start, _, size, _ = solver.Decompose(n, 1, vtopo.Grid{Px: parts, Py: 1}, i)
+	return start, size
+}
+
 // reference selects the retained slow coupling paths: patterns and
 // plans recomputed from scratch at every coupling step with fresh
 // allocations and copying sends, exactly as before the PR5 plan cache.
@@ -309,116 +316,193 @@ type fbPlan struct {
 	inboxLen   []int
 }
 
-// buildFBPlan computes the feedback plan of one nest.
+// fbAxis is one dimension of a nest's feedback geometry. The block
+// decomposition is a product of per-axis splits, so everything the plan
+// builder needs — who owns a footprint cell, which child parts overlap
+// its block, which parent parts a child part feeds — is a product of two
+// of these tables, each linear in the footprint and the part counts.
+type fbAxis struct {
+	// By footprint cell (parent cell minus the nest offset).
+	owner  []int // owning parent part
+	local  []int // coordinate within the owner's tile
+	lo, hi []int // first and last child part overlapping the cell's block
+	// By child part.
+	t0, t1 []int // child cells [t0, t1)
+	d0, nd []int // first parent part fed, and how many (0 for an empty part)
+	// Parent parts p0 .. p0+len(cells)-1 own the footprint; cells[k] is
+	// part p0+k's footprint-cell count.
+	p0    int
+	cells []int
+	// overlaps is the number of (footprint cell, overlapping child
+	// part) pairs.
+	overlaps int
+}
+
+func newFBAxis(pn, pparts, off, cn, cparts, ratio int) fbAxis {
+	f := (cn + ratio - 1) / ratio
+	ft := make([]int, 4*f)
+	pt := make([]int, 4*cparts)
+	a := fbAxis{
+		owner: ft[:f], local: ft[f : 2*f], lo: ft[2*f : 3*f], hi: ft[3*f:],
+		t0: pt[:cparts], t1: pt[cparts : 2*cparts], d0: pt[2*cparts : 3*cparts], nd: pt[3*cparts:],
+	}
+	a.p0 = ownerIdx(pn, pparts, off)
+	a.cells = make([]int, ownerIdx(pn, pparts, off+f-1)-a.p0+1)
+	for i := 0; i < f; i++ {
+		o := ownerIdx(pn, pparts, off+i)
+		start, _ := span(pn, pparts, o)
+		a.owner[i], a.local[i] = o, off+i-start
+		a.cells[o-a.p0]++
+		a.lo[i] = ownerIdx(cn, cparts, i*ratio)
+		a.hi[i] = ownerIdx(cn, cparts, min((i+1)*ratio, cn)-1)
+		a.overlaps += a.hi[i] - a.lo[i] + 1
+	}
+	for r := 0; r < cparts; r++ {
+		start, size := span(cn, cparts, r)
+		a.t0[r], a.t1[r] = start, start+size
+		if size > 0 {
+			a.d0[r] = a.owner[start/ratio]
+			a.nd[r] = a.owner[(start+size-1)/ratio] - a.d0[r] + 1
+		}
+	}
+	return a
+}
+
+// fed returns how many footprint cells of child part r parent part d
+// owns (d must be one of the parts r feeds).
+func (a *fbAxis) fed(r, d, ratio int) int {
+	n := 0
+	for i := a.t0[r] / ratio; i <= (a.t1[r]-1)/ratio; i++ {
+		if a.owner[i] == d {
+			n++
+		}
+	}
+	return n
+}
+
+// buildFBPlan computes the feedback plan of one nest in time and memory
+// linear in what the plan holds: the transfers are enumerated up front
+// from the per-axis tables (child tile r feeds exactly the rectangle of
+// parent ranks its footprint touches), so one pass over the footprint
+// fills every entry and every accumulation recipe by index arithmetic,
+// and all entries, recipes and per-rank lists are carved from per-plan
+// slabs. reference_test.go keeps the scan-every-tile builder this
+// replaced as the oracle.
 func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.Grid, cworld []int) *fbPlan {
-	byPair := map[[2]int]*fbTransfer{}
-	var order [][2]int
-	// Child tile rectangles by nest-local rank.
-	tiles := make([][4]int, cgrid.Size())
-	for r := range tiles {
-		x0, y0, w, h := solver.Decompose(c.NX, c.NY, cgrid, r)
-		tiles[r] = [4]int{x0, y0, w, h}
+	ratio := c.Ratio
+	ax := newFBAxis(cfg.NX, grid.Px, c.OffX, c.NX, cgrid.Px, ratio)
+	ay := newFBAxis(cfg.NY, grid.Py, c.OffY, c.NY, cgrid.Py, ratio)
+
+	// Transfers of child tile r start at tbase[r], ordered by ascending
+	// destination rank; each gets its exact entry capacity.
+	tbase := make([]int, cgrid.Size()+1)
+	for r := range tbase[1:] {
+		rx, ry := cgrid.Coord(r)
+		tbase[r+1] = tbase[r] + ax.nd[rx]*ay.nd[ry]
 	}
-	// entryRef remembers where the entry of (parent cell, child world
-	// rank) landed, for resolving the accumulation recipe below.
-	type entryKey struct{ px, py, src int }
-	type entryLoc struct {
-		pair [2]int
-		ei   int
-	}
-	entryRef := map[entryKey]entryLoc{}
-	for py := c.OffY; py < c.OffY+c.FootprintY(); py++ {
-		for px := c.OffX; px < c.OffX+c.FootprintX(); px++ {
-			dst := ownerOf(cfg.NX, cfg.NY, grid, px, py)
-			// Child-cell block of this parent cell.
-			bx0 := (px - c.OffX) * c.Ratio
-			by0 := (py - c.OffY) * c.Ratio
-			bx1 := min(bx0+c.Ratio, c.NX)
-			by1 := min(by0+c.Ratio, c.NY)
-			for r, tl := range tiles {
-				ix0 := max(bx0, tl[0])
-				iy0 := max(by0, tl[1])
-				ix1 := min(bx1, tl[0]+tl[2])
-				iy1 := min(by1, tl[1]+tl[3])
-				if ix0 >= ix1 || iy0 >= iy1 {
-					continue
-				}
-				src := cworld[r]
-				key := [2]int{src, dst}
-				tr, ok := byPair[key]
-				if !ok {
-					tr = &fbTransfer{src: src, dst: dst}
-					byPair[key] = tr
-					order = append(order, key)
-				}
-				entryRef[entryKey{px, py, src}] = entryLoc{pair: key, ei: len(tr.entries)}
-				tr.entries = append(tr.entries, fbEntry{
-					pcell: [2]int{px, py},
-					x0:    ix0, y0: iy0, w: ix1 - ix0, h: iy1 - iy0,
-				})
+	trs := make([]fbTransfer, tbase[cgrid.Size()])
+	entries := make([]fbEntry, ax.overlaps*ay.overlaps)
+	for r := 0; r < cgrid.Size(); r++ {
+		rx, ry := cgrid.Coord(r)
+		i := tbase[r]
+		for ky := 0; ky < ay.nd[ry]; ky++ {
+			ny := ay.fed(ry, ay.d0[ry]+ky, ratio)
+			for kx := 0; kx < ax.nd[rx]; kx++ {
+				n := ny * ax.fed(rx, ax.d0[rx]+kx, ratio)
+				trs[i] = fbTransfer{src: cworld[r], dst: grid.Rank(ax.d0[rx]+kx, ay.d0[ry]+ky)}
+				trs[i].entries, entries = entries[:0:n], entries[n:]
+				i++
 			}
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i][0] != order[j][0] {
-			return order[i][0] < order[j][0]
-		}
-		return order[i][1] < order[j][1]
-	})
 	nranks := grid.Size()
 	plan := &fbPlan{
-		transfers:  make([]*fbTransfer, len(order)),
-		sendByRank: make([][]*fbTransfer, nranks),
-		recvByRank: make([][]*fbTransfer, nranks),
-		inboxLen:   make([]int, nranks),
+		transfers:   make([]*fbTransfer, len(trs)),
+		ownedByRank: make([][]fbOwnedCell, nranks),
+		sendByRank:  make([][]*fbTransfer, nranks),
+		recvByRank:  make([][]*fbTransfer, nranks),
+		inboxLen:    make([]int, nranks),
 	}
-	for i, k := range order {
-		tr := byPair[k]
+	for i := range trs {
+		plan.transfers[i] = &trs[i]
+	}
+	sort.Slice(plan.transfers, func(i, j int) bool {
+		a, b := plan.transfers[i], plan.transfers[j]
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		return a.dst < b.dst
+	})
+	// Per-rank indexes: a rank's sends are one run of the sorted list;
+	// its receives (self-transfers excluded) are carved from one slab.
+	for _, tr := range plan.transfers {
 		tr.slot = plan.inboxLen[tr.dst]
 		plan.inboxLen[tr.dst]++
-		plan.sendByRank[tr.src] = append(plan.sendByRank[tr.src], tr)
-		if tr.dst != tr.src {
-			plan.recvByRank[tr.dst] = append(plan.recvByRank[tr.dst], tr)
+	}
+	recvSlab := make([]*fbTransfer, len(trs))
+	run := 0
+	for i, tr := range plan.transfers {
+		if j := i + 1; j == len(trs) || plan.transfers[j].src != tr.src {
+			plan.sendByRank[tr.src] = plan.transfers[run:j:j]
+			run = j
 		}
-		off := 0
-		for ei := range tr.entries {
-			tr.entries[ei].off = off
-			off += 3 * tr.entries[ei].w * tr.entries[ei].h
+		if tr.dst == tr.src {
+			continue
 		}
-		tr.floats = off
-		plan.transfers[i] = tr
+		if plan.recvByRank[tr.dst] == nil {
+			n := plan.inboxLen[tr.dst]
+			plan.recvByRank[tr.dst], recvSlab = recvSlab[:0:n], recvSlab[n:]
+		}
+		plan.recvByRank[tr.dst] = append(plan.recvByRank[tr.dst], tr)
 	}
 
-	// Accumulation recipe per owning parent rank: each block's cells in
-	// child-global row-major order, regardless of how the nest is
-	// decomposed. One pass over the footprint fills every rank's list.
-	plan.ownedByRank = make([][]fbOwnedCell, grid.Size())
-	origins := make([][2]int, grid.Size())
-	for r := range origins {
-		x0, y0, _, _ := solver.Decompose(cfg.NX, cfg.NY, grid, r)
-		origins[r] = [2]int{x0, y0}
+	// Accumulation recipes: each parent rank's owned footprint cells, in
+	// footprint row-major order, with every block's child cells in
+	// child-global row-major order regardless of how the nest is
+	// decomposed.
+	ownedSlab := make([]fbOwnedCell, len(ax.owner)*len(ay.owner))
+	for ky, ny := range ay.cells {
+		for kx, nx := range ax.cells {
+			r := grid.Rank(ax.p0+kx, ay.p0+ky)
+			plan.ownedByRank[r], ownedSlab = ownedSlab[:0:nx*ny], ownedSlab[nx*ny:]
+		}
 	}
-	for py := c.OffY; py < c.OffY+c.FootprintY(); py++ {
-		for px := c.OffX; px < c.OffX+c.FootprintX(); px++ {
-			owner := ownerOf(cfg.NX, cfg.NY, grid, px, py)
-			bx0 := (px - c.OffX) * c.Ratio
-			by0 := (py - c.OffY) * c.Ratio
-			bx1 := min(bx0+c.Ratio, c.NX)
-			by1 := min(by0+c.Ratio, c.NY)
-			srcs := make([]fbCellRef, 0, (bx1-bx0)*(by1-by0))
-			for cy := by0; cy < by1; cy++ {
-				for cx := bx0; cx < bx1; cx++ {
-					src := cworld[ownerOf(c.NX, c.NY, cgrid, cx, cy)]
-					loc := entryRef[entryKey{px, py, src}]
-					tr := byPair[loc.pair]
-					e := &tr.entries[loc.ei]
-					off := e.off + 3*((cy-e.y0)*e.w+(cx-e.x0))
-					srcs = append(srcs, fbCellRef{slot: int32(tr.slot), off: int32(off)})
+	arena := make([]fbCellRef, c.NX*c.NY)
+	for fy := range ay.owner {
+		by0 := fy * ratio
+		by1 := min(by0+ratio, c.NY)
+		for fx := range ax.owner {
+			bx0 := fx * ratio
+			bx1 := min(bx0+ratio, c.NX)
+			bw := bx1 - bx0
+			n := bw * (by1 - by0)
+			var srcs []fbCellRef
+			srcs, arena = arena[:n:n], arena[n:]
+			for ry := ay.lo[fy]; ry <= ay.hi[fy]; ry++ {
+				iy0, iy1 := max(by0, ay.t0[ry]), min(by1, ay.t1[ry])
+				for rx := ax.lo[fx]; rx <= ax.hi[fx]; rx++ {
+					ix0, ix1 := max(bx0, ax.t0[rx]), min(bx1, ax.t1[rx])
+					tr := &trs[tbase[cgrid.Rank(rx, ry)]+(ay.owner[fy]-ay.d0[ry])*ax.nd[rx]+ax.owner[fx]-ax.d0[rx]]
+					w, off := ix1-ix0, tr.floats
+					tr.entries = append(tr.entries, fbEntry{
+						pcell: [2]int{c.OffX + fx, c.OffY + fy},
+						x0:    ix0, y0: iy0, w: w, h: iy1 - iy0,
+						off: off,
+					})
+					tr.floats += 3 * w * (iy1 - iy0)
+					for y := iy0; y < iy1; y++ {
+						row := srcs[(y-by0)*bw+ix0-bx0:]
+						for x := 0; x < w; x++ {
+							row[x] = fbCellRef{slot: int32(tr.slot), off: int32(off)}
+							off += 3
+						}
+					}
 				}
 			}
+			owner := grid.Rank(ax.owner[fx], ay.owner[fy])
 			plan.ownedByRank[owner] = append(plan.ownedByRank[owner], fbOwnedCell{
-				lx: px - origins[owner][0], ly: py - origins[owner][1],
-				n:    float64((bx1 - bx0) * (by1 - by0)),
+				lx: ax.local[fx], ly: ay.local[fy],
+				n:    float64(n),
 				srcs: srcs,
 			})
 		}

@@ -164,3 +164,10 @@ func TestCouplingZeroAllocs(t *testing.T) {
 		t.Errorf("exchangeBC+exchangeFeedback: %v allocs per coupling step, want 0", cplAvg)
 	}
 }
+
+// initialParentValue evaluates the parent's initial condition, as
+// rankMain seeds a nest before the first parent data arrives.
+func initialParentValue(cfg *nest.Domain, gx, gy int) (float64, float64, float64) {
+	f := solver.GaussianHill(cfg.NX, cfg.NY, float64(cfg.NX)/2, float64(cfg.NY)/2, 0.4, float64(cfg.NX)/8)
+	return f(gx, gy)
+}

@@ -318,9 +318,11 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 	// one per nest, members or not: non-members still source boundary
 	// conditions from their parent cells and sink feedback into them).
 	nests := make([]*nestCtx, len(cfg.Children))
+	ctxs := make([]nestCtx, len(cfg.Children)) // one slab, not one object per nest per rank
 	for i, c := range cfg.Children {
 		np := plans[i]
-		nc := &nestCtx{
+		nc := &ctxs[i]
+		*nc = nestCtx{
 			d: c, idx: i,
 			grid: np.grid, world: np.world, phase: np.phase,
 			bcPlan: np.bc, fbPlan: np.fb,
@@ -445,13 +447,6 @@ func recordPoolMetrics(reg *metrics.Registry, ps mpi.PoolStats) {
 	reg.Gauge("mpi_payload_pool_buffers").Set(float64(ps.Buffers))
 	reg.Gauge("mpi_payload_pool_bytes").Set(float64(ps.Bytes))
 	reg.Gauge("mpi_payload_pool_hit_rate").Set(ps.HitRate())
-}
-
-// initialParentValue evaluates the parent's initial condition (used to
-// seed nests before the first parent data arrives).
-func initialParentValue(cfg *nest.Domain, gx, gy int) (float64, float64, float64) {
-	f := solver.GaussianHill(cfg.NX, cfg.NY, float64(cfg.NX)/2, float64(cfg.NY)/2, 0.4, float64(cfg.NX)/8)
-	return f(gx, gy)
 }
 
 // nestSubsteps advances one nest Ratio sub-steps with its stored

@@ -52,6 +52,23 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// A nest too small for its process grid leaves some ranks with an empty
+// tile. They fail at set-up while the ranks with a valid tile block on
+// them: Run must report the cause, not the deadlock it leads to.
+func TestRunReportsBadTileNotDeadlock(t *testing.T) {
+	cfg := nest.Root("parent", 64, 64)
+	cfg.AddChild("ok", 60, 48, 3, 2, 2)
+	cfg.AddChild("sliver", 3, 36, 3, 30, 30) // 3 columns over an 8-wide grid
+	for _, s := range []Strategy{Sequential, Concurrent} {
+		opt := baseOpts(s)
+		opt.Weights = []float64{1, 1} // concurrent: 4 grid columns for the sliver's 3
+		_, err := Run(cfg, opt)
+		if !errors.Is(err, solver.ErrBadTile) || errors.Is(err, mpi.ErrDeadlock) {
+			t.Errorf("strategy %v: err = %v, want solver.ErrBadTile", s, err)
+		}
+	}
+}
+
 func TestSequentialRunProducesStates(t *testing.T) {
 	out, err := Run(testConfig(), baseOpts(Sequential))
 	if err != nil {
