@@ -24,13 +24,13 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"strings"
 	"syscall"
+	"time"
 
 	"nestwrf/internal/ensemble"
 	"nestwrf/internal/metrics"
@@ -121,12 +121,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "ensemble: debug listen %s: %v\n", *debugAddr, err)
-			return 1
-		}
-		defer ln.Close()
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /debug/progress", func(w http.ResponseWriter, _ *http.Request) {
 			p, ok := eng.Progress()
@@ -140,8 +134,17 @@ func run(args []string, stdout, stderr *os.File) int {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_ = reg.Snapshot().WriteText(w)
 		})
-		fmt.Fprintf(stderr, "ensemble: live telemetry on http://%s/debug/progress\n", ln.Addr())
-		go func() { _ = http.Serve(ln, mux) }()
+		bound, stop, err := planserve.StartServer(*debugAddr, mux, 2*time.Second)
+		if err != nil {
+			fmt.Fprintf(stderr, "ensemble: debug listen %s: %v\n", *debugAddr, err)
+			return 1
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(stderr, "ensemble: debug server: %v\n", err)
+			}
+		}()
+		fmt.Fprintf(stderr, "ensemble: live telemetry on http://%s/debug/progress\n", bound)
 	}
 
 	sum, err := eng.Run(ctx)

@@ -150,15 +150,6 @@ type Options struct {
 	// part of any plan-cache key.
 	Tracer      *telemetry.Tracer
 	TraceParent telemetry.SpanID
-
-	// Parallel lets Run fan independent sibling-subtree cost
-	// evaluations over spare worker-pool slots. The merged result is
-	// byte-identical to the sequential evaluation (accounting is
-	// journaled and replayed in sibling order), so the flag trades
-	// nothing but determinism of *who* computes: BuildPlan sets it on
-	// its cost run, and plan-cache keys ignore it. Runs that build
-	// reports or record trace spans stay sequential regardless.
-	Parallel bool
 }
 
 // OutputBytesPerPoint is the forecast output volume per horizontal grid
@@ -261,12 +252,6 @@ type run struct {
 	hopDen  float64
 	rep     *reportBuilder   // nil unless a report or metrics were requested
 	span    telemetry.SpanID // the run span phase spans parent under
-
-	// journaling runs (parallel sibling evaluation) record accounting
-	// ops here instead of mutating waitAvg/waitMax/hopNum/hopDen; the
-	// parent replays the journal in sequential sibling order.
-	journaling bool
-	journal    []acctOp
 }
 
 // predictor returns the run's predictor, resolving the shared cached
@@ -508,36 +493,6 @@ func (r *run) domainIter(d *nest.Domain, sg vtopo.Subgrid, rects []alloc.Rect, m
 	var sibs []DomainMetrics
 	switch r.opt.Strategy {
 	case Sequential:
-		if r.fanSiblings(len(d.Children)) {
-			// Evaluate each sibling subtree on a journaling clone in
-			// parallel, then merge in sequential child order: replaying
-			// the journals reproduces the sequential path's exact float
-			// operation sequence, so the merged state is byte-identical.
-			outs := make([]siblingEval, len(d.Children))
-			fanOut(len(d.Children), func(i int) {
-				rc := r.journalClone()
-				c := d.Children[i]
-				step, _, err := rc.domainIter(c, sg, nil, mult*float64(c.Ratio))
-				outs[i] = siblingEval{step: step, ops: rc.journal, err: err}
-			})
-			for i, c := range d.Children {
-				if outs[i].err != nil {
-					return 0, nil, outs[i].err
-				}
-				r.replay(outs[i].ops)
-				couple := model.CouplingCost(r.opt.Machine, c, sg.Size())
-				phase := float64(c.Ratio)*outs[i].step + couple
-				t += phase
-				sibs = append(sibs, DomainMetrics{
-					Name:      c.Name,
-					Ranks:     sg.Size(),
-					StepTime:  outs[i].step,
-					PhaseTime: phase,
-					Rect:      sg.Rect,
-				})
-			}
-			break
-		}
 		for _, c := range d.Children {
 			step, _, err := r.domainIter(c, sg, nil, mult*float64(c.Ratio))
 			if err != nil {
@@ -583,27 +538,6 @@ func (r *run) domainIter(d *nest.Domain, sg vtopo.Subgrid, rects []alloc.Rect, m
 			placements[i] = model.Placement{D: c, SG: csg}
 		}
 		costs := r.costs(placements)
-		// With more than one nested sibling subtree, pre-compute the
-		// subtrees' extra costs on journaling clones in parallel; the
-		// merge loop below replays each journal at the exact point the
-		// sequential path would have produced it.
-		var extras []siblingEval
-		nested := make([]int, 0, len(d.Children))
-		for i, c := range d.Children {
-			if len(c.Children) > 0 {
-				nested = append(nested, i)
-			}
-		}
-		if r.fanSiblings(len(nested)) {
-			extras = make([]siblingEval, len(d.Children))
-			fanOut(len(nested), func(k int) {
-				i := nested[k]
-				rc := r.journalClone()
-				c := d.Children[i]
-				extra, _, err := rc.nestedExtra(c, subgrids[i], mult*float64(c.Ratio))
-				extras[i] = siblingEval{step: extra, ops: rc.journal, err: err}
-			})
-		}
 		var longest float64
 		for i, c := range d.Children {
 			// One sub-step's communication occurs under full sibling
@@ -611,19 +545,9 @@ func (r *run) domainIter(d *nest.Domain, sg vtopo.Subgrid, rects []alloc.Rect, m
 			step := costs[i].Time()
 			r.account(c.Name, subgrids[i], mult*float64(c.Ratio), costs[i])
 			if len(c.Children) > 0 {
-				var inner float64
-				if extras != nil {
-					if extras[i].err != nil {
-						return 0, nil, extras[i].err
-					}
-					r.replay(extras[i].ops)
-					inner = extras[i].step
-				} else {
-					var err error
-					inner, _, err = r.nestedExtra(c, subgrids[i], mult*float64(c.Ratio))
-					if err != nil {
-						return 0, nil, err
-					}
+				inner, _, err := r.nestedExtra(c, subgrids[i], mult*float64(c.Ratio))
+				if err != nil {
+					return 0, nil, err
 				}
 				step += inner
 			}
@@ -675,10 +599,6 @@ func (r *run) nestedExtra(d *nest.Domain, sg vtopo.Subgrid, mult float64) (float
 // and feeds the report's per-domain phase breakdown when one is being
 // built.
 func (r *run) account(name string, sg vtopo.Subgrid, steps float64, c model.StepCost) {
-	if r.journaling {
-		r.journal = append(r.journal, acctOp{name: name, sg: sg, steps: steps, c: c})
-		return
-	}
 	r.addWait(sg, steps*c.CommAvg, steps*c.CommMax)
 	w := steps * float64(c.Ranks)
 	r.hopNum += c.HopsAvg * w
@@ -705,10 +625,6 @@ func (r *run) addWait(sg vtopo.Subgrid, avg, max float64) {
 }
 
 func (r *run) unaccount(name string, sg vtopo.Subgrid, steps float64, c model.StepCost) {
-	if r.journaling {
-		r.journal = append(r.journal, acctOp{name: name, sg: sg, steps: steps, c: c, un: true})
-		return
-	}
 	r.addWait(sg, -(steps * c.CommAvg), -(steps * c.CommMax))
 	w := steps * float64(c.Ranks)
 	r.hopNum -= c.HopsAvg * w

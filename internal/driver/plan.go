@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -120,8 +121,8 @@ func CachedPredictor(m machine.Machine) (*predict.Model, error) {
 }
 
 // ResetPredictorCache drops all cached predictors, forcing the next
-// CachedPredictor call to retrain. Only tests use this, to rebuild
-// predictors through whichever reference/fast path is active.
+// CachedPredictor call to retrain. Tests and the cold-cache benchmark
+// workloads use this.
 func ResetPredictorCache() {
 	predMu.Lock()
 	predCache = map[string]*predEntry{}
@@ -183,83 +184,97 @@ func BuildPlan(cfg *nest.Domain, opt Options) (*Plan, error) {
 		{MapPartition, func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, plan.Rects) }},
 		{MapMultiLevel, func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) }},
 	}
-	if reference.Load() {
-		// Retained sequential reference: builders in order, then the
-		// cost run.
-		for _, b := range builders {
-			mp, err := b.build()
-			if err != nil {
-				continue
-			}
-			rep, err := mapping.Analyze(mp, plan.Rects)
-			if err != nil {
-				return nil, err
-			}
-			plan.Mapping[b.kind.String()] = MappingQuality{
-				ParentAvgHops:  rep.ParentAvg,
-				SiblingAvgHops: rep.SiblingAvg,
-				OverallAvgHops: rep.OverallAvg,
-			}
-		}
-		runOpt := opt
-		runOpt.Predictor = r.pred
-		plan.Cost, err = Run(cfg, runOpt)
+	for _, b := range builders {
+		mp, err := b.build()
 		if err != nil {
-			return nil, err
-		}
-		return plan, nil
-	}
-
-	// Fast cold path: the four mapping build+analyze units and the cost
-	// run are independent once weights and partitions exist, so they fan
-	// over spare worker-pool slots; the merge below visits slots in
-	// builder order, so output and first-error choice match the
-	// sequential reference byte for byte. The cost run itself may fan
-	// sibling subtrees (Options.Parallel); its result is journal-merged
-	// to the identical bits. Phase costs stay memoized across plans, so
-	// repeated BuildPlan calls on warm caches remain cheap either way.
-	type mapOut struct {
-		ok  bool
-		q   MappingQuality
-		err error
-	}
-	outs := make([]mapOut, len(builders))
-	var cost Result
-	var costErr error
-	fanOut(len(builders)+1, func(i int) {
-		if i == len(builders) {
-			runOpt := opt
-			runOpt.Predictor = r.pred
-			runOpt.Parallel = true
-			cost, costErr = Run(cfg, runOpt)
-			return
-		}
-		mp, err := builders[i].build()
-		if err != nil {
-			return // infeasible kind: absent, as in the sequential skip
+			continue
 		}
 		rep, err := mapping.Analyze(mp, plan.Rects)
 		if err != nil {
-			outs[i].err = err
-			return
+			return nil, err
 		}
-		outs[i] = mapOut{ok: true, q: MappingQuality{
+		plan.Mapping[b.kind.String()] = MappingQuality{
 			ParentAvgHops:  rep.ParentAvg,
 			SiblingAvgHops: rep.SiblingAvg,
 			OverallAvgHops: rep.OverallAvg,
-		}}
-	})
-	for i, b := range builders {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-		if outs[i].ok {
-			plan.Mapping[b.kind.String()] = outs[i].q
 		}
 	}
-	if costErr != nil {
-		return nil, costErr
+	runOpt := opt
+	runOpt.Predictor = r.pred
+	plan.Cost, err = Run(cfg, runOpt)
+	if err != nil {
+		return nil, err
 	}
-	plan.Cost = cost
 	return plan, nil
+}
+
+// PlanJob pairs one domain configuration with its planning options for
+// BuildPlans.
+type PlanJob struct {
+	Config  *nest.Domain
+	Options Options
+}
+
+// BuildPlans builds every job's plan in one batched pass: jobs fan out
+// over at most `workers` goroutines (GOMAXPROCS when workers <= 0), and
+// each distinct machine's predictor is resolved once up front so a
+// cold batch shares one training per machine. Outputs keep input order:
+// plans[i] and errs[i] belong to jobs[i], and each plan is byte-
+// identical to what BuildPlan(jobs[i]...) returns on its own.
+func BuildPlans(jobs []PlanJob, workers int) ([]*Plan, []error) {
+	plans := make([]*Plan, len(jobs))
+	errs := make([]error, len(jobs))
+	if len(jobs) == 0 {
+		return plans, errs
+	}
+	// Machines whose training fails are left to the per-job path, which
+	// reports the error only if the job actually needs a predictor
+	// (fixed-weight and equal-split jobs do not).
+	shared := map[string]*predict.Model{}
+	for _, j := range jobs {
+		if j.Options.Predictor != nil {
+			continue
+		}
+		key := MachineKey(j.Options.Machine)
+		if _, seen := shared[key]; seen {
+			continue
+		}
+		p, err := CachedPredictor(j.Options.Machine)
+		if err != nil {
+			p = nil
+		}
+		shared[key] = p
+	}
+	build := func(i int) {
+		opt := jobs[i].Options
+		if opt.Predictor == nil {
+			if p := shared[MachineKey(opt.Machine)]; p != nil {
+				opt.Predictor = p
+			}
+		}
+		plans[i], errs[i] = BuildPlan(jobs[i].Config, opt)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(jobs) {
+		workers = len(jobs)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				build(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return plans, errs
 }

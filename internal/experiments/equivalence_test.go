@@ -16,33 +16,31 @@ import (
 	"nestwrf/internal/model"
 )
 
-// renderAll runs every registered experiment sequentially and renders
-// the tables the way cmd/experiments does for a successful -all run;
-// sum is the SHA-256 of the concatenated tables, the quantity
+// renderAll runs every registered experiment sequentially, renders the
+// tables the way cmd/experiments does for a successful -all run, and
+// returns the SHA-256 of the concatenated tables, the quantity
 // bench/golden/eval-all.json records.
-func renderAll(t *testing.T) (out, sum string) {
+func renderAll(t *testing.T) string {
 	t.Helper()
-	var sb strings.Builder
 	h := sha256.New()
 	for _, o := range RunAll(1) {
 		if o.Err != nil {
 			t.Fatalf("%s: %v", o.Experiment.ID, o.Err)
 		}
-		table := o.Table.String()
-		sb.WriteString(table)
-		sb.WriteByte('\n')
-		io.WriteString(h, table)
+		io.WriteString(h, o.Table.String())
 	}
-	return sb.String(), hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestFastPathOutputByteIdentical guards the whole evaluation against a
-// model-result drift from two sides: the memoized phase-cost path must
-// render the full experiment suite byte-identically to the unmemoized
-// one, and the tables' SHA-256 must equal the committed
+// model-result drift: the tables' SHA-256 must equal the committed
 // testdata/runall.sha256 (the same value as bench/golden/eval-all.json,
-// which the full-size benchmark checks). Re-record the file only for an
-// acknowledged change of the model's results.
+// which the full-size benchmark checks). The hash was recorded with
+// the phase-cost memo both on and off (the two renders were compared
+// byte for byte until the off switch left the model package, whose
+// memo_test.go still holds the memo to the uncached evaluation
+// directly). Re-record the file only for an acknowledged change of the
+// model's results.
 func TestFastPathOutputByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite is slow; skipped with -short")
@@ -51,29 +49,10 @@ func TestFastPathOutputByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	model.ResetCache()
 	driver.ResetPredictorCache()
-	fast, sum := renderAll(t)
-	if want := strings.TrimSpace(string(golden)); sum != want {
+	if sum, want := renderAll(t), strings.TrimSpace(string(golden)); sum != want {
 		t.Errorf("RunAll tables hash to %s, testdata/runall.sha256 has %s", sum, want)
-	}
-
-	model.SetMemoize(false)
-	defer model.SetMemoize(true)
-	model.ResetCache()
-	driver.ResetPredictorCache()
-	ref, _ := renderAll(t)
-
-	if fast != ref {
-		fastLines := strings.Split(fast, "\n")
-		refLines := strings.Split(ref, "\n")
-		for i := 0; i < len(fastLines) && i < len(refLines); i++ {
-			if fastLines[i] != refLines[i] {
-				t.Fatalf("output diverges at line %d:\nmemo:    %q\nno memo: %q", i+1, fastLines[i], refLines[i])
-			}
-		}
-		t.Fatalf("output lengths differ: memo %d lines, no memo %d lines", len(fastLines), len(refLines))
 	}
 }
 

@@ -145,12 +145,10 @@ func kernelCases(t *testing.T) (machine.Machine, []*mapping.Mapping, [][]Placeme
 // the pair-list definition bit for bit, with and without contention.
 func TestRecordedFlowsMatchDefinition(t *testing.T) {
 	m, mps, phases := kernelCases(t)
-	SetMemoize(false)
-	defer SetMemoize(true)
 	for _, mp := range mps {
 		for pi, placements := range phases {
 			for _, contention := range []bool{true, false} {
-				got := phaseCosts(m, mp, placements, contention)
+				got := uncachedCosts(m, mp, placements, contention)
 				want := definitionCosts(t, m, mp, placements, contention)
 				for i := range want {
 					if got[i] != want[i] {

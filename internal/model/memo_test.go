@@ -41,17 +41,23 @@ func buildPlacements(t *testing.T) (machine.Machine, *mapping.Mapping, []Placeme
 	return m, mp, []Placement{{D: c1, SG: sg1}, {D: c2, SG: sg2}}
 }
 
+// uncachedCosts evaluates a phase the way phaseCosts does on a miss,
+// without consulting or filling the memo: the oracle the cached results
+// are held to.
+func uncachedCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
+	net := acquireNet(mp.Torus, m.Net)
+	defer releaseNet(net)
+	return evalPhase(m, mp, net, placements, contention)
+}
+
 // TestMemoizedMatchesUncached asserts the phase-cost cache is
 // bit-exact against the uncached evaluation, for both contention
 // settings, including the HopsAvg hop metric.
 func TestMemoizedMatchesUncached(t *testing.T) {
 	m, mp, placements := buildPlacements(t)
-	defer SetMemoize(true)
 
 	for _, contention := range []bool{true, false} {
-		SetMemoize(false)
-		want := phaseCosts(m, mp, placements, contention)
-		SetMemoize(true)
+		want := uncachedCosts(m, mp, placements, contention)
 		ResetCache()
 		miss := phaseCosts(m, mp, placements, contention) // populates the cache
 		hit := phaseCosts(m, mp, placements, contention)  // must be served from it

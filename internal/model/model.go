@@ -12,7 +12,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"nestwrf/internal/alloc"
 	"nestwrf/internal/machine"
@@ -91,19 +90,9 @@ func PhaseCostsCongestion(m machine.Machine, mp *mapping.Mapping, placements []P
 // configurations, so this is the model-layer analogue of the
 // experiment harness's shared predictor cache.
 var (
-	// memoizeOff disables the phase-cost cache when set. The inverted
-	// sense keeps the atomic's zero value meaning "memoize on" (the
-	// default); atomicity makes toggling race-free against concurrent
-	// phaseCosts calls, which read the flag exactly once per call.
-	memoizeOff atomic.Bool
 	phaseMu    sync.RWMutex
 	phaseCache = map[string][]StepCost{}
 )
-
-// SetMemoize enables or disables the phase-cost cache. Only tests
-// should call this; both settings produce identical results, so a
-// concurrent simulation observes at worst a cache miss.
-func SetMemoize(on bool) { memoizeOff.Store(!on) }
 
 // ResetCache drops all memoized phase costs.
 func ResetCache() {
@@ -194,16 +183,13 @@ func releaseNet(n *netsim.Network) {
 }
 
 func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
-	key, cacheable := "", false
-	if !memoizeOff.Load() {
-		key, cacheable = phaseKey(m, mp, placements, contention)
-		if cacheable {
-			phaseMu.RLock()
-			cached, ok := phaseCache[key]
-			phaseMu.RUnlock()
-			if ok {
-				return cached
-			}
+	key, cacheable := phaseKey(m, mp, placements, contention)
+	if cacheable {
+		phaseMu.RLock()
+		cached, ok := phaseCache[key]
+		phaseMu.RUnlock()
+		if ok {
+			return cached
 		}
 	}
 	net := acquireNet(mp.Torus, m.Net)

@@ -14,20 +14,18 @@ import (
 func TestRunReturnsRootCauseOverDeadlock(t *testing.T) {
 	boom := errors.New("boom")
 	for _, ref := range []bool{false, true} {
-		SetReference(ref)
-		_, failed := Run(4, tm(), func(p *Proc) error {
+		_, failed := run(4, tm(), func(p *Proc) error {
 			if p.Rank() == 3 {
 				return boom
 			}
 			return p.World().Barrier() // ranks 0-2 wait on rank 3 forever
-		})
-		_, stuck := Run(4, tm(), func(p *Proc) error {
+		}, ref)
+		_, stuck := run(4, tm(), func(p *Proc) error {
 			if p.Rank() == 3 {
 				return nil // exits cleanly, but never joins the barrier
 			}
 			return p.World().Barrier()
-		})
-		SetReference(false)
+		}, ref)
 		if !errors.Is(failed, boom) || errors.Is(failed, ErrDeadlock) {
 			t.Errorf("ref=%v: rank 3 returned boom, Run returned %v", ref, failed)
 		}
@@ -45,8 +43,7 @@ func TestRunReturnsRootCauseOverDeadlock(t *testing.T) {
 func TestDeadlockDespiteUndeliverableMessages(t *testing.T) {
 	boom := errors.New("boom")
 	for _, ref := range []bool{false, true} {
-		SetReference(ref)
-		_, err := Run(4, tm(), func(p *Proc) error {
+		_, err := run(4, tm(), func(p *Proc) error {
 			w := p.World()
 			switch p.Rank() {
 			case 3:
@@ -78,8 +75,7 @@ func TestDeadlockDespiteUndeliverableMessages(t *testing.T) {
 			}
 			_, err = w.Recv(3, 7) // from the failed rank: never comes
 			return err
-		})
-		SetReference(false)
+		}, ref)
 		if !errors.Is(err, boom) {
 			t.Errorf("ref=%v: Run returned %v, want boom", ref, err)
 		}
@@ -129,10 +125,8 @@ func funnelProgram(t *testing.T) (n int, fn func(p *Proc) error) {
 // reference runtime's.
 func TestMailboxManyQueuesFIFOAndClocks(t *testing.T) {
 	n, fn := funnelProgram(t)
-	sharded := snapshotRun(t, n, fn)
-	SetReference(true)
-	ref := snapshotRun(t, n, fn)
-	SetReference(false)
+	sharded := snapshotRun(t, n, fn, false)
+	ref := snapshotRun(t, n, fn, true)
 	equalRuns(t, "sharded vs reference", sharded, ref)
 
 	procs, err := Run(n, tm(), fn)

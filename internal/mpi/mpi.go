@@ -15,9 +15,10 @@
 // blocked/queued/alive bookkeeping is atomic, and payloads recycle
 // through an unlocked per-rank cache over one locked free list per size
 // class, so worlds of 10k+ virtual ranks run without funneling every
-// operation through one mutex. The previous single-mutex runtime is
-// retained behind SetReference and produces bit-identical virtual
-// clocks, wait times and results.
+// operation through one mutex. The previous single-mutex runtime
+// (world_ref.go) is reachable only through the unexported run, as the
+// oracle this package's tests hold the sharded one to: it produces
+// bit-identical virtual clocks, wait times and results.
 package mpi
 
 import (
@@ -119,21 +120,6 @@ func (q *msgq) pop() *message {
 	return msg
 }
 
-// reference selects the retained single-mutex runtime: one world-wide
-// lock over mailboxes, pools and the blocked/queued/alive counters,
-// exactly as the code stood before the sharded runtime. The sharded
-// and reference runtimes are bit-identical in every virtual-time
-// observable (clocks, wait times, per-phase stats, results) and
-// guarded by equivalence tests; only real-time scalability differs.
-// The flag is atomic so toggling it (tests only) is race-free against
-// concurrently running worlds, and it is captured once per Run so a
-// mid-run flip cannot mix the two runtimes inside one world.
-var reference atomic.Bool
-
-// SetReference enables (true) or disables (false) the retained
-// unsharded runtime. Only tests should call this.
-func SetReference(on bool) { reference.Store(on) }
-
 // World is one simulated job: n ranks plus shared mailboxes.
 //
 // In the sharded runtime each rank owns a mailbox with its own lock
@@ -143,13 +129,16 @@ func SetReference(on bool) { reference.Store(on) }
 // (blocked/queued/alive) is atomic, checked lock-free on the blocking
 // path and confirmed under a small detector mutex before declaring.
 //
-// The retained reference runtime keeps the original design: one
-// world-wide mutex guarding per-rank queues, per-rank condition
-// variables all sharing that mutex, and plain counters.
+// The reference runtime (run with ref set; tests only) keeps the
+// original design: one world-wide mutex guarding per-rank queues,
+// per-rank condition variables all sharing that mutex, and plain
+// counters. It is bit-identical to the sharded runtime in every
+// virtual-time observable (clocks, wait times, per-phase stats,
+// results); only real-time scalability differs.
 type World struct {
 	n   int
 	tm  TimeModel
-	ref bool // retained single-mutex runtime (SetReference)
+	ref bool // single-mutex oracle runtime (world_ref.go)
 
 	// commSeq allocates world-unique communicator ids (world is 0).
 	commSeq atomic.Int64
@@ -201,10 +190,16 @@ type World struct {
 // goroutine and its closure per rank: no per-rank map, queue or
 // communicator object exists until a rank's first message or phase.
 func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
+	return run(n, tm, fn, false)
+}
+
+// run is Run on the sharded runtime, or, with ref set, on the
+// single-mutex oracle runtime of world_ref.go.
+func run(n int, tm TimeModel, fn func(p *Proc) error, ref bool) ([]*Proc, error) {
 	if n <= 0 {
 		return nil, errBadRanks(n)
 	}
-	w := &World{n: n, tm: tm, ref: reference.Load()}
+	w := &World{n: n, tm: tm, ref: ref}
 	w.commSeq.Store(1)
 	worldRanks := make([]int, n)
 	for i := range worldRanks {
@@ -359,7 +354,7 @@ type Proc struct {
 	phases []Phase
 
 	// pcache is the rank's private payload cache (sharded runtime
-	// only; nil under SetReference). See pool.go.
+	// only; nil on the reference runtime). See pool.go.
 	pcache *rankCache
 }
 

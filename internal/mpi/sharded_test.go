@@ -59,9 +59,9 @@ type runSnapshot struct {
 	phases        [][]Phase
 }
 
-func snapshotRun(t *testing.T, n int, fn func(p *Proc) error) runSnapshot {
+func snapshotRun(t *testing.T, n int, fn func(p *Proc) error, ref bool) runSnapshot {
 	t.Helper()
-	procs, err := Run(n, tm(), fn)
+	procs, err := run(n, tm(), fn, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +109,8 @@ func equalRuns(t *testing.T, label string, a, b runSnapshot) {
 // times and phase stats.
 func TestShardedMatchesReference(t *testing.T) {
 	const n = 24
-	sharded := snapshotRun(t, n, mixedProgram(n))
-	SetReference(true)
-	defer SetReference(false)
-	ref := snapshotRun(t, n, mixedProgram(n))
+	sharded := snapshotRun(t, n, mixedProgram(n), false)
+	ref := snapshotRun(t, n, mixedProgram(n), true)
 	equalRuns(t, "sharded vs reference", sharded, ref)
 }
 
@@ -124,12 +122,12 @@ func TestHighRankDeterminism(t *testing.T) {
 	if raceEnabled {
 		n = 256 // the race detector multiplies per-goroutine cost
 	}
-	first := snapshotRun(t, n, mixedProgram(n))
-	again := snapshotRun(t, n, mixedProgram(n))
+	first := snapshotRun(t, n, mixedProgram(n), false)
+	again := snapshotRun(t, n, mixedProgram(n), false)
 	equalRuns(t, "run-to-run", first, again)
 
 	old := runtime.GOMAXPROCS(1)
-	serial := snapshotRun(t, n, mixedProgram(n))
+	serial := snapshotRun(t, n, mixedProgram(n), false)
 	runtime.GOMAXPROCS(old)
 	equalRuns(t, "GOMAXPROCS=1 vs N", first, serial)
 }
@@ -139,13 +137,11 @@ func TestHighRankDeterminism(t *testing.T) {
 // errors.Is-compatible with the ErrDeadlock sentinel.
 func TestDeadlockErrorDetail(t *testing.T) {
 	for _, ref := range []bool{false, true} {
-		SetReference(ref)
 		const n = 3
-		_, err := Run(n, tm(), func(p *Proc) error {
+		_, err := run(n, tm(), func(p *Proc) error {
 			_, err := p.World().Recv((p.Rank()+1)%n, 99)
 			return err
-		})
-		SetReference(false)
+		}, ref)
 		if !errors.Is(err, ErrDeadlock) {
 			t.Fatalf("ref=%v: errors.Is(err, ErrDeadlock) = false for %v", ref, err)
 		}
@@ -191,8 +187,7 @@ func TestDeadlockSampleBounded(t *testing.T) {
 // recycled and retains only the bounded free-list population.
 func TestPoolBoundedAndStats(t *testing.T) {
 	for _, ref := range []bool{false, true} {
-		SetReference(ref)
-		procs, err := Run(1, tm(), func(p *Proc) error {
+		procs, err := run(1, tm(), func(p *Proc) error {
 			w := p.World()
 			const batch = 100 // well past classCap(5)=64
 			bufs := make([][]float64, batch)
@@ -206,8 +201,7 @@ func TestPoolBoundedAndStats(t *testing.T) {
 				bufs[i] = w.AllocPayload(32) // all served from the pool
 			}
 			return nil
-		})
-		SetReference(false)
+		}, ref)
 		if err != nil {
 			t.Fatal(err)
 		}

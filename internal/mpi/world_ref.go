@@ -1,12 +1,12 @@
 package mpi
 
-// Retained reference runtime (SetReference): the pre-sharding design —
-// one world-wide mutex guarding every mailbox, the payload pool and
-// the blocked/queued/alive counters, with per-rank condition variables
-// (all sharing that mutex) for targeted wakeups. Kept as the
-// equivalence oracle for the sharded runtime; it is bit-identical in
-// every virtual-time observable, detects the same deadlocks, and
-// differs only in real-time scalability.
+// Reference runtime (run with ref set; this package's tests only): the
+// pre-sharding design — one world-wide mutex guarding every mailbox,
+// the payload pool and the blocked/queued/alive counters, with per-rank
+// condition variables (all sharing that mutex) for targeted wakeups.
+// Kept as the equivalence oracle for the sharded runtime; it is
+// bit-identical in every virtual-time observable, detects the same
+// deadlocks, and differs only in real-time scalability.
 
 // waitRecord is one rank's current blocked receive (reference runtime;
 // guarded by World.mu). It feeds the deadlock report's sample.

@@ -7,13 +7,29 @@ import (
 	"time"
 )
 
+// Connection limits of every server ServeUntil starts: a client gets
+// readHeaderTimeout to deliver its request header and a keep-alive
+// connection is dropped after idleTimeout without a request, so a
+// stalled or abandoned connection cannot pin a goroutine and a file
+// descriptor for the life of the process. Request bodies and responses
+// are not bounded here (a cold batch plan or a pprof profile may
+// legitimately take long).
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // ServeUntil serves handler on ln until ctx is cancelled, then shuts
 // the server down gracefully, waiting up to grace for in-flight
 // requests to drain before forcing connections closed. A nil handler
 // serves http.DefaultServeMux. Returns nil after a clean shutdown, or
 // the serve/shutdown error.
 func ServeUntil(ctx context.Context, ln net.Listener, handler http.Handler, grace time.Duration) error {
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	select {

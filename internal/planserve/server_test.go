@@ -368,6 +368,49 @@ func TestServeUntilGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestServeUntilDropsStalledHeader: a TCP client that never finishes
+// its request header must be disconnected once readHeaderTimeout
+// passes, and must not keep a concurrent well-formed request from being
+// served meanwhile.
+func TestServeUntilDropsStalledHeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the server's read-header timeout")
+	}
+	bound, stop, err := StartServer("127.0.0.1:0", New(Config{}).Handler(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	stalled, err := net.Dial("tcp", bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	// A header that never ends: no terminating blank line.
+	if _, err := io.WriteString(stalled, "GET /healthz HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + bound + "/healthz")
+	if err != nil {
+		t.Fatalf("well-formed request beside a stalled one: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed request beside a stalled one: status %d", resp.StatusCode)
+	}
+
+	// The server must hang up on its own: ReadAll returns (EOF or reset)
+	// well before the client-side deadline, which only bounds the test.
+	start := time.Now()
+	stalled.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	_, err = io.ReadAll(stalled)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled connection still open %v after the header stopped", time.Since(start))
+	}
+}
+
 // TestServeUntilAlreadyCancelled covers ServeUntil directly with an
 // already-cancelled context: it must shut down cleanly without serving.
 func TestServeUntilAlreadyCancelled(t *testing.T) {

@@ -7,8 +7,9 @@ import (
 	"nestwrf/internal/vtopo"
 )
 
-// The fast flux-once kernel must reproduce the reference closure-based
-// kernel bit for bit: same arithmetic, same evaluation order.
+// The flux-once kernel must reproduce the closure-based oracle kernel
+// (reference_test.go) bit for bit: same arithmetic, same evaluation
+// order.
 func TestFastKernelMatchesReference(t *testing.T) {
 	nx, ny, steps := 41, 33, 80
 	p := DefaultParams()
@@ -16,35 +17,39 @@ func TestFastKernelMatchesReference(t *testing.T) {
 	p.Drag = 0.01
 	init := GaussianHill(nx, ny, 20, 16, 0.4, 5)
 
-	run := func(ref bool) *State {
-		SetReference(ref)
-		defer SetReference(false)
-		st, err := RunSerial(nx, ny, steps, p, init)
+	run := func(step func(*Tile)) *State {
+		tile, err := NewTile(nx, ny, 0, 0, nx, ny, p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tile.Fill(init)
+		for s := 0; s < steps; s++ {
+			tile.SetReflective()
+			step(tile)
+		}
+		st := NewState(nx, ny)
+		tile.Interior(st)
 		return st
 	}
-	fast := run(false)
-	slow := run(true)
+	fast := run((*Tile).Step)
+	slow := run((*Tile).stepLFReference)
 	if d := fast.MaxDiff(slow); d != 0 {
 		t.Errorf("fast kernel differs from reference by %v (want exactly 0)", d)
 	}
 }
 
-// The fast Exchange (pooled pack buffers, owned sends, ordered receives)
-// must produce the same fields as the reference Isend/Irecv path.
+// Exchange (pooled pack buffers, owned sends, ordered receives) must
+// produce the same fields and the same per-rank virtual clocks and wait
+// times as the oracle Isend/Irecv exchange (reference_test.go).
 func TestFastExchangeMatchesReference(t *testing.T) {
 	nx, ny, steps := 37, 29, 40
 	grid := vtopo.Grid{Px: 3, Py: 2}
 	p := DefaultParams()
 	init := GaussianHill(nx, ny, 18, 14, 0.4, 4)
 
-	run := func(ref bool) *State {
-		SetReference(ref)
-		defer SetReference(false)
+	run := func(exchange func(*Tile, *mpi.Comm, vtopo.Grid) error) (*State, []*mpi.Proc) {
 		var got *State
-		_, err := mpi.Run(grid.Size(), tm(), func(proc *mpi.Proc) error {
+		procs, err := mpi.Run(grid.Size(), tm(), func(proc *mpi.Proc) error {
 			c := proc.World()
 			x0, y0, w, h := Decompose(nx, ny, grid, c.Rank())
 			tile, err := NewTile(nx, ny, x0, y0, w, h, p)
@@ -53,7 +58,7 @@ func TestFastExchangeMatchesReference(t *testing.T) {
 			}
 			tile.Fill(init)
 			for s := 0; s < steps; s++ {
-				if err := tile.Exchange(c, grid); err != nil {
+				if err := exchange(tile, c, grid); err != nil {
 					return err
 				}
 				tile.Step()
@@ -70,12 +75,18 @@ func TestFastExchangeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return got, procs
 	}
-	fast := run(false)
-	slow := run(true)
+	fast, fastProcs := run((*Tile).Exchange)
+	slow, slowProcs := run((*Tile).exchangeReference)
 	if d := fast.MaxDiff(slow); d != 0 {
 		t.Errorf("fast exchange differs from reference by %v (want exactly 0)", d)
+	}
+	for r := range fastProcs {
+		if fastProcs[r].Clock() != slowProcs[r].Clock() || fastProcs[r].WaitTime() != slowProcs[r].WaitTime() {
+			t.Errorf("rank %d: clock/wait (%v, %v) differ from reference (%v, %v)", r,
+				fastProcs[r].Clock(), fastProcs[r].WaitTime(), slowProcs[r].Clock(), slowProcs[r].WaitTime())
+		}
 	}
 }
 

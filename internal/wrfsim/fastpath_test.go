@@ -1,6 +1,10 @@
 package wrfsim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"nestwrf/internal/mpi"
@@ -42,57 +46,66 @@ func TestRunBitIdenticalAcrossDecompositions(t *testing.T) {
 	}
 }
 
-// The fast coupling path (cached plans, pooled owned-buffer payloads)
-// must be bit-identical to the reference path that recomputes patterns
-// and allocates fresh slices every step, with the solver's reference
-// kernel and exchange enabled as well.
+// fieldsSHA256 hashes every field of a run's final states (parent, then
+// nests in order; H, HU, HV; little-endian IEEE-754 bits).
+func fieldsSHA256(out *Output) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, st := range append([]*solver.State{out.Parent}, out.Nests...) {
+		for _, f := range [][]float64{st.H, st.HU, st.HV} {
+			for _, v := range f {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The final fields of testConfig() are pinned to the hash recorded with
+// the solver's closure kernel and Isend/Irecv exchange and the
+// recompute-every-step coupling all selected (the parent of the commit
+// that moved those oracles into the packages' reference_test.go files;
+// both strategies hashed the same there too). The oracles themselves
+// are now compared by direct call: solver's fastpath_test.go and
+// TestCouplingMatchesReference.
 func TestRunFastMatchesReference(t *testing.T) {
-	cfg := testConfig()
-	run := func(ref bool) *Output {
-		SetReference(ref)
-		solver.SetReference(ref)
-		defer func() {
-			SetReference(false)
-			solver.SetReference(false)
-		}()
-		out, err := Run(cfg, baseOpts(Sequential))
+	const want = "8f8112d68b9cb089fe434371238c28b8ce31c4b1fc01476390b272da0938179c"
+	for _, s := range []Strategy{Sequential, Concurrent} {
+		out, err := Run(testConfig(), baseOpts(s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	fast := run(false)
-	slow := run(true)
-	if d := fast.Parent.MaxDiff(slow.Parent); d != 0 {
-		t.Errorf("parent: fast differs from reference by %v (want exactly 0)", d)
-	}
-	for i := range fast.Nests {
-		if d := fast.Nests[i].MaxDiff(slow.Nests[i]); d != 0 {
-			t.Errorf("nest %d: fast differs from reference by %v (want exactly 0)", i, d)
+		if got := fieldsSHA256(out); got != want {
+			t.Errorf("strategy %v: fields hash to %s, want %s", s, got, want)
 		}
 	}
 }
 
-// Steady-state coupling must be allocation-free: plans are prebuilt,
-// payloads come from the world pool, and the boundary-cell store reuses
-// its backing array. The allocation counter is process-global, so
-// rank 0 measures while the other ranks run the identical call
-// sequence bare: their coupling work overlaps rank 0's window (message
-// dependencies keep the ranks in lockstep), so any allocation on any
-// rank is caught, without testing machinery polluting the count.
-func TestCouplingZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates")
-	}
-	// The nest footprint straddles all four parent quadrants so that
-	// over a full coupling step (BC + feedback) every rank receives
-	// from another rank: the mutual blocking keeps the ranks in
-	// lockstep, bounding the payloads in flight to what the warmup
-	// already pooled. (The phases must be measured together: in the BC
-	// phase alone the northwest rank has no remote receive — its child
-	// tile's halo parents are its own parent cells by construction — so
-	// it would free-run ahead of the receivers' frees and draw fresh
-	// buffers. The run loop always executes both phases per step.)
+// couplingRank is one rank's state in the coupling harness: a 32x24
+// parent on a 2x2 grid with one ratio-2 nest decomposed over the same
+// four ranks, wired as rankMain wires a sequential-strategy nest.
+type couplingRank struct {
+	p      *mpi.Proc
+	cfg    *nest.Domain
+	grid   vtopo.Grid
+	parent *solver.Tile
+	nc     *nestCtx
+}
+
+// couplingHarness runs body on every rank of the harness world.
+//
+// The nest footprint straddles all four parent quadrants so that over a
+// full coupling step (BC + feedback) every rank receives from another
+// rank: the mutual blocking keeps the ranks in lockstep, bounding the
+// payloads in flight to what a warmup already pooled. (The phases must
+// be measured together: in the BC phase alone the northwest rank has no
+// remote receive — its child tile's halo parents are its own parent
+// cells by construction — so it would free-run ahead of the receivers'
+// frees and draw fresh buffers. The run loop always executes both
+// phases per step.)
+func couplingHarness(t *testing.T, body func(r *couplingRank) error) []*mpi.Proc {
+	t.Helper()
 	cfg := nest.Root("parent", 32, 24)
 	child := cfg.AddChild("nest", 16, 12, 2, 12, 8)
 	if err := cfg.Validate(); err != nil {
@@ -104,9 +117,7 @@ func TestCouplingZeroAllocs(t *testing.T) {
 	nestParams.Dt = params.Dt / float64(child.Ratio)
 	nestParams.Dx = params.Dx / float64(child.Ratio)
 
-	const runs = 10
-	var cplAvg float64
-	_, err := mpi.Run(grid.Size(), mpi.AlphaBeta{Alpha: 1e-6, Beta: 1e-9}, func(p *mpi.Proc) error {
+	procs, err := mpi.Run(grid.Size(), mpi.AlphaBeta{Alpha: 1e-6, Beta: 1e-9}, func(p *mpi.Proc) error {
 		world := p.World()
 		me := world.Rank()
 		px0, py0, pw, ph := solver.Decompose(cfg.NX, cfg.NY, grid, me)
@@ -116,7 +127,7 @@ func TestCouplingZeroAllocs(t *testing.T) {
 		}
 		parent.Fill(solver.GaussianHill(cfg.NX, cfg.NY, 16, 12, 0.4, 4))
 
-		nc := &nestCtx{d: child, idx: 0, grid: grid, comm: world}
+		nc := &nestCtx{d: child, idx: 0, grid: grid, comm: world, phase: "nest:" + child.Name}
 		nc.world = make([]int, grid.Size())
 		for r := range nc.world {
 			nc.world[r] = r
@@ -133,12 +144,34 @@ func TestCouplingZeroAllocs(t *testing.T) {
 		nc.bcPlan = newBCPlan(bcPattern(cfg, grid, child, nc.grid, nc.world), grid.Size())
 		nc.fbPlan = buildFBPlan(cfg, grid, child, nc.grid, nc.world)
 		nc.fbPayloads = make([][]float64, nc.fbPlan.inboxLen[me])
+		return body(&couplingRank{p: p, cfg: cfg, grid: grid, parent: parent, nc: nc})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return procs
+}
 
+// Steady-state coupling must be allocation-free: plans are prebuilt,
+// payloads come from the world pool, and the boundary-cell store reuses
+// its backing array. The allocation counter is process-global, so
+// rank 0 measures while the other ranks run the identical call
+// sequence bare: their coupling work overlaps rank 0's window (message
+// dependencies keep the ranks in lockstep), so any allocation on any
+// rank is caught, without testing machinery polluting the count.
+func TestCouplingZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const runs = 10
+	var cplAvg float64
+	couplingHarness(t, func(r *couplingRank) error {
+		world := r.p.World()
 		couple := func() {
-			if err := exchangeBC(world, grid, parent, nc, cfg); err != nil {
+			if err := exchangeBC(world, r.parent, r.nc); err != nil {
 				t.Error(err)
 			}
-			if err := exchangeFeedback(world, grid, parent, nc, cfg); err != nil {
+			if err := exchangeFeedback(world, r.parent, r.nc); err != nil {
 				t.Error(err)
 			}
 		}
@@ -148,7 +181,7 @@ func TestCouplingZeroAllocs(t *testing.T) {
 		if err := world.Barrier(); err != nil {
 			return err
 		}
-		if me == 0 {
+		if world.Rank() == 0 {
 			cplAvg = testing.AllocsPerRun(runs, couple)
 		} else {
 			for i := 0; i < runs+1; i++ { // AllocsPerRun runs 1 warmup + runs
@@ -157,9 +190,6 @@ func TestCouplingZeroAllocs(t *testing.T) {
 		}
 		return world.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cplAvg != 0 {
 		t.Errorf("exchangeBC+exchangeFeedback: %v allocs per coupling step, want 0", cplAvg)
 	}

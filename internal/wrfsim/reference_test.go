@@ -8,6 +8,7 @@ import (
 
 	"nestwrf/internal/alloc"
 	"nestwrf/internal/machine"
+	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/solver"
 	"nestwrf/internal/vtopo"
@@ -284,4 +285,185 @@ func comparePlans(t *testing.T, label string, got, want *fbPlan) {
 		}
 	}
 	t.Fatalf("%s: plans differ outside the compared fields", label)
+}
+
+// refExchangeBC is the test-only oracle for exchangeBC: the exchange as
+// it stood before the plan cache. The pattern is recomputed and filtered
+// by scanning at every call, payloads are fresh allocations, and sends
+// copy.
+func refExchangeBC(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nc *nestCtx, cfg *nest.Domain) error {
+	me := world.Rank()
+	var sends, recvs []*bcTransfer
+	for _, tr := range bcPattern(cfg, grid, nc.d, nc.grid, nc.world) {
+		if tr.src == me {
+			sends = append(sends, tr)
+		}
+		if tr.dst == me && tr.src != me {
+			recvs = append(recvs, tr)
+		}
+	}
+	tag := tagBC + nc.idx
+
+	if nc.tile != nil {
+		nc.bc = nc.bc[:0]
+	}
+
+	// Post sends (and handle self-transfers locally).
+	for _, tr := range sends {
+		data := make([]float64, 3*len(tr.pcells))
+		for i, pc := range tr.pcells {
+			data[3*i], data[3*i+1], data[3*i+2] = parent.Cell(pc[0]-parent.X0, pc[1]-parent.Y0)
+		}
+		if tr.dst == me {
+			storeBC(nc, tr, data)
+			continue
+		}
+		world.Send(tr.dst, tag, data)
+	}
+	// Receive in deterministic pattern order.
+	for _, tr := range recvs {
+		data, err := world.Recv(tr.src, tag)
+		if err != nil {
+			return err
+		}
+		if len(data) != 3*len(tr.pcells) {
+			return fmt.Errorf("wrfsim: BC payload %d for %d cells", len(data), len(tr.pcells))
+		}
+		storeBC(nc, tr, data)
+	}
+	return nil
+}
+
+// refExchangeFeedback is the test-only oracle for exchangeFeedback: the
+// plan is rebuilt (by the scan-every-tile builder above) and the inbox
+// stash allocated afresh at every call, payloads are fresh allocations,
+// and sends copy.
+func refExchangeFeedback(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nc *nestCtx, cfg *nest.Domain) error {
+	tag := tagFeedback + nc.idx
+	me := world.Rank()
+	t := nc.tile
+	plan := refBuildFBPlan(cfg, grid, nc.d, nc.grid, nc.world)
+	payloads := make([][]float64, plan.inboxLen[me])
+
+	// Sends (self-transfers stash their payload directly).
+	for _, tr := range plan.sendByRank[me] {
+		buf := make([]float64, tr.floats)
+		k := 0
+		for _, e := range tr.entries {
+			for y := e.y0; y < e.y0+e.h; y++ {
+				for x := e.x0; x < e.x0+e.w; x++ {
+					buf[k], buf[k+1], buf[k+2] = t.Cell(x-t.X0, y-t.Y0)
+					k += 3
+				}
+			}
+		}
+		if tr.dst == me {
+			payloads[tr.slot] = buf
+			continue
+		}
+		world.Send(tr.dst, tag, buf)
+	}
+	// Receive in deterministic pattern order.
+	for _, tr := range plan.recvByRank[me] {
+		data, err := world.Recv(tr.src, tag)
+		if err != nil {
+			return err
+		}
+		if len(data) != tr.floats {
+			return fmt.Errorf("wrfsim: feedback payload %d floats, want %d", len(data), tr.floats)
+		}
+		payloads[tr.slot] = data
+	}
+
+	// Canonical accumulation into the owned parent cells.
+	owned := plan.ownedByRank[me]
+	for i := range owned {
+		oc := &owned[i]
+		var h, hu, hv float64
+		for _, ref := range oc.srcs {
+			p := payloads[ref.slot]
+			h += p[ref.off]
+			hu += p[ref.off+1]
+			hv += p[ref.off+2]
+		}
+		parent.SetHaloCell(oc.lx, oc.ly, h/oc.n, hu/oc.n, hv/oc.n)
+	}
+	return nil
+}
+
+// The plan-cached, pooled coupling exchanges must be bit-identical to
+// the rebuild-and-copy oracles over whole coupled steps (parent step, BC,
+// nest sub-steps, feedback — the rankMain loop): same boundary cells,
+// same parent and nest fields, and the same virtual clock and wait time
+// on every rank.
+func TestCouplingMatchesReference(t *testing.T) {
+	type rankState struct {
+		bc           []bcCell
+		parent, nest []float64
+	}
+	const steps = 4
+	opt := Options{PointCost: 1e-6}
+	run := func(ref bool) ([]rankState, []*mpi.Proc) {
+		states := make([]rankState, 4)
+		procs := couplingHarness(t, func(r *couplingRank) error {
+			world := r.p.World()
+			for s := 0; s < steps; s++ {
+				if err := r.parent.Exchange(world, r.grid); err != nil {
+					return err
+				}
+				r.parent.Step()
+				var err error
+				if ref {
+					err = refExchangeBC(world, r.grid, r.parent, r.nc, r.cfg)
+				} else {
+					err = exchangeBC(world, r.parent, r.nc)
+				}
+				if err != nil {
+					return err
+				}
+				if err := nestSubsteps(r.p, r.nc, opt); err != nil {
+					return err
+				}
+				if ref {
+					err = refExchangeFeedback(world, r.grid, r.parent, r.nc, r.cfg)
+				} else {
+					err = exchangeFeedback(world, r.parent, r.nc)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			cells := func(tl *solver.Tile) []float64 {
+				out := make([]float64, 0, 3*tl.W*tl.H)
+				for y := 0; y < tl.H; y++ {
+					for x := 0; x < tl.W; x++ {
+						h, hu, hv := tl.Cell(x, y)
+						out = append(out, h, hu, hv)
+					}
+				}
+				return out
+			}
+			states[world.Rank()] = rankState{
+				bc:     append([]bcCell(nil), r.nc.bc...),
+				parent: cells(r.parent),
+				nest:   cells(r.nc.tile),
+			}
+			return nil
+		})
+		return states, procs
+	}
+	fast, fastProcs := run(false)
+	slow, slowProcs := run(true)
+	for r := range fast {
+		if len(fast[r].bc) == 0 {
+			t.Errorf("rank %d: no boundary cells stored", r)
+		}
+		if !reflect.DeepEqual(fast[r], slow[r]) {
+			t.Errorf("rank %d: fields or boundary cells differ from the reference coupling", r)
+		}
+		if fastProcs[r].Clock() != slowProcs[r].Clock() || fastProcs[r].WaitTime() != slowProcs[r].WaitTime() {
+			t.Errorf("rank %d: clock/wait (%v, %v) differ from reference (%v, %v)", r,
+				fastProcs[r].Clock(), fastProcs[r].WaitTime(), slowProcs[r].Clock(), slowProcs[r].WaitTime())
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package wrfsim
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"nestwrf/internal/metrics"
@@ -59,22 +61,69 @@ func equalOutputs(t *testing.T, label string, a, b *Output) {
 	}
 }
 
-// A functional run on the sharded mpi runtime must be bit-identical to
-// one on the retained single-mutex reference runtime: same fields,
-// same virtual clocks and waits, same per-phase stats.
+// pinnedPhase is one mpi.PhaseTotal with its virtual-time floats as
+// IEEE-754 bit patterns.
+type pinnedPhase struct {
+	name                    string
+	ranks                   int
+	compute, wait, transfer uint64
+	sends, recvs            int
+	sendBytes, recvBytes    int
+	maxWait                 uint64
+}
+
+// pinnedRun holds every virtual-time observable of one testConfig() run.
+type pinnedRun struct {
+	maxClock, avgWait, maxWait uint64
+	phases                     []pinnedPhase
+}
+
+// The virtual clocks, wait aggregates and per-phase totals of
+// testConfig() under both strategies are pinned to the values recorded
+// on mpi's single-mutex oracle runtime (world_ref.go) at the parent of
+// the commit that made that runtime unreachable from outside the mpi
+// package; the sharded runtime produced the same bits there. mpi's own
+// TestShardedMatchesReference still compares the two runtimes directly.
 func TestFunctionalShardedMatchesReference(t *testing.T) {
+	want := map[Strategy]pinnedRun{
+		Sequential: {0x3f6b0f13ddf227e9, 0x3f587b4726b8af14, 0x3f5a9b7b8ad49e99, []pinnedPhase{
+			{"init", 32, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0, 0, 0, 0, 0x0000000000000000},
+			{"parent", 32, 0x3f892a737110e457, 0x3f7c3a14c62d17e7, 0x3f90119b0803af8e, 312, 312, 92160, 92160, 0x3f376a6ea28ecf82},
+			{"coupling", 32, 0x0000000000000000, 0x3f8083e791db4573, 0x3f94ef38319fb53e, 402, 402, 343800, 343800, 0x3f3ad5210cc898e7},
+			{"nest:nest1", 32, 0x3f9a8ac5c13fd0cf, 0x3f918d08f01c3ad2, 0x3fa813631a67c671, 936, 936, 222912, 222912, 0x3f47310dd8ca75d0},
+			{"nest:nest2", 32, 0x3f8fd9ba1b1960fe, 0x3f8ffb966c71200b, 0x3fa80c97a432351a, 936, 936, 171072, 171072, 0x3f4258586ce4c0f4},
+			{"collect", 32, 0x0000000000000000, 0x3f1b412ca3aa9d20, 0x3f73e30bd372d93a, 93, 93, 205200, 205200, 0x3f1b412ca3aa9d20},
+		}},
+		Concurrent: {0x3f698fc074464556, 0x3f53ad3d54382a56, 0x3f579912a4e210ef, []pinnedPhase{
+			{"init", 32, 0x0000000000000000, 0x3f7a04969b401573, 0x3f79674067347dc1, 124, 124, 1984, 1984, 0x3f2a3908ac994808},
+			{"parent", 32, 0x3f892a737110e457, 0x3f7d080bf0acae7e, 0x3f90119b0803af8e, 312, 312, 92160, 92160, 0x3f3afe9a358706a6},
+			{"coupling", 32, 0x0000000000000000, 0x3f7f59ed314648ff, 0x3f8e3a7daa4fca41, 288, 288, 360000, 360000, 0x3f3de7a51de4cb02},
+			{"nest:nest2", 12, 0x3f8fd9ba1b1960fb, 0x3f7a121a33ddd30c, 0x3f8f86875cefdee8, 306, 306, 93312, 93312, 0x3f4901c870e15868},
+			{"collect", 32, 0x0000000000000000, 0x3f3c68966c688900, 0x3f6b9b66f9335d23, 62, 62, 270000, 270000, 0x3f2dbfc8464420e0},
+			{"nest:nest1", 20, 0x3f9a8ac5c13fd0ce, 0x3f85955ba4f4f50d, 0x3f9cbbf1f7ee526d, 558, 558, 160704, 160704, 0x3f43a95dba78ead0},
+		}},
+	}
 	for _, s := range []Strategy{Sequential, Concurrent} {
-		run := func(ref bool) *Output {
-			mpi.SetReference(ref)
-			defer mpi.SetReference(false)
-			out, err := Run(testConfig(), baseOpts(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return scaleSnapshot(out)
+		out, err := Run(testConfig(), baseOpts(s))
+		if err != nil {
+			t.Fatal(err)
 		}
-		equalOutputs(t, map[Strategy]string{Sequential: "sequential", Concurrent: "concurrent"}[s],
-			run(false), run(true))
+		got := pinnedRun{
+			maxClock: math.Float64bits(out.MaxClock),
+			avgWait:  math.Float64bits(out.AvgWait),
+			maxWait:  math.Float64bits(out.MaxWait),
+		}
+		for _, p := range out.Phases {
+			got.phases = append(got.phases, pinnedPhase{
+				p.Name, p.Ranks,
+				math.Float64bits(p.Sum.Compute), math.Float64bits(p.Sum.Wait), math.Float64bits(p.Sum.Transfer),
+				p.Sum.SendCount, p.Sum.RecvCount, p.Sum.SendBytes, p.Sum.RecvBytes,
+				math.Float64bits(p.MaxWait),
+			})
+		}
+		if !reflect.DeepEqual(got, want[s]) {
+			t.Errorf("strategy %v: virtual-time observables drifted:\n got %#v\nwant %#v", s, got, want[s])
+		}
 	}
 }
 

@@ -187,8 +187,7 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 
 	// Coupling plans and nest process grids depend only on the domain
 	// geometry and the decomposition, so they are built once here and
-	// shared read-only by every rank — the reference path recomputes
-	// them at every coupling step instead.
+	// shared read-only by every rank.
 	plans := make([]*nestPlans, len(cfg.Children))
 	// Sequential nests all share one identity rank list and one
 	// identity local-rank index — O(ranks) total, not per nest.
@@ -390,7 +389,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 		// child-owner.
 		p.BeginPhase("coupling")
 		for _, nc := range nests {
-			if err := exchangeBC(world, grid, parent, nc, cfg); err != nil {
+			if err := exchangeBC(world, parent, nc); err != nil {
 				return err
 			}
 		}
@@ -416,7 +415,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 		// Feedback child -> parent.
 		p.BeginPhase("coupling")
 		for _, nc := range nests {
-			if err := exchangeFeedback(world, grid, parent, nc, cfg); err != nil {
+			if err := exchangeFeedback(world, parent, nc); err != nil {
 				return err
 			}
 		}

@@ -10,13 +10,13 @@
 # port, runs the loadgen client for the given duration (default 2s)
 # with the given client count (default 2x CPUs), verifies a clean
 # SIGTERM shutdown, and finishes with the in-process cache-hot
-# benchmark (the number committed in BENCH_6.json).
+# benchmark (internal/planserve/bench_test.go).
 #
 # With -churn the loadgen cycles through distinct jittered sibling-rect
 # geometries instead of repeating one query, exercising the cold-miss
-# planning path (parallel BuildPlan + miss coalescing); the report
-# separates cold (miss) from warm (hit) throughput, and the closing
-# benchmark is the cold-planning batch instead of the cache-hot path.
+# planning path (BuildPlan + miss coalescing); the report separates
+# cold (miss) from warm (hit) throughput, and the closing benchmark is
+# the all-miss plan-churn workload instead of the cache-hot path.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,8 +62,8 @@ trap 'rm -rf "$(dirname "$BIN")"' EXIT
 
 echo
 if [ -n "$CHURN" ]; then
-  echo "== in-process cold-planning benchmark (sequential vs parallel) =="
-  go test . -run '^$' -bench 'ColdPlan$' -benchtime 1x -benchmem
+  echo "== in-process cold-planning benchmark (plan-churn, every request a miss) =="
+  go run ./bench --workload plan-churn --seconds 2
 else
   echo "== in-process handler benchmark (cache-hot) =="
   go test ./internal/planserve -run '^$' -bench 'PlanQueryCacheHot$' -benchtime 2s -benchmem
