@@ -59,8 +59,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	checkpoint := fs.String("checkpoint", "", "checkpoint file (enables kill/resume)")
 	every := fs.Int("checkpoint-every", 64, "commits between checkpoint writes")
 	stopAfter := fs.Int("stop-after", 0, "stop after N commits this run (0 = run to completion)")
-	generation := fs.Int("generation", 0,
-		"batch-prewarm plans in generations of N members before dispatch (0 = off)")
 	fresh := fs.Bool("fresh", false, "ignore an existing checkpoint and start over")
 	asJSON := fs.Bool("json", false, "emit the summary as JSON")
 	showMetrics := fs.Bool("metrics", false, "dump engine metrics to stderr")
@@ -115,7 +113,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		CheckpointPath:  *checkpoint,
 		CheckpointEvery: *every,
 		StopAfter:       *stopAfter,
-		Generation:      *generation,
 		Tracer:          tracer,
 		Log:             logger,
 	}

@@ -170,8 +170,9 @@ type Engine struct {
 	// committed). Default: 4*Workers.
 	Window int
 	// Cache is the shared plan cache. Nil allocates a private one for
-	// the run. All workers share it, and it deduplicates concurrent
-	// identical plans via singleflight.
+	// the run. Every phase run of every member is looked up in it: a
+	// miss plans on the worker that found it, and concurrent identical
+	// misses share one computation via singleflight.
 	Cache *planserve.PlanCache
 	// Metrics, when non-nil, receives progress instrumentation.
 	Metrics *metrics.Registry
@@ -185,15 +186,6 @@ type Engine struct {
 	// this run (simulating a kill for resume testing). The summary has
 	// Stopped=true and a nil error.
 	StopAfter int
-	// Generation, when positive, groups member IDs into generations of
-	// that many and batch-submits each generation's plan-cache jobs
-	// (every phase of every member, sequential and concurrent) through
-	// PlanCache.RunBatch before dispatching its members. Cold campaigns
-	// then pay one coalesced parallel planning pass per generation
-	// instead of demand-faulting misses one worker at a time; workers
-	// mostly hit. Results and aggregates are bit-identical with or
-	// without it — prewarming only moves when planning happens.
-	Generation int
 	// Tracer, when non-nil, records one campaign-layer span for the
 	// run, with member-layer spans for head-sampled members (every
 	// tracer.SampleEvery-th member ID) wrapping their plan-cache
@@ -379,13 +371,6 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 		go func() { // dispatcher
 			defer close(jobs)
 			for id := start; id < spec.Members; id++ {
-				if e.Generation > 0 && (id-start)%e.Generation == 0 {
-					hi := id + e.Generation
-					if hi > spec.Members {
-						hi = spec.Members
-					}
-					e.prewarmGeneration(runCtx, spec, cache, id, hi, workers, campID)
-				}
 				select {
 				case sem <- struct{}{}:
 				case <-runCtx.Done():

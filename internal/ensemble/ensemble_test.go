@@ -136,20 +136,26 @@ func aggJSON(t *testing.T, a *Aggregates) string {
 	return string(raw)
 }
 
-// Two runs of the same spec — different worker counts, so completion
-// order differs — must produce identical aggregates: the in-order
-// committer makes aggregation independent of scheduling.
+// Two cold runs of the same spec — different worker counts, so
+// completion order differs — must produce identical aggregates (the
+// in-order committer makes aggregation independent of scheduling) and
+// do the same planning: one miss per distinct plan, and as many cache
+// lookups in total. A lookup that waits on another worker's in-flight
+// plan counts as neither hit nor miss, so the 8-worker side adds Joins.
 func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := Spec{Generator: GenMixed, Members: 45, Seed: 1, Ranks: 512, StepsPerPhase: 10}
 	ctx := context.Background()
-	one, err := (&Engine{Spec: spec, Workers: 1, Cache: sharedCache}).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
+	cold := func(workers int) (*Summary, uint64) {
+		cache := planserve.NewPlanCache(8192)
+		defer cache.Close()
+		sum, err := (&Engine{Spec: spec, Workers: workers, Cache: cache}).Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum, cache.Joins()
 	}
-	many, err := (&Engine{Spec: spec, Workers: 8, Cache: sharedCache}).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one, oneJoins := cold(1)
+	many, manyJoins := cold(8)
 	if one.Committed != 45 || many.Committed != 45 {
 		t.Fatalf("committed %d / %d, want 45", one.Committed, many.Committed)
 	}
@@ -158,6 +164,15 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if one.Aggregates.ImprovementPct.Count != 45 {
 		t.Errorf("improvement stream count %d, want 45", one.Aggregates.ImprovementPct.Count)
+	}
+	if one.CacheMisses != many.CacheMisses {
+		t.Errorf("distinct plans: 1 worker %d, 8 workers %d", one.CacheMisses, many.CacheMisses)
+	}
+	if oneJoins != 0 {
+		t.Errorf("1 worker joined %d in-flight plans", oneJoins)
+	}
+	if a, b := one.CacheHits+one.CacheMisses, many.CacheHits+many.CacheMisses+manyJoins; a != b {
+		t.Errorf("cache lookups: 1 worker %d, 8 workers %d", a, b)
 	}
 }
 

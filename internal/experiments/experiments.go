@@ -210,15 +210,21 @@ func SetParallelism(n int) {
 // forEach runs fn(i) for every i in [0, n), fanning out over at most
 // Parallelism() goroutines. Callers write results to slot i of a
 // pre-sized slice, so aggregate output is identical to a sequential
-// loop (virtual time keeps each body deterministic). When several
-// bodies fail, the error of the smallest index wins — again matching
-// what a sequential loop would have reported.
+// loop (virtual time keeps each body deterministic).
 func forEach(n int, fn func(i int) error) error {
-	workers := Parallelism()
-	if workers > n {
-		workers = n
+	return claimEach(n, Parallelism(), fn)
+}
+
+// claimEach runs fn(i) for every i in [0, n) on at most width
+// goroutines, each claiming the next unclaimed index; width <= 1 runs
+// inline in index order and stops at the first error. When several
+// bodies fail, the error of the smallest index wins — what a
+// sequential loop would have reported.
+func claimEach(n, width int, fn func(i int) error) error {
+	if width > n {
+		width = n
 	}
-	if workers <= 1 {
+	if width <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -233,7 +239,7 @@ func forEach(n int, fn func(i int) error) error {
 		errIdx = n
 		first  error
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < width; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -269,35 +275,13 @@ type Outcome struct {
 // rendering them in sequence is byte-identical to a sequential run.
 func RunConcurrent(exps []Experiment, parallel int) []Outcome {
 	out := make([]Outcome, len(exps))
-	if parallel > len(exps) {
-		parallel = len(exps)
-	}
-	if parallel <= 1 {
-		for i, e := range exps {
-			tbl, err := e.Run()
-			out[i] = Outcome{Experiment: e, Table: tbl, Err: err}
-		}
-		return out
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(exps) {
-					return
-				}
-				tbl, err := exps[i].Run()
-				out[i] = Outcome{Experiment: exps[i], Table: tbl, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
+	// An experiment's error is its outcome, never the loop's: the
+	// body returns nil so the remaining experiments still run.
+	_ = claimEach(len(exps), parallel, func(i int) error {
+		tbl, err := exps[i].Run()
+		out[i] = Outcome{Experiment: exps[i], Table: tbl, Err: err}
+		return nil
+	})
 	return out
 }
 

@@ -118,3 +118,37 @@ func TestPhaseCostsCongestionMatchesPhaseCosts(t *testing.T) {
 		t.Errorf("empty congestion summary: %+v", cong)
 	}
 }
+
+// TestPhaseCacheBounded asserts the memo never holds more than
+// maxPhaseEntries phases however many distinct ones are evaluated, and
+// that a phase evaluated before and after the cache was dropped still
+// equals the uncached evaluation bit for bit.
+func TestPhaseCacheBounded(t *testing.T) {
+	m, mp, placements := buildPlacements(t)
+	ResetCache()
+	defer ResetCache()
+
+	want := uncachedCosts(m, mp, placements, true)
+	before := phaseCosts(m, mp, placements, true)
+
+	d := *placements[0].D
+	distinct := []Placement{{D: &d, SG: placements[0].SG}}
+	for i := 0; i < maxPhaseEntries+10; i++ {
+		d.NX = 100 + i
+		phaseCosts(m, mp, distinct, true)
+		if n := len(phaseCache); n > maxPhaseEntries {
+			t.Fatalf("after %d distinct phases the cache holds %d entries, cap %d", i+2, n, maxPhaseEntries)
+		}
+	}
+	key, _ := phaseKey(m, mp, placements, true)
+	if _, resident := phaseCache[key]; resident {
+		t.Fatal("cache was never dropped: the first phase is still resident")
+	}
+
+	after := phaseCosts(m, mp, placements, true)
+	for i := range want {
+		if before[i] != want[i] || after[i] != want[i] {
+			t.Errorf("placement %d: uncached %+v, before drop %+v, after drop %+v", i, want[i], before[i], after[i])
+		}
+	}
+}

@@ -94,6 +94,13 @@ var (
 	phaseCache = map[string][]StepCost{}
 )
 
+// maxPhaseEntries bounds phaseCache: a long-running plan server sees
+// an open-ended stream of distinct phases (about two per distinct
+// request), while the largest working set that profits from the memo
+// — the whole evaluation suite — is under 2.3k entries. A full cache
+// is dropped whole; the next evaluations refill it.
+const maxPhaseEntries = 8192
+
 // ResetCache drops all memoized phase costs.
 func ResetCache() {
 	phaseMu.Lock()
@@ -197,6 +204,9 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 	releaseNet(net)
 	if cacheable {
 		phaseMu.Lock()
+		if len(phaseCache) >= maxPhaseEntries {
+			phaseCache = map[string][]StepCost{}
+		}
 		phaseCache[key] = out
 		phaseMu.Unlock()
 	}

@@ -1,7 +1,6 @@
 package planserve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,10 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"nestwrf"
-	"nestwrf/internal/driver"
-	"nestwrf/internal/nest"
 )
 
 // batchBody builds a /v1/plan/batch body from plan-request bodies.
@@ -162,41 +157,5 @@ func TestMissCoalescing(t *testing.T) {
 	_, misses, _ := func() (uint64, uint64, uint64) { return srv.plans.Stats() }()
 	if misses != distinct {
 		t.Errorf("cache misses %d, want %d", misses, distinct)
-	}
-}
-
-// TestRunBatch: PlanCache.RunBatch must return per-job results
-// bit-identical to individual Run calls, in input order, counting one
-// miss per distinct key.
-func TestRunBatch(t *testing.T) {
-	cache := NewPlanCache(64)
-	defer cache.Close()
-
-	var jobs []RunJob
-	for i := 0; i < 4; i++ {
-		cfg := nest.Root("p", 286, 307)
-		cfg.AddChild("t1", 394-8*i, 418, 3, 5, 5)
-		jobs = append(jobs, RunJob{Config: cfg, Opt: driver.Options{
-			Machine: nestwrf.BlueGeneL(), Ranks: 64, Strategy: driver.Concurrent,
-		}})
-	}
-	jobs = append(jobs, jobs[0]) // duplicate key
-
-	results, errs := cache.RunBatch(context.Background(), jobs, 4)
-	for i := range jobs {
-		if errs[i] != nil {
-			t.Fatalf("job %d: %v", i, errs[i])
-		}
-		want, err := driver.Run(jobs[i].Config, jobs[i].Opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, results[i]) {
-			t.Errorf("job %d: batch result differs from direct Run", i)
-		}
-	}
-	_, misses, _ := cache.Stats()
-	if misses != 4 {
-		t.Errorf("misses %d, want 4 (duplicate shares one computation)", misses)
 	}
 }

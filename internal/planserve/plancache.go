@@ -2,9 +2,6 @@ package planserve
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"nestwrf/internal/driver"
 	"nestwrf/internal/metrics"
@@ -89,50 +86,6 @@ func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Option
 		return driver.Result{}, out == outcomeHit, err
 	}
 	return *(v.(*driver.Result)), out == outcomeHit, nil
-}
-
-// RunJob pairs one configuration with its run options for RunBatch.
-type RunJob struct {
-	Config *nest.Domain
-	Opt    driver.Options
-}
-
-// RunBatch resolves every job through the cache in one bounded
-// parallel pass: resident keys answer immediately, identical
-// concurrent keys singleflight as usual, and distinct cold keys
-// compute side by side on at most `workers` goroutines (GOMAXPROCS
-// when workers <= 0) sharing the machine's singleflighted predictor.
-// Results keep input order and are bit-identical to per-job Run calls
-// — batching only changes who computes, never what.
-func (p *PlanCache) RunBatch(ctx context.Context, jobs []RunJob, workers int) ([]driver.Result, []error) {
-	results := make([]driver.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	if len(jobs) == 0 {
-		return results, errs
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				results[i], _, errs[i] = p.Run(ctx, jobs[i].Config, jobs[i].Opt)
-			}
-		}()
-	}
-	wg.Wait()
-	return results, errs
 }
 
 // Plan returns driver.BuildPlan's output for cfg under opt, computing

@@ -39,6 +39,9 @@ func TestPlanCacheRunHitsAndIdentity(t *testing.T) {
 	if hit {
 		t.Error("first query reported a hit")
 	}
+	if direct, err := driver.Run(cacheCfg(), cacheOpt()); err != nil || !reflect.DeepEqual(cold, direct) {
+		t.Errorf("cached result differs from driver.Run (err=%v)", err)
+	}
 	warm, hit, err := pc.Run(ctx, cacheCfg(), cacheOpt())
 	if err != nil {
 		t.Fatal(err)

@@ -483,8 +483,8 @@ const (
 
 // BatchRequest is the JSON body of /v1/plan/batch: a list of plan
 // queries answered in one round trip. Concurrently planned distinct
-// geometries coalesce into shared BuildPlans passes server-side, so a
-// cold generation submitted here plans batched instead of serially.
+// geometries coalesce into shared BuildPlans passes server-side, so
+// cold queries submitted together plan batched instead of serially.
 type BatchRequest struct {
 	Requests []PlanRequest `json:"requests"`
 }
@@ -506,7 +506,7 @@ type BatchResponse struct {
 // serveBatch handles POST /v1/plan/batch: every item runs through the
 // same cache lookup as /v1/plan, concurrently, and the response keeps
 // request order. Item failures (unknown machine, invalid domain) are
-// reported inline so one bad query cannot fail a whole generation.
+// reported inline so one bad query cannot fail the whole batch.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	const endpoint = "plan_batch"

@@ -47,12 +47,12 @@ import (
 	"nestwrf/internal/metrics"
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
+	"nestwrf/internal/netsim"
 	"nestwrf/internal/output"
 	"nestwrf/internal/predict"
 	"nestwrf/internal/solver"
 	"nestwrf/internal/stats"
 	"nestwrf/internal/steer"
-	"nestwrf/internal/topotime"
 	"nestwrf/internal/trace"
 	"nestwrf/internal/wrfsim"
 )
@@ -279,7 +279,36 @@ func NewTopologyTimeModel(kind MapKind, m Machine, ranks int, rects []Rect) (Tim
 	if err != nil {
 		return nil, err
 	}
-	return topotime.New(mp, m.Net)
+	if err := m.Net.Validate(); err != nil {
+		return nil, err
+	}
+	return &topologyTime{m: mp, params: m.Net}, nil
+}
+
+// topologyTime bridges the functional MPI runtime and the torus
+// topology model: per-message costs depend on the hop distance between
+// the communicating ranks under a concrete rank-to-torus mapping, so
+// running the functional mini-WRF with two mappings shows the paper's
+// topology-aware placement claim end to end — same forecast, less
+// virtual time under the fold.
+type topologyTime struct {
+	m      *mapping.Mapping
+	params netsim.Params
+}
+
+// Transfer implements TimeModel: overhead + hops*latency +
+// bytes/bandwidth between the mapped torus nodes of the two ranks.
+// Ranks outside the mapping (should not happen in a consistent run)
+// are charged the torus diameter.
+func (t *topologyTime) Transfer(src, dst, bytes int) float64 {
+	tor := t.m.Torus
+	hops := tor.X/2 + tor.Y/2 + tor.Z/2
+	if n := t.m.Grid.Size(); src >= 0 && src < n && dst >= 0 && dst < n {
+		hops = t.m.Hops(src, dst)
+	}
+	return t.params.Overhead +
+		float64(hops)*t.params.LatencyPerHop +
+		float64(bytes)/t.params.Bandwidth
 }
 
 // FunctionalOutput is a functional run's final fields and virtual-time

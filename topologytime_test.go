@@ -1,59 +1,43 @@
-package topotime
+package nestwrf_test
 
 import (
 	"testing"
 
-	"nestwrf/internal/machine"
-	"nestwrf/internal/mapping"
-	"nestwrf/internal/nest"
-	"nestwrf/internal/netsim"
-	"nestwrf/internal/wrfsim"
+	"nestwrf"
 )
 
-func params() netsim.Params {
-	return netsim.Params{LatencyPerHop: 2e-5, Overhead: 1e-5, Bandwidth: 175e6}
+// topoMachine is Blue Gene/L with a per-hop latency heavy enough for
+// the mapping to show in a 32-rank functional run.
+func topoMachine() nestwrf.Machine {
+	m := nestwrf.BlueGeneL()
+	m.Net.LatencyPerHop = 2e-5
+	m.Net.Overhead = 1e-5
+	m.Net.Bandwidth = 175e6
+	return m
 }
 
-func build(t *testing.T, ranks int, fold bool) *Model {
+func topoModel(t *testing.T, kind nestwrf.MapKind) nestwrf.TimeModel {
 	t.Helper()
-	g, err := machine.GridFor(ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tor, err := machine.TorusFor(ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m *mapping.Mapping
-	if fold {
-		m, err = mapping.MultiLevel(g, tor)
-	} else {
-		m, err = mapping.Sequential(g, tor)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := New(m, params())
+	tm, err := nestwrf.NewTopologyTimeModel(kind, topoMachine(), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tm
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, params()); err == nil {
-		t.Error("nil mapping should fail")
+func TestTopologyTimeModelValidation(t *testing.T) {
+	if _, err := nestwrf.NewTopologyTimeModel(nestwrf.MapOblivious, topoMachine(), 0, nil); err == nil {
+		t.Error("zero ranks should fail")
 	}
-	g, _ := machine.GridFor(32)
-	tor, _ := machine.TorusFor(32)
-	m, _ := mapping.Sequential(g, tor)
-	if _, err := New(m, netsim.Params{}); err == nil {
-		t.Error("bad params should fail")
+	bad := topoMachine()
+	bad.Net.Bandwidth = 0
+	if _, err := nestwrf.NewTopologyTimeModel(nestwrf.MapOblivious, bad, 32, nil); err == nil {
+		t.Error("bad network parameters should fail")
 	}
 }
 
-func TestTransferScalesWithHops(t *testing.T) {
-	tm := build(t, 32, false)
+func TestTopologyTimeModelScalesWithHops(t *testing.T) {
+	tm := topoModel(t, nestwrf.MapOblivious)
 	// Ranks 0 and 1 are torus neighbours; 0 and 8 are 2 hops apart
 	// (Fig. 5b).
 	near := tm.Transfer(0, 1, 1000)
@@ -61,7 +45,8 @@ func TestTransferScalesWithHops(t *testing.T) {
 	if far <= near {
 		t.Errorf("2-hop transfer %v should exceed 1-hop %v", far, near)
 	}
-	want := params().Overhead + 2*params().LatencyPerHop + 1000/params().Bandwidth
+	net := topoMachine().Net
+	want := net.Overhead + 2*net.LatencyPerHop + 1000/net.Bandwidth
 	if far != want {
 		t.Errorf("far = %v, want %v", far, want)
 	}
@@ -75,26 +60,26 @@ func TestTransferScalesWithHops(t *testing.T) {
 // The end-to-end topology claim, functionally: the same mini-WRF run
 // finishes in less virtual time under the multi-level fold than under
 // the oblivious mapping, with identical fields.
-func TestFunctionalMappingGain(t *testing.T) {
-	cfg := nest.Root("parent", 64, 64)
+func TestTopologyTimeModelMappingGain(t *testing.T) {
+	cfg := nestwrf.NewDomain("parent", 64, 64)
 	cfg.AddChild("nest1", 60, 48, 3, 2, 2)
 	cfg.AddChild("nest2", 48, 36, 3, 30, 30)
 
-	run := func(fold bool) *wrfsim.Output {
-		out, err := wrfsim.Run(cfg, wrfsim.Options{
+	run := func(kind nestwrf.MapKind) *nestwrf.FunctionalOutput {
+		out, err := nestwrf.RunFunctional(cfg, nestwrf.FunctionalOptions{
 			Ranks:     32,
 			Steps:     3,
-			Strategy:  wrfsim.Concurrent,
+			Strategy:  nestwrf.FunctionalConcurrent,
 			PointCost: 1e-6,
-			TM:        build(t, 32, fold),
+			TM:        topoModel(t, kind),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	obl := run(false)
-	fold := run(true)
+	obl := run(nestwrf.MapOblivious)
+	fold := run(nestwrf.MapMultiLevel)
 
 	if d := obl.Parent.MaxDiff(fold.Parent); d != 0 {
 		t.Errorf("mapping changed the forecast by %v", d)
