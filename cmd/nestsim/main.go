@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"nestwrf"
+	"nestwrf/internal/machine"
 )
 
 type nestFlags []string
@@ -55,19 +56,15 @@ func main() {
 	flag.Var(&nests, "nest", "nested domain WxH@X,Y (repeatable)")
 	flag.Parse()
 
-	m0, err := pickMachine(*machineName)
+	m, err := machine.Parse(*machineName)
 	if err != nil {
 		fatal(err)
 	}
 	if *campaignSteps > 0 {
-		runCampaign(m0, *ranks, *campaignSteps)
+		runCampaign(m, *ranks, *campaignSteps)
 		return
 	}
 	cfg, err := buildConfig(*preset, *parent, *ratio, nests)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := pickMachine(*machineName)
 	if err != nil {
 		fatal(err)
 	}
@@ -295,16 +292,6 @@ func presetConfig(name string) (*nestwrf.Domain, error) {
 		return mk(286, 307, [][4]int{{415, 445, 50, 50}}), nil
 	}
 	return nil, fmt.Errorf("unknown preset %q (table2, fig10, fig15, fig2)", name)
-}
-
-func pickMachine(name string) (nestwrf.Machine, error) {
-	switch strings.ToLower(name) {
-	case "bgl", "bg/l":
-		return nestwrf.BlueGeneL(), nil
-	case "bgp", "bg/p":
-		return nestwrf.BlueGeneP(), nil
-	}
-	return nestwrf.Machine{}, fmt.Errorf("unknown machine %q (bgl, bgp)", name)
 }
 
 func pickMap(name string) (nestwrf.MapKind, error) {

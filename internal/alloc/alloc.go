@@ -33,9 +33,6 @@ type Rect struct {
 // Area returns the number of processors in r.
 func (r Rect) Area() int { return r.W * r.H }
 
-// Aspect returns the width/height aspect ratio of r.
-func (r Rect) Aspect() float64 { return float64(r.W) / float64(r.H) }
-
 // Squareness returns min(W,H)/max(W,H) in (0, 1]; 1 is a perfect
 // square. Algorithm 1 splits along the longer dimension precisely to
 // maximize this.
@@ -47,11 +44,6 @@ func (r Rect) Squareness() float64 {
 		return float64(r.W) / float64(r.H)
 	}
 	return float64(r.H) / float64(r.W)
-}
-
-// Contains reports whether processor-grid coordinate (x, y) is in r.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
 }
 
 // Overlaps reports whether r and s share any processor.

@@ -12,17 +12,8 @@ func TestRectBasics(t *testing.T) {
 	if r.Area() != 20 {
 		t.Errorf("Area = %d", r.Area())
 	}
-	if r.Aspect() != 0.8 {
-		t.Errorf("Aspect = %v", r.Aspect())
-	}
 	if got := r.Squareness(); got != 0.8 {
 		t.Errorf("Squareness = %v", got)
-	}
-	if !r.Contains(2, 3) || !r.Contains(5, 7) {
-		t.Error("Contains should include corners inside")
-	}
-	if r.Contains(6, 3) || r.Contains(2, 8) {
-		t.Error("Contains should exclude outside coords")
 	}
 	if (Rect{0, 0, 0, 5}).Squareness() != 0 {
 		t.Error("empty rect squareness should be 0")

@@ -103,19 +103,11 @@ func RunWith(phases []Phase, opt driver.Options, run Runner) (Result, error) {
 		if ph.Steps <= 0 {
 			return Result{}, fmt.Errorf("%w: phase %d", ErrBadSteps, i)
 		}
-		seqOpt := opt
-		seqOpt.Strategy = driver.Sequential
-		seqOpt.MapKind = driver.MapSequential
-		seq, err := run(ph.Config, seqOpt)
+		cmp, err := driver.RunBoth(ph.Config, opt, run)
 		if err != nil {
 			return Result{}, fmt.Errorf("phase %d (%s): %w", i, ph.Config.Name, err)
 		}
-		conOpt := opt
-		conOpt.Strategy = driver.Concurrent
-		con, err := run(ph.Config, conOpt)
-		if err != nil {
-			return Result{}, fmt.Errorf("phase %d (%s): %w", i, ph.Config.Name, err)
-		}
+		seq, con := cmp.Default, cmp.Concurrent
 
 		// Redistribution: when the partition layout changes, every nest's
 		// state crosses the network once. The aggregate transfer is

@@ -22,6 +22,7 @@ import (
 	"nestwrf/internal/nest"
 	"nestwrf/internal/netsim"
 	"nestwrf/internal/predict"
+	"nestwrf/internal/stats"
 	"nestwrf/internal/telemetry"
 	"nestwrf/internal/torus"
 	"nestwrf/internal/vtopo"
@@ -223,15 +224,7 @@ func (o Options) Validate() error {
 func TrainPredictor(m machine.Machine) (*predict.Model, error) {
 	trainCount.Add(1)
 	const profileRanks = 64
-	g, err := machine.GridFor(profileRanks)
-	if err != nil {
-		return nil, err
-	}
-	tor, err := machine.TorusFor(profileRanks)
-	if err != nil {
-		return nil, err
-	}
-	mp, err := mapping.Sequential(g, tor)
+	mp, err := MappingFor(MapSequential, m, profileRanks, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -245,13 +238,15 @@ func TrainPredictor(m machine.Machine) (*predict.Model, error) {
 type run struct {
 	opt     Options
 	pred    *predict.Model // resolved predictor, trained at most once per Run
+	g       vtopo.Grid
+	tor     torus.Torus
 	mp      *mapping.Mapping
 	waitAvg []float64 // per-rank accumulated wait (average-case comm)
 	waitMax []float64 // per-rank accumulated wait (worst-case comm)
 	hopNum  float64   // hops weighted by communicating rank-steps
 	hopDen  float64
-	rep     *reportBuilder   // nil unless a report or metrics were requested
-	span    telemetry.SpanID // the run span phase spans parent under
+	rep     *reportBuilder        // nil unless a report or metrics were requested
+	sp      *telemetry.ActiveSpan // the run span phase spans parent under; nil when untraced
 }
 
 // predictor returns the run's predictor, resolving the shared cached
@@ -285,49 +280,58 @@ func RunWithReport(cfg *nest.Domain, opt Options) (Result, *Report, error) {
 	return run0(cfg, opt, true)
 }
 
-func run0(cfg *nest.Domain, opt Options, observe bool) (res Result, rep *Report, err error) {
-	if opt.Ranks <= 0 {
-		return Result{}, nil, ErrBadRanks
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	var sp *telemetry.ActiveSpan
-	if opt.Tracer.Recording() {
-		sp = opt.Tracer.Start(opt.TraceParent, "driver.run", telemetry.LayerDriver)
-		sp.Annotate("machine", opt.Machine.Name)
-		sp.Annotate("strategy", opt.Strategy.String())
-		sp.Annotate("alloc", opt.Alloc.String())
-		sp.Annotate("mapping", opt.MapKind.String())
-		sp.Annotate("ranks", strconv.Itoa(opt.Ranks))
-		defer func() {
-			if err != nil {
-				sp.Annotate("error", err.Error())
-			} else {
-				sp.Annotate("iter_seconds", strconv.FormatFloat(res.IterTime, 'g', -1, 64))
-			}
-			sp.End()
-		}()
-	}
-	g, err := machine.GridFor(opt.Ranks)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	tor, err := machine.TorusFor(opt.Ranks)
-	if err != nil {
-		return Result{}, nil, err
-	}
+// Comparison contrasts the default sequential strategy with the
+// paper's concurrent strategy under identical options.
+type Comparison struct {
+	Default    Result
+	Concurrent Result
+	// ImprovementPct is the per-iteration integration-time gain.
+	ImprovementPct float64
+	// TotalImprovementPct includes I/O when enabled.
+	TotalImprovementPct float64
+	// WaitImprovementPct is the average MPI_Wait gain.
+	WaitImprovementPct float64
+}
 
-	r := &run{
-		opt:     opt,
-		pred:    opt.Predictor,
-		waitAvg: make([]float64, opt.Ranks),
-		waitMax: make([]float64, opt.Ranks),
-		span:    sp.ID(),
+// RunBoth executes cfg twice through run — as the stock WRF baseline
+// (sequential strategy on the oblivious mapping), then under the
+// concurrent strategy with opt's own mapping — and reports the
+// improvements the paper's tables quote. Everything else in opt is
+// honoured by both runs.
+func RunBoth(cfg *nest.Domain, opt Options, run func(*nest.Domain, Options) (Result, error)) (Comparison, error) {
+	seqOpt := opt
+	seqOpt.Strategy = Sequential
+	seqOpt.MapKind = MapSequential
+	seq, err := run(cfg, seqOpt)
+	if err != nil {
+		return Comparison{}, err
 	}
-	if observe {
-		r.rep = newReportBuilder()
+	conOpt := opt
+	conOpt.Strategy = Concurrent
+	con, err := run(cfg, conOpt)
+	if err != nil {
+		return Comparison{}, err
 	}
+	return Comparison{
+		Default:             seq,
+		Concurrent:          con,
+		ImprovementPct:      stats.Improvement(seq.IterTime, con.IterTime),
+		TotalImprovementPct: stats.Improvement(seq.Total(), con.Total()),
+		WaitImprovementPct:  stats.Improvement(seq.WaitAvg, con.WaitAvg),
+	}, nil
+}
+
+// Compare is RunBoth on the simulator itself.
+func Compare(cfg *nest.Domain, opt Options) (Comparison, error) {
+	return RunBoth(cfg, opt, Run)
+}
+
+func run0(cfg *nest.Domain, opt Options, observe bool) (res Result, rep *Report, err error) {
+	var r run
+	if err := r.begin(cfg, opt, observe); err != nil {
+		return Result{}, nil, err
+	}
+	defer func() { r.end(res, err) }()
 
 	// The first-level partitions are needed up front: the partition
 	// mapping is defined by them.
@@ -336,23 +340,90 @@ func run0(cfg *nest.Domain, opt Options, observe bool) (res Result, rep *Report,
 		if len(cfg.Children) == 0 {
 			return Result{}, nil, ErrNoSiblings
 		}
-		rects, err = r.allocate(cfg.Children, g.Px, g.Py)
+		rects, err = r.allocate(cfg.Children, r.g.Px, r.g.Py)
 		if err != nil {
 			return Result{}, nil, err
 		}
 	}
+	r.mp, err = mappingFor(runKind(opt.MapKind, rects), r.g, r.tor, opt.Machine, rects)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	return r.execute(cfg, rects)
+}
 
-	r.mp, err = buildMapping(opt.MapKind, g, tor, rects, opt.Machine)
+// begin is the set-up Run and BuildPlan share: it validates the
+// request, derives the virtual grid, the torus and the blank per-rank
+// accounting, and opens the run span. After a nil return the caller owes
+// r an end call, then picks the first-level partitions and the mapping
+// and hands both to execute. (A method on the caller's value, not a
+// constructor: the run stays on the caller's stack.)
+func (r *run) begin(cfg *nest.Domain, opt Options, observe bool) error {
+	if opt.Ranks <= 0 {
+		return ErrBadRanks
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	var err error
+	if r.g, err = machine.GridFor(opt.Ranks); err != nil {
+		return err
+	}
+	if r.tor, err = machine.TorusFor(opt.Ranks); err != nil {
+		return err
+	}
+	r.opt, r.pred = opt, opt.Predictor
+	if opt.Tracer.Recording() {
+		r.sp = opt.Tracer.Start(opt.TraceParent, "driver.run", telemetry.LayerDriver)
+		r.sp.Annotate("machine", opt.Machine.Name)
+		r.sp.Annotate("strategy", opt.Strategy.String())
+		r.sp.Annotate("alloc", opt.Alloc.String())
+		r.sp.Annotate("mapping", opt.MapKind.String())
+		r.sp.Annotate("ranks", strconv.Itoa(opt.Ranks))
+	}
+	r.waitAvg = make([]float64, opt.Ranks)
+	r.waitMax = make([]float64, opt.Ranks)
+	if observe {
+		r.rep = newReportBuilder()
+	}
+	return nil
+}
+
+// end closes the run span with the outcome. Safe on an untraced run.
+func (r *run) end(res Result, err error) {
+	if r.sp == nil {
+		return
+	}
+	if err != nil {
+		r.sp.Annotate("error", err.Error())
+	} else {
+		r.sp.Annotate("iter_seconds", strconv.FormatFloat(res.IterTime, 'g', -1, 64))
+	}
+	r.sp.End()
+}
+
+// runKind is the mapping kind a run executes on. The partition mapping
+// is defined by the first-level partitions; a run without them (the
+// sequential strategy) falls back to the oblivious mapping, which is
+// what the unpartitioned default run uses anyway.
+func runKind(kind MapKind, rects []alloc.Rect) MapKind {
+	if kind == MapPartition && len(rects) == 0 {
+		return MapSequential
+	}
+	return kind
+}
+
+// execute simulates one parent iteration on the state set-up built:
+// rects are the first-level partitions (nil under the sequential
+// strategy) and r.mp the mapping.
+func (r *run) execute(cfg *nest.Domain, rects []alloc.Rect) (Result, *Report, error) {
+	opt := r.opt
+	full, err := vtopo.NewSubgrid(r.g, alloc.Rect{W: r.g.Px, H: r.g.Py})
 	if err != nil {
 		return Result{}, nil, err
 	}
 
-	full, err := vtopo.NewSubgrid(g, alloc.Rect{W: g.Px, H: g.Py})
-	if err != nil {
-		return Result{}, nil, err
-	}
-
-	res = Result{Rects: rects}
+	res := Result{Rects: rects}
 	iter, sibs, err := r.domainIter(cfg, full, rects, 1)
 	if err != nil {
 		return Result{}, nil, err
@@ -378,10 +449,10 @@ func run0(cfg *nest.Domain, opt Options, observe bool) (res Result, rep *Report,
 	if opt.OutputEverySteps > 0 {
 		res.IOTime = r.ioTime(cfg, rects) / float64(opt.OutputEverySteps)
 	}
-	if !observe {
+	if r.rep == nil {
 		return res, nil, nil
 	}
-	rep, err = r.buildReport(cfg, res)
+	rep, err := r.buildReport(cfg, res)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -420,20 +491,30 @@ func (r *run) allocate(children []*nest.Domain, w, h int) ([]alloc.Rect, error) 
 	}
 }
 
-// buildMapping constructs the requested rank-to-torus mapping. The
-// partition mapping needs the first-level partitions; when they are
-// absent (sequential strategy) it falls back to the oblivious mapping,
-// which is what the unpartitioned default run uses anyway.
-func buildMapping(kind MapKind, g vtopo.Grid, tor torus.Torus, rects []alloc.Rect, m machine.Machine) (*mapping.Mapping, error) {
+// MappingFor constructs the rank-to-torus mapping of the given kind
+// for a machine size — the one place a MapKind becomes a mapping. It is
+// strict: the partition mapping is defined by the first-level
+// partitions and fails without them.
+func MappingFor(kind MapKind, m machine.Machine, ranks int, rects []alloc.Rect) (*mapping.Mapping, error) {
+	g, err := machine.GridFor(ranks)
+	if err != nil {
+		return nil, err
+	}
+	tor, err := machine.TorusFor(ranks)
+	if err != nil {
+		return nil, err
+	}
+	return mappingFor(kind, g, tor, m, rects)
+}
+
+// mappingFor is MappingFor on an already derived grid and torus.
+func mappingFor(kind MapKind, g vtopo.Grid, tor torus.Torus, m machine.Machine, rects []alloc.Rect) (*mapping.Mapping, error) {
 	switch kind {
 	case MapTXYZ:
 		return mapping.TXYZ(g, tor, m.CoresPerNode)
 	case MapMultiLevel:
 		return mapping.MultiLevel(g, tor)
 	case MapPartition:
-		if len(rects) == 0 {
-			return mapping.Sequential(g, tor)
-		}
 		return mapping.PartitionMapping(g, tor, rects)
 	default:
 		return mapping.Sequential(g, tor)
@@ -455,7 +536,7 @@ func (r *run) costs(placements []model.Placement) []model.StepCost {
 	var sp *telemetry.ActiveSpan
 	if r.opt.Tracer.Recording() {
 		// phaseName allocates, so it is only evaluated on the traced path.
-		sp = r.opt.Tracer.Start(r.span, phaseName(placements), telemetry.LayerPhase)
+		sp = r.opt.Tracer.Start(r.sp.ID(), phaseName(placements), telemetry.LayerPhase)
 	}
 	var cs []model.StepCost
 	switch {

@@ -131,31 +131,26 @@ func ResetPredictorCache() {
 
 // BuildPlan runs performance prediction, processor allocation, mapping
 // analysis and cost prediction for cfg under the given options,
-// returning the reusable Plan value. The caller's Options are never
-// written to.
-func BuildPlan(cfg *nest.Domain, opt Options) (*Plan, error) {
-	if opt.Ranks <= 0 {
-		return nil, ErrBadRanks
-	}
-	if err := cfg.Validate(); err != nil {
+// returning the reusable Plan value. The cost is executed on the grid,
+// partitions and mapping the plan itself was built from, and equals
+// Run(cfg, opt). The caller's Options are never written to.
+func BuildPlan(cfg *nest.Domain, opt Options) (plan *Plan, err error) {
+	var r run
+	if err := r.begin(cfg, opt, opt.Metrics != nil); err != nil {
 		return nil, err
 	}
-	g, err := machine.GridFor(opt.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	tor, err := machine.TorusFor(opt.Ranks)
-	if err != nil {
-		return nil, err
+	var cost Result
+	defer func() { r.end(cost, err) }()
+
+	if opt.Strategy == Concurrent && len(cfg.Children) == 0 {
+		return nil, ErrNoSiblings
 	}
 
-	r := &run{opt: opt, pred: opt.Predictor}
-	plan := &Plan{
-		Ranks: opt.Ranks, Px: g.Px, Py: g.Py,
+	plan = &Plan{
+		Ranks: opt.Ranks, Px: r.g.Px, Py: r.g.Py,
 		Strategy: opt.Strategy, Alloc: opt.Alloc, MapKind: opt.MapKind,
 		Mapping: map[string]MappingQuality{},
 	}
-
 	if len(cfg.Children) > 0 {
 		if len(opt.FixedWeights) == len(cfg.Children) {
 			plan.Weights = append([]float64(nil), opt.FixedWeights...)
@@ -166,26 +161,33 @@ func BuildPlan(cfg *nest.Domain, opt Options) (*Plan, error) {
 			}
 			plan.Weights = pred.Weights(cfg.Children)
 		}
-		plan.Rects, err = r.allocate(cfg.Children, g.Px, g.Py)
+		plan.Rects, err = r.allocate(cfg.Children, r.g.Px, r.g.Py)
 		if err != nil {
 			return nil, err
 		}
 	}
 
+	// The run sees the partitions only under the concurrent strategy;
+	// without them it executes a requested partition mapping as the
+	// oblivious one (runKind), while the quality report still describes
+	// the partition mapping proper.
+	var runRects []alloc.Rect
+	if opt.Strategy == Concurrent {
+		runRects = plan.Rects
+	}
+	execKind := runKind(opt.MapKind, runRects)
+	var mapErr error
+	r.mp, mapErr = mappingFor(execKind, r.g, r.tor, opt.Machine, runRects)
+
 	// Mapping quality for every kind that is feasible at this grid and
 	// torus shape (e.g. the multi-level mapping needs foldable shapes;
-	// infeasible kinds are simply absent from the report).
-	builders := []struct {
-		kind  MapKind
-		build func() (*mapping.Mapping, error)
-	}{
-		{MapSequential, func() (*mapping.Mapping, error) { return mapping.Sequential(g, tor) }},
-		{MapTXYZ, func() (*mapping.Mapping, error) { return mapping.TXYZ(g, tor, opt.Machine.CoresPerNode) }},
-		{MapPartition, func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, plan.Rects) }},
-		{MapMultiLevel, func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) }},
-	}
-	for _, b := range builders {
-		mp, err := b.build()
+	// infeasible kinds are simply absent from the report). The run's own
+	// mapping is reported, not rebuilt.
+	for _, kind := range []MapKind{MapSequential, MapTXYZ, MapPartition, MapMultiLevel} {
+		mp, err := r.mp, mapErr
+		if kind != execKind {
+			mp, err = mappingFor(kind, r.g, r.tor, opt.Machine, plan.Rects)
+		}
 		if err != nil {
 			continue
 		}
@@ -193,18 +195,20 @@ func BuildPlan(cfg *nest.Domain, opt Options) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan.Mapping[b.kind.String()] = MappingQuality{
+		plan.Mapping[kind.String()] = MappingQuality{
 			ParentAvgHops:  rep.ParentAvg,
 			SiblingAvgHops: rep.SiblingAvg,
 			OverallAvgHops: rep.OverallAvg,
 		}
 	}
-	runOpt := opt
-	runOpt.Predictor = r.pred
-	plan.Cost, err = Run(cfg, runOpt)
+	if mapErr != nil {
+		return nil, mapErr
+	}
+	cost, _, err = r.execute(cfg, runRects)
 	if err != nil {
 		return nil, err
 	}
+	plan.Cost = cost
 	return plan, nil
 }
 

@@ -1,11 +1,13 @@
 package driver
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
 	"nestwrf/internal/machine"
+	"nestwrf/internal/mapping"
 	"nestwrf/internal/nest"
 )
 
@@ -117,5 +119,68 @@ func TestCachedPredictorSharing(t *testing.T) {
 	}
 	if p3 == p1 {
 		t.Error("different machine identity shared a predictor")
+	}
+}
+
+// TestBuildPlanCostEqualsRun pins BuildPlan's two halves against
+// independent constructions over every strategy x allocation policy x
+// mapping kind, on a three-level tree and on a childless root: the
+// cost is exactly Run's result, and the quality report is what four
+// freshly built mappings analyze to. MapPartition under Sequential is
+// the case where the two halves use different mappings — the run falls
+// back to oblivious, the report describes the partition mapping.
+func TestBuildPlanCostEqualsRun(t *testing.T) {
+	kinds := []MapKind{MapSequential, MapTXYZ, MapPartition, MapMultiLevel}
+	for _, cfg := range []*nest.Domain{batchOracleDomain(), nest.Root("solo", 286, 307)} {
+		for _, strat := range []Strategy{Sequential, Concurrent} {
+			for _, pol := range []AllocPolicy{AllocPredicted, AllocNaivePoints, AllocEqual, AllocStripsPredicted} {
+				for _, kind := range kinds {
+					opt := Options{
+						Machine: machine.BGL(), Ranks: 64,
+						Strategy: strat, Alloc: pol, MapKind: kind,
+						IOMode: 1, OutputEverySteps: 4,
+					}
+					want, wantErr := Run(cfg, opt)
+					p, err := BuildPlan(cfg, opt)
+					if wantErr != nil {
+						if !errors.Is(err, wantErr) {
+							t.Errorf("%s %v/%v/%v: BuildPlan err %v, Run err %v", cfg.Name, strat, pol, kind, err, wantErr)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s %v/%v/%v: %v", cfg.Name, strat, pol, kind, err)
+					}
+					if !reflect.DeepEqual(p.Cost, want) {
+						t.Errorf("%s %v/%v/%v: plan cost %+v != Run result %+v", cfg.Name, strat, pol, kind, p.Cost, want)
+					}
+					g, _ := machine.GridFor(opt.Ranks)
+					tor, _ := machine.TorusFor(opt.Ranks)
+					fresh := []func() (*mapping.Mapping, error){
+						func() (*mapping.Mapping, error) { return mapping.Sequential(g, tor) },
+						func() (*mapping.Mapping, error) { return mapping.TXYZ(g, tor, opt.Machine.CoresPerNode) },
+						func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, p.Rects) },
+						func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) },
+					}
+					quality := map[string]MappingQuality{}
+					for i, k := range kinds {
+						mp, err := fresh[i]()
+						if err != nil {
+							continue
+						}
+						rep, err := mapping.Analyze(mp, p.Rects)
+						if err != nil {
+							t.Fatal(err)
+						}
+						quality[k.String()] = MappingQuality{
+							ParentAvgHops: rep.ParentAvg, SiblingAvgHops: rep.SiblingAvg, OverallAvgHops: rep.OverallAvg,
+						}
+					}
+					if !reflect.DeepEqual(p.Mapping, quality) {
+						t.Errorf("%s %v/%v/%v: mapping quality %+v, fresh mappings give %+v", cfg.Name, strat, pol, kind, p.Mapping, quality)
+					}
+				}
+			}
+		}
 	}
 }

@@ -554,21 +554,12 @@ func (e *Engine) runMember(ctx context.Context, spec Spec, cache *planserve.Plan
 		mr.ImprovementPct = cres.ImprovementPct()
 		return mr, nil
 	}
-	seqOpt := m.Opt
-	seqOpt.Strategy = driver.Sequential
-	seqOpt.MapKind = driver.MapSequential
-	seq, err := run(m.Config, seqOpt)
+	cmp, err := driver.RunBoth(m.Config, m.Opt, run)
 	if err != nil {
 		return mr, err
 	}
-	conOpt := m.Opt
-	conOpt.Strategy = driver.Concurrent
-	con, err := run(m.Config, conOpt)
-	if err != nil {
-		return mr, err
-	}
-	mr.Default = seq.IterTime
-	mr.Concurrent = con.IterTime
-	mr.ImprovementPct = stats.Improvement(seq.IterTime, con.IterTime)
+	mr.Default = cmp.Default.IterTime
+	mr.Concurrent = cmp.Concurrent.IterTime
+	mr.ImprovementPct = cmp.ImprovementPct
 	return mr, nil
 }

@@ -114,13 +114,11 @@ func (s Spec) Validate() error {
 }
 
 func (s Spec) baseMachine() (machine.Machine, error) {
-	switch strings.ToLower(s.Machine) {
-	case "bgl", "bg/l", "bluegene/l":
-		return machine.BGL(), nil
-	case "bgp", "bg/p", "bluegene/p":
-		return machine.BGP(), nil
+	m, err := machine.Parse(s.Machine)
+	if err != nil {
+		return m, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	return machine.Machine{}, fmt.Errorf("%w: unknown machine %q (accepted: bgl, bgp)", ErrBadSpec, s.Machine)
+	return m, nil
 }
 
 // kindFor returns the realized generator family of one member.

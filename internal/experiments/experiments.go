@@ -150,15 +150,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// IDs lists the registered experiment ids.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // predictors are trained once per machine and shared across
 // experiments (the paper's 13 profiling runs are likewise done once).
 // The cache itself lives in internal/driver so the experiment harness,

@@ -16,10 +16,11 @@ func TestRegistryComplete(t *testing.T) {
 		"periter", "fig8", "tab1", "tab2fig9", "fig10", "nsib", "tab3",
 		"tab4fig11", "tab5fig12", "fig1314", "alloceff", "fig15", "ensemble",
 	}
-	ids := IDs()
+	var ids []string
 	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+		have[e.ID] = true
 	}
 	for _, id := range want {
 		if !have[id] {

@@ -37,12 +37,6 @@ func BarycentricCoords(a, b, c, p Point) Barycentric {
 	return Barycentric{L1: l1, L2: l2, L3: 1 - l1 - l2}
 }
 
-// Inside reports whether the coordinates describe a point inside or on
-// the triangle, within tolerance eps.
-func (bc Barycentric) Inside(eps float64) bool {
-	return bc.L1 >= -eps && bc.L2 >= -eps && bc.L3 >= -eps
-}
-
 // Interpolate linearly combines the three vertex values with the
 // barycentric weights, implementing Eq. (4) of the paper:
 //

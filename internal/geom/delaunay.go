@@ -593,10 +593,6 @@ func (tr *Triangulation) NearestVertex(p Point) int {
 	return best
 }
 
-// Hull returns the convex hull of the triangulated points in
-// counter-clockwise order.
-func (tr *Triangulation) Hull() []Point { return ConvexHull(tr.Points) }
-
 // Validate checks the structural invariants of the triangulation:
 // vertex indices in range, non-degenerate CCW triangles, and the empty
 // circumcircle property (no input point strictly inside any triangle's

@@ -29,14 +29,8 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dot returns the dot product of p and q viewed as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z-component of the cross product p × q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
 // Dist2 returns the squared Euclidean distance between p and q.
 func (p Point) Dist2(q Point) float64 {
@@ -80,12 +74,6 @@ func Orient(a, b, c Point) Orientation {
 	return Clockwise
 }
 
-// SignedArea returns the signed area of triangle (a, b, c). The result
-// is positive when the vertices are in counter-clockwise order.
-func SignedArea(a, b, c Point) float64 {
-	return 0.5 * ((b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X))
-}
-
 // InCircle reports whether point d lies strictly inside the
 // circumcircle of the counter-clockwise triangle (a, b, c).
 func InCircle(a, b, c, d Point) bool {
@@ -123,40 +111,4 @@ func Circumcenter(a, b, c Point) (center Point, r2 float64, ok bool) {
 	uy := (al*(c.X-b.X) + bl*(a.X-c.X) + cl*(b.X-a.X)) / d
 	center = Point{ux, uy}
 	return center, center.Dist2(a), true
-}
-
-// BBox is an axis-aligned bounding box.
-type BBox struct {
-	Min, Max Point
-}
-
-// Bounds returns the bounding box of pts. It panics if pts is empty.
-func Bounds(pts []Point) BBox {
-	if len(pts) == 0 {
-		panic("geom: Bounds of empty point set")
-	}
-	bb := BBox{Min: pts[0], Max: pts[0]}
-	for _, p := range pts[1:] {
-		bb.Min.X = math.Min(bb.Min.X, p.X)
-		bb.Min.Y = math.Min(bb.Min.Y, p.Y)
-		bb.Max.X = math.Max(bb.Max.X, p.X)
-		bb.Max.Y = math.Max(bb.Max.Y, p.Y)
-	}
-	return bb
-}
-
-// Width returns the x extent of the box.
-func (b BBox) Width() float64 { return b.Max.X - b.Min.X }
-
-// Height returns the y extent of the box.
-func (b BBox) Height() float64 { return b.Max.Y - b.Min.Y }
-
-// Center returns the center of the box.
-func (b BBox) Center() Point {
-	return Point{(b.Min.X + b.Max.X) / 2, (b.Min.Y + b.Max.Y) / 2}
-}
-
-// Contains reports whether p lies inside or on the boundary of b.
-func (b BBox) Contains(p Point) bool {
-	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
 }

@@ -71,14 +71,8 @@ func TestPointOps(t *testing.T) {
 	if got := p.Scale(2); got != Pt(6, 8) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 11 {
-		t.Errorf("Dot = %v", got)
-	}
 	if got := p.Cross(q); got != 2 {
 		t.Errorf("Cross = %v", got)
-	}
-	if got := Pt(0, 0).Dist(p); got != 5 {
-		t.Errorf("Dist = %v", got)
 	}
 	if got := Pt(0, 0).Dist2(p); got != 25 {
 		t.Errorf("Dist2 = %v", got)
@@ -142,14 +136,8 @@ func TestBounds(t *testing.T) {
 	if bb.Min != Pt(-2, -1) || bb.Max != Pt(4, 5) {
 		t.Errorf("Bounds = %+v", bb)
 	}
-	if bb.Width() != 6 || bb.Height() != 6 {
-		t.Errorf("Width/Height = %v/%v", bb.Width(), bb.Height())
-	}
 	if !bb.Contains(Pt(0, 0)) || bb.Contains(Pt(10, 0)) {
 		t.Error("Contains wrong")
-	}
-	if bb.Center() != Pt(1, 2) {
-		t.Errorf("Center = %v", bb.Center())
 	}
 }
 

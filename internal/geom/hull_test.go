@@ -1,6 +1,13 @@
 package geom
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
+
+// The convex-hull and area helpers below have no production caller:
+// they are the independent oracles the Delaunay, point-location and
+// orientation tests check the triangulation against.
 
 // ConvexHull returns the convex hull of pts in counter-clockwise order
 // using Andrew's monotone-chain algorithm. Collinear points on hull
@@ -94,4 +101,45 @@ func PolygonArea(poly []Point) float64 {
 		sum = -sum
 	}
 	return sum / 2
+}
+
+// Hull returns the convex hull of the triangulated points in
+// counter-clockwise order.
+func (tr *Triangulation) Hull() []Point { return ConvexHull(tr.Points) }
+
+// SignedArea returns the signed area of triangle (a, b, c). The result
+// is positive when the vertices are in counter-clockwise order.
+func SignedArea(a, b, c Point) float64 {
+	return 0.5 * ((b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X))
+}
+
+// Inside reports whether the coordinates describe a point inside or on
+// the triangle, within tolerance eps.
+func (bc Barycentric) Inside(eps float64) bool {
+	return bc.L1 >= -eps && bc.L2 >= -eps && bc.L3 >= -eps
+}
+
+// BBox is an axis-aligned bounding box.
+type BBox struct {
+	Min, Max Point
+}
+
+// Bounds returns the bounding box of pts. It panics if pts is empty.
+func Bounds(pts []Point) BBox {
+	if len(pts) == 0 {
+		panic("geom: Bounds of empty point set")
+	}
+	bb := BBox{Min: pts[0], Max: pts[0]}
+	for _, p := range pts[1:] {
+		bb.Min.X = math.Min(bb.Min.X, p.X)
+		bb.Min.Y = math.Min(bb.Min.Y, p.Y)
+		bb.Max.X = math.Max(bb.Max.X, p.X)
+		bb.Max.Y = math.Max(bb.Max.Y, p.Y)
+	}
+	return bb
+}
+
+// Contains reports whether p lies inside or on the boundary of b.
+func (b BBox) Contains(p Point) bool {
+	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
 }

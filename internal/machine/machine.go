@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"nestwrf/internal/iosim"
 	"nestwrf/internal/netsim"
@@ -129,6 +130,19 @@ func BGP() Machine {
 			PerProcessBandwidth: 8e6,
 		},
 	}
+}
+
+// Parse resolves a machine name as requests, ensemble specs and
+// command lines spell it: "bgl", "bg/l" or the full "BlueGene/L", and
+// the same three for Blue Gene/P, in any case.
+func Parse(name string) (Machine, error) {
+	switch strings.ToLower(name) {
+	case "bgl", "bg/l", "bluegene/l":
+		return BGL(), nil
+	case "bgp", "bg/p", "bluegene/p":
+		return BGP(), nil
+	}
+	return Machine{}, fmt.Errorf("unknown machine %q (accepted: bgl, bgp)", name)
 }
 
 // RanksPerNode returns the MPI ranks per node in the given mode.

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"nestwrf/internal/mapping"
@@ -127,6 +129,26 @@ func TestAllCoreCountsFoldable(t *testing.T) {
 		}
 		if err := m.Validate(); err != nil {
 			t.Fatalf("fold for %d ranks invalid: %v", ranks, err)
+		}
+	}
+}
+
+func TestParse(t *testing.T) {
+	cases := map[string]string{
+		"bgl": "BlueGene/L", "BGL": "BlueGene/L", "bg/l": "BlueGene/L", "BG/L": "BlueGene/L",
+		"bluegene/l": "BlueGene/L", "BlueGene/L": "BlueGene/L",
+		"bgp": "BlueGene/P", "BGP": "BlueGene/P", "bg/p": "BlueGene/P", "Bg/P": "BlueGene/P",
+		"bluegene/p": "BlueGene/P", "BlueGene/P": "BlueGene/P",
+	}
+	for in, want := range cases {
+		m, err := Parse(in)
+		if err != nil || m.Name != want {
+			t.Errorf("Parse(%q) = %q, %v; want %q", in, m.Name, err, want)
+		}
+	}
+	for _, in := range []string{"", "cray", "bgq", "bluegene"} {
+		if _, err := Parse(in); err == nil || !strings.Contains(err.Error(), strconv.Quote(in)) {
+			t.Errorf("Parse(%q) err = %v; want an error naming it", in, err)
 		}
 	}
 }

@@ -14,7 +14,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -510,11 +509,4 @@ func (s Snapshot) Text() string {
 	var b strings.Builder
 	_ = s.WriteText(&b)
 	return b.String()
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -178,12 +178,12 @@ func TestTextAndJSONRendering(t *testing.T) {
 		}
 	}
 
-	var buf strings.Builder
-	if err := s.WriteJSON(&buf); err != nil {
+	raw, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Snapshot
-	if err := json.Unmarshal([]byte(buf.String()), &back); err != nil {
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
 	}
 	if !reflect.DeepEqual(back, s) {

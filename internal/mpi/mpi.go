@@ -373,9 +373,6 @@ type Comm struct {
 // Rank returns the global rank of p.
 func (p *Proc) Rank() int { return p.rank }
 
-// Size returns the number of ranks in the world.
-func (p *Proc) Size() int { return p.w.n }
-
 // World returns the world communicator (MPI_COMM_WORLD).
 func (p *Proc) World() *Comm { return p.world }
 
@@ -681,22 +678,8 @@ func (c *Comm) gatherScatter(tag int, payload []float64, combine func([][]float6
 // Op is a reduction operator.
 type Op func(a, b float64) float64
 
-// Reduction operators.
-var (
-	OpSum Op = func(a, b float64) float64 { return a + b }
-	OpMax Op = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin Op = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
+// OpSum is the sum reduction.
+var OpSum Op = func(a, b float64) float64 { return a + b }
 
 // Allreduce combines vals element-wise across the communicator with op
 // and returns the result on every rank.

@@ -191,14 +191,14 @@ func TestAllreduce(t *testing.T) {
 		if sum[0] != 10 || sum[1] != 5 {
 			t.Errorf("rank %d: sum = %v", p.Rank(), sum)
 		}
-		max, err := c.Allreduce(OpMax, []float64{float64(p.Rank())})
+		max, err := c.Allreduce(math.Max, []float64{float64(p.Rank())})
 		if err != nil {
 			return err
 		}
 		if max[0] != 4 {
 			t.Errorf("max = %v", max)
 		}
-		min, err := c.Allreduce(OpMin, []float64{float64(p.Rank())})
+		min, err := c.Allreduce(math.Min, []float64{float64(p.Rank())})
 		if err != nil {
 			return err
 		}

@@ -97,16 +97,6 @@ func (d *Domain) Depth() int {
 	return max
 }
 
-// Count returns the number of domains in the tree rooted at d,
-// including d itself.
-func (d *Domain) Count() int {
-	n := 1
-	for _, c := range d.Children {
-		n += c.Count()
-	}
-	return n
-}
-
 // Walk visits every domain in the tree in depth-first order, parents
 // before children.
 func (d *Domain) Walk(fn func(*Domain)) {

@@ -82,9 +82,6 @@ func TestValidateNestedChild(t *testing.T) {
 	if root.Depth() != 2 {
 		t.Errorf("Depth = %d, want 2", root.Depth())
 	}
-	if root.Count() != 3 {
-		t.Errorf("Count = %d, want 3", root.Count())
-	}
 }
 
 func TestWalkOrder(t *testing.T) {

@@ -124,7 +124,8 @@ func TestBatchEndpointErrors(t *testing.T) {
 // miss. The window is generous so slow CI schedulers still land every
 // request inside it.
 func TestMissCoalescing(t *testing.T) {
-	srv := New(Config{BatchWindow: 200 * time.Millisecond})
+	srv := New(Config{})
+	srv.batch.window = 200 * time.Millisecond
 	defer srv.Close()
 	h := srv.Handler()
 

@@ -9,7 +9,7 @@ import (
 	"nestwrf/internal/metrics"
 )
 
-// ErrCacheClosed is returned by Do after Close.
+// ErrCacheClosed is returned by lookups after Close.
 var ErrCacheClosed = errors.New("planserve: cache closed")
 
 // cacheOutcome classifies how a lookup was satisfied.
@@ -92,20 +92,13 @@ func newCache(max int) *cache {
 	}
 }
 
-// Do returns the cached value for key, or computes it via compute. At
+// do returns the cached value for key, or computes it via compute. At
 // most one compute runs per key at a time: concurrent callers with the
 // same key wait for the leader's result (or their own context, in
 // which case the computation keeps running and lands in the cache for
-// later queries). Errors are not cached; the next query retries.
-// The hit result reports whether the value came from the cache without
-// waiting on any computation.
-func (c *cache) Do(ctx context.Context, key string, compute func() (any, error)) (val any, hit bool, err error) {
-	val, out, err := c.do(ctx, key, compute)
-	return val, out == outcomeHit, err
-}
-
-// do is Do with the full outcome: hit, miss (led the computation) or
-// join (waited on another caller's flight).
+// later queries). Errors are not cached; the next query retries. The
+// outcome reports a hit, a miss (this caller led the computation) or a
+// join (it waited on another caller's flight).
 func (c *cache) do(ctx context.Context, key string, compute func() (any, error)) (val any, out cacheOutcome, err error) {
 	c.mu.Lock()
 	if c.closed {
@@ -269,7 +262,7 @@ func (c *cache) instrument(reg *metrics.Registry, prefix string, labels ...metri
 	c.mWarmEvicted = reg.Counter("planserve_cache_warm_evicted_total", labels...)
 }
 
-// Close empties the cache and makes further Do calls fail fast.
+// Close empties the cache and makes further lookups fail fast.
 // In-flight computations complete but their results are dropped.
 func (c *cache) Close() {
 	c.mu.Lock()

@@ -16,11 +16,11 @@ func TestCacheHitAndMiss(t *testing.T) {
 	calls := 0
 	compute := func() (any, error) { calls++; return "v", nil }
 
-	v, hit, err := c.Do(ctx, "k", compute)
+	v, hit, err := doHit(ctx, c, "k", compute)
 	if err != nil || hit || v != "v" {
 		t.Fatalf("first Do = (%v, %v, %v), want (v, miss, nil)", v, hit, err)
 	}
-	v, hit, err = c.Do(ctx, "k", compute)
+	v, hit, err = doHit(ctx, c, "k", compute)
 	if err != nil || !hit || v != "v" {
 		t.Fatalf("second Do = (%v, %v, %v), want (v, hit, nil)", v, hit, err)
 	}
@@ -38,7 +38,7 @@ func TestCacheBoundedEviction(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := c.Do(ctx, key, func() (any, error) { return i, nil }); err != nil {
+		if _, _, err := doHit(ctx, c, key, func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,10 +50,10 @@ func TestCacheBoundedEviction(t *testing.T) {
 		t.Errorf("evictions = %d, want 2", evictions)
 	}
 	// k0 and k1 were evicted (LRU); k4 must still be resident.
-	if _, hit, _ := c.Do(ctx, "k4", func() (any, error) { return -1, nil }); !hit {
+	if _, hit, _ := doHit(ctx, c, "k4", func() (any, error) { return -1, nil }); !hit {
 		t.Error("most recent entry was evicted")
 	}
-	if _, hit, _ := c.Do(ctx, "k0", func() (any, error) { return -1, nil }); hit {
+	if _, hit, _ := doHit(ctx, c, "k0", func() (any, error) { return -1, nil }); hit {
 		t.Error("least recent entry survived eviction")
 	}
 }
@@ -62,7 +62,7 @@ func TestCacheLRUOrderUpdatedOnHit(t *testing.T) {
 	c := newCache(2)
 	ctx := context.Background()
 	put := func(k string) {
-		if _, _, err := c.Do(ctx, k, func() (any, error) { return k, nil }); err != nil {
+		if _, _, err := doHit(ctx, c, k, func() (any, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,10 +70,10 @@ func TestCacheLRUOrderUpdatedOnHit(t *testing.T) {
 	put("b")
 	put("a") // touch a: b becomes LRU
 	put("c") // evicts b, not a
-	if _, hit, _ := c.Do(ctx, "a", func() (any, error) { return "", nil }); !hit {
+	if _, hit, _ := doHit(ctx, c, "a", func() (any, error) { return "", nil }); !hit {
 		t.Error("recently touched entry was evicted")
 	}
-	if _, hit, _ := c.Do(ctx, "b", func() (any, error) { return "", nil }); hit {
+	if _, hit, _ := doHit(ctx, c, "b", func() (any, error) { return "", nil }); hit {
 		t.Error("least recently used entry survived")
 	}
 }
@@ -83,11 +83,11 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	ctx := context.Background()
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := c.Do(ctx, "k", func() (any, error) { calls++; return nil, boom })
+	_, _, err := doHit(ctx, c, "k", func() (any, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, hit, err := c.Do(ctx, "k", func() (any, error) { calls++; return "ok", nil })
+	v, hit, err := doHit(ctx, c, "k", func() (any, error) { calls++; return "ok", nil })
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("retry after error = (%v, %v, %v), want fresh compute", v, hit, err)
 	}
@@ -108,7 +108,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do(ctx, "k", func() (any, error) {
+			v, _, err := doHit(ctx, c, "k", func() (any, error) {
 				computes.Add(1)
 				<-gate // hold the flight open until all joiners queue
 				return "shared", nil
@@ -143,7 +143,7 @@ func TestCacheJoinerContextCancel(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		_, _, _ = c.Do(context.Background(), "k", func() (any, error) {
+		_, _, _ = doHit(context.Background(), c, "k", func() (any, error) {
 			<-gate
 			return "late", nil
 		})
@@ -160,14 +160,14 @@ func TestCacheJoinerContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.Do(ctx, "k", func() (any, error) { return nil, nil })
+	_, _, err := doHit(ctx, c, "k", func() (any, error) { return nil, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled joiner got %v, want context.Canceled", err)
 	}
 	close(gate)
 	<-leaderDone
 	// The leader's result still landed in the cache for later queries.
-	v, hit, err := c.Do(context.Background(), "k", func() (any, error) { return nil, nil })
+	v, hit, err := doHit(context.Background(), c, "k", func() (any, error) { return nil, nil })
 	if err != nil || !hit || v != "late" {
 		t.Fatalf("post-cancel Do = (%v, %v, %v), want cached leader result", v, hit, err)
 	}
@@ -176,14 +176,21 @@ func TestCacheJoinerContextCancel(t *testing.T) {
 func TestCacheClose(t *testing.T) {
 	c := newCache(4)
 	ctx := context.Background()
-	if _, _, err := c.Do(ctx, "k", func() (any, error) { return 1, nil }); err != nil {
+	if _, _, err := doHit(ctx, c, "k", func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, _, err := c.Do(ctx, "k", func() (any, error) { return 2, nil }); !errors.Is(err, ErrCacheClosed) {
+	if _, _, err := doHit(ctx, c, "k", func() (any, error) { return 2, nil }); !errors.Is(err, ErrCacheClosed) {
 		t.Fatalf("Do after Close = %v, want ErrCacheClosed", err)
 	}
 	if c.Len() != 0 {
 		t.Error("Close did not empty the cache")
 	}
+}
+
+// doHit is do with the outcome reduced to the hit flag these tests
+// assert on.
+func doHit(ctx context.Context, c *cache, key string, compute func() (any, error)) (any, bool, error) {
+	val, out, err := c.do(ctx, key, compute)
+	return val, out == outcomeHit, err
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nestwrf/internal/driver"
-	"nestwrf/internal/machine"
 	"nestwrf/internal/nest"
 )
 
@@ -19,10 +18,10 @@ import (
 // from the request when the response is marshalled). Sibling ORDER is
 // preserved — Algorithm 1's bisection output depends on the order the
 // weights arrive in, so reordered siblings are a different plan.
-func cacheKey(prefix string, m machine.Machine, opt driver.Options, cfg *nest.Domain) string {
+func cacheKey(prefix string, opt driver.Options, cfg *nest.Domain) string {
 	var b strings.Builder
 	b.WriteString(prefix)
-	b.WriteString(driver.MachineKey(m))
+	b.WriteString(driver.MachineKey(opt.Machine))
 	fmt.Fprintf(&b, "|r=%d|s=%d|a=%d|m=%d|io=%d|oe=%d|nc=%t|",
 		opt.Ranks, opt.Strategy, opt.Alloc, opt.MapKind,
 		opt.IOMode, opt.OutputEverySteps, opt.NoContention)

@@ -62,6 +62,29 @@ func endLookupSpan(sp *telemetry.ActiveSpan, out cacheOutcome, err error) {
 	sp.End()
 }
 
+// query names one kind of cached value: its metric label, lookup span
+// and key prefix, spelled out so a lookup builds no strings.
+type query struct{ name, span, prefix string }
+
+var (
+	queryRun     = query{"run", "plancache.run", "run|"}
+	queryPlan    = query{"plan", "plancache.plan", "plan|"}
+	queryCompare = query{"compare", "plancache.compare", "compare|"}
+)
+
+// lookup is the one cache path every query takes: lookup span,
+// canonical key, singleflight do, outcome annotation. On a miss, miss
+// computes the value under options whose TraceParent is the lookup
+// span, so the computation's driver span nests under it.
+func (p *PlanCache) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, cacheOutcome, error) {
+	sp := startLookupSpan(opt, q.span)
+	key := cacheKey(q.prefix, opt, cfg)
+	opt.TraceParent = sp.ID()
+	v, out, err := p.c.do(ctx, key, func() (any, error) { return miss(opt) })
+	endLookupSpan(sp, out, err)
+	return v, out, err
+}
+
 // Run returns driver.Run's result for cfg under opt, computing it at
 // most once per canonical key. hit reports whether the result came
 // from the cache without waiting on any computation. The options'
@@ -70,18 +93,13 @@ func endLookupSpan(sp *telemetry.ActiveSpan, out cacheOutcome, err error) {
 // machine's cached predictor), and observability does not change
 // results.
 func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Options) (driver.Result, bool, error) {
-	key := cacheKey("run|", opt.Machine, opt, cfg)
-	sp := startLookupSpan(opt, "plancache.run")
-	v, out, err := p.c.do(ctx, key, func() (any, error) {
-		inner := opt
-		inner.TraceParent = sp.ID()
-		res, err := driver.Run(cfg, inner)
+	v, out, err := p.lookup(ctx, queryRun, cfg, opt, func(opt driver.Options) (any, error) {
+		res, err := driver.Run(cfg, opt)
 		if err != nil {
 			return nil, err
 		}
 		return &res, nil
 	})
-	endLookupSpan(sp, out, err)
 	if err != nil {
 		return driver.Result{}, out == outcomeHit, err
 	}
@@ -91,14 +109,9 @@ func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Option
 // Plan returns driver.BuildPlan's output for cfg under opt, computing
 // it at most once per canonical key.
 func (p *PlanCache) Plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, bool, error) {
-	key := cacheKey("plan|", opt.Machine, opt, cfg)
-	sp := startLookupSpan(opt, "plancache.plan")
-	v, out, err := p.c.do(ctx, key, func() (any, error) {
-		inner := opt
-		inner.TraceParent = sp.ID()
-		return driver.BuildPlan(cfg, inner)
+	v, out, err := p.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
+		return driver.BuildPlan(cfg, opt)
 	})
-	endLookupSpan(sp, out, err)
 	if err != nil {
 		return nil, out == outcomeHit, err
 	}

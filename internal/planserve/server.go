@@ -1,6 +1,6 @@
 // Package planserve turns the planning pipeline into a service:
-// an HTTP/JSON server over the nestwrf facade (BuildPlan / Compare)
-// with a shared bounded plan cache, singleflight deduplication of
+// an HTTP/JSON server over driver.BuildPlan and driver.Compare with a
+// shared bounded plan cache, singleflight deduplication of
 // concurrent identical queries, a worker pool bounding concurrent
 // cache-miss planning, per-request metrics, and graceful shutdown.
 //
@@ -21,12 +21,10 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"nestwrf"
 	"nestwrf/internal/alloc"
 	"nestwrf/internal/driver"
 	"nestwrf/internal/iosim"
@@ -75,13 +73,12 @@ func addChildSpec(parent *nest.Domain, sp *DomainSpec) {
 
 // PlanRequest is the JSON body of /v1/plan and /v1/compare.
 type PlanRequest struct {
-	// Machine selects the cost model: "bgl" or "bgp" (any case; the
-	// full names "BlueGene/L" / "BlueGene/P" are also accepted).
+	// Machine selects the cost model: any spelling machine.Parse
+	// accepts ("bgl", "bgp", "BlueGene/L", ...).
 	Machine string `json:"machine"`
 	Ranks   int    `json:"ranks"`
 	// Strategy defaults to "concurrent"; Alloc to "predicted"; Mapping
-	// to "multilevel". Any parseable name (see the facade parsers) is
-	// accepted, any case.
+	// to "multilevel". Any name the driver parsers accept, any case.
 	Strategy string `json:"strategy,omitempty"`
 	Alloc    string `json:"alloc,omitempty"`
 	Mapping  string `json:"mapping,omitempty"`
@@ -96,16 +93,10 @@ type PlanRequest struct {
 
 // resolve parses and defaults the request into concrete planning
 // inputs.
-func (r *PlanRequest) resolve() (machine.Machine, driver.Options, *nest.Domain, error) {
-	var m machine.Machine
-	switch strings.ToLower(r.Machine) {
-	case "bgl", "bg/l", "bluegene/l":
-		m = nestwrf.BlueGeneL()
-	case "bgp", "bg/p", "bluegene/p":
-		m = nestwrf.BlueGeneP()
-	default:
-		return m, driver.Options{}, nil,
-			fmt.Errorf("planserve: unknown machine %q (accepted: bgl, bgp)", r.Machine)
+func (r *PlanRequest) resolve() (driver.Options, *nest.Domain, error) {
+	m, err := machine.Parse(r.Machine)
+	if err != nil {
+		return driver.Options{}, nil, fmt.Errorf("planserve: %w", err)
 	}
 	opt := driver.Options{
 		Machine:          m,
@@ -116,32 +107,31 @@ func (r *PlanRequest) resolve() (machine.Machine, driver.Options, *nest.Domain, 
 		OutputEverySteps: r.OutputEvery,
 		NoContention:     r.NoContention,
 	}
-	var err error
 	if r.Strategy != "" {
-		if opt.Strategy, err = nestwrf.ParseStrategy(r.Strategy); err != nil {
-			return m, opt, nil, err
+		if opt.Strategy, err = driver.ParseStrategy(r.Strategy); err != nil {
+			return opt, nil, err
 		}
 	}
 	if r.Alloc != "" {
-		if opt.Alloc, err = nestwrf.ParseAllocPolicy(r.Alloc); err != nil {
-			return m, opt, nil, err
+		if opt.Alloc, err = driver.ParseAllocPolicy(r.Alloc); err != nil {
+			return opt, nil, err
 		}
 	}
 	if r.Mapping != "" {
-		if opt.MapKind, err = nestwrf.ParseMapKind(r.Mapping); err != nil {
-			return m, opt, nil, err
+		if opt.MapKind, err = driver.ParseMapKind(r.Mapping); err != nil {
+			return opt, nil, err
 		}
 	}
 	if r.IO != "" {
 		if opt.IOMode, err = iosim.ParseMode(r.IO); err != nil {
-			return m, opt, nil, err
+			return opt, nil, err
 		}
 	}
 	cfg, err := r.Domain.build()
 	if err != nil {
-		return m, opt, nil, err
+		return opt, nil, err
 	}
-	return m, opt, cfg, nil
+	return opt, cfg, nil
 }
 
 // SiblingPlan is one first-level nest's share of the plan.
@@ -193,15 +183,6 @@ type Config struct {
 	// Workers bounds concurrent cache-miss planning. Default
 	// GOMAXPROCS.
 	Workers int
-	// BatchWindow is how long the first concurrently arriving
-	// distinct-key /v1/plan miss waits for further misses before all
-	// pending plans are built in one batched driver.BuildPlans pass
-	// (one trained predictor per machine, one worker-pool fan). Zero
-	// selects the 500µs default; negative disables coalescing, so each
-	// miss plans immediately on its own pool slot.
-	BatchWindow time.Duration
-	// BatchMax caps the plans coalesced into one batch. Default 64.
-	BatchMax int
 	// RequestTimeout bounds each request end to end. Default 30s.
 	RequestTimeout time.Duration
 	// Metrics receives per-request instrumentation; nil disables it
@@ -219,11 +200,15 @@ type Config struct {
 }
 
 // Server is the planning service: share one across all connections.
+// Every /v1/plan miss goes through the coalescer: the first of a burst
+// of distinct-key misses waits coalesceWindow for the others, then all
+// pending plans are built in one driver.BuildPlans pass (one trained
+// predictor per machine, one worker-pool fan).
 type Server struct {
 	cfg    Config
-	plans  *cache
+	plans  *PlanCache
 	sem    chan struct{}
-	batch  *coalescer // nil when coalescing is disabled
+	batch  *coalescer
 	reg    *metrics.Registry
 	tracer *telemetry.Tracer
 	log    *slog.Logger
@@ -233,6 +218,12 @@ type Server struct {
 	requests atomic.Uint64
 	inflight atomic.Int64
 }
+
+// The coalescer's window and batch cap.
+const (
+	coalesceWindow = 500 * time.Microsecond
+	coalesceMax    = 64
+)
 
 // New builds a Server from cfg (zero-value fields are defaulted).
 func New(cfg Config) *Server {
@@ -245,34 +236,26 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
 	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 500 * time.Microsecond
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 64
-	}
 	s := &Server{
 		cfg:    cfg,
-		plans:  newCache(cfg.CacheSize),
+		plans:  NewPlanCache(cfg.CacheSize),
 		sem:    make(chan struct{}, cfg.Workers),
 		reg:    cfg.Metrics,
 		tracer: cfg.Tracer,
 		log:    cfg.Log,
 	}
-	if cfg.BatchWindow > 0 {
-		s.batch = &coalescer{
-			window:  cfg.BatchWindow,
-			maxJobs: cfg.BatchMax,
-			workers: cfg.Workers,
-			acquire: func() { s.sem <- struct{}{} },
-			release: func() { <-s.sem },
-			onFlush: func(jobs int) {
-				s.reg.Counter("planserve_coalesced_batches_total").Inc()
-				s.reg.Counter("planserve_coalesced_plans_total").Add(float64(jobs))
-			},
-		}
+	s.batch = &coalescer{
+		window:  coalesceWindow,
+		maxJobs: coalesceMax,
+		workers: cfg.Workers,
+		acquire: func() { s.sem <- struct{}{} },
+		release: func() { <-s.sem },
+		onFlush: func(jobs int) {
+			s.reg.Counter("planserve_coalesced_batches_total").Inc()
+			s.reg.Counter("planserve_coalesced_plans_total").Add(float64(jobs))
+		},
 	}
-	s.plans.instrument(cfg.Metrics, "plancache")
+	s.plans.Instrument(cfg.Metrics)
 	return s
 }
 
@@ -288,6 +271,16 @@ func (s *Server) CacheStats() (entries int, hits, misses, evictions uint64) {
 // CacheJoins reports how many lookups waited on another request's
 // in-flight computation (singleflight deduplication).
 func (s *Server) CacheJoins() uint64 { return s.plans.Joins() }
+
+// SaveSnapshot persists the server's plan cache to path atomically.
+func (s *Server) SaveSnapshot(path string) (int, error) { return s.plans.SaveSnapshot(path) }
+
+// LoadSnapshot warm-loads a snapshot into the server's plan cache; see
+// PlanCache.LoadSnapshot for the validation rules. Call before serving
+// traffic.
+func (s *Server) LoadSnapshot(path string) (loaded, rejected int, err error) {
+	return s.plans.LoadSnapshot(path)
+}
 
 // Handler returns the service mux: POST /v1/plan, POST /v1/compare,
 // GET /v1/stats, GET /healthz, GET /metrics.
@@ -321,17 +314,19 @@ var latencyBounds = []float64{
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1, 2.5, 5,
 }
 
-// serveQuery handles both planning endpoints: decode, resolve,
-// cache-or-compute under the worker pool, marshal.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint string) {
+// account wraps one planning request in the service's bookkeeping —
+// request and in-flight counts, the serve-layer span, the latency
+// histogram and summary, the structured log line — around serve, which
+// returns the HTTP status it wrote and the endpoint's own attribute
+// (attr: the cache outcome of a query, the item count of a batch).
+func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveSpan) (code int, detail string)) {
 	start := time.Now()
 	s.requests.Add(1)
 	s.inflight.Add(1)
 	s.reg.Gauge("planserve_inflight_requests").Add(1)
-	code := http.StatusOK
-	result := "none" // cache outcome; "none" until the lookup runs
 	sp := s.tracer.Start(0, "planserve."+endpoint, telemetry.LayerServe)
 	sp.Annotate("endpoint", endpoint)
+	code, detail := http.StatusInternalServerError, "" // what a panicking serve leaves behind
 	defer func() {
 		dur := time.Since(start).Seconds()
 		s.inflight.Add(-1)
@@ -344,134 +339,130 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 			metrics.L("endpoint", endpoint)).Observe(dur)
 		if sp != nil {
 			sp.Annotate("code", strconv.Itoa(code))
-			sp.Annotate("cache", result)
+			sp.Annotate(attr, detail)
 			sp.End()
 		}
 		if s.log != nil {
 			s.log.Info("request",
 				"endpoint", endpoint, "code", code, "seconds", dur,
-				"cache", result, "span", sp.ID().String())
+				attr, detail, "span", sp.ID().String())
 		}
 	}()
-
-	var req PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		code = http.StatusBadRequest
-		writeJSON(w, code, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	m, opt, cfg, err := req.resolve()
-	if err != nil {
-		code = http.StatusBadRequest
-		writeJSON(w, code, errorResponse{Error: err.Error()})
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	// Thread the request span into the planning options, so a cache
-	// miss's driver run (and its phases) nests under this request in
-	// the exported trace. Neither field is part of the cache key.
-	opt.Tracer = s.tracer
-	opt.TraceParent = sp.ID()
-
-	var val any
-	var out cacheOutcome
-	if endpoint == "plan" {
-		var p *driver.Plan
-		p, out, err = s.lookupPlan(ctx, m, opt, cfg)
-		val = p
-	} else {
-		csp := startLookupSpan(opt, "plancache."+endpoint)
-		key := cacheKey(endpoint+"|", m, opt, cfg)
-		opt.TraceParent = csp.ID() // the miss computation parents under the lookup
-		val, out, err = s.plans.do(ctx, key, func() (any, error) {
-			// The singleflight leader claims a worker-pool slot; joiners
-			// wait on the flight, not the pool.
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			defer func() { <-s.sem }()
-			cmp, err := nestwrf.Compare(cfg, opt)
-			if err != nil {
-				return nil, err
-			}
-			return &cmp, nil
-		})
-		endLookupSpan(csp, out, err)
-		s.reg.Counter("planserve_cache_total",
-			metrics.L("endpoint", endpoint), metrics.L("result", out.String())).Inc()
-	}
-	result = out.String()
-	if err != nil {
-		code = statusFor(err)
-		writeJSON(w, code, errorResponse{Error: err.Error()})
-		return
-	}
-
-	// The header keeps its original two-valued contract: joiners did
-	// not get a resident entry, so they report "miss".
-	header := "miss"
-	if out == outcomeHit {
-		header = "hit"
-	}
-	w.Header().Set(CacheHeader, header)
-	switch p := val.(type) {
-	case *driver.Plan:
-		writeJSON(w, http.StatusOK, planResponse(m, cfg, p))
-	case *nestwrf.Comparison:
-		writeJSON(w, http.StatusOK, &CompareResponse{
-			Machine: m.Name, Ranks: opt.Ranks,
-			Default: p.Default, Concurrent: p.Concurrent,
-			ImprovementPct:      p.ImprovementPct,
-			TotalImprovementPct: p.TotalImprovementPct,
-			WaitImprovementPct:  p.WaitImprovementPct,
-		})
-	}
+	code, detail = serve(sp)
 }
 
-// lookupPlan runs one plan query through the shared cache: resident
-// entries and singleflight joins answer immediately; a distinct-key
-// miss either coalesces into the server's batch (the default) or
-// computes on its own worker-pool slot when coalescing is disabled.
-func (s *Server) lookupPlan(ctx context.Context, m machine.Machine, opt driver.Options, cfg *nest.Domain) (*driver.Plan, cacheOutcome, error) {
-	csp := startLookupSpan(opt, "plancache.plan")
-	key := cacheKey("plan|", m, opt, cfg)
-	opt.TraceParent = csp.ID() // the miss computation parents under the lookup
-	val, out, err := s.plans.do(ctx, key, func() (any, error) {
-		if s.batch != nil {
-			j := &planJob{cfg: cfg, opt: opt, done: make(chan struct{})}
-			s.batch.submit(j)
-			select {
-			case <-j.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if j.err != nil {
-				return nil, j.err
-			}
-			return j.plan, nil
+// serveQuery handles both planning endpoints: decode, resolve,
+// cache-or-compute under the worker pool, marshal.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint string) {
+	s.account(endpoint, "cache", func(sp *telemetry.ActiveSpan) (int, string) {
+		var req PlanRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error()), "none"
 		}
+		opt, cfg, err := req.resolve()
+		if err != nil {
+			return writeError(w, http.StatusBadRequest, err.Error()), "none"
+		}
+
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+
+		// Thread the request span into the planning options, so a cache
+		// miss's driver run (and its phases) nests under this request in
+		// the exported trace. Neither field is part of the cache key.
+		opt.Tracer = s.tracer
+		opt.TraceParent = sp.ID()
+
+		var body any
+		var out cacheOutcome
+		if endpoint == "plan" {
+			var p *driver.Plan
+			if p, out, err = s.plan(ctx, cfg, opt); err == nil {
+				body = planResponse(cfg, opt, p)
+			}
+		} else {
+			var c *driver.Comparison
+			if c, out, err = s.compare(ctx, cfg, opt); err == nil {
+				body = &CompareResponse{
+					Machine: opt.Machine.Name, Ranks: opt.Ranks,
+					Default: c.Default, Concurrent: c.Concurrent,
+					ImprovementPct:      c.ImprovementPct,
+					TotalImprovementPct: c.TotalImprovementPct,
+					WaitImprovementPct:  c.WaitImprovementPct,
+				}
+			}
+		}
+		if err != nil {
+			return writeError(w, statusFor(err), err.Error()), out.String()
+		}
+
+		// The header keeps its original two-valued contract: joiners did
+		// not get a resident entry, so they report "miss".
+		header := "miss"
+		if out == outcomeHit {
+			header = "hit"
+		}
+		w.Header().Set(CacheHeader, header)
+		writeJSON(w, http.StatusOK, body)
+		return http.StatusOK, out.String()
+	})
+}
+
+// lookup is PlanCache.lookup plus the server's per-endpoint outcome
+// counter.
+func (s *Server) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, cacheOutcome, error) {
+	v, out, err := s.plans.lookup(ctx, q, cfg, opt, miss)
+	s.reg.Counter("planserve_cache_total",
+		metrics.L("endpoint", q.name), metrics.L("result", out.String())).Inc()
+	return v, out, err
+}
+
+// plan runs one plan query through the shared cache: resident entries
+// and singleflight joins answer immediately; a distinct-key miss parks
+// in the coalescer until the batch it joined is built.
+func (s *Server) plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, cacheOutcome, error) {
+	v, out, err := s.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
+		j := &planJob{cfg: cfg, opt: opt, done: make(chan struct{})}
+		s.batch.submit(j)
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if j.err != nil {
+			return nil, j.err
+		}
+		return j.plan, nil
+	})
+	if err != nil {
+		return nil, out, err
+	}
+	return v.(*driver.Plan), out, nil
+}
+
+// compare runs one comparison query through the shared cache. The
+// singleflight leader claims a worker-pool slot; joiners wait on the
+// flight, not the pool.
+func (s *Server) compare(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Comparison, cacheOutcome, error) {
+	v, out, err := s.lookup(ctx, queryCompare, cfg, opt, func(opt driver.Options) (any, error) {
 		select {
 		case s.sem <- struct{}{}:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 		defer func() { <-s.sem }()
-		return nestwrf.BuildPlan(cfg, opt)
+		cmp, err := driver.Compare(cfg, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &cmp, nil
 	})
-	endLookupSpan(csp, out, err)
-	s.reg.Counter("planserve_cache_total",
-		metrics.L("endpoint", "plan"), metrics.L("result", out.String())).Inc()
 	if err != nil {
 		return nil, out, err
 	}
-	return val.(*driver.Plan), out, nil
+	return v.(*driver.Comparison), out, nil
 }
 
 // maxBatchBodyBytes bounds /v1/plan/batch bodies; maxBatchItems bounds
@@ -508,91 +499,56 @@ type BatchResponse struct {
 // request order. Item failures (unknown machine, invalid domain) are
 // reported inline so one bad query cannot fail the whole batch.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	const endpoint = "plan_batch"
-	s.requests.Add(1)
-	s.inflight.Add(1)
-	s.reg.Gauge("planserve_inflight_requests").Add(1)
-	code := http.StatusOK
-	items := 0
-	sp := s.tracer.Start(0, "planserve."+endpoint, telemetry.LayerServe)
-	sp.Annotate("endpoint", endpoint)
-	defer func() {
-		dur := time.Since(start).Seconds()
-		s.inflight.Add(-1)
-		s.reg.Gauge("planserve_inflight_requests").Add(-1)
-		s.reg.Counter("planserve_requests_total",
-			metrics.L("endpoint", endpoint), metrics.L("code", strconv.Itoa(code))).Inc()
-		s.reg.Histogram("planserve_request_seconds", latencyBounds,
-			metrics.L("endpoint", endpoint)).Observe(dur)
-		s.reg.Summary("planserve_request_seconds_summary", nil,
-			metrics.L("endpoint", endpoint)).Observe(dur)
-		if sp != nil {
-			sp.Annotate("code", strconv.Itoa(code))
-			sp.Annotate("items", strconv.Itoa(items))
-			sp.End()
+	s.account("plan_batch", "items", func(sp *telemetry.ActiveSpan) (int, string) {
+		var req BatchRequest
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error()), "0"
 		}
-		if s.log != nil {
-			s.log.Info("request",
-				"endpoint", endpoint, "code", code, "seconds", dur,
-				"items", items, "span", sp.ID().String())
+		if len(req.Requests) == 0 {
+			return writeError(w, http.StatusBadRequest, "empty batch"), "0"
 		}
-	}()
+		if len(req.Requests) > maxBatchItems {
+			return writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("batch of %d requests exceeds the %d limit", len(req.Requests), maxBatchItems)), "0"
+		}
 
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		code = http.StatusBadRequest
-		writeJSON(w, code, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if len(req.Requests) == 0 {
-		code = http.StatusBadRequest
-		writeJSON(w, code, errorResponse{Error: "empty batch"})
-		return
-	}
-	if len(req.Requests) > maxBatchItems {
-		code = http.StatusBadRequest
-		writeJSON(w, code, errorResponse{
-			Error: fmt.Sprintf("batch of %d requests exceeds the %d limit", len(req.Requests), maxBatchItems)})
-		return
-	}
-	items = len(req.Requests)
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	resp := BatchResponse{Responses: make([]BatchItemResponse, len(req.Requests))}
-	var wg sync.WaitGroup
-	for i := range req.Requests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m, opt, cfg, err := req.Requests[i].resolve()
-			if err != nil {
-				resp.Responses[i] = BatchItemResponse{Error: err.Error(), Cache: "none"}
-				return
-			}
-			opt.Tracer = s.tracer
-			opt.TraceParent = sp.ID()
-			p, out, err := s.lookupPlan(ctx, m, opt, cfg)
-			if err != nil {
-				resp.Responses[i] = BatchItemResponse{Error: err.Error(), Cache: out.String()}
-				return
-			}
-			resp.Responses[i] = BatchItemResponse{Plan: planResponse(m, cfg, p), Cache: out.String()}
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, &resp)
+		resp := BatchResponse{Responses: make([]BatchItemResponse, len(req.Requests))}
+		var wg sync.WaitGroup
+		for i := range req.Requests {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				opt, cfg, err := req.Requests[i].resolve()
+				if err != nil {
+					resp.Responses[i] = BatchItemResponse{Error: err.Error(), Cache: "none"}
+					return
+				}
+				opt.Tracer = s.tracer
+				opt.TraceParent = sp.ID()
+				p, out, err := s.plan(ctx, cfg, opt)
+				if err != nil {
+					resp.Responses[i] = BatchItemResponse{Error: err.Error(), Cache: out.String()}
+					return
+				}
+				resp.Responses[i] = BatchItemResponse{Plan: planResponse(cfg, opt, p), Cache: out.String()}
+			}(i)
+		}
+		wg.Wait()
+		writeJSON(w, http.StatusOK, &resp)
+		return http.StatusOK, strconv.Itoa(len(req.Requests))
+	})
 }
 
 // planResponse marshals a cached (name-free) plan back under the
 // request's own domain names.
-func planResponse(m machine.Machine, cfg *nest.Domain, p *driver.Plan) *PlanResponse {
+func planResponse(cfg *nest.Domain, opt driver.Options, p *driver.Plan) *PlanResponse {
 	resp := &PlanResponse{
-		Machine: m.Name, Ranks: p.Ranks, Px: p.Px, Py: p.Py,
+		Machine: opt.Machine.Name, Ranks: p.Ranks, Px: p.Px, Py: p.Py,
 		Strategy: p.Strategy.String(), Alloc: p.Alloc.String(), Mapping: p.MapKind.String(),
 		MappingQuality: p.Mapping,
 		Cost:           p.Cost,
@@ -614,10 +570,7 @@ func planResponse(m machine.Machine, cfg *nest.Domain, p *driver.Plan) *PlanResp
 func (s *Server) serveStats(w http.ResponseWriter, _ *http.Request) {
 	entries, hits, misses, evictions := s.CacheStats()
 	warmLoaded, warmRejected, warmEvicted := s.plans.WarmStats()
-	var batches, batched uint64
-	if s.batch != nil {
-		batches, batched = s.batch.stats()
-	}
+	batches, batched := s.batch.stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"entries": entries, "hits": hits, "misses": misses, "evictions": evictions,
 		"joins":         s.CacheJoins(),
@@ -661,6 +614,12 @@ func statusFor(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// writeError writes msg as the JSON error body and returns code.
+func writeError(w http.ResponseWriter, code int, msg string) int {
+	writeJSON(w, code, errorResponse{Error: msg})
+	return code
 }
 
 // writeJSON marshals v and writes it with the given status. Marshal

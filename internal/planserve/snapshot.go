@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
-	"nestwrf"
 	"nestwrf/internal/driver"
 	"nestwrf/internal/machine"
 )
@@ -42,15 +42,16 @@ type snapshotEntry struct {
 // knownMachines are the machines snapshot validation checks entries
 // against: the same fixed models the HTTP request resolver accepts.
 func knownMachines() map[string]machine.Machine {
-	bgl, bgp := nestwrf.BlueGeneL(), nestwrf.BlueGeneP()
+	bgl, bgp := machine.BGL(), machine.BGP()
 	return map[string]machine.Machine{bgl.Name: bgl, bgp.Name: bgp}
 }
 
-// saveSnapshot writes the cache's resident entries to path atomically
-// (temp file + rename) and returns how many entries were persisted.
-// Entries for machines outside the known set are skipped: their keys
-// could never validate at load time.
-func saveSnapshot(c *cache, path string) (int, error) {
+// SaveSnapshot writes the cache's resident entries to path atomically
+// (a private temp file in the same directory + rename, so concurrent
+// saves and a concurrent load each see a whole file) and returns how
+// many entries were persisted. Entries for machines outside the known
+// set are skipped: their keys could never validate at load time.
+func (p *PlanCache) SaveSnapshot(path string) (int, error) {
 	known := knownMachines()
 	names := make([]string, 0, len(known))
 	keys := map[string]string{}
@@ -61,12 +62,12 @@ func saveSnapshot(c *cache, path string) (int, error) {
 	sort.Strings(names)
 
 	snap := snapshotFile{Version: SnapshotVersion, Machines: keys}
-	for _, e := range c.dump() {
+	for _, e := range p.c.dump() {
 		var kind string
 		switch e.val.(type) {
 		case *driver.Plan:
 			kind = "plan"
-		case *nestwrf.Comparison:
+		case *driver.Comparison:
 			kind = "compare"
 		case *driver.Result:
 			kind = "run"
@@ -96,25 +97,35 @@ func saveSnapshot(c *cache, path string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("planserve: encode snapshot: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".plan-cache-*")
+	if err != nil {
 		return 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644) // CreateTemp's 0600 would lock other readers out
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
 		return 0, err
 	}
 	return len(snap.Entries), nil
 }
 
-// loadSnapshot warm-loads a snapshot into the cache. A file-level
+// LoadSnapshot warm-loads a snapshot into the cache. A file-level
 // problem (unreadable, corrupt JSON, version mismatch) returns an
 // error and loads nothing; per-entry problems (unknown machine, stale
 // machine identity, undecodable value, over capacity) reject just that
 // entry and increment the warm-rejected counter. Loaded entries keep
 // their saved recency order and are flagged warm, so later LRU churn
 // shows up in the warm-evicted counter.
-func loadSnapshot(c *cache, path string) (loaded, rejected int, err error) {
+func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, err
@@ -137,14 +148,14 @@ func loadSnapshot(c *cache, path string) (loaded, rejected int, err error) {
 		var val any
 		switch e.Kind {
 		case "plan":
-			p := new(driver.Plan)
-			if json.Unmarshal(e.Value, p) != nil {
+			plan := new(driver.Plan)
+			if json.Unmarshal(e.Value, plan) != nil {
 				rejected++
 				continue
 			}
-			val = p
+			val = plan
 		case "compare":
-			cmp := new(nestwrf.Comparison)
+			cmp := new(driver.Comparison)
 			if json.Unmarshal(e.Value, cmp) != nil {
 				rejected++
 				continue
@@ -161,40 +172,17 @@ func loadSnapshot(c *cache, path string) (loaded, rejected int, err error) {
 			rejected++
 			continue
 		}
-		if !c.loadWarm(e.Key, val) {
+		if !p.c.loadWarm(e.Key, val) {
 			rejected++
 			continue
 		}
 		loaded++
 	}
-	c.noteWarmRejected(rejected)
+	p.c.noteWarmRejected(rejected)
 	return loaded, rejected, nil
 }
 
-// SaveSnapshot persists the server's plan cache to path atomically.
-func (s *Server) SaveSnapshot(path string) (int, error) { return saveSnapshot(s.plans, path) }
-
-// LoadSnapshot warm-loads a snapshot into the server's plan cache; see
-// loadSnapshot for the validation rules. Call before serving traffic.
-func (s *Server) LoadSnapshot(path string) (loaded, rejected int, err error) {
-	return loadSnapshot(s.plans, path)
-}
-
-// CacheWarmStats reports the warm-load counters: snapshot entries
-// loaded, entries rejected at load time, and warm entries later
-// evicted by LRU churn.
-func (s *Server) CacheWarmStats() (loaded, rejected, evicted uint64) {
-	return s.plans.WarmStats()
-}
-
-// SaveSnapshot persists the cache to path atomically; see the Server
-// method of the same name.
-func (p *PlanCache) SaveSnapshot(path string) (int, error) { return saveSnapshot(p.c, path) }
-
-// LoadSnapshot warm-loads a snapshot; see Server.LoadSnapshot.
-func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) {
-	return loadSnapshot(p.c, path)
-}
-
-// WarmStats reports the warm-load counters; see Server.CacheWarmStats.
+// WarmStats reports the warm-load counters: snapshot entries loaded,
+// entries rejected at load time, and warm entries later evicted by LRU
+// churn.
 func (p *PlanCache) WarmStats() (loaded, rejected, evicted uint64) { return p.c.WarmStats() }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -55,7 +56,7 @@ func TestSnapshotRoundTripByteIdentity(t *testing.T) {
 	if !bytes.Equal(wantCompare, gotCompare) {
 		t.Error("warm compare body differs from original")
 	}
-	if l, r, e := srvB.CacheWarmStats(); l != 2 || r != 0 || e != 0 {
+	if l, r, e := srvB.plans.WarmStats(); l != 2 || r != 0 || e != 0 {
 		t.Errorf("warm stats %d/%d/%d, want 2/0/0", l, r, e)
 	}
 	if hits, misses, _ := srvB.plans.Stats(); hits != 2 || misses != 0 {
@@ -142,7 +143,7 @@ func TestSnapshotRejectsMachineMismatch(t *testing.T) {
 	if loaded != 0 || rejected != 2 {
 		t.Fatalf("loaded %d rejected %d, want 0/2", loaded, rejected)
 	}
-	if l, r, _ := srvB.CacheWarmStats(); l != 0 || r != 2 {
+	if l, r, _ := srvB.plans.WarmStats(); l != 0 || r != 2 {
 		t.Errorf("warm stats loaded %d rejected %d, want 0/2", l, r)
 	}
 }
@@ -173,7 +174,68 @@ func TestSnapshotCapacityAndWarmEviction(t *testing.T) {
 
 	// A distinct cold query evicts the lone warm entry.
 	post(t, srvB.Handler(), "/v1/plan", `{"machine":"bgp","ranks":64,"strategy":"sequential","mapping":"oblivious","domain":{"nx":96,"ny":96}}`)
-	if _, _, evicted := srvB.CacheWarmStats(); evicted != 1 {
+	if _, _, evicted := srvB.plans.WarmStats(); evicted != 1 {
 		t.Errorf("warm evictions %d, want 1", evicted)
+	}
+}
+
+// TestConcurrentSavesNeverTear: the periodic save on cmd/planserve's
+// ticker goroutine can overlap the final save at shutdown. Eight
+// concurrent SaveSnapshot calls on one path, against a reader loading
+// it in a loop, must never expose a file LoadSnapshot refuses, and must
+// leave no temp file behind.
+func TestConcurrentSavesNeverTear(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "plans.snap")
+	srv := New(Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	for _, kind := range []string{"oblivious", "txyz", "partition", "multilevel"} {
+		post(t, h, "/v1/plan", testRequest("concurrent", "predicted", kind))
+	}
+	if _, err := srv.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			fresh := NewPlanCache(16)
+			if loaded, rejected, err := fresh.LoadSnapshot(path); err != nil || loaded != 4 || rejected != 0 {
+				t.Errorf("load during concurrent saves: loaded %d rejected %d err %v", loaded, rejected, err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if n, err := srv.SaveSnapshot(path); err != nil || n != 4 {
+					t.Errorf("save: %d entries, err %v", n, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != "plans.snap" {
+		t.Errorf("directory after saves holds %v, want only plans.snap", left)
 	}
 }

@@ -33,8 +33,6 @@ type Params struct {
 	// Drag is a linear bottom-friction coefficient applied to momentum
 	// (1/s). Zero disables friction.
 	Drag float64
-	// Scheme selects the integrator (default LaxFriedrichs).
-	Scheme Scheme
 }
 
 // DefaultParams returns stable parameters for O(1) initial heights
@@ -243,16 +241,6 @@ func (t *Tile) Cell(x, y int) (h, hu, hv float64) {
 	return t.h[i], t.hu[i], t.hv[i]
 }
 
-// Step advances the owned region one time step with the configured
-// scheme, assuming halos are current.
-func (t *Tile) Step() {
-	if t.P.Scheme == Richtmyer {
-		t.stepRichtmyer()
-		return
-	}
-	t.stepLF()
-}
-
 // fillFluxLine evaluates the six flux components of every cell of the
 // halo-extended row y into ln. The expressions are exactly those of the
 // per-cell flux closure of stepLFReference (reference_test.go), so the
@@ -277,11 +265,12 @@ func (t *Tile) fillFluxLine(y int, ln *fluxLine) {
 	}
 }
 
-// stepLF is the flux-once Lax-Friedrichs kernel: a rolling window of
-// three per-row flux lines replaces four flux evaluations per cell.
+// Step advances the owned region one time step, assuming halos are
+// current. It is the flux-once Lax-Friedrichs kernel: a rolling window
+// of three per-row flux lines replaces four flux evaluations per cell.
 // Output is bit-identical to the test-only stepLFReference by
 // construction — fastpath_test.go enforces MaxDiff==0.
-func (t *Tile) stepLF() {
+func (t *Tile) Step() {
 	lx := t.P.Dt / (2 * t.P.Dx)
 	fcor := t.P.F * t.P.Dt
 	drag := t.P.Drag * t.P.Dt

@@ -57,19 +57,6 @@ func Improvement(old, cur float64) float64 {
 	return 100 * (old - cur) / old
 }
 
-// Improvements maps Improvement over paired slices.
-func Improvements(old, cur []float64) []float64 {
-	n := len(old)
-	if len(cur) < n {
-		n = len(cur)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = Improvement(old[i], cur[i])
-	}
-	return out
-}
-
 // Median returns the median of xs, or 0 for an empty slice.
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -28,14 +28,6 @@ func TestImprovement(t *testing.T) {
 	if Improvement(0, 5) != 0 {
 		t.Error("zero old should give 0")
 	}
-	imps := Improvements([]float64{10, 20}, []float64{5, 10})
-	if len(imps) != 2 || imps[0] != 50 || imps[1] != 50 {
-		t.Errorf("Improvements = %v", imps)
-	}
-	// Mismatched lengths truncate.
-	if got := Improvements([]float64{10}, []float64{5, 1}); len(got) != 1 {
-		t.Errorf("mismatched Improvements = %v", got)
-	}
 }
 
 func TestMedian(t *testing.T) {

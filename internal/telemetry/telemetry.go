@@ -170,10 +170,6 @@ func (s *ActiveSpan) ID() SpanID {
 	return s.id
 }
 
-// Recording reports whether the handle records anything; guards
-// attribute-value construction like Tracer.Recording.
-func (s *ActiveSpan) Recording() bool { return s != nil }
-
 // Annotate attaches one key/value attribute. Safe on a nil receiver.
 func (s *ActiveSpan) Annotate(key, value string) {
 	if s == nil {

@@ -29,9 +29,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatalf("nil tracer Start = %v, want nil handle", sp)
 	}
 	// Every method must be safe on the nil handle.
-	if sp.Recording() {
-		t.Fatal("nil span must not be recording")
-	}
 	if got := sp.ID(); got != 0 {
 		t.Fatalf("nil span ID = %d, want 0", got)
 	}

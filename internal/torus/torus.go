@@ -287,42 +287,3 @@ func (t Torus) Neighbor(c Coord, d Dim, dir int8) Coord {
 	}
 	return c
 }
-
-// LinkCount returns the total number of directed links in the torus.
-// Rings of length 1 have no links; rings of length 2 have a single
-// physical cable per node pair, modeled as two directed links.
-func (t Torus) LinkCount() int {
-	count := 0
-	per := func(size int) int {
-		switch {
-		case size <= 1:
-			return 0
-		default:
-			return 2 // both directions
-		}
-	}
-	count += t.Nodes() * per(t.X)
-	count += t.Nodes() * per(t.Y)
-	count += t.Nodes() * per(t.Z)
-	return count
-}
-
-// Bisection returns the bisection width (number of directed links
-// crossing a bisecting plane of the torus along its longest dimension).
-func (t Torus) Bisection() int {
-	long, area := t.X, t.Y*t.Z
-	if t.Y > long {
-		long, area = t.Y, t.X*t.Z
-	}
-	if t.Z > long {
-		long, area = t.Z, t.X*t.Y
-	}
-	if long == 1 {
-		return 0
-	}
-	wrap := 2
-	if long == 2 {
-		wrap = 1
-	}
-	return area * 2 * wrap // both directions x both cut planes (wraparound)
-}

@@ -174,30 +174,6 @@ func TestDimString(t *testing.T) {
 	}
 }
 
-func TestLinkCount(t *testing.T) {
-	// 4x4x4: every node has 6 outgoing links.
-	tor := Torus{4, 4, 4}
-	if got := tor.LinkCount(); got != 64*6 {
-		t.Errorf("LinkCount = %d, want %d", got, 64*6)
-	}
-	// Degenerate 1-long dimension has no links.
-	tor = Torus{4, 4, 1}
-	if got := tor.LinkCount(); got != 16*4 {
-		t.Errorf("LinkCount = %d, want %d", got, 16*4)
-	}
-}
-
-func TestBisection(t *testing.T) {
-	tor := Torus{8, 8, 16}
-	// Longest dim 16, cross-section 64, 2 directions, 2 cut planes.
-	if got := tor.Bisection(); got != 64*4 {
-		t.Errorf("Bisection = %d, want %d", got, 64*4)
-	}
-	if got := (Torus{1, 1, 1}).Bisection(); got != 0 {
-		t.Errorf("unit torus bisection = %d", got)
-	}
-}
-
 func TestWrapDelta(t *testing.T) {
 	cases := []struct {
 		a, b, size, want int

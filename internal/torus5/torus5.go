@@ -102,9 +102,6 @@ type Mapping struct {
 	nodeOf []Coord
 }
 
-// NodeOf returns the torus coordinate of rank r.
-func (m *Mapping) NodeOf(r int) Coord { return m.nodeOf[r] }
-
 // Hops returns the torus distance between two ranks.
 func (m *Mapping) Hops(a, b int) int { return m.Torus.Hops(m.nodeOf[a], m.nodeOf[b]) }
 

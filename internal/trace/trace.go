@@ -131,23 +131,3 @@ func (l *Log) Render(width int) string {
 	}
 	return b.String()
 }
-
-// Summary lists the spans in order with their times. A nil log has an
-// empty summary.
-func (l *Log) Summary() string {
-	if l == nil {
-		return ""
-	}
-	spans := append([]Span(nil), l.Spans...)
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].Lane < spans[j].Lane
-	})
-	var b strings.Builder
-	for _, s := range spans {
-		fmt.Fprintf(&b, "%8.3f - %8.3f  %-20s %s\n", s.Start, s.End, s.Lane, s.Name)
-	}
-	return b.String()
-}

@@ -36,9 +36,6 @@ func TestNilReceiverQueries(t *testing.T) {
 	if out := l.Render(40); !strings.Contains(out, "empty") {
 		t.Errorf("nil Render = %q", out)
 	}
-	if s := l.Summary(); s != "" {
-		t.Errorf("nil Summary = %q", s)
-	}
 }
 
 func TestLanesOrder(t *testing.T) {
@@ -88,16 +85,6 @@ func TestRenderNarrowWidthClamped(t *testing.T) {
 	out := l.Render(1)
 	if len(out) == 0 {
 		t.Error("narrow render empty")
-	}
-}
-
-func TestSummaryOrder(t *testing.T) {
-	var l Log
-	l.Add("second", "lane", 1, 2)
-	l.Add("first", "lane", 0, 1)
-	s := l.Summary()
-	if strings.Index(s, "first") > strings.Index(s, "second") {
-		t.Errorf("summary not time-ordered:\n%s", s)
 	}
 }
 

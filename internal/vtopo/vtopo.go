@@ -165,16 +165,6 @@ func (s Subgrid) GlobalRank(local int) int {
 	return s.Parent.Rank(s.Rect.X+lx, s.Rect.Y+ly)
 }
 
-// LocalRank converts a parent rank to the local rank, or -1 if the
-// parent rank is outside the subgrid.
-func (s Subgrid) LocalRank(global int) int {
-	gx, gy := s.Parent.Coord(global)
-	if !s.Rect.Contains(gx, gy) {
-		return -1
-	}
-	return s.Grid().Rank(gx-s.Rect.X, gy-s.Rect.Y)
-}
-
 // Ranks returns the parent ranks belonging to the subgrid in local
 // rank order.
 func (s Subgrid) Ranks() []int {

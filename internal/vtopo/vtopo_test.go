@@ -148,16 +148,6 @@ func TestSubgridRankMapping(t *testing.T) {
 			t.Fatalf("ranks = %v, want %v", got, want)
 		}
 	}
-	// Round trip local <-> global.
-	for l := 0; l < sg.Size(); l++ {
-		if back := sg.LocalRank(sg.GlobalRank(l)); back != l {
-			t.Fatalf("round trip local %d -> %d", l, back)
-		}
-	}
-	// Ranks outside the subgrid map to -1.
-	if sg.LocalRank(4) != -1 || sg.LocalRank(31) != -1 {
-		t.Error("outside ranks should map to -1")
-	}
 }
 
 func TestSubgridLocalTopology(t *testing.T) {

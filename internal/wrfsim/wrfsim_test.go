@@ -247,27 +247,6 @@ func TestFloorDiv(t *testing.T) {
 	}
 }
 
-// The functional simulator accepts the second-order scheme; strategies
-// still agree on the forecast.
-func TestRichtmyerFunctional(t *testing.T) {
-	opt := baseOpts(Sequential)
-	p := solver.DefaultParams()
-	p.Scheme = solver.Richtmyer
-	opt.Params = p
-	seq, err := Run(testConfig(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Strategy = Concurrent
-	con, err := Run(testConfig(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := seq.Parent.MaxDiff(con.Parent); d != 0 {
-		t.Errorf("Richtmyer strategies differ by %v", d)
-	}
-}
-
 // TestPhaseBreakdownPopulated checks the functional run reports a
 // per-phase breakdown whose compute time covers every rank's clock
 // advance and whose wait sums match the scalar aggregates.

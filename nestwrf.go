@@ -51,7 +51,6 @@ import (
 	"nestwrf/internal/output"
 	"nestwrf/internal/predict"
 	"nestwrf/internal/solver"
-	"nestwrf/internal/stats"
 	"nestwrf/internal/steer"
 	"nestwrf/internal/trace"
 	"nestwrf/internal/wrfsim"
@@ -203,42 +202,12 @@ func Simulate(cfg *Domain, opt Options) (Result, error) { return driver.Run(cfg,
 
 // Comparison contrasts the default sequential strategy with the
 // paper's concurrent strategy under identical options.
-type Comparison struct {
-	Default    Result
-	Concurrent Result
-	// ImprovementPct is the per-iteration integration-time gain.
-	ImprovementPct float64
-	// TotalImprovementPct includes I/O when enabled.
-	TotalImprovementPct float64
-	// WaitImprovementPct is the average MPI_Wait gain.
-	WaitImprovementPct float64
-}
+type Comparison = driver.Comparison
 
 // Compare runs cfg under both strategies (the given options select the
 // machine, rank count, mapping, allocation and I/O settings) and
 // reports the improvements the paper's tables quote.
-func Compare(cfg *Domain, opt Options) (Comparison, error) {
-	seqOpt := opt
-	seqOpt.Strategy = driver.Sequential
-	seqOpt.MapKind = driver.MapSequential // the stock WRF baseline
-	seq, err := driver.Run(cfg, seqOpt)
-	if err != nil {
-		return Comparison{}, err
-	}
-	conOpt := opt
-	conOpt.Strategy = driver.Concurrent
-	con, err := driver.Run(cfg, conOpt)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return Comparison{
-		Default:             seq,
-		Concurrent:          con,
-		ImprovementPct:      stats.Improvement(seq.IterTime, con.IterTime),
-		TotalImprovementPct: stats.Improvement(seq.Total(), con.Total()),
-		WaitImprovementPct:  stats.Improvement(seq.WaitAvg, con.WaitAvg),
-	}, nil
-}
+func Compare(cfg *Domain, opt Options) (Comparison, error) { return driver.Compare(cfg, opt) }
 
 // FunctionalOptions configure an end-to-end functional run of the
 // shallow-water mini-WRF on the goroutine MPI runtime.
@@ -257,25 +226,7 @@ type TimeModel = mpi.TimeModel
 // on the machine's torus — the functional counterpart of the paper's
 // topology-aware placement. rects are needed only for MapPartition.
 func NewTopologyTimeModel(kind MapKind, m Machine, ranks int, rects []Rect) (TimeModel, error) {
-	g, err := machine.GridFor(ranks)
-	if err != nil {
-		return nil, err
-	}
-	tor, err := machine.TorusFor(ranks)
-	if err != nil {
-		return nil, err
-	}
-	var mp *mapping.Mapping
-	switch kind {
-	case MapTXYZ:
-		mp, err = mapping.TXYZ(g, tor, m.CoresPerNode)
-	case MapPartition:
-		mp, err = mapping.PartitionMapping(g, tor, rects)
-	case MapMultiLevel:
-		mp, err = mapping.MultiLevel(g, tor)
-	default:
-		mp, err = mapping.Sequential(g, tor)
-	}
+	mp, err := driver.MappingFor(kind, m, ranks, rects)
 	if err != nil {
 		return nil, err
 	}
@@ -402,25 +353,7 @@ func PartitionsSVG(plan *ExecutionPlan) string {
 // rank grid per torus z-plane (the textual counterpart of the paper's
 // Figs. 5-6); rects are needed only for the partition mapping.
 func RenderMapping(kind MapKind, m Machine, ranks int, rects []Rect) (string, error) {
-	g, err := machine.GridFor(ranks)
-	if err != nil {
-		return "", err
-	}
-	tor, err := machine.TorusFor(ranks)
-	if err != nil {
-		return "", err
-	}
-	var mp *mapping.Mapping
-	switch kind {
-	case MapTXYZ:
-		mp, err = mapping.TXYZ(g, tor, m.CoresPerNode)
-	case MapPartition:
-		mp, err = mapping.PartitionMapping(g, tor, rects)
-	case MapMultiLevel:
-		mp, err = mapping.MultiLevel(g, tor)
-	default:
-		mp, err = mapping.Sequential(g, tor)
-	}
+	mp, err := driver.MappingFor(kind, m, ranks, rects)
 	if err != nil {
 		return "", err
 	}
@@ -439,8 +372,8 @@ func TraceIteration(res Result, strategy Strategy) *TraceLog {
 
 // MetricsRegistry collects run-level counters, gauges and histograms;
 // set Options.Metrics to one to have Simulate record into it, and
-// render with its Snapshot().Text() or WriteJSON. A nil registry is a
-// valid no-op sink.
+// render with its Snapshot().Text(). A nil registry is a valid no-op
+// sink.
 type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry returns an empty, race-safe metrics registry.
@@ -465,27 +398,16 @@ func SimulateWithReport(cfg *Domain, opt Options) (Result, *Report, error) {
 // CompareWithReport is Compare plus the structured comparison report
 // (both strategies' full reports and the improvement headlines).
 func CompareWithReport(cfg *Domain, opt Options) (Comparison, *ComparisonReport, error) {
-	seqOpt := opt
-	seqOpt.Strategy = driver.Sequential
-	seqOpt.MapKind = driver.MapSequential
-	seq, seqRep, err := driver.RunWithReport(cfg, seqOpt)
+	var reps []*Report // baseline, then concurrent
+	cmp, err := driver.RunBoth(cfg, opt, func(cfg *Domain, opt Options) (Result, error) {
+		res, rep, err := driver.RunWithReport(cfg, opt)
+		reps = append(reps, rep)
+		return res, err
+	})
 	if err != nil {
 		return Comparison{}, nil, err
 	}
-	conOpt := opt
-	conOpt.Strategy = driver.Concurrent
-	con, conRep, err := driver.RunWithReport(cfg, conOpt)
-	if err != nil {
-		return Comparison{}, nil, err
-	}
-	cmp := Comparison{
-		Default:             seq,
-		Concurrent:          con,
-		ImprovementPct:      stats.Improvement(seq.IterTime, con.IterTime),
-		TotalImprovementPct: stats.Improvement(seq.Total(), con.Total()),
-		WaitImprovementPct:  stats.Improvement(seq.WaitAvg, con.WaitAvg),
-	}
-	return cmp, driver.NewComparisonReport(seqRep, conRep), nil
+	return cmp, driver.NewComparisonReport(reps[0], reps[1]), nil
 }
 
 // DecodeRunReport reads a JSON run report, rejecting unknown schemas.
