@@ -147,6 +147,8 @@ type World struct {
 	// registers each group's list once; every member aliases it
 	// read-only, so a split is O(n) total instead of O(n) per rank.
 	splitRanks sync.Map
+	// drops counts freed payloads too large for any pool size class.
+	drops atomic.Uint64
 
 	// --- sharded runtime state ---
 

@@ -21,9 +21,14 @@ import (
 //     never contend with each other.
 //
 // The reference runtime keeps the original single set of lists under
-// the world mutex. Both runtimes bound every free list per size class
-// so a bursty phase cannot pin its peak buffer population forever, and
-// both count hits/misses/frees/drops for World.PoolStats.
+// the world mutex. Neither runtime caps its lists: a list keeps every
+// buffer freed into it. For pool-made buffers (what AllocPayload, Send
+// and Recv hand out) that is bounded by construction — a buffer is only
+// made on a miss, when every buffer of its class is live or parked in
+// another rank's private cache, so a class never holds more than its
+// peak live-plus-cached population, and the lists die with the world
+// when Run returns. Both runtimes count hits/misses/frees/drops for
+// World.PoolStats.
 
 // payloadClasses is the number of power-of-two payload size classes the
 // world pool keeps (class c holds buffers with capacity >= 1<<c).
@@ -36,21 +41,6 @@ func payloadClass(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
-}
-
-// classCap bounds one size class's overflow free-list length: small
-// buffers are cheap to keep in quantity, large ones are capped hard so
-// the worst-case retained memory stays bounded no matter how bursty a
-// phase was.
-func classCap(c int) int {
-	switch {
-	case c <= 12: // <= 32 KiB buffers
-		return 64
-	case c <= 18: // <= 2 MiB buffers
-		return 8
-	default:
-		return 2
-	}
 }
 
 // rankCacheCap bounds one size class in a rank's private cache. Kept
@@ -78,17 +68,17 @@ type rankCache struct {
 // classPool is one size class's overflow free list with its own lock,
 // padded apart so neighboring classes' locks do not false-share.
 type classPool struct {
-	mu                         sync.Mutex
-	free                       [][]float64
-	hits, misses, frees, drops uint64
-	_                          [40]byte
+	mu                  sync.Mutex
+	free                [][]float64
+	hits, misses, frees uint64
+	_                   [48]byte
 }
 
 // freeLists is the reference runtime's single set of size-classed free
 // lists plus counters, guarded by the world mutex.
 type freeLists struct {
-	free                       [payloadClasses][][]float64
-	hits, misses, frees, drops uint64
+	free                [payloadClasses][][]float64
+	hits, misses, frees uint64
 }
 
 // alloc pops a buffer of class c (caller computed it for n), or
@@ -103,17 +93,6 @@ func (f *freeLists) alloc(n, c int) []float64 {
 	}
 	f.misses++
 	return nil
-}
-
-// put recycles a buffer into floor class cl, dropping it when the
-// class is at capacity. Caller holds the world mutex.
-func (f *freeLists) put(b []float64, cl int) {
-	if len(f.free[cl]) >= classCap(cl) {
-		f.drops++
-		return
-	}
-	f.frees++
-	f.free[cl] = append(f.free[cl], b[:0])
 }
 
 // allocPayload returns a length-n scratch slice drawn from the world
@@ -171,11 +150,13 @@ func (w *World) freePayload(p *Proc, b []float64) {
 	// is exactly what allocPayload's ceiling class requires.
 	cl := bits.Len(uint(c)) - 1
 	if cl >= payloadClasses {
+		w.drops.Add(1) // larger than the largest class: not pooled
 		return
 	}
 	if w.ref {
 		w.mu.Lock()
-		w.pool.put(b, cl)
+		w.pool.frees++
+		w.pool.free[cl] = append(w.pool.free[cl], b[:0])
 		w.mu.Unlock()
 		return
 	}
@@ -189,11 +170,6 @@ func (w *World) freePayload(p *Proc, b []float64) {
 	}
 	cp := &w.classes[cl]
 	cp.mu.Lock()
-	if len(cp.free) >= classCap(cl) {
-		cp.drops++
-		cp.mu.Unlock()
-		return
-	}
 	cp.frees++
 	cp.free = append(cp.free, b[:0])
 	cp.mu.Unlock()
@@ -212,13 +188,7 @@ func (w *World) foldRankCache(rc *rankCache) {
 		}
 		cp := &w.classes[cl]
 		cp.mu.Lock()
-		for _, b := range lst {
-			if len(cp.free) >= classCap(cl) {
-				cp.drops++
-				continue
-			}
-			cp.free = append(cp.free, b)
-		}
+		cp.free = append(cp.free, lst...)
 		cp.mu.Unlock()
 		rc.free[cl] = nil
 	}
@@ -231,7 +201,8 @@ type PoolStats struct {
 	// list (per-rank cache or shared lists) vs. freshly allocated.
 	Hits, Misses uint64
 	// Frees counts buffers recycled into the lists; Drops counts
-	// buffers discarded because their size class was at capacity.
+	// freed buffers discarded because they are larger than the largest
+	// size class (the lists themselves never drop).
 	Frees, Drops uint64
 	// Buffers and Bytes describe the currently retained free-list
 	// population (excluding ranks' private caches until they exit).
@@ -254,11 +225,11 @@ func (s PoolStats) HitRate() float64 {
 // consistent, not globally atomic); per-rank cache activity folds in
 // when each rank exits, so post-run snapshots are complete.
 func (w *World) PoolStats() PoolStats {
-	var s PoolStats
+	s := PoolStats{Drops: w.drops.Load()}
 	if w.ref {
 		w.mu.Lock()
 		f := &w.pool
-		s.Hits, s.Misses, s.Frees, s.Drops = f.hits, f.misses, f.frees, f.drops
+		s.Hits, s.Misses, s.Frees = f.hits, f.misses, f.frees
 		for _, lst := range f.free {
 			s.Buffers += len(lst)
 			for _, b := range lst {
@@ -276,7 +247,6 @@ func (w *World) PoolStats() PoolStats {
 		s.Hits += cp.hits
 		s.Misses += cp.misses
 		s.Frees += cp.frees
-		s.Drops += cp.drops
 		s.Buffers += len(cp.free)
 		for _, b := range cp.free {
 			s.Bytes += int64(8 * cap(b))

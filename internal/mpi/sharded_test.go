@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"errors"
+	"math/rand/v2"
 	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // mixedProgram exercises every runtime feature whose virtual-time
@@ -182,47 +185,136 @@ func TestDeadlockSampleBounded(t *testing.T) {
 	}
 }
 
-// Payload pools must be bounded (drops once a class is at capacity)
-// and accounted: PoolStats balances frees/drops against what was
-// recycled and retains only the bounded free-list population.
+// poolSizes are the payload lengths the pool property test draws from:
+// classes 0, 2, 4, 7, 10, 13 and 14 (the last two past a rank cache's
+// two-buffer classes).
+var poolSizes = []int{1, 3, 16, 100, 1000, 5000, 9000}
+
+// poolSendCount is how many owned buffers rank `from` sends its right
+// neighbour in one round: a pure function of the seed, so the receiver
+// knows how many to expect.
+func poolSendCount(seed uint64, round, from int) int {
+	return rand.New(rand.NewPCG(seed, uint64(round<<16|from))).IntN(4)
+}
+
+// The payload pools keep every buffer freed into them, and that is
+// bounded: under seeded random alloc/free interleavings across ranks
+// and size classes, with cross-rank owned sends, each class retains at
+// most its peak simultaneously-live population (plus what the sharded
+// runtime's rank caches can park, which a miss cannot see), and the
+// counters balance — hits+misses = allocations, frees+drops = frees,
+// no drops for in-class buffers.
 func TestPoolBoundedAndStats(t *testing.T) {
+	const n, rounds = 5, 40
+	for _, ref := range []bool{false, true} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			// mu serialises each pool call with the test's own
+			// accounting, so live is exact at every miss.
+			var (
+				mu            sync.Mutex
+				live, peak    [payloadClasses]int
+				allocs, frees uint64
+			)
+			procs, err := run(n, tm(), func(p *Proc) error {
+				w := p.World()
+				me := w.Rank()
+				rng := rand.New(rand.NewPCG(seed, uint64(me)))
+				var held [][]float64
+				alloc := func() []float64 {
+					sz := poolSizes[rng.IntN(len(poolSizes))]
+					mu.Lock()
+					defer mu.Unlock()
+					b := w.AllocPayload(sz)
+					c := payloadClass(sz)
+					allocs++
+					live[c]++
+					peak[c] = max(peak[c], live[c])
+					return b
+				}
+				free := func(b []float64) {
+					mu.Lock()
+					defer mu.Unlock()
+					w.FreePayload(b)
+					frees++
+					live[payloadClass(cap(b))]--
+				}
+				for r := 0; r < rounds; r++ {
+					for k := rng.IntN(8); k > 0; k-- {
+						if len(held) > 0 && rng.IntN(2) == 0 {
+							i := rng.IntN(len(held))
+							free(held[i])
+							held[i] = held[len(held)-1]
+							held = held[:len(held)-1]
+						} else {
+							held = append(held, alloc())
+						}
+					}
+					for k := poolSendCount(seed, r, me); k > 0; k-- {
+						w.SendOwned((me+1)%n, r, alloc())
+					}
+					for k := poolSendCount(seed, r, (me+n-1)%n); k > 0; k-- {
+						d, err := w.Recv((me+n-1)%n, r)
+						if err != nil {
+							return err
+						}
+						held = append(held, d)
+					}
+				}
+				for _, b := range held {
+					free(b)
+				}
+				return nil
+			}, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := procs[0].PoolStats()
+			if s.Hits+s.Misses != allocs {
+				t.Errorf("ref=%v seed=%d: hits %d + misses %d != %d allocations", ref, seed, s.Hits, s.Misses, allocs)
+			}
+			if s.Frees+s.Drops != frees || s.Drops != 0 {
+				t.Errorf("ref=%v seed=%d: frees %d + drops %d != %d frees, or in-class drops", ref, seed, s.Frees, s.Drops, frees)
+			}
+			// Everything was freed, so the lists hold every buffer the
+			// pool ever made.
+			if s.Buffers != int(s.Misses) {
+				t.Errorf("ref=%v seed=%d: retained %d buffers, want all %d made", ref, seed, s.Buffers, s.Misses)
+			}
+			w := procs[0].w
+			for c := range peak {
+				retained, bound := len(w.classes[c].free), peak[c]+n*rankCacheCap(c)
+				if ref {
+					retained, bound = len(w.pool.free[c]), peak[c]
+				}
+				if retained > bound {
+					t.Errorf("ref=%v seed=%d: class %d retains %d buffers, peak live %d, bound %d",
+						ref, seed, c, retained, peak[c], bound)
+				}
+			}
+		}
+	}
+}
+
+// Drops counts only buffers larger than the largest size class; the
+// lists themselves never drop.
+func TestPoolDropsOversized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("checkptr rejects the oversized slice header")
+	}
 	for _, ref := range []bool{false, true} {
 		procs, err := run(1, tm(), func(p *Proc) error {
-			w := p.World()
-			const batch = 100 // well past classCap(5)=64
-			bufs := make([][]float64, batch)
-			for i := range bufs {
-				bufs[i] = w.AllocPayload(32) // class 5
-			}
-			for _, b := range bufs {
-				w.FreePayload(b)
-			}
-			for i := 0; i < 10; i++ {
-				bufs[i] = w.AllocPayload(32) // all served from the pool
-			}
+			var x [1]float64
+			// A header claiming 1<<payloadClasses floats: freePayload
+			// reads only its capacity, so nothing that large is allocated.
+			p.World().FreePayload(unsafe.Slice(&x[0], 1<<payloadClasses))
+			p.World().FreePayload(p.World().AllocPayload(8))
 			return nil
 		}, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := procs[0].PoolStats()
-		if s.Hits != 10 || s.Misses != 100 {
-			t.Errorf("ref=%v: hits/misses = %d/%d, want 10/100", ref, s.Hits, s.Misses)
-		}
-		if s.Drops == 0 {
-			t.Errorf("ref=%v: no drops despite freeing %d buffers into a bounded class", ref, 100)
-		}
-		if s.Frees+s.Drops != 100 {
-			t.Errorf("ref=%v: frees %d + drops %d != 100", ref, s.Frees, s.Drops)
-		}
-		if got, want := s.Buffers, int(s.Frees)-10; got != want {
-			t.Errorf("ref=%v: retained buffers %d, want frees-hits = %d", ref, got, want)
-		}
-		if got, want := s.Bytes, int64(s.Buffers)*32*8; got != want {
-			t.Errorf("ref=%v: retained bytes %d, want %d", ref, got, want)
-		}
-		if hr := s.HitRate(); hr <= 0 || hr >= 1 {
-			t.Errorf("ref=%v: hit rate %v out of (0, 1)", ref, hr)
+		if s := procs[0].PoolStats(); s.Drops != 1 || s.Frees != 1 || s.Buffers != 1 {
+			t.Errorf("ref=%v: drops/frees/buffers = %d/%d/%d, want 1/1/1", ref, s.Drops, s.Frees, s.Buffers)
 		}
 	}
 }

@@ -9,32 +9,65 @@ import (
 
 // The flux-once kernel must reproduce the closure-based oracle kernel
 // (reference_test.go) bit for bit: same arithmetic, same evaluation
-// order.
+// order. The table covers degenerate and production tile shapes, every
+// combination of the Coriolis and drag terms (DefaultParams skips the
+// source-term pass), and a dry patch whose cells take fillFluxLine's
+// zero-flux branch.
 func TestFastKernelMatchesReference(t *testing.T) {
-	nx, ny, steps := 41, 33, 80
-	p := DefaultParams()
-	p.F = 0.1
-	p.Drag = 0.01
-	init := GaussianHill(nx, ny, 20, 16, 0.4, 5)
-
-	run := func(step func(*Tile)) *State {
-		tile, err := NewTile(nx, ny, 0, 0, nx, ny, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tile.Fill(init)
-		for s := 0; s < steps; s++ {
-			tile.SetReflective()
-			step(tile)
-		}
-		st := NewState(nx, ny)
-		tile.Interior(st)
-		return st
+	const steps = 40
+	shapes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {5, 3}, {41, 33}, {99, 53}}
+	params := map[string]func(*Params){
+		"default": func(*Params) {},
+		"F":       func(p *Params) { p.F = 0.1 },
+		"Drag":    func(p *Params) { p.Drag = 0.01 },
+		"F+Drag":  func(p *Params) { p.F, p.Drag = 0.1, 0.01 },
 	}
-	fast := run((*Tile).Step)
-	slow := run((*Tile).stepLFReference)
-	if d := fast.MaxDiff(slow); d != 0 {
-		t.Errorf("fast kernel differs from reference by %v (want exactly 0)", d)
+	inits := map[string]func(nx, ny int) InitFunc{
+		"hill": func(nx, ny int) InitFunc {
+			return GaussianHill(nx, ny, float64(nx)/2, float64(ny)/2, 0.4, 5)
+		},
+		// Dry (h = 0) lower-left third and one cell of negative depth.
+		"dry": func(nx, ny int) InitFunc {
+			hill := GaussianHill(nx, ny, float64(nx)/2, float64(ny)/2, 0.4, 5)
+			return func(gx, gy int) (float64, float64, float64) {
+				switch {
+				case gx == nx-1 && gy == ny-1 && nx*ny > 1:
+					return -0.1, 0, 0
+				case 3*gx <= nx && 3*gy <= ny:
+					return 0, 0, 0
+				}
+				return hill(gx, gy)
+			}
+		},
+	}
+	for _, sh := range shapes {
+		nx, ny := sh[0], sh[1]
+		for pname, set := range params {
+			for iname, mk := range inits {
+				p := DefaultParams()
+				set(&p)
+				init := mk(nx, ny)
+				run := func(step func(*Tile)) *State {
+					tile, err := NewTile(nx, ny, 0, 0, nx, ny, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tile.Fill(init)
+					for s := 0; s < steps; s++ {
+						tile.SetReflective()
+						step(tile)
+					}
+					st := NewState(nx, ny)
+					tile.Interior(st)
+					return st
+				}
+				fast := run((*Tile).Step)
+				slow := run((*Tile).stepLFReference)
+				if d := fast.MaxDiff(slow); d != 0 {
+					t.Errorf("%dx%d %s %s: fast kernel differs from reference by %v (want exactly 0)", nx, ny, pname, iname, d)
+				}
+			}
+		}
 	}
 }
 

@@ -245,69 +245,82 @@ func (t *Tile) Cell(x, y int) (h, hu, hv float64) {
 // halo-extended row y into ln. The expressions are exactly those of the
 // per-cell flux closure of stepLFReference (reference_test.go), so the
 // stored values are bit-for-bit the values that oracle recomputes at
-// each of a cell's four uses.
+// each of a cell's four uses. Every slice is re-cut to the row's length
+// first, so the loop indexes them without bounds checks.
 func (t *Tile) fillFluxLine(y int, ln *fluxLine) {
 	g := t.P.G
-	base := (y + 1) * (t.W + 2) // == t.idx(-1, y)
-	for j := 0; j <= t.W+1; j++ {
-		i := base + j
-		h := t.h[i]
-		if h <= 0 {
-			ln.fh[j], ln.fhu[j], ln.fhv[j] = 0, 0, 0
-			ln.gh[j], ln.ghu[j], ln.ghv[j] = 0, 0, 0
+	n := t.W + 2
+	base := (y + 1) * n // == t.idx(-1, y)
+	h := t.h[base : base+n]
+	hu, hv := t.hu[base:][:len(h)], t.hv[base:][:len(h)]
+	fh, fhu, fhv := ln.fh[:len(h)], ln.fhu[:len(h)], ln.fhv[:len(h)]
+	gh, ghu, ghv := ln.gh[:len(h)], ln.ghu[:len(h)], ln.ghv[:len(h)]
+	for j, hj := range h {
+		if hj <= 0 {
+			fh[j], fhu[j], fhv[j] = 0, 0, 0
+			gh[j], ghu[j], ghv[j] = 0, 0, 0
 			continue
 		}
-		hu, hv := t.hu[i], t.hv[i]
-		u, v := hu/h, hv/h
-		p := 0.5 * g * h * h
-		ln.fh[j], ln.fhu[j], ln.fhv[j] = hu, hu*u+p, hu*v
-		ln.gh[j], ln.ghu[j], ln.ghv[j] = hv, hv*u, hv*v+p
+		huj, hvj := hu[j], hv[j]
+		u, v := huj/hj, hvj/hj
+		p := 0.5 * g * hj * hj
+		fh[j], fhu[j], fhv[j] = huj, huj*u+p, huj*v
+		gh[j], ghu[j], ghv[j] = hvj, hvj*u, hvj*v+p
+	}
+}
+
+// lfRow is one field's Lax-Friedrichs update over one owned row. Every
+// argument is a view aligned on the row's first owned cell, so cell x
+// reads its west, east, south and north neighbours, its x-fluxes and
+// its y-fluxes all at index x; after the re-cuts to len(out) the loop
+// carries no bounds check.
+func lfRow(out, w, e, s, n, fw, fe, gs, gn []float64, lx float64) {
+	w, e, s, n = w[:len(out)], e[:len(out)], s[:len(out)], n[:len(out)]
+	fw, fe, gs, gn = fw[:len(out)], fe[:len(out)], gs[:len(out)], gn[:len(out)]
+	for x := range out {
+		out[x] = 0.25*(e[x]+w[x]+n[x]+s[x]) - lx*((fe[x]-fw[x])+(gn[x]-gs[x]))
 	}
 }
 
 // Step advances the owned region one time step, assuming halos are
 // current. It is the flux-once Lax-Friedrichs kernel: a rolling window
-// of three per-row flux lines replaces four flux evaluations per cell.
+// of three per-row flux lines replaces four flux evaluations per cell,
+// and each row is updated field by field (three lfRow passes, then one
+// Coriolis/drag pass over the provisional momenta when either is on).
 // Output is bit-identical to the test-only stepLFReference by
 // construction — fastpath_test.go enforces MaxDiff==0.
 func (t *Tile) Step() {
 	lx := t.P.Dt / (2 * t.P.Dx)
 	fcor := t.P.F * t.P.Dt
 	drag := t.P.Drag * t.P.Dt
-	stride := t.W + 2
+	w, stride := t.W, t.W+2
 	lm, lc, lp := &t.fl[0], &t.fl[1], &t.fl[2]
 	t.fillFluxLine(-1, lm)
 	t.fillFluxLine(0, lc)
 	t.fillFluxLine(1, lp)
 	for y := 0; y < t.H; y++ {
-		row := (y + 1) * stride
-		for x := 0; x < t.W; x++ {
-			c := row + x + 1
-			e, w := c+1, c-1
-			n, s := c+stride, c-stride
-			j := x + 1
-
-			feh, fehu, fehv := lc.fh[j+1], lc.fhu[j+1], lc.fhv[j+1]
-			fwh, fwhu, fwhv := lc.fh[j-1], lc.fhu[j-1], lc.fhv[j-1]
-			gnh, gnhu, gnhv := lp.gh[j], lp.ghu[j], lp.ghv[j]
-			gsh, gshu, gshv := lm.gh[j], lm.ghu[j], lm.ghv[j]
-
-			nh := 0.25*(t.h[e]+t.h[w]+t.h[n]+t.h[s]) - lx*((feh-fwh)+(gnh-gsh))
-			nhu := 0.25*(t.hu[e]+t.hu[w]+t.hu[n]+t.hu[s]) - lx*((fehu-fwhu)+(gnhu-gshu))
-			nhv := 0.25*(t.hv[e]+t.hv[w]+t.hv[n]+t.hv[s]) - lx*((fehv-fwhv)+(gnhv-gshv))
-			if fcor != 0 {
-				// Coriolis source terms: du/dt = +f v, dv/dt = -f u, applied
-				// to the provisional momenta (point-local, so parallel runs
-				// stay bit-identical to serial).
-				nhu, nhv = nhu+fcor*nhv, nhv-fcor*nhu
+		c := (y+1)*stride + 1 // == t.idx(0, y)
+		s, n := c-stride, c+stride
+		lfRow(t.nh[c:c+w], t.h[c-1:], t.h[c+1:], t.h[s:], t.h[n:], lc.fh, lc.fh[2:], lm.gh[1:], lp.gh[1:], lx)
+		nhu, nhv := t.nhu[c:c+w], t.nhv[c:c+w]
+		lfRow(nhu, t.hu[c-1:], t.hu[c+1:], t.hu[s:], t.hu[n:], lc.fhu, lc.fhu[2:], lm.ghu[1:], lp.ghu[1:], lx)
+		lfRow(nhv, t.hv[c-1:], t.hv[c+1:], t.hv[s:], t.hv[n:], lc.fhv, lc.fhv[2:], lm.ghv[1:], lp.ghv[1:], lx)
+		if fcor != 0 || drag != 0 {
+			nhv = nhv[:len(nhu)]
+			for x, hu := range nhu {
+				hv := nhv[x]
+				if fcor != 0 {
+					// Coriolis source terms: du/dt = +f v, dv/dt = -f u,
+					// applied to the provisional momenta (point-local, so
+					// parallel runs stay bit-identical to serial).
+					hu, hv = hu+fcor*hv, hv-fcor*hu
+				}
+				if drag != 0 {
+					hu -= drag * hu
+					hv -= drag * hv
+				}
+				nhu[x], nhv[x] = hu, hv
 			}
-			if drag != 0 {
-				nhu -= drag * nhu
-				nhv -= drag * nhv
-			}
-			t.nh[c] = nh
-			t.nhu[c] = nhu
-			t.nhv[c] = nhv
 		}
 		if y+1 < t.H {
 			// Row y+2 <= H is always a valid halo-extended row.

@@ -15,9 +15,14 @@ import (
 // (all fields and levels), matching the driver's I/O model.
 const outputBytesPerPoint = 4500.0
 
-// snapMu guards Output.Snapshots, which is appended to by the
-// communicator roots of different domains (distinct goroutines).
-var snapMu sync.Mutex
+// runOutput is one run's Output together with the lock that guards its
+// Snapshots, which the communicator roots of different domains
+// (distinct goroutines) append to. Each run has its own, so concurrent
+// runs never serialise on each other's records.
+type runOutput struct {
+	*Output
+	snapMu sync.Mutex
+}
 
 // writeOutputs performs one forecast-output event: every domain's
 // fields are gathered to its communicator root with real messages, the
@@ -25,7 +30,7 @@ var snapMu sync.Mutex
 // (collective writes block all writers), and the root records the
 // snapshot.
 func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile,
-	nests []*nestCtx, cfg *nest.Domain, opt Options, step int, out *Output) error {
+	nests []*nestCtx, cfg *nest.Domain, opt Options, step int, out *runOutput) error {
 	// Parent file: all ranks write.
 	st, err := solver.Gather(world, parent)
 	if err != nil {
@@ -33,7 +38,7 @@ func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.
 	}
 	p.Compute(opt.IO.WriteTime(opt.IOMode, world.Size(), float64(cfg.Points())*outputBytesPerPoint))
 	if st != nil {
-		record(out, output.Snapshot{Domain: cfg.Name, Step: step, State: st})
+		out.record(output.Snapshot{Domain: cfg.Name, Step: step, State: st})
 	}
 
 	// Sibling files: each nest's communicator writes its own file. In
@@ -50,16 +55,16 @@ func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.
 		}
 		p.Compute(opt.IO.WriteTime(opt.IOMode, nc.comm.Size(), float64(nc.d.Points())*outputBytesPerPoint))
 		if sub != nil {
-			record(out, output.Snapshot{Domain: nc.d.Name, Step: step, State: sub})
+			out.record(output.Snapshot{Domain: nc.d.Name, Step: step, State: sub})
 		}
 	}
 	return nil
 }
 
-func record(out *Output, s output.Snapshot) {
-	snapMu.Lock()
+func (out *runOutput) record(s output.Snapshot) {
+	out.snapMu.Lock()
 	out.Snapshots = append(out.Snapshots, s)
-	snapMu.Unlock()
+	out.snapMu.Unlock()
 }
 
 // sortSnapshots orders the records deterministically by (step, domain).

@@ -229,8 +229,9 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 	}
 
 	out = &Output{Nests: make([]*solver.State, len(cfg.Children))}
+	ro := &runOutput{Output: out}
 	procs, err := mpi.Run(opt.Ranks, opt.TM, func(p *mpi.Proc) error {
-		return rankMain(p, cfg, grid, plans, opt, out)
+		return rankMain(p, cfg, grid, plans, opt, ro)
 	})
 	if err != nil {
 		return nil, err
@@ -299,7 +300,7 @@ type bcCell struct {
 	h, hu, hv float64
 }
 
-func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans, opt Options, out *Output) error {
+func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans, opt Options, out *runOutput) error {
 	world := p.World()
 	me := world.Rank()
 	p.BeginPhase("init")
@@ -431,7 +432,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 
 	// Gather final states at world rank 0.
 	p.BeginPhase("collect")
-	if err := collectStates(world, grid, parent, nests, out); err != nil {
+	if err := collectStates(world, grid, parent, nests, out.Output); err != nil {
 		return err
 	}
 	return nil
