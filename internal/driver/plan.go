@@ -1,8 +1,9 @@
 package driver
 
 import (
-	"fmt"
+	"math"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -89,21 +90,63 @@ var (
 // singleflight holds under concurrency.
 func TrainCalls() int64 { return trainCount.Load() }
 
-// MachineKey renders the machine's full identity for cache keying: any
-// cost-model difference yields a distinct key.
-func MachineKey(m machine.Machine) string { return fmt.Sprintf("%#v", m) }
+// AppendMachineKey appends the machine's full identity for cache keying
+// to b and returns the extended slice: any cost-model difference yields
+// distinct bytes. The segment is printable and delimited by "m{" and
+// "}" — the quoted name, then every integer and mode in decimal and
+// every float as its IEEE-754 bit pattern in hex, in field order — so
+// it appears verbatim inside any key built around it.
+func AppendMachineKey(b []byte, m machine.Machine) []byte {
+	b = append(b, "m{"...)
+	b = strconv.AppendQuote(b, m.Name)
+	b = appendBits(b, m.ClockHz)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(m.CoresPerNode), 10)
+	b = append(b, ",["...)
+	for i, mode := range m.Modes {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(mode), 10)
+	}
+	b = append(b, ']')
+	b = appendBits(b, m.PointCost)
+	b = appendBits(b, m.StepOverhead)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(m.ExchangesPerStep), 10)
+	b = appendBits(b, m.BytesPerPoint)
+	b = appendBits(b, m.Net.LatencyPerHop)
+	b = appendBits(b, m.Net.Overhead)
+	b = appendBits(b, m.Net.Bandwidth)
+	b = appendBits(b, m.IO.BaseLatency)
+	b = appendBits(b, m.IO.PerWriterOverhead)
+	b = appendBits(b, m.IO.AggregateBandwidth)
+	b = appendBits(b, m.IO.PerProcessBandwidth)
+	return append(b, '}')
+}
+
+// machineKeyBuf sizes the stack buffers machine keys are built in: a
+// Blue Gene model's key is ≈ 215 bytes, so lookups do not allocate.
+const machineKeyBuf = 256
+
+// appendBits appends ",<hex bit pattern of f>": exact, and cheaper to
+// format than any decimal rendering.
+func appendBits(b []byte, f float64) []byte {
+	return strconv.AppendUint(append(b, ','), math.Float64bits(f), 16)
+}
 
 // CachedPredictor returns the shared predictor for m, training it on
 // first use. Training is deterministic, so the cached model is
 // interchangeable with a freshly trained one; concurrent first-touch
 // callers for the same machine share a single training pass.
 func CachedPredictor(m machine.Machine) (*predict.Model, error) {
-	key := MachineKey(m)
+	var buf [machineKeyBuf]byte
+	key := AppendMachineKey(buf[:0], m)
 	predMu.Lock()
-	e, ok := predCache[key]
+	e, ok := predCache[string(key)]
 	if !ok {
 		e = &predEntry{}
-		predCache[key] = e
+		predCache[string(key)] = e
 	}
 	predMu.Unlock()
 	e.once.Do(func() { e.p, e.err = TrainPredictor(m) })
@@ -111,8 +154,8 @@ func CachedPredictor(m machine.Machine) (*predict.Model, error) {
 		// Failed trainings are not cached: drop the entry (unless a
 		// reset already replaced it) so the next caller retries.
 		predMu.Lock()
-		if predCache[key] == e {
-			delete(predCache, key)
+		if predCache[string(key)] == e {
+			delete(predCache, string(key))
 		}
 		predMu.Unlock()
 		return nil, e.err
@@ -235,24 +278,26 @@ func BuildPlans(jobs []PlanJob, workers int) ([]*Plan, []error) {
 	// reports the error only if the job actually needs a predictor
 	// (fixed-weight and equal-split jobs do not).
 	shared := map[string]*predict.Model{}
+	var buf [machineKeyBuf]byte
 	for _, j := range jobs {
 		if j.Options.Predictor != nil {
 			continue
 		}
-		key := MachineKey(j.Options.Machine)
-		if _, seen := shared[key]; seen {
+		key := AppendMachineKey(buf[:0], j.Options.Machine)
+		if _, seen := shared[string(key)]; seen {
 			continue
 		}
 		p, err := CachedPredictor(j.Options.Machine)
 		if err != nil {
 			p = nil
 		}
-		shared[key] = p
+		shared[string(key)] = p
 	}
 	build := func(i int) {
 		opt := jobs[i].Options
 		if opt.Predictor == nil {
-			if p := shared[MachineKey(opt.Machine)]; p != nil {
+			var buf [machineKeyBuf]byte
+			if p := shared[string(AppendMachineKey(buf[:0], opt.Machine))]; p != nil {
 				opt.Predictor = p
 			}
 		}

@@ -98,14 +98,16 @@ func newCache(max int) *cache {
 // which case the computation keeps running and lands in the cache for
 // later queries). Errors are not cached; the next query retries. The
 // outcome reports a hit, a miss (this caller led the computation) or a
-// join (it waited on another caller's flight).
-func (c *cache) do(ctx context.Context, key string, compute func() (any, error)) (val any, out cacheOutcome, err error) {
+// join (it waited on another caller's flight). key is only read during
+// the call: a hit or join never copies it, a miss makes the one string
+// the flight and the resident entry share.
+func (c *cache) do(ctx context.Context, key []byte, compute func() (any, error)) (val any, out cacheOutcome, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, outcomeMiss, ErrCacheClosed
 	}
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
 		c.mHits.Inc()
@@ -113,7 +115,7 @@ func (c *cache) do(ctx context.Context, key string, compute func() (any, error))
 		c.mu.Unlock()
 		return val, outcomeHit, nil
 	}
-	if f, ok := c.inflight[key]; ok {
+	if f, ok := c.inflight[string(key)]; ok {
 		c.joins++
 		c.mJoins.Inc()
 		c.mu.Unlock()
@@ -124,8 +126,9 @@ func (c *cache) do(ctx context.Context, key string, compute func() (any, error))
 			return nil, outcomeJoin, ctx.Err()
 		}
 	}
+	k := string(key)
 	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
+	c.inflight[k] = f
 	c.misses++
 	c.mMisses.Inc()
 	c.mu.Unlock()
@@ -133,9 +136,9 @@ func (c *cache) do(ctx context.Context, key string, compute func() (any, error))
 	f.val, f.err = compute()
 
 	c.mu.Lock()
-	delete(c.inflight, key)
+	delete(c.inflight, k)
 	if f.err == nil && !c.closed {
-		c.insert(key, f.val)
+		c.insert(k, f.val)
 	}
 	c.mu.Unlock()
 	close(f.done)

@@ -78,7 +78,8 @@ var (
 // span, so the computation's driver span nests under it.
 func (p *PlanCache) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, cacheOutcome, error) {
 	sp := startLookupSpan(opt, q.span)
-	key := cacheKey(q.prefix, opt, cfg)
+	var buf [keyBuf]byte
+	key := appendKey(buf[:0], q.prefix, opt, cfg)
 	opt.TraceParent = sp.ID()
 	v, out, err := p.c.do(ctx, key, func() (any, error) { return miss(opt) })
 	endLookupSpan(sp, out, err)
@@ -103,11 +104,36 @@ func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Option
 	if err != nil {
 		return driver.Result{}, out == outcomeHit, err
 	}
-	return *(v.(*driver.Result)), out == outcomeHit, nil
+	return withNames(*(v.(*driver.Result)), cfg), out == outcomeHit, nil
+}
+
+// withNames returns r with its per-sibling metrics under cfg's
+// first-level names. Keys are name-free, so a cached result carries the
+// names of whichever request computed it; the caller's names go on a
+// copy of the Siblings slice — only when one differs — and the cached
+// value is never written. The key pins the geometry, so r has one
+// sibling per child of cfg.
+func withNames(r driver.Result, cfg *nest.Domain) driver.Result {
+	for i := range r.Siblings {
+		if r.Siblings[i].Name == cfg.Children[i].Name {
+			continue
+		}
+		sibs := make([]driver.DomainMetrics, len(r.Siblings))
+		for j, s := range r.Siblings {
+			s.Name = cfg.Children[j].Name
+			sibs[j] = s
+		}
+		r.Siblings = sibs
+		break
+	}
+	return r
 }
 
 // Plan returns driver.BuildPlan's output for cfg under opt, computing
-// it at most once per canonical key.
+// it at most once per canonical key. The plan is the shared cached
+// value, so its Cost.Siblings carry the names of the request that
+// computed it: a caller that reports them re-attaches its own, as the
+// server's planResponse does.
 func (p *PlanCache) Plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, bool, error) {
 	v, out, err := p.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
 		return driver.BuildPlan(cfg, opt)

@@ -52,11 +52,19 @@ func TestPlanCacheRunHitsAndIdentity(t *testing.T) {
 	if !reflect.DeepEqual(cold, warm) {
 		t.Errorf("cached result differs:\ncold %+v\nwarm %+v", cold, warm)
 	}
-	// Renaming domains must not change the key.
+	// Renaming domains must not change the key, and the hit carries the
+	// caller's names without writing them into the cached value.
 	renamed := cacheCfg()
 	renamed.Children[0].Name = "typhoon-renamed"
-	if _, hit, err = pc.Run(ctx, renamed, cacheOpt()); err != nil || !hit {
+	got, hit, err := pc.Run(ctx, renamed, cacheOpt())
+	if err != nil || !hit {
 		t.Errorf("renamed geometry should hit: hit=%v err=%v", hit, err)
+	}
+	if direct, err := driver.Run(renamed, cacheOpt()); err != nil || !reflect.DeepEqual(got, direct) {
+		t.Errorf("renamed hit differs from driver.Run on the renamed config (err=%v):\nhit    %+v\ndirect %+v", err, got.Siblings, direct.Siblings)
+	}
+	if cold.Siblings[0].Name != "a" {
+		t.Errorf("renaming wrote into the cached result: %q", cold.Siblings[0].Name)
 	}
 	// A different strategy is a different plan.
 	seq := cacheOpt()

@@ -387,7 +387,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 			if c, out, err = s.compare(ctx, cfg, opt); err == nil {
 				body = &CompareResponse{
 					Machine: opt.Machine.Name, Ranks: opt.Ranks,
-					Default: c.Default, Concurrent: c.Concurrent,
+					Default:             withNames(c.Default, cfg),
+					Concurrent:          withNames(c.Concurrent, cfg),
 					ImprovementPct:      c.ImprovementPct,
 					TotalImprovementPct: c.TotalImprovementPct,
 					WaitImprovementPct:  c.WaitImprovementPct,
@@ -545,13 +546,13 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // planResponse marshals a cached (name-free) plan back under the
-// request's own domain names.
+// request's own domain names, in the sibling list and the cost alike.
 func planResponse(cfg *nest.Domain, opt driver.Options, p *driver.Plan) *PlanResponse {
 	resp := &PlanResponse{
 		Machine: opt.Machine.Name, Ranks: p.Ranks, Px: p.Px, Py: p.Py,
 		Strategy: p.Strategy.String(), Alloc: p.Alloc.String(), Mapping: p.MapKind.String(),
 		MappingQuality: p.Mapping,
-		Cost:           p.Cost,
+		Cost:           withNames(p.Cost, cfg),
 	}
 	for i, c := range cfg.Children {
 		sib := SiblingPlan{Name: c.Name}

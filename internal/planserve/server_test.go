@@ -120,66 +120,88 @@ func TestCompareEndpoint(t *testing.T) {
 }
 
 // TestPlanNamesSharedGeometry: renaming domains must share the cache
-// entry (geometry keying) while responses carry the request's names.
+// entry (geometry keying) while responses carry the request's names —
+// everywhere in the body, so the renamed hit is byte-identical to what
+// a fresh server computes cold for the renamed request, on both
+// planning endpoints.
 func TestPlanNamesSharedGeometry(t *testing.T) {
-	h := New(Config{}).Handler()
 	body1 := testRequest("concurrent", "predicted", "multilevel")
-	if code, _, b := post(t, h, "/v1/plan", body1); code != http.StatusOK {
-		t.Fatalf("query failed %d: %s", code, b)
-	}
 	body2 := strings.NewReplacer(`"pacific"`, `"atlantic"`, `"t1"`, `"h1"`, `"t2"`, `"h2"`).Replace(body1)
-	code, cache, b := post(t, h, "/v1/plan", body2)
-	if code != http.StatusOK {
-		t.Fatalf("renamed query failed %d: %s", code, b)
-	}
-	if cache != "hit" {
-		t.Errorf("renamed identical geometry reported %q, want hit", cache)
-	}
-	var resp PlanResponse
-	if err := json.Unmarshal(b, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Siblings) != 2 || resp.Siblings[0].Name != "h1" || resp.Siblings[1].Name != "h2" {
-		t.Errorf("response does not carry the request's names: %+v", resp.Siblings)
+	for _, path := range []string{"/v1/plan", "/v1/compare"} {
+		h := New(Config{}).Handler()
+		if code, _, b := post(t, h, path, body1); code != http.StatusOK {
+			t.Fatalf("%s: query failed %d: %s", path, code, b)
+		}
+		code, cache, hot := post(t, h, path, body2)
+		if code != http.StatusOK {
+			t.Fatalf("%s: renamed query failed %d: %s", path, code, hot)
+		}
+		if cache != "hit" {
+			t.Errorf("%s: renamed identical geometry reported %q, want hit", path, cache)
+		}
+		_, _, cold := post(t, New(Config{}).Handler(), path, body2)
+		if !bytes.Equal(hot, cold) {
+			t.Errorf("%s: renamed hit differs from a fresh server's cold body:\nhit:  %s\ncold: %s", path, hot, cold)
+		}
+		if bytes.Contains(hot, []byte(`"t1"`)) || bytes.Contains(hot, []byte(`"t2"`)) {
+			t.Errorf("%s: renamed hit carries the first request's names: %s", path, hot)
+		}
+		if path != "/v1/plan" {
+			continue
+		}
+		var resp PlanResponse
+		if err := json.Unmarshal(hot, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Siblings) != 2 || resp.Siblings[0].Name != "h1" || resp.Siblings[1].Name != "h2" {
+			t.Errorf("response does not carry the request's names: %+v", resp.Siblings)
+		}
 	}
 }
+
+// siblingsAB and siblingsBA are one configuration with its two
+// siblings in either order.
+const (
+	siblingsAB = `{"machine":"bgl","ranks":64,"domain":{"nx":286,"ny":307,"children":[` +
+		`{"name":"a","nx":394,"ny":418,"ratio":3,"off_x":5,"off_y":5},` +
+		`{"name":"b","nx":313,"ny":337,"ratio":3,"off_x":140,"off_y":150}]}}`
+	siblingsBA = `{"machine":"bgl","ranks":64,"domain":{"nx":286,"ny":307,"children":[` +
+		`{"name":"b","nx":313,"ny":337,"ratio":3,"off_x":140,"off_y":150},` +
+		`{"name":"a","nx":394,"ny":418,"ratio":3,"off_x":5,"off_y":5}]}}`
+)
 
 // TestPlanSiblingOrderDistinct: reordered siblings are a different
 // plan (Algorithm 1 is order-sensitive), so they must not share.
 func TestPlanSiblingOrderDistinct(t *testing.T) {
 	h := New(Config{}).Handler()
-	body := `{"machine":"bgl","ranks":64,"domain":{"nx":286,"ny":307,"children":[` +
-		`{"name":"a","nx":394,"ny":418,"ratio":3,"off_x":5,"off_y":5},` +
-		`{"name":"b","nx":313,"ny":337,"ratio":3,"off_x":140,"off_y":150}]}}`
-	swapped := `{"machine":"bgl","ranks":64,"domain":{"nx":286,"ny":307,"children":[` +
-		`{"name":"b","nx":313,"ny":337,"ratio":3,"off_x":140,"off_y":150},` +
-		`{"name":"a","nx":394,"ny":418,"ratio":3,"off_x":5,"off_y":5}]}}`
-	if code, _, b := post(t, h, "/v1/plan", body); code != http.StatusOK {
+	if code, _, b := post(t, h, "/v1/plan", siblingsAB); code != http.StatusOK {
 		t.Fatalf("query failed %d: %s", code, b)
 	}
-	_, cache, _ := post(t, h, "/v1/plan", swapped)
+	_, cache, _ := post(t, h, "/v1/plan", siblingsBA)
 	if cache != "miss" {
 		t.Error("reordered siblings shared a cache entry")
 	}
 }
 
+// badRequests are bodies the planning endpoints answer with a JSON 400.
+var badRequests = []struct {
+	name, path, body string
+	want             int
+}{
+	{"garbage body", "/v1/plan", "{", http.StatusBadRequest},
+	{"unknown field", "/v1/plan", `{"machine":"bgl","ranks":64,"bogus":1,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
+	{"unknown machine", "/v1/plan", `{"machine":"cray","ranks":64,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
+	{"bad mapping", "/v1/plan", `{"machine":"bgl","ranks":64,"mapping":"warp","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
+	{"zero ranks", "/v1/plan", `{"machine":"bgl","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
+	{"invalid domain", "/v1/plan", `{"machine":"bgl","ranks":64,"domain":{"nx":-1,"ny":10}}`, http.StatusBadRequest},
+	{"child outside parent", "/v1/compare",
+		`{"machine":"bgl","ranks":64,"domain":{"nx":20,"ny":20,"children":[{"nx":90,"ny":90,"ratio":1,"off_x":0,"off_y":0}]}}`,
+		http.StatusBadRequest},
+}
+
 func TestBadRequests(t *testing.T) {
 	h := New(Config{}).Handler()
-	cases := []struct {
-		name, path, body string
-		want             int
-	}{
-		{"garbage body", "/v1/plan", "{", http.StatusBadRequest},
-		{"unknown field", "/v1/plan", `{"machine":"bgl","ranks":64,"bogus":1,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-		{"unknown machine", "/v1/plan", `{"machine":"cray","ranks":64,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-		{"bad mapping", "/v1/plan", `{"machine":"bgl","ranks":64,"mapping":"warp","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-		{"zero ranks", "/v1/plan", `{"machine":"bgl","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-		{"invalid domain", "/v1/plan", `{"machine":"bgl","ranks":64,"domain":{"nx":-1,"ny":10}}`, http.StatusBadRequest},
-		{"child outside parent", "/v1/compare",
-			`{"machine":"bgl","ranks":64,"domain":{"nx":20,"ny":20,"children":[{"nx":90,"ny":90,"ratio":1,"off_x":0,"off_y":0}]}}`,
-			http.StatusBadRequest},
-	}
-	for _, c := range cases {
+	for _, c := range badRequests {
 		code, _, body := post(t, h, c.path, c.body)
 		if code != c.want {
 			t.Errorf("%s: status %d, want %d (%s)", c.name, code, c.want, body)

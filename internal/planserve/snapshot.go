@@ -13,9 +13,11 @@ import (
 )
 
 // SnapshotVersion is the schema tag of persisted plan-cache snapshots.
-// Any incompatible change to cached value encodings must bump it; a
-// mismatched snapshot is rejected whole.
-const SnapshotVersion = "nestwrf/plan-cache/v1"
+// Any incompatible change to cached value encodings or to the key
+// format must bump it; a mismatched snapshot is rejected whole. v2 keys
+// machines by driver.AppendMachineKey (float bit patterns), v1 by
+// %#v.
+const SnapshotVersion = "nestwrf/plan-cache/v2"
 
 // snapshotFile is the on-disk form of a plan cache: every resident
 // entry with its canonical key and JSON-encoded value, most recently
@@ -39,11 +41,15 @@ type snapshotEntry struct {
 	Value   json.RawMessage `json:"value"`
 }
 
-// knownMachines are the machines snapshot validation checks entries
-// against: the same fixed models the HTTP request resolver accepts.
-func knownMachines() map[string]machine.Machine {
-	bgl, bgp := machine.BGL(), machine.BGP()
-	return map[string]machine.Machine{bgl.Name: bgl, bgp.Name: bgp}
+// knownMachineKeys maps the name of each machine snapshot validation
+// checks entries against — the same fixed models the HTTP request
+// resolver accepts — to its identity key.
+func knownMachineKeys() map[string]string {
+	keys := map[string]string{}
+	for _, m := range []machine.Machine{machine.BGL(), machine.BGP()} {
+		keys[m.Name] = string(driver.AppendMachineKey(nil, m))
+	}
+	return keys
 }
 
 // SaveSnapshot writes the cache's resident entries to path atomically
@@ -52,12 +58,10 @@ func knownMachines() map[string]machine.Machine {
 // many entries were persisted. Entries for machines outside the known
 // set are skipped: their keys could never validate at load time.
 func (p *PlanCache) SaveSnapshot(path string) (int, error) {
-	known := knownMachines()
-	names := make([]string, 0, len(known))
-	keys := map[string]string{}
-	for name, m := range known {
+	keys := knownMachineKeys()
+	names := make([]string, 0, len(keys))
+	for name := range keys {
 		names = append(names, name)
-		keys[name] = driver.MachineKey(m)
 	}
 	sort.Strings(names)
 
@@ -138,10 +142,10 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 		return 0, 0, fmt.Errorf("planserve: snapshot %s: version %q, want %q",
 			path, snap.Version, SnapshotVersion)
 	}
-	known := knownMachines()
+	keys := knownMachineKeys()
 	for _, e := range snap.Entries {
-		m, ok := known[e.Machine]
-		if !ok || !strings.Contains(e.Key, driver.MachineKey(m)) {
+		mkey, ok := keys[e.Machine]
+		if !ok || !strings.Contains(e.Key, mkey) {
 			rejected++
 			continue
 		}

@@ -3,11 +3,15 @@ package planserve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"nestwrf/internal/machine"
 )
 
 // TestSnapshotRoundTripByteIdentity is the persistence acceptance
@@ -91,10 +95,59 @@ func TestSnapshotRejectsCorruptFile(t *testing.T) {
 		t.Error("version mismatch should error")
 	}
 
+	// A v1 file, as the %#v-keyed format wrote it, is refused whole by
+	// its version — not entry by entry as stale machines.
+	v1 := filepath.Join(dir, "v1.snap")
+	writeV1Snapshot(t, v1)
+	loaded, rejected, err := srv.LoadSnapshot(v1)
+	if err == nil || !strings.Contains(err.Error(), `version "nestwrf/plan-cache/v1"`) {
+		t.Errorf("v1 snapshot: err %v, want a version mismatch", err)
+	}
+	if loaded != 0 || rejected != 0 {
+		t.Errorf("v1 snapshot: loaded %d rejected %d, want 0/0", loaded, rejected)
+	}
+	if l, r, _ := srv.plans.WarmStats(); l != 0 || r != 0 {
+		t.Errorf("v1 snapshot: warm stats loaded %d rejected %d, want 0/0", l, r)
+	}
+
 	// The server still plans cold after the failed loads.
 	code, cacheHdr, _ := post(t, srv.Handler(), "/v1/plan", testRequest("concurrent", "predicted", "oblivious"))
 	if code != http.StatusOK || cacheHdr != "miss" {
 		t.Errorf("cold query after failed load: status %d cache %q", code, cacheHdr)
+	}
+}
+
+// writeV1Snapshot writes one plan entry in the v1 format: version
+// "nestwrf/plan-cache/v1", machines keyed by their %#v rendering.
+func writeV1Snapshot(t *testing.T, path string) {
+	t.Helper()
+	srv := New(Config{})
+	defer srv.Close()
+	post(t, srv.Handler(), "/v1/plan", testRequest("concurrent", "predicted", "oblivious"))
+	if _, err := srv.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotFile
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Version = "nestwrf/plan-cache/v1"
+	for _, m := range []machine.Machine{machine.BGL(), machine.BGP()} {
+		old := fmt.Sprintf("%#v", m)
+		for i := range snap.Entries {
+			snap.Entries[i].Key = strings.Replace(snap.Entries[i].Key, snap.Machines[m.Name], old, 1)
+		}
+		snap.Machines[m.Name] = old
+	}
+	if data, err = json.Marshal(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
