@@ -147,7 +147,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	sum, err := eng.Run(ctx)
 	// Traces are worth writing even for failed or interrupted
 	// campaigns — that is when they are most needed.
-	if werr := writeTraces(tracer, *traceOut, *spansOut); werr != nil {
+	if werr := tracer.WriteFiles("ensemble campaign", *traceOut, *spansOut); werr != nil {
 		fmt.Fprintf(stderr, "ensemble: %v\n", werr)
 		if err == nil {
 			return 1
@@ -173,41 +173,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	printSummary(stdout, sum)
 	return 0
-}
-
-// writeTraces flushes the tracer to the requested output files. A nil
-// tracer (tracing disabled) writes nothing and returns nil.
-func writeTraces(tr *telemetry.Tracer, traceOut, spansOut string) error {
-	if tr == nil {
-		return nil
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteChrome(f, "ensemble campaign"); err != nil {
-			f.Close()
-			return fmt.Errorf("write trace %s: %w", traceOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if spansOut != "" {
-		f, err := os.Create(spansOut)
-		if err != nil {
-			return err
-		}
-		if err := tr.Dump().EncodeJSON(f); err != nil {
-			f.Close()
-			return fmt.Errorf("write spans %s: %w", spansOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func printSummary(w *os.File, sum *ensemble.Summary) {

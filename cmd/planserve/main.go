@@ -199,46 +199,11 @@ func serve(o serveOpts) int {
 	entries, hits, misses, evictions := srv.CacheStats()
 	fmt.Fprintf(os.Stderr, "planserve: shut down cleanly (cache entries %d, hits %d, misses %d, evictions %d, joins %d)\n",
 		entries, hits, misses, evictions, srv.CacheJoins())
-	if err := writeTraces(tracer, o.traceOut, o.spansOut); err != nil {
+	if err := tracer.WriteFiles("planserve", o.traceOut, o.spansOut); err != nil {
 		fmt.Fprintf(os.Stderr, "planserve: %v\n", err)
 		return 1
 	}
 	return 0
-}
-
-// writeTraces flushes the tracer to the requested output files. A nil
-// tracer (tracing disabled) writes nothing and returns nil.
-func writeTraces(tr *telemetry.Tracer, traceOut, spansOut string) error {
-	if tr == nil {
-		return nil
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteChrome(f, "planserve"); err != nil {
-			f.Close()
-			return fmt.Errorf("write trace %s: %w", traceOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if spansOut != "" {
-		f, err := os.Create(spansOut)
-		if err != nil {
-			return err
-		}
-		if err := tr.Dump().EncodeJSON(f); err != nil {
-			f.Close()
-			return fmt.Errorf("write spans %s: %w", spansOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // loadgenBody is the canonical two-typhoon Pacific query (the paper's

@@ -3,16 +3,16 @@ package driver
 import (
 	"fmt"
 
-	"nestwrf/internal/trace"
+	"nestwrf/internal/telemetry"
 )
 
 // TraceIteration reconstructs the virtual-time schedule of one parent
 // iteration from a run's Result: the parent step, each sibling's nest
 // phase (consecutive on the full machine for the sequential strategy,
 // parallel on partition lanes for the concurrent one) and the
-// amortized I/O, rendered with trace.Log.
-func TraceIteration(res Result, strategy Strategy) *trace.Log {
-	log := &trace.Log{}
+// amortized I/O, as a span dump in virtual seconds.
+func TraceIteration(res Result, strategy Strategy) *telemetry.Dump {
+	log := &telemetry.Dump{Schema: telemetry.DumpSchema, Unit: "virtual seconds"}
 	var nestPhase float64
 	for _, s := range res.Siblings {
 		if strategy == Sequential {

@@ -21,9 +21,13 @@ type planJob struct {
 // coalescer batches concurrently arriving distinct-key plan misses:
 // the first miss arms a short window timer, further misses pile onto
 // the pending list, and when the window lapses (or the batch is full)
-// every pending plan is built in one driver.BuildPlans pass — sharing
-// one trained predictor per machine, the pooled model scratch arenas,
-// and one bounded worker-pool fan instead of one pool slot per miss.
+// every pending plan is built in one driver.BuildPlans pass under one
+// worker-pool slot. Batching shares little: CachedPredictor already
+// trains one predictor per machine and model's scratch pools are
+// process-global, so a lone miss would share both too. What the
+// coalescer buys is its window — an admission delay that keeps a burst
+// of misses from saturating every core, which holds peak RSS down
+// (DESIGN §14 has the measurement).
 type coalescer struct {
 	window  time.Duration
 	maxJobs int
@@ -43,8 +47,9 @@ type coalescer struct {
 }
 
 // submit queues one miss and returns immediately; the caller waits on
-// j.done. A full batch flushes on the submitter's goroutine; otherwise
-// the window timer (armed by the first pending job) flushes.
+// j.done or its deadline. A full batch flushes on a goroutine of its
+// own, as the window timer (armed by the first pending job) does, so
+// the submitter that filled it keeps its deadline too.
 func (co *coalescer) submit(j *planJob) {
 	co.mu.Lock()
 	co.pending = append(co.pending, j)
@@ -53,7 +58,7 @@ func (co *coalescer) submit(j *planJob) {
 		co.pending = nil
 		// A still-armed timer finds an empty pending list and no-ops.
 		co.mu.Unlock()
-		co.flush(batch)
+		go co.flush(batch)
 		return
 	}
 	if !co.timerOn {

@@ -160,3 +160,41 @@ func TestMissCoalescing(t *testing.T) {
 		t.Errorf("cache misses %d, want %d", misses, distinct)
 	}
 }
+
+// TestRequestTimeoutUnderBurst: with the only worker slot held, a burst
+// of misses that fills a coalescer batch must still answer every
+// request 504 at its deadline — the request whose submit filled the
+// batch included. The slot frees after two seconds, so a flush that
+// holds its submitter fails the test instead of hanging it.
+func TestRequestTimeoutUnderBurst(t *testing.T) {
+	srv := New(Config{Workers: 1, RequestTimeout: 50 * time.Millisecond})
+	srv.batch.window = 200 * time.Millisecond
+	h := srv.Handler()
+	srv.sem <- struct{}{}
+	release := time.AfterFunc(2*time.Second, func() { <-srv.sem })
+	defer func() {
+		if release.Stop() {
+			<-srv.sem
+		}
+	}()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, coalesceMax)
+	for i := 0; i < coalesceMax; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"machine":"bgl","ranks":64,"strategy":"sequential","mapping":"oblivious","domain":{"nx":%d,"ny":64}}`, 64+i)
+			start := time.Now()
+			code, _, raw := post(t, h, "/v1/plan", body)
+			if took := time.Since(start); code != http.StatusGatewayTimeout || took > time.Second {
+				errs <- fmt.Errorf("query %d: status %d after %v, want 504 within 1s: %s", i, code, took, raw)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -202,8 +202,8 @@ type Config struct {
 // Server is the planning service: share one across all connections.
 // Every /v1/plan miss goes through the coalescer: the first of a burst
 // of distinct-key misses waits coalesceWindow for the others, then all
-// pending plans are built in one driver.BuildPlans pass (one trained
-// predictor per machine, one worker-pool fan).
+// pending plans are built in one driver.BuildPlans pass under one
+// worker-pool slot.
 type Server struct {
 	cfg    Config
 	plans  *PlanCache

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -60,21 +61,67 @@ func TestDecodeDumpRejectsUnknownSchema(t *testing.T) {
 }
 
 func TestChromeLogLaneOrder(t *testing.T) {
-	d := fixedTree().Dump()
-	log := d.ChromeLog()
-	if got := log.Lanes(); !reflect.DeepEqual(got,
-		[]string{LayerCampaign, LayerMember, LayerCache, LayerDriver, LayerPhase}) {
-		t.Fatalf("lanes = %v, want canonical outermost-first order", got)
+	var buf bytes.Buffer
+	if err := fixedTree().WriteChrome(&buf, "lanes"); err != nil {
+		t.Fatal(err)
 	}
-	// Attributes travel as args, plus the span/parent join keys.
-	for _, s := range log.Spans {
-		if s.Args["span"] == "" {
-			t.Fatalf("span %s has no span arg: %v", s.Name, s.Args)
-		}
-		if s.Name != "campaign" && s.Args["parent"] == "" {
-			t.Fatalf("non-root span %s has no parent arg: %v", s.Name, s.Args)
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Ph   string            `json:"ph"`
+			Tid  int               `json:"tid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var lanes []string
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Name == "thread_name":
+			if e.Tid != len(lanes)+1 {
+				t.Fatalf("lane %q has tid %d, want %d", e.Args["name"], e.Tid, len(lanes)+1)
+			}
+			lanes = append(lanes, e.Args["name"])
+		case e.Ph == "X":
+			// Attributes travel as args, plus the span/parent join keys.
+			if e.Args["span"] == "" {
+				t.Fatalf("span %s has no span arg: %v", e.Name, e.Args)
+			}
+			if e.Name != "campaign" && e.Args["parent"] == "" {
+				t.Fatalf("non-root span %s has no parent arg: %v", e.Name, e.Args)
+			}
 		}
 	}
+	if !reflect.DeepEqual(lanes, []string{LayerCampaign, LayerMember, LayerCache, LayerDriver, LayerPhase}) {
+		t.Fatalf("lanes = %v, want canonical outermost-first order", lanes)
+	}
+}
+
+// FuzzDecodeDump: whatever DecodeDump accepts must render as a Gantt
+// chart without panicking and export as valid Chrome JSON.
+func FuzzDecodeDump(f *testing.F) {
+	var seed bytes.Buffer
+	if err := fixedTree().Dump().EncodeJSON(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(`{"schema":"nestwrf/spans/v1","unit":"virtual seconds","spans":[{"id":0,"name":"x","layer":"lane","start":-1,"end":1}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := DecodeDump(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_ = d.Render(40)
+		var buf bytes.Buffer
+		if err := WriteChrome(&buf, Process{Name: "fuzz", Log: &d}); err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(buf.Bytes()) {
+			t.Fatalf("WriteChrome emitted invalid JSON: %s", buf.Bytes())
+		}
+	})
 }
 
 // TestChromeGolden pins the Chrome export of the fixed tree byte for

@@ -21,11 +21,13 @@
 // keep memory O(window) by head-sampling members: only every Nth
 // member's subtree is traced (Sampled).
 //
-// Finished spans export two ways: Dump is a schema-stable JSON record
-// (nestwrf/spans/v1) that joins against log lines by span ID, and
-// ChromeLog/WriteChrome render the same spans through the existing
-// internal/trace Chrome trace-event writer with one lane per layer,
-// loadable in Perfetto.
+// Span and Dump are the repository's one span model, on two time bases:
+// a tracer's wall-clock seconds, and the virtual seconds of a simulated
+// iteration's schedule (driver.TraceIteration builds a Dump with Add).
+// A Dump exports three ways: a schema-stable JSON record
+// (nestwrf/spans/v1) that joins against log lines by span ID, a Chrome
+// trace-event file (WriteChrome, one lane per layer, loadable in
+// Perfetto), and a text Gantt chart (Render).
 package telemetry
 
 import (
@@ -59,9 +61,10 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// Span is one finished span: a named wall-clock interval on a layer,
-// linked to its parent by ID. Times are seconds since the tracer's
-// epoch (its construction instant), so a span dump is self-contained.
+// Span is one finished span: a named interval on a layer, linked to its
+// parent by ID. A tracer's spans are timed in seconds since its epoch
+// (its construction instant), so a span dump is self-contained; a
+// schedule's spans carry virtual seconds and no ID.
 type Span struct {
 	ID     SpanID  `json:"id"`
 	Parent SpanID  `json:"parent,omitempty"`

@@ -52,7 +52,7 @@ import (
 	"nestwrf/internal/predict"
 	"nestwrf/internal/solver"
 	"nestwrf/internal/steer"
-	"nestwrf/internal/trace"
+	"nestwrf/internal/telemetry"
 	"nestwrf/internal/wrfsim"
 )
 
@@ -360,8 +360,9 @@ func RenderMapping(kind MapKind, m Machine, ranks int, rects []Rect) (string, er
 	return mp.RenderPlanes(), nil
 }
 
-// TraceLog is a recorded virtual-time schedule (see TraceIteration).
-type TraceLog = trace.Log
+// TraceLog is a recorded virtual-time schedule (see TraceIteration):
+// the same span dump a tracer produces, timed in virtual seconds.
+type TraceLog = telemetry.Dump
 
 // TraceIteration reconstructs the virtual-time schedule of one
 // iteration from a Result, renderable as a text Gantt chart with
@@ -419,13 +420,13 @@ func DecodeComparisonReport(r io.Reader) (*ComparisonReport, error) {
 }
 
 // TraceProcess names one TraceLog for Chrome trace export.
-type TraceProcess = trace.ChromeProcess
+type TraceProcess = telemetry.Process
 
 // WriteChromeTrace serializes trace logs in the Chrome trace-event
 // JSON format, loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing; each process becomes its own track group.
 func WriteChromeTrace(w io.Writer, procs ...TraceProcess) error {
-	return trace.WriteChrome(w, procs...)
+	return telemetry.WriteChrome(w, procs...)
 }
 
 // RunCampaign simulates a campaign whose regions of interest change
