@@ -8,12 +8,13 @@
 //	experiments -run fig8,tab1,nsib  # run several, in the given order
 //	experiments -all                 # run everything (text)
 //	experiments -all -md             # run everything (markdown, for EXPERIMENTS.md)
-//	experiments -all -parallel 8     # fan out over 8 workers (same output)
+//	experiments -all -parallel 8     # run 8 experiments at a time (same output)
 //
-// Experiments are fanned out over -parallel workers (default: the
-// number of CPUs), and the heavy experiments additionally fan out over
-// their independent configurations. Virtual time keeps every result
-// deterministic, so the output is byte-identical to -parallel 1.
+// -parallel is how many experiments run at a time (default: the number
+// of CPUs); inside each, the heavy experiments fan out over their
+// independent configurations on GOMAXPROCS goroutines. Virtual time
+// keeps every result deterministic, so the output is byte-identical to
+// -parallel 1.
 //
 // -all runs every experiment even when some fail; the failures are
 // summarized on stderr and the exit status is non-zero.
@@ -39,12 +40,11 @@ func main() {
 	run := flag.String("run", "", "run experiments by id (comma-separated list)")
 	all := flag.Bool("all", false, "run every experiment")
 	md := flag.Bool("md", false, "emit markdown instead of aligned text")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent experiments and per-experiment configurations")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run at a time")
 	debugAddr := flag.String("debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address while running, e.g. localhost:6060")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
-	experiments.SetParallelism(*parallel)
 	var stopDebug func() error
 	if *debugAddr != "" {
 		stopDebug = startDebugServer(*debugAddr)

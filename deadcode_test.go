@@ -15,31 +15,34 @@ import (
 )
 
 // testOnlyAllowed lists the package-level functions and methods under
-// internal/ that no non-test file references and that stay anyway,
-// each with the reason. Anything else TestNoTestOnlyCode finds is dead
-// production code: delete it with the tests that exercised only it.
+// internal/, and the exported identifiers of the root package, that no
+// non-test file references and that stay anyway, each with the reason.
+// Anything else TestNoTestOnlyCode finds is dead production code:
+// delete it with the tests that exercised only it.
 var testOnlyAllowed = map[string]string{
 	// Oracles: surviving tests check production code against them.
-	"internal/driver.TrainCalls":           "counts trainings: TestCachedPredictorTrainsOnce proves the predictor singleflight",
-	"internal/geom.Triangulation.Validate": "empty-circumcircle and adjacency invariants after every Delaunay construction",
-	"internal/mapping.Mapping.Validate":    "bijection onto the torus, checked for every mapping constructor",
-	"internal/torus5.Mapping.Validate":     "bijection onto the 5D torus, checked for fold and oblivious",
-	"internal/torus5.Torus.Index":          "inverse of Coord in the round-trip test",
-	"internal/solver.RunSerial":            "single-tile run the decomposed runs must match bit for bit",
-	"internal/solver.Tile.Mass":            "conserved quantity of the mass-conservation tests",
-	"internal/torus.Torus.Route":           "allocating route RouteInto and RouteIndicesInto are compared against",
-	"internal/torus.Torus.RouteFunc":       "callback route RouteInto is compared against",
-	"internal/torus.Torus.LinkAt":          "decodes a dense LinkIndex for the netsim reference comparison",
-	"internal/torus.Torus.LinkIndexOf":     "inverse of LinkAt; pins RouteIndicesInto to Route link by link",
-	"internal/netsim.Network.PathLoad":     "point query the contention tests read link loads through",
-	"internal/netsim.Network.TransferTime": "point query pinned against the map-based reference network",
-	"internal/mpi.WaitAll":                 "solver's reference Isend/Irecv exchange completes its requests with it",
-	"internal/mpi.Comm.Global":             "rank translation the Split tests check sub-communicators with",
-	"internal/mpi.Proc.Phases":             "per-rank phase stats the BeginPhase tests and the sharded-vs-reference snapshot read",
-	"internal/telemetry.Tracer.Len":        "span count the MaxSpans, concurrency and driver zero-alloc tests assert on",
-	"internal/telemetry.Tracer.Dropped":    "drop count the MaxSpans bound test asserts on",
-	"internal/telemetry.DecodeDump":        "reader of the nestwrf/spans/v1 files -spans-out writes; round-trip oracle of Dump.EncodeJSON",
-	"internal/iosim.Params.Validate":       "input validation; machine_test holds the shipped BG/L and BG/P I/O models to it",
+	"internal/driver.TrainCalls":             "counts trainings: TestCachedPredictorTrainsOnce proves the predictor singleflight",
+	"internal/driver.DecodeReport":           "reader of nestwrf/run-report/v1; round-trip oracle of Report.EncodeJSON",
+	"internal/driver.DecodeComparisonReport": "reader of nestwrf/compare-report/v1; round-trip oracle of ComparisonReport.EncodeJSON",
+	"internal/geom.Triangulation.Validate":   "empty-circumcircle and adjacency invariants after every Delaunay construction",
+	"internal/mapping.Mapping.Validate":      "bijection onto the torus, checked for every mapping constructor",
+	"internal/torus5.Mapping.Validate":       "bijection onto the 5D torus, checked for fold and oblivious",
+	"internal/torus5.Torus.Index":            "inverse of Coord in the round-trip test",
+	"internal/solver.RunSerial":              "single-tile run the decomposed runs must match bit for bit",
+	"internal/solver.Tile.Mass":              "conserved quantity of the mass-conservation tests",
+	"internal/torus.Torus.Route":             "allocating route RouteInto and RouteIndicesInto are compared against",
+	"internal/torus.Torus.RouteFunc":         "callback route RouteInto is compared against",
+	"internal/torus.Torus.LinkAt":            "decodes a dense LinkIndex for the netsim reference comparison",
+	"internal/torus.Torus.LinkIndexOf":       "inverse of LinkAt; pins RouteIndicesInto to Route link by link",
+	"internal/netsim.Network.PathLoad":       "point query the contention tests read link loads through",
+	"internal/netsim.Network.TransferTime":   "point query pinned against the map-based reference network",
+	"internal/mpi.WaitAll":                   "solver's reference Isend/Irecv exchange completes its requests with it",
+	"internal/mpi.Comm.Global":               "rank translation the Split tests check sub-communicators with",
+	"internal/mpi.Proc.Phases":               "per-rank phase stats the BeginPhase tests and the sharded-vs-reference snapshot read",
+	"internal/telemetry.Tracer.Len":          "span count the MaxSpans, concurrency and driver zero-alloc tests assert on",
+	"internal/telemetry.Tracer.Dropped":      "drop count the MaxSpans bound test asserts on",
+	"internal/telemetry.DecodeDump":          "reader of the nestwrf/spans/v1 files -spans-out writes; round-trip oracle of Dump.EncodeJSON",
+	"internal/iosim.Params.Validate":         "input validation; machine_test holds the shipped BG/L and BG/P I/O models to it",
 
 	// Methods that exist to satisfy an interface.
 	"internal/huffman.nodeHeap.Less":    "container/heap.Interface",
@@ -56,27 +59,23 @@ var testOnlyAllowed = map[string]string{
 	"internal/torus.Dim.String":         "fmt.Stringer",
 	"internal/vtopo.Direction.String":   "fmt.Stringer",
 
-	// Dead, and still here: each is the sole subject of the floor tests
-	// named, and one PR may retire only a few tests. Delete the entry,
-	// the code and those tests together.
-	"internal/geom.Circumcenter":                "TestCircumcenter, TestCircumcenterEquidistant",
-	"internal/geom.Triangulation.NearestVertex": "TestNearestVertex, TestNearestVertexDeduped (with the verts set kept only for it)",
-	"internal/mapping.BestEffort":               "TestBestEffortFoldable, TestBestEffortNonFoldable (with serpentineRanks/serpentineCoord)",
-	"internal/model.Speedup":                    "TestSpeedupGuard",
-	"internal/mpi.Comm.Bcast":                   "TestBcast",
-	"internal/nest.Domain.TotalWork":            "TestTotalWork",
-	"internal/output.EncodeSeries":              "TestSeriesRoundTrip",
-	"internal/output.DecodeSeries":              "TestSeriesRoundTrip, TestDecodeSeriesEmpty",
-	"internal/stats.Stream.Summarize":           "TestStreamSummarize",
-	"internal/steer.Outcome.ImprovementPct":     "TestOutcomeImprovementGuard",
-	"internal/machine.Machine.NodesFor":         "TestRanksPerNode (with RanksPerNode)",
+	// Root facade: members of an enumeration a Parse* function returns,
+	// the only public name of an internal field type, and the documented
+	// functional-mapping entry point.
+	"nestwrf.AllocEqual":           "AllocPolicy value ParseAllocPolicy returns",
+	"nestwrf.AllocNaivePoints":     "AllocPolicy value ParseAllocPolicy returns",
+	"nestwrf.AllocStripsPredicted": "AllocPolicy value ParseAllocPolicy returns",
+	"nestwrf.IOSplit":              "I/O mode ParseIOMode returns",
+	"nestwrf.FunctionalStrategy":   "type of FunctionalOptions.Strategy and FunctionalSequential/FunctionalConcurrent; internal otherwise",
+	"nestwrf.NewTopologyTimeModel": "documented in README; crossval_test.go drives the functional runtime through it",
 }
 
 // TestNoTestOnlyCode type-checks every non-test file of the module and
-// fails on any package-level function or method under internal/ that
-// no non-test file refers to (a reference from inside the function's
-// own body does not count). Such code is reachable only from tests: it
-// is either an oracle — then it belongs in testOnlyAllowed with the
+// fails on any package-level function or method under internal/, and
+// on any exported package-level identifier of the root package, that no
+// non-test file refers to (a reference from inside the identifier's own
+// declaration does not count). Such code is reachable only from tests:
+// it is either an oracle — then it belongs in testOnlyAllowed with the
 // reason — or dead.
 func TestNoTestOnlyCode(t *testing.T) {
 	if testing.Short() {
@@ -110,7 +109,9 @@ func TestNoTestOnlyCode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Candidates: top-level funcs and methods declared under internal/.
+	// Candidates: top-level funcs and methods declared under internal/,
+	// and the root package's exported funcs, types, constants and
+	// variables.
 	type decl struct {
 		name     string
 		from, to token.Pos
@@ -118,6 +119,14 @@ func TestNoTestOnlyCode(t *testing.T) {
 	decls := map[types.Object]decl{}
 	for _, f := range ld.files {
 		dir := filepath.ToSlash(filepath.Dir(fset.Position(f.Pos()).Filename))
+		if dir == "." {
+			for _, d := range f.Decls {
+				for id, n := range rootExports(d) {
+					decls[ld.info.Defs[id]] = decl{modulePath + "." + id.Name, n.Pos(), n.End()}
+				}
+			}
+			continue
+		}
 		if !strings.HasPrefix(dir, "internal/") {
 			continue
 		}
@@ -220,6 +229,34 @@ func (l *loader) load(dir string) (*types.Package, error) {
 	l.pkgs[dir] = p
 	l.files = append(l.files, files...)
 	return p, nil
+}
+
+// rootExports maps each exported package-level identifier d declares
+// (methods excluded) to the node whose span is its own declaration.
+func rootExports(d ast.Decl) map[*ast.Ident]ast.Node {
+	out := map[*ast.Ident]ast.Node{}
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil && d.Name.IsExported() {
+			out[d.Name] = d
+		}
+	case *ast.GenDecl:
+		for _, s := range d.Specs {
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				if s.Name.IsExported() {
+					out[s.Name] = s
+				}
+			case *ast.ValueSpec:
+				for _, id := range s.Names {
+					if id.IsExported() {
+						out[id] = s
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // recvName returns the receiver's type name, without pointer or type

@@ -27,7 +27,8 @@ var (
 	// ErrCheckpointMismatch reports a checkpoint written by a different
 	// campaign spec: resuming it would mix incompatible aggregates.
 	ErrCheckpointMismatch = errors.New("ensemble: checkpoint spec does not match")
-	// ErrBadCheckpoint reports an unreadable or wrong-version file.
+	// ErrBadCheckpoint reports an unreadable, wrong-version or
+	// malformed file.
 	ErrBadCheckpoint = errors.New("ensemble: bad checkpoint")
 )
 
@@ -86,12 +87,18 @@ type Checkpoint struct {
 	Aggregates *Aggregates `json:"aggregates"`
 }
 
-// LoadCheckpoint reads and version-checks a checkpoint file.
+// LoadCheckpoint reads and validates a checkpoint file.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 	}
+	return decodeCheckpoint(raw)
+}
+
+// decodeCheckpoint parses a checkpoint file's bytes and rejects a wrong
+// version or aggregates that Ingest could not take.
+func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(raw, &cp); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
@@ -102,7 +109,27 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if cp.Aggregates == nil || cp.Committed < 0 {
 		return nil, fmt.Errorf("%w: missing aggregates", ErrBadCheckpoint)
 	}
+	if !cp.Aggregates.valid() {
+		return nil, fmt.Errorf("%w: malformed aggregates", ErrBadCheckpoint)
+	}
 	return &cp, nil
+}
+
+// valid reports whether every stream and quantile estimator is present
+// with a non-negative count: what Ingest needs to neither dereference
+// nil nor index the estimators' initial buffers out of range.
+func (a *Aggregates) valid() bool {
+	for _, s := range []*stats.Stream{a.DefaultTime, a.ConcurrentTime, a.ImprovementPct} {
+		if s == nil || s.Count < 0 {
+			return false
+		}
+		for _, q := range s.Quantiles {
+			if q == nil || q.Count < 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // save writes the checkpoint atomically (temp file + rename in the

@@ -4,6 +4,11 @@
 // (fig2, tab1, tab2fig9, ...) and produces a Table whose rows mirror
 // the series the paper reports, alongside the paper's own numbers
 // where the text quotes them.
+//
+// Experiments run concurrently with each other at the width the caller
+// passes to RunConcurrent or RunAll; inside one experiment, independent
+// configurations fan out over GOMAXPROCS goroutines. Virtual time keeps
+// every result deterministic, so neither width changes the output.
 package experiments
 
 import (
@@ -179,31 +184,13 @@ func f(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }
 
 func pct(v float64) string { return fmt.Sprintf("%.2f%%", v) }
 
-// parallelism is the fan-out width for independent configurations
-// inside one experiment (forEach) — the harness-level counterpart of
-// the paper's concurrent siblings.
-var parallelism atomic.Int64
-
-func init() { parallelism.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// Parallelism reports the current intra-experiment fan-out width.
-func Parallelism() int { return int(parallelism.Load()) }
-
-// SetParallelism sets how many goroutines an experiment may use for
-// independent configurations; n < 1 is clamped to 1 (sequential).
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parallelism.Store(int64(n))
-}
-
 // forEach runs fn(i) for every i in [0, n), fanning out over at most
-// Parallelism() goroutines. Callers write results to slot i of a
-// pre-sized slice, so aggregate output is identical to a sequential
-// loop (virtual time keeps each body deterministic).
+// GOMAXPROCS goroutines — the harness-level counterpart of the paper's
+// concurrent siblings. Callers write results to slot i of a pre-sized
+// slice, so aggregate output is identical to a sequential loop (virtual
+// time keeps each body deterministic).
 func forEach(n int, fn func(i int) error) error {
-	return claimEach(n, Parallelism(), fn)
+	return claimEach(n, runtime.GOMAXPROCS(0), fn)
 }
 
 // claimEach runs fn(i) for every i in [0, n) on at most width

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -195,26 +196,10 @@ func TestPredictorCacheKeyedByMachineIdentity(t *testing.T) {
 	}
 }
 
-func TestSetParallelismClamp(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
-	SetParallelism(0)
-	if Parallelism() != 1 {
-		t.Errorf("Parallelism() = %d after SetParallelism(0), want 1", Parallelism())
-	}
-	SetParallelism(7)
-	if Parallelism() != 7 {
-		t.Errorf("Parallelism() = %d, want 7", Parallelism())
-	}
-}
-
 func TestForEach(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
 	for _, workers := range []int{1, 4} {
-		SetParallelism(workers)
 		out := make([]int, 100)
-		if err := forEach(len(out), func(i int) error {
+		if err := claimEach(len(out), workers, func(i int) error {
 			out[i] = i * i
 			return nil
 		}); err != nil {
@@ -228,13 +213,10 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-// When several indices fail, forEach must report the smallest index's
-// error — what a sequential loop would have returned.
+// When several indices fail, claimEach must report the smallest
+// index's error — what a sequential loop would have returned.
 func TestForEachFirstErrorWins(t *testing.T) {
-	prev := Parallelism()
-	defer SetParallelism(prev)
-	SetParallelism(8)
-	err := forEach(50, func(i int) error {
+	err := claimEach(50, 8, func(i int) error {
 		if i%10 == 3 {
 			return fmt.Errorf("fail at %d", i)
 		}
@@ -290,10 +272,9 @@ func TestParallelOutputMatchesSequential(t *testing.T) {
 		t.Skip("heavy determinism check skipped in -short mode")
 	}
 	heavy := []string{"periter", "fig8", "tab1", "nsib", "tab3"}
-	prev := Parallelism()
-	defer SetParallelism(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	render := func(workers int) string {
-		SetParallelism(workers)
+		runtime.GOMAXPROCS(workers)
 		var b strings.Builder
 		for _, id := range heavy {
 			e, ok := ByID(id)

@@ -29,19 +29,17 @@ type Triangulation struct {
 	// Point-location acceleration (DESIGN.md Section 8), built lazily on
 	// first use so hand-assembled Triangulations keep working: nbr holds
 	// the edge-adjacent neighbour of each triangle (slot 0 across (A,B),
-	// 1 across (B,C), 2 across (C,A); -1 on the hull), verts the
-	// deduplicated set of vertex indices referenced by any triangle, and
-	// lastTri the remembered start of the next orientation walk. walkable
-	// is false when some triangle is not counter-clockwise (possible only
-	// for hand-built inputs), in which case Locate always scans.
+	// 1 across (B,C), 2 across (C,A); -1 on the hull) and lastTri the
+	// remembered start of the next orientation walk. walkable is false
+	// when some triangle is not counter-clockwise (possible only for
+	// hand-built inputs), in which case Locate always scans.
 	locOnce  sync.Once
 	nbr      [][3]int32
-	verts    []int32
 	walkable bool
 	lastTri  atomic.Int32
 }
 
-// ensureLocator builds the adjacency and vertex-set caches once.
+// ensureLocator builds the adjacency cache once.
 func (tr *Triangulation) ensureLocator() {
 	tr.locOnce.Do(func() {
 		tr.nbr = make([][3]int32, len(tr.Triangles))
@@ -51,16 +49,10 @@ func (tr *Triangulation) ensureLocator() {
 			slot int8
 		}
 		adj := make(map[edge][]side, 3*len(tr.Triangles)/2+1)
-		used := make([]bool, len(tr.Points))
 		for ti, t := range tr.Triangles {
 			tr.nbr[ti] = [3]int32{-1, -1, -1}
 			if Orient(tr.Points[t.A], tr.Points[t.B], tr.Points[t.C]) != CounterClockwise {
 				tr.walkable = false
-			}
-			for _, v := range t.Vertices() {
-				if v >= 0 && v < len(used) {
-					used[v] = true
-				}
 			}
 			for slot, e := range triEdges(t) {
 				adj[e] = append(adj[e], side{tri: int32(ti), slot: int8(slot)})
@@ -70,11 +62,6 @@ func (tr *Triangulation) ensureLocator() {
 			if len(sides) == 2 {
 				tr.nbr[sides[0].tri][sides[0].slot] = sides[1].tri
 				tr.nbr[sides[1].tri][sides[1].slot] = sides[0].tri
-			}
-		}
-		for i, u := range used {
-			if u {
-				tr.verts = append(tr.verts, int32(i))
 			}
 		}
 	})
@@ -568,29 +555,6 @@ func (tr *Triangulation) walk(p Point) (int, bool) {
 		return cur, o0 == CounterClockwise && o1 == CounterClockwise && o2 == CounterClockwise
 	}
 	return 0, false
-}
-
-// NearestVertex returns the index of the triangulation vertex nearest
-// to p. Only vertices referenced by a triangle are considered, via the
-// deduplicated vertex set (the earlier fallback visited every vertex
-// once per incident triangle).
-func (tr *Triangulation) NearestVertex(p Point) int {
-	tr.ensureLocator()
-	best, bestD := 0, math.Inf(1)
-	if len(tr.verts) > 0 {
-		for _, i := range tr.verts {
-			if d := p.Dist2(tr.Points[i]); d < bestD {
-				best, bestD = int(i), d
-			}
-		}
-		return best
-	}
-	for i, q := range tr.Points {
-		if d := p.Dist2(q); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
 }
 
 // Validate checks the structural invariants of the triangulation:

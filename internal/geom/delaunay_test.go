@@ -191,20 +191,6 @@ func TestLocateRandomInteriorPoints(t *testing.T) {
 	}
 }
 
-func TestNearestVertex(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(10, 0), Pt(0, 10), Pt(10, 10)}
-	tr, err := Delaunay(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.NearestVertex(Pt(1, 1)); got != 0 {
-		t.Errorf("NearestVertex(1,1) = %d, want 0", got)
-	}
-	if got := tr.NearestVertex(Pt(9, 9)); tr.Points[got] != Pt(10, 10) {
-		t.Errorf("NearestVertex(9,9) = %v", tr.Points[got])
-	}
-}
-
 func TestTriangulationHull(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := randomPoints(rng, 20)

@@ -96,19 +96,3 @@ func InCircle(a, b, c, d Point) bool {
 	}
 	return det > 0
 }
-
-// Circumcenter returns the circumcenter of triangle (a, b, c) and the
-// squared circumradius. ok is false for (nearly) degenerate triangles.
-func Circumcenter(a, b, c Point) (center Point, r2 float64, ok bool) {
-	d := 2 * ((a.X)*(b.Y-c.Y) + (b.X)*(c.Y-a.Y) + (c.X)*(a.Y-b.Y))
-	if math.Abs(d) < 1e-300 {
-		return Point{}, 0, false
-	}
-	al := a.X*a.X + a.Y*a.Y
-	bl := b.X*b.X + b.Y*b.Y
-	cl := c.X*c.X + c.Y*c.Y
-	ux := (al*(b.Y-c.Y) + bl*(c.Y-a.Y) + cl*(a.Y-b.Y)) / d
-	uy := (al*(c.X-b.X) + bl*(a.X-c.X) + cl*(b.X-a.X)) / d
-	center = Point{ux, uy}
-	return center, center.Dist2(a), true
-}

@@ -95,42 +95,6 @@ func TestInCircleUnitCircle(t *testing.T) {
 	}
 }
 
-func TestCircumcenter(t *testing.T) {
-	ctr, r2, ok := Circumcenter(Pt(0, 0), Pt(2, 0), Pt(0, 2))
-	if !ok {
-		t.Fatal("circumcenter not found")
-	}
-	if math.Abs(ctr.X-1) > 1e-12 || math.Abs(ctr.Y-1) > 1e-12 {
-		t.Errorf("center = %v, want (1,1)", ctr)
-	}
-	if math.Abs(r2-2) > 1e-12 {
-		t.Errorf("r2 = %v, want 2", r2)
-	}
-	if _, _, ok := Circumcenter(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
-		t.Error("degenerate triangle should fail")
-	}
-}
-
-func TestCircumcenterEquidistant(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy float64) bool {
-		a, b, c := Pt(ax, ay), Pt(bx, by), Pt(cx, cy)
-		if Orient(a, b, c) == Collinear {
-			return true
-		}
-		ctr, r2, ok := Circumcenter(a, b, c)
-		if !ok {
-			return true
-		}
-		tol := 1e-6 * (1 + r2)
-		return math.Abs(ctr.Dist2(a)-r2) < tol &&
-			math.Abs(ctr.Dist2(b)-r2) < tol &&
-			math.Abs(ctr.Dist2(c)-r2) < tol
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBounds(t *testing.T) {
 	bb := Bounds([]Point{Pt(1, 5), Pt(-2, 3), Pt(4, -1)})
 	if bb.Min != Pt(-2, -1) || bb.Max != Pt(4, 5) {

@@ -90,44 +90,3 @@ func TestLocateMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-// TestNearestVertexDeduped checks NearestVertex agrees with a direct
-// minimum over the points, and that the vertex set it iterates is
-// deduplicated (each referenced vertex appears exactly once).
-func TestNearestVertexDeduped(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	tr := randomTriangulation(t, rng, 40)
-	tr.ensureLocator()
-
-	seen := map[int32]bool{}
-	for _, v := range tr.verts {
-		if seen[v] {
-			t.Fatalf("vertex %d appears twice in the deduplicated vertex set", v)
-		}
-		seen[v] = true
-	}
-	referenced := map[int32]bool{}
-	for _, tri := range tr.Triangles {
-		for _, v := range tri.Vertices() {
-			referenced[int32(v)] = true
-		}
-	}
-	if len(seen) != len(referenced) {
-		t.Fatalf("vertex set has %d entries, triangles reference %d vertices", len(seen), len(referenced))
-	}
-
-	for q := 0; q < 200; q++ {
-		p := Pt(rng.Float64()*3-1, rng.Float64()*3-1)
-		got := tr.NearestVertex(p)
-		best, bestD := -1, 0.0
-		for v := range referenced {
-			if d := p.Dist2(tr.Points[v]); best < 0 || d < bestD {
-				best, bestD = int(v), d
-			}
-		}
-		if p.Dist2(tr.Points[got]) != bestD {
-			t.Fatalf("NearestVertex(%v) = %d (dist2 %v), want dist2 %v",
-				p, got, p.Dist2(tr.Points[got]), bestD)
-		}
-	}
-}

@@ -12,7 +12,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"nestwrf/internal/iosim"
@@ -145,18 +144,6 @@ func Parse(name string) (Machine, error) {
 	return Machine{}, fmt.Errorf("unknown machine %q (accepted: bgl, bgp)", name)
 }
 
-// RanksPerNode returns the MPI ranks per node in the given mode.
-func (m Machine) RanksPerNode(mode Mode) int {
-	switch mode {
-	case CO, SMP:
-		return 1
-	case Dual:
-		return 2
-	default: // VN
-		return m.CoresPerNode
-	}
-}
-
 // GridFor returns the virtual Px × Py process grid WRF would use for
 // the given rank count: the divisor pair closest to square, with
 // Px >= Py (matching the paper's Fig. 5(a), where 32 ranks form an
@@ -199,11 +186,4 @@ func TorusFor(ranks int) (torus.Torus, error) {
 	}
 	a, b := stripe(g.Px), stripe(g.Py)
 	return torus.New(g.Px/a, g.Py/b, a*b)
-}
-
-// NodesFor returns the number of physical nodes hosting the given
-// number of ranks in the given mode.
-func (m Machine) NodesFor(ranks int, mode Mode) int {
-	per := m.RanksPerNode(mode)
-	return int(math.Ceil(float64(ranks) / float64(per)))
 }

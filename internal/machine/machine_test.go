@@ -34,23 +34,6 @@ func TestMachineBasics(t *testing.T) {
 	}
 }
 
-func TestRanksPerNode(t *testing.T) {
-	bgl, bgp := BGL(), BGP()
-	if bgl.RanksPerNode(CO) != 1 || bgl.RanksPerNode(VN) != 2 {
-		t.Error("BGL modes wrong")
-	}
-	if bgp.RanksPerNode(SMP) != 1 || bgp.RanksPerNode(Dual) != 2 || bgp.RanksPerNode(VN) != 4 {
-		t.Error("BGP modes wrong")
-	}
-	// "1024 cores (512 nodes in VN mode) on BG/L".
-	if got := bgl.NodesFor(1024, VN); got != 512 {
-		t.Errorf("BGL nodes for 1024 VN ranks = %d, want 512", got)
-	}
-	if got := bgp.NodesFor(4096, VN); got != 1024 {
-		t.Errorf("BGP nodes for 4096 VN ranks = %d, want 1024", got)
-	}
-}
-
 func TestModeString(t *testing.T) {
 	for m, want := range map[Mode]string{CO: "CO", VN: "VN", SMP: "SMP", Dual: "Dual"} {
 		if m.String() != want {

@@ -163,25 +163,6 @@ func MultiLevel(g vtopo.Grid, t torus.Torus) (*Mapping, error) {
 	return m, nil
 }
 
-// BestEffort returns the best available topology-aware mapping for the
-// given shapes: the multi-level fold when the grid folds onto the
-// torus, and otherwise a serpentine space-filling placement (grid ranks
-// in boustrophedon order onto torus nodes in a boustrophedon walk),
-// which keeps consecutive ranks adjacent even for non-foldable shapes —
-// the paper's "non-foldable mappings" future-work case.
-func BestEffort(g vtopo.Grid, t torus.Torus) (*Mapping, error) {
-	if m, err := MultiLevel(g, t); err == nil {
-		return m, nil
-	} else if !errors.Is(err, ErrNotFoldable) {
-		return nil, err
-	}
-	m := &Mapping{Grid: g, Torus: t, Name: "besteffort", nodeOf: make([]torus.Coord, g.Size()), key: baseKey("besteffort", g, t)}
-	for i, r := range serpentineRanks(g) {
-		m.nodeOf[r] = serpentineCoord(t, i)
-	}
-	return m, nil
-}
-
 // PartitionMapping is the paper's partition mapping (Fig. 6(a)): every
 // sibling partition is folded onto its own contiguous torus region so
 // that neighbouring processes *within* a partition are torus

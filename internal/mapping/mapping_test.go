@@ -271,44 +271,6 @@ func TestPartitionMappingUnequalPartitions(t *testing.T) {
 	}
 }
 
-func TestBestEffortFoldable(t *testing.T) {
-	g, _ := vtopo.NewGrid(32, 32)
-	tor, _ := torus.New(8, 8, 16)
-	m, err := BestEffort(g, tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name != "multilevel" {
-		t.Errorf("foldable shape should use the fold, got %q", m.Name)
-	}
-}
-
-func TestBestEffortNonFoldable(t *testing.T) {
-	// 36 ranks in a 6x6 grid on a 4x3x3 torus: 6 % 4 != 0, not foldable.
-	g, _ := vtopo.NewGrid(6, 6)
-	tor, _ := torus.New(4, 3, 3)
-	m, err := BestEffort(g, tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name != "besteffort" {
-		t.Errorf("non-foldable shape should use serpentine, got %q", m.Name)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Serpentine still beats the oblivious placement on average.
-	seq, _ := Sequential(g, tor)
-	pairs := g.NeighborPairs()
-	if AvgHops(m, pairs) > AvgHops(seq, pairs) {
-		t.Errorf("best-effort avg %v worse than sequential %v",
-			AvgHops(m, pairs), AvgHops(seq, pairs))
-	}
-	if _, err := BestEffort(g, torus.Torus{X: 2, Y: 2, Z: 2}); err == nil {
-		t.Error("size mismatch should fail")
-	}
-}
-
 func TestAvgMaxHopsEmptyPairs(t *testing.T) {
 	g, _ := vtopo.NewGrid(2, 2)
 	tor, _ := torus.New(2, 2, 1)

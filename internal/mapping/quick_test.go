@@ -45,7 +45,6 @@ func TestQuickMappingsBijective(t *testing.T) {
 			func() (*Mapping, error) { return TXYZ(g, tor, 2) },
 			func() (*Mapping, error) { return MultiLevel(g, tor) },
 			func() (*Mapping, error) { return PartitionMapping(g, tor, rects) },
-			func() (*Mapping, error) { return BestEffort(g, tor) },
 		}
 		for _, build := range builders {
 			m, err := build()
@@ -157,7 +156,7 @@ func TestQuickPartitionSiblingLocality(t *testing.T) {
 func TestQuickHopsSymmetric(t *testing.T) {
 	g, _ := vtopo.NewGrid(16, 8)
 	tor, _ := torus.New(4, 4, 8)
-	m, err := BestEffort(g, tor)
+	m, err := MultiLevel(g, tor)
 	if err != nil {
 		t.Fatal(err)
 	}

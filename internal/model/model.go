@@ -349,11 +349,3 @@ func CouplingCost(m machine.Machine, d *nest.Domain, ranks int) float64 {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// Speedup returns t1/tp, guarding against division by zero.
-func Speedup(t1, tp float64) float64 {
-	if tp == 0 {
-		return math.Inf(1)
-	}
-	return t1 / tp
-}

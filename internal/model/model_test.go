@@ -191,12 +191,3 @@ func TestCouplingCost(t *testing.T) {
 		t.Error("zero ranks should cost 0")
 	}
 }
-
-func TestSpeedupGuard(t *testing.T) {
-	if Speedup(2, 1) != 2 {
-		t.Error("Speedup(2,1) != 2")
-	}
-	if got := Speedup(1, 0); !(got > 1e308) {
-		t.Errorf("Speedup(1,0) = %v, want +Inf", got)
-	}
-}

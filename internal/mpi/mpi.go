@@ -613,7 +613,6 @@ func WaitAll(reqs ...*Request) error {
 const (
 	tagBarrier = -1
 	tagReduce  = -2
-	tagBcast   = -3
 	tagSplit   = -4
 	tagGather  = -5
 )
@@ -695,19 +694,6 @@ func (c *Comm) Allreduce(op Op, vals []float64) ([]float64, error) {
 		}
 		return res
 	})
-}
-
-// Bcast distributes root's data to every rank and returns it.
-func (c *Comm) Bcast(root int, data []float64) ([]float64, error) {
-	if c.me == root {
-		for r := 0; r < c.Size(); r++ {
-			if r != root {
-				c.Send(r, tagBcast, data)
-			}
-		}
-		return data, nil
-	}
-	return c.Recv(root, tagBcast)
 }
 
 // Gather collects every rank's payload at root (local rank 0 receives

@@ -212,27 +212,6 @@ func TestAllreduce(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	_, err := Run(6, tm(), func(p *Proc) error {
-		c := p.World()
-		var data []float64
-		if p.Rank() == 2 {
-			data = []float64{3.14, 2.72}
-		}
-		got, err := c.Bcast(2, data)
-		if err != nil {
-			return err
-		}
-		if len(got) != 2 || got[0] != 3.14 {
-			t.Errorf("rank %d: bcast got %v", p.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGather(t *testing.T) {
 	_, err := Run(4, tm(), func(p *Proc) error {
 		c := p.World()

@@ -106,25 +106,6 @@ func (d *Domain) Walk(fn func(*Domain)) {
 	}
 }
 
-// TotalWork returns the per-parent-step work in point-substeps of the
-// whole tree: each domain's points times the product of the refinement
-// ratios down to it.
-func (d *Domain) TotalWork() int {
-	return d.work(1)
-}
-
-func (d *Domain) work(stepsPerParent int) int {
-	steps := stepsPerParent * d.Ratio
-	if d.Ratio == 0 {
-		steps = stepsPerParent
-	}
-	total := d.Points() * steps
-	for _, c := range d.Children {
-		total += c.work(steps)
-	}
-	return total
-}
-
 // String implements fmt.Stringer.
 func (d *Domain) String() string {
 	return fmt.Sprintf("%s[%dx%d r=%d]", d.Name, d.NX, d.NY, d.Ratio)

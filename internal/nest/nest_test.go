@@ -102,21 +102,6 @@ func TestWalkOrder(t *testing.T) {
 	}
 }
 
-func TestTotalWork(t *testing.T) {
-	root := Root("p", 10, 10) // 100 points x 1 step
-	root.AddChild("c", 30, 30, 3, 0, 0)
-	// Child: 900 points x 3 sub-steps = 2700; total 2800.
-	if got := root.TotalWork(); got != 100+2700 {
-		t.Errorf("TotalWork = %d", got)
-	}
-	grand := root.Children[0].AddChild("g", 30, 30, 3, 0, 0)
-	_ = grand
-	// Grandchild: 900 points x 9 sub-steps = 8100.
-	if got := root.TotalWork(); got != 100+2700+8100 {
-		t.Errorf("TotalWork with grandchild = %d", got)
-	}
-}
-
 func TestSiblingOverlapAllowed(t *testing.T) {
 	root := Root("p", 286, 307)
 	root.AddChild("s1", 200, 200, 2, 0, 0)

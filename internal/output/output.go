@@ -144,33 +144,6 @@ func Decode(r io.Reader) (Snapshot, error) {
 	return s, nil
 }
 
-// EncodeSeries writes multiple snapshots back to back.
-func EncodeSeries(w io.Writer, snaps []Snapshot) error {
-	bw := bufio.NewWriter(w)
-	for _, s := range snaps {
-		if err := Encode(bw, s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// DecodeSeries reads snapshots until EOF.
-func DecodeSeries(r io.Reader) ([]Snapshot, error) {
-	br := bufio.NewReader(r)
-	var out []Snapshot
-	for {
-		if _, err := br.Peek(1); err == io.EOF {
-			return out, nil
-		}
-		s, err := Decode(br)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, s)
-	}
-}
-
 // Field selects which state variable to render.
 type Field int
 

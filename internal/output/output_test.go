@@ -96,35 +96,6 @@ func TestDecodeCorruptHeader(t *testing.T) {
 	}
 }
 
-func TestSeriesRoundTrip(t *testing.T) {
-	snaps := []Snapshot{
-		{Domain: "parent", Step: 1, State: sampleState()},
-		{Domain: "nest1", Step: 1, State: sampleState()},
-		{Domain: "parent", Step: 2, State: sampleState()},
-	}
-	var buf bytes.Buffer
-	if err := EncodeSeries(&buf, snaps); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSeries(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("decoded %d snapshots", len(got))
-	}
-	if got[1].Domain != "nest1" || got[2].Step != 2 {
-		t.Errorf("series metadata wrong: %+v", got)
-	}
-}
-
-func TestDecodeSeriesEmpty(t *testing.T) {
-	got, err := DecodeSeries(strings.NewReader(""))
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty series: %v, %v", got, err)
-	}
-}
-
 func TestWritePGM(t *testing.T) {
 	st := sampleState()
 	var buf bytes.Buffer

@@ -207,19 +207,3 @@ func (s *Stream) Quantile(p float64) (float64, error) {
 	}
 	return 0, fmt.Errorf("stats: stream does not track the %g-quantile", p)
 }
-
-// Summarize renders the stream as the package's batch Summary (Median
-// is filled from a tracked 0.5-quantile when present).
-func (s *Stream) Summarize() Summary {
-	sum := Summary{
-		Mean:   s.Mean,
-		Max:    s.Max,
-		Min:    s.Min,
-		Stddev: s.Stddev(),
-		N:      int(s.Count),
-	}
-	if med, err := s.Quantile(0.5); err == nil {
-		sum.Median = med
-	}
-	return sum
-}

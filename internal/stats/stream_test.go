@@ -133,23 +133,3 @@ func TestStreamJSONRoundTripBitExact(t *testing.T) {
 		t.Errorf("JSON mismatch:\n%s\n%s", a, b)
 	}
 }
-
-func TestStreamSummarize(t *testing.T) {
-	s := NewStream(0.5)
-	for _, x := range []float64{1, 2, 3, 4, 100} {
-		s.Add(x)
-	}
-	sum := s.Summarize()
-	if sum.N != 5 || sum.Min != 1 || sum.Max != 100 {
-		t.Errorf("summary %+v", sum)
-	}
-	if sum.Median != 3 {
-		t.Errorf("median %v", sum.Median)
-	}
-	if math.Abs(sum.Mean-22) > 1e-12 {
-		t.Errorf("mean %v", sum.Mean)
-	}
-	if _, err := s.Quantile(0.25); err == nil {
-		t.Error("untracked quantile should error")
-	}
-}

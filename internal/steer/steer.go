@@ -59,14 +59,6 @@ type Outcome struct {
 	Converged bool
 }
 
-// ImprovementPct returns the gain of the final round over the first.
-func (o Outcome) ImprovementPct() float64 {
-	if len(o.Rounds) == 0 {
-		return 0
-	}
-	return stats.Improvement(o.Rounds[0].IterTime, o.Final.IterTime)
-}
-
 // Errors.
 var (
 	ErrNoSiblings = errors.New("steer: configuration has no siblings")

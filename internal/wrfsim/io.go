@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"nestwrf/internal/iosim"
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/output"
@@ -14,6 +15,15 @@ import (
 // outputBytesPerPoint is the forecast volume per horizontal grid point
 // (all fields and levels), matching the driver's I/O model.
 const outputBytesPerPoint = 4500.0
+
+// ioModel is the write-cost model of forecast output: a PnetCDF-like
+// collective write profile.
+var ioModel = iosim.Params{
+	BaseLatency:         5e-3,
+	PerWriterOverhead:   3.5e-4,
+	AggregateBandwidth:  2.0e9,
+	PerProcessBandwidth: 8e6,
+}
 
 // runOutput is one run's Output together with the lock that guards its
 // Snapshots, which the communicator roots of different domains
@@ -30,13 +40,13 @@ type runOutput struct {
 // (collective writes block all writers), and the root records the
 // snapshot.
 func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile,
-	nests []*nestCtx, cfg *nest.Domain, opt Options, step int, out *runOutput) error {
+	nests []*nestCtx, cfg *nest.Domain, step int, out *runOutput) error {
 	// Parent file: all ranks write.
 	st, err := solver.Gather(world, parent)
 	if err != nil {
 		return err
 	}
-	p.Compute(opt.IO.WriteTime(opt.IOMode, world.Size(), float64(cfg.Points())*outputBytesPerPoint))
+	p.Compute(ioModel.CollectiveWriteTime(world.Size(), float64(cfg.Points())*outputBytesPerPoint))
 	if st != nil {
 		out.record(output.Snapshot{Domain: cfg.Name, Step: step, State: st})
 	}
@@ -53,7 +63,7 @@ func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.
 		if err != nil {
 			return err
 		}
-		p.Compute(opt.IO.WriteTime(opt.IOMode, nc.comm.Size(), float64(nc.d.Points())*outputBytesPerPoint))
+		p.Compute(ioModel.CollectiveWriteTime(nc.comm.Size(), float64(nc.d.Points())*outputBytesPerPoint))
 		if sub != nil {
 			out.record(output.Snapshot{Domain: nc.d.Name, Step: step, State: sub})
 		}

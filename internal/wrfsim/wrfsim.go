@@ -20,7 +20,6 @@ import (
 	"strconv"
 
 	"nestwrf/internal/alloc"
-	"nestwrf/internal/iosim"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/metrics"
 	"nestwrf/internal/mpi"
@@ -57,22 +56,16 @@ type Options struct {
 	Params solver.Params
 	// OutputEverySteps makes every domain write a forecast record every
 	// N parent steps: the fields are gathered to each domain
-	// communicator's root with real messages and the write cost is
-	// charged to the writer's clock via the IO model. Zero disables
+	// communicator's root with real messages and the collective write
+	// cost of ioModel is charged to the writers' clocks. Zero disables
 	// output.
 	OutputEverySteps int
-	// IO is the write-cost model (defaults to a PnetCDF-like profile).
-	IO iosim.Params
-	// IOMode selects collective or split writes.
-	IOMode iosim.Mode
-	// Tracer, when non-nil, records one driver-layer span for the run
-	// (annotated with the per-phase wall-clock breakdown from the mpi
-	// accounting) plus phase-layer coupling spans on rank 0. TraceParent
-	// links the run span under a caller span; zero makes it a root. Nil
-	// keeps the functional hot path allocation-identical to an
+	// Tracer, when non-nil, records one root driver-layer span for the
+	// run (annotated with the per-phase wall-clock breakdown from the
+	// mpi accounting) plus phase-layer coupling spans on rank 0 under
+	// it. Nil keeps the functional hot path allocation-identical to an
 	// uninstrumented build.
-	Tracer      *telemetry.Tracer
-	TraceParent telemetry.SpanID
+	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, records runtime gauges about the run into
 	// the registry (currently the mpi payload-pool counters, as
 	// mpi_payload_pool_*).
@@ -133,22 +126,15 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 	if opt.Params == (solver.Params{}) {
 		opt.Params = solver.DefaultParams()
 	}
-	if opt.OutputEverySteps > 0 && opt.IO == (iosim.Params{}) {
-		opt.IO = iosim.Params{
-			BaseLatency:         5e-3,
-			PerWriterOverhead:   3.5e-4,
-			AggregateBandwidth:  2.0e9,
-			PerProcessBandwidth: 8e6,
-		}
-	}
 
 	var sp *telemetry.ActiveSpan
+	var runSpan telemetry.SpanID // rank-0 coupling spans parent here
 	if opt.Tracer.Recording() {
-		sp = opt.Tracer.Start(opt.TraceParent, "wrfsim.run", telemetry.LayerDriver)
+		sp = opt.Tracer.Start(0, "wrfsim.run", telemetry.LayerDriver)
 		sp.Annotate("ranks", strconv.Itoa(opt.Ranks))
 		sp.Annotate("steps", strconv.Itoa(opt.Steps))
 		sp.Annotate("strategy", map[Strategy]string{Sequential: "sequential", Concurrent: "concurrent"}[opt.Strategy])
-		opt.TraceParent = sp.ID() // rank-0 coupling spans parent here
+		runSpan = sp.ID()
 		defer func() {
 			if err != nil {
 				sp.Annotate("error", err.Error())
@@ -231,7 +217,7 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 	out = &Output{Nests: make([]*solver.State, len(cfg.Children))}
 	ro := &runOutput{Output: out}
 	procs, err := mpi.Run(opt.Ranks, opt.TM, func(p *mpi.Proc) error {
-		return rankMain(p, cfg, grid, plans, opt, ro)
+		return rankMain(p, cfg, grid, plans, opt, runSpan, ro)
 	})
 	if err != nil {
 		return nil, err
@@ -300,7 +286,7 @@ type bcCell struct {
 	h, hu, hv float64
 }
 
-func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans, opt Options, out *runOutput) error {
+func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans, opt Options, runSpan telemetry.SpanID, out *runOutput) error {
 	world := p.World()
 	me := world.Rank()
 	p.BeginPhase("init")
@@ -333,7 +319,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 			// the export readable and the buffer O(steps), while the
 			// other ranks run the untraced (zero-alloc) path.
 			nc.tracer = opt.Tracer
-			nc.span = opt.TraceParent
+			nc.span = runSpan
 		}
 		// Local rank within the nest, if a member.
 		local := int(np.localOf[me])
@@ -424,7 +410,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 		// Forecast output.
 		if opt.OutputEverySteps > 0 && (step+1)%opt.OutputEverySteps == 0 {
 			p.BeginPhase("output")
-			if err := writeOutputs(p, world, grid, parent, nests, cfg, opt, step+1, out); err != nil {
+			if err := writeOutputs(p, world, grid, parent, nests, cfg, step+1, out); err != nil {
 				return err
 			}
 		}

@@ -49,7 +49,6 @@ import (
 	"nestwrf/internal/nest"
 	"nestwrf/internal/netsim"
 	"nestwrf/internal/output"
-	"nestwrf/internal/predict"
 	"nestwrf/internal/solver"
 	"nestwrf/internal/steer"
 	"nestwrf/internal/telemetry"
@@ -126,10 +125,6 @@ const (
 // "split", any case), the inverse of the mode's String.
 func ParseIOMode(s string) (iosim.Mode, error) { return iosim.ParseMode(s) }
 
-// ParseStrategy parses a strategy name ("sequential" or "concurrent",
-// any case), the inverse of the strategy's String.
-func ParseStrategy(s string) (Strategy, error) { return driver.ParseStrategy(s) }
-
 // ParseMapKind parses a mapping name ("oblivious", "txyz", "partition"
 // or "multilevel", any case), the inverse of the kind's String.
 func ParseMapKind(s string) (MapKind, error) { return driver.ParseMapKind(s) }
@@ -138,14 +133,6 @@ func ParseMapKind(s string) (MapKind, error) { return driver.ParseMapKind(s) }
 // "naive-points", "equal" or "strips-predicted", any case), the
 // inverse of the policy's String.
 func ParseAllocPolicy(s string) (AllocPolicy, error) { return driver.ParseAllocPolicy(s) }
-
-// Predictor is the interpolation-based performance model of
-// Section 3.1.
-type Predictor = predict.Model
-
-// TrainPredictor fits a Predictor from the machine's cost model on the
-// paper's 13-shape profiling basis.
-func TrainPredictor(m Machine) (*Predictor, error) { return driver.TrainPredictor(m) }
 
 // ExecutionPlan is the outcome of the paper's pipeline for one
 // configuration: predicted sibling weights, the processor partitions of
@@ -164,17 +151,6 @@ type ExecutionPlan struct {
 
 // MappingReport summarizes the communication locality of one mapping.
 type MappingReport = driver.MappingQuality
-
-// FullPlan is the reusable, immutable plan value behind Plan and the
-// plan server: partitions and mapping quality plus the predicted cost
-// of executing the configuration under specific options.
-type FullPlan = driver.Plan
-
-// BuildPlan runs the complete planning pipeline (prediction,
-// allocation, mapping analysis, cost prediction) for cfg under the
-// given options. The returned plan is immutable and safe to share
-// across goroutines.
-func BuildPlan(cfg *Domain, opt Options) (*FullPlan, error) { return driver.BuildPlan(cfg, opt) }
 
 // Plan runs performance prediction, processor allocation and mapping
 // analysis for cfg on the given machine and rank count.
@@ -295,10 +271,6 @@ type CampaignResult = campaign.Result
 // SolverParams are the functional solver's integration parameters.
 type SolverParams = solver.Params
 
-// DefaultSolverParams returns stable shallow-water parameters without
-// rotation.
-func DefaultSolverParams() SolverParams { return solver.DefaultParams() }
-
 // GeophysicalSolverParams returns rotating (Coriolis) shallow-water
 // parameters for cyclone-like demonstrations.
 func GeophysicalSolverParams() SolverParams { return solver.GeophysicalParams() }
@@ -409,14 +381,6 @@ func CompareWithReport(cfg *Domain, opt Options) (Comparison, *ComparisonReport,
 		return Comparison{}, nil, err
 	}
 	return cmp, driver.NewComparisonReport(reps[0], reps[1]), nil
-}
-
-// DecodeRunReport reads a JSON run report, rejecting unknown schemas.
-func DecodeRunReport(r io.Reader) (*Report, error) { return driver.DecodeReport(r) }
-
-// DecodeComparisonReport reads a JSON comparison report.
-func DecodeComparisonReport(r io.Reader) (*ComparisonReport, error) {
-	return driver.DecodeComparisonReport(r)
 }
 
 // TraceProcess names one TraceLog for Chrome trace export.

@@ -213,16 +213,6 @@ func TestTraceIterationFacade(t *testing.T) {
 	}
 }
 
-func TestTrainPredictorAccessible(t *testing.T) {
-	p, err := nestwrf.TrainPredictor(nestwrf.BlueGeneP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Predict(1.0, 100000); got <= 0 {
-		t.Errorf("prediction %v", got)
-	}
-}
-
 // TestObservabilityFacade drives the new run-report, metrics and
 // Chrome-trace surface through the public API only.
 func TestObservabilityFacade(t *testing.T) {
@@ -253,14 +243,6 @@ func TestObservabilityFacade(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := rep.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nestwrf.DecodeComparisonReport(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	buf.Reset()
 	err = nestwrf.WriteChromeTrace(&buf,
 		nestwrf.TraceProcess{Name: "sequential", Log: nestwrf.TraceIteration(cmp.Default, nestwrf.StrategySequential)},
 		nestwrf.TraceProcess{Name: "concurrent", Log: nestwrf.TraceIteration(cmp.Concurrent, nestwrf.StrategyConcurrent)},
