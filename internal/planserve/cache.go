@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"nestwrf/internal/metrics"
 )
@@ -72,11 +73,15 @@ type cache struct {
 }
 
 // lruEntry is the list payload. warm marks entries restored from a
-// snapshot rather than computed in this process.
+// snapshot rather than computed in this process. body is the response
+// the server encoded from val on the entry's first hit; an entry's val
+// never changes (insert over a resident key replaces the entry), so a
+// stored body always belongs to the val beside it.
 type lruEntry struct {
 	key  string
 	val  any
 	warm bool
+	body atomic.Pointer[storedBody]
 }
 
 // newCache returns an LRU cache bounded to max entries (min 1).
@@ -100,20 +105,21 @@ func newCache(max int) *cache {
 // outcome reports a hit, a miss (this caller led the computation) or a
 // join (it waited on another caller's flight). key is only read during
 // the call: a hit or join never copies it, a miss makes the one string
-// the flight and the resident entry share.
-func (c *cache) do(ctx context.Context, key []byte, compute func() (any, error)) (val any, out cacheOutcome, err error) {
+// the flight and the resident entry share. A hit also returns the
+// entry's stored-body slot (nil otherwise).
+func (c *cache) do(ctx context.Context, key []byte, compute func() (any, error)) (val any, body *atomic.Pointer[storedBody], out cacheOutcome, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, outcomeMiss, ErrCacheClosed
+		return nil, nil, outcomeMiss, ErrCacheClosed
 	}
 	if el, ok := c.entries[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
 		c.mHits.Inc()
-		val = el.Value.(*lruEntry).val
+		e := el.Value.(*lruEntry)
 		c.mu.Unlock()
-		return val, outcomeHit, nil
+		return e.val, &e.body, outcomeHit, nil
 	}
 	if f, ok := c.inflight[string(key)]; ok {
 		c.joins++
@@ -121,9 +127,9 @@ func (c *cache) do(ctx context.Context, key []byte, compute func() (any, error))
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.val, outcomeJoin, f.err
+			return f.val, nil, outcomeJoin, f.err
 		case <-ctx.Done():
-			return nil, outcomeJoin, ctx.Err()
+			return nil, nil, outcomeJoin, ctx.Err()
 		}
 	}
 	k := string(key)
@@ -142,14 +148,15 @@ func (c *cache) do(ctx context.Context, key []byte, compute func() (any, error))
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.val, outcomeMiss, f.err
+	return f.val, nil, outcomeMiss, f.err
 }
 
 // insert adds key -> val and evicts the least recently used entry when
-// over capacity (callers hold c.mu).
+// over capacity (callers hold c.mu). A resident key gets a fresh entry,
+// dropping the body stored from the old value.
 func (c *cache) insert(key string, val any) {
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*lruEntry).val = val
+		el.Value = &lruEntry{key: key, val: val, warm: el.Value.(*lruEntry).warm}
 		c.ll.MoveToFront(el)
 		return
 	}

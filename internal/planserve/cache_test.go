@@ -191,6 +191,6 @@ func TestCacheClose(t *testing.T) {
 // doHit is do with the outcome reduced to the hit flag these tests
 // assert on.
 func doHit(ctx context.Context, c *cache, key string, compute func() (any, error)) (any, bool, error) {
-	val, out, err := c.do(ctx, []byte(key), compute)
+	val, _, out, err := c.do(ctx, []byte(key), compute)
 	return val, out == outcomeHit, err
 }

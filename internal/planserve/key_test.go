@@ -206,7 +206,7 @@ func TestLookupHitKeyAllocs(t *testing.T) {
 		return nil, nil
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, out, err := pc.lookup(ctx, queryRun, cfg, opt, miss); err != nil || out != outcomeHit {
+		if _, _, out, err := pc.lookup(ctx, queryRun, cfg, opt, miss); err != nil || out != outcomeHit {
 			t.Fatalf("lookup = %v, %v; want a hit", out, err)
 		}
 	})

@@ -2,6 +2,7 @@ package planserve
 
 import (
 	"context"
+	"sync/atomic"
 
 	"nestwrf/internal/driver"
 	"nestwrf/internal/metrics"
@@ -75,15 +76,16 @@ var (
 // lookup is the one cache path every query takes: lookup span,
 // canonical key, singleflight do, outcome annotation. On a miss, miss
 // computes the value under options whose TraceParent is the lookup
-// span, so the computation's driver span nests under it.
-func (p *PlanCache) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, cacheOutcome, error) {
+// span, so the computation's driver span nests under it. A hit also
+// returns the entry's stored-body slot, which only the server uses.
+func (p *PlanCache) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
 	sp := startLookupSpan(opt, q.span)
 	var buf [keyBuf]byte
 	key := appendKey(buf[:0], q.prefix, opt, cfg)
 	opt.TraceParent = sp.ID()
-	v, out, err := p.c.do(ctx, key, func() (any, error) { return miss(opt) })
+	v, body, out, err := p.c.do(ctx, key, func() (any, error) { return miss(opt) })
 	endLookupSpan(sp, out, err)
-	return v, out, err
+	return v, body, out, err
 }
 
 // Run returns driver.Run's result for cfg under opt, computing it at
@@ -94,7 +96,7 @@ func (p *PlanCache) lookup(ctx context.Context, q query, cfg *nest.Domain, opt d
 // machine's cached predictor), and observability does not change
 // results.
 func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Options) (driver.Result, bool, error) {
-	v, out, err := p.lookup(ctx, queryRun, cfg, opt, func(opt driver.Options) (any, error) {
+	v, _, out, err := p.lookup(ctx, queryRun, cfg, opt, func(opt driver.Options) (any, error) {
 		res, err := driver.Run(cfg, opt)
 		if err != nil {
 			return nil, err
@@ -135,7 +137,7 @@ func withNames(r driver.Result, cfg *nest.Domain) driver.Result {
 // computed it: a caller that reports them re-attaches its own, as the
 // server's planResponse does.
 func (p *PlanCache) Plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, bool, error) {
-	v, out, err := p.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
+	v, _, out, err := p.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
 		return driver.BuildPlan(cfg, opt)
 	})
 	if err != nil {

@@ -40,6 +40,12 @@ const CacheHeader = "X-Plan-Cache"
 // maxBodyBytes bounds request bodies; domain trees are tiny.
 const maxBodyBytes = 1 << 20
 
+// maxRanks bounds a request's rank count: above every Blue Gene/L and
+// /P installation, and about a second of planning. Planning allocates
+// per rank, so an unbounded count could exhaust memory, which no
+// recover catches.
+const maxRanks = 1 << 20
+
 // DomainSpec is the JSON form of one simulation domain. Ratio, OffX
 // and OffY apply to nested domains only.
 type DomainSpec struct {
@@ -97,6 +103,9 @@ func (r *PlanRequest) resolve() (driver.Options, *nest.Domain, error) {
 	m, err := machine.Parse(r.Machine)
 	if err != nil {
 		return driver.Options{}, nil, fmt.Errorf("planserve: %w", err)
+	}
+	if r.Ranks > maxRanks {
+		return driver.Options{}, nil, fmt.Errorf("planserve: %d ranks exceeds the limit of %d", r.Ranks, maxRanks)
 	}
 	opt := driver.Options{
 		Machine:          m,
@@ -352,13 +361,13 @@ func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveS
 }
 
 // serveQuery handles both planning endpoints: decode, resolve,
-// cache-or-compute under the worker pool, marshal.
+// cache-or-compute under the worker pool, marshal. A hit whose entry
+// already holds a body encoded for the same child names writes those
+// bytes; the first hit on an entry stores the body it encodes.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint string) {
 	s.account(endpoint, "cache", func(sp *telemetry.ActiveSpan) (int, string) {
 		var req PlanRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodePlanRequest(w, r.Body, &req); err != nil {
 			return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error()), "none"
 		}
 		opt, cfg, err := req.resolve()
@@ -375,25 +384,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 		opt.Tracer = s.tracer
 		opt.TraceParent = sp.ID()
 
-		var body any
+		var v any
+		var slot *atomic.Pointer[storedBody]
 		var out cacheOutcome
 		if endpoint == "plan" {
-			var p *driver.Plan
-			if p, out, err = s.plan(ctx, cfg, opt); err == nil {
-				body = planResponse(cfg, opt, p)
-			}
+			v, slot, out, err = s.plan(ctx, cfg, opt)
 		} else {
-			var c *driver.Comparison
-			if c, out, err = s.compare(ctx, cfg, opt); err == nil {
-				body = &CompareResponse{
-					Machine: opt.Machine.Name, Ranks: opt.Ranks,
-					Default:             withNames(c.Default, cfg),
-					Concurrent:          withNames(c.Concurrent, cfg),
-					ImprovementPct:      c.ImprovementPct,
-					TotalImprovementPct: c.TotalImprovementPct,
-					WaitImprovementPct:  c.WaitImprovementPct,
-				}
-			}
+			v, slot, out, err = s.compare(ctx, cfg, opt)
 		}
 		if err != nil {
 			return writeError(w, statusFor(err), err.Error()), out.String()
@@ -406,25 +403,80 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 			header = "hit"
 		}
 		w.Header().Set(CacheHeader, header)
-		writeJSON(w, http.StatusOK, body)
+		body := storedFor(slot, cfg)
+		if body == nil {
+			var resp any
+			if p, ok := v.(*driver.Plan); ok {
+				resp = planResponse(cfg, opt, p)
+			} else {
+				resp = compareResponse(cfg, opt, v.(*driver.Comparison))
+			}
+			if body, err = encodeJSON(resp); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return http.StatusInternalServerError, out.String()
+			}
+			if slot != nil && slot.Load() == nil {
+				slot.CompareAndSwap(nil, &storedBody{names: childNames(cfg), body: body})
+			}
+		}
+		writeBody(w, http.StatusOK, body)
 		return http.StatusOK, out.String()
 	})
 }
 
+// storedBody is a planning response encoded once from a resident cache
+// entry: the exact bytes of every hit on that entry whose request gives
+// its first-level nests these names. The entry's key pins everything
+// else the body holds (machine, options, geometry), and no response
+// names the root or deeper nests.
+type storedBody struct {
+	names []string
+	body  []byte
+}
+
+// storedFor returns the body in slot when it was encoded for cfg's
+// first-level names, else nil. A nil slot (a miss or a join) holds
+// nothing. The key pins the geometry, so a stored body has one name
+// per child of cfg.
+func storedFor(slot *atomic.Pointer[storedBody], cfg *nest.Domain) []byte {
+	if slot == nil {
+		return nil
+	}
+	sb := slot.Load()
+	if sb == nil {
+		return nil
+	}
+	for i, c := range cfg.Children {
+		if sb.names[i] != c.Name {
+			return nil
+		}
+	}
+	return sb.body
+}
+
+// childNames lists cfg's first-level nest names.
+func childNames(cfg *nest.Domain) []string {
+	names := make([]string, len(cfg.Children))
+	for i, c := range cfg.Children {
+		names[i] = c.Name
+	}
+	return names
+}
+
 // lookup is PlanCache.lookup plus the server's per-endpoint outcome
 // counter.
-func (s *Server) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, cacheOutcome, error) {
-	v, out, err := s.plans.lookup(ctx, q, cfg, opt, miss)
+func (s *Server) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
+	v, slot, out, err := s.plans.lookup(ctx, q, cfg, opt, miss)
 	s.reg.Counter("planserve_cache_total",
 		metrics.L("endpoint", q.name), metrics.L("result", out.String())).Inc()
-	return v, out, err
+	return v, slot, out, err
 }
 
 // plan runs one plan query through the shared cache: resident entries
 // and singleflight joins answer immediately; a distinct-key miss parks
 // in the coalescer until the batch it joined is built.
-func (s *Server) plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, cacheOutcome, error) {
-	v, out, err := s.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
+func (s *Server) plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, *atomic.Pointer[storedBody], cacheOutcome, error) {
+	v, slot, out, err := s.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
 		j := &planJob{cfg: cfg, opt: opt, done: make(chan struct{})}
 		s.batch.submit(j)
 		select {
@@ -438,16 +490,16 @@ func (s *Server) plan(ctx context.Context, cfg *nest.Domain, opt driver.Options)
 		return j.plan, nil
 	})
 	if err != nil {
-		return nil, out, err
+		return nil, nil, out, err
 	}
-	return v.(*driver.Plan), out, nil
+	return v.(*driver.Plan), slot, out, nil
 }
 
 // compare runs one comparison query through the shared cache. The
 // singleflight leader claims a worker-pool slot; joiners wait on the
 // flight, not the pool.
-func (s *Server) compare(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Comparison, cacheOutcome, error) {
-	v, out, err := s.lookup(ctx, queryCompare, cfg, opt, func(opt driver.Options) (any, error) {
+func (s *Server) compare(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Comparison, *atomic.Pointer[storedBody], cacheOutcome, error) {
+	v, slot, out, err := s.lookup(ctx, queryCompare, cfg, opt, func(opt driver.Options) (any, error) {
 		select {
 		case s.sem <- struct{}{}:
 		case <-ctx.Done():
@@ -461,9 +513,9 @@ func (s *Server) compare(ctx context.Context, cfg *nest.Domain, opt driver.Optio
 		return &cmp, nil
 	})
 	if err != nil {
-		return nil, out, err
+		return nil, nil, out, err
 	}
-	return v.(*driver.Comparison), out, nil
+	return v.(*driver.Comparison), slot, out, nil
 }
 
 // maxBatchBodyBytes bounds /v1/plan/batch bodies; maxBatchItems bounds
@@ -531,7 +583,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 				}
 				opt.Tracer = s.tracer
 				opt.TraceParent = sp.ID()
-				p, out, err := s.plan(ctx, cfg, opt)
+				p, _, out, err := s.plan(ctx, cfg, opt)
 				if err != nil {
 					resp.Responses[i] = BatchItemResponse{Error: err.Error(), Cache: out.String()}
 					return
@@ -565,6 +617,19 @@ func planResponse(cfg *nest.Domain, opt driver.Options, p *driver.Plan) *PlanRes
 		resp.Siblings = append(resp.Siblings, sib)
 	}
 	return resp
+}
+
+// compareResponse marshals a cached comparison back under the
+// request's own domain names.
+func compareResponse(cfg *nest.Domain, opt driver.Options, c *driver.Comparison) *CompareResponse {
+	return &CompareResponse{
+		Machine: opt.Machine.Name, Ranks: opt.Ranks,
+		Default:             withNames(c.Default, cfg),
+		Concurrent:          withNames(c.Concurrent, cfg),
+		ImprovementPct:      c.ImprovementPct,
+		TotalImprovementPct: c.TotalImprovementPct,
+		WaitImprovementPct:  c.WaitImprovementPct,
+	}
 }
 
 // serveStats reports cache occupancy and hit/miss counters as JSON.
@@ -627,13 +692,25 @@ func writeError(w http.ResponseWriter, code int, msg string) int {
 // errors cannot occur for the fixed response types, but are reported
 // defensively.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(v); err != nil {
+	body, err := encodeJSON(v)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, code, body)
+}
+
+// encodeJSON is v's response encoding: json.Encoder's, newline
+// included.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// writeBody writes an encoded JSON body with the given status.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }

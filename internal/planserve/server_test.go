@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +196,8 @@ var badRequests = []struct {
 	{"bad mapping", "/v1/plan", `{"machine":"bgl","ranks":64,"mapping":"warp","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
 	{"zero ranks", "/v1/plan", `{"machine":"bgl","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
 	{"invalid domain", "/v1/plan", `{"machine":"bgl","ranks":64,"domain":{"nx":-1,"ny":10}}`, http.StatusBadRequest},
+	{"ranks over the limit", "/v1/plan", `{"machine":"bgl","ranks":1048577,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
+	{"ranks 1e12", "/v1/compare", `{"machine":"bgl","ranks":1000000000000,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
 	{"child outside parent", "/v1/compare",
 		`{"machine":"bgl","ranks":64,"domain":{"nx":20,"ny":20,"children":[{"nx":90,"ny":90,"ratio":1,"off_x":0,"off_y":0}]}}`,
 		http.StatusBadRequest},
@@ -444,5 +448,190 @@ func TestServeUntilAlreadyCancelled(t *testing.T) {
 	cancel()
 	if err := ServeUntil(ctx, ln, http.NotFoundHandler(), time.Second); err != nil {
 		t.Fatalf("ServeUntil with cancelled context returned %v", err)
+	}
+}
+
+// renameNests returns a testRequest body with its first-level nests
+// t1 and t2 renamed to a and b.
+func renameNests(body, a, b string) string {
+	return strings.NewReplacer(`"t1"`, strconv.Quote(a), `"t2"`, strconv.Quote(b)).Replace(body)
+}
+
+// coldBody is a fresh server's answer to body on path: what every hit
+// for the same request must repeat byte for byte.
+func coldBody(t *testing.T, path, body string) []byte {
+	t.Helper()
+	srv := New(Config{})
+	defer srv.Close()
+	code, cache, b := post(t, srv.Handler(), path, body)
+	if code != http.StatusOK || cache != "miss" {
+		t.Fatalf("%s: cold query: status %d cache %q: %s", path, code, cache, b)
+	}
+	return b
+}
+
+// storedNames returns the child names of every stored body resident in
+// srv's cache, most recently used entry first.
+func storedNames(srv *Server) [][]string {
+	c := srv.plans.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out [][]string
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if sb := el.Value.(*lruEntry).body.Load(); sb != nil {
+			out = append(out, sb.names)
+		}
+	}
+	return out
+}
+
+// TestStoredBodyFollowsNames: one entry hit under names A, then B, then
+// A and B again answers each request with a fresh server's cold body
+// for it. The first hit stores A's body; B's hits encode afresh and
+// leave it in place.
+func TestStoredBodyFollowsNames(t *testing.T) {
+	a := testRequest("concurrent", "predicted", "multilevel")
+	b := renameNests(a, "h1", "h2")
+	for _, path := range []string{"/v1/plan", "/v1/compare"} {
+		want := map[string][]byte{a: coldBody(t, path, a), b: coldBody(t, path, b)}
+		srv := New(Config{})
+		h := srv.Handler()
+		if code, _, got := post(t, h, path, a); code != http.StatusOK {
+			t.Fatalf("%s: miss failed %d: %s", path, code, got)
+		}
+		for i, body := range []string{a, b, a, b, a} {
+			code, cache, got := post(t, h, path, body)
+			if code != http.StatusOK || cache != "hit" {
+				t.Fatalf("%s: hit %d: status %d cache %q", path, i, code, cache)
+			}
+			if !bytes.Equal(got, want[body]) {
+				t.Errorf("%s: hit %d differs from a fresh server's cold body:\nhit:  %s\ncold: %s", path, i, got, want[body])
+			}
+		}
+		if got := storedNames(srv); len(got) != 1 || strings.Join(got[0], ",") != "t1,t2" {
+			t.Errorf("%s: stored body names %v, want one body for t1,t2", path, got)
+		}
+		srv.Close()
+	}
+}
+
+// TestBatchItemHitsStoredEntry: /v1/plan/batch items that hit an entry
+// whose body /v1/plan already stored carry their own names, each plan
+// byte-equal to the cold /v1/plan body for the same request.
+func TestBatchItemHitsStoredEntry(t *testing.T) {
+	a := testRequest("concurrent", "predicted", "multilevel")
+	b := renameNests(a, "h1", "h2")
+	srv := New(Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	post(t, h, "/v1/plan", a)
+	if _, cache, _ := post(t, h, "/v1/plan", a); cache != "hit" || len(storedNames(srv)) != 1 {
+		t.Fatalf("second /v1/plan query: cache %q, %d stored bodies; want a hit that stores one", cache, len(storedNames(srv)))
+	}
+	code, _, raw := post(t, h, "/v1/plan/batch", batchBody(a, b))
+	if code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", code, raw)
+	}
+	var resp struct {
+		Responses []struct {
+			Plan  json.RawMessage
+			Cache string
+		}
+	}
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range []string{a, b} {
+		item := resp.Responses[i]
+		want := bytes.TrimSuffix(coldBody(t, "/v1/plan", body), []byte("\n"))
+		if item.Cache != "hit" || !bytes.Equal(item.Plan, want) {
+			t.Errorf("item %d: cache %q, plan\n%s\nwant\n%s", i, item.Cache, item.Plan, want)
+		}
+	}
+}
+
+// TestStoredBodyAfterSnapshotLoad: a snapshot-loaded entry has no
+// stored body; its first hit — here under new names — encodes and
+// stores one, and every hit matches a fresh server's cold body.
+func TestStoredBodyAfterSnapshotLoad(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.snap")
+	a := testRequest("concurrent", "predicted", "multilevel")
+	b := renameNests(a, "h1", "h2")
+	srvA := New(Config{})
+	post(t, srvA.Handler(), "/v1/plan", a)
+	post(t, srvA.Handler(), "/v1/compare", a)
+	if _, err := srvA.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	srvA.Close()
+
+	srvB := New(Config{})
+	defer srvB.Close()
+	if loaded, _, err := srvB.LoadSnapshot(path); err != nil || loaded != 2 {
+		t.Fatalf("loaded %d entries (%v), want 2", loaded, err)
+	}
+	if n := len(storedNames(srvB)); n != 0 {
+		t.Fatalf("%d stored bodies right after the load, want 0", n)
+	}
+	h := srvB.Handler()
+	for _, path := range []string{"/v1/plan", "/v1/compare"} {
+		for i, body := range []string{b, a, b} {
+			code, cache, got := post(t, h, path, body)
+			if code != http.StatusOK || cache != "hit" {
+				t.Fatalf("%s: hit %d: status %d cache %q", path, i, code, cache)
+			}
+			if want := coldBody(t, path, body); !bytes.Equal(got, want) {
+				t.Errorf("%s: hit %d differs from a fresh server's cold body:\nhit:  %s\ncold: %s", path, i, got, want)
+			}
+		}
+	}
+	for _, names := range storedNames(srvB) {
+		if strings.Join(names, ",") != "h1,h2" {
+			t.Errorf("stored body names %v, want h1,h2 (the first hit's)", names)
+		}
+	}
+}
+
+// TestStoredBodyFirstHitRace: 16 requests under 16 different names make
+// the first hits on one entry at once. Whichever stores its body, each
+// gets its own names; run under -race in CI.
+func TestStoredBodyFirstHitRace(t *testing.T) {
+	const n = 16
+	base := testRequest("concurrent", "predicted", "multilevel")
+	bodies := make([]string, n)
+	want := make([][]byte, n)
+	for i := range bodies {
+		bodies[i] = renameNests(base, fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+		want[i] = coldBody(t, "/v1/plan", bodies[i])
+	}
+	srv := New(Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	post(t, h, "/v1/plan", base)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for round := 0; round < 2; round++ {
+				req := httptest.NewRequest("POST", "/v1/plan", strings.NewReader(bodies[i]))
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK || rec.Header().Get(CacheHeader) != "hit" {
+					t.Errorf("request %d round %d: status %d cache %q", i, round, rec.Code, rec.Header().Get(CacheHeader))
+					return
+				}
+				if !bytes.Equal(rec.Body.Bytes(), want[i]) {
+					t.Errorf("request %d round %d got another request's body:\n%s", i, round, rec.Body.Bytes())
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := storedNames(srv); len(got) != 1 {
+		t.Errorf("%d stored bodies, want 1", len(got))
 	}
 }
