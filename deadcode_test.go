@@ -38,7 +38,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/netsim.Network.TransferTime":   "point query pinned against the map-based reference network",
 	"internal/mpi.WaitAll":                   "solver's reference Isend/Irecv exchange completes its requests with it",
 	"internal/mpi.Comm.Global":               "rank translation the Split tests check sub-communicators with",
-	"internal/mpi.Proc.Phases":               "per-rank phase stats the BeginPhase tests and the sharded-vs-reference snapshot read",
+	"internal/mpi.Proc.Phases":               "per-rank phase stats the BeginPhase tests and the reference-pinned snapshots read",
 	"internal/telemetry.Tracer.Len":          "span count the MaxSpans, concurrency and driver zero-alloc tests assert on",
 	"internal/telemetry.Tracer.Dropped":      "drop count the MaxSpans bound test asserts on",
 	"internal/telemetry.DecodeDump":          "reader of the nestwrf/spans/v1 files -spans-out writes; round-trip oracle of Dump.EncodeJSON",

@@ -344,7 +344,7 @@ func CouplingCost(m machine.Machine, d *nest.Domain, ranks int) float64 {
 		return 0
 	}
 	boundary := float64(d.BoundaryPoints()) / float64(ranks)
-	feedback := float64(d.Points()) / float64(ranks) / float64(d.Ratio*d.Ratio)
+	feedback := float64(d.Points()) / float64(ranks) / (float64(d.Ratio) * float64(d.Ratio))
 	return m.PointCost * 0.25 * (boundary + feedback)
 }
 

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"nestwrf/internal/alloc"
@@ -189,5 +190,10 @@ func TestCouplingCost(t *testing.T) {
 	}
 	if CouplingCost(m, d, 0) != 0 {
 		t.Error("zero ranks should cost 0")
+	}
+	// A ratio whose square overflows an int feeds back next to nothing.
+	huge := &nest.Domain{Name: "n", NX: 300, NY: 300, Ratio: 1 << 32}
+	if hc := CouplingCost(m, huge, 1024); math.IsInf(hc, 0) || hc <= 0 || hc >= c {
+		t.Errorf("coupling cost at ratio 2^32 = %v, want in (0, %v)", hc, c)
 	}
 }

@@ -9,29 +9,26 @@ import (
 
 // A rank that fails strands its peers, which then report a deadlock.
 // Run must return the root cause whichever rank index it landed on,
-// and still return the deadlock when that is all there is — in both
-// runtimes.
+// and still return the deadlock when that is all there is.
 func TestRunReturnsRootCauseOverDeadlock(t *testing.T) {
 	boom := errors.New("boom")
-	for _, ref := range []bool{false, true} {
-		_, failed := run(4, tm(), func(p *Proc) error {
-			if p.Rank() == 3 {
-				return boom
-			}
-			return p.World().Barrier() // ranks 0-2 wait on rank 3 forever
-		}, ref)
-		_, stuck := run(4, tm(), func(p *Proc) error {
-			if p.Rank() == 3 {
-				return nil // exits cleanly, but never joins the barrier
-			}
-			return p.World().Barrier()
-		}, ref)
-		if !errors.Is(failed, boom) || errors.Is(failed, ErrDeadlock) {
-			t.Errorf("ref=%v: rank 3 returned boom, Run returned %v", ref, failed)
+	_, failed := Run(4, tm(), func(p *Proc) error {
+		if p.Rank() == 3 {
+			return boom
 		}
-		if !errors.Is(stuck, ErrDeadlock) {
-			t.Errorf("ref=%v: no rank failed, Run returned %v, want the deadlock", ref, stuck)
+		return p.World().Barrier() // ranks 0-2 wait on rank 3 forever
+	})
+	_, stuck := Run(4, tm(), func(p *Proc) error {
+		if p.Rank() == 3 {
+			return nil // exits cleanly, but never joins the barrier
 		}
+		return p.World().Barrier()
+	})
+	if !errors.Is(failed, boom) || errors.Is(failed, ErrDeadlock) {
+		t.Errorf("rank 3 returned boom, Run returned %v", failed)
+	}
+	if !errors.Is(stuck, ErrDeadlock) {
+		t.Errorf("no rank failed, Run returned %v, want the deadlock", stuck)
 	}
 }
 
@@ -42,43 +39,41 @@ func TestRunReturnsRootCauseOverDeadlock(t *testing.T) {
 // also count again once its receiver moves on to it.
 func TestDeadlockDespiteUndeliverableMessages(t *testing.T) {
 	boom := errors.New("boom")
-	for _, ref := range []bool{false, true} {
-		_, err := run(4, tm(), func(p *Proc) error {
-			w := p.World()
-			switch p.Rank() {
-			case 3:
-				return boom
-			case 2:
-				w.Send(3, 1, []float64{1}) // to the failed rank: undeliverable
-				w.Send(0, 5, []float64{2}) // reaches rank 0 while it wants tag 7
-				_, err := w.Recv(0, 8)     // never sent
-				return err
-			case 1:
-				if _, err := w.Recv(0, 4); err != nil {
-					return err
-				}
-				w.Send(0, 7, nil)
-				_, err := w.Recv(3, 1) // from the failed rank: never comes
-				return err
-			}
-			w.Send(2, 9, nil) // rank 2 never asks for tag 9
-			w.Send(1, 4, nil)
-			if _, err := w.Recv(1, 7); err != nil {
-				return err
-			}
-			d, err := w.Recv(2, 5) // parked or not meanwhile, it is still delivered
-			if err != nil {
-				return err
-			}
-			if len(d) != 1 || d[0] != 2 {
-				t.Errorf("ref=%v: Recv(2, 5) = %v, want [2]", ref, d)
-			}
-			_, err = w.Recv(3, 7) // from the failed rank: never comes
+	_, err := Run(4, tm(), func(p *Proc) error {
+		w := p.World()
+		switch p.Rank() {
+		case 3:
+			return boom
+		case 2:
+			w.Send(3, 1, []float64{1}) // to the failed rank: undeliverable
+			w.Send(0, 5, []float64{2}) // reaches rank 0 while it wants tag 7
+			_, err := w.Recv(0, 8)     // never sent
 			return err
-		}, ref)
-		if !errors.Is(err, boom) {
-			t.Errorf("ref=%v: Run returned %v, want boom", ref, err)
+		case 1:
+			if _, err := w.Recv(0, 4); err != nil {
+				return err
+			}
+			w.Send(0, 7, nil)
+			_, err := w.Recv(3, 1) // from the failed rank: never comes
+			return err
 		}
+		w.Send(2, 9, nil) // rank 2 never asks for tag 9
+		w.Send(1, 4, nil)
+		if _, err := w.Recv(1, 7); err != nil {
+			return err
+		}
+		d, err := w.Recv(2, 5) // parked or not meanwhile, it is still delivered
+		if err != nil {
+			return err
+		}
+		if len(d) != 1 || d[0] != 2 {
+			t.Errorf("Recv(2, 5) = %v, want [2]", d)
+		}
+		_, err = w.Recv(3, 7) // from the failed rank: never comes
+		return err
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("Run returned %v, want boom", err)
 	}
 }
 
@@ -122,12 +117,11 @@ func funnelProgram(t *testing.T) (n int, fn func(p *Proc) error) {
 // A mailbox that outgrows its linear scan must keep per-key FIFO order
 // and change no clock: the funnel root indexes its 300 queues, every
 // other rank stays map-free, and all virtual-time observables equal the
-// reference runtime's.
+// reference runtime's, recorded like referenceMixed.
 func TestMailboxManyQueuesFIFOAndClocks(t *testing.T) {
 	n, fn := funnelProgram(t)
-	sharded := snapshotRun(t, n, fn, false)
-	ref := snapshotRun(t, n, fn, true)
-	equalRuns(t, "sharded vs reference", sharded, ref)
+	matchesReference(t, "funnelProgram", snapshotRun(t, n, fn),
+		pinnedSnapshot{0x3ee0d3da29a40aae, 0x3ed0c6f7a0b5ed8d, "cf690f6c69822476168040e50dc664af0e6aa58fcd0c951a701016e73faede72"})
 
 	procs, err := Run(n, tm(), fn)
 	if err != nil {

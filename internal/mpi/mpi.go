@@ -15,10 +15,9 @@
 // blocked/queued/alive bookkeeping is atomic, and payloads recycle
 // through an unlocked per-rank cache over one locked free list per size
 // class, so worlds of 10k+ virtual ranks run without funneling every
-// operation through one mutex. The previous single-mutex runtime
-// (world_ref.go) is reachable only through the unexported run, as the
-// oracle this package's tests hold the sharded one to: it produces
-// bit-identical virtual clocks, wait times and results.
+// operation through one mutex. This package's tests pin its virtual
+// clocks, wait times and phase stats to literals recorded on the
+// single-mutex runtime it replaced.
 package mpi
 
 import (
@@ -85,7 +84,7 @@ func (k matchKey) waitOf(rank int) RankWait {
 // allocate; a queue that does back up spills into q, whose backing
 // array is reused, so steady-state delivery never allocates either.
 type msgq struct {
-	key  matchKey // set by the sharded runtime's mailbox, which scans for it
+	key  matchKey // the mailbox scans for it
 	one  *message // the oldest queued message, set only while q is drained
 	q    []*message
 	head int
@@ -120,25 +119,17 @@ func (q *msgq) pop() *message {
 	return msg
 }
 
-// World is one simulated job: n ranks plus shared mailboxes.
+// World is one simulated job: n ranks plus their mailboxes.
 //
-// In the sharded runtime each rank owns a mailbox with its own lock
-// and condition variable: senders lock exactly the destination rank's
-// mailbox and a delivery wakes exactly the receiving rank, so traffic
-// between disjoint rank pairs never contends. Deadlock bookkeeping
-// (blocked/queued/alive) is atomic, checked lock-free on the blocking
-// path and confirmed under a small detector mutex before declaring.
-//
-// The reference runtime (run with ref set; tests only) keeps the
-// original design: one world-wide mutex guarding per-rank queues,
-// per-rank condition variables all sharing that mutex, and plain
-// counters. It is bit-identical to the sharded runtime in every
-// virtual-time observable (clocks, wait times, per-phase stats,
-// results); only real-time scalability differs.
+// Each rank owns a mailbox with its own lock and condition variable:
+// senders lock exactly the destination rank's mailbox and a delivery
+// wakes exactly the receiving rank, so traffic between disjoint rank
+// pairs never contends. Deadlock bookkeeping (blocked/queued/alive) is
+// atomic, checked lock-free on the blocking path and confirmed under a
+// small detector mutex before declaring.
 type World struct {
-	n   int
-	tm  TimeModel
-	ref bool // single-mutex oracle runtime (world_ref.go)
+	n  int
+	tm TimeModel
 
 	// commSeq allocates world-unique communicator ids (world is 0).
 	commSeq atomic.Int64
@@ -149,8 +140,6 @@ type World struct {
 	splitRanks sync.Map
 	// drops counts freed payloads too large for any pool size class.
 	drops atomic.Uint64
-
-	// --- sharded runtime state ---
 
 	mboxes []mailbox
 	// classes are the per-size-class overflow pools; localHits and
@@ -163,23 +152,10 @@ type World struct {
 	// undelivered messages (incremented before a message becomes
 	// visible, decremented atomically with the receiver's unblock).
 	packed   atomic.Int64
-	aliveS   atomic.Int64
-	failedS  atomic.Bool
+	alive    atomic.Int64
+	failed   atomic.Bool
 	detectMu sync.Mutex // serializes deadlock confirmation
-	failErrS error      // under detectMu; read only after failedS is set
-
-	// --- reference runtime state ---
-
-	mu      sync.Mutex
-	conds   []*sync.Cond // per-rank wakeups, all sharing mu
-	boxes   []map[matchKey]*msgq
-	pool    freeLists // single payload pool, guarded by mu
-	waits   []waitRecord
-	blocked int
-	queued  int
-	alive   int
-	failed  bool
-	failErr error
+	failErr  error      // under detectMu; read only after failed is set
 }
 
 // Run executes fn on n ranks and blocks until all complete. It returns
@@ -192,53 +168,33 @@ type World struct {
 // goroutine and its closure per rank: no per-rank map, queue or
 // communicator object exists until a rank's first message or phase.
 func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
-	return run(n, tm, fn, false)
-}
-
-// run is Run on the sharded runtime, or, with ref set, on the
-// single-mutex oracle runtime of world_ref.go.
-func run(n int, tm TimeModel, fn func(p *Proc) error, ref bool) ([]*Proc, error) {
 	if n <= 0 {
 		return nil, errBadRanks(n)
 	}
-	w := &World{n: n, tm: tm, ref: ref}
+	w := &World{n: n, tm: tm}
 	w.commSeq.Store(1)
 	worldRanks := make([]int, n)
 	for i := range worldRanks {
 		worldRanks[i] = i
 	}
-	if w.ref {
-		w.alive = n
-		w.conds = make([]*sync.Cond, n)
-		w.boxes = make([]map[matchKey]*msgq, n)
-		w.waits = make([]waitRecord, n)
-		for i := range w.boxes {
-			w.conds[i] = sync.NewCond(&w.mu)
-			w.boxes[i] = make(map[matchKey]*msgq)
-		}
-	} else {
-		w.aliveS.Store(int64(n))
-		w.mboxes = make([]mailbox, n)
-		for i := range w.mboxes {
-			mb := &w.mboxes[i]
-			mb.cond.L = &mb.mu
-		}
+	w.alive.Store(int64(n))
+	w.mboxes = make([]mailbox, n)
+	for i := range w.mboxes {
+		mb := &w.mboxes[i]
+		mb.cond.L = &mb.mu
 	}
 	// Per-rank state comes from slabs, so a world costs a constant
 	// number of heap objects plus one goroutine (and its closure) per rank.
 	procSlab := make([]Proc, n)
 	comms := make([]Comm, n)
-	caches := make([]rankCache, n) // sharded runtime per-rank payload caches
+	caches := make([]rankCache, n)
 	procs := make([]*Proc, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for r := 0; r < n; r++ {
 		p := &procSlab[r]
-		p.w, p.rank = w, r
-		if !w.ref {
-			p.pcache = &caches[r]
-		}
+		p.w, p.rank, p.pcache = w, r, &caches[r]
 		comms[r] = Comm{w: w, id: 0, ranks: worldRanks, me: r, proc: p}
 		p.world = &comms[r]
 		procs[r] = p
@@ -270,19 +226,6 @@ func run(n int, tm TimeModel, fn func(p *Proc) error, ref bool) ([]*Proc, error)
 // they re-check. In a clean run nothing is blocked here and no one is
 // woken.
 func (w *World) rankExit(p *Proc) {
-	if w.ref {
-		w.mu.Lock()
-		w.alive--
-		rw := &w.waits[p.rank]
-		rw.exited = true
-		w.queued -= rw.count // undeliverable now
-		rw.parked = rw.count
-		if w.failed || (w.blocked >= w.alive && w.queued == 0) {
-			w.wakeAll()
-		}
-		w.mu.Unlock()
-		return
-	}
 	w.foldRankCache(p.pcache)
 	// Whatever the rank left unreceived can unblock no one.
 	mb := &w.mboxes[p.rank]
@@ -292,10 +235,10 @@ func (w *World) rankExit(p *Proc) {
 	undeliverable := int64(mb.count)
 	mb.mu.Unlock()
 	w.packed.Add(-undeliverable)
-	alive := w.aliveS.Add(-1)
+	alive := w.alive.Add(-1)
 	st := w.packed.Load()
-	if w.failedS.Load() || (st>>32 >= alive && st&queuedMask == 0) {
-		w.wakeAllSharded()
+	if w.failed.Load() || (st>>32 >= alive && st&queuedMask == 0) {
+		w.wakeAll()
 	}
 }
 
@@ -355,8 +298,8 @@ type Proc struct {
 	curAt  time.Time // wall-clock entry into the current phase
 	phases []Phase
 
-	// pcache is the rank's private payload cache (sharded runtime
-	// only; nil on the reference runtime). See pool.go.
+	// pcache is the rank's private payload cache, a slot of the
+	// world's slab set up by Run. See pool.go.
 	pcache *rankCache
 }
 
@@ -512,12 +455,7 @@ func (c *Comm) SendOwned(to, tag int, data []float64) {
 		p.cur.SendCount++
 		p.cur.SendBytes += bytes
 	}
-	key := matchKey{src: int32(p.rank), comm: int32(c.id), tag: tag}
-	if c.w.ref {
-		c.w.refSend(dst, key, msg)
-	} else {
-		c.w.shardSend(dst, key, msg)
-	}
+	c.w.send(dst, matchKey{src: int32(p.rank), comm: int32(c.id), tag: tag}, msg)
 }
 
 // AllocPayload returns a length-n scratch slice from the world's
@@ -535,14 +473,7 @@ func (c *Comm) FreePayload(b []float64) { c.w.freePayload(c.proc, b) }
 // accounts blocked time as wait time.
 func (c *Comm) Recv(from, tag int) ([]float64, error) {
 	p := c.proc
-	key := matchKey{src: int32(c.ranks[from]), comm: int32(c.id), tag: tag}
-	var msg *message
-	var err error
-	if c.w.ref {
-		msg, err = c.w.refRecv(p, key)
-	} else {
-		msg, err = c.w.shardRecv(p, key)
-	}
+	msg, err := c.w.recv(p, matchKey{src: int32(c.ranks[from]), comm: int32(c.id), tag: tag})
 	if err != nil {
 		return nil, err
 	}

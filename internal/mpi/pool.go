@@ -7,8 +7,8 @@ import (
 
 // Payload pooling. Buffers are size-classed by power of two and
 // recycled through free lists. Payloads flow sender → receiver, so the
-// sharded runtime pools in two tiers chosen to keep supply and demand
-// meeting without a global lock:
+// world pools in two tiers chosen to keep supply and demand meeting
+// without a global lock:
 //
 //   - a lock-free per-rank cache (only the owning goroutine touches
 //     it), which absorbs the symmetric steady state — halo and
@@ -20,14 +20,13 @@ import (
 //     producer/consumer flows still recycle, while different classes
 //     never contend with each other.
 //
-// The reference runtime keeps the original single set of lists under
-// the world mutex. Neither runtime caps its lists: a list keeps every
-// buffer freed into it. For pool-made buffers (what AllocPayload, Send
-// and Recv hand out) that is bounded by construction — a buffer is only
-// made on a miss, when every buffer of its class is live or parked in
-// another rank's private cache, so a class never holds more than its
-// peak live-plus-cached population, and the lists die with the world
-// when Run returns. Both runtimes count hits/misses/frees/drops for
+// The overflow lists are not capped: a list keeps every buffer freed
+// into it. For pool-made buffers (what AllocPayload, Send and Recv hand
+// out) that is bounded by construction — a buffer is only made on a
+// miss, when every buffer of its class is live or parked in a rank's
+// private cache, so a class never holds more than its peak
+// live-plus-cached population, and the lists die with the world when
+// Run returns. The pool counts hits/misses/frees/drops for
 // World.PoolStats.
 
 // payloadClasses is the number of power-of-two payload size classes the
@@ -74,27 +73,6 @@ type classPool struct {
 	_                   [48]byte
 }
 
-// freeLists is the reference runtime's single set of size-classed free
-// lists plus counters, guarded by the world mutex.
-type freeLists struct {
-	free                [payloadClasses][][]float64
-	hits, misses, frees uint64
-}
-
-// alloc pops a buffer of class c (caller computed it for n), or
-// returns nil on a pool miss. Caller holds the world mutex.
-func (f *freeLists) alloc(n, c int) []float64 {
-	if s := f.free[c]; len(s) > 0 {
-		b := s[len(s)-1]
-		s[len(s)-1] = nil
-		f.free[c] = s[:len(s)-1]
-		f.hits++
-		return b[:n]
-	}
-	f.misses++
-	return nil
-}
-
 // allocPayload returns a length-n scratch slice drawn from the world
 // pool (or freshly allocated on a pool miss or an over-sized request).
 // Contents are unspecified; callers overwrite every element.
@@ -106,23 +84,13 @@ func (w *World) allocPayload(p *Proc, n int) []float64 {
 	if c >= payloadClasses {
 		return make([]float64, n)
 	}
-	if w.ref {
-		w.mu.Lock()
-		b := w.pool.alloc(n, c)
-		w.mu.Unlock()
-		if b != nil {
-			return b
-		}
-		return make([]float64, n, 1<<c)
-	}
-	if rc := p.pcache; rc != nil {
-		if s := rc.free[c]; len(s) > 0 {
-			b := s[len(s)-1]
-			s[len(s)-1] = nil
-			rc.free[c] = s[:len(s)-1]
-			rc.hits++
-			return b[:n]
-		}
+	rc := p.pcache
+	if s := rc.free[c]; len(s) > 0 {
+		b := s[len(s)-1]
+		s[len(s)-1] = nil
+		rc.free[c] = s[:len(s)-1]
+		rc.hits++
+		return b[:n]
 	}
 	cp := &w.classes[c]
 	cp.mu.Lock()
@@ -153,14 +121,7 @@ func (w *World) freePayload(p *Proc, b []float64) {
 		w.drops.Add(1) // larger than the largest class: not pooled
 		return
 	}
-	if w.ref {
-		w.mu.Lock()
-		w.pool.frees++
-		w.pool.free[cl] = append(w.pool.free[cl], b[:0])
-		w.mu.Unlock()
-		return
-	}
-	if rc := p.pcache; rc != nil && len(rc.free[cl]) < rankCacheCap(cl) {
+	if rc := p.pcache; len(rc.free[cl]) < rankCacheCap(cl) {
 		rc.frees++
 		if rc.free[cl] == nil {
 			rc.free[cl] = make([][]float64, 0, rankCacheCap(cl)) // full size at once: no regrowth
@@ -225,22 +186,11 @@ func (s PoolStats) HitRate() float64 {
 // consistent, not globally atomic); per-rank cache activity folds in
 // when each rank exits, so post-run snapshots are complete.
 func (w *World) PoolStats() PoolStats {
-	s := PoolStats{Drops: w.drops.Load()}
-	if w.ref {
-		w.mu.Lock()
-		f := &w.pool
-		s.Hits, s.Misses, s.Frees = f.hits, f.misses, f.frees
-		for _, lst := range f.free {
-			s.Buffers += len(lst)
-			for _, b := range lst {
-				s.Bytes += int64(8 * cap(b))
-			}
-		}
-		w.mu.Unlock()
-		return s
+	s := PoolStats{
+		Hits:  w.localHits.Load(),
+		Frees: w.localFrees.Load(),
+		Drops: w.drops.Load(),
 	}
-	s.Hits = w.localHits.Load()
-	s.Frees = w.localFrees.Load()
 	for c := range w.classes {
 		cp := &w.classes[c]
 		cp.mu.Lock()

@@ -1,7 +1,12 @@
 package mpi
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
@@ -10,10 +15,9 @@ import (
 )
 
 // mixedProgram exercises every runtime feature whose virtual-time
-// behavior must match between the sharded and reference runtimes:
-// point-to-point rings with per-rank payload sizes and compute,
-// phase accounting, barriers, reductions, splits and sub-communicator
-// traffic.
+// behavior is pinned to the reference runtime's: point-to-point rings
+// with per-rank payload sizes and compute, phase accounting, barriers,
+// reductions, splits and sub-communicator traffic.
 func mixedProgram(n int) func(p *Proc) error {
 	return func(p *Proc) error {
 		w := p.World()
@@ -62,9 +66,9 @@ type runSnapshot struct {
 	phases        [][]Phase
 }
 
-func snapshotRun(t *testing.T, n int, fn func(p *Proc) error, ref bool) runSnapshot {
+func snapshotRun(t *testing.T, n int, fn func(p *Proc) error) runSnapshot {
 	t.Helper()
-	procs, err := run(n, tm(), fn, ref)
+	procs, err := Run(n, tm(), fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,61 +111,122 @@ func equalRuns(t *testing.T, label string, a, b runSnapshot) {
 	}
 }
 
-// The sharded runtime must be bit-identical to the retained reference
-// runtime in every virtual-time observable: per-rank clocks, wait
-// times and phase stats.
+// pinnedSnapshot is a runSnapshot in pinned form: rank 0's and the
+// last rank's clock as IEEE-754 bit patterns, so a drift says where,
+// and the SHA-256 of every rank's clock, wait and phase stats in rank
+// order.
+type pinnedSnapshot struct {
+	clock0, clockLast uint64
+	digest            string
+}
+
+// pin reduces s to its pinned form.
+func (s runSnapshot) pin() pinnedSnapshot {
+	h := sha256.New()
+	var buf []byte
+	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	putF := func(f float64) { put(math.Float64bits(f)) }
+	for r := range s.clocks {
+		buf = buf[:0]
+		putF(s.clocks[r])
+		putF(s.waits[r])
+		put(uint64(len(s.phases[r])))
+		for _, ph := range s.phases[r] {
+			put(uint64(len(ph.Name)))
+			buf = append(buf, ph.Name...)
+			st := ph.Stats
+			putF(st.Compute)
+			putF(st.Wait)
+			putF(st.Transfer)
+			put(uint64(st.SendCount))
+			put(uint64(st.RecvCount))
+			put(uint64(st.SendBytes))
+			put(uint64(st.RecvBytes))
+			putF(st.Wall)
+		}
+		h.Write(buf)
+	}
+	return pinnedSnapshot{
+		clock0:    math.Float64bits(s.clocks[0]),
+		clockLast: math.Float64bits(s.clocks[len(s.clocks)-1]),
+		digest:    hex.EncodeToString(h.Sum(nil)),
+	}
+}
+
+// matchesReference fails t unless s pins to want.
+func matchesReference(t *testing.T, label string, s runSnapshot, want pinnedSnapshot) {
+	t.Helper()
+	if got := s.pin(); got != want {
+		t.Errorf("%s: virtual-time observables drifted from the reference runtime's:\n got %#v\nwant %#v", label, got, want)
+	}
+}
+
+// referenceMixed pins mixedProgram(n) by rank count n to what the
+// single-mutex reference runtime (one world-wide lock over every
+// mailbox and the payload pool) produced at the parent of the commit
+// that deleted it; the sharded runtime produced the same pins there.
+var referenceMixed = map[int]pinnedSnapshot{
+	1:    {0x3ecc6315ac982c90, 0x3ecc6315ac982c90, "b4c83c45f3d20ee908004f25da9b5c202de5092783e75fd40bf320edb31c1680"},
+	7:    {0x3ef6b3173b7d5105, 0x3ef7bf86b588afde, "b1928295ee8ce6ab979f220e1e293caffc8b3fec3210972a2af17b237c6ee819"},
+	24:   {0x3ef6b3173b7d5105, 0x3ef7bf86b588afde, "0f58b0f8b7cc5b1f0644101344c4d0fb3a2de629ed0367861a8d6214a271889c"},
+	256:  {0x3ef6b3173b7d5105, 0x3ef7bf86b588afde, "2c2b85476635d4466e835b0142cc52c37ea9b2f044345efb03a898496bad4a30"},
+	2048: {0x3ef6b3173b7d5105, 0x3ef7bf86b588afde, "9204c5f27eb1f658b4d9072234fa184d1103671eff7667bc36fb37e574143c10"},
+}
+
+// The runtime must be bit-identical to the reference runtime in every
+// virtual-time observable — per-rank clocks, wait times and phase
+// stats — on one rank, a prime count, 24 and 256 ranks.
 func TestShardedMatchesReference(t *testing.T) {
-	const n = 24
-	sharded := snapshotRun(t, n, mixedProgram(n), false)
-	ref := snapshotRun(t, n, mixedProgram(n), true)
-	equalRuns(t, "sharded vs reference", sharded, ref)
+	for _, n := range []int{1, 7, 24, 256} {
+		matchesReference(t, fmt.Sprintf("mixedProgram(%d)", n), snapshotRun(t, n, mixedProgram(n)), referenceMixed[n])
+	}
 }
 
 // Virtual time must not depend on goroutine scheduling: repeated runs
-// and GOMAXPROCS=1 vs N are bit-identical, at a rank count well beyond
-// anything a single mutex was tuned for.
+// and GOMAXPROCS=1 vs N are bit-identical, and equal the reference
+// runtime's, at a rank count well beyond anything a single mutex was
+// tuned for.
 func TestHighRankDeterminism(t *testing.T) {
 	n := 2048
 	if raceEnabled {
 		n = 256 // the race detector multiplies per-goroutine cost
 	}
-	first := snapshotRun(t, n, mixedProgram(n), false)
-	again := snapshotRun(t, n, mixedProgram(n), false)
+	first := snapshotRun(t, n, mixedProgram(n))
+	matchesReference(t, fmt.Sprintf("mixedProgram(%d)", n), first, referenceMixed[n])
+	again := snapshotRun(t, n, mixedProgram(n))
 	equalRuns(t, "run-to-run", first, again)
 
 	old := runtime.GOMAXPROCS(1)
-	serial := snapshotRun(t, n, mixedProgram(n), false)
+	serial := snapshotRun(t, n, mixedProgram(n))
 	runtime.GOMAXPROCS(old)
 	equalRuns(t, "GOMAXPROCS=1 vs N", first, serial)
 }
 
 // Deadlock reports must say how many ranks were stuck and what a
-// sample of them was waiting on, in both runtimes, while remaining
-// errors.Is-compatible with the ErrDeadlock sentinel.
+// sample of them was waiting on, while remaining errors.Is-compatible
+// with the ErrDeadlock sentinel.
 func TestDeadlockErrorDetail(t *testing.T) {
-	for _, ref := range []bool{false, true} {
-		const n = 3
-		_, err := run(n, tm(), func(p *Proc) error {
-			_, err := p.World().Recv((p.Rank()+1)%n, 99)
-			return err
-		}, ref)
-		if !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("ref=%v: errors.Is(err, ErrDeadlock) = false for %v", ref, err)
-		}
-		var de *DeadlockError
-		if !errors.As(err, &de) {
-			t.Fatalf("ref=%v: error %v is not a *DeadlockError", ref, err)
-		}
-		if de.Blocked != n || de.Alive != n {
-			t.Errorf("ref=%v: Blocked=%d Alive=%d, want %d/%d", ref, de.Blocked, de.Alive, n, n)
-		}
-		if len(de.Sample) != n {
-			t.Fatalf("ref=%v: sample has %d entries, want %d", ref, len(de.Sample), n)
-		}
-		for _, s := range de.Sample {
-			if s.Tag != 99 || s.Comm != 0 || s.Src != (s.Rank+1)%n {
-				t.Errorf("ref=%v: unexpected sample entry %+v", ref, s)
-			}
+	const n = 3
+	_, err := Run(n, tm(), func(p *Proc) error {
+		_, err := p.World().Recv((p.Rank()+1)%n, 99)
+		return err
+	})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("errors.Is(err, ErrDeadlock) = false for %v", err)
+	}
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("error %v is not a *DeadlockError", err)
+	}
+	if de.Blocked != n || de.Alive != n {
+		t.Errorf("Blocked=%d Alive=%d, want %d/%d", de.Blocked, de.Alive, n, n)
+	}
+	if len(de.Sample) != n {
+		t.Fatalf("sample has %d entries, want %d", len(de.Sample), n)
+	}
+	for _, s := range de.Sample {
+		if s.Tag != 99 || s.Comm != 0 || s.Src != (s.Rank+1)%n {
+			t.Errorf("unexpected sample entry %+v", s)
 		}
 	}
 }
@@ -200,96 +265,91 @@ func poolSendCount(seed uint64, round, from int) int {
 // The payload pools keep every buffer freed into them, and that is
 // bounded: under seeded random alloc/free interleavings across ranks
 // and size classes, with cross-rank owned sends, each class retains at
-// most its peak simultaneously-live population (plus what the sharded
-// runtime's rank caches can park, which a miss cannot see), and the
-// counters balance — hits+misses = allocations, frees+drops = frees,
-// no drops for in-class buffers.
+// most its peak simultaneously-live population (plus what the rank
+// caches can park, which a miss cannot see), and the counters balance
+// — hits+misses = allocations, frees+drops = frees, no drops for
+// in-class buffers.
 func TestPoolBoundedAndStats(t *testing.T) {
 	const n, rounds = 5, 40
-	for _, ref := range []bool{false, true} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			// mu serialises each pool call with the test's own
-			// accounting, so live is exact at every miss.
-			var (
-				mu            sync.Mutex
-				live, peak    [payloadClasses]int
-				allocs, frees uint64
-			)
-			procs, err := run(n, tm(), func(p *Proc) error {
-				w := p.World()
-				me := w.Rank()
-				rng := rand.New(rand.NewPCG(seed, uint64(me)))
-				var held [][]float64
-				alloc := func() []float64 {
-					sz := poolSizes[rng.IntN(len(poolSizes))]
-					mu.Lock()
-					defer mu.Unlock()
-					b := w.AllocPayload(sz)
-					c := payloadClass(sz)
-					allocs++
-					live[c]++
-					peak[c] = max(peak[c], live[c])
-					return b
-				}
-				free := func(b []float64) {
-					mu.Lock()
-					defer mu.Unlock()
-					w.FreePayload(b)
-					frees++
-					live[payloadClass(cap(b))]--
-				}
-				for r := 0; r < rounds; r++ {
-					for k := rng.IntN(8); k > 0; k-- {
-						if len(held) > 0 && rng.IntN(2) == 0 {
-							i := rng.IntN(len(held))
-							free(held[i])
-							held[i] = held[len(held)-1]
-							held = held[:len(held)-1]
-						} else {
-							held = append(held, alloc())
-						}
-					}
-					for k := poolSendCount(seed, r, me); k > 0; k-- {
-						w.SendOwned((me+1)%n, r, alloc())
-					}
-					for k := poolSendCount(seed, r, (me+n-1)%n); k > 0; k-- {
-						d, err := w.Recv((me+n-1)%n, r)
-						if err != nil {
-							return err
-						}
-						held = append(held, d)
+	for seed := uint64(1); seed <= 6; seed++ {
+		// mu serialises each pool call with the test's own
+		// accounting, so live is exact at every miss.
+		var (
+			mu            sync.Mutex
+			live, peak    [payloadClasses]int
+			allocs, frees uint64
+		)
+		procs, err := Run(n, tm(), func(p *Proc) error {
+			w := p.World()
+			me := w.Rank()
+			rng := rand.New(rand.NewPCG(seed, uint64(me)))
+			var held [][]float64
+			alloc := func() []float64 {
+				sz := poolSizes[rng.IntN(len(poolSizes))]
+				mu.Lock()
+				defer mu.Unlock()
+				b := w.AllocPayload(sz)
+				c := payloadClass(sz)
+				allocs++
+				live[c]++
+				peak[c] = max(peak[c], live[c])
+				return b
+			}
+			free := func(b []float64) {
+				mu.Lock()
+				defer mu.Unlock()
+				w.FreePayload(b)
+				frees++
+				live[payloadClass(cap(b))]--
+			}
+			for r := 0; r < rounds; r++ {
+				for k := rng.IntN(8); k > 0; k-- {
+					if len(held) > 0 && rng.IntN(2) == 0 {
+						i := rng.IntN(len(held))
+						free(held[i])
+						held[i] = held[len(held)-1]
+						held = held[:len(held)-1]
+					} else {
+						held = append(held, alloc())
 					}
 				}
-				for _, b := range held {
-					free(b)
+				for k := poolSendCount(seed, r, me); k > 0; k-- {
+					w.SendOwned((me+1)%n, r, alloc())
 				}
-				return nil
-			}, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := procs[0].PoolStats()
-			if s.Hits+s.Misses != allocs {
-				t.Errorf("ref=%v seed=%d: hits %d + misses %d != %d allocations", ref, seed, s.Hits, s.Misses, allocs)
-			}
-			if s.Frees+s.Drops != frees || s.Drops != 0 {
-				t.Errorf("ref=%v seed=%d: frees %d + drops %d != %d frees, or in-class drops", ref, seed, s.Frees, s.Drops, frees)
-			}
-			// Everything was freed, so the lists hold every buffer the
-			// pool ever made.
-			if s.Buffers != int(s.Misses) {
-				t.Errorf("ref=%v seed=%d: retained %d buffers, want all %d made", ref, seed, s.Buffers, s.Misses)
-			}
-			w := procs[0].w
-			for c := range peak {
-				retained, bound := len(w.classes[c].free), peak[c]+n*rankCacheCap(c)
-				if ref {
-					retained, bound = len(w.pool.free[c]), peak[c]
+				for k := poolSendCount(seed, r, (me+n-1)%n); k > 0; k-- {
+					d, err := w.Recv((me+n-1)%n, r)
+					if err != nil {
+						return err
+					}
+					held = append(held, d)
 				}
-				if retained > bound {
-					t.Errorf("ref=%v seed=%d: class %d retains %d buffers, peak live %d, bound %d",
-						ref, seed, c, retained, peak[c], bound)
-				}
+			}
+			for _, b := range held {
+				free(b)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := procs[0].PoolStats()
+		if s.Hits+s.Misses != allocs {
+			t.Errorf("seed=%d: hits %d + misses %d != %d allocations", seed, s.Hits, s.Misses, allocs)
+		}
+		if s.Frees+s.Drops != frees || s.Drops != 0 {
+			t.Errorf("seed=%d: frees %d + drops %d != %d frees, or in-class drops", seed, s.Frees, s.Drops, frees)
+		}
+		// Everything was freed, so the lists hold every buffer the
+		// pool ever made.
+		if s.Buffers != int(s.Misses) {
+			t.Errorf("seed=%d: retained %d buffers, want all %d made", seed, s.Buffers, s.Misses)
+		}
+		w := procs[0].w
+		for c := range peak {
+			retained, bound := len(w.classes[c].free), peak[c]+n*rankCacheCap(c)
+			if retained > bound {
+				t.Errorf("seed=%d: class %d retains %d buffers, peak live %d, bound %d",
+					seed, c, retained, peak[c], bound)
 			}
 		}
 	}
@@ -301,21 +361,19 @@ func TestPoolDropsOversized(t *testing.T) {
 	if raceEnabled {
 		t.Skip("checkptr rejects the oversized slice header")
 	}
-	for _, ref := range []bool{false, true} {
-		procs, err := run(1, tm(), func(p *Proc) error {
-			var x [1]float64
-			// A header claiming 1<<payloadClasses floats: freePayload
-			// reads only its capacity, so nothing that large is allocated.
-			p.World().FreePayload(unsafe.Slice(&x[0], 1<<payloadClasses))
-			p.World().FreePayload(p.World().AllocPayload(8))
-			return nil
-		}, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := procs[0].PoolStats(); s.Drops != 1 || s.Frees != 1 || s.Buffers != 1 {
-			t.Errorf("ref=%v: drops/frees/buffers = %d/%d/%d, want 1/1/1", ref, s.Drops, s.Frees, s.Buffers)
-		}
+	procs, err := Run(1, tm(), func(p *Proc) error {
+		var x [1]float64
+		// A header claiming 1<<payloadClasses floats: freePayload
+		// reads only its capacity, so nothing that large is allocated.
+		p.World().FreePayload(unsafe.Slice(&x[0], 1<<payloadClasses))
+		p.World().FreePayload(p.World().AllocPayload(8))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := procs[0].PoolStats(); s.Drops != 1 || s.Frees != 1 || s.Buffers != 1 {
+		t.Errorf("drops/frees/buffers = %d/%d/%d, want 1/1/1", s.Drops, s.Frees, s.Buffers)
 	}
 }
 

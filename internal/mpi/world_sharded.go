@@ -101,12 +101,12 @@ func (mb *mailbox) queueFor(key matchKey) *msgq {
 	return &mb.qs[n-1]
 }
 
-// shardSend queues msg for dst, counting it as queued unless it is
+// send queues msg for dst, counting it as queued unless it is
 // parked on arrival. The sender is alive and not blocked for the whole
 // call, so the deadlock predicate (blocked >= alive && queued == 0)
 // cannot hold while a delivery is in flight, and the count is in place
 // before the sender can next block.
-func (w *World) shardSend(dst int, key matchKey, msg *message) {
+func (w *World) send(dst int, key matchKey, msg *message) {
 	mb := &w.mboxes[dst]
 	mb.mu.Lock()
 	if mb.dead || (mb.waiting && mb.wkey != key) {
@@ -129,7 +129,7 @@ func (mb *mailbox) unblock() int64 {
 	return d
 }
 
-// shardRecv blocks rank p until a message matching key is available.
+// recv blocks rank p until a message matching key is available.
 //
 // Counter protocol: on first finding the queue empty the receiver
 // atomically enters the blocked count and parks everything its mailbox
@@ -146,7 +146,7 @@ func (mb *mailbox) unblock() int64 {
 // impossible without a mailbox-lock-free proof, which is why a
 // positive fast-path check is re-confirmed under detectMu in
 // declareDeadlock before anything is declared.
-func (w *World) shardRecv(p *Proc, key matchKey) (*message, error) {
+func (w *World) recv(p *Proc, key matchKey) (*message, error) {
 	mb := &w.mboxes[p.rank]
 	blocked := false
 	mb.mu.Lock()
@@ -162,12 +162,12 @@ func (w *World) shardRecv(p *Proc, key matchKey) (*message, error) {
 			mb.mu.Unlock()
 			return msg, nil
 		}
-		if w.failedS.Load() {
+		if w.failed.Load() {
 			if blocked {
 				w.packed.Add(mb.unblock())
 			}
 			mb.mu.Unlock()
-			return nil, w.shardFailure()
+			return nil, w.failure()
 		}
 		if !blocked {
 			blocked = true
@@ -176,7 +176,7 @@ func (w *World) shardRecv(p *Proc, key matchKey) (*message, error) {
 			mb.parked = mb.count
 			w.packed.Add(1<<32 - int64(mb.parked))
 		}
-		alive := w.aliveS.Load()
+		alive := w.alive.Load()
 		st := w.packed.Load()
 		if st>>32 >= alive && st&queuedMask == 0 {
 			// Possible deadlock. Confirm and declare outside the mailbox
@@ -205,24 +205,24 @@ func (w *World) shardRecv(p *Proc, key matchKey) (*message, error) {
 func (w *World) declareDeadlock() error {
 	w.detectMu.Lock()
 	defer w.detectMu.Unlock()
-	if w.failedS.Load() {
-		return w.failErrS
+	if w.failed.Load() {
+		return w.failErr
 	}
-	alive := w.aliveS.Load()
+	alive := w.alive.Load()
 	st := w.packed.Load()
 	if !(st>>32 >= alive && st&queuedMask == 0) {
 		return nil
 	}
-	err := w.shardDeadlockError(int(st>>32), int(alive))
-	w.failErrS = err
-	w.failedS.Store(true)
-	w.wakeAllSharded()
+	err := w.deadlockError(int(st>>32), int(alive))
+	w.failErr = err
+	w.failed.Store(true)
+	w.wakeAll()
 	return err
 }
 
-// shardDeadlockError samples what the blocked ranks are waiting on.
+// deadlockError samples what the blocked ranks are waiting on.
 // Called under detectMu (never with a mailbox lock held).
-func (w *World) shardDeadlockError(blocked, alive int) error {
+func (w *World) deadlockError(blocked, alive int) error {
 	e := &DeadlockError{Blocked: blocked, Alive: alive}
 	for r := range w.mboxes {
 		if len(e.Sample) == deadlockSampleCap {
@@ -238,12 +238,12 @@ func (w *World) shardDeadlockError(blocked, alive int) error {
 	return e
 }
 
-// shardFailure returns the recorded failure. Only called after
-// failedS is observed true, and failErrS is published before failedS
-// is set, so the detectMu round trip always finds it.
-func (w *World) shardFailure() error {
+// failure returns the recorded failure. Only called after failed is
+// observed true, and failErr is published before failed is set, so the
+// detectMu round trip always finds it.
+func (w *World) failure() error {
 	w.detectMu.Lock()
-	err := w.failErrS
+	err := w.failErr
 	w.detectMu.Unlock()
 	if err == nil {
 		err = ErrDeadlock
@@ -251,11 +251,11 @@ func (w *World) shardFailure() error {
 	return err
 }
 
-// wakeAllSharded broadcasts every rank's condition variable, locking
+// wakeAll broadcasts every rank's condition variable, locking
 // each mailbox in turn so a waiter between its predicate check and its
 // cond.Wait cannot miss the wakeup. Failure/exit paths only — never in
 // steady state.
-func (w *World) wakeAllSharded() {
+func (w *World) wakeAll() {
 	for r := range w.mboxes {
 		mb := &w.mboxes[r]
 		mb.mu.Lock()

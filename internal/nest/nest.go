@@ -9,6 +9,7 @@ package nest
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Domain is one simulation domain. NX and NY are its horizontal grid
@@ -61,7 +62,9 @@ func (d *Domain) BoundaryPoints() int {
 // Validate checks the domain tree rooted at d: positive dimensions,
 // valid ratios, and every child's footprint inside its parent.
 // Sibling overlap is allowed (the paper's regions of interest may
-// overlap in principle), but each child must fit.
+// overlap in principle), but each child must fit. A domain whose
+// Points or footprint would overflow an int is rejected too, so no
+// caller computes with a wrapped value.
 func (d *Domain) Validate() error {
 	if d.NX <= 0 || d.NY <= 0 {
 		return fmt.Errorf("%w: %s is %dx%d", ErrBadSize, d.Name, d.NX, d.NY)
@@ -69,12 +72,18 @@ func (d *Domain) Validate() error {
 	if d.Ratio < 1 {
 		return fmt.Errorf("%w: %s has ratio %d", ErrBadRatio, d.Name, d.Ratio)
 	}
+	if err := d.checkOverflow(); err != nil {
+		return err
+	}
 	for _, c := range d.Children {
 		if c.Ratio < 1 {
 			return fmt.Errorf("%w: %s has ratio %d", ErrBadRatio, c.Name, c.Ratio)
 		}
+		if err := c.checkOverflow(); err != nil {
+			return err
+		}
 		if c.OffX < 0 || c.OffY < 0 ||
-			c.OffX+c.FootprintX() > d.NX || c.OffY+c.FootprintY() > d.NY {
+			c.FootprintX() > d.NX-c.OffX || c.FootprintY() > d.NY-c.OffY {
 			return fmt.Errorf("%w: %s at (%d,%d) size %dx%d (footprint %dx%d) in %s %dx%d",
 				ErrOutOfBound, c.Name, c.OffX, c.OffY, c.NX, c.NY,
 				c.FootprintX(), c.FootprintY(), d.Name, d.NX, d.NY)
@@ -82,6 +91,18 @@ func (d *Domain) Validate() error {
 		if err := c.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkOverflow rejects a domain whose Points or footprint would
+// overflow an int. Its ratio is at least 1.
+func (d *Domain) checkOverflow() error {
+	if d.NX > 0 && d.NY > 0 && d.NX > math.MaxInt/d.NY {
+		return fmt.Errorf("%w: %s is %dx%d, more grid points than an int holds", ErrBadSize, d.Name, d.NX, d.NY)
+	}
+	if d.Ratio-1 > math.MaxInt-max(d.NX, d.NY, 0) {
+		return fmt.Errorf("%w: %s has ratio %d, too large for its %dx%d footprint", ErrBadRatio, d.Name, d.Ratio, d.NX, d.NY)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package nest
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -51,23 +52,49 @@ func TestBoundaryPoints(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	bad := &Domain{Name: "bad", NX: 0, NY: 5, Ratio: 1}
-	if err := bad.Validate(); !errors.Is(err, ErrBadSize) {
-		t.Errorf("err = %v, want ErrBadSize", err)
+	tree := func(parent Domain, children ...Domain) *Domain {
+		d := &parent
+		for i := range children {
+			d.Children = append(d.Children, &children[i])
+		}
+		return d
 	}
-	badRatio := &Domain{Name: "r", NX: 5, NY: 5, Ratio: 0}
-	if err := badRatio.Validate(); !errors.Is(err, ErrBadRatio) {
-		t.Errorf("err = %v, want ErrBadRatio", err)
-	}
-	root := Root("p", 100, 100)
-	root.AddChild("c", 150, 150, 3, 80, 0) // footprint 50 from offset 80 > 100
-	if err := root.Validate(); !errors.Is(err, ErrOutOfBound) {
-		t.Errorf("err = %v, want ErrOutOfBound", err)
-	}
-	root2 := Root("p", 100, 100)
-	root2.AddChild("c", 90, 90, 0, 0, 0)
-	if err := root2.Validate(); !errors.Is(err, ErrBadRatio) {
-		t.Errorf("err = %v, want ErrBadRatio", err)
+	for _, c := range []struct {
+		name string
+		d    *Domain
+		want error
+	}{
+		{"zero size", tree(Domain{Name: "bad", NX: 0, NY: 5, Ratio: 1}), ErrBadSize},
+		{"zero ratio", tree(Domain{Name: "r", NX: 5, NY: 5, Ratio: 0}), ErrBadRatio},
+		{"footprint past the edge", // footprint 50 from offset 80 > 100
+			tree(Domain{Name: "p", NX: 100, NY: 100, Ratio: 1}, Domain{Name: "c", NX: 150, NY: 150, Ratio: 3, OffX: 80}),
+			ErrOutOfBound},
+		{"child ratio zero",
+			tree(Domain{Name: "p", NX: 100, NY: 100, Ratio: 1}, Domain{Name: "c", NX: 90, NY: 90}),
+			ErrBadRatio},
+		// NX*NY is about 1.8e19, past math.MaxInt: the points would wrap.
+		{"points overflow",
+			tree(Domain{Name: "p", NX: 8589934592, NY: 2147583649, Ratio: 1},
+				Domain{Name: "huge", NX: 8589934592, NY: 2147483649, Ratio: 1}),
+			ErrBadSize},
+		{"child points overflow", // the parent's 2^62 points fit, the child's 2^64 do not
+			tree(Domain{Name: "p", NX: 1 << 31, NY: 1 << 31, Ratio: 1},
+				Domain{Name: "huge", NX: 1 << 32, NY: 1 << 32, Ratio: 2}),
+			ErrBadSize},
+		// NX+Ratio-1 wraps to a footprint of 0.
+		{"footprint overflow",
+			tree(Domain{Name: "p", NX: 100, NY: 100, Ratio: 1},
+				Domain{Name: "c", NX: 10, NY: 10, Ratio: math.MaxInt}),
+			ErrBadRatio},
+		// OffX plus the footprint wraps negative.
+		{"offset overflow",
+			tree(Domain{Name: "p", NX: 100, NY: 100, Ratio: 1},
+				Domain{Name: "c", NX: 10, NY: 10, Ratio: 1, OffX: math.MaxInt}),
+			ErrOutOfBound},
+	} {
+		if err := c.d.Validate(); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 

@@ -189,18 +189,24 @@ func TestPlanSiblingOrderDistinct(t *testing.T) {
 var badRequests = []struct {
 	name, path, body string
 	want             int
+	errHas           string // a substring of the error, when the row pins one
 }{
-	{"garbage body", "/v1/plan", "{", http.StatusBadRequest},
-	{"unknown field", "/v1/plan", `{"machine":"bgl","ranks":64,"bogus":1,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-	{"unknown machine", "/v1/plan", `{"machine":"cray","ranks":64,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-	{"bad mapping", "/v1/plan", `{"machine":"bgl","ranks":64,"mapping":"warp","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-	{"zero ranks", "/v1/plan", `{"machine":"bgl","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-	{"invalid domain", "/v1/plan", `{"machine":"bgl","ranks":64,"domain":{"nx":-1,"ny":10}}`, http.StatusBadRequest},
-	{"ranks over the limit", "/v1/plan", `{"machine":"bgl","ranks":1048577,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
-	{"ranks 1e12", "/v1/compare", `{"machine":"bgl","ranks":1000000000000,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest},
+	{"garbage body", "/v1/plan", "{", http.StatusBadRequest, ""},
+	{"unknown field", "/v1/plan", `{"machine":"bgl","ranks":64,"bogus":1,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest, ""},
+	{"unknown machine", "/v1/plan", `{"machine":"cray","ranks":64,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest, ""},
+	{"bad mapping", "/v1/plan", `{"machine":"bgl","ranks":64,"mapping":"warp","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest, ""},
+	{"zero ranks", "/v1/plan", `{"machine":"bgl","domain":{"nx":10,"ny":10}}`, http.StatusBadRequest, ""},
+	{"invalid domain", "/v1/plan", `{"machine":"bgl","ranks":64,"domain":{"nx":-1,"ny":10}}`, http.StatusBadRequest, "nest:"},
+	{"ranks over the limit", "/v1/plan", `{"machine":"bgl","ranks":1048577,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest, ""},
+	{"ranks 1e12", "/v1/compare", `{"machine":"bgl","ranks":1000000000000,"domain":{"nx":10,"ny":10}}`, http.StatusBadRequest, ""},
 	{"child outside parent", "/v1/compare",
 		`{"machine":"bgl","ranks":64,"domain":{"nx":20,"ny":20,"children":[{"nx":90,"ny":90,"ratio":1,"off_x":0,"off_y":0}]}}`,
-		http.StatusBadRequest},
+		http.StatusBadRequest, "nest:"},
+	// The huge nest's points overflow an int: the plan used to weigh it
+	// below the small nest instead of failing.
+	{"nest points overflow", "/v1/plan",
+		`{"machine":"bgl","ranks":64,"domain":{"nx":8589934592,"ny":2147583649,"children":[{"name":"huge","nx":8589934592,"ny":2147483649,"ratio":1},{"name":"small","nx":100000,"ny":100000,"ratio":1,"off_y":2147483649}]}}`,
+		http.StatusBadRequest, "nest:"},
 }
 
 func TestBadRequests(t *testing.T) {
@@ -213,6 +219,9 @@ func TestBadRequests(t *testing.T) {
 		var e errorResponse
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %q is not a JSON error", c.name, body)
+		}
+		if !strings.Contains(e.Error, c.errHas) {
+			t.Errorf("%s: error %q does not say %q", c.name, e.Error, c.errHas)
 		}
 	}
 }

@@ -80,10 +80,11 @@ type pinnedRun struct {
 
 // The virtual clocks, wait aggregates and per-phase totals of
 // testConfig() under both strategies are pinned to the values recorded
-// on mpi's single-mutex oracle runtime (world_ref.go) at the parent of
-// the commit that made that runtime unreachable from outside the mpi
-// package; the sharded runtime produced the same bits there. mpi's own
-// TestShardedMatchesReference still compares the two runtimes directly.
+// on mpi's single-mutex oracle runtime at the parent of the commit that
+// made that runtime unreachable from outside the mpi package; the
+// sharded runtime produced the same bits there. That runtime is gone
+// now; mpi's TestShardedMatchesReference pins its own programs to
+// digests recorded on it the same way.
 func TestFunctionalShardedMatchesReference(t *testing.T) {
 	want := map[Strategy]pinnedRun{
 		Sequential: {0x3f6b0f13ddf227e9, 0x3f587b4726b8af14, 0x3f5a9b7b8ad49e99, []pinnedPhase{
