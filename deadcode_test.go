@@ -30,8 +30,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/torus5.Torus.Index":            "inverse of Coord in the round-trip test",
 	"internal/solver.RunSerial":              "single-tile run the decomposed runs must match bit for bit",
 	"internal/solver.Tile.Mass":              "conserved quantity of the mass-conservation tests",
-	"internal/torus.Torus.Route":             "allocating route RouteInto and RouteIndicesInto are compared against",
-	"internal/torus.Torus.RouteFunc":         "callback route RouteInto is compared against",
+	"internal/torus.Torus.Route":             "readable reference route RouteIndicesInto is compared against",
 	"internal/torus.Torus.LinkAt":            "decodes a dense LinkIndex for the netsim reference comparison",
 	"internal/torus.Torus.LinkIndexOf":       "inverse of LinkAt; pins RouteIndicesInto to Route link by link",
 	"internal/netsim.Network.PathLoad":       "point query the contention tests read link loads through",

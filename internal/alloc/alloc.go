@@ -20,6 +20,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"nestwrf/internal/huffman"
 )
@@ -61,7 +62,7 @@ var (
 	ErrNoDomains      = errors.New("alloc: no domains")
 	ErrBadGrid        = errors.New("alloc: processor grid dimensions must be positive")
 	ErrTooManyDomains = errors.New("alloc: more domains than processors")
-	ErrBadWeight      = errors.New("alloc: weights must be positive")
+	ErrBadWeight      = errors.New("alloc: weights must be positive and finite")
 	ErrInfeasible     = errors.New("alloc: grid cannot be split for these domains")
 )
 
@@ -75,10 +76,17 @@ func validate(weights []float64, px, py int) error {
 	if len(weights) > px*py {
 		return fmt.Errorf("%w: %d domains on %dx%d grid", ErrTooManyDomains, len(weights), px, py)
 	}
+	// !(w > 0) also catches NaN, which every comparison rejects; a sum
+	// of finite weights that overflows would make every share 0 or NaN.
+	var sum float64
 	for i, w := range weights {
-		if w <= 0 {
+		if !(w > 0) || math.IsInf(w, 1) {
 			return fmt.Errorf("%w: weight %g at index %d", ErrBadWeight, w, i)
 		}
+		sum += w
+	}
+	if math.IsInf(sum, 1) {
+		return fmt.Errorf("%w: weights sum to %g", ErrBadWeight, sum)
 	}
 	return nil
 }

@@ -42,21 +42,39 @@ func TestRectOverlaps(t *testing.T) {
 	}
 }
 
+// errorCases are the inputs every weighted strategy must refuse, on a
+// 16×16 grid unless the case says otherwise. NaN and +Inf weights, and
+// finite weights whose sum overflows, used to be planned on.
+var errorCases = []struct {
+	name    string
+	weights []float64
+	px, py  int
+	want    error
+}{
+	{"empty", nil, 16, 16, ErrNoDomains},
+	{"bad grid", []float64{1}, 0, 4, ErrBadGrid},
+	{"too many", []float64{1, 1, 1, 1, 1}, 2, 2, ErrTooManyDomains},
+	{"negative weight", []float64{1, -1}, 16, 16, ErrBadWeight},
+	{"zero weight", []float64{1, 0}, 16, 16, ErrBadWeight},
+	{"NaN weight", []float64{1, math.NaN()}, 16, 16, ErrBadWeight},
+	{"+Inf weight", []float64{1, math.Inf(1), 1}, 16, 16, ErrBadWeight},
+	{"-Inf weight", []float64{math.Inf(-1), 1}, 16, 16, ErrBadWeight},
+	{"sum overflows", []float64{1e308, 1e308, 1}, 16, 16, ErrBadWeight},
+}
+
 func TestPartitionErrors(t *testing.T) {
-	if _, err := Partition(nil, 4, 4); !errors.Is(err, ErrNoDomains) {
-		t.Errorf("empty: %v", err)
+	for _, tc := range errorCases {
+		if rects, err := Partition(tc.weights, tc.px, tc.py); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Partition = %v, %v; want %v", tc.name, rects, err, tc.want)
+		}
 	}
-	if _, err := Partition([]float64{1}, 0, 4); !errors.Is(err, ErrBadGrid) {
-		t.Errorf("bad grid: %v", err)
-	}
-	if _, err := Partition([]float64{1, 1, 1, 1, 1}, 2, 2); !errors.Is(err, ErrTooManyDomains) {
-		t.Errorf("too many: %v", err)
-	}
-	if _, err := Partition([]float64{1, -1}, 4, 4); !errors.Is(err, ErrBadWeight) {
-		t.Errorf("bad weight: %v", err)
-	}
-	if _, err := Partition([]float64{1, 0}, 4, 4); !errors.Is(err, ErrBadWeight) {
-		t.Errorf("zero weight: %v", err)
+}
+
+func TestNaiveStripsErrors(t *testing.T) {
+	for _, tc := range errorCases {
+		if rects, err := NaiveStrips(tc.weights, tc.px, tc.py); !errors.Is(err, tc.want) {
+			t.Errorf("%s: NaiveStrips = %v, %v; want %v", tc.name, rects, err, tc.want)
+		}
 	}
 }
 

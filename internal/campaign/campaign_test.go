@@ -12,16 +12,11 @@ import (
 
 func opts(t *testing.T) driver.Options {
 	t.Helper()
-	pred, err := driver.TrainPredictor(machine.BGL())
-	if err != nil {
-		t.Fatal(err)
-	}
 	return driver.Options{
-		Machine:   machine.BGL(),
-		Ranks:     1024,
-		MapKind:   driver.MapSequential,
-		Alloc:     driver.AllocPredicted,
-		Predictor: pred,
+		Machine: machine.BGL(),
+		Ranks:   1024,
+		MapKind: driver.MapSequential,
+		Alloc:   driver.AllocPredicted,
 	}
 }
 

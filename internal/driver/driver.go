@@ -115,11 +115,6 @@ type Options struct {
 	MapKind  MapKind
 	Alloc    AllocPolicy
 
-	// Predictor supplies execution-time ratios for AllocPredicted. When
-	// nil, a predictor is trained from the machine's cost model on the
-	// default 13-shape basis (the paper's 13 profiling runs).
-	Predictor *predict.Model
-
 	// IOMode and OutputEverySteps control the I/O model: every
 	// OutputEverySteps parent iterations, each domain writes a forecast
 	// file. Zero disables I/O.
@@ -133,9 +128,11 @@ type Options struct {
 
 	// FixedWeights, when non-nil and matching the first-level sibling
 	// count, bypasses the predictor and feeds these weights directly to
-	// Algorithm 1. Used by the steering controller, which corrects the
-	// allocation from measured phase times. Deeper nesting levels still
-	// use the predictor.
+	// Algorithm 1 (AllocPredicted only; the other policies ignore them).
+	// Every weight and their sum must be positive and finite
+	// (alloc.ErrBadWeight otherwise). Used by the steering controller,
+	// which corrects the allocation from measured phase times. Deeper
+	// nesting levels still use the predictor.
 	FixedWeights []float64
 
 	// Metrics, when non-nil, receives the run's instrumentation
@@ -249,10 +246,9 @@ type run struct {
 	sp      *telemetry.ActiveSpan // the run span phase spans parent under; nil when untraced
 }
 
-// predictor returns the run's predictor, resolving the shared cached
-// model for the machine on first use (training it if this machine has
-// never been seen). The caller's Options are never written to, so a
-// single Options value can safely configure concurrent Runs.
+// predictor returns the run's predictor — the only place a run gets
+// its model — resolving the machine's shared CachedPredictor on first
+// use (training it if this machine has never been seen).
 func (r *run) predictor() (*predict.Model, error) {
 	if r.pred == nil {
 		p, err := CachedPredictor(r.opt.Machine)
@@ -372,7 +368,7 @@ func (r *run) begin(cfg *nest.Domain, opt Options, observe bool) error {
 	if r.tor, err = machine.TorusFor(opt.Ranks); err != nil {
 		return err
 	}
-	r.opt, r.pred = opt, opt.Predictor
+	r.opt = opt
 	if opt.Tracer.Recording() {
 		r.sp = opt.Tracer.Start(opt.TraceParent, "driver.run", telemetry.LayerDriver)
 		r.sp.Annotate("machine", opt.Machine.Name)
@@ -667,8 +663,9 @@ func (r *run) nestedExtra(d *nest.Domain, sg vtopo.Subgrid, mult float64) (float
 	// caller already accounted for it.
 	own := r.costs([]model.Placement{{D: d, SG: sg}})[0]
 	extra := total - own.Time()
-	// Remove the double-counted own-step wait.
-	r.unaccount(d.Name, sg, mult, own)
+	// Remove the double-counted own-step wait: accounting the same cost
+	// for minus the steps undoes it exactly.
+	r.account(d.Name, sg, -mult, own)
 	if extra < 0 {
 		extra = 0
 	}
@@ -702,20 +699,6 @@ func (r *run) addWait(sg vtopo.Subgrid, avg, max float64) {
 			r.waitAvg[rank] += avg
 			r.waitMax[rank] += max
 		}
-	}
-}
-
-func (r *run) unaccount(name string, sg vtopo.Subgrid, steps float64, c model.StepCost) {
-	r.addWait(sg, -(steps * c.CommAvg), -(steps * c.CommMax))
-	w := steps * float64(c.Ranks)
-	r.hopNum -= c.HopsAvg * w
-	r.hopDen -= w
-	if r.rep != nil {
-		p := r.rep.phase(name, sg.Size())
-		p.Steps -= steps
-		p.ComputeSeconds -= steps * c.Compute
-		p.TransferSeconds -= steps * c.CommAvg
-		p.WaitSeconds -= steps * (c.CommMax - c.CommAvg)
 	}
 }
 

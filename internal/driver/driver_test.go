@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"nestwrf/internal/alloc"
 	"nestwrf/internal/iosim"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/nest"
@@ -252,9 +253,8 @@ func TestGainShrinksWithNestSize(t *testing.T) {
 }
 
 // Determinism: the same run twice gives identical results.
-// Run must not write anything back into the caller's Options — in
-// particular it must not publish the predictor it trains when
-// Options.Predictor is nil (regression: allocate() used to store it
+// Run must not write anything back into the caller's Options
+// (regression: allocate() used to store the predictor it trained
 // through the *Options pointer, a data race once two runs share an
 // Options value).
 func TestRunLeavesOptionsUnchanged(t *testing.T) {
@@ -265,9 +265,6 @@ func TestRunLeavesOptionsUnchanged(t *testing.T) {
 		before := opt
 		if _, err := Run(cfg, opt); err != nil {
 			t.Fatalf("%v: %v", alloc, err)
-		}
-		if opt.Predictor != nil {
-			t.Errorf("%v: Run published a trained predictor into the caller's Options", alloc)
 		}
 		if !reflect.DeepEqual(opt, before) {
 			t.Errorf("%v: Options mutated by Run:\nbefore %+v\nafter  %+v", alloc, before, opt)
@@ -477,5 +474,22 @@ func TestOptionsValidate(t *testing.T) {
 	bad.Machine.Net.Bandwidth = math.NaN()
 	if err := bad.Validate(); !errors.Is(err, ErrBadMachine) {
 		t.Errorf("NaN bandwidth: %v", err)
+	}
+}
+
+// A non-finite weight must fail the run with alloc.ErrBadWeight
+// (regression: a NaN passed the w <= 0 check, and Table 2 at 1024
+// BG/L ranks was planned with a 1×32 strip for one sibling).
+func TestRunRejectsNonFiniteFixedWeights(t *testing.T) {
+	cfg := workload.Table2Config()
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		opt := bglOpts(Concurrent, MapSequential)
+		opt.FixedWeights = []float64{1, w, 1, 1}
+		if res, err := Run(cfg, opt); !errors.Is(err, alloc.ErrBadWeight) {
+			t.Errorf("weight %v: Run = %v, %v; want %v", w, res.Rects, err, alloc.ErrBadWeight)
+		}
+		if _, err := BuildPlan(cfg, opt); !errors.Is(err, alloc.ErrBadWeight) {
+			t.Errorf("weight %v: BuildPlan error %v; want %v", w, err, alloc.ErrBadWeight)
+		}
 	}
 }

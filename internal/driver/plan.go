@@ -264,45 +264,13 @@ type PlanJob struct {
 
 // BuildPlans builds every job's plan in one batched pass: jobs fan out
 // over at most `workers` goroutines (GOMAXPROCS when workers <= 0), and
-// each distinct machine's predictor is resolved once up front so a
-// cold batch shares one training per machine. Outputs keep input order:
-// plans[i] and errs[i] belong to jobs[i], and each plan is byte-
-// identical to what BuildPlan(jobs[i]...) returns on its own.
+// a cold batch still trains once per machine, inside CachedPredictor.
+// Outputs keep input order: plans[i] and errs[i] belong to jobs[i], and
+// each plan is byte-identical to what BuildPlan(jobs[i]...) returns on
+// its own.
 func BuildPlans(jobs []PlanJob, workers int) ([]*Plan, []error) {
 	plans := make([]*Plan, len(jobs))
 	errs := make([]error, len(jobs))
-	if len(jobs) == 0 {
-		return plans, errs
-	}
-	// Machines whose training fails are left to the per-job path, which
-	// reports the error only if the job actually needs a predictor
-	// (fixed-weight and equal-split jobs do not).
-	shared := map[string]*predict.Model{}
-	var buf [machineKeyBuf]byte
-	for _, j := range jobs {
-		if j.Options.Predictor != nil {
-			continue
-		}
-		key := AppendMachineKey(buf[:0], j.Options.Machine)
-		if _, seen := shared[string(key)]; seen {
-			continue
-		}
-		p, err := CachedPredictor(j.Options.Machine)
-		if err != nil {
-			p = nil
-		}
-		shared[string(key)] = p
-	}
-	build := func(i int) {
-		opt := jobs[i].Options
-		if opt.Predictor == nil {
-			var buf [machineKeyBuf]byte
-			if p := shared[string(AppendMachineKey(buf[:0], opt.Machine))]; p != nil {
-				opt.Predictor = p
-			}
-		}
-		plans[i], errs[i] = BuildPlan(jobs[i].Config, opt)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -320,7 +288,7 @@ func BuildPlans(jobs []PlanJob, workers int) ([]*Plan, []error) {
 				if i >= len(jobs) {
 					return
 				}
-				build(i)
+				plans[i], errs[i] = BuildPlan(jobs[i].Config, jobs[i].Options)
 			}
 		}()
 	}

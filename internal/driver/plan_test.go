@@ -122,6 +122,33 @@ func TestCachedPredictorSharing(t *testing.T) {
 	}
 }
 
+// Two machines that share a name but differ in a cost-model field must
+// not share a cached predictor (regression: the cache used to be keyed
+// by Name alone).
+func TestPredictorCacheKeyedByMachineIdentity(t *testing.T) {
+	a := machine.BGL()
+	b := machine.BGL()
+	b.PointCost *= 2 // same Name, different cost model
+	pa, err := CachedPredictor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := CachedPredictor(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa == pb {
+		t.Fatal("same-name machines with different cost models share a predictor")
+	}
+	again, err := CachedPredictor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != pa {
+		t.Error("identical machine should hit the cache")
+	}
+}
+
 // TestBuildPlanCostEqualsRun pins BuildPlan's two halves against
 // independent constructions over every strategy x allocation policy x
 // mapping kind, on a three-level tree and on a childless root: the

@@ -246,7 +246,8 @@ func phaseName(placements []model.Placement) string {
 
 // predictedShares returns the allocation policy's predicted relative
 // phase times for the given children, mirroring allocate's weight
-// selection (FixedWeights, predictor, point counts or equal split).
+// selection (point counts, equal split, FixedWeights under
+// AllocPredicted only, else the predictor).
 func (r *run) predictedShares(children []*nest.Domain) ([]float64, error) {
 	n := len(children)
 	w := make([]float64, n)
@@ -267,7 +268,7 @@ func (r *run) predictedShares(children []*nest.Domain) ([]float64, error) {
 		}
 		return w, nil
 	default: // AllocPredicted, AllocStripsPredicted
-		if len(r.opt.FixedWeights) == n {
+		if r.opt.Alloc != AllocStripsPredicted && len(r.opt.FixedWeights) == n {
 			var sum float64
 			for _, v := range r.opt.FixedWeights {
 				sum += v

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nestwrf/internal/driver"
+	"nestwrf/internal/iosim"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/stats"
 	"nestwrf/internal/workload"
@@ -40,10 +41,7 @@ func ablContention() (*Table, error) {
 		{"partition", driver.MapPartition},
 		{"multi-level", driver.MapMultiLevel},
 	} {
-		opt, err := baseOptions(m, 1024, driver.Concurrent, mk.kind)
-		if err != nil {
-			return nil, err
-		}
+		opt := baseOptions(m, 1024, driver.Concurrent, mk.kind)
 		on, err := driver.Run(cfg, opt)
 		if err != nil {
 			return nil, err
@@ -78,10 +76,7 @@ func ablShape() (*Table, error) {
 	}
 	m := machine.BGL()
 	cfg := workload.Table2Config()
-	seqOpt, err := baseOptions(m, 1024, driver.Sequential, driver.MapSequential)
-	if err != nil {
-		return nil, err
-	}
+	seqOpt := baseOptions(m, 1024, driver.Sequential, driver.MapSequential)
 	seq, err := driver.Run(cfg, seqOpt)
 	if err != nil {
 		return nil, err
@@ -94,10 +89,7 @@ func ablShape() (*Table, error) {
 		{"strips + predicted weights", driver.AllocStripsPredicted},
 		{"Algorithm 1 + predicted weights", driver.AllocPredicted},
 	} {
-		opt, err := baseOptions(m, 1024, driver.Concurrent, driver.MapSequential)
-		if err != nil {
-			return nil, err
-		}
+		opt := baseOptions(m, 1024, driver.Concurrent, driver.MapSequential)
 		opt.Alloc = p.policy
 		res, err := driver.Run(cfg, opt)
 		if err != nil {
@@ -123,30 +115,12 @@ func ablExchanges() (*Table, error) {
 	for _, ex := range []int{9, 18, 36, 72} {
 		m := machine.BGL()
 		m.ExchangesPerStep = ex
-		// The predictor must be retrained for the modified machine; bypass
-		// the shared cache.
-		pred, err := driver.TrainPredictor(m)
-		if err != nil {
-			return nil, err
-		}
-		mkOpt := func(s driver.Strategy) driver.Options {
-			return driver.Options{
-				Machine: m, Ranks: 1024, Strategy: s,
-				MapKind: driver.MapSequential, Alloc: driver.AllocPredicted,
-				Predictor: pred,
-			}
-		}
-		seq, err := driver.Run(cfg, mkOpt(driver.Sequential))
-		if err != nil {
-			return nil, err
-		}
-		con, err := driver.Run(cfg, mkOpt(driver.Concurrent))
+		pair, err := comparePair(cfg, m, 1024, driver.MapSequential, iosim.Collective, 0)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", ex), fmt.Sprintf("%d", 4*ex),
-			f(seq.IterTime, 3), f(con.IterTime, 3),
-			pct(stats.Improvement(seq.IterTime, con.IterTime)))
+			f(pair.Default.IterTime, 3), f(pair.Concurrent.IterTime, 3), pct(pair.ImprovementPct))
 	}
 	t.AddNote("WRF's real granularity is 36 messages per neighbour (144 per step); finer granularity increases the fixed per-step communication cost, deepening sub-linear scaling and the concurrent strategy's advantage")
 	return t, nil

@@ -22,10 +22,7 @@ func campaignExp() (*Table, error) {
 		Header: []string{"phase", "nests", "default s/iter", "concurrent s/iter",
 			"phase gain", "redistribution (s)"},
 	}
-	opt, err := baseOptions(machine.BGL(), 1024, 0, 0)
-	if err != nil {
-		return nil, err
-	}
+	opt := baseOptions(machine.BGL(), 1024, 0, 0)
 	res, err := campaign.Run(campaign.Season(100), opt)
 	if err != nil {
 		return nil, err

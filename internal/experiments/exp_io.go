@@ -31,14 +31,14 @@ func fig1314() (*Table, error) {
 	for _, ranks := range []int{512, 1024, 2048, 4096, 8192} {
 		var sInt, sIO, cInt, cIO []float64
 		for _, cfg := range configs {
-			seq, con, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Collective, 5)
+			pair, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Collective, 5)
 			if err != nil {
 				return nil, err
 			}
-			sInt = append(sInt, seq.IterTime)
-			sIO = append(sIO, seq.IOTime)
-			cInt = append(cInt, con.IterTime)
-			cIO = append(cIO, con.IOTime)
+			sInt = append(sInt, pair.Default.IterTime)
+			sIO = append(sIO, pair.Default.IOTime)
+			cInt = append(cInt, pair.Concurrent.IterTime)
+			cIO = append(cIO, pair.Concurrent.IOTime)
 		}
 		si, so := stats.Mean(sInt), stats.Mean(sIO)
 		ci, co := stats.Mean(cInt), stats.Mean(cIO)
@@ -63,10 +63,7 @@ func allocEff() (*Table, error) {
 	m := machine.BGL()
 	cfg := workload.Table2Config()
 
-	seqOpt, err := baseOptions(m, 1024, driver.Sequential, driver.MapSequential)
-	if err != nil {
-		return nil, err
-	}
+	seqOpt := baseOptions(m, 1024, driver.Sequential, driver.MapSequential)
 	seq, err := driver.Run(cfg, seqOpt)
 	if err != nil {
 		return nil, err
@@ -82,10 +79,7 @@ func allocEff() (*Table, error) {
 		{"naive strips (points)", driver.AllocNaivePoints, "9% (4.08 s)"},
 		{"Algorithm 1 + prediction (ours)", driver.AllocPredicted, "17% (3.72 s)"},
 	} {
-		opt, err := baseOptions(m, 1024, driver.Concurrent, driver.MapSequential)
-		if err != nil {
-			return nil, err
-		}
+		opt := baseOptions(m, 1024, driver.Concurrent, driver.MapSequential)
 		opt.Alloc = p.policy
 		res, err := driver.Run(cfg, opt)
 		if err != nil {
@@ -109,17 +103,17 @@ func fig15() (*Table, error) {
 	cfg := workload.Fig15Config()
 	var d32, c32 float64
 	for _, ranks := range []int{32, 64, 128, 256, 512, 1024} {
-		seq, con, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Split, 0)
+		pair, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Split, 0)
 		if err != nil {
 			return nil, err
 		}
 		if ranks == 32 {
-			d32, c32 = seq.IterTime, con.IterTime
+			d32, c32 = pair.Default.IterTime, pair.Concurrent.IterTime
 		}
 		t.AddRow(fmt.Sprintf("%d", ranks),
-			f(seq.IterTime, 3), f(con.IterTime, 3),
-			f(d32/seq.IterTime, 2), f(c32/con.IterTime, 2),
-			pct(stats.Improvement(seq.IterTime, con.IterTime)))
+			f(pair.Default.IterTime, 3), f(pair.Concurrent.IterTime, 3),
+			f(d32/pair.Default.IterTime, 2), f(c32/pair.Concurrent.IterTime, 2),
+			pct(pair.ImprovementPct))
 	}
 	t.AddNote("paper Fig. 15: at low processor counts the strategies tie (the nests are far from saturation); past the saturation point (~700 processors) the concurrent strategy keeps its advantage")
 	return t, nil

@@ -23,30 +23,20 @@ type mappingRow struct {
 }
 
 func runMappings(cfg *nest.Domain, m machine.Machine, ranks int) (mappingRow, error) {
-	var out mappingRow
-	seqOpt, err := baseOptions(m, ranks, driver.Sequential, driver.MapSequential)
+	pair, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Split, 0)
 	if err != nil {
-		return out, err
+		return mappingRow{}, err
 	}
-	seqOpt.IOMode = iosim.Split
-	out.def, err = driver.Run(cfg, seqOpt)
-	if err != nil {
-		return out, err
-	}
+	out := mappingRow{def: pair.Default, obl: pair.Concurrent}
 	for _, mk := range []struct {
 		kind driver.MapKind
 		dst  *driver.Result
 	}{
-		{driver.MapSequential, &out.obl},
 		{driver.MapTXYZ, &out.txyz},
 		{driver.MapPartition, &out.part},
 		{driver.MapMultiLevel, &out.multi},
 	} {
-		opt, err := baseOptions(m, ranks, driver.Concurrent, mk.kind)
-		if err != nil {
-			return out, err
-		}
-		res, err := driver.Run(cfg, opt)
+		res, err := driver.Run(cfg, baseOptions(m, ranks, driver.Concurrent, mk.kind))
 		if err != nil {
 			return out, err
 		}

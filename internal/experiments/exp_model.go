@@ -37,10 +37,7 @@ func fig2() (*Table, error) {
 	var t64 float64
 	var prev float64
 	for _, ranks := range []int{64, 128, 256, 512, 1024} {
-		opt, err := baseOptions(m, ranks, driver.Sequential, driver.MapSequential)
-		if err != nil {
-			return nil, err
-		}
+		opt := baseOptions(m, ranks, driver.Sequential, driver.MapSequential)
 		res, err := driver.Run(cfg, opt)
 		if err != nil {
 			return nil, err

@@ -22,27 +22,15 @@ func init() {
 	register("tab3", "Improvement vs maximum nest size on 8192 BG/P cores (Table 3)", tab3)
 }
 
-// comparePair runs one configuration under both strategies.
+// comparePair runs one configuration as the baseline pair: the default
+// strategy on the oblivious mapping, then the concurrent strategy on
+// kind, with the same I/O settings.
 func comparePair(cfg *nest.Domain, m machine.Machine, ranks int, kind driver.MapKind,
-	ioMode iosim.Mode, outEvery int) (seq, con driver.Result, err error) {
-	seqOpt, err := baseOptions(m, ranks, driver.Sequential, driver.MapSequential)
-	if err != nil {
-		return seq, con, err
-	}
-	seqOpt.IOMode = ioMode
-	seqOpt.OutputEverySteps = outEvery
-	seq, err = driver.Run(cfg, seqOpt)
-	if err != nil {
-		return seq, con, err
-	}
-	conOpt, err := baseOptions(m, ranks, driver.Concurrent, kind)
-	if err != nil {
-		return seq, con, err
-	}
-	conOpt.IOMode = ioMode
-	conOpt.OutputEverySteps = outEvery
-	con, err = driver.Run(cfg, conOpt)
-	return seq, con, err
+	ioMode iosim.Mode, outEvery int) (driver.Comparison, error) {
+	opt := baseOptions(m, ranks, driver.Concurrent, kind)
+	opt.IOMode = ioMode
+	opt.OutputEverySteps = outEvery
+	return driver.RunBoth(cfg, opt, driver.Run)
 }
 
 // perIter85 reproduces Section 4.3.1: 85 random configurations on 1024
@@ -57,11 +45,11 @@ func perIter85() (*Table, error) {
 	configs := workload.PacificSuite(2012, 85)
 	imps := make([]float64, len(configs))
 	if err := forEach(len(configs), func(i int) error {
-		seq, con, err := comparePair(configs[i], m, 1024, driver.MapSequential, iosim.Split, 0)
+		pair, err := comparePair(configs[i], m, 1024, driver.MapSequential, iosim.Split, 0)
 		if err != nil {
 			return err
 		}
-		imps[i] = stats.Improvement(seq.IterTime, con.IterTime)
+		imps[i] = pair.ImprovementPct
 		return nil
 	}); err != nil {
 		return nil, err
@@ -92,13 +80,13 @@ func fig8() (*Table, error) {
 	cells := make([]cell, len(ranksList)*len(configs))
 	if err := forEach(len(cells), func(j int) error {
 		ranks, cfg := ranksList[j/len(configs)], configs[j%len(configs)]
-		seq, con, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Collective, 5)
+		pair, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Collective, 5)
 		if err != nil {
 			return err
 		}
 		cells[j] = cell{
-			ex:  stats.Improvement(seq.IterTime, con.IterTime),
-			inc: stats.Improvement(seq.Total(), con.Total()),
+			ex:  pair.ImprovementPct,
+			inc: pair.TotalImprovementPct,
 		}
 		return nil
 	}); err != nil {
@@ -146,11 +134,11 @@ func tab1() (*Table, error) {
 	imps := make([]float64, len(rows)*len(configs))
 	if err := forEach(len(imps), func(j int) error {
 		row, cfg := rows[j/len(configs)], configs[j%len(configs)]
-		seq, con, err := comparePair(cfg, row.m, row.ranks, driver.MapSequential, iosim.Split, 0)
+		pair, err := comparePair(cfg, row.m, row.ranks, driver.MapSequential, iosim.Split, 0)
 		if err != nil {
 			return err
 		}
-		imps[j] = stats.Improvement(seq.WaitAvg, con.WaitAvg)
+		imps[j] = pair.WaitImprovementPct
 		return nil
 	}); err != nil {
 		return nil, err
@@ -173,25 +161,26 @@ func tab2fig9() (*Table, error) {
 	}
 	cfg := workload.Table2Config()
 	m := machine.BGL()
-	seq, con, err := comparePair(cfg, m, 1024, driver.MapSequential, iosim.Split, 0)
+	pair, err := comparePair(cfg, m, 1024, driver.MapSequential, iosim.Split, 0)
 	if err != nil {
 		return nil, err
 	}
+	seq, con := pair.Default.Siblings, pair.Concurrent.Siblings
 	paperSeq := []string{"0.4", "0.2", "0.2", "0.3"}
 	paperCon := []string{"0.7", "0.6", "0.6", "0.7"}
 	var seqSum, conMax float64
 	for i, c := range cfg.Children {
-		seqSum += seq.Siblings[i].StepTime
-		if con.Siblings[i].StepTime > conMax {
-			conMax = con.Siblings[i].StepTime
+		seqSum += seq[i].StepTime
+		if con[i].StepTime > conMax {
+			conMax = con[i].StepTime
 		}
 		t.AddRow(
 			c.Name,
 			fmt.Sprintf("%dx%d", c.NX, c.NY),
-			con.Siblings[i].Rect.String(),
-			fmt.Sprintf("%d", con.Siblings[i].Ranks),
-			f(seq.Siblings[i].StepTime, 3),
-			f(con.Siblings[i].StepTime, 3),
+			con[i].Rect.String(),
+			fmt.Sprintf("%d", con[i].Ranks),
+			f(seq[i].StepTime, 3),
+			f(con[i].StepTime, 3),
 			paperSeq[i],
 			paperCon[i],
 		)
@@ -213,12 +202,12 @@ func fig10() (*Table, error) {
 	cfg := workload.Fig10Config()
 	m := machine.BGP()
 	for _, ranks := range []int{1024, 2048, 4096, 8192} {
-		seq, con, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Split, 0)
+		pair, err := comparePair(cfg, m, ranks, driver.MapSequential, iosim.Split, 0)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", ranks), f(seq.IterTime, 3), f(con.IterTime, 3),
-			pct(stats.Improvement(seq.IterTime, con.IterTime)))
+		t.AddRow(fmt.Sprintf("%d", ranks), f(pair.Default.IterTime, 3), f(pair.Concurrent.IterTime, 3),
+			pct(pair.ImprovementPct))
 	}
 	t.AddNote("paper: 1.33%% at 1024 cores growing to 20.64%% at 8192 — large nests saturate later, so partitioning pays off only at scale")
 	return t, nil
@@ -243,11 +232,11 @@ func nsib() (*Table, error) {
 		}
 		imps := make([]float64, len(matching))
 		if err := forEach(len(matching), func(i int) error {
-			seq, con, err := comparePair(matching[i], m, 1024, driver.MapSequential, iosim.Split, 0)
+			pair, err := comparePair(matching[i], m, 1024, driver.MapSequential, iosim.Split, 0)
 			if err != nil {
 				return err
 			}
-			imps[i] = stats.Improvement(seq.IterTime, con.IterTime)
+			imps[i] = pair.ImprovementPct
 			return nil
 		}); err != nil {
 			return nil, err
@@ -275,11 +264,11 @@ func tab3() (*Table, error) {
 	sort.Strings(names)
 	imps := make([]float64, len(names))
 	if err := forEach(len(names), func(i int) error {
-		seq, con, err := comparePair(fams[names[i]], m, 8192, driver.MapSequential, iosim.Split, 0)
+		pair, err := comparePair(fams[names[i]], m, 8192, driver.MapSequential, iosim.Split, 0)
 		if err != nil {
 			return err
 		}
-		imps[i] = stats.Improvement(seq.IterTime, con.IterTime)
+		imps[i] = pair.ImprovementPct
 		return nil
 	}); err != nil {
 		return nil, err

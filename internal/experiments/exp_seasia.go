@@ -25,16 +25,16 @@ func seasia() (*Table, error) {
 	m := machine.BGP()
 	var imps []float64
 	for _, cfg := range workload.SEAsiaSuite() {
-		seq, con, err := comparePair(cfg, m, 4096, driver.MapMultiLevel, iosim.Collective, 0)
+		pair, err := comparePair(cfg, m, 4096, driver.MapMultiLevel, iosim.Collective, 0)
 		if err != nil {
 			return nil, err
 		}
-		imp := stats.Improvement(seq.IterTime, con.IterTime)
+		imp := pair.ImprovementPct
 		imps = append(imps, imp)
 		t.AddRow(cfg.Name,
 			fmt.Sprintf("%d", len(cfg.Children)),
 			fmt.Sprintf("%d", cfg.Depth()),
-			f(seq.IterTime, 3), f(con.IterTime, 3), pct(imp))
+			f(pair.Default.IterTime, 3), f(pair.Concurrent.IterTime, 3), pct(imp))
 	}
 	t.AddNote("average improvement %s across the suite; the two-level configurations (depth 2) partition recursively: each mid-level domain's rectangle is subdivided among its own children", pct(stats.Mean(imps)))
 	t.AddNote("the paper used these configurations for the qualitative SE-Asia study; it reports aggregate improvements only for the Pacific suite")

@@ -21,10 +21,7 @@ func steerExp() (*Table, error) {
 		Title:  "Steering rounds on the Table 2 configuration, 1024 BG/L cores (bootstrap: equal split)",
 		Header: []string{"round", "iter time (s)", "imbalance", "work shares (observed)"},
 	}
-	opt, err := baseOptions(machine.BGL(), 1024, driver.Concurrent, driver.MapSequential)
-	if err != nil {
-		return nil, err
-	}
+	opt := baseOptions(machine.BGL(), 1024, driver.Concurrent, driver.MapSequential)
 	opt.Alloc = driver.AllocEqual
 	ctrl := steer.DefaultController()
 	ctrl.MaxRounds = 6
@@ -44,10 +41,7 @@ func steerExp() (*Table, error) {
 	}
 
 	// Reference: the one-shot predicted allocation.
-	refOpt, err := baseOptions(machine.BGL(), 1024, driver.Concurrent, driver.MapSequential)
-	if err != nil {
-		return nil, err
-	}
+	refOpt := baseOptions(machine.BGL(), 1024, driver.Concurrent, driver.MapSequential)
 	ref, err := driver.Run(workload.Table2Config(), refOpt)
 	if err != nil {
 		return nil, err

@@ -21,7 +21,6 @@ import (
 
 	"nestwrf/internal/driver"
 	"nestwrf/internal/machine"
-	"nestwrf/internal/predict"
 )
 
 // Table is one experiment's result in printable form.
@@ -155,29 +154,15 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// predictors are trained once per machine and shared across
-// experiments (the paper's 13 profiling runs are likewise done once).
-// The cache itself lives in internal/driver so the experiment harness,
-// facade and plan server all share one trained model per machine
-// identity.
-func predictorFor(m machine.Machine) (*predict.Model, error) {
-	return driver.CachedPredictor(m)
-}
-
-// baseOptions builds run options with the shared predictor.
-func baseOptions(m machine.Machine, ranks int, strategy driver.Strategy, kind driver.MapKind) (driver.Options, error) {
-	p, err := predictorFor(m)
-	if err != nil {
-		return driver.Options{}, err
-	}
+// baseOptions builds run options under the predicted allocation.
+func baseOptions(m machine.Machine, ranks int, strategy driver.Strategy, kind driver.MapKind) driver.Options {
 	return driver.Options{
-		Machine:   m,
-		Ranks:     ranks,
-		Strategy:  strategy,
-		MapKind:   kind,
-		Alloc:     driver.AllocPredicted,
-		Predictor: p,
-	}, nil
+		Machine:  m,
+		Ranks:    ranks,
+		Strategy: strategy,
+		MapKind:  kind,
+		Alloc:    driver.AllocPredicted,
+	}
 }
 
 func f(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }

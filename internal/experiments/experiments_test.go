@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"nestwrf/internal/machine"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -167,33 +165,6 @@ func TestHeadlineBands(t *testing.T) {
 				ours, naive, equal, def)
 		}
 	})
-}
-
-// Two machines that share a name but differ in a cost-model field must
-// not share a cached predictor (regression: the cache used to be keyed
-// by Name alone).
-func TestPredictorCacheKeyedByMachineIdentity(t *testing.T) {
-	a := machine.BGL()
-	b := machine.BGL()
-	b.PointCost *= 2 // same Name, different cost model
-	pa, err := predictorFor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := predictorFor(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa == pb {
-		t.Fatal("same-name machines with different cost models share a predictor")
-	}
-	again, err := predictorFor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != pa {
-		t.Error("identical machine should hit the cache")
-	}
 }
 
 func TestForEach(t *testing.T) {

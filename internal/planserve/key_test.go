@@ -28,7 +28,6 @@ var keyedOptions = []string{
 // unkeyedOptions are the leaves the key leaves out on purpose, each
 // with the reason; changing one must not change the key.
 var unkeyedOptions = map[string]string{
-	"Predictor":   "a deterministic function of the machine, which is keyed",
 	"Metrics":     "an observability sink: results are the same without it",
 	"Tracer":      "an observability sink: results are the same without it",
 	"TraceParent": "span linkage for the trace: results are the same without it",

@@ -91,10 +91,10 @@ func (p *PlanCache) lookup(ctx context.Context, q query, cfg *nest.Domain, opt d
 // Run returns driver.Run's result for cfg under opt, computing it at
 // most once per canonical key. hit reports whether the result came
 // from the cache without waiting on any computation. The options'
-// Predictor, Metrics and Tracer fields are not part of the key:
-// predictors are deterministic per machine identity (pass nil or the
-// machine's cached predictor), and observability does not change
-// results.
+// Metrics, Tracer and TraceParent fields are not part of the key:
+// observability does not change results. The predictor is not an
+// option at all: the run resolves the machine's cached one, and the
+// machine is keyed.
 func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Options) (driver.Result, bool, error) {
 	v, _, out, err := p.lookup(ctx, queryRun, cfg, opt, func(opt driver.Options) (any, error) {
 		res, err := driver.Run(cfg, opt)

@@ -126,10 +126,8 @@ func (c Controller) Run(cfg *nest.Domain, opt driver.Options) (Outcome, error) {
 	for round := 0; round < c.MaxRounds; round++ {
 		runOpt := opt
 		if weights != nil {
-			// Inject the corrected weights through a predictor-free path:
-			// Algorithm 1 consumes them directly.
+			// Algorithm 1 consumes the corrected weights directly.
 			runOpt.Alloc = driver.AllocPredicted
-			runOpt.Predictor = nil
 			runOpt.FixedWeights = weights
 		}
 		res, err := driver.Run(cfg, runOpt)

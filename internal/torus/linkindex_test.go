@@ -25,9 +25,9 @@ func TestLinkIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRouteVariantsAgree checks that Route, RouteInto, RouteFunc and
-// RouteIndicesInto produce the same link sequence for random pairs, and
-// that the route length always equals the hop distance.
+// TestRouteVariantsAgree checks that Route and RouteIndicesInto
+// produce the same link sequence for random pairs, and that the route
+// length always equals the hop distance.
 func TestRouteVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 2, 2}, {4, 2, 4}, {8, 8, 8}, {3, 5, 7}, {1, 6, 2}} {
@@ -35,7 +35,6 @@ func TestRouteVariantsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		linkBuf := make([]Link, 0, 32)
 		idxBuf := make([]LinkIndex, 0, 32)
 		for trial := 0; trial < 200; trial++ {
 			a := Coord{rng.Intn(tor.X), rng.Intn(tor.Y), rng.Intn(tor.Z)}
@@ -44,23 +43,11 @@ func TestRouteVariantsAgree(t *testing.T) {
 			if len(route) != tor.Hops(a, b) {
 				t.Fatalf("%v: Route(%v,%v) has %d links, Hops = %d", dims, a, b, len(route), tor.Hops(a, b))
 			}
-			into := tor.RouteInto(a, b, linkBuf[:0])
-			if len(into) != len(route) {
-				t.Fatalf("%v: RouteInto length %d != Route length %d", dims, len(into), len(route))
-			}
-			var viaFunc []Link
-			tor.RouteFunc(a, b, func(l Link) { viaFunc = append(viaFunc, l) })
 			idx := tor.RouteIndicesInto(a, b, idxBuf[:0])
 			if len(idx) != len(route) {
 				t.Fatalf("%v: RouteIndicesInto length %d != Route length %d", dims, len(idx), len(route))
 			}
 			for i := range route {
-				if into[i] != route[i] {
-					t.Fatalf("%v: RouteInto[%d] = %v, Route[%d] = %v", dims, i, into[i], i, route[i])
-				}
-				if viaFunc[i] != route[i] {
-					t.Fatalf("%v: RouteFunc[%d] = %v, Route[%d] = %v", dims, i, viaFunc[i], i, route[i])
-				}
 				if got := tor.LinkAt(idx[i]); got != route[i] {
 					t.Fatalf("%v: LinkAt(RouteIndices[%d]) = %v, Route[%d] = %v", dims, i, got, i, route[i])
 				}
@@ -77,19 +64,18 @@ func TestRouteSelfEmpty(t *testing.T) {
 	if r := tor.Route(c, c); r != nil {
 		t.Fatalf("Route(c,c) = %v, want nil", r)
 	}
-	if r := tor.RouteInto(c, c, nil); len(r) != 0 {
-		t.Fatalf("RouteInto(c,c,nil) = %v, want empty", r)
+	if r := tor.RouteIndicesInto(c, c, nil); len(r) != 0 {
+		t.Fatalf("RouteIndicesInto(c,c,nil) = %v, want empty", r)
 	}
 }
 
 // TestRouteIndicesMatchRouteAllPairs is the property the division-free
 // walk must hold: over every ordered node pair of tori built from ring
 // sizes 1, 2, 3, 4, 5 and 8, RouteIndicesInto equals LinkIndexOf mapped
-// over RouteInto link for link, its length equals Hops, and ties on
+// over Route link for link, its length equals Hops, and ties on
 // even rings are walked in the positive direction.
 func TestRouteIndicesMatchRouteAllPairs(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 8}
-	var links []Link
 	var idx []LinkIndex
 	for _, x := range sizes {
 		for _, y := range sizes {
@@ -98,7 +84,7 @@ func TestRouteIndicesMatchRouteAllPairs(t *testing.T) {
 				for i := 0; i < tor.Nodes(); i++ {
 					for j := 0; j < tor.Nodes(); j++ {
 						a, b := tor.CoordOf(i), tor.CoordOf(j)
-						links = tor.RouteInto(a, b, links[:0])
+						links := tor.Route(a, b)
 						idx = tor.RouteIndicesInto(a, b, idx[:0])
 						if len(idx) != tor.Hops(a, b) || len(idx) != len(links) {
 							t.Fatalf("%v: %v->%v: %d indices, %d links, Hops = %d", tor, a, b, len(idx), len(links), tor.Hops(a, b))
@@ -116,7 +102,7 @@ func TestRouteIndicesMatchRouteAllPairs(t *testing.T) {
 	// Half-way round an even ring: positive direction, as before.
 	for _, size := range []int{2, 4, 8} {
 		tor := Torus{size, size, size}
-		for _, l := range tor.RouteInto(Coord{}, Coord{size / 2, size / 2, size / 2}, nil) {
+		for _, l := range tor.Route(Coord{}, Coord{size / 2, size / 2, size / 2}) {
 			if l.Dir != 1 {
 				t.Fatalf("ring %d: tie walked in direction %d", size, l.Dir)
 			}

@@ -125,19 +125,14 @@ type Link struct {
 
 // Route returns the sequence of directed links of the dimension-ordered
 // (X, then Y, then Z) minimal route from a to b, the deterministic
-// routing used by Blue Gene. An empty route means a == b.
+// routing used by Blue Gene; nil when a == b. It is the readable
+// reference the allocation-free RouteIndicesInto is tested against.
 func (t Torus) Route(a, b Coord) []Link {
 	n := t.Hops(a, b)
 	if n == 0 {
 		return nil
 	}
-	return t.RouteInto(a, b, make([]Link, 0, n))
-}
-
-// RouteInto appends the dimension-ordered route from a to b onto buf
-// and returns the extended slice, allowing callers to reuse a route
-// buffer across messages instead of allocating per call.
-func (t Torus) RouteInto(a, b Coord, buf []Link) []Link {
+	route := make([]Link, 0, n)
 	cur := a
 	for dim := DimX; dim <= DimZ; dim++ {
 		pos, target, size := routeAxis(cur, b, t, dim)
@@ -148,30 +143,11 @@ func (t Torus) RouteInto(a, b Coord, buf []Link) []Link {
 			delta = -delta
 		}
 		for i := 0; i < delta; i++ {
-			buf = append(buf, Link{From: cur, Dim: dim, Dir: dir})
+			route = append(route, Link{From: cur, Dim: dim, Dir: dir})
 			cur = t.Neighbor(cur, dim, dir)
 		}
 	}
-	return buf
-}
-
-// RouteFunc calls fn for every directed link of the dimension-ordered
-// route from a to b, in order, without allocating.
-func (t Torus) RouteFunc(a, b Coord, fn func(Link)) {
-	cur := a
-	for dim := DimX; dim <= DimZ; dim++ {
-		pos, target, size := routeAxis(cur, b, t, dim)
-		delta := wrapDelta(pos, target, size)
-		dir := int8(1)
-		if delta < 0 {
-			dir = -1
-			delta = -delta
-		}
-		for i := 0; i < delta; i++ {
-			fn(Link{From: cur, Dim: dim, Dir: dir})
-			cur = t.Neighbor(cur, dim, dir)
-		}
-	}
+	return route
 }
 
 // routeAxis extracts the current position, target position and ring
