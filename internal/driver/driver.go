@@ -198,19 +198,25 @@ var (
 )
 
 // Validate reports whether the options can drive runs whose derived
-// quantities stay finite. Run itself only requires a positive rank
-// count, but layers that build arithmetic on top of run results — the
-// campaign redistribution model divides by Bandwidth*Ranks, the
+// quantities stay finite: a positive rank count and a machine whose
+// network parameters netsim accepts (positive latency and bandwidth,
+// non-negative overhead, no NaN). Run and BuildPlan refuse such a
+// machine too; layers that build arithmetic on top of run results —
+// the campaign redistribution model divides by Bandwidth*Ranks, the
 // ensemble engine aggregates thousands of members — call Validate up
-// front so a zero bandwidth or rank count surfaces as a typed error
-// instead of Inf/NaN in the output.
+// front so a bad rank count surfaces as a typed error as well.
 func (o Options) Validate() error {
 	if o.Ranks <= 0 {
 		return fmt.Errorf("%w: ranks=%d", ErrBadRanks, o.Ranks)
 	}
-	if !(o.Machine.Net.Bandwidth > 0) {
-		return fmt.Errorf("%w: %q has torus bandwidth %v", ErrBadMachine,
-			o.Machine.Name, o.Machine.Net.Bandwidth)
+	return validMachine(o.Machine)
+}
+
+// validMachine refuses a machine whose network the cost model cannot
+// build.
+func validMachine(m machine.Machine) error {
+	if err := m.Net.Validate(); err != nil {
+		return fmt.Errorf("%w: %q: %w", ErrBadMachine, m.Name, err)
 	}
 	return nil
 }
@@ -234,7 +240,9 @@ func TrainPredictor(m machine.Machine) (*predict.Model, error) {
 // run tracks the state of one simulated iteration.
 type run struct {
 	opt     Options
+	root    *nest.Domain
 	pred    *predict.Model // resolved predictor, trained at most once per Run
+	rootW   []float64      // the root's sibling weights, resolved at most once per Run
 	g       vtopo.Grid
 	tor     torus.Torus
 	mp      *mapping.Mapping
@@ -258,6 +266,38 @@ func (r *run) predictor() (*predict.Model, error) {
 		r.pred = p
 	}
 	return r.pred, nil
+}
+
+// siblingWeights returns the weights that size d's children: the
+// caller's FixedWeights where fixedWeights says so, otherwise the
+// predictor's. Algorithm 1, the strips, Plan.Weights and the report's
+// predicted shares all take their weights from here; the root's are
+// resolved once per run.
+func (r *run) siblingWeights(d *nest.Domain) ([]float64, error) {
+	if d == r.root && r.rootW != nil {
+		return r.rootW, nil
+	}
+	var w []float64
+	if r.fixedWeights(d) {
+		w = append([]float64(nil), r.opt.FixedWeights...)
+	} else {
+		p, err := r.predictor()
+		if err != nil {
+			return nil, err
+		}
+		w = p.Weights(d.Children)
+	}
+	if d == r.root {
+		r.rootW = w
+	}
+	return w, nil
+}
+
+// fixedWeights reports whether Options.FixedWeights size d's children:
+// only the root's first-level siblings, only under AllocPredicted, and
+// only when the counts match.
+func (r *run) fixedWeights(d *nest.Domain) bool {
+	return d == r.root && r.opt.Alloc == AllocPredicted && len(r.opt.FixedWeights) == len(d.Children)
 }
 
 // Run simulates one parent iteration of the domain tree cfg under the
@@ -336,7 +376,7 @@ func run0(cfg *nest.Domain, opt Options, observe bool) (res Result, rep *Report,
 		if len(cfg.Children) == 0 {
 			return Result{}, nil, ErrNoSiblings
 		}
-		rects, err = r.allocate(cfg.Children, r.g.Px, r.g.Py)
+		rects, err = r.allocate(cfg, r.g.Px, r.g.Py)
 		if err != nil {
 			return Result{}, nil, err
 		}
@@ -358,6 +398,9 @@ func (r *run) begin(cfg *nest.Domain, opt Options, observe bool) error {
 	if opt.Ranks <= 0 {
 		return ErrBadRanks
 	}
+	if err := validMachine(opt.Machine); err != nil {
+		return err
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -369,6 +412,7 @@ func (r *run) begin(cfg *nest.Domain, opt Options, observe bool) error {
 		return err
 	}
 	r.opt = opt
+	r.root = cfg
 	if opt.Tracer.Recording() {
 		r.sp = opt.Tracer.Start(opt.TraceParent, "driver.run", telemetry.LayerDriver)
 		r.sp.Annotate("machine", opt.Machine.Name)
@@ -458,33 +502,26 @@ func (r *run) execute(cfg *nest.Domain, rects []alloc.Rect) (Result, *Report, er
 	return res, rep, nil
 }
 
-// allocate partitions a w x h processor rectangle among the children.
-func (r *run) allocate(children []*nest.Domain, w, h int) ([]alloc.Rect, error) {
+// allocate partitions a w x h processor rectangle among d's children.
+func (r *run) allocate(d *nest.Domain, w, h int) ([]alloc.Rect, error) {
 	switch r.opt.Alloc {
 	case AllocEqual:
-		return alloc.EqualSplit(len(children), w, h)
+		return alloc.EqualSplit(len(d.Children), w, h)
 	case AllocNaivePoints:
-		weights := make([]float64, len(children))
-		for i, c := range children {
+		weights := make([]float64, len(d.Children))
+		for i, c := range d.Children {
 			weights[i] = float64(c.Points())
 		}
 		return alloc.NaiveStrips(weights, w, h)
-	case AllocStripsPredicted:
-		p, err := r.predictor()
-		if err != nil {
-			return nil, err
-		}
-		return alloc.NaiveStrips(p.Weights(children), w, h)
-	default: // AllocPredicted
-		if len(r.opt.FixedWeights) == len(children) {
-			return alloc.Partition(r.opt.FixedWeights, w, h)
-		}
-		p, err := r.predictor()
-		if err != nil {
-			return nil, err
-		}
-		return alloc.Partition(p.Weights(children), w, h)
 	}
+	weights, err := r.siblingWeights(d)
+	if err != nil {
+		return nil, err
+	}
+	if r.opt.Alloc == AllocStripsPredicted {
+		return alloc.NaiveStrips(weights, w, h)
+	}
+	return alloc.Partition(weights, w, h) // AllocPredicted
 }
 
 // MappingFor constructs the rank-to-torus mapping of the given kind
@@ -594,7 +631,7 @@ func (r *run) domainIter(d *nest.Domain, sg vtopo.Subgrid, rects []alloc.Rect, m
 	case Concurrent:
 		var err error
 		if rects == nil {
-			rects, err = r.allocate(d.Children, sg.Rect.W, sg.Rect.H)
+			rects, err = r.allocate(d, sg.Rect.W, sg.Rect.H)
 			if err != nil {
 				return 0, nil, err
 			}

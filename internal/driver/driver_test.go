@@ -12,6 +12,7 @@ import (
 	"nestwrf/internal/iosim"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/nest"
+	"nestwrf/internal/netsim"
 	"nestwrf/internal/stats"
 	"nestwrf/internal/workload"
 )
@@ -475,6 +476,19 @@ func TestOptionsValidate(t *testing.T) {
 	if err := bad.Validate(); !errors.Is(err, ErrBadMachine) {
 		t.Errorf("NaN bandwidth: %v", err)
 	}
+	// Everything netsim.Params.Validate refuses, NaN included.
+	for _, spoil := range []func(*Options){
+		func(o *Options) { o.Machine.Net.LatencyPerHop = 0 },
+		func(o *Options) { o.Machine.Net.LatencyPerHop = math.NaN() },
+		func(o *Options) { o.Machine.Net.Overhead = -1 },
+		func(o *Options) { o.Machine.Net.Overhead = math.NaN() },
+	} {
+		bad = good
+		spoil(&bad)
+		if err := bad.Validate(); !errors.Is(err, ErrBadMachine) || !errors.Is(err, netsim.ErrBadParams) {
+			t.Errorf("%+v: %v, want ErrBadMachine wrapping netsim.ErrBadParams", bad.Machine.Net, err)
+		}
+	}
 }
 
 // A non-finite weight must fail the run with alloc.ErrBadWeight
@@ -491,5 +505,30 @@ func TestRunRejectsNonFiniteFixedWeights(t *testing.T) {
 		if _, err := BuildPlan(cfg, opt); !errors.Is(err, alloc.ErrBadWeight) {
 			t.Errorf("weight %v: BuildPlan error %v; want %v", w, err, alloc.ErrBadWeight)
 		}
+	}
+}
+
+// FixedWeights size the root's first-level siblings only: a run given
+// the predictor's own first-level weights as FixedWeights is the run
+// without them, second level included (regression: every level whose
+// child count matched took them, and a's StepTime moved from 3.096 s
+// to 5.125 s).
+func TestFixedWeightsFirstLevelOnly(t *testing.T) {
+	cfg := nest.Root("p", 300, 300)
+	a := cfg.AddChild("a", 300, 300, 3, 10, 10)
+	a.AddChild("a1", 100, 100, 3, 5, 5)
+	a.AddChild("a2", 250, 250, 3, 150, 10)
+	cfg.AddChild("b", 240, 240, 3, 150, 150)
+	opt := bglOpts(Concurrent, MapSequential)
+	opt.Ranks = 256
+	want := mustRun(t, cfg, opt)
+	p, err := CachedPredictor(opt.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.FixedWeights = p.Weights(cfg.Children)
+	if got := mustRun(t, cfg, opt); !reflect.DeepEqual(got, want) {
+		t.Errorf("FixedWeights equal to the predicted first-level weights changed the run:\n got  %+v\n want %+v",
+			got.Siblings, want.Siblings)
 	}
 }

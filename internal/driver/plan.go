@@ -42,8 +42,9 @@ type Plan struct {
 	Alloc    AllocPolicy
 	MapKind  MapKind
 	// Weights are the predicted relative execution times of the
-	// first-level siblings (summing to 1), from the interpolation model
-	// (or Options.FixedWeights when supplied).
+	// first-level siblings (summing to 1), from the interpolation model,
+	// or Options.FixedWeights where they drive Algorithm 1 (under
+	// AllocPredicted).
 	Weights []float64
 	// Rects are the processor partitions, one per first-level sibling,
 	// sized by the requested allocation policy.
@@ -195,16 +196,10 @@ func BuildPlan(cfg *nest.Domain, opt Options) (plan *Plan, err error) {
 		Mapping: map[string]MappingQuality{},
 	}
 	if len(cfg.Children) > 0 {
-		if len(opt.FixedWeights) == len(cfg.Children) {
-			plan.Weights = append([]float64(nil), opt.FixedWeights...)
-		} else {
-			pred, err := r.predictor()
-			if err != nil {
-				return nil, err
-			}
-			plan.Weights = pred.Weights(cfg.Children)
+		if plan.Weights, err = r.siblingWeights(cfg); err != nil {
+			return nil, err
 		}
-		plan.Rects, err = r.allocate(cfg.Children, r.g.Px, r.g.Py)
+		plan.Rects, err = r.allocate(cfg, r.g.Px, r.g.Py)
 		if err != nil {
 			return nil, err
 		}

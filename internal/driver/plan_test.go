@@ -1,6 +1,9 @@
 package driver
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
@@ -88,6 +91,29 @@ func TestBuildPlanFixedWeights(t *testing.T) {
 	}
 }
 
+// FixedWeights drive Algorithm 1 only: under every other policy the
+// plan, Weights included, is the plan without them (regression:
+// Plan.Weights echoed them, under AllocStripsPredicted too, whose
+// strips the predictor sized).
+func TestBuildPlanIgnoresUnusedFixedWeights(t *testing.T) {
+	cfg := planConfig()
+	for _, pol := range []AllocPolicy{AllocNaivePoints, AllocEqual, AllocStripsPredicted} {
+		opt := Options{Machine: machine.BGL(), Ranks: 256, Strategy: Concurrent, Alloc: pol}
+		want, err := BuildPlan(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.FixedWeights = []float64{0.5, 0.25, 0.25}
+		got, err := BuildPlan(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: FixedWeights changed the plan: weights %v, want %v", pol, got.Weights, want.Weights)
+		}
+	}
+}
+
 func TestBuildPlanBadInput(t *testing.T) {
 	if _, err := BuildPlan(planConfig(), Options{Machine: machine.BGL()}); err == nil {
 		t.Error("BuildPlan accepted zero ranks")
@@ -95,6 +121,31 @@ func TestBuildPlanBadInput(t *testing.T) {
 	bad := nest.Root("bad", -1, 10)
 	if _, err := BuildPlan(bad, Options{Machine: machine.BGL(), Ranks: 64}); err == nil {
 		t.Error("BuildPlan accepted invalid domain")
+	}
+}
+
+// BuildPlan and Run refuse a machine netsim cannot build, after the
+// bare rank check and before any grid, torus or predictor (regression:
+// both panicked in the model layer).
+func TestBuildPlanRejectsBadMachine(t *testing.T) {
+	m := machine.BGL()
+	m.Net.Bandwidth = 0
+	opt := Options{Machine: m, Ranks: 256, Strategy: Concurrent}
+	if _, err := BuildPlan(planConfig(), opt); !errors.Is(err, ErrBadMachine) {
+		t.Errorf("zero bandwidth: BuildPlan error %v, want ErrBadMachine", err)
+	}
+	m = machine.BGL()
+	m.Net.LatencyPerHop = 0
+	opt.Machine = m
+	if _, err := BuildPlan(planConfig(), opt); !errors.Is(err, ErrBadMachine) {
+		t.Errorf("zero latency: BuildPlan error %v, want ErrBadMachine", err)
+	}
+	if _, err := Run(planConfig(), opt); !errors.Is(err, ErrBadMachine) {
+		t.Errorf("zero latency: Run error %v, want ErrBadMachine", err)
+	}
+	opt.Ranks = 0
+	if _, err := BuildPlan(planConfig(), opt); err != ErrBadRanks {
+		t.Errorf("zero ranks and a bad machine: error %v, want the bare ErrBadRanks", err)
 	}
 }
 
@@ -209,5 +260,34 @@ func TestBuildPlanCostEqualsRun(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCachedPredictorDigest pins the BG/L and BG/P predictors' Predict
+// over an (aspect, points) grid that reaches well beyond the profiled
+// hull on every side (aspect 0.2-3.0 against the basis's 0.5-1.5,
+// points 2 000-800 000 against ≈ 11 900-185 000) to one SHA-256 of the
+// result bits. It was recorded on the walk-based point locator, before
+// the first-match scan became geom's only path.
+func TestCachedPredictorDigest(t *testing.T) {
+	const want = "76863a94d47a551c70814e932c5c8806ccaa1e8e27dce83979a052a8066886b4"
+	h := sha256.New()
+	var buf [8]byte
+	for _, m := range []machine.Machine{machine.BGL(), machine.BGP()} {
+		p, err := CachedPredictor(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ai := 0; ai <= 28; ai++ {
+			aspect := 0.2 + 0.1*float64(ai)
+			for pi := 0; pi <= 40; pi++ {
+				points := 2000 * math.Pow(400, float64(pi)/40)
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Predict(aspect, points)))
+				h.Write(buf[:])
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("predictions hash to %s, want %s", got, want)
 	}
 }

@@ -245,47 +245,47 @@ func phaseName(placements []model.Placement) string {
 }
 
 // predictedShares returns the allocation policy's predicted relative
-// phase times for the given children, mirroring allocate's weight
-// selection (point counts, equal split, FixedWeights under
-// AllocPredicted only, else the predictor).
-func (r *run) predictedShares(children []*nest.Domain) ([]float64, error) {
-	n := len(children)
-	w := make([]float64, n)
+// phase times for the root's children: an equal split, point counts,
+// or the run's sibling weights (FixedWeights normalized).
+func (r *run) predictedShares() ([]float64, error) {
+	children := r.root.Children
 	switch r.opt.Alloc {
 	case AllocEqual:
+		w := make([]float64, len(children))
 		for i := range w {
-			w[i] = 1 / float64(n)
+			w[i] = 1 / float64(len(w))
 		}
 		return w, nil
 	case AllocNaivePoints:
-		var sum float64
+		w := make([]float64, len(children))
 		for i, c := range children {
 			w[i] = float64(c.Points())
-			sum += w[i]
 		}
-		for i := range w {
-			w[i] /= sum
-		}
-		return w, nil
-	default: // AllocPredicted, AllocStripsPredicted
-		if r.opt.Alloc != AllocStripsPredicted && len(r.opt.FixedWeights) == n {
-			var sum float64
-			for _, v := range r.opt.FixedWeights {
-				sum += v
-			}
-			for i, v := range r.opt.FixedWeights {
-				if sum > 0 {
-					w[i] = v / sum
-				}
-			}
-			return w, nil
-		}
-		p, err := r.predictor()
-		if err != nil {
-			return nil, err
-		}
-		return p.Weights(children), nil
+		return normalized(w), nil
 	}
+	w, err := r.siblingWeights(r.root)
+	if err != nil || !r.fixedWeights(r.root) {
+		return w, err
+	}
+	return normalized(append([]float64(nil), w...)), nil
+}
+
+// normalized scales w in place to sum to 1 and returns it; a
+// non-positive sum (possible only for FixedWeights the sequential
+// strategy never validated) yields zeros.
+func normalized(w []float64) []float64 {
+	var sum float64
+	for _, v := range w {
+		sum += v
+	}
+	for i := range w {
+		if sum > 0 {
+			w[i] /= sum
+		} else {
+			w[i] = 0
+		}
+	}
+	return w
 }
 
 // buildReport assembles the final Report after the iteration finished.
@@ -334,7 +334,7 @@ func (r *run) buildReport(cfg *nest.Domain, res Result) (*Report, error) {
 
 	// Predicted vs. realized sibling phase times.
 	if len(res.Siblings) > 0 {
-		shares, err := r.predictedShares(cfg.Children)
+		shares, err := r.predictedShares()
 		if err != nil {
 			return nil, err
 		}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Triangle indexes three vertices of a Triangulation in
@@ -25,51 +23,6 @@ func (t Triangle) Vertices() [3]int { return [3]int{t.A, t.B, t.C} }
 type Triangulation struct {
 	Points    []Point
 	Triangles []Triangle
-
-	// Point-location acceleration (DESIGN.md Section 8), built lazily on
-	// first use so hand-assembled Triangulations keep working: nbr holds
-	// the edge-adjacent neighbour of each triangle (slot 0 across (A,B),
-	// 1 across (B,C), 2 across (C,A); -1 on the hull) and lastTri the
-	// remembered start of the next orientation walk. walkable is false
-	// when some triangle is not counter-clockwise (possible only for
-	// hand-built inputs), in which case Locate always scans.
-	locOnce  sync.Once
-	nbr      [][3]int32
-	walkable bool
-	lastTri  atomic.Int32
-}
-
-// ensureLocator builds the adjacency cache once.
-func (tr *Triangulation) ensureLocator() {
-	tr.locOnce.Do(func() {
-		tr.nbr = make([][3]int32, len(tr.Triangles))
-		tr.walkable = true
-		type side struct {
-			tri  int32
-			slot int8
-		}
-		adj := make(map[edge][]side, 3*len(tr.Triangles)/2+1)
-		for ti, t := range tr.Triangles {
-			tr.nbr[ti] = [3]int32{-1, -1, -1}
-			if Orient(tr.Points[t.A], tr.Points[t.B], tr.Points[t.C]) != CounterClockwise {
-				tr.walkable = false
-			}
-			for slot, e := range triEdges(t) {
-				adj[e] = append(adj[e], side{tri: int32(ti), slot: int8(slot)})
-			}
-		}
-		for _, sides := range adj {
-			if len(sides) == 2 {
-				tr.nbr[sides[0].tri][sides[0].slot] = sides[1].tri
-				tr.nbr[sides[1].tri][sides[1].slot] = sides[0].tri
-			}
-		}
-	})
-}
-
-// triEdges returns the edges of t in neighbour-slot order.
-func triEdges(t Triangle) [3]edge {
-	return [3]edge{mkEdge(t.A, t.B), mkEdge(t.B, t.C), mkEdge(t.C, t.A)}
 }
 
 // ErrTooFewPoints is returned when fewer than three non-collinear
@@ -79,6 +32,10 @@ var ErrTooFewPoints = errors.New("geom: Delaunay needs at least 3 non-collinear 
 // ErrDuplicatePoint is returned when the input contains coincident
 // points.
 var ErrDuplicatePoint = errors.New("geom: duplicate input point")
+
+// ErrNonFinitePoint is returned when an input coordinate is NaN or
+// infinite.
+var ErrNonFinitePoint = errors.New("geom: non-finite input point")
 
 // edge is an undirected edge used during Bowyer-Watson cavity
 // re-triangulation.
@@ -91,6 +48,18 @@ func mkEdge(u, v int) edge {
 		u, v = v, u
 	}
 	return edge{u, v}
+}
+
+// adjacent reports whether t and u share exactly one edge (two
+// vertices).
+func adjacent(t, u Triangle) bool {
+	shared := 0
+	for _, v := range t.Vertices() {
+		if v == u.A || v == u.B || v == u.C {
+			shared++
+		}
+	}
+	return shared == 2
 }
 
 // bw carries the state of an incremental Bowyer-Watson run. Instead of
@@ -224,51 +193,6 @@ func (w *bw) contains(t Triangle, p Point) bool {
 		w.edgeSide(t.C, t.A, p) != Clockwise
 }
 
-// locateSeed finds a triangle of tris containing real point p,
-// preferring an orientation walk from the remembered triangle `start`
-// (limit-aware, so it traverses ghost triangles too). It falls back to
-// the original exhaustive scan when the walk leaves through an
-// unpaired edge or exceeds its step budget, and returns -1 only when
-// even the scan finds nothing.
-func (w *bw) locateSeed(tris []Triangle, adj map[edge][]int, start int, p Point) int {
-	cur := start
-	if cur < 0 || cur >= len(tris) {
-		cur = len(tris) - 1
-	}
-	other := func(sides []int) int {
-		for _, ti := range sides {
-			if ti != cur {
-				return ti
-			}
-		}
-		return -1
-	}
-	for steps := 2*len(tris) + 8; steps > 0; steps-- {
-		t := tris[cur]
-		next := -1
-		switch {
-		case w.edgeSide(t.A, t.B, p) == Clockwise:
-			next = other(adj[mkEdge(t.A, t.B)])
-		case w.edgeSide(t.B, t.C, p) == Clockwise:
-			next = other(adj[mkEdge(t.B, t.C)])
-		case w.edgeSide(t.C, t.A, p) == Clockwise:
-			next = other(adj[mkEdge(t.C, t.A)])
-		default:
-			return cur // no separating edge: contained
-		}
-		if next < 0 {
-			break
-		}
-		cur = next
-	}
-	for ti, t := range tris {
-		if w.contains(t, p) {
-			return ti
-		}
-	}
-	return -1
-}
-
 // ccw returns t reordered counter-clockwise under the limit predicate.
 func (w *bw) ccw(t Triangle) Triangle {
 	if w.orient(t.A, t.B, t.C) == Clockwise {
@@ -284,6 +208,11 @@ func (w *bw) ccw(t Triangle) Triangle {
 func Delaunay(pts []Point) (*Triangulation, error) {
 	if len(pts) < 3 {
 		return nil, ErrTooFewPoints
+	}
+	for i, p := range pts {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("%w: index %d is %v", ErrNonFinitePoint, i, p)
+		}
 	}
 	for i := 0; i < len(pts); i++ {
 		for j := i + 1; j < len(pts); j++ {
@@ -307,45 +236,6 @@ func Delaunay(pts []Point) (*Triangulation, error) {
 
 	tris := []Triangle{{n, n + 1, n + 2}} // the all-ideal root triangle
 
-	// Persistent edge adjacency, maintained incrementally across
-	// insertions (the previous implementation rebuilt it from scratch
-	// for every inserted point). It serves both the seeding walk and the
-	// cavity flood fill.
-	adj := make(map[edge][]int, 16)
-	addTri := func(ti int) {
-		for _, e := range triEdges(tris[ti]) {
-			adj[e] = append(adj[e], ti)
-		}
-	}
-	removeTri := func(ti int) {
-		for _, e := range triEdges(tris[ti]) {
-			s := adj[e]
-			for i, x := range s {
-				if x == ti {
-					s[i] = s[len(s)-1]
-					s = s[:len(s)-1]
-					break
-				}
-			}
-			if len(s) == 0 {
-				delete(adj, e)
-			} else {
-				adj[e] = s
-			}
-		}
-	}
-	renumber := func(from, to int) {
-		for _, e := range triEdges(tris[to]) {
-			for i, x := range adj[e] {
-				if x == from {
-					adj[e][i] = to
-					break
-				}
-			}
-		}
-	}
-	addTri(0)
-
 	// Insert points in a deterministic order.
 	order := make([]int, n)
 	for i := range order {
@@ -359,15 +249,17 @@ func Delaunay(pts []Point) (*Triangulation, error) {
 		return pa.Y < pb.Y
 	})
 
-	seed := 0 // remembered triangle: insertion order is spatially sorted
 	for _, pi := range order {
 		p := points[pi]
 
-		// Locate a triangle containing p; it seeds the cavity. An
-		// orientation walk from the previous insertion's triangle replaces
-		// the former whole-slice scan; the scan remains as the fallback
-		// for walks that exit through an unpaired edge or fail to settle.
-		seed = w.locateSeed(tris, adj, seed, p)
+		// The first triangle containing p seeds the cavity.
+		seed := -1
+		for ti, t := range tris {
+			if w.contains(t, p) {
+				seed = ti
+				break
+			}
+		}
 		if seed < 0 {
 			return nil, fmt.Errorf("geom: Delaunay insertion failed for point %v", p)
 		}
@@ -376,61 +268,43 @@ func Delaunay(pts []Point) (*Triangulation, error) {
 		// circumdisk contains p. Restricting the cavity to the connected
 		// component of the seed keeps its boundary a simple polygon even
 		// when floating-point noise misclassifies a distant triangle.
-		inCavity := map[int]bool{seed: true}
+		inCavity := make([]bool, len(tris))
+		inCavity[seed] = true
 		queue := []int{seed}
 		for len(queue) > 0 {
-			ti := queue[0]
+			t := tris[queue[0]]
 			queue = queue[1:]
-			t := tris[ti]
-			for _, e := range []edge{mkEdge(t.A, t.B), mkEdge(t.B, t.C), mkEdge(t.C, t.A)} {
-				for _, ni := range adj[e] {
-					if ni == ti || inCavity[ni] {
-						continue
-					}
-					if w.incircle(tris[ni], p) {
-						inCavity[ni] = true
-						queue = append(queue, ni)
-					}
+			for ni, nt := range tris {
+				if !inCavity[ni] && adjacent(t, nt) && w.incircle(nt, p) {
+					inCavity[ni] = true
+					queue = append(queue, ni)
 				}
 			}
 		}
 
-		// Boundary of the cavity: edges incident to exactly one cavity
-		// triangle.
+		// Count the cavity's edges while removing its triangles
+		// (descending index swap-delete): the boundary is the edges
+		// incident to exactly one cavity triangle.
 		edgeCount := make(map[edge]int)
-		for ti := range inCavity {
+		for ti := len(tris) - 1; ti >= 0; ti-- {
+			if !inCavity[ti] {
+				continue
+			}
 			t := tris[ti]
 			edgeCount[mkEdge(t.A, t.B)]++
 			edgeCount[mkEdge(t.B, t.C)]++
 			edgeCount[mkEdge(t.C, t.A)]++
-		}
-
-		// Remove cavity triangles (descending index swap-delete), keeping
-		// the adjacency in sync with each removal and index move.
-		bad := make([]int, 0, len(inCavity))
-		for ti := range inCavity {
-			bad = append(bad, ti)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(bad)))
-		for _, ti := range bad {
-			removeTri(ti)
 			last := len(tris) - 1
-			if ti != last {
-				tris[ti] = tris[last]
-				renumber(last, ti)
-			}
+			tris[ti] = tris[last]
 			tris = tris[:last]
 		}
 
 		// Re-triangulate the cavity around p.
 		for e, cnt := range edgeCount {
-			if cnt != 1 {
-				continue
+			if cnt == 1 {
+				tris = append(tris, w.ccw(Triangle{e.u, e.v, pi}))
 			}
-			tris = append(tris, w.ccw(Triangle{e.u, e.v, pi}))
-			addTri(len(tris) - 1)
 		}
-		seed = len(tris) - 1 // a fresh triangle incident to the new point
 	}
 
 	// Drop ghost triangles.
@@ -487,74 +361,19 @@ func canonical(t Triangle) Triangle {
 	return t
 }
 
-// Locate returns the index of a triangle containing p along with its
-// barycentric coordinates with respect to that triangle. ok is false
-// when p lies outside the triangulation's convex hull.
-//
-// Interior queries are answered by a remembered-triangle orientation
-// walk over the edge adjacency (expected O(sqrt n) instead of the
-// previous O(n) scan). Queries the walk cannot settle unambiguously —
-// points on an edge or vertex, points outside the hull, or non-CCW
-// hand-built triangulations — fall back to the original first-match
-// linear scan, so results are identical to the scan in every case.
+// Locate returns the index of the first triangle containing p (inside
+// or on its boundary) along with p's barycentric coordinates with
+// respect to that triangle. ok is false when p lies outside the
+// triangulation's convex hull. The scan is linear: the predictor's 13
+// profiled points make 19 triangles (DESIGN.md Section 8).
 func (tr *Triangulation) Locate(p Point) (ti int, bc Barycentric, ok bool) {
-	tr.ensureLocator()
-	if tr.walkable {
-		if wi, ok := tr.walk(p); ok {
-			t := tr.Triangles[wi]
-			a, b, c := tr.Points[t.A], tr.Points[t.B], tr.Points[t.C]
-			tr.lastTri.Store(int32(wi))
-			return wi, BarycentricCoords(a, b, c, p), true
-		}
-	}
 	for i, t := range tr.Triangles {
 		a, b, c := tr.Points[t.A], tr.Points[t.B], tr.Points[t.C]
 		if triangleContains(a, b, c, p) {
-			tr.lastTri.Store(int32(i))
 			return i, BarycentricCoords(a, b, c, p), true
 		}
 	}
 	return -1, Barycentric{}, false
-}
-
-// walk runs the orientation walk from the remembered triangle. ok is
-// true only when p lies strictly inside the returned triangle — the
-// unambiguous case, where the walk's answer provably equals the linear
-// scan's. Boundary hits, hull exits and step-limit overruns report
-// false so the caller can fall back to the scan.
-func (tr *Triangulation) walk(p Point) (int, bool) {
-	cur := int(tr.lastTri.Load())
-	if cur < 0 || cur >= len(tr.Triangles) {
-		cur = 0
-	}
-	for steps := 2*len(tr.Triangles) + 4; steps > 0; steps-- {
-		t := tr.Triangles[cur]
-		a, b, c := tr.Points[t.A], tr.Points[t.B], tr.Points[t.C]
-		o0 := Orient(a, b, p)
-		if o0 == Clockwise {
-			if cur = int(tr.nbr[cur][0]); cur < 0 {
-				return 0, false // exited through the hull
-			}
-			continue
-		}
-		o1 := Orient(b, c, p)
-		if o1 == Clockwise {
-			if cur = int(tr.nbr[cur][1]); cur < 0 {
-				return 0, false
-			}
-			continue
-		}
-		o2 := Orient(c, a, p)
-		if o2 == Clockwise {
-			if cur = int(tr.nbr[cur][2]); cur < 0 {
-				return 0, false
-			}
-			continue
-		}
-		// Contained; only a strict interior hit is unambiguous.
-		return cur, o0 == CounterClockwise && o1 == CounterClockwise && o2 == CounterClockwise
-	}
-	return 0, false
 }
 
 // Validate checks the structural invariants of the triangulation:

@@ -47,6 +47,20 @@ func TestDelaunayErrors(t *testing.T) {
 	}
 }
 
+// A NaN or infinite coordinate is refused: it used to be dropped
+// silently, leaving a triangulation of the remaining points.
+func TestDelaunayRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []Point{
+		Pt(nan, 0.5), Pt(0.5, nan), Pt(inf, 0.5), Pt(0.5, -inf), Pt(nan, inf),
+	} {
+		pts := []Point{Pt(0, 0), Pt(1, 0), Pt(0, 1), bad}
+		if tr, err := Delaunay(pts); !errors.Is(err, ErrNonFinitePoint) {
+			t.Errorf("Delaunay with %v: (%v, %v), want ErrNonFinitePoint", bad, tr, err)
+		}
+	}
+}
+
 // Euler-style count: a Delaunay triangulation of n points with h hull
 // vertices (no interior collinear degeneracies) has 2n - h - 2 triangles.
 func TestDelaunayTriangleCount(t *testing.T) {

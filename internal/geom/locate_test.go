@@ -1,6 +1,11 @@
 package geom
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"io"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -20,22 +25,9 @@ func randomTriangulation(t *testing.T, rng *rand.Rand, n int) *Triangulation {
 	return tr
 }
 
-// locateByScan is the pre-PR-4 reference: first triangle (in slice
-// order) containing p.
-func locateByScan(tr *Triangulation, p Point) (int, bool) {
-	for i, tri := range tr.Triangles {
-		a, b, c := tr.Points[tri.A], tr.Points[tri.B], tr.Points[tri.C]
-		if triangleContains(a, b, c, p) {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-// TestLocateOutsideHull is the regression test for out-of-hull
-// queries: the orientation walk exits through a hull edge and must
-// still report "not found", exactly like the scan, for points beyond
-// every side of the hull.
+// TestLocateOutsideHull checks out-of-hull queries: points beyond
+// every side of the hull report "not found", and an interior query
+// after each of them is still located.
 func TestLocateOutsideHull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tr := randomTriangulation(t, rng, 60)
@@ -48,8 +40,6 @@ func TestLocateOutsideHull(t *testing.T) {
 		if ok {
 			t.Errorf("Locate(%v) = triangle %d, want not found (point is outside the hull)", p, ti)
 		}
-		// The walk must not poison the remembered triangle: an interior
-		// query right after an out-of-hull miss still succeeds.
 		q := tr.Points[tr.Triangles[0].A].
 			Add(tr.Points[tr.Triangles[0].B]).
 			Add(tr.Points[tr.Triangles[0].C]).Scale(1.0 / 3.0)
@@ -59,34 +49,113 @@ func TestLocateOutsideHull(t *testing.T) {
 	}
 }
 
-// TestLocateMatchesScan is the walk-vs-scan agreement property test:
-// for random interior, boundary-ish and exterior queries, Locate must
-// return exactly what the original linear scan returned.
-func TestLocateMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 5; trial++ {
-		tr := randomTriangulation(t, rng, 20+trial*30)
-		for q := 0; q < 400; q++ {
-			// Mix of in-square points and points well outside it.
-			p := Pt(rng.Float64()*2-0.5, rng.Float64()*2-0.5)
-			if q%7 == 0 {
-				// Exact vertex hits exercise the boundary fallback.
-				p = tr.Points[rng.Intn(len(tr.Points))]
-			}
-			wantTi, wantOK := locateByScan(tr, p)
-			gotTi, bc, gotOK := tr.Locate(p)
-			if gotOK != wantOK || gotTi != wantTi {
-				t.Fatalf("trial %d: Locate(%v) = (%d, %v), scan = (%d, %v)",
-					trial, p, gotTi, gotOK, wantTi, wantOK)
-			}
-			if gotOK {
-				tri := tr.Triangles[gotTi]
-				a, b, c := tr.Points[tri.A], tr.Points[tri.B], tr.Points[tri.C]
-				want := BarycentricCoords(a, b, c, p)
-				if bc != want {
-					t.Fatalf("trial %d: Locate(%v) barycentric %v, want %v", trial, p, bc, want)
-				}
+// TestDelaunayLocateDigest pins the triangulations and point locations
+// of many point sets to one SHA-256: seeded random sets of every size
+// from 3 to 200 (uniform, and rounded to a 0.01 lattice, so collinear
+// and cocircular quadruples occur), regular lattices (every cell
+// cocircular), and per set 50 queries on or near the triangles
+// (vertices, edge midpoints, centroids, random points in the bounding
+// box) and 50 outside the bounding box. The digest
+// covers every triangle's vertex indices and, per query, Locate's
+// triangle index, the bits of its barycentric coordinates and ok.
+// It was recorded on the walk-based locator, before the first-match
+// scan became the only path.
+func TestDelaunayLocateDigest(t *testing.T) {
+	const want = "19dbd0c8167b11b0a5e1667518d5e8b02ac51af69438ea5b1341935cdbc16127"
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	pin := func(rng *rand.Rand, pts []Point) {
+		put(uint64(len(pts)))
+		tr, err := Delaunay(pts)
+		if err != nil {
+			io.WriteString(h, err.Error())
+			return
+		}
+		put(uint64(len(tr.Triangles)))
+		for _, tri := range tr.Triangles {
+			put(uint64(tri.A))
+			put(uint64(tri.B))
+			put(uint64(tri.C))
+		}
+		minX, maxX, minY, maxY := math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)
+		for _, p := range pts {
+			minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
+			minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
+		}
+		w, ht := maxX-minX, maxY-minY
+		queries := make([]Point, 0, 100)
+		for len(queries) < 50 {
+			tri := tr.Triangles[rng.Intn(len(tr.Triangles))]
+			a, b, c := tr.Points[tri.A], tr.Points[tri.B], tr.Points[tri.C]
+			switch len(queries) % 4 {
+			case 0:
+				queries = append(queries, a)
+			case 1:
+				queries = append(queries, a.Add(b).Scale(0.5))
+			case 2:
+				queries = append(queries, a.Add(b).Add(c).Scale(1.0/3))
+			default:
+				queries = append(queries, Pt(minX+rng.Float64()*w, minY+rng.Float64()*ht))
 			}
 		}
+		for len(queries) < 100 {
+			// Beyond a random side of the bounding box, up to one box
+			// size away.
+			d := 1e-9 + rng.Float64()
+			x, y := minX+rng.Float64()*w, minY+rng.Float64()*ht
+			switch rng.Intn(4) {
+			case 0:
+				x = minX - d*w
+			case 1:
+				x = maxX + d*w
+			case 2:
+				y = minY - d*ht
+			default:
+				y = maxY + d*ht
+			}
+			queries = append(queries, Pt(x, y))
+		}
+		for _, q := range queries {
+			ti, bc, ok := tr.Locate(q)
+			put(uint64(int64(ti)))
+			put(math.Float64bits(bc.L1))
+			put(math.Float64bits(bc.L2))
+			put(math.Float64bits(bc.L3))
+			if ok {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(36))
+	for n := 3; n <= 200; n++ {
+		uniform := make([]Point, n)
+		for i := range uniform {
+			uniform[i] = Pt(rng.Float64(), rng.Float64())
+		}
+		pin(rng, uniform)
+		if n%2 == 0 {
+			pin(rng, randomPoints(rng, n))
+		}
+	}
+	for nx := 2; nx <= 9; nx++ {
+		for ny := 2; ny <= 9; ny++ {
+			lattice := make([]Point, 0, nx*ny)
+			for i := 0; i < nx; i++ {
+				for j := 0; j < ny; j++ {
+					lattice = append(lattice, Pt(float64(i)*0.5, float64(j)*0.25))
+				}
+			}
+			rng.Shuffle(len(lattice), func(i, j int) { lattice[i], lattice[j] = lattice[j], lattice[i] })
+			pin(rng, lattice)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("triangulations and locations hash to %s, want %s", got, want)
 	}
 }

@@ -44,9 +44,9 @@ type Params struct {
 // ErrBadParams is returned for non-positive network parameters.
 var ErrBadParams = errors.New("netsim: parameters must be positive")
 
-// Validate checks p.
+// Validate checks p; the negated comparisons refuse NaN too.
 func (p Params) Validate() error {
-	if p.LatencyPerHop <= 0 || p.Overhead < 0 || p.Bandwidth <= 0 {
+	if !(p.LatencyPerHop > 0) || !(p.Overhead >= 0) || !(p.Bandwidth > 0) {
 		return fmt.Errorf("%w: %+v", ErrBadParams, p)
 	}
 	return nil

@@ -32,7 +32,7 @@ type Sample struct {
 // Errors returned by the fitters.
 var (
 	ErrTooFewSamples = errors.New("predict: need at least 3 samples")
-	ErrBadSample     = errors.New("predict: samples must have positive features and time")
+	ErrBadSample     = errors.New("predict: samples must have positive finite features and time")
 )
 
 // Model is the Delaunay-interpolation predictor.
@@ -60,7 +60,7 @@ func Fit(samples []Sample) (*Model, error) {
 		minPts: math.Inf(1), maxPts: math.Inf(-1),
 	}
 	for i, s := range samples {
-		if s.Aspect <= 0 || s.Points <= 0 || s.Time <= 0 {
+		if !positiveFinite(s.Aspect) || !positiveFinite(s.Points) || !positiveFinite(s.Time) {
 			return nil, fmt.Errorf("%w: sample %d = %+v", ErrBadSample, i, s)
 		}
 		m.minAsp = math.Min(m.minAsp, s.Aspect)
@@ -319,6 +319,10 @@ func RelErr(pred, truth float64) float64 {
 	}
 	return math.Abs(pred-truth) / truth
 }
+
+// positiveFinite reports whether x is positive and finite (false for
+// NaN, which every comparison rejects).
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {

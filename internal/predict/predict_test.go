@@ -12,10 +12,15 @@ import (
 	"nestwrf/internal/nest"
 )
 
-// groundTruth returns a model-backed profiler on the paper's fixed
-// profiling configuration (a small processor count, as in Section 3.1:
-// "experiments on a fixed number of processors").
+// groundTruth returns a model-backed BG/L profiler on the paper's
+// fixed profiling configuration (a small processor count, as in
+// Section 3.1: "experiments on a fixed number of processors").
 func groundTruth(t *testing.T, ranks int) Profiler {
+	return machineProfiler(t, machine.BGL(), ranks)
+}
+
+// machineProfiler is groundTruth on any machine.
+func machineProfiler(t *testing.T, m machine.Machine, ranks int) Profiler {
 	t.Helper()
 	g, err := machine.GridFor(ranks)
 	if err != nil {
@@ -29,7 +34,6 @@ func groundTruth(t *testing.T, ranks int) Profiler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := machine.BGL()
 	return func(nx, ny int) float64 {
 		return model.SingleDomainStep(m, mp, nest.Root("probe", nx, ny)).Time()
 	}
@@ -57,6 +61,21 @@ func TestFitErrors(t *testing.T) {
 	flat := []Sample{{1, 100, 1}, {1, 200, 2}, {1, 300, 3}}
 	if _, err := Fit(flat); !errors.Is(err, ErrBadSample) {
 		t.Errorf("degenerate aspect range: %v", err)
+	}
+}
+
+// A NaN or infinite feature or time is refused: `x <= 0` is false for
+// NaN, so such samples used to reach the triangulation.
+func TestFitRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []Sample{
+		{nan, 150, 1.5}, {1.1, nan, 1.5}, {1.1, 150, nan},
+		{inf, 150, 1.5}, {1.1, inf, 1.5}, {1.1, 150, inf},
+	} {
+		samples := []Sample{{1, 100, 1}, {1.2, 200, 2}, {0.8, 300, 2}, bad}
+		if _, err := Fit(samples); !errors.Is(err, ErrBadSample) {
+			t.Errorf("Fit with %+v: err = %v, want ErrBadSample", bad, err)
+		}
 	}
 }
 
@@ -150,6 +169,60 @@ func TestNaiveModelsAreWorse(t *testing.T) {
 	if worstOurs >= worstProp || worstOurs >= worstLin {
 		t.Errorf("interpolation (%.2f%%) must beat proportional (%.2f%%) and linear (%.2f%%)",
 			worstOurs*100, worstProp*100, worstLin*100)
+	}
+}
+
+// TestPredictProperties checks Predict's two documented regimes on the
+// BG/L and BG/P predictors over seeded queries: inside the profiled
+// hull the result lies within the containing triangle's vertex-time
+// range, and outside the profiled ranges it is the clamped query's
+// prediction scaled by points/clamp(points). Both hold exactly: no
+// query of either machine needed a tolerance.
+func TestPredictProperties(t *testing.T) {
+	for _, mach := range []machine.Machine{machine.BGL(), machine.BGP()} {
+		m, err := Fit(Profile(DefaultBasis(), machineProfiler(t, mach, 64)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(36))
+		inHull := 0
+		for q := 0; q < 2000; q++ {
+			aspect := m.minAsp + rng.Float64()*(m.maxAsp-m.minAsp)
+			points := m.minPts + rng.Float64()*(m.maxPts-m.minPts)
+			ti, _, ok := m.tri.Locate(m.normalize(aspect, points))
+			if !ok {
+				continue // in the ranges' rectangle, outside the hull
+			}
+			inHull++
+			tri := m.tri.Triangles[ti]
+			a, b, c := m.times[tri.A], m.times[tri.B], m.times[tri.C]
+			lo, hi := math.Min(a, math.Min(b, c)), math.Max(a, math.Max(b, c))
+			if got := m.Predict(aspect, points); got < lo || got > hi {
+				t.Errorf("%s: Predict(%v, %v) = %v outside its triangle's times [%v, %v]",
+					mach.Name, aspect, points, got, lo, hi)
+			}
+		}
+		if inHull < 1000 {
+			t.Errorf("%s: only %d of 2000 in-range queries fell inside the hull", mach.Name, inHull)
+		}
+		for q := 0; q < 2000; q++ {
+			// Aspect 0.1-3.0 and points 1 000-1 000 000, log-uniform in
+			// points: most queries leave the profiled ranges.
+			aspect := 0.1 + rng.Float64()*2.9
+			points := 1000 * math.Pow(1000, rng.Float64())
+			ca, cp := clamp(aspect, m.minAsp, m.maxAsp), clamp(points, m.minPts, m.maxPts)
+			if ca == aspect && cp == points {
+				continue
+			}
+			want := m.Predict(ca, cp)
+			if cp != points {
+				want = want * points / cp // a factor of 1 is not applied
+			}
+			if got := m.Predict(aspect, points); got != want {
+				t.Errorf("%s: Predict(%v, %v) = %v, want Predict(%v, %v)·%v/%v = %v",
+					mach.Name, aspect, points, got, ca, cp, points, cp, want)
+			}
+		}
 	}
 }
 

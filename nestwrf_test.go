@@ -2,11 +2,13 @@ package nestwrf_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"nestwrf"
+	"nestwrf/internal/driver"
 )
 
 func table2() *nestwrf.Domain {
@@ -64,6 +66,38 @@ func TestPlanRejectsInvalidConfig(t *testing.T) {
 	bad := nestwrf.NewDomain("bad", -3, 10)
 	if _, err := nestwrf.Plan(bad, nestwrf.BlueGeneL(), 64); err == nil {
 		t.Error("invalid domain should fail")
+	}
+}
+
+// A caller-built machine whose network the cost model cannot build is
+// refused with driver.ErrBadMachine (regression: Simulate and Plan
+// panicked in the model layer on zero bandwidth or latency).
+func TestSimulateRejectsBadMachine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(*nestwrf.Machine)
+	}{
+		{"zero bandwidth", func(m *nestwrf.Machine) { m.Net.Bandwidth = 0 }},
+		{"zero latency", func(m *nestwrf.Machine) { m.Net.LatencyPerHop = 0 }},
+		{"NaN latency", func(m *nestwrf.Machine) { m.Net.LatencyPerHop = math.NaN() }},
+		{"negative overhead", func(m *nestwrf.Machine) { m.Net.Overhead = -1e-6 }},
+	} {
+		m := nestwrf.BlueGeneL()
+		tc.spoil(&m)
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: panicked: %v", tc.name, p)
+				}
+			}()
+			opt := nestwrf.Options{Machine: m, Ranks: 256, Strategy: nestwrf.StrategyConcurrent}
+			if _, err := nestwrf.Simulate(table2(), opt); !errors.Is(err, driver.ErrBadMachine) {
+				t.Errorf("%s: Simulate error %v, want ErrBadMachine", tc.name, err)
+			}
+			if _, err := nestwrf.Plan(table2(), m, 256); !errors.Is(err, driver.ErrBadMachine) {
+				t.Errorf("%s: Plan error %v, want ErrBadMachine", tc.name, err)
+			}
+		}()
 	}
 }
 
