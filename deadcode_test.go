@@ -26,8 +26,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/driver.DecodeComparisonReport": "reader of nestwrf/compare-report/v1; round-trip oracle of ComparisonReport.EncodeJSON",
 	"internal/geom.Triangulation.Validate":   "empty-circumcircle and adjacency invariants after every Delaunay construction",
 	"internal/mapping.Mapping.Validate":      "bijection onto the torus, checked for every mapping constructor",
-	"internal/torus5.Mapping.Validate":       "bijection onto the 5D torus, checked for fold and oblivious",
-	"internal/torus5.Torus.Index":            "inverse of Coord in the round-trip test",
 	"internal/solver.RunSerial":              "single-tile run the decomposed runs must match bit for bit",
 	"internal/solver.Tile.Mass":              "conserved quantity of the mass-conservation tests",
 	"internal/torus.Torus.Route":             "readable reference route RouteIndicesInto is compared against",
