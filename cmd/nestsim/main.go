@@ -179,9 +179,7 @@ func main() {
 	}
 
 	if *steerRounds > 0 {
-		ctrl := nestwrf.DefaultSteerController()
-		ctrl.MaxRounds = *steerRounds
-		out, err := nestwrf.Steer(cfg, ctrl, opts)
+		out, err := nestwrf.Steer(cfg, opts, *steerRounds)
 		if err != nil {
 			fatal(err)
 		}
@@ -189,6 +187,7 @@ func main() {
 		for i, r := range out.Rounds {
 			fmt.Printf("  round %d: %.3f s/iteration, imbalance %.3f\n", i+1, r.IterTime, r.Imbalance)
 		}
+		printMetrics(opts.Metrics)
 		return
 	}
 

@@ -83,11 +83,11 @@ func ExampleSteer() {
 	cfg.AddChild("big", 394, 418, 3, 5, 5)
 	cfg.AddChild("small", 232, 202, 3, 150, 10)
 
-	out, err := nestwrf.Steer(cfg, nestwrf.DefaultSteerController(), nestwrf.Options{
+	out, err := nestwrf.Steer(cfg, nestwrf.Options{
 		Machine: nestwrf.BlueGeneL(),
 		Ranks:   1024,
 		Alloc:   nestwrf.AllocEqual,
-	})
+	}, 5)
 	if err != nil {
 		panic(err)
 	}

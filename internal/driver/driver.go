@@ -126,15 +126,6 @@ type Options struct {
 	// ablation experiment.
 	NoContention bool
 
-	// FixedWeights, when non-nil and matching the first-level sibling
-	// count, bypasses the predictor and feeds these weights directly to
-	// Algorithm 1 (AllocPredicted only; the other policies ignore them).
-	// Every weight and their sum must be positive and finite
-	// (alloc.ErrBadWeight otherwise). Used by the steering controller,
-	// which corrects the allocation from measured phase times. Deeper
-	// nesting levels still use the predictor.
-	FixedWeights []float64
-
 	// Metrics, when non-nil, receives the run's instrumentation
 	// (per-phase time breakdowns, link congestion, I/O volumes). Nil —
 	// the default — keeps all metric collection off the hot path.
@@ -268,36 +259,23 @@ func (r *run) predictor() (*predict.Model, error) {
 	return r.pred, nil
 }
 
-// siblingWeights returns the weights that size d's children: the
-// caller's FixedWeights where fixedWeights says so, otherwise the
-// predictor's. Algorithm 1, the strips, Plan.Weights and the report's
-// predicted shares all take their weights from here; the root's are
-// resolved once per run.
+// siblingWeights returns the predicted weights that size d's children.
+// Algorithm 1, the strips, Plan.Weights and the report's predicted
+// shares all take their weights from here; the root's are resolved once
+// per run (or preset by a steering round).
 func (r *run) siblingWeights(d *nest.Domain) ([]float64, error) {
 	if d == r.root && r.rootW != nil {
 		return r.rootW, nil
 	}
-	var w []float64
-	if r.fixedWeights(d) {
-		w = append([]float64(nil), r.opt.FixedWeights...)
-	} else {
-		p, err := r.predictor()
-		if err != nil {
-			return nil, err
-		}
-		w = p.Weights(d.Children)
+	p, err := r.predictor()
+	if err != nil {
+		return nil, err
 	}
+	w := p.Weights(d.Children)
 	if d == r.root {
 		r.rootW = w
 	}
 	return w, nil
-}
-
-// fixedWeights reports whether Options.FixedWeights size d's children:
-// only the root's first-level siblings, only under AllocPredicted, and
-// only when the counts match.
-func (r *run) fixedWeights(d *nest.Domain) bool {
-	return d == r.root && r.opt.Alloc == AllocPredicted && len(r.opt.FixedWeights) == len(d.Children)
 }
 
 // Run simulates one parent iteration of the domain tree cfg under the
@@ -305,7 +283,7 @@ func (r *run) fixedWeights(d *nest.Domain) bool {
 // opt.Metrics is set, the run additionally records its breakdown into
 // the registry.
 func Run(cfg *nest.Domain, opt Options) (Result, error) {
-	res, _, err := run0(cfg, opt, opt.Metrics != nil)
+	res, _, err := run0(cfg, opt, opt.Metrics != nil, nil)
 	return res, err
 }
 
@@ -313,7 +291,7 @@ func Run(cfg *nest.Domain, opt Options) (Result, error) {
 // phase breakdowns, predicted-vs-realized sibling phase times,
 // link-congestion summaries and I/O events.
 func RunWithReport(cfg *nest.Domain, opt Options) (Result, *Report, error) {
-	return run0(cfg, opt, true)
+	return run0(cfg, opt, true, nil)
 }
 
 // Comparison contrasts the default sequential strategy with the
@@ -362,11 +340,15 @@ func Compare(cfg *nest.Domain, opt Options) (Comparison, error) {
 	return RunBoth(cfg, opt, Run)
 }
 
-func run0(cfg *nest.Domain, opt Options, observe bool) (res Result, rep *Report, err error) {
+// run0 is Run and RunWithReport; a steering round passes the root's
+// corrected sibling weights as rootW, which stand in for the
+// predictor's wherever siblingWeights is asked for the root.
+func run0(cfg *nest.Domain, opt Options, observe bool, rootW []float64) (res Result, rep *Report, err error) {
 	var r run
 	if err := r.begin(cfg, opt, observe); err != nil {
 		return Result{}, nil, err
 	}
+	r.rootW = rootW
 	defer func() { r.end(res, err) }()
 
 	// The first-level partitions are needed up front: the partition

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"nestwrf/internal/alloc"
 	"nestwrf/internal/iosim"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/nest"
@@ -488,47 +487,5 @@ func TestOptionsValidate(t *testing.T) {
 		if err := bad.Validate(); !errors.Is(err, ErrBadMachine) || !errors.Is(err, netsim.ErrBadParams) {
 			t.Errorf("%+v: %v, want ErrBadMachine wrapping netsim.ErrBadParams", bad.Machine.Net, err)
 		}
-	}
-}
-
-// A non-finite weight must fail the run with alloc.ErrBadWeight
-// (regression: a NaN passed the w <= 0 check, and Table 2 at 1024
-// BG/L ranks was planned with a 1×32 strip for one sibling).
-func TestRunRejectsNonFiniteFixedWeights(t *testing.T) {
-	cfg := workload.Table2Config()
-	for _, w := range []float64{math.NaN(), math.Inf(1)} {
-		opt := bglOpts(Concurrent, MapSequential)
-		opt.FixedWeights = []float64{1, w, 1, 1}
-		if res, err := Run(cfg, opt); !errors.Is(err, alloc.ErrBadWeight) {
-			t.Errorf("weight %v: Run = %v, %v; want %v", w, res.Rects, err, alloc.ErrBadWeight)
-		}
-		if _, err := BuildPlan(cfg, opt); !errors.Is(err, alloc.ErrBadWeight) {
-			t.Errorf("weight %v: BuildPlan error %v; want %v", w, err, alloc.ErrBadWeight)
-		}
-	}
-}
-
-// FixedWeights size the root's first-level siblings only: a run given
-// the predictor's own first-level weights as FixedWeights is the run
-// without them, second level included (regression: every level whose
-// child count matched took them, and a's StepTime moved from 3.096 s
-// to 5.125 s).
-func TestFixedWeightsFirstLevelOnly(t *testing.T) {
-	cfg := nest.Root("p", 300, 300)
-	a := cfg.AddChild("a", 300, 300, 3, 10, 10)
-	a.AddChild("a1", 100, 100, 3, 5, 5)
-	a.AddChild("a2", 250, 250, 3, 150, 10)
-	cfg.AddChild("b", 240, 240, 3, 150, 150)
-	opt := bglOpts(Concurrent, MapSequential)
-	opt.Ranks = 256
-	want := mustRun(t, cfg, opt)
-	p, err := CachedPredictor(opt.Machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.FixedWeights = p.Weights(cfg.Children)
-	if got := mustRun(t, cfg, opt); !reflect.DeepEqual(got, want) {
-		t.Errorf("FixedWeights equal to the predicted first-level weights changed the run:\n got  %+v\n want %+v",
-			got.Siblings, want.Siblings)
 	}
 }

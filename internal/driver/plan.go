@@ -42,9 +42,7 @@ type Plan struct {
 	Alloc    AllocPolicy
 	MapKind  MapKind
 	// Weights are the predicted relative execution times of the
-	// first-level siblings (summing to 1), from the interpolation model,
-	// or Options.FixedWeights where they drive Algorithm 1 (under
-	// AllocPredicted).
+	// first-level siblings (summing to 1), from the interpolation model.
 	Weights []float64
 	// Rects are the processor partitions, one per first-level sibling,
 	// sized by the requested allocation policy.

@@ -69,51 +69,6 @@ func TestBuildPlan(t *testing.T) {
 	}
 }
 
-func TestBuildPlanFixedWeights(t *testing.T) {
-	cfg := planConfig()
-	opt := Options{
-		Machine:      machine.BGL(),
-		Ranks:        64,
-		Strategy:     Concurrent,
-		FixedWeights: []float64{0.5, 0.25, 0.25},
-	}
-	p, err := BuildPlan(cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Weights, opt.FixedWeights) {
-		t.Errorf("weights %v, want the fixed weights %v", p.Weights, opt.FixedWeights)
-	}
-	// The plan must have copied, not aliased, the caller's slice.
-	opt.FixedWeights[0] = 0.9
-	if p.Weights[0] != 0.5 {
-		t.Error("plan weights alias the caller's FixedWeights slice")
-	}
-}
-
-// FixedWeights drive Algorithm 1 only: under every other policy the
-// plan, Weights included, is the plan without them (regression:
-// Plan.Weights echoed them, under AllocStripsPredicted too, whose
-// strips the predictor sized).
-func TestBuildPlanIgnoresUnusedFixedWeights(t *testing.T) {
-	cfg := planConfig()
-	for _, pol := range []AllocPolicy{AllocNaivePoints, AllocEqual, AllocStripsPredicted} {
-		opt := Options{Machine: machine.BGL(), Ranks: 256, Strategy: Concurrent, Alloc: pol}
-		want, err := BuildPlan(cfg, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.FixedWeights = []float64{0.5, 0.25, 0.25}
-		got, err := BuildPlan(cfg, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: FixedWeights changed the plan: weights %v, want %v", pol, got.Weights, want.Weights)
-		}
-	}
-}
-
 func TestBuildPlanBadInput(t *testing.T) {
 	if _, err := BuildPlan(planConfig(), Options{Machine: machine.BGL()}); err == nil {
 		t.Error("BuildPlan accepted zero ranks")

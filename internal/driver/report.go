@@ -2,8 +2,8 @@
 // executes, decomposing the four scalar aggregates of Result into
 // per-domain phase breakdowns (compute vs. transfer vs. wait),
 // per-sibling predicted-vs-realized phase times (the paper's < 6 %
-// prediction-error claim observed in situ, and the input the steering
-// controller consumes), per-phase link-congestion summaries and the
+// prediction-error claim observed in situ, and the measure steering
+// rebalances by), per-phase link-congestion summaries and the
 // I/O write events. The report has a stable JSON schema so harnesses
 // can diff runs across revisions.
 
@@ -246,7 +246,7 @@ func phaseName(placements []model.Placement) string {
 
 // predictedShares returns the allocation policy's predicted relative
 // phase times for the root's children: an equal split, point counts,
-// or the run's sibling weights (FixedWeights normalized).
+// or the run's sibling weights.
 func (r *run) predictedShares() ([]float64, error) {
 	children := r.root.Children
 	switch r.opt.Alloc {
@@ -258,34 +258,17 @@ func (r *run) predictedShares() ([]float64, error) {
 		return w, nil
 	case AllocNaivePoints:
 		w := make([]float64, len(children))
+		var sum float64
 		for i, c := range children {
 			w[i] = float64(c.Points())
+			sum += w[i]
 		}
-		return normalized(w), nil
-	}
-	w, err := r.siblingWeights(r.root)
-	if err != nil || !r.fixedWeights(r.root) {
-		return w, err
-	}
-	return normalized(append([]float64(nil), w...)), nil
-}
-
-// normalized scales w in place to sum to 1 and returns it; a
-// non-positive sum (possible only for FixedWeights the sequential
-// strategy never validated) yields zeros.
-func normalized(w []float64) []float64 {
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	for i := range w {
-		if sum > 0 {
+		for i := range w {
 			w[i] /= sum
-		} else {
-			w[i] = 0
 		}
+		return w, nil
 	}
-	return w
+	return r.siblingWeights(r.root)
 }
 
 // buildReport assembles the final Report after the iteration finished.
@@ -341,10 +324,7 @@ func (r *run) buildReport(cfg *nest.Domain, res Result) (*Report, error) {
 		// Work = phase time x ranks; its distribution is what the
 		// predictor forecast, independent of how the allocator then
 		// spread it over partitions.
-		var work float64
-		for _, s := range res.Siblings {
-			work += s.PhaseTime * float64(s.Ranks)
-		}
+		realized, work := realizedShares(res.Siblings)
 		for i, s := range res.Siblings {
 			sr := SiblingReport{
 				Name:         s.Name,
@@ -355,7 +335,7 @@ func (r *run) buildReport(cfg *nest.Domain, res Result) (*Report, error) {
 			}
 			if i < len(shares) && work > 0 && s.Ranks > 0 {
 				sr.PredictedShare = shares[i]
-				sr.RealizedShare = s.PhaseTime * float64(s.Ranks) / work
+				sr.RealizedShare = realized[i]
 				sr.PredictedPhaseSeconds = shares[i] * work / float64(s.Ranks)
 				if sr.RealizedShare > 0 {
 					sr.PredictionErrorPct = 100 * math.Abs(sr.PredictedShare-sr.RealizedShare) / sr.RealizedShare

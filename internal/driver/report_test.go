@@ -225,30 +225,3 @@ func TestRunRecordsMetrics(t *testing.T) {
 		}
 	}
 }
-
-// FixedWeights feed Algorithm 1 under AllocPredicted only; the strips
-// ablation allocates by the predictor and ignores them. The report's
-// predicted shares must follow the weights the allocation used
-// (regression: they came from FixedWeights under both policies, so a
-// strips run with unused weights reported a 0.70 share and a 63 %
-// prediction error for a partition that had not moved).
-func TestReportSharesIgnoreUnusedFixedWeights(t *testing.T) {
-	cfg := workload.Table2Config()
-	opt := bglOpts(Concurrent, MapSequential)
-	opt.Alloc = AllocStripsPredicted
-	res, rep, err := RunWithReport(cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.FixedWeights = []float64{0.7, 0.1, 0.1, 0.1}
-	fixedRes, fixedRep, err := RunWithReport(cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Rects, fixedRes.Rects) {
-		t.Fatalf("strips allocation moved with FixedWeights: %v -> %v", res.Rects, fixedRes.Rects)
-	}
-	if !reflect.DeepEqual(rep.Siblings, fixedRep.Siblings) {
-		t.Errorf("report changed with unused FixedWeights:\n without %+v\n with    %+v", rep.Siblings, fixedRep.Siblings)
-	}
-}

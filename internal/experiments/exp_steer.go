@@ -5,7 +5,6 @@ import (
 
 	"nestwrf/internal/driver"
 	"nestwrf/internal/machine"
-	"nestwrf/internal/steer"
 	"nestwrf/internal/workload"
 )
 
@@ -23,9 +22,7 @@ func steerExp() (*Table, error) {
 	}
 	opt := baseOptions(machine.BGL(), 1024, driver.Concurrent, driver.MapSequential)
 	opt.Alloc = driver.AllocEqual
-	ctrl := steer.DefaultController()
-	ctrl.MaxRounds = 6
-	out, err := ctrl.Run(workload.Table2Config(), opt)
+	out, err := driver.Steer(workload.Table2Config(), opt, 6)
 	if err != nil {
 		return nil, err
 	}

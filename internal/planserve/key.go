@@ -1,7 +1,6 @@
 package planserve
 
 import (
-	"math"
 	"strconv"
 
 	"nestwrf/internal/driver"
@@ -37,18 +36,6 @@ func appendKey(b []byte, prefix string, opt driver.Options, cfg *nest.Domain) []
 	b = append(b, "|nc="...)
 	b = strconv.AppendBool(b, opt.NoContention)
 	b = append(b, '|')
-	// FixedWeights bypass the predictor and change the allocation, so
-	// they are part of the plan identity. HTTP requests never carry
-	// them (the segment is absent for the empty slice); in-process
-	// PlanCache users — the steering controller, ensemble members — may.
-	if len(opt.FixedWeights) > 0 {
-		b = append(b, "w="...)
-		for _, w := range opt.FixedWeights {
-			b = strconv.AppendUint(b, math.Float64bits(w), 16)
-			b = append(b, ',')
-		}
-		b = append(b, '|')
-	}
 	return appendDomainKey(b, cfg)
 }
 

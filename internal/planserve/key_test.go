@@ -22,7 +22,7 @@ var keyedOptions = []string{
 	"Machine.IO.BaseLatency", "Machine.IO.PerWriterOverhead",
 	"Machine.IO.AggregateBandwidth", "Machine.IO.PerProcessBandwidth",
 	"Ranks", "Strategy", "MapKind", "Alloc", "IOMode", "OutputEverySteps",
-	"NoContention", "FixedWeights",
+	"NoContention",
 }
 
 // unkeyedOptions are the leaves the key leaves out on purpose, each
@@ -48,11 +48,7 @@ var (
 // reason, and then changing it leaves the bytes alone. A field added to
 // either type without a decision fails here.
 func TestKeyCoversEveryField(t *testing.T) {
-	baseOpt := func() driver.Options {
-		opt := cacheOpt()
-		opt.FixedWeights = []float64{0.7, 0.3}
-		return opt
-	}
+	baseOpt := cacheOpt
 	key := func(opt driver.Options, cfg *nest.Domain) []byte {
 		return appendKey(nil, "plan|", opt, cfg)
 	}

@@ -78,28 +78,6 @@ func TestPlanCacheRunHitsAndIdentity(t *testing.T) {
 	}
 }
 
-// FixedWeights change the allocation, so they must be part of the
-// cache identity: two queries differing only in weights must not share
-// an entry.
-func TestPlanCacheFixedWeightsKeyed(t *testing.T) {
-	pc := NewPlanCache(16)
-	ctx := context.Background()
-	opt := cacheOpt()
-	opt.FixedWeights = []float64{0.7, 0.3}
-	skewed, hit, err := pc.Run(ctx, cacheCfg(), opt)
-	if err != nil || hit {
-		t.Fatalf("first weighted query: hit=%v err=%v", hit, err)
-	}
-	opt.FixedWeights = []float64{0.5, 0.5}
-	even, hit, err := pc.Run(ctx, cacheCfg(), opt)
-	if err != nil || hit {
-		t.Fatalf("second weighted query should miss: hit=%v err=%v", hit, err)
-	}
-	if reflect.DeepEqual(skewed.Rects, even.Rects) {
-		t.Errorf("different weights produced identical partitions: %v", skewed.Rects)
-	}
-}
-
 func TestPlanCachePlanEndpointAndClose(t *testing.T) {
 	pc := NewPlanCache(16)
 	ctx := context.Background()

@@ -50,7 +50,6 @@ import (
 	"nestwrf/internal/netsim"
 	"nestwrf/internal/output"
 	"nestwrf/internal/solver"
-	"nestwrf/internal/steer"
 	"nestwrf/internal/telemetry"
 	"nestwrf/internal/wrfsim"
 )
@@ -401,23 +400,16 @@ func RunCampaign(phases []CampaignPhase, opt Options) (CampaignResult, error) {
 	return campaign.Run(phases, opt)
 }
 
-// SteerController tunes the sibling allocation from measured phase
-// times (the paper's future-work steering).
-type SteerController = steer.Controller
-
 // SteerOutcome reports a steering session's rounds and final result.
-type SteerOutcome = steer.Outcome
+type SteerOutcome = driver.SteerOutcome
 
-// Steer runs closed-loop allocation steering: the configuration
-// executes concurrently, the controller observes the siblings' phase
-// times, and the partition is corrected until balanced.
-func Steer(cfg *Domain, ctrl SteerController, opt Options) (SteerOutcome, error) {
-	return ctrl.Run(cfg, opt)
+// Steer runs closed-loop allocation steering (the paper's future-work
+// item): the configuration executes concurrently, the siblings' phase
+// times are measured, and the partition is corrected until the
+// imbalance is within 5 % or rounds runs have been made.
+func Steer(cfg *Domain, opt Options, rounds int) (SteerOutcome, error) {
+	return driver.Steer(cfg, opt, rounds)
 }
-
-// DefaultSteerController returns sensible steering defaults (5%
-// imbalance threshold, up to 5 rounds).
-func DefaultSteerController() SteerController { return steer.DefaultController() }
 
 // TyphoonSeason returns a five-phase Pacific typhoon-season storyline
 // (formation, pairing, peak, landfall, decay) with the given number of
