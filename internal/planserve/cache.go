@@ -24,6 +24,9 @@ const (
 	// outcomeJoin: waited on another caller's in-flight computation
 	// (singleflight dedup).
 	outcomeJoin
+	// outcomeNone: the request was invalid and never reached the
+	// cache; nothing is counted.
+	outcomeNone
 )
 
 // String returns the annotation/label form of the outcome.
@@ -33,6 +36,8 @@ func (o cacheOutcome) String() string {
 		return "hit"
 	case outcomeJoin:
 		return "join"
+	case outcomeNone:
+		return "none"
 	}
 	return "miss"
 }
@@ -113,11 +118,7 @@ func (c *cache) do(ctx context.Context, key []byte, compute func() (any, error))
 		c.mu.Unlock()
 		return nil, nil, outcomeMiss, ErrCacheClosed
 	}
-	if el, ok := c.entries[string(key)]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		c.mHits.Inc()
-		e := el.Value.(*lruEntry)
+	if e := c.hitLocked(key); e != nil {
 		c.mu.Unlock()
 		return e.val, &e.body, outcomeHit, nil
 	}
@@ -149,6 +150,31 @@ func (c *cache) do(ctx context.Context, key []byte, compute func() (any, error))
 	c.mu.Unlock()
 	close(f.done)
 	return f.val, nil, outcomeMiss, f.err
+}
+
+// resident is do's hit without the rest of do: key's resident entry,
+// counted as a hit, or nil with nothing counted when key is not
+// resident or the cache is closed.
+func (c *cache) resident(key []byte) *lruEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil
+	}
+	return c.hitLocked(key)
+}
+
+// hitLocked returns key's resident entry, moved to the front and
+// counted as a hit, or nil (callers hold c.mu).
+func (c *cache) hitLocked(key []byte) *lruEntry {
+	el, ok := c.entries[string(key)]
+	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	c.hits++
+	c.mHits.Inc()
+	return el.Value.(*lruEntry)
 }
 
 // insert adds key -> val and evicts the least recently used entry when

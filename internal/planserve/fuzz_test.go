@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,35 +14,29 @@ import (
 )
 
 // FuzzPlanRequestKey drives arbitrary bytes through the request-to-key
-// path: serveQuery's decodePlanRequest, resolve, appendKey. It stops before planning, so no input can make
-// it run long. Nothing may panic, and every request that resolves has a
-// key that is deterministic, blind to domain names and sensitive to
-// sibling order.
+// path: serveQuery's decodePlanRequest and options, appendRequestKey,
+// and what a miss adds, the domain tree. It stops before planning, so
+// no input can make it run long. Nothing may panic, and every request
+// that resolves has a request key equal to appendKey over its resolved
+// options and tree, deterministic, blind to domain names and sensitive
+// to sibling order.
 func FuzzPlanRequestKey(f *testing.F) {
-	for _, st := range []string{"sequential", "concurrent"} {
-		for _, al := range []string{"predicted", "naive-points", "equal", "strips-predicted"} {
-			for _, mp := range []string{"oblivious", "txyz", "partition", "multilevel"} {
-				f.Add([]byte(testRequest(st, al, mp)))
-			}
-		}
+	for _, body := range keySeeds() {
+		f.Add([]byte(body))
 	}
-	f.Add([]byte(siblingsAB))
-	f.Add([]byte(siblingsBA))
-	for _, c := range badRequests {
-		f.Add([]byte(c.body))
-	}
-	f.Add([]byte(`{"machine":"bgp","ranks":64,"strategy":"sequential","mapping":"oblivious","domain":{"nx":96,"ny":96}}`))
-
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req PlanRequest
 		if decodePlanRequest(nil, bytes.NewReader(body), &req) != nil {
 			return
 		}
-		opt, cfg, err := req.resolve()
+		opt, cfg, err := resolveRequest(&req)
 		if err != nil {
 			return
 		}
 		key := appendKey(nil, queryPlan.prefix, opt, cfg)
+		if reqKey := appendRequestKey(nil, queryPlan.prefix, opt, &req.Domain); !bytes.Equal(reqKey, key) {
+			t.Fatalf("request key differs from the resolved request's key:\n%s\n%s", reqKey, key)
+		}
 		if again := appendKey(nil, queryPlan.prefix, opt, cfg); !bytes.Equal(key, again) {
 			t.Fatalf("key not deterministic:\n%s\n%s", key, again)
 		}
@@ -56,6 +51,139 @@ func FuzzPlanRequestKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzPlanRequestKeyPair is the invariant a hit served before its tree
+// is built rests on: two requests with equal request keys either both
+// resolve — to equal options and equal name-free geometry — or both
+// fail to. Its seeds pair requests that share a key (renamed nests, a
+// machine's other spelling, root offsets nest.Root ignores) or nearly
+// do.
+func FuzzPlanRequestKeyPair(f *testing.F) {
+	valid := testRequest("concurrent", "predicted", "multilevel")
+	for _, b := range []string{
+		valid,
+		renameNests(valid, "h1", "h2"),
+		strings.Replace(valid, `"bgl"`, `"BlueGene/L"`, 1),
+		strings.Replace(valid, `"nx": 286,`, `"nx": 286, "ratio": 3, "off_x": 7,`, 1),
+		strings.Replace(valid, `"nx": 286,`, `"nx": 286, "ratio": -1,`, 1),
+		strings.Replace(valid, `"off_x": 140`, `"off_x": 1400`, 1),
+		siblingsBA,
+	} {
+		f.Add([]byte(valid), []byte(b))
+	}
+	f.Add([]byte(siblingsAB), []byte(siblingsBA))
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var ra, rb PlanRequest
+		if decodePlanRequest(nil, bytes.NewReader(a), &ra) != nil || decodePlanRequest(nil, bytes.NewReader(b), &rb) != nil {
+			return
+		}
+		optA, errA := ra.options()
+		optB, errB := rb.options()
+		if errA != nil || errB != nil {
+			return
+		}
+		ka := appendRequestKey(nil, queryPlan.prefix, optA, &ra.Domain)
+		if !bytes.Equal(ka, appendRequestKey(nil, queryPlan.prefix, optB, &rb.Domain)) {
+			return
+		}
+		cfgA, errA := ra.Domain.build()
+		cfgB, errB := rb.Domain.build()
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("equal keys %s, but one tree is valid and one not: %v / %v", ka, errA, errB)
+		}
+		if errA != nil {
+			return
+		}
+		if !reflect.DeepEqual(optA, optB) {
+			t.Fatalf("equal keys %s, different options:\n%+v\n%+v", ka, optA, optB)
+		}
+		if !sameGeometry(cfgA, cfgB) {
+			t.Fatalf("equal keys %s, different geometry", ka)
+		}
+	})
+}
+
+// maxFuzzRanks bounds the rank count FuzzPlanHandler plans for, so
+// every input plans in milliseconds.
+const maxFuzzRanks = 4096
+
+// FuzzPlanHandler serves every body on /v1/plan and /v1/compare twice:
+// on a server warmed with the seed corpus, where it may hit an entry
+// before its domain tree is built, and on a fresh server, where it is
+// planned cold. Status and body must agree, no response may be a 5xx,
+// and nothing may panic. Bodies asking for more than maxFuzzRanks ranks
+// are skipped.
+func FuzzPlanHandler(f *testing.F) {
+	paths := []string{"/v1/plan", "/v1/compare"}
+	serve := func(h http.Handler, path string, body []byte) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	warm := New(Config{})
+	f.Cleanup(warm.Close)
+	for _, body := range keySeeds() {
+		f.Add([]byte(body))
+		for _, path := range paths {
+			serve(warm.Handler(), path, []byte(body))
+		}
+	}
+	f.Add([]byte(renameNests(testRequest("concurrent", "predicted", "multilevel"), "h1", "h2")))
+	f.Add([]byte(strings.Replace(testRequestBench(), `"bgl"`, `"BlueGene/L"`, 1)))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req PlanRequest
+		if decodePlanRequest(nil, bytes.NewReader(body), &req) == nil && req.Ranks > maxFuzzRanks {
+			return
+		}
+		cold := New(Config{})
+		defer cold.Close()
+		for _, path := range paths {
+			code, got := serve(warm.Handler(), path, body)
+			wantCode, want := serve(cold.Handler(), path, body)
+			if code >= 500 || wantCode >= 500 {
+				t.Fatalf("%s: status %d warm, %d cold: %s", path, code, wantCode, got)
+			}
+			if code != wantCode || !bytes.Equal(got, want) {
+				t.Fatalf("%s: warm server %d\n%s\ncold server %d\n%s\nbody %q", path, code, got, wantCode, want, body)
+			}
+		}
+	})
+}
+
+// keySeeds are FuzzPlanRequestKey's corpus: every option combination,
+// sibling orders, and the rejected requests.
+func keySeeds() []string {
+	var seeds []string
+	for _, st := range []string{"sequential", "concurrent"} {
+		for _, al := range []string{"predicted", "naive-points", "equal", "strips-predicted"} {
+			for _, mp := range []string{"oblivious", "txyz", "partition", "multilevel"} {
+				seeds = append(seeds, testRequest(st, al, mp))
+			}
+		}
+	}
+	seeds = append(seeds, siblingsAB, siblingsBA)
+	for _, c := range badRequests {
+		seeds = append(seeds, c.body)
+	}
+	return append(seeds, `{"machine":"bgp","ranks":64,"strategy":"sequential","mapping":"oblivious","domain":{"nx":96,"ny":96}}`)
+}
+
+// sameGeometry reports whether two trees agree on everything but
+// names.
+func sameGeometry(a, b *nest.Domain) bool {
+	if a.NX != b.NX || a.NY != b.NY || a.Ratio != b.Ratio || a.OffX != b.OffX || a.OffY != b.OffY ||
+		len(a.Children) != len(b.Children) {
+		return false
+	}
+	for i := range a.Children {
+		if !sameGeometry(a.Children[i], b.Children[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzDecodePlanRequest holds the hand decoder to encoding/json.

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"nestwrf/internal/driver"
+	"nestwrf/internal/machine"
 	"nestwrf/internal/nest"
 )
 
@@ -12,6 +13,19 @@ import (
 // domains fit, so a lookup allocates nothing for its key. Longer keys
 // still work; append moves them to the heap.
 const keyBuf = 512
+
+// machineKeys maps the name of every machine a request may select —
+// the models machine.Parse returns — to its identity key
+// (driver.AppendMachineKey), formatted once. Request keys take their
+// machine segment from it, and snapshot validation checks entries
+// against it.
+var machineKeys = func() map[string]string {
+	keys := map[string]string{}
+	for _, m := range []machine.Machine{machine.BGL(), machine.BGP()} {
+		keys[m.Name] = string(driver.AppendMachineKey(nil, m))
+	}
+	return keys
+}()
 
 // appendKey appends the canonical identity of one planning query to b.
 // Two requests share a cache entry exactly when they agree on the
@@ -27,6 +41,26 @@ const keyBuf = 512
 func appendKey(b []byte, prefix string, opt driver.Options, cfg *nest.Domain) []byte {
 	b = append(b, prefix...)
 	b = driver.AppendMachineKey(b, opt.Machine)
+	return appendDomainKey(appendOptionsKey(b, opt), cfg)
+}
+
+// appendRequestKey appends the key appendKey gives the request once its
+// domain tree is built, without building it. The machine segment comes
+// from machineKeys (a machine missing there is formatted as appendKey
+// does, so the bytes never depend on the table), and the root's ratio
+// and offsets are written as nest.Root sets them, ignoring the spec's.
+func appendRequestKey(b []byte, prefix string, opt driver.Options, spec *DomainSpec) []byte {
+	b = append(b, prefix...)
+	if mk, ok := machineKeys[opt.Machine.Name]; ok {
+		b = append(b, mk...)
+	} else {
+		b = driver.AppendMachineKey(b, opt.Machine)
+	}
+	return appendSpecKey(appendOptionsKey(b, opt), spec, 1, 0, 0)
+}
+
+// appendOptionsKey appends the planning options after the machine.
+func appendOptionsKey(b []byte, opt driver.Options) []byte {
 	b = appendField(b, "|r=", opt.Ranks)
 	b = appendField(b, "|s=", int(opt.Strategy))
 	b = appendField(b, "|a=", int(opt.Alloc))
@@ -35,8 +69,7 @@ func appendKey(b []byte, prefix string, opt driver.Options, cfg *nest.Domain) []
 	b = appendField(b, "|oe=", opt.OutputEverySteps)
 	b = append(b, "|nc="...)
 	b = strconv.AppendBool(b, opt.NoContention)
-	b = append(b, '|')
-	return appendDomainKey(b, cfg)
+	return append(b, '|')
 }
 
 // appendField appends tag and v in decimal.
@@ -48,13 +81,29 @@ func appendField(b []byte, tag string, v int) []byte {
 // depth-first sibling order: "(nx,ny,ratio,offx,offy" then each child,
 // then ")".
 func appendDomainKey(b []byte, d *nest.Domain) []byte {
-	b = appendField(b, "(", d.NX)
-	b = appendField(b, ",", d.NY)
-	b = appendField(b, ",", d.Ratio)
-	b = appendField(b, ",", d.OffX)
-	b = appendField(b, ",", d.OffY)
+	b = appendGeometry(b, d.NX, d.NY, d.Ratio, d.OffX, d.OffY)
 	for _, c := range d.Children {
 		b = appendDomainKey(b, c)
 	}
 	return append(b, ')')
+}
+
+// appendSpecKey is appendDomainKey over a spec tree, with sp's own
+// ratio and offsets given (the root's are nest.Root's, not the spec's).
+func appendSpecKey(b []byte, sp *DomainSpec, ratio, offX, offY int) []byte {
+	b = appendGeometry(b, sp.NX, sp.NY, ratio, offX, offY)
+	for i := range sp.Children {
+		c := &sp.Children[i]
+		b = appendSpecKey(b, c, c.Ratio, c.OffX, c.OffY)
+	}
+	return append(b, ')')
+}
+
+// appendGeometry opens one domain's key: "(nx,ny,ratio,offx,offy".
+func appendGeometry(b []byte, nx, ny, ratio, offX, offY int) []byte {
+	b = appendField(b, "(", nx)
+	b = appendField(b, ",", ny)
+	b = appendField(b, ",", ratio)
+	b = appendField(b, ",", offX)
+	return appendField(b, ",", offY)
 }

@@ -3,6 +3,8 @@ package planserve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,11 +44,56 @@ var (
 	}
 )
 
+// specChange is one change to a leaf of PlanRequest or DomainSpec. why
+// is empty when the change must change the request key, else the
+// reason it must not.
+type specChange struct {
+	path  string
+	value any
+	why   string
+}
+
+// requestChanges decide every leaf of PlanRequest, the root domain's
+// included; childChanges every leaf of a first-level DomainSpec. Each
+// change leaves a valid request.
+var (
+	rootIgnored    = "nest.Root ignores the root's ratio and offsets"
+	requestChanges = []specChange{
+		{"Machine", "bgp", ""},
+		{"Machine", "BGL", "machine.Parse folds the spelling's case"},
+		{"Ranks", 128, ""},
+		{"Strategy", "sequential", ""},
+		{"Alloc", "equal", ""},
+		{"Mapping", "oblivious", ""},
+		{"IO", "split", ""},
+		{"OutputEvery", 10, ""},
+		{"NoContention", true, ""},
+		{"Domain.Name", "atlantic", "renaming a region does not change its plan; responses re-attach the caller's names"},
+		{"Domain.NX", 287, ""},
+		{"Domain.NY", 308, ""},
+		{"Domain.Ratio", 3, rootIgnored},
+		{"Domain.OffX", 7, rootIgnored},
+		{"Domain.OffY", 7, rootIgnored},
+		{"Domain.Children", []DomainSpec{{NX: 30, NY: 30, Ratio: 3}}, ""},
+	}
+	childChanges = []specChange{
+		{"Name", "t9", "renaming a region does not change its plan; responses re-attach the caller's names"},
+		{"NX", 395, ""},
+		{"NY", 419, ""},
+		{"Ratio", 4, ""},
+		{"OffX", 6, ""},
+		{"OffY", 6, ""},
+		{"Children", []DomainSpec{{NX: 3, NY: 3, Ratio: 1}}, ""},
+	}
+)
+
 // TestKeyCoversEveryField is the key's completeness check: every leaf
 // field of driver.Options and nest.Domain is either keyed — each change
 // to it changes appendKey's bytes — or listed as excluded with a
 // reason, and then changing it leaves the bytes alone. A field added to
-// either type without a decision fails here.
+// either type without a decision fails here. The same holds for the
+// request key over the leaves of PlanRequest and DomainSpec, which
+// must also equal appendKey over the resolved request.
 func TestKeyCoversEveryField(t *testing.T) {
 	baseOpt := cacheOpt
 	key := func(opt driver.Options, cfg *nest.Domain) []byte {
@@ -69,6 +116,80 @@ func TestKeyCoversEveryField(t *testing.T) {
 		cfg := cacheCfg()
 		return reflect.ValueOf(cfg.Children[0]).Elem(), func() []byte { return key(baseOpt(), cfg) }
 	})
+
+	base := func() *PlanRequest {
+		var req PlanRequest
+		if err := json.Unmarshal([]byte(testRequest("concurrent", "predicted", "multilevel")), &req); err != nil {
+			t.Fatal(err)
+		}
+		return &req
+	}
+	reqRef := requestKey(t, "base request", base())
+	checkChanges(t, "PlanRequest", reflect.TypeOf(PlanRequest{}), reqRef, requestChanges, func() (reflect.Value, *PlanRequest) {
+		req := base()
+		return reflect.ValueOf(req).Elem(), req
+	})
+	checkChanges(t, "child DomainSpec", reflect.TypeOf(DomainSpec{}), reqRef, childChanges, func() (reflect.Value, *PlanRequest) {
+		req := base()
+		return reflect.ValueOf(&req.Domain.Children[0]).Elem(), req
+	})
+}
+
+// checkChanges fails on a leaf of typ no change names, on a change to
+// a path that is not a leaf, and on a change whose request key does
+// not differ from ref (keyed) or does (excluded).
+func checkChanges(t *testing.T, name string, typ reflect.Type, ref []byte, changes []specChange, fresh func() (reflect.Value, *PlanRequest)) {
+	t.Helper()
+	decided := map[string]bool{}
+	for _, c := range changes {
+		decided[c.path] = true
+	}
+	for _, leaf := range leaves(typ, "") {
+		if !decided[leaf] {
+			t.Errorf("%s.%s is neither keyed nor excluded with a reason", name, leaf)
+		}
+		delete(decided, leaf)
+	}
+	for p := range decided {
+		t.Errorf("%s has no leaf %s", name, p)
+	}
+	for _, c := range changes {
+		v, req := fresh()
+		fieldAt(v, c.path).Set(reflect.ValueOf(c.value))
+		label := fmt.Sprintf("%s.%s = %v", name, c.path, c.value)
+		switch changed := !bytes.Equal(requestKey(t, label, req), ref); {
+		case c.why == "" && !changed:
+			t.Errorf("%s does not change the request key", label)
+		case c.why != "" && changed:
+			t.Errorf("excluded %s changes the request key", label)
+		}
+	}
+}
+
+// requestKey returns req's request key after checking that req
+// resolves and that the key is appendKey's over what it resolves to.
+func requestKey(t *testing.T, label string, req *PlanRequest) []byte {
+	t.Helper()
+	opt, cfg, err := resolveRequest(req)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	key := appendRequestKey(nil, queryPlan.prefix, opt, &req.Domain)
+	if want := appendKey(nil, queryPlan.prefix, opt, cfg); !bytes.Equal(key, want) {
+		t.Errorf("%s: request key\n%s\nresolved key\n%s", label, key, want)
+	}
+	return key
+}
+
+// resolveRequest is what a miss makes of a decoded request: its
+// options, then its validated domain tree.
+func resolveRequest(req *PlanRequest) (driver.Options, *nest.Domain, error) {
+	opt, err := req.options()
+	if err != nil {
+		return opt, nil, err
+	}
+	cfg, err := req.Domain.build()
+	return opt, cfg, err
 }
 
 // checkPaths changes each listed field of a fresh value — every change

@@ -81,7 +81,12 @@ var (
 func (p *PlanCache) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
 	sp := startLookupSpan(opt, q.span)
 	var buf [keyBuf]byte
-	key := appendKey(buf[:0], q.prefix, opt, cfg)
+	return p.do(ctx, sp, appendKey(buf[:0], q.prefix, opt, cfg), opt, miss)
+}
+
+// do is a lookup's singleflight step under its open lookup span sp,
+// which it ends with the outcome.
+func (p *PlanCache) do(ctx context.Context, sp *telemetry.ActiveSpan, key []byte, opt driver.Options, miss func(driver.Options) (any, error)) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
 	opt.TraceParent = sp.ID()
 	v, body, out, err := p.c.do(ctx, key, func() (any, error) { return miss(opt) })
 	endLookupSpan(sp, out, err)
@@ -106,23 +111,23 @@ func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Option
 	if err != nil {
 		return driver.Result{}, out == outcomeHit, err
 	}
-	return withNames(*(v.(*driver.Result)), cfg), out == outcomeHit, nil
+	return withNames(*(v.(*driver.Result)), func(i int) string { return cfg.Children[i].Name }), out == outcomeHit, nil
 }
 
-// withNames returns r with its per-sibling metrics under cfg's
-// first-level names. Keys are name-free, so a cached result carries the
-// names of whichever request computed it; the caller's names go on a
-// copy of the Siblings slice — only when one differs — and the cached
-// value is never written. The key pins the geometry, so r has one
-// sibling per child of cfg.
-func withNames(r driver.Result, cfg *nest.Domain) driver.Result {
+// withNames returns r with its per-sibling metrics under the caller's
+// first-level names, name(i) for the i-th. Keys are name-free, so a
+// cached result carries the names of whichever request computed it;
+// the caller's names go on a copy of the Siblings slice — only when one
+// differs — and the cached value is never written. The key pins the
+// geometry, so r has one sibling per first-level nest of the caller.
+func withNames(r driver.Result, name func(i int) string) driver.Result {
 	for i := range r.Siblings {
-		if r.Siblings[i].Name == cfg.Children[i].Name {
+		if r.Siblings[i].Name == name(i) {
 			continue
 		}
 		sibs := make([]driver.DomainMetrics, len(r.Siblings))
 		for j, s := range r.Siblings {
-			s.Name = cfg.Children[j].Name
+			s.Name = name(j)
 			sibs[j] = s
 		}
 		r.Siblings = sibs

@@ -77,6 +77,9 @@ func addChildSpec(parent *nest.Domain, sp *DomainSpec) {
 	}
 }
 
+// childName is the name of sp's i-th first-level nest.
+func (sp *DomainSpec) childName(i int) string { return sp.Children[i].Name }
+
 // PlanRequest is the JSON body of /v1/plan and /v1/compare.
 type PlanRequest struct {
 	// Machine selects the cost model: any spelling machine.Parse
@@ -97,15 +100,15 @@ type PlanRequest struct {
 	Domain DomainSpec `json:"domain"`
 }
 
-// resolve parses and defaults the request into concrete planning
-// inputs.
-func (r *PlanRequest) resolve() (driver.Options, *nest.Domain, error) {
+// options parses and defaults everything of the request but its
+// domain tree, which only a cache miss builds (Server.lookup).
+func (r *PlanRequest) options() (driver.Options, error) {
 	m, err := machine.Parse(r.Machine)
 	if err != nil {
-		return driver.Options{}, nil, fmt.Errorf("planserve: %w", err)
+		return driver.Options{}, fmt.Errorf("planserve: %w", err)
 	}
 	if r.Ranks > maxRanks {
-		return driver.Options{}, nil, fmt.Errorf("planserve: %d ranks exceeds the limit of %d", r.Ranks, maxRanks)
+		return driver.Options{}, fmt.Errorf("planserve: %d ranks exceeds the limit of %d", r.Ranks, maxRanks)
 	}
 	opt := driver.Options{
 		Machine:          m,
@@ -118,29 +121,25 @@ func (r *PlanRequest) resolve() (driver.Options, *nest.Domain, error) {
 	}
 	if r.Strategy != "" {
 		if opt.Strategy, err = driver.ParseStrategy(r.Strategy); err != nil {
-			return opt, nil, err
+			return opt, err
 		}
 	}
 	if r.Alloc != "" {
 		if opt.Alloc, err = driver.ParseAllocPolicy(r.Alloc); err != nil {
-			return opt, nil, err
+			return opt, err
 		}
 	}
 	if r.Mapping != "" {
 		if opt.MapKind, err = driver.ParseMapKind(r.Mapping); err != nil {
-			return opt, nil, err
+			return opt, err
 		}
 	}
 	if r.IO != "" {
 		if opt.IOMode, err = iosim.ParseMode(r.IO); err != nil {
-			return opt, nil, err
+			return opt, err
 		}
 	}
-	cfg, err := r.Domain.build()
-	if err != nil {
-		return opt, nil, err
-	}
-	return opt, cfg, nil
+	return opt, nil
 }
 
 // SiblingPlan is one first-level nest's share of the plan.
@@ -192,7 +191,8 @@ type Config struct {
 	// Workers bounds concurrent cache-miss planning. Default
 	// GOMAXPROCS.
 	Workers int
-	// RequestTimeout bounds each request end to end. Default 30s.
+	// RequestTimeout bounds how long a request that misses the cache
+	// waits for its plan; a hit never waits. Default 30s.
 	RequestTimeout time.Duration
 	// Metrics receives per-request instrumentation; nil disables it
 	// (a nil registry is a valid no-op sink).
@@ -296,10 +296,10 @@ func (s *Server) LoadSnapshot(path string) (loaded, rejected int, err error) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(w, r, "plan")
+		s.serveQuery(w, r, queryPlan)
 	})
 	mux.HandleFunc("POST /v1/compare", func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(w, r, "compare")
+		s.serveQuery(w, r, queryCompare)
 	})
 	mux.HandleFunc("POST /v1/plan/batch", s.serveBatch)
 	mux.HandleFunc("GET /v1/stats", s.serveStats)
@@ -360,23 +360,21 @@ func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveS
 	code, detail = serve(sp)
 }
 
-// serveQuery handles both planning endpoints: decode, resolve,
-// cache-or-compute under the worker pool, marshal. A hit whose entry
-// already holds a body encoded for the same child names writes those
-// bytes; the first hit on an entry stores the body it encodes.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint string) {
-	s.account(endpoint, "cache", func(sp *telemetry.ActiveSpan) (int, string) {
+// serveQuery handles both planning endpoints: decode, options, then
+// Server.lookup, which builds the domain tree only on a miss. A hit
+// whose entry already holds a body encoded for the same child names
+// writes those bytes; the first hit on an entry stores the body it
+// encodes.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q query) {
+	s.account(q.name, "cache", func(sp *telemetry.ActiveSpan) (int, string) {
 		var req PlanRequest
 		if err := decodePlanRequest(w, r.Body, &req); err != nil {
 			return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error()), "none"
 		}
-		opt, cfg, err := req.resolve()
+		opt, err := req.options()
 		if err != nil {
 			return writeError(w, http.StatusBadRequest, err.Error()), "none"
 		}
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
 
 		// Thread the request span into the planning options, so a cache
 		// miss's driver run (and its phases) nests under this request in
@@ -384,14 +382,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 		opt.Tracer = s.tracer
 		opt.TraceParent = sp.ID()
 
-		var v any
-		var slot *atomic.Pointer[storedBody]
-		var out cacheOutcome
-		if endpoint == "plan" {
-			v, slot, out, err = s.plan(ctx, cfg, opt)
-		} else {
-			v, slot, out, err = s.compare(ctx, cfg, opt)
-		}
+		v, slot, out, err := s.lookup(r.Context(), q, &req, opt)
 		if err != nil {
 			return writeError(w, statusFor(err), err.Error()), out.String()
 		}
@@ -403,20 +394,21 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 			header = "hit"
 		}
 		w.Header().Set(CacheHeader, header)
-		body := storedFor(slot, cfg)
+		spec := &req.Domain
+		body := storedFor(slot, spec)
 		if body == nil {
 			var resp any
 			if p, ok := v.(*driver.Plan); ok {
-				resp = planResponse(cfg, opt, p)
+				resp = planResponse(spec, opt, p)
 			} else {
-				resp = compareResponse(cfg, opt, v.(*driver.Comparison))
+				resp = compareResponse(spec, opt, v.(*driver.Comparison))
 			}
 			if body, err = encodeJSON(resp); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return http.StatusInternalServerError, out.String()
 			}
 			if slot != nil && slot.Load() == nil {
-				slot.CompareAndSwap(nil, &storedBody{names: childNames(cfg), body: body})
+				slot.CompareAndSwap(nil, &storedBody{names: childNames(spec), body: body})
 			}
 		}
 		writeBody(w, http.StatusOK, body)
@@ -434,11 +426,11 @@ type storedBody struct {
 	body  []byte
 }
 
-// storedFor returns the body in slot when it was encoded for cfg's
+// storedFor returns the body in slot when it was encoded for spec's
 // first-level names, else nil. A nil slot (a miss or a join) holds
 // nothing. The key pins the geometry, so a stored body has one name
-// per child of cfg.
-func storedFor(slot *atomic.Pointer[storedBody], cfg *nest.Domain) []byte {
+// per child of spec.
+func storedFor(slot *atomic.Pointer[storedBody], spec *DomainSpec) []byte {
 	if slot == nil {
 		return nil
 	}
@@ -446,76 +438,95 @@ func storedFor(slot *atomic.Pointer[storedBody], cfg *nest.Domain) []byte {
 	if sb == nil {
 		return nil
 	}
-	for i, c := range cfg.Children {
-		if sb.names[i] != c.Name {
+	for i := range spec.Children {
+		if sb.names[i] != spec.Children[i].Name {
 			return nil
 		}
 	}
 	return sb.body
 }
 
-// childNames lists cfg's first-level nest names.
-func childNames(cfg *nest.Domain) []string {
-	names := make([]string, len(cfg.Children))
-	for i, c := range cfg.Children {
-		names[i] = c.Name
+// childNames lists spec's first-level nest names.
+func childNames(spec *DomainSpec) []string {
+	names := make([]string, len(spec.Children))
+	for i := range spec.Children {
+		names[i] = spec.Children[i].Name
 	}
 	return names
 }
 
-// lookup is PlanCache.lookup plus the server's per-endpoint outcome
-// counter.
-func (s *Server) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
-	v, slot, out, err := s.plans.lookup(ctx, q, cfg, opt, miss)
-	s.reg.Counter("planserve_cache_total",
-		metrics.L("endpoint", q.name), metrics.L("result", out.String())).Inc()
+// lookup answers one decoded request from the shared cache, keyed by
+// appendRequestKey. A resident entry is served before any domain tree
+// is built or deadline armed: invalid requests are never inserted, and
+// whether a tree is valid depends only on its geometry, which the key
+// holds, so a hit implies a valid request. Only a non-resident key
+// builds and validates the tree (outcomeNone when that fails), arms
+// the request deadline on ctx and enters the cache's singleflight do,
+// where a miss plans through the coalescer (plans) or under a
+// worker-pool slot (comparisons). Every outcome but outcomeNone counts
+// once in planserve_cache_total.
+func (s *Server) lookup(ctx context.Context, q query, req *PlanRequest, opt driver.Options) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
+	var buf [keyBuf]byte
+	key := appendRequestKey(buf[:0], q.prefix, opt, &req.Domain)
+	sp := startLookupSpan(opt, q.span)
+	if e := s.plans.c.resident(key); e != nil {
+		endLookupSpan(sp, outcomeHit, nil)
+		s.countOutcome(q, outcomeHit)
+		return e.val, &e.body, outcomeHit, nil
+	}
+	cfg, err := req.Domain.build()
+	if err != nil {
+		endLookupSpan(sp, outcomeNone, err)
+		return nil, nil, outcomeNone, err
+	}
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	defer cancel()
+	v, slot, out, err := s.plans.do(ctx, sp, key, opt, func(opt driver.Options) (any, error) {
+		if q == queryCompare {
+			return s.buildComparison(ctx, cfg, opt)
+		}
+		return s.buildPlan(ctx, cfg, opt)
+	})
+	s.countOutcome(q, out)
 	return v, slot, out, err
 }
 
-// plan runs one plan query through the shared cache: resident entries
-// and singleflight joins answer immediately; a distinct-key miss parks
-// in the coalescer until the batch it joined is built.
-func (s *Server) plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, *atomic.Pointer[storedBody], cacheOutcome, error) {
-	v, slot, out, err := s.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
-		j := &planJob{cfg: cfg, opt: opt, done: make(chan struct{})}
-		s.batch.submit(j)
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if j.err != nil {
-			return nil, j.err
-		}
-		return j.plan, nil
-	})
-	if err != nil {
-		return nil, nil, out, err
-	}
-	return v.(*driver.Plan), slot, out, nil
+// countOutcome adds one lookup to the per-endpoint outcome counter.
+func (s *Server) countOutcome(q query, out cacheOutcome) {
+	s.reg.Counter("planserve_cache_total",
+		metrics.L("endpoint", q.name), metrics.L("result", out.String())).Inc()
 }
 
-// compare runs one comparison query through the shared cache. The
-// singleflight leader claims a worker-pool slot; joiners wait on the
-// flight, not the pool.
-func (s *Server) compare(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Comparison, *atomic.Pointer[storedBody], cacheOutcome, error) {
-	v, slot, out, err := s.lookup(ctx, queryCompare, cfg, opt, func(opt driver.Options) (any, error) {
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-s.sem }()
-		cmp, err := driver.Compare(cfg, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &cmp, nil
-	})
-	if err != nil {
-		return nil, nil, out, err
+// buildPlan plans one miss: it parks in the coalescer until the batch
+// it joined is built.
+func (s *Server) buildPlan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (any, error) {
+	j := &planJob{cfg: cfg, opt: opt, done: make(chan struct{})}
+	s.batch.submit(j)
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	return v.(*driver.Comparison), slot, out, nil
+	if j.err != nil {
+		return nil, j.err
+	}
+	return j.plan, nil
+}
+
+// buildComparison runs one comparison miss under a worker-pool slot;
+// singleflight joiners wait on the flight, not the pool.
+func (s *Server) buildComparison(ctx context.Context, cfg *nest.Domain, opt driver.Options) (any, error) {
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-s.sem }()
+	cmp, err := driver.Compare(cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &cmp, nil
 }
 
 // maxBatchBodyBytes bounds /v1/plan/batch bodies; maxBatchItems bounds
@@ -548,8 +559,8 @@ type BatchResponse struct {
 }
 
 // serveBatch handles POST /v1/plan/batch: every item runs through the
-// same cache lookup as /v1/plan, concurrently, and the response keeps
-// request order. Item failures (unknown machine, invalid domain) are
+// same cache lookup as /v1/plan, concurrently, each miss under its own
+// request deadline, and the response keeps request order. Item failures (unknown machine, invalid domain) are
 // reported inline so one bad query cannot fail the whole batch.
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 	s.account("plan_batch", "items", func(sp *telemetry.ActiveSpan) (int, string) {
@@ -567,28 +578,26 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("batch of %d requests exceeds the %d limit", len(req.Requests), maxBatchItems)), "0"
 		}
 
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-
 		resp := BatchResponse{Responses: make([]BatchItemResponse, len(req.Requests))}
 		var wg sync.WaitGroup
 		for i := range req.Requests {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				opt, cfg, err := req.Requests[i].resolve()
+				item := &req.Requests[i]
+				opt, err := item.options()
 				if err != nil {
 					resp.Responses[i] = BatchItemResponse{Error: err.Error(), Cache: "none"}
 					return
 				}
 				opt.Tracer = s.tracer
 				opt.TraceParent = sp.ID()
-				p, _, out, err := s.plan(ctx, cfg, opt)
+				v, _, out, err := s.lookup(r.Context(), queryPlan, item, opt)
 				if err != nil {
 					resp.Responses[i] = BatchItemResponse{Error: err.Error(), Cache: out.String()}
 					return
 				}
-				resp.Responses[i] = BatchItemResponse{Plan: planResponse(cfg, opt, p), Cache: out.String()}
+				resp.Responses[i] = BatchItemResponse{Plan: planResponse(&item.Domain, opt, v.(*driver.Plan)), Cache: out.String()}
 			}(i)
 		}
 		wg.Wait()
@@ -599,15 +608,15 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 
 // planResponse marshals a cached (name-free) plan back under the
 // request's own domain names, in the sibling list and the cost alike.
-func planResponse(cfg *nest.Domain, opt driver.Options, p *driver.Plan) *PlanResponse {
+func planResponse(spec *DomainSpec, opt driver.Options, p *driver.Plan) *PlanResponse {
 	resp := &PlanResponse{
 		Machine: opt.Machine.Name, Ranks: p.Ranks, Px: p.Px, Py: p.Py,
 		Strategy: p.Strategy.String(), Alloc: p.Alloc.String(), Mapping: p.MapKind.String(),
 		MappingQuality: p.Mapping,
-		Cost:           withNames(p.Cost, cfg),
+		Cost:           withNames(p.Cost, spec.childName),
 	}
-	for i, c := range cfg.Children {
-		sib := SiblingPlan{Name: c.Name}
+	for i := range spec.Children {
+		sib := SiblingPlan{Name: spec.Children[i].Name}
 		if i < len(p.Weights) {
 			sib.Weight = p.Weights[i]
 		}
@@ -621,11 +630,11 @@ func planResponse(cfg *nest.Domain, opt driver.Options, p *driver.Plan) *PlanRes
 
 // compareResponse marshals a cached comparison back under the
 // request's own domain names.
-func compareResponse(cfg *nest.Domain, opt driver.Options, c *driver.Comparison) *CompareResponse {
+func compareResponse(spec *DomainSpec, opt driver.Options, c *driver.Comparison) *CompareResponse {
 	return &CompareResponse{
 		Machine: opt.Machine.Name, Ranks: opt.Ranks,
-		Default:             withNames(c.Default, cfg),
-		Concurrent:          withNames(c.Concurrent, cfg),
+		Default:             withNames(c.Default, spec.childName),
+		Concurrent:          withNames(c.Concurrent, spec.childName),
 		ImprovementPct:      c.ImprovementPct,
 		TotalImprovementPct: c.TotalImprovementPct,
 		WaitImprovementPct:  c.WaitImprovementPct,

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -642,5 +643,81 @@ func TestStoredBodyFirstHitRace(t *testing.T) {
 	wg.Wait()
 	if got := storedNames(srv); len(got) != 1 {
 		t.Errorf("%d stored bodies, want 1", len(got))
+	}
+}
+
+// memWriter is a reusable in-memory http.ResponseWriter, so an
+// allocation count covers the handler and nothing of the recorder.
+type memWriter struct {
+	hdr  http.Header
+	code int
+	buf  bytes.Buffer
+}
+
+func (w *memWriter) Header() http.Header { return w.hdr }
+func (w *memWriter) WriteHeader(c int)   { w.code = c }
+func (w *memWriter) Write(b []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return w.buf.Write(b)
+}
+
+// maxHitAllocs bounds the allocations of one served /v1/plan hit of
+// testRequestBench's query with metrics and tracing off, on go1.24
+// linux/amd64. Resolving before the lookup cost 25: the domain tree, a
+// context.WithTimeout deadline (4 on its own) and the rest. The
+// key-first lookup measures 16, among them the decoder's string and
+// children copies, two header value slices, the machine's mode list
+// and the request copy the mux writes into.
+const maxHitAllocs = 16
+
+// TestPlanHitAllocs holds a served hit to maxHitAllocs, and checks
+// that the bound would catch a hit that arms a request deadline: a
+// hit must not set a timer.
+func TestPlanHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	srv := New(Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	body := []byte(testRequestBench())
+	tmpl := http.Request{
+		Method: http.MethodPost, URL: &url.URL{Path: "/v1/plan"},
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{"Content-Type": {"application/json"}},
+		Host:   "test.local",
+	}
+	w := &memWriter{hdr: http.Header{}}
+	var rd bytes.Reader
+	serve := func() {
+		clear(w.hdr)
+		w.code = 0
+		w.buf.Reset()
+		rd.Reset(body)
+		req := tmpl
+		req.Body = io.NopCloser(&rd)
+		req.ContentLength = int64(len(body))
+		h.ServeHTTP(w, &req)
+	}
+	serve() // the miss
+	serve() // the first hit, which stores the body
+	if w.code != http.StatusOK || w.hdr.Get(CacheHeader) != "hit" {
+		t.Fatalf("warm-up: status %d, cache %q: %s", w.code, w.hdr.Get(CacheHeader), w.buf.Bytes())
+	}
+	allocs := testing.AllocsPerRun(200, serve)
+	if w.hdr.Get(CacheHeader) != "hit" {
+		t.Fatalf("measured request was not a hit")
+	}
+	if allocs > maxHitAllocs {
+		t.Errorf("a served hit allocates %v times, want at most %d", allocs, maxHitAllocs)
+	}
+	timer := testing.AllocsPerRun(200, func() {
+		_, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cancel()
+	})
+	if allocs+timer <= maxHitAllocs {
+		t.Errorf("a hit that armed a deadline (%v allocations) would still pass the bound of %d", timer, maxHitAllocs)
 	}
 }

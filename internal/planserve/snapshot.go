@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"nestwrf/internal/driver"
-	"nestwrf/internal/machine"
 )
 
 // SnapshotVersion is the schema tag of persisted plan-cache snapshots.
@@ -41,31 +40,19 @@ type snapshotEntry struct {
 	Value   json.RawMessage `json:"value"`
 }
 
-// knownMachineKeys maps the name of each machine snapshot validation
-// checks entries against — the same fixed models the HTTP request
-// resolver accepts — to its identity key.
-func knownMachineKeys() map[string]string {
-	keys := map[string]string{}
-	for _, m := range []machine.Machine{machine.BGL(), machine.BGP()} {
-		keys[m.Name] = string(driver.AppendMachineKey(nil, m))
-	}
-	return keys
-}
-
 // SaveSnapshot writes the cache's resident entries to path atomically
 // (a private temp file in the same directory + rename, so concurrent
 // saves and a concurrent load each see a whole file) and returns how
 // many entries were persisted. Entries for machines outside the known
 // set are skipped: their keys could never validate at load time.
 func (p *PlanCache) SaveSnapshot(path string) (int, error) {
-	keys := knownMachineKeys()
-	names := make([]string, 0, len(keys))
-	for name := range keys {
+	names := make([]string, 0, len(machineKeys))
+	for name := range machineKeys {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	snap := snapshotFile{Version: SnapshotVersion, Machines: keys}
+	snap := snapshotFile{Version: SnapshotVersion, Machines: machineKeys}
 	for _, e := range p.c.dump() {
 		var kind string
 		switch e.val.(type) {
@@ -80,7 +67,7 @@ func (p *PlanCache) SaveSnapshot(path string) (int, error) {
 		}
 		var mname string
 		for _, name := range names {
-			if strings.Contains(e.key, keys[name]) {
+			if strings.Contains(e.key, machineKeys[name]) {
 				mname = name
 				break
 			}
@@ -142,9 +129,8 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 		return 0, 0, fmt.Errorf("planserve: snapshot %s: version %q, want %q",
 			path, snap.Version, SnapshotVersion)
 	}
-	keys := knownMachineKeys()
 	for _, e := range snap.Entries {
-		mkey, ok := keys[e.Machine]
+		mkey, ok := machineKeys[e.Machine]
 		if !ok || !strings.Contains(e.Key, mkey) {
 			rejected++
 			continue
