@@ -428,10 +428,9 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 					t0 := time.Now()
 					mr, err := e.runMember(runCtx, spec, cache, id, msp.ID())
 					dur := time.Since(t0).Seconds()
-					e.Metrics.Summary("ensemble_member_seconds", nil,
-						metrics.L("kind", mr.Kind)).Observe(dur)
+					e.Metrics.Summary("ensemble_member_seconds", metrics.L("kind", mr.Kind)).Observe(dur)
 					if err == nil {
-						e.Metrics.Summary("ensemble_improvement_pct", nil).Observe(mr.ImprovementPct)
+						e.Metrics.Summary("ensemble_improvement_pct").Observe(mr.ImprovementPct)
 					}
 					if msp != nil {
 						msp.Annotate("kind", mr.Kind)

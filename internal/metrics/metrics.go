@@ -175,9 +175,9 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// DefaultQuantiles are the probabilities a Summary tracks unless the
-// caller asks for others: the p10/p50/p90 the ensemble aggregates and
-// the serving latency reports standardize on.
+// DefaultQuantiles are the probabilities every Summary tracks: the
+// p10/p50/p90 the ensemble aggregates and the serving latency reports
+// standardize on.
 var DefaultQuantiles = []float64{0.1, 0.5, 0.9}
 
 // Summary estimates arbitrary quantiles of an observation stream with
@@ -193,20 +193,11 @@ type Summary struct {
 	count uint64
 }
 
-// newSummary builds a summary over the given quantile probabilities
-// (invalid probabilities outside (0,1) are dropped; empty falls back
-// to DefaultQuantiles).
-func newSummary(quantiles []float64) *Summary {
+// newSummary builds a summary over DefaultQuantiles.
+func newSummary() *Summary {
 	s := &Summary{}
-	for _, p := range quantiles {
-		if p > 0 && p < 1 {
-			s.qs = append(s.qs, stats.NewP2(p))
-		}
-	}
-	if len(s.qs) == 0 {
-		for _, p := range DefaultQuantiles {
-			s.qs = append(s.qs, stats.NewP2(p))
-		}
+	for _, p := range DefaultQuantiles {
+		s.qs = append(s.qs, stats.NewP2(p))
 	}
 	return s
 }
@@ -316,10 +307,9 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 }
 
 // Summary returns the summary with the given identity, creating it
-// with the given quantile probabilities on first use (later calls
-// reuse the first probabilities; nil falls back to DefaultQuantiles).
-// A nil registry returns a nil (no-op) summary.
-func (r *Registry) Summary(name string, quantiles []float64, labels ...Label) *Summary {
+// over DefaultQuantiles on first use. A nil registry returns a nil
+// (no-op) summary.
+func (r *Registry) Summary(name string, labels ...Label) *Summary {
 	if r == nil {
 		return nil
 	}
@@ -328,7 +318,7 @@ func (r *Registry) Summary(name string, quantiles []float64, labels ...Label) *S
 	key := r.id("s", name, labels)
 	s, ok := r.summaries[key]
 	if !ok {
-		s = newSummary(quantiles)
+		s = newSummary()
 		r.summaries[key] = s
 	}
 	return s

@@ -8,7 +8,7 @@ import (
 
 func TestSummaryQuantiles(t *testing.T) {
 	r := NewRegistry()
-	s := r.Summary("lat", nil) // DefaultQuantiles: p10/p50/p90
+	s := r.Summary("lat") // DefaultQuantiles: p10/p50/p90
 	// A deterministic non-monotonic stream over 1..1000 (linear
 	// congruential walk), so the P² estimators see shuffled data.
 	v := 1
@@ -39,13 +39,13 @@ func TestSummaryQuantiles(t *testing.T) {
 
 func TestSummaryNilAndNaN(t *testing.T) {
 	var nilReg *Registry
-	nilReg.Summary("x", nil).Observe(1) // must not panic
+	nilReg.Summary("x").Observe(1) // must not panic
 
 	var nilSum *Summary
 	nilSum.Observe(2) // must not panic
 
 	r := NewRegistry()
-	s := r.Summary("y", nil)
+	s := r.Summary("y")
 	s.Observe(math.NaN())
 	if sv := r.Snapshot().Summaries[0]; sv.Count != 0 {
 		t.Fatalf("NaN observed: %+v", sv)
@@ -54,30 +54,14 @@ func TestSummaryNilAndNaN(t *testing.T) {
 
 func TestSummaryReusesFirstQuantiles(t *testing.T) {
 	r := NewRegistry()
-	a := r.Summary("q", []float64{0.5})
-	b := r.Summary("q", []float64{0.25, 0.75}) // later probabilities ignored
-	if a != b {
+	if a, b := r.Summary("q", L("k", "v")), r.Summary("q", L("k", "v")); a != b {
 		t.Fatal("same identity returned distinct summaries")
-	}
-	a.Observe(1)
-	sv := r.Snapshot().Summaries[0]
-	if len(sv.Quantiles) != 1 || sv.Quantiles[0].Quantile != 0.5 {
-		t.Fatalf("quantiles = %+v, want the first registration's [0.5]", sv.Quantiles)
-	}
-}
-
-func TestSummaryInvalidQuantilesFallBack(t *testing.T) {
-	r := NewRegistry()
-	s := r.Summary("bad", []float64{-1, 0, 1, 2})
-	s.Observe(1)
-	if sv := r.Snapshot().Summaries[0]; len(sv.Quantiles) != len(DefaultQuantiles) {
-		t.Fatalf("quantiles = %+v, want DefaultQuantiles fallback", sv.Quantiles)
 	}
 }
 
 func TestSummaryTextRendering(t *testing.T) {
 	r := NewRegistry()
-	s := r.Summary("req_seconds", nil, L("endpoint", "plan"))
+	s := r.Summary("req_seconds", L("endpoint", "plan"))
 	for i := 1; i <= 10; i++ {
 		s.Observe(float64(i))
 	}

@@ -5,8 +5,16 @@ import (
 	"time"
 
 	"nestwrf/internal/driver"
+	"nestwrf/internal/metrics"
 	"nestwrf/internal/nest"
 )
+
+// coalesceMax caps a batch; coalesceWindow is how long the first
+// pending miss waits for others. The window is a variable only so
+// tests can widen it past a slow scheduler's jitter.
+const coalesceMax = 64
+
+var coalesceWindow = 500 * time.Microsecond
 
 // planJob is one coalesced cache-miss plan: the singleflight leader
 // for a distinct key parks here until the batch it joined is built.
@@ -29,15 +37,11 @@ type planJob struct {
 // of misses from saturating every core, which holds peak RSS down
 // (DESIGN §14 has the measurement).
 type coalescer struct {
-	window  time.Duration
-	maxJobs int
-	workers int
-	// acquire/release claim one server worker-pool slot around each
-	// flush, so coalesced planning still respects the pool that gates
-	// uncoalesced misses (and fails fast the same way under timeout).
-	acquire func()
-	release func()
-	onFlush func(jobs int) // metrics hook, called once per flush
+	// sem is the server's worker pool: each flush claims one slot, so
+	// coalesced planning respects the pool that gates uncoalesced
+	// misses, and BuildPlans fans out over cap(sem) workers.
+	sem chan struct{}
+	reg *metrics.Registry
 
 	mu      sync.Mutex
 	pending []*planJob
@@ -53,7 +57,7 @@ type coalescer struct {
 func (co *coalescer) submit(j *planJob) {
 	co.mu.Lock()
 	co.pending = append(co.pending, j)
-	if len(co.pending) >= co.maxJobs {
+	if len(co.pending) >= coalesceMax {
 		batch := co.pending
 		co.pending = nil
 		// A still-armed timer finds an empty pending list and no-ops.
@@ -63,7 +67,7 @@ func (co *coalescer) submit(j *planJob) {
 	}
 	if !co.timerOn {
 		co.timerOn = true
-		time.AfterFunc(co.window, co.timerFlush)
+		time.AfterFunc(coalesceWindow, co.timerFlush)
 	}
 	co.mu.Unlock()
 }
@@ -82,20 +86,19 @@ func (co *coalescer) timerFlush() {
 // flush builds every job in one BuildPlans pass and releases the
 // waiters.
 func (co *coalescer) flush(batch []*planJob) {
-	co.acquire()
-	defer co.release()
+	co.sem <- struct{}{}
+	defer func() { <-co.sem }()
 	jobs := make([]driver.PlanJob, len(batch))
 	for i, j := range batch {
 		jobs[i] = driver.PlanJob{Config: j.cfg, Options: j.opt}
 	}
-	plans, errs := driver.BuildPlans(jobs, co.workers)
+	plans, errs := driver.BuildPlans(jobs, cap(co.sem))
 	co.mu.Lock()
 	co.batches++
 	co.planned += uint64(len(batch))
 	co.mu.Unlock()
-	if co.onFlush != nil {
-		co.onFlush(len(batch))
-	}
+	co.reg.Counter("planserve_coalesced_batches_total").Inc()
+	co.reg.Counter("planserve_coalesced_plans_total").Add(float64(len(batch)))
 	for i, j := range batch {
 		j.plan, j.err = plans[i], errs[i]
 		close(j.done)

@@ -119,13 +119,21 @@ func TestBatchEndpointErrors(t *testing.T) {
 	}
 }
 
+// widenWindow sets the coalescer's window to 200 ms for the rest of the
+// test.
+func widenWindow(t *testing.T) {
+	old := coalesceWindow
+	coalesceWindow = 200 * time.Millisecond
+	t.Cleanup(func() { coalesceWindow = old })
+}
+
 // TestMissCoalescing: distinct-key misses arriving within the batch
 // window must plan in shared BuildPlans passes, not one pool pass per
 // miss. The window is generous so slow CI schedulers still land every
 // request inside it.
 func TestMissCoalescing(t *testing.T) {
+	widenWindow(t)
 	srv := New(Config{})
-	srv.batch.window = 200 * time.Millisecond
 	defer srv.Close()
 	h := srv.Handler()
 
@@ -167,8 +175,8 @@ func TestMissCoalescing(t *testing.T) {
 // batch included. The slot frees after two seconds, so a flush that
 // holds its submitter fails the test instead of hanging it.
 func TestRequestTimeoutUnderBurst(t *testing.T) {
+	widenWindow(t)
 	srv := New(Config{Workers: 1, RequestTimeout: 50 * time.Millisecond})
-	srv.batch.window = 200 * time.Millisecond
 	h := srv.Handler()
 	srv.sem <- struct{}{}
 	release := time.AfterFunc(2*time.Second, func() { <-srv.sem })

@@ -8,10 +8,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"nestwrf/internal/driver"
 )
 
 func TestCacheHitAndMiss(t *testing.T) {
-	c := newCache(4)
+	c := NewPlanCache(4)
 	ctx := context.Background()
 	calls := 0
 	compute := func() (any, error) { calls++; return "v", nil }
@@ -34,7 +36,7 @@ func TestCacheHitAndMiss(t *testing.T) {
 }
 
 func TestCacheBoundedEviction(t *testing.T) {
-	c := newCache(3)
+	c := NewPlanCache(3)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -42,7 +44,7 @@ func TestCacheBoundedEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n != 3 {
+	if n := c.ll.Len(); n != 3 {
 		t.Fatalf("cache holds %d entries after 5 inserts with max 3", n)
 	}
 	_, _, evictions := c.Stats()
@@ -59,7 +61,7 @@ func TestCacheBoundedEviction(t *testing.T) {
 }
 
 func TestCacheLRUOrderUpdatedOnHit(t *testing.T) {
-	c := newCache(2)
+	c := NewPlanCache(2)
 	ctx := context.Background()
 	put := func(k string) {
 		if _, _, err := doHit(ctx, c, k, func() (any, error) { return k, nil }); err != nil {
@@ -79,7 +81,7 @@ func TestCacheLRUOrderUpdatedOnHit(t *testing.T) {
 }
 
 func TestCacheErrorsNotCached(t *testing.T) {
-	c := newCache(4)
+	c := NewPlanCache(4)
 	ctx := context.Background()
 	boom := errors.New("boom")
 	calls := 0
@@ -97,7 +99,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := newCache(4)
+	c := NewPlanCache(4)
 	ctx := context.Background()
 	const joiners = 16
 	var computes atomic.Int64
@@ -138,7 +140,7 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 func TestCacheJoinerContextCancel(t *testing.T) {
-	c := newCache(4)
+	c := NewPlanCache(4)
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
@@ -174,7 +176,7 @@ func TestCacheJoinerContextCancel(t *testing.T) {
 }
 
 func TestCacheClose(t *testing.T) {
-	c := newCache(4)
+	c := NewPlanCache(4)
 	ctx := context.Background()
 	if _, _, err := doHit(ctx, c, "k", func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
@@ -183,14 +185,14 @@ func TestCacheClose(t *testing.T) {
 	if _, _, err := doHit(ctx, c, "k", func() (any, error) { return 2, nil }); !errors.Is(err, ErrCacheClosed) {
 		t.Fatalf("Do after Close = %v, want ErrCacheClosed", err)
 	}
-	if c.Len() != 0 {
+	if c.ll.Len() != 0 {
 		t.Error("Close did not empty the cache")
 	}
 }
 
-// doHit is do with the outcome reduced to the hit flag these tests
-// assert on.
-func doHit(ctx context.Context, c *cache, key string, compute func() (any, error)) (any, bool, error) {
-	val, _, out, err := c.do(ctx, []byte(key), compute)
+// doHit is lookup, untraced, with the outcome reduced to the hit flag
+// these tests assert on.
+func doHit(ctx context.Context, c *PlanCache, key string, compute func() (any, error)) (any, bool, error) {
+	val, out, err := c.lookup(ctx, nil, []byte(key), driver.Options{}, func(driver.Options) (any, error) { return compute() })
 	return val, out == outcomeHit, err
 }

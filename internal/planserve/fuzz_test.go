@@ -153,6 +153,72 @@ func FuzzPlanHandler(f *testing.F) {
 	})
 }
 
+// FuzzPlanBatch is FuzzPlanHandler for /v1/plan/batch: every body goes
+// to a server warmed with the seed corpus and to a fresh one. Status
+// and each item's plan and error must agree (the items' cache outcomes
+// may not), no response may be a 5xx, and nothing may panic. Bodies
+// with an item asking for more than maxFuzzRanks ranks are skipped.
+func FuzzPlanBatch(f *testing.F) {
+	serve := func(h http.Handler, body []byte) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/plan/batch", bytes.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	warm := New(Config{})
+	f.Cleanup(warm.Close)
+	seeds := keySeeds()
+	for _, body := range seeds {
+		f.Add([]byte(`{"requests":[` + body + `]}`))
+	}
+	f.Add([]byte(`{"requests":[` + strings.Join(seeds[:4], ",") + `,` + seeds[0] + `]}`))
+	f.Add([]byte(`{"requests":[` + renameNests(seeds[0], "h1", "h2") + `,` + badRequests[0].body + `]}`))
+	f.Add([]byte(`{"requests":[]}`))
+	for _, body := range seeds {
+		serve(warm.Handler(), []byte(`{"requests":[`+body+`]}`))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req BatchRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
+			for _, item := range req.Requests {
+				if item.Ranks > maxFuzzRanks {
+					return
+				}
+			}
+		}
+		cold := New(Config{})
+		defer cold.Close()
+		code, got := serve(warm.Handler(), body)
+		wantCode, want := serve(cold.Handler(), body)
+		if code >= 500 || wantCode >= 500 {
+			t.Fatalf("status %d warm, %d cold: %s", code, wantCode, got)
+		}
+		if code == http.StatusOK && wantCode == http.StatusOK {
+			got, want = withoutCache(t, got), withoutCache(t, want)
+		}
+		if code != wantCode || !bytes.Equal(got, want) {
+			t.Fatalf("warm server %d\n%s\ncold server %d\n%s\nbody %q", code, got, wantCode, want, body)
+		}
+	})
+}
+
+// withoutCache re-encodes a batch response with every item's cache
+// outcome blanked.
+func withoutCache(t *testing.T, body []byte) []byte {
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("batch response does not decode: %v: %s", err, body)
+	}
+	for i := range resp.Responses {
+		resp.Responses[i].Cache = ""
+	}
+	out, err := json.Marshal(&resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // keySeeds are FuzzPlanRequestKey's corpus: every option combination,
 // sibling orders, and the rejected requests.
 func keySeeds() []string {

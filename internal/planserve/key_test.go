@@ -322,7 +322,8 @@ func TestLookupHitKeyAllocs(t *testing.T) {
 		return nil, nil
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, out, err := pc.lookup(ctx, queryRun, cfg, opt, miss); err != nil || out != outcomeHit {
+		var buf [keyBuf]byte
+		if _, out, err := pc.lookup(ctx, nil, appendKey(buf[:0], queryRun.prefix, opt, cfg), opt, miss); err != nil || out != outcomeHit {
 			t.Fatalf("lookup = %v, %v; want a hit", out, err)
 		}
 	})

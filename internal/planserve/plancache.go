@@ -1,7 +1,10 @@
 package planserve
 
 import (
+	"container/list"
 	"context"
+	"errors"
+	"sync"
 	"sync/atomic"
 
 	"nestwrf/internal/driver"
@@ -10,32 +13,123 @@ import (
 	"nestwrf/internal/telemetry"
 )
 
+// ErrCacheClosed is returned by lookups after Close.
+var ErrCacheClosed = errors.New("planserve: cache closed")
+
+// cacheOutcome classifies how a lookup was satisfied.
+type cacheOutcome int
+
+const (
+	// outcomeMiss: this caller led the computation.
+	outcomeMiss cacheOutcome = iota
+	// outcomeHit: served from the resident cache, no waiting.
+	outcomeHit
+	// outcomeJoin: waited on another caller's in-flight computation
+	// (singleflight dedup).
+	outcomeJoin
+	// outcomeNone: the request was invalid and never reached the
+	// cache; nothing is counted.
+	outcomeNone
+)
+
+// String returns the annotation/label form of the outcome.
+func (o cacheOutcome) String() string {
+	switch o {
+	case outcomeHit:
+		return "hit"
+	case outcomeJoin:
+		return "join"
+	case outcomeNone:
+		return "none"
+	}
+	return "miss"
+}
+
+// flight is one in-progress computation that concurrent identical
+// queries join instead of recomputing (singleflight dedup). done is
+// closed exactly once, after val/err are set.
+type flight struct {
+	done chan struct{}
+	val  any
+	err  error
+}
+
 // PlanCache is the plan cache behind the HTTP server, exported for
 // in-process embedding: engines that evaluate many scenarios — the
 // ensemble campaign engine foremost — share one PlanCache so repeated
 // geometries plan once, with singleflight deduplication when several
 // workers ask for the same geometry concurrently.
 //
-// Entries are keyed by the same canonical name-free key the server
-// uses (machine identity + options + domain geometry, sibling order
-// preserved), so renamed but geometrically identical scenarios share
-// one entry. Cached values are immutable by contract: callers must
-// treat the slices inside a returned Result or Plan as read-only.
+// It is a bounded LRU keyed by the same canonical name-free key the
+// server uses (machine identity + options + domain geometry, sibling
+// order preserved), so renamed but geometrically identical scenarios
+// share one entry. Cached values are immutable by contract: a hit hands
+// the same pointer to every caller, which must treat the slices inside
+// a returned Result or Plan as read-only.
 type PlanCache struct {
-	c *cache
+	mu       sync.Mutex
+	max      int        // maximum resident entries (> 0)
+	ll       *list.List // front = most recently used
+	entries  map[string]*list.Element
+	inflight map[string]*flight
+	closed   bool
+
+	hits, misses, evictions, joins uint64
+
+	// Warm-load accounting: entries restored from a persisted snapshot
+	// (loaded), snapshot entries refused at load time (rejected —
+	// machine mismatch, invalid geometry, decode failure, over
+	// capacity), and warm entries later pushed out by LRU churn
+	// (evicted).
+	warmLoaded, warmRejected, warmEvicted uint64
+
+	// Optional registry counters, mirroring the internal counts; nil
+	// (the default) is a no-op thanks to the metrics nil contract.
+	mHits, mMisses, mEvictions, mJoins       *metrics.Counter
+	mWarmLoaded, mWarmRejected, mWarmEvicted *metrics.Counter
+}
+
+// lruEntry is the list payload. warm marks entries restored from a
+// snapshot rather than computed in this process. body is the response
+// the server encoded from val on the entry's first hit; an entry's val
+// never changes (insert over a resident key replaces the entry), so a
+// stored body always belongs to the val beside it.
+type lruEntry struct {
+	key  string
+	val  any
+	warm bool
+	body atomic.Pointer[storedBody]
 }
 
 // NewPlanCache returns a cache bounded to maxEntries (min 1).
 func NewPlanCache(maxEntries int) *PlanCache {
-	return &PlanCache{c: newCache(maxEntries)}
+	return &PlanCache{
+		max:      max(maxEntries, 1),
+		ll:       list.New(),
+		entries:  map[string]*list.Element{},
+		inflight: map[string]*flight{},
+	}
 }
 
-// Instrument mirrors the cache's hit/miss/eviction/join counters into
-// reg as plancache_{hits,misses,evictions,joins}_total, so embedders
+// Instrument mirrors the cache's counters into reg as
+// plancache_{hits,misses,evictions,joins}_total and
+// planserve_cache_warm_{loaded,rejected,evicted}_total, so embedders
 // (cmd/ensemble -metrics, the plan server) report cache effectiveness
-// alongside their other instruments. A nil registry is a no-op.
-func (p *PlanCache) Instrument(reg *metrics.Registry, labels ...metrics.Label) {
-	p.c.instrument(reg, "plancache", labels...)
+// alongside their other instruments. A nil registry is a no-op; counts
+// recorded before instrumentation are not backfilled.
+func (p *PlanCache) Instrument(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.mHits = reg.Counter("plancache_hits_total")
+	p.mMisses = reg.Counter("plancache_misses_total")
+	p.mEvictions = reg.Counter("plancache_evictions_total")
+	p.mJoins = reg.Counter("plancache_joins_total")
+	p.mWarmLoaded = reg.Counter("planserve_cache_warm_loaded_total")
+	p.mWarmRejected = reg.Counter("planserve_cache_warm_rejected_total")
+	p.mWarmEvicted = reg.Counter("planserve_cache_warm_evicted_total")
 }
 
 // startLookupSpan opens a cache-layer span for one lookup when the
@@ -73,24 +167,108 @@ var (
 	queryCompare = query{"compare", "plancache.compare", "compare|"}
 )
 
-// lookup is the one cache path every query takes: lookup span,
-// canonical key, singleflight do, outcome annotation. On a miss, miss
-// computes the value under options whose TraceParent is the lookup
-// span, so the computation's driver span nests under it. A hit also
-// returns the entry's stored-body slot, which only the server uses.
-func (p *PlanCache) lookup(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options, miss func(driver.Options) (any, error)) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
-	sp := startLookupSpan(opt, q.span)
-	var buf [keyBuf]byte
-	return p.do(ctx, sp, appendKey(buf[:0], q.prefix, opt, cfg), opt, miss)
+// lookup is the one way into the cache: it returns the value for key,
+// or computes it via miss. At most one miss runs per key at a time:
+// concurrent callers with the same key wait for the leader's result (or
+// their own context, in which case the computation keeps running and
+// lands in the cache for later queries). Errors are not cached; the
+// next query retries. The outcome reports a hit, a miss (this caller
+// led the computation) or a join (it waited on another caller's
+// flight). miss runs under options whose TraceParent is the open lookup
+// span sp, so its driver span nests under it; lookup ends sp with the
+// outcome. key is only read during the call: a hit or join never copies
+// it, a miss makes the one string the flight and the resident entry
+// share.
+func (p *PlanCache) lookup(ctx context.Context, sp *telemetry.ActiveSpan, key []byte, opt driver.Options, miss func(driver.Options) (any, error)) (val any, out cacheOutcome, err error) {
+	defer func() { endLookupSpan(sp, out, err) }()
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, outcomeMiss, ErrCacheClosed
+	}
+	if e := p.hitLocked(key); e != nil {
+		p.mu.Unlock()
+		return e.val, outcomeHit, nil
+	}
+	if f, ok := p.inflight[string(key)]; ok {
+		p.joins++
+		p.mJoins.Inc()
+		p.mu.Unlock()
+		select {
+		case <-f.done:
+			return f.val, outcomeJoin, f.err
+		case <-ctx.Done():
+			return nil, outcomeJoin, ctx.Err()
+		}
+	}
+	k := string(key)
+	f := &flight{done: make(chan struct{})}
+	p.inflight[k] = f
+	p.misses++
+	p.mMisses.Inc()
+	p.mu.Unlock()
+
+	opt.TraceParent = sp.ID()
+	f.val, f.err = miss(opt)
+
+	p.mu.Lock()
+	delete(p.inflight, k)
+	if f.err == nil && !p.closed {
+		p.insert(k, f.val)
+	}
+	p.mu.Unlock()
+	close(f.done)
+	return f.val, outcomeMiss, f.err
 }
 
-// do is a lookup's singleflight step under its open lookup span sp,
-// which it ends with the outcome.
-func (p *PlanCache) do(ctx context.Context, sp *telemetry.ActiveSpan, key []byte, opt driver.Options, miss func(driver.Options) (any, error)) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
-	opt.TraceParent = sp.ID()
-	v, body, out, err := p.c.do(ctx, key, func() (any, error) { return miss(opt) })
-	endLookupSpan(sp, out, err)
-	return v, body, out, err
+// resident is lookup's hit without the rest of lookup: key's resident
+// entry, counted as a hit, or nil with nothing counted when key is not
+// resident or the cache is closed. It is the only way to an entry's
+// stored-body slot.
+func (p *PlanCache) resident(key []byte) *lruEntry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil
+	}
+	return p.hitLocked(key)
+}
+
+// hitLocked returns key's resident entry, moved to the front and
+// counted as a hit, or nil (callers hold p.mu).
+func (p *PlanCache) hitLocked(key []byte) *lruEntry {
+	el, ok := p.entries[string(key)]
+	if !ok {
+		return nil
+	}
+	p.ll.MoveToFront(el)
+	p.hits++
+	p.mHits.Inc()
+	return el.Value.(*lruEntry)
+}
+
+// insert adds key -> val and evicts the least recently used entry when
+// over capacity (callers hold p.mu). A resident key gets a fresh entry,
+// dropping the body stored from the old value.
+func (p *PlanCache) insert(key string, val any) {
+	if el, ok := p.entries[key]; ok {
+		el.Value = &lruEntry{key: key, val: val, warm: el.Value.(*lruEntry).warm}
+		p.ll.MoveToFront(el)
+		return
+	}
+	p.entries[key] = p.ll.PushFront(&lruEntry{key: key, val: val})
+	for p.ll.Len() > p.max {
+		oldest := p.ll.Back()
+		p.ll.Remove(oldest)
+		e := oldest.Value.(*lruEntry)
+		delete(p.entries, e.key)
+		p.evictions++
+		p.mEvictions.Inc()
+		if e.warm {
+			p.warmEvicted++
+			p.mWarmEvicted.Inc()
+		}
+	}
 }
 
 // Run returns driver.Run's result for cfg under opt, computing it at
@@ -101,7 +279,8 @@ func (p *PlanCache) do(ctx context.Context, sp *telemetry.ActiveSpan, key []byte
 // option at all: the run resolves the machine's cached one, and the
 // machine is keyed.
 func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Options) (driver.Result, bool, error) {
-	v, _, out, err := p.lookup(ctx, queryRun, cfg, opt, func(opt driver.Options) (any, error) {
+	var buf [keyBuf]byte
+	v, out, err := p.lookup(ctx, startLookupSpan(opt, queryRun.span), appendKey(buf[:0], queryRun.prefix, opt, cfg), opt, func(opt driver.Options) (any, error) {
 		res, err := driver.Run(cfg, opt)
 		if err != nil {
 			return nil, err
@@ -142,7 +321,8 @@ func withNames(r driver.Result, name func(i int) string) driver.Result {
 // computed it: a caller that reports them re-attaches its own, as the
 // server's planResponse does.
 func (p *PlanCache) Plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, bool, error) {
-	v, _, out, err := p.lookup(ctx, queryPlan, cfg, opt, func(opt driver.Options) (any, error) {
+	var buf [keyBuf]byte
+	v, out, err := p.lookup(ctx, startLookupSpan(opt, queryPlan.span), appendKey(buf[:0], queryPlan.prefix, opt, cfg), opt, func(opt driver.Options) (any, error) {
 		return driver.BuildPlan(cfg, opt)
 	})
 	if err != nil {
@@ -151,18 +331,39 @@ func (p *PlanCache) Plan(ctx context.Context, cfg *nest.Domain, opt driver.Optio
 	return v.(*driver.Plan), out == outcomeHit, nil
 }
 
-// Len returns the number of resident entries.
-func (p *PlanCache) Len() int { return p.c.Len() }
-
 // Stats returns cumulative hit/miss/eviction counts. Misses count
 // distinct computed keys (joiners of an in-flight computation count
 // as neither), so on an eviction-free run Misses equals the number of
 // distinct geometries planned.
-func (p *PlanCache) Stats() (hits, misses, evictions uint64) { return p.c.Stats() }
+func (p *PlanCache) Stats() (hits, misses, evictions uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits, p.misses, p.evictions
+}
 
 // Joins returns how many lookups waited on another caller's in-flight
 // computation instead of recomputing (singleflight deduplication).
-func (p *PlanCache) Joins() uint64 { return p.c.Joins() }
+func (p *PlanCache) Joins() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.joins
+}
 
-// Close empties the cache; further calls fail with ErrCacheClosed.
-func (p *PlanCache) Close() { p.c.Close() }
+// WarmStats reports the warm-load counters: snapshot entries loaded,
+// entries rejected at load time, and warm entries later evicted by LRU
+// churn.
+func (p *PlanCache) WarmStats() (loaded, rejected, evicted uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.warmLoaded, p.warmRejected, p.warmEvicted
+}
+
+// Close empties the cache; further lookups fail with ErrCacheClosed.
+// In-flight computations complete but their results are dropped.
+func (p *PlanCache) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	p.ll.Init()
+	p.entries = map[string]*list.Element{}
+}

@@ -228,12 +228,6 @@ type Server struct {
 	inflight atomic.Int64
 }
 
-// The coalescer's window and batch cap.
-const (
-	coalesceWindow = 500 * time.Microsecond
-	coalesceMax    = 64
-)
-
 // New builds a Server from cfg (zero-value fields are defaulted).
 func New(cfg Config) *Server {
 	if cfg.CacheSize <= 0 {
@@ -253,17 +247,7 @@ func New(cfg Config) *Server {
 		tracer: cfg.Tracer,
 		log:    cfg.Log,
 	}
-	s.batch = &coalescer{
-		window:  coalesceWindow,
-		maxJobs: coalesceMax,
-		workers: cfg.Workers,
-		acquire: func() { s.sem <- struct{}{} },
-		release: func() { <-s.sem },
-		onFlush: func(jobs int) {
-			s.reg.Counter("planserve_coalesced_batches_total").Inc()
-			s.reg.Counter("planserve_coalesced_plans_total").Add(float64(jobs))
-		},
-	}
+	s.batch = &coalescer{sem: s.sem, reg: s.reg}
 	s.plans.Instrument(cfg.Metrics)
 	return s
 }
@@ -273,8 +257,10 @@ func (s *Server) Close() { s.plans.Close() }
 
 // CacheStats reports the shared cache's occupancy and counters.
 func (s *Server) CacheStats() (entries int, hits, misses, evictions uint64) {
-	hits, misses, evictions = s.plans.Stats()
-	return s.plans.Len(), hits, misses, evictions
+	p := s.plans
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ll.Len(), p.hits, p.misses, p.evictions
 }
 
 // CacheJoins reports how many lookups waited on another request's
@@ -344,8 +330,7 @@ func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveS
 			metrics.L("endpoint", endpoint), metrics.L("code", strconv.Itoa(code))).Inc()
 		s.reg.Histogram("planserve_request_seconds", latencyBounds,
 			metrics.L("endpoint", endpoint)).Observe(dur)
-		s.reg.Summary("planserve_request_seconds_summary", nil,
-			metrics.L("endpoint", endpoint)).Observe(dur)
+		s.reg.Summary("planserve_request_seconds_summary", metrics.L("endpoint", endpoint)).Observe(dur)
 		if sp != nil {
 			sp.Annotate("code", strconv.Itoa(code))
 			sp.Annotate(attr, detail)
@@ -457,19 +442,21 @@ func childNames(spec *DomainSpec) []string {
 
 // lookup answers one decoded request from the shared cache, keyed by
 // appendRequestKey. A resident entry is served before any domain tree
-// is built or deadline armed: invalid requests are never inserted, and
-// whether a tree is valid depends only on its geometry, which the key
-// holds, so a hit implies a valid request. Only a non-resident key
-// builds and validates the tree (outcomeNone when that fails), arms
-// the request deadline on ctx and enters the cache's singleflight do,
+// is built or deadline armed: invalid requests are never inserted (nor
+// loaded from a snapshot), and whether a tree is valid depends only on
+// its geometry, which the key holds, so a hit implies a valid request.
+// Only that resident hit returns the entry's stored-body slot. A
+// non-resident key builds and validates the tree (outcomeNone when that
+// fails), arms the request deadline on ctx and enters PlanCache.lookup,
 // where a miss plans through the coalescer (plans) or under a
-// worker-pool slot (comparisons). Every outcome but outcomeNone counts
-// once in planserve_cache_total.
+// worker-pool slot (comparisons); a key inserted meanwhile is a hit
+// there, encoded afresh. Every outcome but outcomeNone counts once in
+// planserve_cache_total.
 func (s *Server) lookup(ctx context.Context, q query, req *PlanRequest, opt driver.Options) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
 	var buf [keyBuf]byte
 	key := appendRequestKey(buf[:0], q.prefix, opt, &req.Domain)
 	sp := startLookupSpan(opt, q.span)
-	if e := s.plans.c.resident(key); e != nil {
+	if e := s.plans.resident(key); e != nil {
 		endLookupSpan(sp, outcomeHit, nil)
 		s.countOutcome(q, outcomeHit)
 		return e.val, &e.body, outcomeHit, nil
@@ -481,14 +468,14 @@ func (s *Server) lookup(ctx context.Context, q query, req *PlanRequest, opt driv
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
-	v, slot, out, err := s.plans.do(ctx, sp, key, opt, func(opt driver.Options) (any, error) {
+	v, out, err := s.plans.lookup(ctx, sp, key, opt, func(opt driver.Options) (any, error) {
 		if q == queryCompare {
 			return s.buildComparison(ctx, cfg, opt)
 		}
 		return s.buildPlan(ctx, cfg, opt)
 	})
 	s.countOutcome(q, out)
-	return v, slot, out, err
+	return v, nil, out, err
 }
 
 // countOutcome adds one lookup to the per-endpoint outcome counter.

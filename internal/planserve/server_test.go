@@ -483,7 +483,7 @@ func coldBody(t *testing.T, path, body string) []byte {
 // storedNames returns the child names of every stored body resident in
 // srv's cache, most recently used entry first.
 func storedNames(srv *Server) [][]string {
-	c := srv.plans.c
+	c := srv.plans
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out [][]string

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 
 	"nestwrf/internal/driver"
+	"nestwrf/internal/nest"
 )
 
 // SnapshotVersion is the schema tag of persisted plan-cache snapshots.
@@ -46,14 +47,17 @@ type snapshotEntry struct {
 // many entries were persisted. Entries for machines outside the known
 // set are skipped: their keys could never validate at load time.
 func (p *PlanCache) SaveSnapshot(path string) (int, error) {
-	names := make([]string, 0, len(machineKeys))
-	for name := range machineKeys {
-		names = append(names, name)
+	// Entries are immutable but for their stored bodies, so they are
+	// collected under the lock and encoded after it.
+	p.mu.Lock()
+	resident := make([]*lruEntry, 0, p.ll.Len())
+	for el := p.ll.Front(); el != nil; el = el.Next() {
+		resident = append(resident, el.Value.(*lruEntry))
 	}
-	sort.Strings(names)
+	p.mu.Unlock()
 
 	snap := snapshotFile{Version: SnapshotVersion, Machines: machineKeys}
-	for _, e := range p.c.dump() {
+	for _, e := range resident {
 		var kind string
 		switch e.val.(type) {
 		case *driver.Plan:
@@ -65,11 +69,10 @@ func (p *PlanCache) SaveSnapshot(path string) (int, error) {
 		default:
 			continue
 		}
-		var mname string
-		for _, name := range names {
-			if strings.Contains(e.key, machineKeys[name]) {
+		var mname string // a key holds one machine segment: at most one name matches
+		for name, mkey := range machineKeys {
+			if strings.Contains(e.key, mkey) {
 				mname = name
-				break
 			}
 		}
 		if mname == "" {
@@ -112,10 +115,12 @@ func (p *PlanCache) SaveSnapshot(path string) (int, error) {
 // LoadSnapshot warm-loads a snapshot into the cache. A file-level
 // problem (unreadable, corrupt JSON, version mismatch) returns an
 // error and loads nothing; per-entry problems (unknown machine, stale
-// machine identity, undecodable value, over capacity) reject just that
-// entry and increment the warm-rejected counter. Loaded entries keep
-// their saved recency order and are flagged warm, so later LRU churn
-// shows up in the warm-evicted counter.
+// machine identity, invalid geometry, undecodable value, over
+// capacity) reject just that entry and increment the warm-rejected
+// counter. A hit is served without validation, so an entry loads only
+// when its key's geometry is a tree nest.Validate accepts. Loaded
+// entries keep their saved recency order and are flagged warm, so
+// later LRU churn shows up in the warm-evicted counter.
 func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -129,50 +134,96 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 		return 0, 0, fmt.Errorf("planserve: snapshot %s: version %q, want %q",
 			path, snap.Version, SnapshotVersion)
 	}
+	warm := make([]*lruEntry, 0, len(snap.Entries))
 	for _, e := range snap.Entries {
 		mkey, ok := machineKeys[e.Machine]
-		if !ok || !strings.Contains(e.Key, mkey) {
+		if !ok || !strings.Contains(e.Key, mkey) || !validGeometry(e.Key[strings.LastIndexByte(e.Key, '|')+1:]) {
 			rejected++
 			continue
 		}
 		var val any
 		switch e.Kind {
 		case "plan":
-			plan := new(driver.Plan)
-			if json.Unmarshal(e.Value, plan) != nil {
-				rejected++
-				continue
-			}
-			val = plan
+			val = new(driver.Plan)
 		case "compare":
-			cmp := new(driver.Comparison)
-			if json.Unmarshal(e.Value, cmp) != nil {
-				rejected++
-				continue
-			}
-			val = cmp
+			val = new(driver.Comparison)
 		case "run":
-			res := new(driver.Result)
-			if json.Unmarshal(e.Value, res) != nil {
-				rejected++
-				continue
-			}
-			val = res
-		default:
+			val = new(driver.Result)
+		}
+		if val == nil || json.Unmarshal(e.Value, val) != nil {
 			rejected++
 			continue
 		}
-		if !p.c.loadWarm(e.Key, val) {
+		warm = append(warm, &lruEntry{key: e.Key, val: val, warm: true})
+	}
+
+	// Each entry lands behind the previously loaded ones, reconstructing
+	// the saved LRU order; the hit/miss counters are not touched.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, e := range warm {
+		if p.closed || p.ll.Len() >= p.max || p.entries[e.key] != nil {
 			rejected++
 			continue
 		}
+		p.entries[e.key] = p.ll.PushBack(e)
 		loaded++
 	}
-	p.c.noteWarmRejected(rejected)
+	p.warmLoaded += uint64(loaded)
+	p.mWarmLoaded.Add(float64(loaded))
+	p.warmRejected += uint64(rejected)
+	p.mWarmRejected.Add(float64(rejected))
 	return loaded, rejected, nil
 }
 
-// WarmStats reports the warm-load counters: snapshot entries loaded,
-// entries rejected at load time, and warm entries later evicted by LRU
-// churn.
-func (p *PlanCache) WarmStats() (loaded, rejected, evicted uint64) { return p.c.WarmStats() }
+// validGeometry reports whether seg, a key's geometry segment, is
+// appendDomainKey's rendering of a root (ratio 1, offsets 0, as
+// nest.Root sets them) whose tree nest.Validate accepts.
+func validGeometry(seg string) bool {
+	root, rest := parseGeometry(seg, nil)
+	return root != nil && rest == "" && root.Validate() == nil
+}
+
+// parseGeometry parses one "(nx,ny,ratio,offx,offy" ... ")" group from
+// the front of s into a child of parent, or into a root when parent is
+// nil, and returns the domain (nil if s does not start with a
+// well-formed group) and what follows the group.
+func parseGeometry(s string, parent *nest.Domain) (*nest.Domain, string) {
+	if !strings.HasPrefix(s, "(") {
+		return nil, s
+	}
+	end := strings.IndexAny(s[1:], "()") + 1
+	if end == 0 {
+		return nil, s
+	}
+	var v [5]int
+	fields := strings.Split(s[1:end], ",")
+	if len(fields) != len(v) {
+		return nil, s
+	}
+	for i, f := range fields {
+		var err error
+		if v[i], err = strconv.Atoi(f); err != nil {
+			return nil, s
+		}
+	}
+	var d *nest.Domain
+	if parent == nil {
+		if v[2] != 1 || v[3] != 0 || v[4] != 0 {
+			return nil, s
+		}
+		d = nest.Root("", v[0], v[1])
+	} else {
+		d = parent.AddChild("", v[0], v[1], v[2], v[3], v[4])
+	}
+	for s = s[end:]; strings.HasPrefix(s, "("); {
+		var c *nest.Domain
+		if c, s = parseGeometry(s, d); c == nil {
+			return nil, s
+		}
+	}
+	if !strings.HasPrefix(s, ")") {
+		return nil, s
+	}
+	return d, s[1:]
+}

@@ -201,6 +201,75 @@ func TestSnapshotRejectsMachineMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsInvalidGeometry: a hit is served before any
+// validation, so a snapshot entry whose key holds a tree nest.Validate
+// refuses — here a nest larger than its parent — must not load, and the
+// request with that geometry must still get its 400.
+func TestSnapshotRejectsInvalidGeometry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.snap")
+	valid := testRequest("concurrent", "predicted", "multilevel")
+	srvA := New(Config{})
+	post(t, srvA.Handler(), "/v1/plan", valid)
+	if _, err := srvA.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	srvA.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotFile
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Entries) != 1 || !strings.Contains(snap.Entries[0].Key, "(394,") {
+		t.Fatalf("unexpected snapshot entries %+v", snap.Entries)
+	}
+	snap.Entries[0].Key = strings.Replace(snap.Entries[0].Key, "(394,", "(3940,", 1)
+	data, _ = json.Marshal(&snap)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB := New(Config{})
+	defer srvB.Close()
+	loaded, rejected, err := srvB.LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded != 0 || rejected != 1 {
+		t.Errorf("loaded %d rejected %d, want 0/1", loaded, rejected)
+	}
+	if l, r, _ := srvB.plans.WarmStats(); l != 0 || r != 1 {
+		t.Errorf("warm stats loaded %d rejected %d, want 0/1", l, r)
+	}
+	invalid := strings.Replace(valid, `"nx": 394`, `"nx": 3940`, 1)
+	if code, cacheHdr, body := post(t, srvB.Handler(), "/v1/plan", invalid); code != http.StatusBadRequest {
+		t.Errorf("oversized nest after load: status %d cache %q, want 400: %s", code, cacheHdr, body)
+	}
+}
+
+// TestValidGeometry: the snapshot's geometry check accepts every key a
+// valid tree renders to and nothing that is not appendDomainKey's
+// rendering of a valid root.
+func TestValidGeometry(t *testing.T) {
+	key := string(appendDomainKey(nil, cacheCfg()))
+	if !validGeometry(key) {
+		t.Fatalf("valid tree %s rejected", key)
+	}
+	for _, seg := range []string{
+		"", "(", ")", "()", key[:len(key)-1], key + ")", key + "(1,1,1,0,0)", " " + key,
+		"(286,307,3,0,0)", "(286,307,1,7,0)", "(286,307,1,0)", "(286,307,1,0,0,0)",
+		"(286,x,1,0,0)", "(286,307,1,0,0(100,100,3,0,0)", "(0,307,1,0,0)",
+		"(286,307,1,0,0(900,100,3,0,0))", "(286,307,1,0,0(100,100,0,0,0))",
+	} {
+		if validGeometry(seg) {
+			t.Errorf("validGeometry(%q) = true", seg)
+		}
+	}
+}
+
 // TestSnapshotCapacityAndWarmEviction: loading past capacity rejects
 // the overflow, and warm entries pushed out by later traffic are
 // counted as warm evictions.
