@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -65,17 +66,19 @@ func TestDelaunayRejectsNonFinite(t *testing.T) {
 // vertices (no interior collinear degeneracies) has 2n - h - 2 triangles.
 func TestDelaunayTriangleCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var sets [][]Point
 	for trial := 0; trial < 20; trial++ {
-		n := 4 + rng.Intn(40)
-		pts := randomPoints(rng, n)
+		sets = append(sets, randomPoints(rng, 4+rng.Intn(40)))
+	}
+	for trial, pts := range append(sets, lattices()...) {
 		tr, err := Delaunay(pts)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("set %d: %v", trial, err)
 		}
 		// h counts every point on the hull boundary, including points
 		// collinear on hull edges (which the corner-only hull drops).
 		hull := ConvexHull(pts)
-		h := 0
+		n, h := len(pts), 0
 		for _, p := range pts {
 			onBoundary := false
 			for i := range hull {
@@ -93,7 +96,7 @@ func TestDelaunayTriangleCount(t *testing.T) {
 		}
 		want := 2*n - h - 2
 		if len(tr.Triangles) != want {
-			t.Errorf("trial %d: n=%d h=%d: got %d triangles, want %d",
+			t.Errorf("set %d: n=%d h=%d: got %d triangles, want %d",
 				trial, n, h, len(tr.Triangles), want)
 		}
 	}
@@ -101,14 +104,17 @@ func TestDelaunayTriangleCount(t *testing.T) {
 
 func TestDelaunayEmptyCircumcircleProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var sets [][]Point
 	for trial := 0; trial < 15; trial++ {
-		pts := randomPoints(rng, 5+rng.Intn(45))
+		sets = append(sets, randomPoints(rng, 5+rng.Intn(45)))
+	}
+	for trial, pts := range append(sets, lattices()...) {
 		tr, err := Delaunay(pts)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("set %d: %v", trial, err)
 		}
 		if err := tr.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("set %d: %v", trial, err)
 		}
 	}
 }
@@ -117,19 +123,89 @@ func TestDelaunayEmptyCircumcircleProperty(t *testing.T) {
 // triangulation covers the hull exactly, with no overlaps or gaps.
 func TestDelaunayAreaCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	var sets [][]Point
 	for trial := 0; trial < 15; trial++ {
-		pts := randomPoints(rng, 5+rng.Intn(30))
+		sets = append(sets, randomPoints(rng, 5+rng.Intn(30)))
+	}
+	for trial, pts := range append(sets, lattices()...) {
 		tr, err := Delaunay(pts)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("set %d: %v", trial, err)
 		}
-		var sum float64
-		for _, tri := range tr.Triangles {
-			sum += math.Abs(SignedArea(tr.Points[tri.A], tr.Points[tri.B], tr.Points[tri.C]))
+		if sum, hullArea := triangulatedArea(tr), PolygonArea(ConvexHull(pts)); math.Abs(sum-hullArea) > 1e-6*hullArea {
+			t.Errorf("set %d: triangulated area %v != hull area %v", trial, sum, hullArea)
 		}
-		hullArea := PolygonArea(ConvexHull(pts))
-		if math.Abs(sum-hullArea) > 1e-6*hullArea {
-			t.Errorf("trial %d: triangulated area %v != hull area %v", trial, sum, hullArea)
+	}
+}
+
+// Regular n-gons put every input point on one circle, so only the index
+// tie rule picks the triangles: n-2 of them, or the n-triangle fan when
+// the centre is added. Centre, radius, rotation and input order are
+// random.
+func TestDelaunayCocircularPolygons(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for n := 4; n <= 24; n++ {
+		for _, withCentre := range []bool{false, true} {
+			centre := Pt(rng.Float64()*20-10, rng.Float64()*20-10)
+			r, rot := 0.5+rng.Float64()*5, rng.Float64()*2*math.Pi
+			pts := make([]Point, 0, n+1)
+			for i := 0; i < n; i++ {
+				a := rot + 2*math.Pi*float64(i)/float64(n)
+				pts = append(pts, Pt(centre.X+r*math.Cos(a), centre.Y+r*math.Sin(a)))
+			}
+			want := n - 2
+			if withCentre {
+				pts = append(pts, centre)
+				want = n
+			}
+			rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+			tr, err := Delaunay(pts)
+			if err != nil {
+				t.Fatalf("n=%d centre=%v: %v", n, withCentre, err)
+			}
+			if got := len(tr.Triangles); got != want {
+				t.Errorf("n=%d centre=%v: %d triangles, want %d", n, withCentre, got, want)
+			}
+			if sum, hullArea := triangulatedArea(tr), PolygonArea(ConvexHull(pts)); math.Abs(sum-hullArea) > 1e-9*hullArea {
+				t.Errorf("n=%d centre=%v: triangulated area %v != hull area %v", n, withCentre, sum, hullArea)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Errorf("n=%d centre=%v: %v", n, withCentre, err)
+			}
+		}
+	}
+}
+
+// Without ties the Delaunay triangulation is unique, so permuting the
+// input permutes the triangle set and nothing else.
+func TestDelaunayPermutationInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 20; trial++ {
+		n := 3 + rng.Intn(30)
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Pt(rng.Float64(), rng.Float64())
+		}
+		perm := rng.Perm(n)
+		permuted := make([]Point, n)
+		for i, p := range perm {
+			permuted[i] = pts[p]
+		}
+		tr, err := Delaunay(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptr, err := Delaunay(permuted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := make([]Triangle, len(ptr.Triangles))
+		for i, tri := range ptr.Triangles {
+			back[i] = Triangle{perm[tri.A], perm[tri.B], perm[tri.C]}
+		}
+		sortTriangles(back)
+		if !reflect.DeepEqual(back, tr.Triangles) {
+			t.Errorf("trial %d (n=%d): permuted input gives %v, want %v", trial, n, back, tr.Triangles)
 		}
 	}
 }
@@ -316,11 +392,52 @@ func randomPoints(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
-func BenchmarkDelaunay100(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := randomPoints(rng, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// lattices returns the 64 regular nx×ny lattices, 2 ≤ nx, ny ≤ 9, with
+// spacing 0.5 × 0.25, each in a seeded shuffled order. Every lattice
+// cell is cocircular, so the index tie rule alone picks its diagonal.
+func lattices() [][]Point {
+	rng := rand.New(rand.NewSource(37))
+	var sets [][]Point
+	for nx := 2; nx <= 9; nx++ {
+		for ny := 2; ny <= 9; ny++ {
+			lattice := make([]Point, 0, nx*ny)
+			for i := 0; i < nx; i++ {
+				for j := 0; j < ny; j++ {
+					lattice = append(lattice, Pt(float64(i)*0.5, float64(j)*0.25))
+				}
+			}
+			rng.Shuffle(len(lattice), func(i, j int) { lattice[i], lattice[j] = lattice[j], lattice[i] })
+			sets = append(sets, lattice)
+		}
+	}
+	return sets
+}
+
+// triangulatedArea sums the areas of tr's triangles.
+func triangulatedArea(tr *Triangulation) float64 {
+	var sum float64
+	for _, tri := range tr.Triangles {
+		sum += math.Abs(SignedArea(tr.Points[tri.A], tr.Points[tri.B], tr.Points[tri.C]))
+	}
+	return sum
+}
+
+// BenchmarkDelaunay13 triangulates what the predictor does: the 13
+// profiled basis shapes (predict.DefaultBasis) in the (aspect-ratio,
+// points/1e5) plane.
+func BenchmarkDelaunay13(b *testing.B) {
+	shapes := [][2]float64{
+		{77, 155}, {187, 375}, {304, 608},
+		{108, 108}, {265, 265}, {430, 430},
+		{132, 88}, {324, 216}, {527, 351},
+		{173, 231}, {224, 179}, {300, 400}, {387, 310},
+	}
+	pts := make([]Point, len(shapes))
+	for i, s := range shapes {
+		pts[i] = Pt(s[0]/s[1], s[0]*s[1]/1e5)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
 		if _, err := Delaunay(pts); err != nil {
 			b.Fatal(err)
 		}

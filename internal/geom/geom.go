@@ -20,17 +20,11 @@ type Point struct {
 // Pt is shorthand for constructing a Point.
 func Pt(x, y float64) Point { return Point{x, y} }
 
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
 // Add returns p + q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Cross returns the z-component of the cross product p × q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
 // Dist2 returns the squared Euclidean distance between p and q.
 func (p Point) Dist2(q Point) float64 {
@@ -76,7 +70,12 @@ func Orient(a, b, c Point) Orientation {
 
 // InCircle reports whether point d lies strictly inside the
 // circumcircle of the counter-clockwise triangle (a, b, c).
-func InCircle(a, b, c, d Point) bool {
+func InCircle(a, b, c, d Point) bool { return inCircleSign(a, b, c, d) > 0 }
+
+// inCircleSign returns 1 when d lies strictly inside the circumcircle
+// of the counter-clockwise triangle (a, b, c), -1 when it lies strictly
+// outside, and 0 when it is on, or numerically on, the circle.
+func inCircleSign(a, b, c, d Point) int {
 	// Translate so d is the origin; the predicate is the sign of a 3x3
 	// determinant.
 	ax, ay := a.X-d.X, a.Y-d.Y
@@ -91,8 +90,12 @@ func InCircle(a, b, c, d Point) bool {
 	scale := math.Abs(al*(bx*cy)) + math.Abs(al*(by*cx)) +
 		math.Abs(bl*(ax*cy)) + math.Abs(bl*(ay*cx)) +
 		math.Abs(cl*(ax*by)) + math.Abs(cl*(ay*bx))
-	if math.Abs(det) <= orientEps*scale {
-		return false // on or numerically on the circle: not strictly inside
+	switch {
+	case math.Abs(det) <= orientEps*scale:
+		return 0
+	case det > 0:
+		return 1
+	default:
+		return -1
 	}
-	return det > 0
 }

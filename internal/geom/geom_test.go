@@ -62,17 +62,11 @@ func TestSignedAreaMatchesOrient(t *testing.T) {
 
 func TestPointOps(t *testing.T) {
 	p, q := Pt(3, 4), Pt(1, 2)
-	if got := p.Sub(q); got != Pt(2, 2) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := p.Add(q); got != Pt(4, 6) {
 		t.Errorf("Add = %v", got)
 	}
 	if got := p.Scale(2); got != Pt(6, 8) {
 		t.Errorf("Scale = %v", got)
-	}
-	if got := p.Cross(q); got != 2 {
-		t.Errorf("Cross = %v", got)
 	}
 	if got := Pt(0, 0).Dist2(p); got != 25 {
 		t.Errorf("Dist2 = %v", got)

@@ -95,7 +95,7 @@ func PolygonArea(poly []Point) float64 {
 	var sum float64
 	for i := 0; i < n; i++ {
 		j := (i + 1) % n
-		sum += poly[i].Cross(poly[j])
+		sum += poly[i].X*poly[j].Y - poly[i].Y*poly[j].X
 	}
 	if sum < 0 {
 		sum = -sum

@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,7 +53,7 @@ func labelID(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b.WriteString(l.Key + "=" + strconv.Quote(l.Value)) // the bytes of fmt's "%s=%q"
 	}
 	return b.String()
 }

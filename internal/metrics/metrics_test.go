@@ -2,11 +2,13 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -39,6 +41,21 @@ func TestLabelOrderIrrelevant(t *testing.T) {
 	b := r.Counter("x", L("b", "2"), L("a", "1"))
 	if a != b {
 		t.Fatal("label order must not change instrument identity")
+	}
+}
+
+// labelID builds its pairs without fmt; they must stay the bytes of
+// fmt's "%s=%q" for any value, escapes and invalid UTF-8 included.
+func TestLabelIDMatchesFmt(t *testing.T) {
+	values := []string{"", "plain", `q"uote`, `back\slash`, "tab\tnl\n", "\x00\x7f", "\xff\xfe", "héllo", "\u2028", "😀"}
+	f := func(v string) bool { values = append(values, v); return true }
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range values {
+		if got, want := labelID([]Label{L("k", v)}), fmt.Sprintf("%s=%q", "k", v); got != want {
+			t.Errorf("labelID(%q) = %s, want %s", v, got, want)
+		}
 	}
 }
 

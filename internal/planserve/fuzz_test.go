@@ -2,10 +2,13 @@ package planserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -313,6 +316,60 @@ func FuzzDecodePlanRequest(f *testing.F) {
 		}
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("decodePlanRequest: %+v\nencoding/json: %+v\nbody: %q", got, want, body)
+		}
+	})
+}
+
+// FuzzLoadSnapshot feeds arbitrary bytes to LoadSnapshot as a snapshot
+// file. Nothing may panic; a file-level error loads nothing; otherwise
+// the cache holds exactly the loaded entries and the warm counters
+// match what LoadSnapshot returned. The seeds are a real snapshot with
+// plan, compare and run entries, and truncations of it.
+func FuzzLoadSnapshot(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "plans.snap")
+	srv := New(Config{})
+	h := srv.Handler()
+	serve := func(path, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			f.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	serve("/v1/plan", testRequest("concurrent", "predicted", "multilevel"))
+	serve("/v1/compare", testRequest("concurrent", "predicted", "partition"))
+	if _, _, err := srv.plans.Run(context.Background(), cacheCfg(), cacheOpt()); err != nil {
+		f.Fatal(err)
+	}
+	if saved, err := srv.SaveSnapshot(path); err != nil || saved != 3 {
+		f.Fatalf("saved %d entries (%v), want 3", saved, err)
+	}
+	srv.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, n := range []int{0, 1, len(data) / 3, len(data) / 2, len(data) - 2} {
+		f.Add(data[:n])
+	}
+
+	// A worker process runs the target sequentially, so it rewrites one
+	// file instead of paying for a directory per input.
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p := NewPlanCache(8)
+		defer p.Close()
+		loaded, rejected, err := p.LoadSnapshot(path)
+		if resident := p.ll.Len(); err != nil && resident != 0 {
+			t.Fatalf("LoadSnapshot failed (%v) but left %d entries", err, resident)
+		} else if err == nil && resident != loaded {
+			t.Fatalf("LoadSnapshot loaded %d entries, cache holds %d", loaded, resident)
+		}
+		if l, r, _ := p.WarmStats(); l != uint64(loaded) || r != uint64(rejected) {
+			t.Fatalf("warm stats loaded %d rejected %d, LoadSnapshot returned %d/%d", l, r, loaded, rejected)
 		}
 	})
 }

@@ -115,10 +115,11 @@ func (p *PlanCache) SaveSnapshot(path string) (int, error) {
 // LoadSnapshot warm-loads a snapshot into the cache. A file-level
 // problem (unreadable, corrupt JSON, version mismatch) returns an
 // error and loads nothing; per-entry problems (unknown machine, stale
-// machine identity, invalid geometry, undecodable value, over
-// capacity) reject just that entry and increment the warm-rejected
-// counter. A hit is served without validation, so an entry loads only
-// when its key's geometry is a tree nest.Validate accepts. Loaded
+// machine identity, invalid geometry, undecodable value, more siblings
+// than the key's root has children, over capacity) reject just that
+// entry and increment the warm-rejected counter. A hit is served
+// without validation, so an entry loads only when its key's geometry
+// is a tree nest.Validate accepts and its value fits that tree. Loaded
 // entries keep their saved recency order and are flagged warm, so
 // later LRU churn shows up in the warm-evicted counter.
 func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) {
@@ -137,7 +138,8 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 	warm := make([]*lruEntry, 0, len(snap.Entries))
 	for _, e := range snap.Entries {
 		mkey, ok := machineKeys[e.Machine]
-		if !ok || !strings.Contains(e.Key, mkey) || !validGeometry(e.Key[strings.LastIndexByte(e.Key, '|')+1:]) {
+		root := validGeometry(e.Key[strings.LastIndexByte(e.Key, '|')+1:])
+		if !ok || !strings.Contains(e.Key, mkey) || root == nil {
 			rejected++
 			continue
 		}
@@ -150,7 +152,7 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 		case "run":
 			val = new(driver.Result)
 		}
-		if val == nil || json.Unmarshal(e.Value, val) != nil {
+		if val == nil || json.Unmarshal(e.Value, val) != nil || !siblingsFit(val, len(root.Children)) {
 			rejected++
 			continue
 		}
@@ -176,12 +178,31 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 	return loaded, rejected, nil
 }
 
-// validGeometry reports whether seg, a key's geometry segment, is
-// appendDomainKey's rendering of a root (ratio 1, offsets 0, as
-// nest.Root sets them) whose tree nest.Validate accepts.
-func validGeometry(seg string) bool {
+// validGeometry parses seg, a key's geometry segment, and returns its
+// root when seg is appendDomainKey's rendering of a root (ratio 1,
+// offsets 0, as nest.Root sets them) whose tree nest.Validate accepts;
+// otherwise nil.
+func validGeometry(seg string) *nest.Domain {
 	root, rest := parseGeometry(seg, nil)
-	return root != nil && rest == "" && root.Validate() == nil
+	if root == nil || rest != "" || root.Validate() != nil {
+		return nil
+	}
+	return root
+}
+
+// siblingsFit reports whether every driver.Result in val, a decoded
+// snapshot value, reports at most n first-level nests: a hit renames
+// them from the request's n children by index.
+func siblingsFit(val any, n int) bool {
+	switch v := val.(type) {
+	case *driver.Plan:
+		return len(v.Cost.Siblings) <= n
+	case *driver.Comparison:
+		return len(v.Default.Siblings) <= n && len(v.Concurrent.Siblings) <= n
+	case *driver.Result:
+		return len(v.Siblings) <= n
+	}
+	return false
 }
 
 // parseGeometry parses one "(nx,ny,ratio,offx,offy" ... ")" group from

@@ -250,12 +250,74 @@ func TestSnapshotRejectsInvalidGeometry(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsExtraSiblings: a hit renames the stored result's
+// siblings from the request's first-level children, so an entry whose
+// value reports more siblings than its key's root has children must
+// not load; the request is then a cold miss with a fresh server's body
+// instead of a panic.
+func TestSnapshotRejectsExtraSiblings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.snap")
+	body := testRequest("concurrent", "predicted", "multilevel")
+	srvA := New(Config{})
+	_, _, want := post(t, srvA.Handler(), "/v1/plan", body)
+	if _, err := srvA.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	srvA.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotFile
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Entries) != 1 || snap.Entries[0].Kind != "plan" {
+		t.Fatalf("unexpected snapshot entries %+v", snap.Entries)
+	}
+	var plan map[string]any
+	if err := json.Unmarshal(snap.Entries[0].Value, &plan); err != nil {
+		t.Fatal(err)
+	}
+	cost := plan["Cost"].(map[string]any)
+	sibs := cost["Siblings"].([]any)
+	cost["Siblings"] = append(sibs, sibs...)
+	if snap.Entries[0].Value, err = json.Marshal(plan); err != nil {
+		t.Fatal(err)
+	}
+	data, _ = json.Marshal(&snap)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB := New(Config{})
+	defer srvB.Close()
+	loaded, rejected, err := srvB.LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded != 0 || rejected != 1 {
+		t.Errorf("loaded %d rejected %d, want 0/1", loaded, rejected)
+	}
+	if l, r, _ := srvB.plans.WarmStats(); l != 0 || r != 1 {
+		t.Errorf("warm stats loaded %d rejected %d, want 0/1", l, r)
+	}
+	code, cacheHdr, got := post(t, srvB.Handler(), "/v1/plan", body)
+	if code != http.StatusOK || cacheHdr != "miss" {
+		t.Fatalf("after load: status %d cache %q, want 200 miss: %s", code, cacheHdr, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("after load: body differs from a fresh server's:\nwant %s\ngot  %s", want, got)
+	}
+}
+
 // TestValidGeometry: the snapshot's geometry check accepts every key a
 // valid tree renders to and nothing that is not appendDomainKey's
 // rendering of a valid root.
 func TestValidGeometry(t *testing.T) {
 	key := string(appendDomainKey(nil, cacheCfg()))
-	if !validGeometry(key) {
+	if validGeometry(key) == nil {
 		t.Fatalf("valid tree %s rejected", key)
 	}
 	for _, seg := range []string{
@@ -264,8 +326,8 @@ func TestValidGeometry(t *testing.T) {
 		"(286,x,1,0,0)", "(286,307,1,0,0(100,100,3,0,0)", "(0,307,1,0,0)",
 		"(286,307,1,0,0(900,100,3,0,0))", "(286,307,1,0,0(100,100,0,0,0))",
 	} {
-		if validGeometry(seg) {
-			t.Errorf("validGeometry(%q) = true", seg)
+		if validGeometry(seg) != nil {
+			t.Errorf("validGeometry(%q) = non-nil", seg)
 		}
 	}
 }
