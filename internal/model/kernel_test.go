@@ -13,27 +13,16 @@ import (
 	"nestwrf/internal/vtopo"
 )
 
-// definitionCosts is the test-only oracle for evalPhase: the phase as
-// the model defines it, spelled out through pair lists and netsim's
-// ad-hoc queries. Every placement's NeighborPairs are loaded in both
-// directions, then every rank prices the messages to its West, East,
-// South and North neighbours with TransferTime (or UncontendedTime on
-// the idle network) and Torus.Hops, routing each message again.
+// definitionCosts is the test-only oracle for the phase kernel: the
+// phase as the model defines it, spelled out through pair lists and
+// netsim's ad-hoc queries on a fresh network. Under contention every
+// placement's NeighborPairs are loaded in both directions (without, the
+// network stays idle), then every rank prices the messages to its West,
+// East, South and North neighbours with TransferTime and Torus.Hops,
+// routing each message again.
 func definitionCosts(t *testing.T, m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
 	t.Helper()
-	net, err := netsim.New(mp.Torus, m.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if contention {
-		for _, p := range placements {
-			for _, pr := range p.SG.Grid().NeighborPairs() {
-				a, b := mp.NodeOf(p.SG.GlobalRank(pr[0])), mp.NodeOf(p.SG.GlobalRank(pr[1]))
-				net.AddFlow(a, b)
-				net.AddFlow(b, a)
-			}
-		}
-	}
+	net := definitionNet(t, m, mp, placements, contention)
 	out := make([]StepCost, len(placements))
 	for i, p := range placements {
 		local := p.SG.Grid()
@@ -58,11 +47,7 @@ func definitionCosts(t *testing.T, m machine.Machine, mp *mapping.Mapping, place
 					edge = lx
 				}
 				perMsg := float64(edge) * m.BytesPerPoint / msgs
-				if contention {
-					commR += msgs * net.TransferTime(src, dst, int(perMsg))
-				} else {
-					commR += msgs * net.UncontendedTime(src, dst, int(perMsg))
-				}
+				commR += msgs * net.TransferTime(src, dst, int(perMsg))
 				hopSum += float64(mp.Torus.Hops(src, dst))
 				hopCnt++
 			}
@@ -78,6 +63,26 @@ func definitionCosts(t *testing.T, m machine.Machine, mp *mapping.Mapping, place
 		out[i] = cost
 	}
 	return out
+}
+
+// definitionNet returns a fresh network that, under contention, carries
+// every placement's NeighborPairs in both directions.
+func definitionNet(t *testing.T, m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) *netsim.Network {
+	t.Helper()
+	net, err := netsim.New(mp.Torus, m.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contention {
+		for _, p := range placements {
+			for _, pr := range p.SG.Grid().NeighborPairs() {
+				a, b := mp.NodeOf(p.SG.GlobalRank(pr[0])), mp.NodeOf(p.SG.GlobalRank(pr[1]))
+				net.AddFlow(a, b)
+				net.AddFlow(b, a)
+			}
+		}
+	}
+	return net
 }
 
 // kernelCases returns phases over one 256-rank grid and torus: every
@@ -141,7 +146,8 @@ func kernelCases(t *testing.T) (machine.Machine, []*mapping.Mapping, [][]Placeme
 }
 
 // TestRecordedFlowsMatchDefinition holds the single-pass kernel (flows
-// recorded once by addPhaseFlows, priced back by cursor in stepCost) to
+// routed once by addPhaseFlows into a network's flow table, priced from
+// that table in stepCost) to
 // the pair-list definition bit for bit, with and without contention.
 func TestRecordedFlowsMatchDefinition(t *testing.T) {
 	m, mps, phases := kernelCases(t)

@@ -45,9 +45,12 @@ func buildPlacements(t *testing.T) (machine.Machine, *mapping.Mapping, []Placeme
 // without consulting or filling the memo: the oracle the cached results
 // are held to.
 func uncachedCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
-	net := acquireNet(mp.Torus, m.Net)
-	defer releaseNet(net)
-	return evalPhase(m, mp, net, placements, contention)
+	if !contention {
+		return priceFlows(m, mp, placements, nil)
+	}
+	h := &heldNet{} // a fresh network, never on the idle list
+	h.load(m, mp, placements)
+	return priceFlows(m, mp, placements, h.flows)
 }
 
 // TestMemoizedMatchesUncached asserts the phase-cost cache is

@@ -10,6 +10,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -18,7 +19,6 @@ import (
 	"nestwrf/internal/mapping"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/netsim"
-	"nestwrf/internal/torus"
 	"nestwrf/internal/vtopo"
 )
 
@@ -74,10 +74,10 @@ func PhaseCostsNoContention(m machine.Machine, mp *mapping.Mapping, placements [
 // separate entry point so the uninstrumented path stays allocation-
 // identical.
 func PhaseCostsCongestion(m machine.Machine, mp *mapping.Mapping, placements []Placement) ([]StepCost, netsim.Congestion) {
-	net := acquireNet(mp.Torus, m.Net)
-	out := evalPhase(m, mp, net, placements, true)
-	stats := net.Stats()
-	releaseNet(net)
+	h := takeNet(m, mp, placements)
+	out := priceFlows(m, mp, placements, h.flows)
+	stats := h.net.Stats()
+	releaseNet(h)
 	return out, stats
 }
 
@@ -101,11 +101,17 @@ var (
 // is dropped whole; the next evaluations refill it.
 const maxPhaseEntries = 8192
 
-// ResetCache drops all memoized phase costs.
+// ResetCache drops all memoized phase costs and makes the idle
+// networks forget the geometries they hold, keeping their buffers.
 func ResetCache() {
 	phaseMu.Lock()
 	phaseCache = map[string][]StepCost{}
 	phaseMu.Unlock()
+	idle.Lock()
+	for _, h := range idle.nets {
+		h.key, h.sgs = "", h.sgs[:0]
+	}
+	idle.Unlock()
 }
 
 // appendBits appends the exact bit pattern of a float64 to a cache key.
@@ -153,40 +159,91 @@ func phaseKey(m machine.Machine, mp *mapping.Mapping, placements []Placement, co
 	return string(b), true
 }
 
-// netPools reuses Network scratch state (the dense load array and
-// touched-link list) across phaseCosts calls, keyed by the network's
-// identity so pooled items are always directly reusable.
-var netPools sync.Map // netPoolKey -> *sync.Pool
+// maxIdleNets bounds the networks kept loaded between phases: more
+// raise the evaluation's peak RSS beyond what their reuse saves
+// (DESIGN.md Section 8).
+const maxIdleNets = 2
 
-type netPoolKey struct {
-	t torus.Torus
-	p netsim.Params
+// heldNet is a Network loaded with the contended halo of one phase
+// geometry: the mapping key and the placements' subgrids its loads
+// describe, and each flow's hop count and path load in addPhaseFlows
+// order. The Network's Params are never read: stepCost prices with the
+// phase's own machine, since the loads depend on the geometry alone.
+type heldNet struct {
+	net   *netsim.Network
+	key   string // "" holds no geometry
+	sgs   []vtopo.Subgrid
+	flows []flowLoad
 }
 
-func acquireNet(t torus.Torus, p netsim.Params) *netsim.Network {
-	key := netPoolKey{t: t, p: p}
-	poolAny, ok := netPools.Load(key)
-	if !ok {
-		poolAny, _ = netPools.LoadOrStore(key, &sync.Pool{})
-	}
-	pool := poolAny.(*sync.Pool)
-	if n, ok := pool.Get().(*netsim.Network); ok && n != nil {
-		n.Reset()
-		return n
-	}
-	n, err := netsim.New(t, p)
-	if err != nil {
-		// Machine parameters are validated at construction; a failure here
-		// is a programming error.
-		panic(err)
-	}
-	return n
+type flowLoad struct{ hops, load int32 }
+
+// idle lists the networks no phase is using, least recently used first.
+var idle struct {
+	sync.Mutex
+	nets []*heldNet
 }
 
-func releaseNet(n *netsim.Network) {
-	if poolAny, ok := netPools.Load(netPoolKey{t: n.Torus, p: n.Params}); ok {
-		poolAny.(*sync.Pool).Put(n)
+// holds reports whether h's loads are the halo of placements under mp.
+// A hand-built mapping (empty key) never matches.
+func (h *heldNet) holds(mp *mapping.Mapping, placements []Placement) bool {
+	return h.key != "" && h.key == mp.Key() &&
+		slices.EqualFunc(h.sgs, placements, func(sg vtopo.Subgrid, p Placement) bool { return sg == p.SG })
+}
+
+// load makes h's loads and flow table the contended halo of placements
+// under mp, routing it afresh unless h already holds that geometry.
+func (h *heldNet) load(m machine.Machine, mp *mapping.Mapping, placements []Placement) {
+	if h.holds(mp, placements) {
+		return
 	}
+	if h.net == nil {
+		var err error
+		if h.net, err = netsim.New(mp.Torus, m.Net); err != nil {
+			panic(err) // machine parameters are validated at construction
+		}
+	}
+	h.net.ResetTo(mp.Torus)
+	addPhaseFlows(h.net, mp, placements)
+	h.flows = h.flows[:0]
+	for i := 0; i < h.net.Flows(); i++ {
+		h.flows = append(h.flows, flowLoad{hops: int32(h.net.FlowHops(i)), load: int32(h.net.FlowLoad(i))})
+	}
+	h.key, h.sgs = mp.Key(), h.sgs[:0]
+	for _, p := range placements {
+		h.sgs = append(h.sgs, p.SG)
+	}
+}
+
+// takeNet returns a network loaded with the contended halo of
+// placements under mp, owned by the caller until releaseNet: the idle
+// one that holds this geometry, else the least recently used one (or a
+// new one) with the halo routed afresh.
+func takeNet(m machine.Machine, mp *mapping.Mapping, placements []Placement) *heldNet {
+	var h *heldNet
+	idle.Lock()
+	if len(idle.nets) > 0 {
+		pick := max(0, slices.IndexFunc(idle.nets, func(c *heldNet) bool { return c.holds(mp, placements) }))
+		h = idle.nets[pick]
+		idle.nets = slices.Delete(idle.nets, pick, pick+1)
+	}
+	idle.Unlock()
+	if h == nil {
+		h = &heldNet{}
+	}
+	h.load(m, mp, placements)
+	return h
+}
+
+// releaseNet returns h to the idle list as its most recently used
+// network, dropping the least recently used one when the list is full.
+func releaseNet(h *heldNet) {
+	idle.Lock()
+	if len(idle.nets) == maxIdleNets {
+		idle.nets = slices.Delete(idle.nets, 0, 1)
+	}
+	idle.nets = append(idle.nets, h)
+	idle.Unlock()
 }
 
 func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
@@ -199,9 +256,14 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 			return cached
 		}
 	}
-	net := acquireNet(mp.Torus, m.Net)
-	out := evalPhase(m, mp, net, placements, contention)
-	releaseNet(net)
+	var out []StepCost
+	if contention {
+		h := takeNet(m, mp, placements)
+		out = priceFlows(m, mp, placements, h.flows)
+		releaseNet(h)
+	} else {
+		out = priceFlows(m, mp, placements, nil)
+	}
 	if cacheable {
 		phaseMu.Lock()
 		if len(phaseCache) >= maxPhaseEntries {
@@ -213,19 +275,14 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 	return out
 }
 
-// evalPhase evaluates every placement on the (empty) network net: under
-// contention the halo messages of all placements are first added to net
-// as flows, which stepCost then prices back in the order they were
-// added, so no route is walked twice.
-func evalPhase(m machine.Machine, mp *mapping.Mapping, net *netsim.Network, placements []Placement, contention bool) []StepCost {
-	flow := -1 // no recorded flows: price messages on the idle network
-	if contention {
-		addPhaseFlows(net, mp, placements)
-		flow = 0
-	}
+// priceFlows evaluates every placement of a phase. Under contention
+// flows is the phase's flow table (see heldNet.load), which stepCost
+// reads in order, so no route is walked again; nil prices every message
+// on the idle network from its hop count alone.
+func priceFlows(m machine.Machine, mp *mapping.Mapping, placements []Placement, flows []flowLoad) []StepCost {
 	out := make([]StepCost, len(placements))
 	for i, p := range placements {
-		out[i], flow = stepCost(m, mp, net, p, flow)
+		out[i], flows = stepCost(m, mp, p, flows)
 	}
 	return out
 }
@@ -269,12 +326,10 @@ func haloNeighbors(sg vtopo.Subgrid, r, x, y int) [4]int {
 	return nb
 }
 
-// stepCost evaluates one placement. With flow >= 0 the placement's
-// messages are the recorded flows of net starting at index flow (see
-// addPhaseFlows) and the index after its last one is returned; with
-// flow < 0 the network is idle and a message's cost follows from its
-// hop count alone.
-func stepCost(m machine.Machine, mp *mapping.Mapping, net *netsim.Network, p Placement, flow int) (StepCost, int) {
+// stepCost evaluates one placement. Under contention its messages are
+// the first entries of flows (see addPhaseFlows), and the entries after
+// its last one are returned; with flows nil the network is idle.
+func stepCost(m machine.Machine, mp *mapping.Mapping, p Placement, flows []flowLoad) (StepCost, []flowLoad) {
 	w, h := p.SG.Rect.W, p.SG.Rect.H
 	lx := ceilDiv(p.D.NX, w)
 	ly := ceilDiv(p.D.NY, h)
@@ -301,14 +356,14 @@ func stepCost(m machine.Machine, mp *mapping.Mapping, net *netsim.Network, p Pla
 				if nb < 0 {
 					continue
 				}
-				if flow >= 0 {
-					commR += msgs * net.FlowTime(flow, msgBytes[d])
-					hopSum += net.FlowHops(flow)
-					flow++
+				hops, load := 0, 1
+				if flows == nil {
+					hops = mp.Hops(r, nb)
 				} else {
-					commR += msgs * net.UncontendedTime(mp.NodeOf(r), mp.NodeOf(nb), msgBytes[d])
-					hopSum += mp.Hops(r, nb)
+					hops, load, flows = int(flows[0].hops), int(flows[0].load), flows[1:]
 				}
+				commR += msgs * m.Net.MessageTime(hops, load, msgBytes[d])
+				hopSum += hops
 				hopCnt++
 			}
 			commSum += commR
@@ -321,7 +376,7 @@ func stepCost(m machine.Machine, mp *mapping.Mapping, net *netsim.Network, p Pla
 	if hopCnt > 0 {
 		cost.HopsAvg = float64(hopSum) / float64(hopCnt)
 	}
-	return cost, flow
+	return cost, flows
 }
 
 // SingleDomainStep computes the cost of one sub-step of a domain that

@@ -8,7 +8,7 @@ import (
 
 // TestHotPathAllocationFree asserts the netsim inner loops allocate
 // nothing in the steady state: a reused Network that has seen a phase
-// of the same size runs Reset -> AddFlow xN -> FlowTime xN, and the
+// of the same size runs Reset -> AddFlow xN -> FlowLoad xN, and the
 // ad-hoc PathLoad/TransferTime queries, out of its own buffers. A
 // regression here shows up as allocs_per_op on every planning
 // workload, so it is enforced, not just benchmarked.
@@ -36,7 +36,7 @@ func TestHotPathAllocationFree(t *testing.T) {
 			n.AddFlow(f[0], f[1])
 		}
 		for i := range flows {
-			if n.FlowTime(i, 4096) <= 0 || n.FlowHops(i) == 0 {
+			if n.FlowLoad(i) < 1 || n.FlowHops(i) == 0 {
 				t.Fatal("unexpected flow cost")
 			}
 		}
@@ -44,7 +44,7 @@ func TestHotPathAllocationFree(t *testing.T) {
 	phase() // size the arena, the end offsets and the touched-links list
 
 	if avg := testing.AllocsPerRun(20, phase); avg != 0 {
-		t.Errorf("Reset+AddFlow+FlowTime allocates %v allocs/op, want 0", avg)
+		t.Errorf("Reset+AddFlow+FlowLoad allocates %v allocs/op, want 0", avg)
 	}
 	a, b := flows[1][0], flows[1][1]
 	n.PathLoad(a, b) // size the scratch buffer

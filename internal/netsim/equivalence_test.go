@@ -54,13 +54,13 @@ func TestDenseMatchesReference(t *testing.T) {
 			}
 			// Recorded flows, interleaved with ad-hoc queries that
 			// reuse the scratch buffer.
-			if got, want := len(fast.ends), len(ref.flows); got != want {
+			if got, want := fast.Flows(), len(ref.flows); got != want {
 				t.Fatalf("%v phase %d: %d recorded flows, reference %d", dims, phase, got, want)
 			}
 			for i := range ref.flows {
 				bytes := rng.Intn(1 << 20)
-				if got, want := fast.FlowTime(i, bytes), ref.FlowTime(i, bytes); got != want {
-					t.Fatalf("%v phase %d: FlowTime(%d,%d) = %v, reference %v", dims, phase, i, bytes, got, want)
+				if got, want := p.MessageTime(fast.FlowHops(i), fast.FlowLoad(i), bytes), ref.FlowTime(i, bytes); got != want {
+					t.Fatalf("%v phase %d: MessageTime of flow %d, %d bytes = %v, reference %v", dims, phase, i, bytes, got, want)
 				}
 				if got, want := fast.FlowHops(i), ref.FlowHops(i); got != want {
 					t.Fatalf("%v phase %d: FlowHops(%d) = %d, reference %d", dims, phase, i, got, want)
@@ -88,20 +88,31 @@ func TestDenseMatchesReference(t *testing.T) {
 	}
 }
 
-// TestUncontendedTimeIsIdleTransferTime ties the hop-count formula the
-// model's no-contention path uses to TransferTime on an empty network.
-func TestUncontendedTimeIsIdleTransferTime(t *testing.T) {
+// TestMessageTimeIsTransferTime ties the hop-count formula the model
+// prices with to TransferTime: on an empty network at load 1, and under
+// load at the route's PathLoad.
+func TestMessageTimeIsTransferTime(t *testing.T) {
 	tor, _ := torus.New(4, 3, 5)
-	n, err := New(tor, Params{LatencyPerHop: 9e-7, Overhead: 8e-4, Bandwidth: 175e6})
+	p := Params{LatencyPerHop: 9e-7, Overhead: 8e-4, Bandwidth: 175e6}
+	n, err := New(tor, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < tor.Nodes(); i++ {
-		for j := 0; j < tor.Nodes(); j++ {
-			a, b := tor.CoordOf(i), tor.CoordOf(j)
-			if got, want := n.UncontendedTime(a, b, 4096+i), n.TransferTime(a, b, 4096+i); got != want {
-				t.Fatalf("UncontendedTime(%v,%v) = %v, idle TransferTime %v", a, b, got, want)
+	for _, loaded := range []bool{false, true} {
+		for i := 0; i < tor.Nodes(); i++ {
+			for j := 0; j < tor.Nodes(); j++ {
+				a, b := tor.CoordOf(i), tor.CoordOf(j)
+				load := 1
+				if loaded {
+					load = n.PathLoad(a, b)
+				}
+				if got, want := p.MessageTime(tor.Hops(a, b), load, 4096+i), n.TransferTime(a, b, 4096+i); got != want {
+					t.Fatalf("loaded=%v: MessageTime(%v,%v) = %v, TransferTime %v", loaded, a, b, got, want)
+				}
 			}
+		}
+		for i := 0; i < tor.Nodes(); i++ {
+			n.AddFlow(tor.CoordOf(i), tor.CoordOf((i*7+3)%tor.Nodes()))
 		}
 	}
 }
@@ -125,7 +136,7 @@ func TestSelfMessage(t *testing.T) {
 	if got := n.PathLoad(c, c); got != 0 {
 		t.Fatalf("self PathLoad = %d, want 0", got)
 	}
-	if got, hops := n.FlowTime(0, 1000), n.FlowHops(0); got != p.Overhead || hops != 0 {
+	if got, hops := p.MessageTime(n.FlowHops(0), n.FlowLoad(0), 1000), n.FlowHops(0); got != p.Overhead || hops != 0 {
 		t.Fatalf("recorded self flow: time %v over %d hops, want overhead %v over 0", got, hops, p.Overhead)
 	}
 }

@@ -12,8 +12,9 @@
 // indexed by torus.LinkIndex, and Reset clears only the links touched
 // since the previous phase. AddFlow walks a message's route exactly
 // once: the walk appends the route's link indices to an arena owned by
-// the Network and bumps the loads as it goes, so that FlowTime can
-// later price the i-th recorded flow without routing it again. Halo
+// the Network and bumps the loads as it goes, so that FlowHops and
+// FlowLoad can later read the i-th recorded flow without routing it
+// again, and Params.MessageTime prices it from those two numbers. Halo
 // routes are one to three hops, and walking them (a compare and an add
 // per hop) is cheaper than looking them up, so nothing is cached and a
 // Network shares no state with any other: distinct Networks can be
@@ -39,6 +40,19 @@ type Params struct {
 	Overhead float64
 	// Bandwidth is the raw bandwidth of one directed link, bytes/s.
 	Bandwidth float64
+}
+
+// MessageTime returns the modeled time of one message of the given size
+// over hops links whose highest load is load (1 on an idle network):
+// overhead + hops·latency + bytes / (bandwidth / load). A self-message
+// (no hops) costs only the software overhead.
+func (p Params) MessageTime(hops, load, bytes int) float64 {
+	if hops == 0 {
+		return p.Overhead
+	}
+	return p.Overhead +
+		float64(hops)*p.LatencyPerHop +
+		float64(bytes)*float64(load)/p.Bandwidth
 }
 
 // ErrBadParams is returned for non-positive network parameters.
@@ -92,9 +106,21 @@ func (n *Network) Reset() {
 	n.ends = n.ends[:0]
 }
 
+// ResetTo is Reset followed by a move to torus t. Every load is zero
+// after Reset, so the load array is reused whenever it is long enough.
+func (n *Network) ResetTo(t torus.Torus) {
+	n.Reset()
+	if c := t.LinkIndexCount(); cap(n.load) >= c {
+		n.load = n.load[:c]
+	} else {
+		n.load = make([]int32, c)
+	}
+	n.Torus = t
+}
+
 // AddFlow registers one message from a to b for the current phase,
 // loading every directed link along its dimension-ordered route, and
-// records the route as the phase's next flow (see FlowTime).
+// records the route as the phase's next flow (see FlowLoad).
 // Self-messages add no load.
 func (n *Network) AddFlow(a, b torus.Coord) {
 	start := len(n.arena)
@@ -126,17 +152,18 @@ func (n *Network) flow(i int) []torus.LinkIndex {
 	return n.arena[start:n.ends[i]]
 }
 
+// Flows returns the number of flows added since the last Reset.
+func (n *Network) Flows() int { return len(n.ends) }
+
 // FlowHops returns the hop count of the i-th flow added since the last
 // Reset.
 func (n *Network) FlowHops(i int) int { return len(n.flow(i)) }
 
-// FlowTime is TransferTime for the i-th flow added since the last
-// Reset (in AddFlow order), priced from its recorded route instead of
-// routing the message again. Call it once the phase's flows are all
-// added: like TransferTime it sees the loads as they are now.
-func (n *Network) FlowTime(i, bytes int) float64 {
-	return n.routeTime(n.flow(i), bytes)
-}
+// FlowLoad is PathLoad for the i-th flow added since the last Reset,
+// read from its recorded route instead of routing the message again.
+// Call it once the phase's flows are all added: it sees the loads as
+// they are now.
+func (n *Network) FlowLoad(i int) int { return int(n.pathLoad(n.flow(i))) }
 
 // pathLoad returns the highest load along route, counting the message
 // under consideration on links that carry nothing else.
@@ -152,16 +179,6 @@ func (n *Network) pathLoad(route []torus.LinkIndex) int32 {
 		}
 	}
 	return max
-}
-
-// routeTime prices one message over route under the current loads.
-func (n *Network) routeTime(route []torus.LinkIndex, bytes int) float64 {
-	if len(route) == 0 {
-		return n.Params.Overhead
-	}
-	return n.Params.Overhead +
-		float64(len(route))*n.Params.LatencyPerHop +
-		float64(bytes)*float64(n.pathLoad(route))/n.Params.Bandwidth
 }
 
 // PathLoad returns the maximum link multiplicity along the route from a
@@ -243,23 +260,9 @@ func (n *Network) Stats() Congestion {
 }
 
 // TransferTime returns the modeled time for one message of the given
-// size from a to b under the current phase's contention:
-//
-//	overhead + hops·latency + bytes / (bandwidth / pathLoad)
-//
-// A self-message costs only the software overhead.
+// size from a to b under the current phase's contention: MessageTime
+// over its route's hop count and path load.
 func (n *Network) TransferTime(a, b torus.Coord, bytes int) float64 {
 	n.scratch = n.Torus.RouteIndicesInto(a, b, n.scratch[:0])
-	return n.routeTime(n.scratch, bytes)
-}
-
-// UncontendedTime is TransferTime with an empty network (path load 1).
-func (n *Network) UncontendedTime(a, b torus.Coord, bytes int) float64 {
-	hops := n.Torus.Hops(a, b)
-	if hops == 0 {
-		return n.Params.Overhead
-	}
-	return n.Params.Overhead +
-		float64(hops)*n.Params.LatencyPerHop +
-		float64(bytes)/n.Params.Bandwidth
+	return n.Params.MessageTime(len(n.scratch), int(n.pathLoad(n.scratch)), bytes)
 }

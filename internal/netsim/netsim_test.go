@@ -57,8 +57,8 @@ func TestTransferTimeUncontended(t *testing.T) {
 	if got := n.TransferTime(a, b, bytes); math.Abs(got-want) > 1e-15 {
 		t.Errorf("uncontended transfer = %v, want %v", got, want)
 	}
-	if got := n.UncontendedTime(a, b, bytes); math.Abs(got-want) > 1e-15 {
-		t.Errorf("UncontendedTime = %v, want %v", got, want)
+	if got := params().MessageTime(2, 1, bytes); math.Abs(got-want) > 1e-15 {
+		t.Errorf("MessageTime = %v, want %v", got, want)
 	}
 }
 
@@ -104,6 +104,32 @@ func TestResetClearsLoad(t *testing.T) {
 	}
 	if n.TotalHops() != 0 {
 		t.Errorf("after Reset TotalHops = %d", n.TotalHops())
+	}
+}
+
+// TestResetToMatchesNew moves one loaded Network across tori of other
+// sizes with ResetTo, and asserts each phase it then carries reads as
+// on a fresh Network of that torus: every link load, and Stats.
+func TestResetToMatchesNew(t *testing.T) {
+	n, err := New(torus.Torus{X: 4, Y: 4, Z: 4}, params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dims := range [][3]int{{4, 4, 4}, {2, 2, 2}, {8, 8, 8}, {3, 5, 2}} {
+		tor, _ := torus.New(dims[0], dims[1], dims[2])
+		fresh, err := New(tor, params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.ResetTo(tor)
+		for i := 0; i < tor.Nodes(); i++ {
+			a, b := tor.CoordOf(i), tor.CoordOf((i*5+1)%tor.Nodes())
+			n.AddFlow(a, b)
+			fresh.AddFlow(a, b)
+		}
+		if n.Torus != tor || !reflect.DeepEqual(n.load, fresh.load) || !reflect.DeepEqual(n.Stats(), fresh.Stats()) {
+			t.Fatalf("%v: after ResetTo the loads differ from a fresh network's", dims)
+		}
 	}
 }
 

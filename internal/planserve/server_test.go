@@ -672,14 +672,12 @@ func (w *memWriter) Write(b []byte) (int, error) {
 // and the request copy the mux writes into.
 const maxHitAllocs = 16
 
-// TestPlanHitAllocs holds a served hit to maxHitAllocs, and checks
-// that the bound would catch a hit that arms a request deadline: a
-// hit must not set a timer.
-func TestPlanHitAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates")
-	}
-	srv := New(Config{})
+// hitAllocs serves testRequestBench's /v1/plan query on a server built
+// from cfg until it is a stored hit, and returns the allocations of one
+// more served hit.
+func hitAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	srv := New(cfg)
 	defer srv.Close()
 	h := srv.Handler()
 	body := []byte(testRequestBench())
@@ -710,6 +708,17 @@ func TestPlanHitAllocs(t *testing.T) {
 	if w.hdr.Get(CacheHeader) != "hit" {
 		t.Fatalf("measured request was not a hit")
 	}
+	return allocs
+}
+
+// TestPlanHitAllocs holds a served hit to maxHitAllocs, and checks
+// that the bound would catch a hit that arms a request deadline: a
+// hit must not set a timer.
+func TestPlanHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	allocs := hitAllocs(t, Config{})
 	if allocs > maxHitAllocs {
 		t.Errorf("a served hit allocates %v times, want at most %d", allocs, maxHitAllocs)
 	}
@@ -719,5 +728,26 @@ func TestPlanHitAllocs(t *testing.T) {
 	})
 	if allocs+timer <= maxHitAllocs {
 		t.Errorf("a hit that armed a deadline (%v allocations) would still pass the bound of %d", timer, maxHitAllocs)
+	}
+}
+
+// maxRegistryHitAllocs bounds the same hit on a server that records
+// into a metrics.Registry, as cmd/planserve always does, on go1.24
+// linux/amd64, where it measures 48 against maxHitAllocs' 16. Every
+// observation looks its instrument up by name, which copies and sorts
+// the labels and builds a key string each time. Resolving each
+// instrument once, when the server is built, should bring this down to
+// maxHitAllocs.
+const maxRegistryHitAllocs = 48
+
+// TestPlanHitAllocsWithRegistry is TestPlanHitAllocs with a registry:
+// it pins what the registry costs a hit today.
+func TestPlanHitAllocsWithRegistry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	allocs := hitAllocs(t, Config{Metrics: metrics.NewRegistry()})
+	if allocs > maxRegistryHitAllocs {
+		t.Errorf("a served hit with a registry allocates %v times, want at most %d", allocs, maxRegistryHitAllocs)
 	}
 }
