@@ -11,6 +11,7 @@ package driver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"nestwrf/internal/alloc"
@@ -230,19 +231,25 @@ func TrainPredictor(m machine.Machine) (*predict.Model, error) {
 
 // run tracks the state of one simulated iteration.
 type run struct {
-	opt     Options
-	root    *nest.Domain
-	pred    *predict.Model // resolved predictor, trained at most once per Run
-	rootW   []float64      // the root's sibling weights, resolved at most once per Run
-	g       vtopo.Grid
-	tor     torus.Torus
-	mp      *mapping.Mapping
-	waitAvg []float64 // per-rank accumulated wait (average-case comm)
-	waitMax []float64 // per-rank accumulated wait (worst-case comm)
-	hopNum  float64   // hops weighted by communicating rank-steps
-	hopDen  float64
-	rep     *reportBuilder        // nil unless a report or metrics were requested
-	sp      *telemetry.ActiveSpan // the run span phase spans parent under; nil when untraced
+	opt    Options
+	root   *nest.Domain
+	pred   *predict.Model // resolved predictor, trained at most once per Run
+	rootW  []float64      // the root's sibling weights, resolved at most once per Run
+	g      vtopo.Grid
+	tor    torus.Torus
+	mp     *mapping.Mapping
+	cells  []waitCell // disjoint rectangles tiling g, each with its ranks' accumulated wait
+	hopNum float64    // hops weighted by communicating rank-steps
+	hopDen float64
+	rep    *reportBuilder        // nil unless a report or metrics were requested
+	sp     *telemetry.ActiveSpan // the run span phase spans parent under; nil when untraced
+}
+
+// waitCell is a rectangle of ranks that share one accumulated MPI_Wait
+// (avg under average-case communication, max under worst-case).
+type waitCell struct {
+	rect     alloc.Rect
+	avg, max float64
 }
 
 // predictor returns the run's predictor — the only place a run gets
@@ -371,7 +378,7 @@ func run0(cfg *nest.Domain, opt Options, observe bool, rootW []float64) (res Res
 }
 
 // begin is the set-up Run and BuildPlan share: it validates the
-// request, derives the virtual grid, the torus and the blank per-rank
+// request, derives the virtual grid, the torus and the blank wait
 // accounting, and opens the run span. After a nil return the caller owes
 // r an end call, then picks the first-level partitions and the mapping
 // and hands both to execute. (A method on the caller's value, not a
@@ -403,8 +410,8 @@ func (r *run) begin(cfg *nest.Domain, opt Options, observe bool) error {
 		r.sp.Annotate("mapping", opt.MapKind.String())
 		r.sp.Annotate("ranks", strconv.Itoa(opt.Ranks))
 	}
-	r.waitAvg = make([]float64, opt.Ranks)
-	r.waitMax = make([]float64, opt.Ranks)
+	// Capacity 8: no run of the paper's evaluation ends with more than 6 cells.
+	r.cells = append(make([]waitCell, 0, 8), waitCell{rect: alloc.Rect{W: r.g.Px, H: r.g.Py}})
 	if observe {
 		r.rep = newReportBuilder()
 	}
@@ -453,17 +460,7 @@ func (r *run) execute(cfg *nest.Domain, rects []alloc.Rect) (Result, *Report, er
 	res.IterTime = iter
 	res.Siblings = sibs
 
-	// Aggregate wait statistics.
-	var sum float64
-	for _, w := range r.waitAvg {
-		sum += w
-	}
-	res.WaitAvg = sum / float64(opt.Ranks)
-	for _, w := range r.waitMax {
-		if w > res.WaitMax {
-			res.WaitMax = w
-		}
-	}
+	res.WaitAvg, res.WaitMax = r.waits()
 	if r.hopDen > 0 {
 		res.HopsAvg = r.hopNum / r.hopDen
 	}
@@ -696,7 +693,7 @@ func (r *run) nestedExtra(d *nest.Domain, sg vtopo.Subgrid, mult float64) (float
 // and feeds the report's per-domain phase breakdown when one is being
 // built.
 func (r *run) account(name string, sg vtopo.Subgrid, steps float64, c model.StepCost) {
-	r.addWait(sg, steps*c.CommAvg, steps*c.CommMax)
+	r.addWait(sg.Rect, steps*c.CommAvg, steps*c.CommMax)
 	w := steps * float64(c.Ranks)
 	r.hopNum += c.HopsAvg * w
 	r.hopDen += w
@@ -709,16 +706,51 @@ func (r *run) account(name string, sg vtopo.Subgrid, steps float64, c model.Step
 	}
 }
 
-// addWait adds avg and max to the accumulated wait of every rank of sg,
-// walking its rows in local-rank order.
-func (r *run) addWait(sg vtopo.Subgrid, avg, max float64) {
-	for y := sg.Rect.Y; y < sg.Rect.Y+sg.Rect.H; y++ {
-		row := sg.Parent.Rank(sg.Rect.X, y)
-		for rank := row; rank < row+sg.Rect.W; rank++ {
-			r.waitAvg[rank] += avg
-			r.waitMax[rank] += max
+// addWait adds commAvg and commMax to the wait of every rank in s. A
+// cell s covers in part is first split into the covered rectangle and up
+// to four bands that keep its wait, so each rank sees the additions a
+// per-rank array would, in the same order.
+func (r *run) addWait(s alloc.Rect, commAvg, commMax float64) {
+	for i, n := 0, len(r.cells); i < n; i++ {
+		c, cr := r.cells[i], r.cells[i].rect
+		x0, x1 := max(cr.X, s.X), min(cr.X+cr.W, s.X+s.W)
+		y0, y1 := max(cr.Y, s.Y), min(cr.Y+cr.H, s.Y+s.H)
+		if x0 >= x1 || y0 >= y1 {
+			continue
+		}
+		for _, band := range [4]alloc.Rect{
+			{X: cr.X, Y: cr.Y, W: cr.W, H: y0 - cr.Y},
+			{X: cr.X, Y: y1, W: cr.W, H: cr.Y + cr.H - y1},
+			{X: cr.X, Y: y0, W: x0 - cr.X, H: y1 - y0},
+			{X: x1, Y: y0, W: cr.X + cr.W - x1, H: y1 - y0},
+		} {
+			if band.Area() > 0 {
+				r.cells = append(r.cells, waitCell{band, c.avg, c.max})
+			}
+		}
+		r.cells[i] = waitCell{alloc.Rect{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}, c.avg + commAvg, c.max + commMax}
+	}
+}
+
+// waits returns the mean average-case wait, summed in rank order (row
+// by row, each row's cells in x order, a cell's wait once per rank), and
+// the largest worst-case wait.
+func (r *run) waits() (avg, worst float64) {
+	slices.SortFunc(r.cells, func(a, b waitCell) int { return a.rect.X - b.rect.X })
+	var sum float64
+	for y := range r.g.Py {
+		for _, c := range r.cells {
+			if y >= c.rect.Y && y < c.rect.Y+c.rect.H {
+				for range c.rect.W {
+					sum += c.avg
+				}
+				if c.max > worst {
+					worst = c.max
+				}
+			}
 		}
 	}
+	return sum / float64(r.opt.Ranks), worst
 }
 
 // ioTime returns the cost of one output event: every domain writes a

@@ -85,3 +85,35 @@ func TestQuickSiblingPermutation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickMoreRanksNeverSlower is Fig. 2's T = W/P + C as a relation:
+// on BG/P with the multi-level mapping, growing a run from 512 to 2048
+// to 8192 ranks never makes a parent iteration slower, under either
+// strategy.
+func TestQuickMoreRanksNeverSlower(t *testing.T) {
+	f := func(seed int64) bool {
+		cfg := workload.RandomPacific(rand.New(rand.NewSource(seed)), 2+int(uint64(seed)%5))
+		for _, strategy := range []Strategy{Sequential, Concurrent} {
+			prev := math.Inf(1)
+			for _, ranks := range []int{512, 2048, 8192} {
+				res, err := Run(cfg, Options{Machine: machine.BGP(), Ranks: ranks, Strategy: strategy, MapKind: MapMultiLevel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.IterTime > prev {
+					t.Logf("seed %d, %v: %d ranks take %v per iteration, fewer took %v", seed, strategy, ranks, res.IterTime, prev)
+					return false
+				}
+				prev = res.IterTime
+			}
+		}
+		return true
+	}
+	n := 60
+	if testing.Short() {
+		n = 15
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(43))}); err != nil {
+		t.Error(err)
+	}
+}

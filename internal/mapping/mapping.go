@@ -22,16 +22,16 @@ type Mapping struct {
 	Grid   vtopo.Grid
 	Torus  torus.Torus
 	Name   string
-	nodeOf []torus.Coord
+	nodeOf []torus.Coord // rank-to-node table; nil for the sequential placement
 	// key identifies the mapping's content exactly: every constructor is
 	// deterministic in its parameters, so (constructor, parameters) pins
-	// nodeOf. Used by the model layer's phase-cost memoization.
+	// NodeOf. Used by the model layer's phase-cost memoization.
 	key string
 }
 
 // Key returns a string that uniquely identifies the rank-to-node
 // assignment: two Mappings with equal keys are guaranteed to have
-// identical nodeOf tables (constructors are deterministic in the
+// identical NodeOf results (constructors are deterministic in the
 // parameters the key encodes). Empty for hand-built Mappings.
 func (m *Mapping) Key() string { return m.key }
 
@@ -48,21 +48,24 @@ var (
 )
 
 // NodeOf returns the torus coordinate of rank r.
-func (m *Mapping) NodeOf(r int) torus.Coord { return m.nodeOf[r] }
+func (m *Mapping) NodeOf(r int) torus.Coord {
+	if m.nodeOf == nil {
+		return m.Torus.CoordOf(r)
+	}
+	return m.nodeOf[r]
+}
 
 // Hops returns the torus hop distance between two ranks.
 func (m *Mapping) Hops(a, b int) int {
-	return m.Torus.Hops(m.nodeOf[a], m.nodeOf[b])
+	return m.Torus.Hops(m.NodeOf(a), m.NodeOf(b))
 }
 
 // Validate checks that the mapping is a bijection between ranks and
 // torus nodes.
 func (m *Mapping) Validate() error {
-	if len(m.nodeOf) != m.Grid.Size() {
-		return fmt.Errorf("mapping %q: %d entries for %d ranks", m.Name, len(m.nodeOf), m.Grid.Size())
-	}
-	seen := make(map[torus.Coord]int, len(m.nodeOf))
-	for r, c := range m.nodeOf {
+	seen := make(map[torus.Coord]int, m.Grid.Size())
+	for r := 0; r < m.Grid.Size(); r++ {
+		c := m.NodeOf(r)
 		if !m.Torus.Valid(c) {
 			return fmt.Errorf("mapping %q: rank %d mapped to invalid coord %v", m.Name, r, c)
 		}
@@ -83,16 +86,12 @@ func check(g vtopo.Grid, t torus.Torus) error {
 
 // Sequential is the topology-oblivious default placement of Fig. 5(b):
 // ranks in increasing order fill torus nodes in increasing x, then y,
-// then z order.
+// then z order. It keeps no table: NodeOf(r) is t.CoordOf(r).
 func Sequential(g vtopo.Grid, t torus.Torus) (*Mapping, error) {
 	if err := check(g, t); err != nil {
 		return nil, err
 	}
-	m := &Mapping{Grid: g, Torus: t, Name: "sequential", nodeOf: make([]torus.Coord, g.Size()), key: baseKey("sequential", g, t)}
-	for r := range m.nodeOf {
-		m.nodeOf[r] = t.CoordOf(r)
-	}
-	return m, nil
+	return &Mapping{Grid: g, Torus: t, Name: "sequential", key: baseKey("sequential", g, t)}, nil
 }
 
 // TXYZ is Blue Gene's TXYZ ordering: the intra-node T dimension varies
@@ -339,11 +338,12 @@ func (m *Mapping) haloHops(rect alloc.Rect) (sum, pairs, max int) {
 	for y := rect.Y; y < rect.Y+rect.H; y++ {
 		for x := rect.X; x < rect.X+rect.W; x++ {
 			r := m.Grid.Rank(x, y)
+			c := m.NodeOf(r)
 			if x+1 < rect.X+rect.W {
-				note(m.nodeOf[r], m.nodeOf[r+1])
+				note(c, m.NodeOf(r+1))
 			}
 			if y+1 < rect.Y+rect.H {
-				note(m.nodeOf[r], m.nodeOf[r+m.Grid.Px])
+				note(c, m.NodeOf(r+m.Grid.Px))
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nestwrf/internal/alloc"
+	"nestwrf/internal/machine"
 	"nestwrf/internal/torus"
 	"nestwrf/internal/vtopo"
 )
@@ -51,6 +52,48 @@ func TestSequentialMatchesFig5b(t *testing.T) {
 	// "process 8 is 3 hops away from process 16".
 	if got := m.Hops(8, 16); got != 3 {
 		t.Errorf("Hops(8,16) = %d, want 3", got)
+	}
+}
+
+// TestSequentialIsCoordOf pins the closed-form oblivious placement:
+// rank r sits on node Torus.CoordOf(r), the placement is a bijection,
+// and the key the model's phase memo is built on is the one the table
+// it replaced carried. The shapes are those GridFor and TorusFor give
+// every rank count, on BG/L and BG/P alike.
+func TestSequentialIsCoordOf(t *testing.T) {
+	for ranks, key := range map[int]string{
+		64:   "sequential|8x8|4x4x4",
+		128:  "sequential|16x8|8x4x4",
+		256:  "sequential|16x16|8x8x4",
+		512:  "sequential|32x16|8x8x8",
+		1024: "sequential|32x32|8x8x16",
+		2048: "sequential|64x32|16x8x16",
+		4096: "sequential|64x64|16x16x16",
+		8192: "sequential|128x64|32x16x16",
+	} {
+		g, err := machine.GridFor(ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tor, err := machine.TorusFor(ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Sequential(g, tor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Key() != key {
+			t.Errorf("%d ranks: key %q, want %q", ranks, m.Key(), key)
+		}
+		if err := m.Validate(); err != nil {
+			t.Errorf("%d ranks: %v", ranks, err)
+		}
+		for r := 0; r < g.Size(); r++ {
+			if got, want := m.NodeOf(r), tor.CoordOf(r); got != want {
+				t.Fatalf("%d ranks: NodeOf(%d) = %v, want %v", ranks, r, got, want)
+			}
+		}
 	}
 }
 

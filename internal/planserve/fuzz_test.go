@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"nestwrf/internal/driver"
 	"nestwrf/internal/nest"
 )
 
@@ -324,7 +325,8 @@ func FuzzDecodePlanRequest(f *testing.F) {
 // file. Nothing may panic; a file-level error loads nothing; otherwise
 // the cache holds exactly the loaded entries and the warm counters
 // match what LoadSnapshot returned. The seeds are a real snapshot with
-// plan, compare and run entries, and truncations of it.
+// plan, compare and run entries, truncations of it, and a copy whose
+// plan entry lost a weight.
 func FuzzLoadSnapshot(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "plans.snap")
 	srv := New(Config{})
@@ -353,6 +355,27 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, n := range []int{0, 1, len(data) / 3, len(data) / 2, len(data) - 2} {
 		f.Add(data[:n])
 	}
+	var snap snapshotFile
+	if err := json.Unmarshal(data, &snap); err != nil {
+		f.Fatal(err)
+	}
+	for i, e := range snap.Entries {
+		if e.Kind == "plan" {
+			var plan driver.Plan
+			if err := json.Unmarshal(e.Value, &plan); err != nil {
+				f.Fatal(err)
+			}
+			plan.Weights = plan.Weights[:1]
+			if snap.Entries[i].Value, err = json.Marshal(&plan); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	doctored, err := json.Marshal(&snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doctored)
 
 	// A worker process runs the target sequentially, so it rewrites one
 	// file instead of paying for a directory per input.

@@ -3,11 +3,14 @@ package planserve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
+	"nestwrf/internal/alloc"
 	"nestwrf/internal/driver"
 	"nestwrf/internal/nest"
 )
@@ -115,9 +118,9 @@ func (p *PlanCache) SaveSnapshot(path string) (int, error) {
 // LoadSnapshot warm-loads a snapshot into the cache. A file-level
 // problem (unreadable, corrupt JSON, version mismatch) returns an
 // error and loads nothing; per-entry problems (unknown machine, stale
-// machine identity, invalid geometry, undecodable value, more siblings
-// than the key's root has children, over capacity) reject just that
-// entry and increment the warm-rejected counter. A hit is served
+// machine identity, invalid geometry, undecodable value, a value that
+// does not fit the key's root, over capacity) reject just that entry
+// and increment the warm-rejected counter. A hit is served
 // without validation, so an entry loads only when its key's geometry
 // is a tree nest.Validate accepts and its value fits that tree. Loaded
 // entries keep their saved recency order and are flagged warm, so
@@ -152,7 +155,7 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 		case "run":
 			val = new(driver.Result)
 		}
-		if val == nil || json.Unmarshal(e.Value, val) != nil || !siblingsFit(val, len(root.Children)) {
+		if val == nil || json.Unmarshal(e.Value, val) != nil || !valueFits(val, len(root.Children)) {
 			rejected++
 			continue
 		}
@@ -190,13 +193,16 @@ func validGeometry(seg string) *nest.Domain {
 	return root
 }
 
-// siblingsFit reports whether every driver.Result in val, a decoded
-// snapshot value, reports at most n first-level nests: a hit renames
-// them from the request's n children by index.
-func siblingsFit(val any, n int) bool {
+// valueFits reports whether val, a decoded snapshot value, fits a key
+// whose root has n children: every driver.Result in it has at most n
+// siblings (a hit names them from the request's children by index), and
+// a plan has n finite weights and n rectangles tiling its Px x Py grid.
+func valueFits(val any, n int) bool {
 	switch v := val.(type) {
 	case *driver.Plan:
-		return len(v.Cost.Siblings) <= n
+		return len(v.Weights) == n && len(v.Rects) == n && len(v.Cost.Siblings) <= n &&
+			(n == 0 || alloc.Validate(v.Rects, v.Px, v.Py) == nil) &&
+			!slices.ContainsFunc(v.Weights, func(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) })
 	case *driver.Comparison:
 		return len(v.Default.Siblings) <= n && len(v.Concurrent.Siblings) <= n
 	case *driver.Result:

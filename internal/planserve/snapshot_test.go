@@ -312,6 +312,77 @@ func TestSnapshotRejectsExtraSiblings(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsPlanValueMismatch: a hit serves a plan entry's
+// weights and rectangles by sibling index, so an entry whose value
+// disagrees with its key's root — a weight or rectangle missing, or
+// rectangles that do not tile the plan's own grid — must not load; the
+// request is then a cold miss with a fresh server's body instead of a
+// hit with zero-valued siblings.
+func TestSnapshotRejectsPlanValueMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.snap")
+	body := testRequest("concurrent", "predicted", "multilevel")
+	srvA := New(Config{})
+	_, _, want := post(t, srvA.Handler(), "/v1/plan", body)
+	if _, err := srvA.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	srvA.Close()
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, doctor := range map[string]func(plan map[string]any){
+		"weight dropped":    func(plan map[string]any) { plan["Weights"] = plan["Weights"].([]any)[:1] },
+		"rectangle dropped": func(plan map[string]any) { plan["Rects"] = plan["Rects"].([]any)[:1] },
+		"rectangles overlap": func(plan map[string]any) {
+			rects := plan["Rects"].([]any)
+			rects[1] = rects[0]
+		},
+		"grid widened": func(plan map[string]any) { plan["Px"] = plan["Px"].(float64) + 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var snap snapshotFile
+			if err := json.Unmarshal(saved, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Entries) != 1 || snap.Entries[0].Kind != "plan" {
+				t.Fatalf("unexpected snapshot entries %+v", snap.Entries)
+			}
+			var plan map[string]any
+			if err := json.Unmarshal(snap.Entries[0].Value, &plan); err != nil {
+				t.Fatal(err)
+			}
+			doctor(plan)
+			if snap.Entries[0].Value, err = json.Marshal(plan); err != nil {
+				t.Fatal(err)
+			}
+			data, _ := json.Marshal(&snap)
+			doctored := filepath.Join(t.TempDir(), "plans.snap")
+			if err := os.WriteFile(doctored, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			srvB := New(Config{})
+			defer srvB.Close()
+			loaded, rejected, err := srvB.LoadSnapshot(doctored)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded != 0 || rejected != 1 {
+				t.Errorf("loaded %d rejected %d, want 0/1", loaded, rejected)
+			}
+			code, cacheHdr, got := post(t, srvB.Handler(), "/v1/plan", body)
+			if code != http.StatusOK || cacheHdr != "miss" {
+				t.Fatalf("after load: status %d cache %q, want 200 miss: %s", code, cacheHdr, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("after load: body differs from a fresh server's:\nwant %s\ngot  %s", want, got)
+			}
+		})
+	}
+}
+
 // TestValidGeometry: the snapshot's geometry check accepts every key a
 // valid tree renders to and nothing that is not appendDomainKey's
 // rendering of a valid root.

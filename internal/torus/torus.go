@@ -53,7 +53,8 @@ func (t Torus) Index(c Coord) int {
 
 // CoordOf returns the coordinate of linear index i (x fastest).
 func (t Torus) CoordOf(i int) Coord {
-	return Coord{X: i % t.X, Y: (i / t.X) % t.Y, Z: i / (t.X * t.Y)}
+	q := i / t.X
+	return Coord{X: i - q*t.X, Y: q - q/t.Y*t.Y, Z: q / t.Y}
 }
 
 // wrapDelta returns the signed minimal step count from a to b along a
