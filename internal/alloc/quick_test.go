@@ -171,3 +171,38 @@ func TestQuickApportionOrder(t *testing.T) {
 		}
 	}
 }
+
+// Property (ROADMAP 3's third relation): transposing the processor grid
+// transposes the allocation, so every sibling keeps its area. Algorithm
+// 1 splits the longer side and a square's x side on both grids alike.
+// The grids add prime, single-row and single-column shapes to
+// quickInputs'; a weight set the grid cannot hold must fail on both.
+func TestQuickTransposeKeepsAreas(t *testing.T) {
+	grids := [][2]int{{8, 8}, {16, 8}, {32, 16}, {12, 10}, {64, 32}, {13, 1}, {31, 1}, {64, 1}, {7, 11}, {17, 3}, {5, 5}, {6, 1}}
+	gen := func(vals []reflect.Value, rng *rand.Rand) {
+		quickInputs(vals, rng)
+		g := grids[rng.Intn(len(grids))]
+		vals[1], vals[2] = reflect.ValueOf(g[0]), reflect.ValueOf(g[1])
+	}
+	f := func(weights []float64, px, py int) bool {
+		a, errA := Partition(weights, px, py)
+		b, errB := Partition(weights, py, px)
+		if errA != nil || errB != nil {
+			if (errA == nil) != (errB == nil) {
+				t.Logf("weights=%v grid=%dx%d: %v, transposed %v", weights, px, py, errA, errB)
+			}
+			return (errA == nil) == (errB == nil)
+		}
+		for i := range a {
+			if a[i].Area() != b[i].Area() {
+				t.Logf("weights=%v grid=%dx%d: sibling %d %v, transposed %v", weights, px, py, i, a[i], b[i])
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(44)), Values: gen}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}

@@ -6,12 +6,15 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nestwrf/internal/machine"
 	"nestwrf/internal/mapping"
 	"nestwrf/internal/nest"
+	"nestwrf/internal/workload"
 )
 
 func planConfig() *nest.Domain {
@@ -244,5 +247,52 @@ func TestCachedPredictorDigest(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("predictions hash to %s, want %s", got, want)
+	}
+}
+
+// TestBuildPlanMappingDigest pins the mapping-quality report of cold
+// plans to one SHA-256: for eight seeded RandomPacific configurations
+// of 2-6 siblings at 256,
+// 1024 and 4096 ranks on BG/L and BG/P, under the partition and the
+// multi-level mapping, every reported kind's name (sorted) and the bits
+// of its parent, sibling and overall hop averages. It was recorded on
+// the per-sibling Analyze walks over 24-byte coordinate tables.
+func TestBuildPlanMappingDigest(t *testing.T) {
+	const want = "efb4bd2f049187ac7faa3c9d041de9f508d5ea846a34032141dbf67082a98b26"
+	h := sha256.New()
+	var buf [8]byte
+	bits := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := workload.RandomPacific(rand.New(rand.NewSource(seed)), 2+int(seed%5))
+		for _, ranks := range []int{256, 1024, 4096} {
+			for _, m := range []machine.Machine{machine.BGL(), machine.BGP()} {
+				for _, kind := range []MapKind{MapPartition, MapMultiLevel} {
+					plan, err := BuildPlan(cfg, Options{Machine: m, Ranks: ranks, Strategy: Concurrent, MapKind: kind})
+					if err != nil {
+						t.Fatal(err)
+					}
+					names := make([]string, 0, len(plan.Mapping))
+					for name := range plan.Mapping {
+						names = append(names, name)
+					}
+					slices.Sort(names)
+					for _, name := range names {
+						q := plan.Mapping[name]
+						h.Write([]byte(name))
+						bits(q.ParentAvgHops)
+						for _, s := range q.SiblingAvgHops {
+							bits(s)
+						}
+						bits(q.OverallAvgHops)
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("plan mapping reports hash to %s, want %s", got, want)
 	}
 }

@@ -68,6 +68,66 @@ func TestAnalyzeMatchesPairListDefinition(t *testing.T) {
 	if _, err := Analyze(m, []alloc.Rect{{X: 10, Y: 0, W: 8, H: 4}}); err == nil {
 		t.Error("rectangle outside the grid should fail")
 	}
+
+	// The edges of the one-pass walk: single rows and columns, prime
+	// grids, grids wider than a column strip (130 columns: strips of 64,
+	// 64 and 2), siblings that touch without covering the grid, a
+	// single-rank sibling at each corner (all four at once coincide on
+	// a 1xN grid), and 20 one-column siblings spread over the strips.
+	for _, c := range []struct {
+		px, py int
+		tor    torus.Torus
+		touch  []alloc.Rect
+	}{
+		{1, 150, torus.Torus{X: 5, Y: 5, Z: 6}, []alloc.Rect{{X: 0, Y: 0, W: 1, H: 70}, {X: 0, Y: 70, W: 1, H: 79}}},
+		{150, 1, torus.Torus{X: 5, Y: 5, Z: 6}, []alloc.Rect{{X: 1, Y: 0, W: 63, H: 1}, {X: 64, Y: 0, W: 30, H: 1}}},
+		{131, 1, torus.Torus{X: 131, Y: 1, Z: 1}, []alloc.Rect{{X: 0, Y: 0, W: 64, H: 1}, {X: 64, Y: 0, W: 1, H: 1}}},
+		{7, 11, torus.Torus{X: 7, Y: 11, Z: 1}, []alloc.Rect{{X: 1, Y: 1, W: 3, H: 5}, {X: 4, Y: 2, W: 2, H: 9}, {X: 1, Y: 6, W: 3, H: 1}}},
+		{130, 6, torus.Torus{X: 65, Y: 3, Z: 4}, []alloc.Rect{{X: 60, Y: 0, W: 10, H: 3}, {X: 60, Y: 3, W: 70, H: 2}, {X: 0, Y: 2, W: 60, H: 4}}},
+	} {
+		g, err := vtopo.NewGrid(c.px, c.py)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiling, err := alloc.Partition([]float64{0.4, 0.35, 0.25}, c.px, c.py)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corners := []alloc.Rect{{X: 0, Y: 0, W: 1, H: 1}, {X: c.px - 1, Y: 0, W: 1, H: 1}, {X: 0, Y: c.py - 1, W: 1, H: 1}, {X: c.px - 1, Y: c.py - 1, W: 1, H: 1}}
+		var cols []alloc.Rect
+		for i := 0; i < 20 && i < c.px; i++ {
+			cols = append(cols, alloc.Rect{X: i * c.px / min(20, c.px), Y: 0, W: 1, H: c.py})
+		}
+		rectSets := [][]alloc.Rect{nil, tiling, c.touch, corners, cols}
+		for i := range corners {
+			rectSets = append(rectSets, corners[i:i+1])
+		}
+		builds := []func() (*Mapping, error){
+			func() (*Mapping, error) { return Sequential(g, c.tor) },
+			func() (*Mapping, error) { return PartitionMapping(g, c.tor, tiling) },
+		}
+		if c.tor.Z%2 == 0 {
+			builds = append(builds, func() (*Mapping, error) { return TXYZ(g, c.tor, 2) })
+		}
+		if _, _, err := foldParams(g, c.tor); err == nil {
+			builds = append(builds, func() (*Mapping, error) { return MultiLevel(g, c.tor) })
+		}
+		for _, build := range builds {
+			m, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rects := range rectSets {
+				got, err := Analyze(m, rects)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := analyzeByPairs(t, m, rects); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %dx%d %v:\n got %+v\nwant %+v", m.Name, c.px, c.py, rects, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestAnalyzeAllocatesOnlyResultSlices: one pass over the rows, no pair

@@ -11,6 +11,8 @@ package mapping
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"nestwrf/internal/alloc"
 	"nestwrf/internal/torus"
@@ -22,7 +24,7 @@ type Mapping struct {
 	Grid   vtopo.Grid
 	Torus  torus.Torus
 	Name   string
-	nodeOf []torus.Coord // rank-to-node table; nil for the sequential placement
+	nodeOf []uint32 // each rank's Torus.Index; nil is the identity (the sequential placement)
 	// key identifies the mapping's content exactly: every constructor is
 	// deterministic in its parameters, so (constructor, parameters) pins
 	// NodeOf. Used by the model layer's phase-cost memoization.
@@ -45,14 +47,15 @@ var (
 	ErrSizeMismatch = errors.New("mapping: grid size != torus node count")
 	ErrNotFoldable  = errors.New("mapping: grid does not fold onto torus")
 	ErrBadTDim      = errors.New("mapping: torus Z not divisible by cores per node")
+	ErrTooManyRanks = errors.New("mapping: more ranks than a uint32 node table indexes")
 )
 
 // NodeOf returns the torus coordinate of rank r.
 func (m *Mapping) NodeOf(r int) torus.Coord {
-	if m.nodeOf == nil {
-		return m.Torus.CoordOf(r)
+	if m.nodeOf != nil {
+		r = int(m.nodeOf[r])
 	}
-	return m.nodeOf[r]
+	return m.Torus.CoordOf(r)
 }
 
 // Hops returns the torus hop distance between two ranks.
@@ -78,6 +81,9 @@ func (m *Mapping) Validate() error {
 }
 
 func check(g vtopo.Grid, t torus.Torus) error {
+	if uint64(g.Size()) > math.MaxUint32 {
+		return fmt.Errorf("%w: %d", ErrTooManyRanks, g.Size())
+	}
 	if g.Size() != t.Nodes() {
 		return fmt.Errorf("%w: %d ranks, %d nodes", ErrSizeMismatch, g.Size(), t.Nodes())
 	}
@@ -105,12 +111,12 @@ func TXYZ(g vtopo.Grid, t torus.Torus, coresPerNode int) (*Mapping, error) {
 		return nil, fmt.Errorf("%w: Z=%d, T=%d", ErrBadTDim, t.Z, coresPerNode)
 	}
 	reduced := torus.Torus{X: t.X, Y: t.Y, Z: t.Z / coresPerNode}
-	m := &Mapping{Grid: g, Torus: t, Name: "txyz", nodeOf: make([]torus.Coord, g.Size()),
+	m := &Mapping{Grid: g, Torus: t, Name: "txyz", nodeOf: make([]uint32, g.Size()),
 		key: fmt.Sprintf("%s|cores=%d", baseKey("txyz", g, t), coresPerNode)}
 	for r := range m.nodeOf {
 		slot := r % coresPerNode
 		c := reduced.CoordOf(r / coresPerNode)
-		m.nodeOf[r] = torus.Coord{X: c.X, Y: c.Y, Z: c.Z*coresPerNode + slot}
+		m.nodeOf[r] = uint32(t.Index(torus.Coord{X: c.X, Y: c.Y, Z: c.Z*coresPerNode + slot}))
 	}
 	return m, nil
 }
@@ -146,20 +152,31 @@ func MultiLevel(g vtopo.Grid, t torus.Torus) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Mapping{Grid: g, Torus: t, Name: "multilevel", nodeOf: make([]torus.Coord, g.Size()), key: baseKey("multilevel", g, t)}
-	for r := range m.nodeOf {
-		x, y := g.Coord(r)
-		sx, lx := x/t.X, x%t.X
-		if sx%2 == 1 { // fold back, like curling the rectangle over
-			lx = t.X - 1 - lx
-		}
-		sy, ly := y/t.Y, y%t.Y
-		if sy%2 == 1 {
-			ly = t.Y - 1 - ly
-		}
-		m.nodeOf[r] = torus.Coord{X: lx, Y: ly, Z: sx + fx*sy}
-	}
+	m := &Mapping{Grid: g, Torus: t, Name: "multilevel", nodeOf: make([]uint32, g.Size()), key: baseKey("multilevel", g, t)}
+	m.fold(fx, []alloc.Rect{{W: g.Px, H: g.Py}})
 	return m, nil
+}
+
+// fold fills m's table with the stripe fold of each rectangle of folds,
+// the stripe-reversal parity anchored at the rectangle's index: a stripe
+// of odd parity runs back, like curling the rectangle over.
+func (m *Mapping) fold(fx int, folds []alloc.Rect) {
+	t := m.Torus
+	for pi, rect := range folds {
+		for y := rect.Y; y < rect.Y+rect.H; y++ {
+			sy, ly := y/t.Y, y%t.Y
+			if (sy+pi)%2 == 1 {
+				ly = t.Y - 1 - ly
+			}
+			for x := rect.X; x < rect.X+rect.W; x++ {
+				sx, lx := x/t.X, x%t.X
+				if (sx+pi)%2 == 1 {
+					lx = t.X - 1 - lx
+				}
+				m.nodeOf[m.Grid.Rank(x, y)] = uint32(t.Index(torus.Coord{X: lx, Y: ly, Z: sx + fx*sy}))
+			}
+		}
+	}
 }
 
 // PartitionMapping is the paper's partition mapping (Fig. 6(a)): every
@@ -185,7 +202,7 @@ func PartitionMapping(g vtopo.Grid, t torus.Torus, rects []alloc.Rect) (*Mapping
 	for _, rect := range rects {
 		key += fmt.Sprintf("|%d,%d,%d,%d", rect.X, rect.Y, rect.W, rect.H)
 	}
-	m := &Mapping{Grid: g, Torus: t, Name: "partition", nodeOf: make([]torus.Coord, g.Size()), key: key}
+	m := &Mapping{Grid: g, Torus: t, Name: "partition", nodeOf: make([]uint32, g.Size()), key: key}
 
 	if fx, _, err := foldParams(g, t); err == nil {
 		// Foldable: fold like MultiLevel, but when every partition aligns
@@ -195,39 +212,12 @@ func PartitionMapping(g vtopo.Grid, t torus.Torus, rects []alloc.Rect) (*Mapping
 		// between partitions, hence the alignment requirement; otherwise
 		// the global fold is used, which still gives every partition
 		// 1-hop internal neighbours.
-		aligned := true
-		for _, rect := range rects {
-			if rect.X%t.X != 0 || rect.W%t.X != 0 || rect.Y%t.Y != 0 || rect.H%t.Y != 0 {
-				aligned = false
-				break
-			}
+		if slices.ContainsFunc(rects, func(rect alloc.Rect) bool {
+			return rect.X%t.X != 0 || rect.W%t.X != 0 || rect.Y%t.Y != 0 || rect.H%t.Y != 0
+		}) {
+			rects = []alloc.Rect{{W: g.Px, H: g.Py}}
 		}
-		owner := make([]int, g.Size())
-		if aligned {
-			for pi, rect := range rects {
-				for y := rect.Y; y < rect.Y+rect.H; y++ {
-					for x := rect.X; x < rect.X+rect.W; x++ {
-						owner[g.Rank(x, y)] = pi
-					}
-				}
-			}
-		}
-		for r := range m.nodeOf {
-			x, y := g.Coord(r)
-			pi := 0
-			if aligned {
-				pi = owner[r]
-			}
-			sx, lx := x/t.X, x%t.X
-			if (sx+pi)%2 == 1 {
-				lx = t.X - 1 - lx
-			}
-			sy, ly := y/t.Y, y%t.Y
-			if (sy+pi)%2 == 1 {
-				ly = t.Y - 1 - ly
-			}
-			m.nodeOf[r] = torus.Coord{X: lx, Y: ly, Z: sx + fx*sy}
-		}
+		m.fold(fx, rects)
 		return m, nil
 	}
 
@@ -240,7 +230,7 @@ func PartitionMapping(g vtopo.Grid, t torus.Torus, rects []alloc.Rect) (*Mapping
 		}
 		locals := serpentineRanks(sg.Grid())
 		for i, l := range locals {
-			m.nodeOf[sg.GlobalRank(l)] = serpentineCoord(t, offset+i)
+			m.nodeOf[sg.GlobalRank(l)] = uint32(t.Index(serpentineCoord(t, offset+i)))
 		}
 		offset += rect.Area()
 	}
@@ -300,54 +290,77 @@ type Report struct {
 }
 
 // Analyze computes a locality Report for mapping m with the sibling
-// partitions given by rects.
+// partitions given by rects in one pass that reads each rank's node
+// once: the rows are walked in strips of up to analyzeStrip columns,
+// whose nodes of the previous row and hop counts of the current one
+// stay on the stack (a strip's East neighbour is read twice). Each
+// East and North pair's hop count is credited to the parent and to
+// every sibling holding both ends.
 func Analyze(m *Mapping, rects []alloc.Rect) (Report, error) {
-	rep := Report{Name: m.Name}
-	total, count, max := m.haloHops(alloc.Rect{W: m.Grid.Px, H: m.Grid.Py})
-	rep.ParentAvg, rep.ParentMax = mean(total, count), max
-	if len(rects) > 0 {
-		rep.SiblingAvg = make([]float64, len(rects))
-		rep.SiblingMax = make([]int, len(rects))
-	}
-	for i, rect := range rects {
+	for _, rect := range rects {
 		if _, err := vtopo.NewSubgrid(m.Grid, rect); err != nil {
 			return Report{}, err
 		}
-		sum, n, max := m.haloHops(rect)
-		rep.SiblingAvg[i], rep.SiblingMax[i] = mean(sum, n), max
+	}
+	rep := Report{Name: m.Name}
+	if len(rects) > 0 {
+		rep.SiblingAvg = make([]float64, len(rects)) // hop sums until the end
+		rep.SiblingMax = make([]int, len(rects))
+	}
+	var nodes [2][analyzeStrip + 1]torus.Coord
+	var hops [2][analyzeStrip]int // East pairs of row y, North pairs from row y-1
+	px, py, total := m.Grid.Px, m.Grid.Py, 0
+	for x0 := 0; x0 < px; x0 += analyzeStrip {
+		w, edge := min(analyzeStrip, px-x0), min(analyzeStrip+1, px-x0)
+		for y := 0; y < py; y++ {
+			cur, prev := &nodes[y%2], &nodes[1-y%2]
+			east, north := hops[0][:edge-1], hops[1][:min(y, 1)*w] // no North pairs into row 0
+			for i := range cur[:edge] {
+				cur[i] = m.NodeOf(y*px + x0 + i)
+				if i > 0 {
+					east[i-1] = m.Torus.Hops(cur[i-1], cur[i])
+				}
+				if i < len(north) {
+					north[i] = m.Torus.Hops(prev[i], cur[i])
+				}
+			}
+			total += credit(&rep.ParentMax, east, x0, 0, px) + credit(&rep.ParentMax, north, x0, 0, px)
+			for i, rc := range rects {
+				if rc.Y <= y && y < rc.Y+rc.H {
+					rep.SiblingAvg[i] += float64(credit(&rep.SiblingMax[i], east, x0, rc.X, rc.X+rc.W-1))
+				}
+				if rc.Y < y && y < rc.Y+rc.H {
+					rep.SiblingAvg[i] += float64(credit(&rep.SiblingMax[i], north, x0, rc.X, rc.X+rc.W))
+				}
+			}
+		}
+	}
+	count := (px-1)*py + px*(py-1)
+	rep.ParentAvg = mean(total, count)
+	for i, rc := range rects {
+		sum, n := int(rep.SiblingAvg[i]), (rc.W-1)*rc.H+rc.W*(rc.H-1)
+		rep.SiblingAvg[i] = mean(sum, n)
 		total += sum
 		count += n
 	}
-	rep.OverallAvg = mean(total, count)
-	rep.OverallPairs = count
+	rep.OverallAvg, rep.OverallPairs = mean(total, count), count
 	return rep, nil
 }
 
-// haloHops walks the rows of rect once and returns the summed and
-// maximal torus hop distance over its adjacent rank pairs (each rank
-// with its East and North neighbour inside rect) and their number.
-func (m *Mapping) haloHops(rect alloc.Rect) (sum, pairs, max int) {
-	note := func(a, b torus.Coord) {
-		h := m.Torus.Hops(a, b)
+// analyzeStrip is the widest column strip Analyze keeps on the stack.
+const analyzeStrip = 64
+
+// credit returns the summed hop count of the columns from..to-1 of
+// hops, which starts at column x0, and raises *peak to their maximum.
+func credit(peak *int, hops []int, x0, from, to int) int {
+	lo := min(max(from-x0, 0), len(hops))
+	sum, top := 0, *peak
+	for _, h := range hops[lo:max(lo, min(to-x0, len(hops)))] {
 		sum += h
-		pairs++
-		if h > max {
-			max = h
-		}
+		top = max(top, h)
 	}
-	for y := rect.Y; y < rect.Y+rect.H; y++ {
-		for x := rect.X; x < rect.X+rect.W; x++ {
-			r := m.Grid.Rank(x, y)
-			c := m.NodeOf(r)
-			if x+1 < rect.X+rect.W {
-				note(c, m.NodeOf(r+1))
-			}
-			if y+1 < rect.Y+rect.H {
-				note(c, m.NodeOf(r+m.Grid.Px))
-			}
-		}
-	}
-	return sum, pairs, max
+	*peak = top
+	return sum
 }
 
 // mean returns total/count, 0 for an empty count.

@@ -231,6 +231,27 @@ func TestSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestTooManyRanks: a node table holds uint32 indices, so every
+// constructor refuses a grid of more ranks than that indexes before it
+// allocates a table (here 2^33 ranks on a torus of as many nodes).
+func TestTooManyRanks(t *testing.T) {
+	g, _ := vtopo.NewGrid(1<<17, 1<<16)
+	tor, _ := torus.New(1<<11, 1<<11, 1<<11)
+	if err := check(g, tor); !errors.Is(err, ErrTooManyRanks) {
+		t.Fatalf("check = %v, want ErrTooManyRanks", err) // the constructors would allocate 32 GB
+	}
+	for name, build := range map[string]func() (*Mapping, error){
+		"sequential": func() (*Mapping, error) { return Sequential(g, tor) },
+		"txyz":       func() (*Mapping, error) { return TXYZ(g, tor, 2) },
+		"multilevel": func() (*Mapping, error) { return MultiLevel(g, tor) },
+		"partition":  func() (*Mapping, error) { return PartitionMapping(g, tor, []alloc.Rect{{W: g.Px, H: g.Py}}) },
+	} {
+		if _, err := build(); !errors.Is(err, ErrTooManyRanks) {
+			t.Errorf("%s: err = %v, want ErrTooManyRanks", name, err)
+		}
+	}
+}
+
 func TestMultiLevelNotFoldable(t *testing.T) {
 	g, _ := vtopo.NewGrid(6, 6)
 	tor, _ := torus.New(4, 3, 3)

@@ -22,8 +22,9 @@ type heldCase struct {
 	cong       netsim.Congestion
 }
 
-// TestHeldGeometryMatchesDefinition cycles 35 geometries (five mapping
-// constructors × four rectangle sets, three of them also listed in
+// TestHeldGeometryMatchesDefinition cycles 55 geometries (five mapping
+// constructors × five rectangle sets on a 256-rank grid and two × three
+// on a 13x1 row, every set of several rectangles also listed in
 // reverse), far more than the idle networks' slots, through PhaseCosts
 // and PhaseCostsCongestion from GOMAXPROCS goroutines. Each goroutine
 // evaluates a geometry four times in a row, under two sets of domains
@@ -32,21 +33,22 @@ type heldCase struct {
 // after ResetCache no idle network may hold a geometry. Run under -race
 // in CI.
 func TestHeldGeometryMatchesDefinition(t *testing.T) {
-	bgl, mps, phases := kernelCases(t)
+	bgl, kcs := kernelCases(t)
 	var cases []heldCase
-	var geoms [][]Placement
-	for _, placements := range phases {
-		geoms = append(geoms, placements)
-		if len(placements) > 1 {
-			// The same rectangles listed in reverse: another geometry.
-			rev := make([]Placement, len(placements))
-			for i, p := range placements {
-				rev[len(rev)-1-i] = p
+	for _, kc := range kcs {
+		mp := kc.mp
+		var geoms [][]Placement
+		for _, placements := range kc.phases {
+			geoms = append(geoms, placements)
+			if len(placements) > 1 {
+				// The same rectangles listed in reverse: another geometry.
+				rev := make([]Placement, len(placements))
+				for i, p := range placements {
+					rev[len(rev)-1-i] = p
+				}
+				geoms = append(geoms, rev)
 			}
-			geoms = append(geoms, rev)
 		}
-	}
-	for _, mp := range mps {
 		for _, placements := range geoms {
 			// The same rectangles under domains of other sizes.
 			other := make([]Placement, len(placements))

@@ -10,6 +10,7 @@ import (
 	"nestwrf/internal/mapping"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/netsim"
+	"nestwrf/internal/torus"
 	"nestwrf/internal/vtopo"
 )
 
@@ -85,10 +86,18 @@ func definitionNet(t *testing.T, m machine.Machine, mp *mapping.Mapping, placeme
 	return net
 }
 
-// kernelCases returns phases over one 256-rank grid and torus: every
+// kernelCase is a mapping and phases placed on its grid.
+type kernelCase struct {
+	mp     *mapping.Mapping
+	phases [][]Placement
+}
+
+// kernelCases returns phases over a 256-rank grid and torus — every
 // mapping constructor, sibling rectangles that are offset, one rank
-// wide, one rank high and a single rank, plus the full grid.
-func kernelCases(t *testing.T) (machine.Machine, []*mapping.Mapping, [][]Placement) {
+// wide, one rank high and a single rank, the full grid, and narrow
+// placements listed before wide ones, so a fresh network's halo window
+// grows mid-phase — and over a 13x1 grid, a single row.
+func kernelCases(t *testing.T) (machine.Machine, []kernelCase) {
 	t.Helper()
 	m := machine.BGL()
 	g, err := machine.GridFor(256)
@@ -99,25 +108,17 @@ func kernelCases(t *testing.T) (machine.Machine, []*mapping.Mapping, [][]Placeme
 	if err != nil {
 		t.Fatal(err)
 	}
+	row, err := vtopo.NewGrid(13, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowTor := torus.Torus{X: 13, Y: 1, Z: 1}
 	halves := []alloc.Rect{{X: 0, Y: 0, W: g.Px / 2, H: g.Py}, {X: g.Px / 2, Y: 0, W: g.Px - g.Px/2, H: g.Py}}
 	uneven := []alloc.Rect{
 		{X: 0, Y: 0, W: 5, H: g.Py}, {X: 5, Y: 0, W: 1, H: g.Py},
 		{X: 6, Y: 0, W: g.Px - 6, H: 1}, {X: 6, Y: 1, W: g.Px - 6, H: g.Py - 1},
 	}
-	var mps []*mapping.Mapping
-	for _, build := range []func() (*mapping.Mapping, error){
-		func() (*mapping.Mapping, error) { return mapping.Sequential(g, tor) },
-		func() (*mapping.Mapping, error) { return mapping.TXYZ(g, tor, m.CoresPerNode) },
-		func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) },
-		func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, halves) },
-		func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, uneven) },
-	} {
-		mp, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mps = append(mps, mp)
-	}
+	rowSplit := []alloc.Rect{{X: 0, Y: 0, W: 1, H: 1}, {X: 1, Y: 0, W: 5, H: 1}, {X: 6, Y: 0, W: 7, H: 1}}
 	root := nest.Root("parent", 286, 307)
 	doms := []*nest.Domain{
 		root.AddChild("s1", 394, 418, 3, 5, 5),
@@ -125,7 +126,7 @@ func kernelCases(t *testing.T) (machine.Machine, []*mapping.Mapping, [][]Placeme
 		root.AddChild("s3", 232, 202, 3, 60, 20),
 		root.AddChild("s4", 271, 250, 3, 20, 200),
 	}
-	place := func(rects []alloc.Rect) []Placement {
+	place := func(g vtopo.Grid, rects []alloc.Rect) []Placement {
 		var ps []Placement
 		for i, r := range rects {
 			sg, err := vtopo.NewSubgrid(g, r)
@@ -137,12 +138,38 @@ func kernelCases(t *testing.T) (machine.Machine, []*mapping.Mapping, [][]Placeme
 		return ps
 	}
 	phases := [][]Placement{
-		place(halves),
-		place(uneven),
-		place([]alloc.Rect{{W: g.Px, H: g.Py}}),
-		place([]alloc.Rect{{X: 3, Y: 2, W: 1, H: 1}, {X: 4, Y: 2, W: 7, H: 9}}),
+		place(g, halves),
+		place(g, uneven),
+		place(g, []alloc.Rect{{W: g.Px, H: g.Py}}),
+		place(g, []alloc.Rect{{X: 3, Y: 2, W: 1, H: 1}, {X: 4, Y: 2, W: 7, H: 9}}),
+		place(g, []alloc.Rect{{X: 0, Y: 0, W: 2, H: 5}, {X: 2, Y: 0, W: 9, H: 5}, {X: 0, Y: 5, W: g.Px, H: g.Py - 5}}),
 	}
-	return m, mps, phases
+	rowPhases := [][]Placement{
+		place(row, rowSplit),
+		place(row, []alloc.Rect{{W: 13, H: 1}}),
+		place(row, []alloc.Rect{{X: 4, Y: 0, W: 2, H: 1}, {X: 0, Y: 0, W: 4, H: 1}, {X: 6, Y: 0, W: 7, H: 1}}),
+	}
+	var cases []kernelCase
+	for _, build := range []func() (*mapping.Mapping, error){
+		func() (*mapping.Mapping, error) { return mapping.Sequential(g, tor) },
+		func() (*mapping.Mapping, error) { return mapping.TXYZ(g, tor, m.CoresPerNode) },
+		func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) },
+		func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, halves) },
+		func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, uneven) },
+		func() (*mapping.Mapping, error) { return mapping.Sequential(row, rowTor) },
+		func() (*mapping.Mapping, error) { return mapping.PartitionMapping(row, rowTor, rowSplit) },
+	} {
+		mp, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := kernelCase{mp: mp, phases: phases}
+		if mp.Grid == row {
+			c.phases = rowPhases
+		}
+		cases = append(cases, c)
+	}
+	return m, cases
 }
 
 // TestRecordedFlowsMatchDefinition holds the single-pass kernel (flows
@@ -150,9 +177,10 @@ func kernelCases(t *testing.T) (machine.Machine, []*mapping.Mapping, [][]Placeme
 // that table in stepCost) to
 // the pair-list definition bit for bit, with and without contention.
 func TestRecordedFlowsMatchDefinition(t *testing.T) {
-	m, mps, phases := kernelCases(t)
-	for _, mp := range mps {
-		for pi, placements := range phases {
+	m, cases := kernelCases(t)
+	for _, c := range cases {
+		mp := c.mp
+		for pi, placements := range c.phases {
 			for _, contention := range []bool{true, false} {
 				got := uncachedCosts(m, mp, placements, contention)
 				want := definitionCosts(t, m, mp, placements, contention)
@@ -172,11 +200,11 @@ func TestRecordedFlowsMatchDefinition(t *testing.T) {
 // the scenario the shared route cache's RWMutex used to serialise. Run
 // under -race in CI.
 func TestConcurrentPhaseCostsMatchSerial(t *testing.T) {
-	m, mps, phases := kernelCases(t)
-	want := make([][][]StepCost, len(mps))
-	for i, mp := range mps {
-		for _, placements := range phases {
-			want[i] = append(want[i], definitionCosts(t, m, mp, placements, true))
+	m, cases := kernelCases(t)
+	want := make([][][]StepCost, len(cases))
+	for i, c := range cases {
+		for _, placements := range c.phases {
+			want[i] = append(want[i], definitionCosts(t, m, c.mp, placements, true))
 		}
 	}
 	ResetCache()
@@ -194,13 +222,13 @@ func TestConcurrentPhaseCostsMatchSerial(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				// Workers start on different mappings, so at any moment
 				// several cold evaluations of one torus shape overlap.
-				for k := range mps {
-					i := (w + k) % len(mps)
-					for pi, placements := range phases {
-						got := PhaseCosts(m, mps[i], placements)
+				for k := range cases {
+					i := (w + k) % len(cases)
+					for pi, placements := range cases[i].phases {
+						got := PhaseCosts(m, cases[i].mp, placements)
 						for j := range got {
 							if got[j] != want[i][pi][j] {
-								t.Errorf("worker %d %s phase %d placement %d:\n got %+v\nwant %+v", w, mps[i].Name, pi, j, got[j], want[i][pi][j])
+								t.Errorf("worker %d %s phase %d placement %d:\n got %+v\nwant %+v", w, cases[i].mp.Name, pi, j, got[j], want[i][pi][j])
 							}
 						}
 					}

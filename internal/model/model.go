@@ -19,6 +19,7 @@ import (
 	"nestwrf/internal/mapping"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/netsim"
+	"nestwrf/internal/torus"
 	"nestwrf/internal/vtopo"
 )
 
@@ -169,11 +170,13 @@ const maxIdleNets = 2
 // describe, and each flow's hop count and path load in addPhaseFlows
 // order. The Network's Params are never read: stepCost prices with the
 // phase's own machine, since the loads depend on the geometry alone.
+// window is addPhaseFlows' three-row buffer of nodes, kept across phases.
 type heldNet struct {
-	net   *netsim.Network
-	key   string // "" holds no geometry
-	sgs   []vtopo.Subgrid
-	flows []flowLoad
+	net    *netsim.Network
+	key    string // "" holds no geometry
+	sgs    []vtopo.Subgrid
+	flows  []flowLoad
+	window []torus.Coord
 }
 
 type flowLoad struct{ hops, load int32 }
@@ -204,7 +207,7 @@ func (h *heldNet) load(m machine.Machine, mp *mapping.Mapping, placements []Plac
 		}
 	}
 	h.net.ResetTo(mp.Torus)
-	addPhaseFlows(h.net, mp, placements)
+	h.addPhaseFlows(mp, placements)
 	h.flows = h.flows[:0]
 	for i := 0; i < h.net.Flows(); i++ {
 		h.flows = append(h.flows, flowLoad{hops: int32(h.net.FlowHops(i)), load: int32(h.net.FlowLoad(i))})
@@ -288,20 +291,39 @@ func priceFlows(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 }
 
 // addPhaseFlows accumulates the halo-exchange link loads of every
-// placement onto net: one flow per rank and existing West, East, South,
-// North neighbour, in placement, local-rank and direction order.
-func addPhaseFlows(net *netsim.Network, mp *mapping.Mapping, placements []Placement) {
+// placement onto h.net: one flow per rank and existing West, East,
+// South, North neighbour, in placement, local-rank and direction order.
+// The nodes of a placement's South, current and North rows sit in
+// h.window, each North node read as its flow is added, so each rank's
+// node is read once.
+func (h *heldNet) addPhaseFlows(mp *mapping.Mapping, placements []Placement) {
 	for _, p := range placements {
-		for y := p.SG.Rect.Y; y < p.SG.Rect.Y+p.SG.Rect.H; y++ {
-			for x := p.SG.Rect.X; x < p.SG.Rect.X+p.SG.Rect.W; x++ {
-				r := p.SG.Parent.Rank(x, y)
-				src := mp.NodeOf(r)
-				for _, nb := range haloNeighbors(p.SG, r, x, y) {
-					if nb >= 0 {
-						net.AddFlow(src, mp.NodeOf(nb))
-					}
+		rc, px := p.SG.Rect, p.SG.Parent.Px
+		if len(h.window) < 3*rc.W {
+			h.window = make([]torus.Coord, 3*rc.W)
+		}
+		south, cur, north := h.window[:rc.W], h.window[rc.W:2*rc.W], h.window[2*rc.W:3*rc.W]
+		r := p.SG.Parent.Rank(rc.X, rc.Y)
+		for i := range cur {
+			cur[i] = mp.NodeOf(r + i)
+		}
+		for y := rc.Y; y < rc.Y+rc.H; y, r = y+1, r+px {
+			for i, src := range cur {
+				if i > 0 {
+					h.net.AddFlow(src, cur[i-1])
+				}
+				if i+1 < rc.W {
+					h.net.AddFlow(src, cur[i+1])
+				}
+				if y > rc.Y {
+					h.net.AddFlow(src, south[i])
+				}
+				if y+1 < rc.Y+rc.H {
+					north[i] = mp.NodeOf(r + px + i)
+					h.net.AddFlow(src, north[i])
 				}
 			}
+			south, cur, north = cur, north, south
 		}
 	}
 }

@@ -355,27 +355,38 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, n := range []int{0, 1, len(data) / 3, len(data) / 2, len(data) - 2} {
 		f.Add(data[:n])
 	}
-	var snap snapshotFile
-	if err := json.Unmarshal(data, &snap); err != nil {
-		f.Fatal(err)
-	}
-	for i, e := range snap.Entries {
-		if e.Kind == "plan" {
-			var plan driver.Plan
-			if err := json.Unmarshal(e.Value, &plan); err != nil {
-				f.Fatal(err)
-			}
-			plan.Weights = plan.Weights[:1]
-			if snap.Entries[i].Value, err = json.Marshal(&plan); err != nil {
-				f.Fatal(err)
+	// Snapshots whose plan entry lost a weight, or whose mapping report
+	// carries a negative hop average.
+	for _, doctor := range []func(plan *driver.Plan){
+		func(plan *driver.Plan) { plan.Weights = plan.Weights[:1] },
+		func(plan *driver.Plan) {
+			q := plan.Mapping["oblivious"]
+			q.ParentAvgHops = -1
+			plan.Mapping["oblivious"] = q
+		},
+	} {
+		var snap snapshotFile
+		if err := json.Unmarshal(data, &snap); err != nil {
+			f.Fatal(err)
+		}
+		for i, e := range snap.Entries {
+			if e.Kind == "plan" {
+				var plan driver.Plan
+				if err := json.Unmarshal(e.Value, &plan); err != nil {
+					f.Fatal(err)
+				}
+				doctor(&plan)
+				if snap.Entries[i].Value, err = json.Marshal(&plan); err != nil {
+					f.Fatal(err)
+				}
 			}
 		}
+		doctored, err := json.Marshal(&snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doctored)
 	}
-	doctored, err := json.Marshal(&snap)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(doctored)
 
 	// A worker process runs the target sequentially, so it rewrites one
 	// file instead of paying for a directory per input.

@@ -196,10 +196,20 @@ func validGeometry(seg string) *nest.Domain {
 // valueFits reports whether val, a decoded snapshot value, fits a key
 // whose root has n children: every driver.Result in it has at most n
 // siblings (a hit names them from the request's children by index), and
-// a plan has n finite weights and n rectangles tiling its Px x Py grid.
+// a plan has n finite weights, n rectangles tiling its Px x Py grid,
+// and a mapping report keyed by kind names with n sibling averages and
+// no negative or non-finite hop average.
 func valueFits(val any, n int) bool {
 	switch v := val.(type) {
 	case *driver.Plan:
+		for name, q := range v.Mapping {
+			kind, err := driver.ParseMapKind(name)
+			hops := append([]float64{q.ParentAvgHops, q.OverallAvgHops}, q.SiblingAvgHops...)
+			if err != nil || kind.String() != name || len(q.SiblingAvgHops) != n ||
+				slices.ContainsFunc(hops, func(h float64) bool { return !(h >= 0 && h <= math.MaxFloat64) }) {
+				return false
+			}
+		}
 		return len(v.Weights) == n && len(v.Rects) == n && len(v.Cost.Siblings) <= n &&
 			(n == 0 || alloc.Validate(v.Rects, v.Px, v.Py) == nil) &&
 			!slices.ContainsFunc(v.Weights, func(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) })

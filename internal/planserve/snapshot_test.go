@@ -319,6 +319,52 @@ func TestSnapshotRejectsExtraSiblings(t *testing.T) {
 // request is then a cold miss with a fresh server's body instead of a
 // hit with zero-valued siblings.
 func TestSnapshotRejectsPlanValueMismatch(t *testing.T) {
+	rejectsDoctoredPlan(t, map[string]func(plan map[string]any){
+		"weight dropped":    func(plan map[string]any) { plan["Weights"] = plan["Weights"].([]any)[:1] },
+		"rectangle dropped": func(plan map[string]any) { plan["Rects"] = plan["Rects"].([]any)[:1] },
+		"rectangles overlap": func(plan map[string]any) {
+			rects := plan["Rects"].([]any)
+			rects[1] = rects[0]
+		},
+		"grid widened": func(plan map[string]any) { plan["Px"] = plan["Px"].(float64) + 1 },
+	})
+}
+
+// TestSnapshotRejectsPlanMappingMismatch: a hit serves a plan entry's
+// mapping report as saved, so an entry whose report names a kind that
+// is not one of the four, lists a sibling average too few, or carries a
+// negative hop average must not load. (A non-finite average cannot be
+// written in JSON at all.)
+func TestSnapshotRejectsPlanMappingMismatch(t *testing.T) {
+	quality := func(plan map[string]any, kind string) map[string]any {
+		return plan["Mapping"].(map[string]any)[kind].(map[string]any)
+	}
+	rejectsDoctoredPlan(t, map[string]func(plan map[string]any){
+		"unknown kind": func(plan map[string]any) {
+			report := plan["Mapping"].(map[string]any)
+			report["sequential"] = report["oblivious"]
+			delete(report, "oblivious")
+		},
+		"sibling average dropped": func(plan map[string]any) {
+			q := quality(plan, "partition")
+			q["SiblingAvgHops"] = q["SiblingAvgHops"].([]any)[1:]
+		},
+		"sibling average added": func(plan map[string]any) {
+			q := quality(plan, "txyz")
+			q["SiblingAvgHops"] = append(q["SiblingAvgHops"].([]any), 1.0)
+		},
+		"negative parent average":  func(plan map[string]any) { quality(plan, "multilevel")["ParentAvgHops"] = -0.5 },
+		"negative sibling average": func(plan map[string]any) { quality(plan, "oblivious")["SiblingAvgHops"].([]any)[0] = -1.0 },
+		"negative overall average": func(plan map[string]any) { quality(plan, "txyz")["OverallAvgHops"] = -2.0 },
+	})
+}
+
+// rejectsDoctoredPlan saves a server's plan for one request, applies
+// each doctor to the snapshot's plan entry, and asserts a fresh server
+// rejects the doctored entry and answers the request as a cold miss
+// with the first server's body.
+func rejectsDoctoredPlan(t *testing.T, doctors map[string]func(plan map[string]any)) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "plans.snap")
 	body := testRequest("concurrent", "predicted", "multilevel")
 	srvA := New(Config{})
@@ -332,15 +378,7 @@ func TestSnapshotRejectsPlanValueMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, doctor := range map[string]func(plan map[string]any){
-		"weight dropped":    func(plan map[string]any) { plan["Weights"] = plan["Weights"].([]any)[:1] },
-		"rectangle dropped": func(plan map[string]any) { plan["Rects"] = plan["Rects"].([]any)[:1] },
-		"rectangles overlap": func(plan map[string]any) {
-			rects := plan["Rects"].([]any)
-			rects[1] = rects[0]
-		},
-		"grid widened": func(plan map[string]any) { plan["Px"] = plan["Px"].(float64) + 1 },
-	} {
+	for name, doctor := range doctors {
 		t.Run(name, func(t *testing.T) {
 			var snap snapshotFile
 			if err := json.Unmarshal(saved, &snap); err != nil {
