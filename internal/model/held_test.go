@@ -3,13 +3,16 @@ package model
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"nestwrf/internal/alloc"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/mapping"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/netsim"
+	"nestwrf/internal/vtopo"
 )
 
 // heldCase is one evaluation of a geometry: a machine and the domains
@@ -22,21 +25,112 @@ type heldCase struct {
 	cong       netsim.Congestion
 }
 
-// TestHeldGeometryMatchesDefinition cycles 55 geometries (five mapping
-// constructors × five rectangle sets on a 256-rank grid and two × three
-// on a 13x1 row, every set of several rectangles also listed in
-// reverse), far more than the idle networks' slots, through PhaseCosts
-// and PhaseCostsCongestion from GOMAXPROCS goroutines. Each goroutine
-// evaluates a geometry four times in a row, under two sets of domains
-// and the BG/L and BG/P constants, so the later ones find it held.
-// Every result must equal the pair-list definition bit for bit, and
-// after ResetCache no idle network may hold a geometry. Run under -race
-// in CI.
+// ringCases returns phases over a 4096-rank grid whose halos together
+// hold more flows than the table ring: the full grid, its halves and its
+// quarters in two orders, under the sequential, TXYZ and multi-level
+// mappings, each about 16k flows.
+func ringCases(t *testing.T) []kernelCase {
+	t.Helper()
+	g, err := machine.GridFor(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tor, err := machine.TorusFor(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := nest.Root("parent", 286, 307)
+	var doms []*nest.Domain
+	for i := 0; i < 4; i++ {
+		doms = append(doms, root.AddChild("s", 394-20*i, 418-30*i, 3, 5+60*i, 5+40*i))
+	}
+	place := func(rects ...alloc.Rect) []Placement {
+		var ps []Placement
+		for i, r := range rects {
+			sg, err := vtopo.NewSubgrid(g, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps = append(ps, Placement{D: doms[i], SG: sg})
+		}
+		return ps
+	}
+	w, h := g.Px/2, g.Py/2
+	phases := [][]Placement{
+		place(alloc.Rect{W: g.Px, H: g.Py}),
+		place(alloc.Rect{W: w, H: g.Py}, alloc.Rect{X: w, W: g.Px - w, H: g.Py}),
+		place(alloc.Rect{W: w, H: h}, alloc.Rect{X: w, W: g.Px - w, H: h}, alloc.Rect{Y: h, W: w, H: g.Py - h}, alloc.Rect{X: w, Y: h, W: g.Px - w, H: g.Py - h}),
+		place(alloc.Rect{X: w, Y: h, W: g.Px - w, H: g.Py - h}, alloc.Rect{Y: h, W: w, H: g.Py - h}, alloc.Rect{X: w, W: g.Px - w, H: h}, alloc.Rect{W: w, H: h}),
+	}
+	var cases []kernelCase
+	for _, build := range []func() (*mapping.Mapping, error){
+		func() (*mapping.Mapping, error) { return mapping.Sequential(g, tor) },
+		func() (*mapping.Mapping, error) { return mapping.TXYZ(g, tor, machine.BGL().CoresPerNode) },
+		func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) },
+	} {
+		mp, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, kernelCase{mp: mp, phases: phases})
+	}
+	return cases
+}
+
+// haloFlows is the number of flows in the contended halo of placements.
+func haloFlows(placements []Placement) int {
+	n := 0
+	for _, p := range placements {
+		n += 2 * len(p.SG.Grid().NeighborPairs())
+	}
+	return n
+}
+
+// checkRing asserts every table the ring holds is the flow table its
+// geometry routes to afresh, the mappings found by key in mps.
+func checkRing(t *testing.T, mps map[string]*mapping.Mapping) {
+	t.Helper()
+	tables.RLock()
+	defer tables.RUnlock()
+	for i, tb := range tables.idx {
+		mp := mps[tb.key]
+		if mp == nil {
+			t.Fatalf("table %d names mapping %q, not one of the test's", i, tb.key)
+		}
+		var placements []Placement
+		for _, sg := range tb.sgs {
+			placements = append(placements, Placement{SG: sg})
+		}
+		h := takeNet(machine.BGL(), mp, placements)
+		if !slices.Equal(tables.slab[tb.off:tb.off+tb.n], h.flows) {
+			t.Errorf("table %d of %d (%s, %d subgrids at %d..%d) is not its geometry's flows", i, len(tables.idx), mp.Name, len(tb.sgs), tb.off, tb.off+tb.n)
+		}
+		releaseNet(h)
+	}
+}
+
+// TestHeldGeometryMatchesDefinition cycles 67 geometries through
+// PhaseCosts and PhaseCostsCongestion from GOMAXPROCS goroutines: five
+// mapping constructors × five rectangle sets on a 256-rank grid, two ×
+// three on a 13x1 row (every set of several rectangles also listed in
+// reverse), and ringCases' twelve on a 4096-rank grid, whose flows
+// overflow the table ring, so tables are overwritten while other
+// goroutines price from the ring. Each goroutine evaluates a geometry
+// four times in a row, under two sets of domains and the BG/L and BG/P
+// constants, also straight from the ring past the memo, so the later
+// ones may find its table stored. Every result must equal the pair-list
+// definition bit for bit, every table left in the ring must be its
+// geometry's, and after ResetCache no table may be stored. Run under
+// -race in CI.
 func TestHeldGeometryMatchesDefinition(t *testing.T) {
 	bgl, kcs := kernelCases(t)
+	kcs = append(kcs, ringCases(t)...)
 	var cases []heldCase
+	flows := 0
+	mps := map[string]*mapping.Mapping{}
 	for _, kc := range kcs {
 		mp := kc.mp
+		mps[mp.Key()] = mp
 		var geoms [][]Placement
 		for _, placements := range kc.phases {
 			geoms = append(geoms, placements)
@@ -50,6 +144,7 @@ func TestHeldGeometryMatchesDefinition(t *testing.T) {
 			}
 		}
 		for _, placements := range geoms {
+			flows += haloFlows(placements)
 			// The same rectangles under domains of other sizes.
 			other := make([]Placement, len(placements))
 			for i, p := range placements {
@@ -65,6 +160,9 @@ func TestHeldGeometryMatchesDefinition(t *testing.T) {
 			}
 		}
 	}
+	if flows <= ringFlows {
+		t.Fatalf("the geometries hold %d flows, the ring %d: nothing is overwritten", flows, ringFlows)
+	}
 	ResetCache()
 	defer ResetCache()
 
@@ -79,14 +177,15 @@ func TestHeldGeometryMatchesDefinition(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 2; round++ {
 				for k := range cases {
-					// Workers start on different geometries, so they
-					// compete for the idle slots.
+					// Workers start on different geometries, so stores
+					// overwrite tables others are looking up.
 					c := cases[(w*len(cases)/workers+k)%len(cases)]
 					got := PhaseCosts(c.m, c.mp, c.placements)
+					ring := contendedCosts(c.m, c.mp, c.placements)
 					inst, cong := PhaseCostsCongestion(c.m, c.mp, c.placements)
-					if !reflect.DeepEqual(got, c.want) || !reflect.DeepEqual(inst, c.want) {
-						t.Errorf("worker %d %s %v: PhaseCosts %+v, PhaseCostsCongestion %+v, definition %+v",
-							w, c.mp.Name, c.placements[0].SG.Rect, got, inst, c.want)
+					if !reflect.DeepEqual(got, c.want) || !reflect.DeepEqual(ring, c.want) || !reflect.DeepEqual(inst, c.want) {
+						t.Errorf("worker %d %s %v: PhaseCosts %+v, from the ring %+v, PhaseCostsCongestion %+v, definition %+v",
+							w, c.mp.Name, c.placements[0].SG.Rect, got, ring, inst, c.want)
 					}
 					if !reflect.DeepEqual(cong, c.cong) {
 						t.Errorf("worker %d %s %v: congestion %+v, definition %+v", w, c.mp.Name, c.placements[0].SG.Rect, cong, c.cong)
@@ -100,33 +199,44 @@ func TestHeldGeometryMatchesDefinition(t *testing.T) {
 	}
 	wg.Wait()
 
+	checkRing(t, mps)
 	ResetCache()
+	tables.RLock()
+	if len(tables.idx) != 0 || tables.next != 0 {
+		t.Errorf("after ResetCache the ring holds %d tables, next at %d", len(tables.idx), tables.next)
+	}
+	tables.RUnlock()
 	idle.Lock()
-	defer idle.Unlock()
-	if len(idle.nets) == 0 || len(idle.nets) > maxIdleNets {
-		t.Errorf("%d idle networks, want 1..%d", len(idle.nets), maxIdleNets)
+	if len(idle.nets) > maxIdleNets {
+		t.Errorf("%d idle networks, want at most %d", len(idle.nets), maxIdleNets)
 	}
-	for i, h := range idle.nets {
-		if h.key != "" || len(h.sgs) != 0 {
-			t.Errorf("idle network %d still holds %q over %d subgrids after ResetCache", i, h.key, len(h.sgs))
-		}
-	}
+	idle.Unlock()
 }
 
 // maxHeldMissAllocs bounds the allocations of a phase-memo miss on a
-// geometry an idle network holds, on go1.24 linux/amd64: the memo key's
-// byte buffer and string, and the result slice. Routing nothing, it
-// takes none of the network's buffers.
+// geometry whose flow table the ring holds, on go1.24 linux/amd64: the
+// memo key's byte buffer and string, and the result slice. Routing
+// nothing, it takes no network.
 const maxHeldMissAllocs = 3
 
-// TestHeldMissAllocs holds a memo miss on a held geometry to
-// maxHeldMissAllocs, and checks that the miss prices from the held
-// network rather than routing the halo again.
+// TestHeldMissAllocs holds a memo miss on a geometry the ring holds to
+// maxHeldMissAllocs, and checks that the miss prices from the ring: with
+// the idle list emptied, it must still be empty afterwards (a miss that
+// routed would have released a network onto it).
 func TestHeldMissAllocs(t *testing.T) {
 	m, mp, placements := buildPlacements(t)
 	ResetCache()
 	defer ResetCache()
-	PhaseCosts(m, mp, placements) // route the geometry, size the buffers
+	PhaseCosts(m, mp, placements) // store the geometry's table
+	idle.Lock()
+	nets := idle.nets
+	idle.nets = nil
+	idle.Unlock()
+	defer func() {
+		idle.Lock()
+		idle.nets = nets
+		idle.Unlock()
+	}()
 	key, _ := phaseKey(m, mp, placements, true)
 	miss := func() {
 		phaseMu.Lock()
@@ -139,11 +249,50 @@ func TestHeldMissAllocs(t *testing.T) {
 	}
 	idle.Lock()
 	defer idle.Unlock()
-	last := idle.nets[len(idle.nets)-1]
-	if !last.holds(mp, placements) {
-		t.Fatal("the most recently used idle network does not hold the geometry")
+	if len(idle.nets) != 0 {
+		t.Errorf("a memo miss on a held geometry took a network: %d idle", len(idle.nets))
 	}
-	if n := last.net.Flows(); n != len(last.flows) {
-		t.Errorf("held network carries %d flows, its table %d", n, len(last.flows))
+}
+
+// TestRingSteadyStateAllocs cycles ringCases' geometries, more flows
+// than the ring holds, so every lookup misses and every phase is routed
+// and stored again. Once a first pass has sized the network and the
+// ring, a pass allocates only each phase's result: no network is
+// rebuilt, no table or index entry allocated.
+func TestRingSteadyStateAllocs(t *testing.T) {
+	m := machine.BGL()
+	type geom struct {
+		mp         *mapping.Mapping
+		placements []Placement
 	}
+	var geoms []geom
+	flows := 0
+	mps := map[string]*mapping.Mapping{}
+	for _, kc := range ringCases(t) {
+		mps[kc.mp.Key()] = kc.mp
+		for _, placements := range kc.phases {
+			geoms = append(geoms, geom{kc.mp, placements})
+			flows += haloFlows(placements)
+		}
+	}
+	if flows <= ringFlows {
+		t.Fatalf("the geometries hold %d flows, the ring %d", flows, ringFlows)
+	}
+	ResetCache()
+	defer ResetCache()
+	pass := func() {
+		for _, g := range geoms {
+			contendedCosts(m, g.mp, g.placements)
+		}
+	}
+	if allocs := testing.AllocsPerRun(2, pass); allocs > float64(len(geoms)) {
+		t.Errorf("a pass over %d geometries allocates %v times, want at most %d (the results)", len(geoms), allocs, len(geoms))
+	}
+	tables.RLock()
+	held := len(tables.idx)
+	tables.RUnlock()
+	if held == 0 || held >= len(geoms) {
+		t.Errorf("the ring holds %d of %d tables, want some but not all", held, len(geoms))
+	}
+	checkRing(t, mps)
 }

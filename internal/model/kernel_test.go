@@ -173,7 +173,7 @@ func kernelCases(t *testing.T) (machine.Machine, []kernelCase) {
 }
 
 // TestRecordedFlowsMatchDefinition holds the single-pass kernel (flows
-// routed once by addPhaseFlows into a network's flow table, priced from
+// routed once by heldNet.route into a network's flow table, priced from
 // that table in stepCost) to
 // the pair-list definition bit for bit, with and without contention.
 func TestRecordedFlowsMatchDefinition(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"nestwrf/internal/machine"
 	"nestwrf/internal/mapping"
 	"nestwrf/internal/nest"
+	"nestwrf/internal/netsim"
 	"nestwrf/internal/vtopo"
 )
 
@@ -48,8 +49,12 @@ func uncachedCosts(m machine.Machine, mp *mapping.Mapping, placements []Placemen
 	if !contention {
 		return priceFlows(m, mp, placements, nil)
 	}
-	h := &heldNet{} // a fresh network, never on the idle list
-	h.load(m, mp, placements)
+	net, err := netsim.New(mp.Torus, m.Net)
+	if err != nil {
+		panic(err)
+	}
+	h := &heldNet{net: net} // a fresh network, never on the idle list
+	h.route(mp, placements)
 	return priceFlows(m, mp, placements, h.flows)
 }
 

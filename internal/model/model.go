@@ -102,17 +102,15 @@ var (
 // is dropped whole; the next evaluations refill it.
 const maxPhaseEntries = 8192
 
-// ResetCache drops all memoized phase costs and makes the idle
-// networks forget the geometries they hold, keeping their buffers.
+// ResetCache drops all memoized phase costs and every stored flow
+// table, keeping the table ring's slab.
 func ResetCache() {
 	phaseMu.Lock()
 	phaseCache = map[string][]StepCost{}
 	phaseMu.Unlock()
-	idle.Lock()
-	for _, h := range idle.nets {
-		h.key, h.sgs = "", h.sgs[:0]
-	}
-	idle.Unlock()
+	tables.Lock()
+	tables.idx, tables.next = tables.idx[:0], 0
+	tables.Unlock()
 }
 
 // appendBits appends the exact bit pattern of a float64 to a cache key.
@@ -160,93 +158,132 @@ func phaseKey(m machine.Machine, mp *mapping.Mapping, placements []Placement, co
 	return string(b), true
 }
 
-// maxIdleNets bounds the networks kept loaded between phases: more
-// raise the evaluation's peak RSS beyond what their reuse saves
-// (DESIGN.md Section 8).
+// maxIdleNets bounds the idle scratch networks (DESIGN.md Section 8).
 const maxIdleNets = 2
 
-// heldNet is a Network loaded with the contended halo of one phase
-// geometry: the mapping key and the placements' subgrids its loads
-// describe, and each flow's hop count and path load in addPhaseFlows
-// order. The Network's Params are never read: stepCost prices with the
-// phase's own machine, since the loads depend on the geometry alone.
-// window is addPhaseFlows' three-row buffer of nodes, kept across phases.
+// heldNet is routing scratch kept across phases: a Network, the
+// (hops, load) table of the flows last routed on it in route's order,
+// and route's three-row window of nodes. The Network's Params are never
+// read: stepCost prices with the phase's own machine, since the loads
+// depend on the geometry alone.
 type heldNet struct {
 	net    *netsim.Network
-	key    string // "" holds no geometry
-	sgs    []vtopo.Subgrid
 	flows  []flowLoad
 	window []torus.Coord
 }
 
 type flowLoad struct{ hops, load int32 }
 
-// idle lists the networks no phase is using, least recently used first.
+// idle lists the networks no phase is using.
 var idle struct {
 	sync.Mutex
 	nets []*heldNet
 }
 
-// holds reports whether h's loads are the halo of placements under mp.
-// A hand-built mapping (empty key) never matches.
-func (h *heldNet) holds(mp *mapping.Mapping, placements []Placement) bool {
-	return h.key != "" && h.key == mp.Key() &&
-		slices.EqualFunc(h.sgs, placements, func(sg vtopo.Subgrid, p Placement) bool { return sg == p.SG })
-}
+// ringFlows is the table ring's capacity, 1 MiB (DESIGN.md Section 8).
+const ringFlows = 1 << 17
 
-// load makes h's loads and flow table the contended halo of placements
-// under mp, routing it afresh unless h already holds that geometry.
-func (h *heldNet) load(m machine.Machine, mp *mapping.Mapping, placements []Placement) {
-	if h.holds(mp, placements) {
-		return
-	}
-	if h.net == nil {
-		var err error
-		if h.net, err = netsim.New(mp.Torus, m.Net); err != nil {
-			panic(err) // machine parameters are validated at construction
-		}
-	}
-	h.net.ResetTo(mp.Torus)
-	h.addPhaseFlows(mp, placements)
-	h.flows = h.flows[:0]
-	for i := 0; i < h.net.Flows(); i++ {
-		h.flows = append(h.flows, flowLoad{hops: int32(h.net.FlowHops(i)), load: int32(h.net.FlowLoad(i))})
-	}
-	h.key, h.sgs = mp.Key(), h.sgs[:0]
-	for _, p := range placements {
-		h.sgs = append(h.sgs, p.SG)
+// tables is the ring of routed geometries' flow tables every goroutine
+// prices from. Each table is slab[off:off+n], the contended halo of the
+// placements on subgrids sgs under the mapping keyed key; idx lists them
+// oldest first, and a table is dropped when the ring overwrites it. The
+// slab comes with the first table and survives ResetCache.
+var tables struct {
+	sync.RWMutex
+	slab []flowLoad
+	next int // where the next table starts
+	idx  []struct {
+		key    string
+		sgs    []vtopo.Subgrid
+		off, n int
 	}
 }
 
-// takeNet returns a network loaded with the contended halo of
-// placements under mp, owned by the caller until releaseNet: the idle
-// one that holds this geometry, else the least recently used one (or a
-// new one) with the halo routed afresh.
+// takeNet returns an idle network (or a new one) with the contended
+// halo of placements under mp routed on it and tabled in its flows,
+// owned by the caller until releaseNet.
 func takeNet(m machine.Machine, mp *mapping.Mapping, placements []Placement) *heldNet {
 	var h *heldNet
 	idle.Lock()
-	if len(idle.nets) > 0 {
-		pick := max(0, slices.IndexFunc(idle.nets, func(c *heldNet) bool { return c.holds(mp, placements) }))
-		h = idle.nets[pick]
-		idle.nets = slices.Delete(idle.nets, pick, pick+1)
+	if n := len(idle.nets); n > 0 {
+		h, idle.nets = idle.nets[n-1], idle.nets[:n-1]
 	}
 	idle.Unlock()
 	if h == nil {
-		h = &heldNet{}
+		net, err := netsim.New(mp.Torus, m.Net)
+		if err != nil {
+			panic(err) // machine parameters are validated at construction
+		}
+		h = &heldNet{net: net}
 	}
-	h.load(m, mp, placements)
+	h.route(mp, placements)
 	return h
 }
 
-// releaseNet returns h to the idle list as its most recently used
-// network, dropping the least recently used one when the list is full.
+// releaseNet returns h to the idle list unless the list is full.
 func releaseNet(h *heldNet) {
 	idle.Lock()
-	if len(idle.nets) == maxIdleNets {
-		idle.nets = slices.Delete(idle.nets, 0, 1)
+	if len(idle.nets) < maxIdleNets {
+		idle.nets = append(idle.nets, h)
 	}
-	idle.nets = append(idle.nets, h)
 	idle.Unlock()
+}
+
+// contendedCosts prices placements under mp from the ring's table of
+// their halo, under the read lock. A miss routes the halo on a network
+// and prices from its table, then copies that into the ring only if no
+// pricer holds it: a miss never waits while it holds a network.
+func contendedCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement) []StepCost {
+	key := mp.Key()
+	tables.RLock()
+	for i := len(tables.idx) - 1; i >= 0; i-- {
+		t := &tables.idx[i]
+		if slices.EqualFunc(t.sgs, placements, func(sg vtopo.Subgrid, p Placement) bool { return sg == p.SG }) && t.key == key {
+			out := priceFlows(m, mp, placements, tables.slab[t.off:t.off+t.n])
+			tables.RUnlock()
+			return out
+		}
+	}
+	tables.RUnlock()
+	h := takeNet(m, mp, placements)
+	out := priceFlows(m, mp, placements, h.flows)
+	if key != "" && len(h.flows) <= ringFlows && tables.TryLock() {
+		storeTable(key, placements, h.flows)
+		tables.Unlock()
+	}
+	releaseNet(h)
+	return out
+}
+
+// storeTable copies flows into the ring after the last table, or from
+// the slab's start where they do not fit, dropping the tables they
+// overwrite and reusing those tables' subgrid buffers. The caller holds
+// tables' lock.
+func storeTable(key string, placements []Placement, flows []flowLoad) {
+	if tables.slab == nil {
+		tables.slab = make([]flowLoad, ringFlows)
+	}
+	idx, drop := tables.idx, 0
+	if tables.next+len(flows) > ringFlows {
+		for drop < len(idx) && idx[drop].off >= tables.next { // the oldest tables, past next
+			drop++
+		}
+		tables.next = 0
+	}
+	end := tables.next + len(flows)
+	for drop < len(idx) && idx[drop].off >= tables.next && idx[drop].off < end {
+		drop++
+	}
+	for i := 0; i+drop < len(idx); i++ {
+		idx[i], idx[i+drop] = idx[i+drop], idx[i]
+	}
+	idx = slices.Grow(idx[:len(idx)-drop], 1)[:len(idx)-drop+1]
+	t := &idx[len(idx)-1]
+	t.key, t.off, t.n, t.sgs = key, tables.next, copy(tables.slab[tables.next:], flows), t.sgs[:0]
+	for _, p := range placements {
+		t.sgs = append(t.sgs, p.SG)
+	}
+	tables.idx, tables.next = idx, end
 }
 
 func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
@@ -261,9 +298,7 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 	}
 	var out []StepCost
 	if contention {
-		h := takeNet(m, mp, placements)
-		out = priceFlows(m, mp, placements, h.flows)
-		releaseNet(h)
+		out = contendedCosts(m, mp, placements)
 	} else {
 		out = priceFlows(m, mp, placements, nil)
 	}
@@ -279,7 +314,7 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 }
 
 // priceFlows evaluates every placement of a phase. Under contention
-// flows is the phase's flow table (see heldNet.load), which stepCost
+// flows is the phase's flow table (see takeNet), which stepCost
 // reads in order, so no route is walked again; nil prices every message
 // on the idle network from its hop count alone.
 func priceFlows(m machine.Machine, mp *mapping.Mapping, placements []Placement, flows []flowLoad) []StepCost {
@@ -290,13 +325,14 @@ func priceFlows(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 	return out
 }
 
-// addPhaseFlows accumulates the halo-exchange link loads of every
-// placement onto h.net: one flow per rank and existing West, East,
+// route makes h.net's loads the contended halo of placements under mp
+// and h.flows its table: one flow per rank and existing West, East,
 // South, North neighbour, in placement, local-rank and direction order.
 // The nodes of a placement's South, current and North rows sit in
 // h.window, each North node read as its flow is added, so each rank's
 // node is read once.
-func (h *heldNet) addPhaseFlows(mp *mapping.Mapping, placements []Placement) {
+func (h *heldNet) route(mp *mapping.Mapping, placements []Placement) {
+	h.net.ResetTo(mp.Torus)
 	for _, p := range placements {
 		rc, px := p.SG.Rect, p.SG.Parent.Px
 		if len(h.window) < 3*rc.W {
@@ -326,6 +362,10 @@ func (h *heldNet) addPhaseFlows(mp *mapping.Mapping, placements []Placement) {
 			south, cur, north = cur, north, south
 		}
 	}
+	h.flows = h.flows[:0]
+	for i := 0; i < h.net.Flows(); i++ {
+		h.flows = append(h.flows, flowLoad{hops: int32(h.net.FlowHops(i)), load: int32(h.net.FlowLoad(i))})
+	}
 }
 
 // haloNeighbors returns the parent ranks of the West, East, South and
@@ -349,7 +389,7 @@ func haloNeighbors(sg vtopo.Subgrid, r, x, y int) [4]int {
 }
 
 // stepCost evaluates one placement. Under contention its messages are
-// the first entries of flows (see addPhaseFlows), and the entries after
+// the first entries of flows (see heldNet.route), and the entries after
 // its last one are returned; with flows nil the network is idle.
 func stepCost(m machine.Machine, mp *mapping.Mapping, p Placement, flows []flowLoad) (StepCost, []flowLoad) {
 	w, h := p.SG.Rect.W, p.SG.Rect.H

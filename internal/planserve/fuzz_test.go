@@ -355,10 +355,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, n := range []int{0, 1, len(data) / 3, len(data) / 2, len(data) - 2} {
 		f.Add(data[:n])
 	}
-	// Snapshots whose plan entry lost a weight, or whose mapping report
-	// carries a negative hop average.
+	// Snapshots whose plan entry lost a weight, whose mapping report
+	// carries a negative hop average, or whose cost a negative
+	// iteration time.
 	for _, doctor := range []func(plan *driver.Plan){
 		func(plan *driver.Plan) { plan.Weights = plan.Weights[:1] },
+		func(plan *driver.Plan) { plan.Cost.IterTime = -plan.Cost.IterTime },
 		func(plan *driver.Plan) {
 			q := plan.Mapping["oblivious"]
 			q.ParentAvgHops = -1

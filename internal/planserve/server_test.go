@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -749,5 +750,65 @@ func TestPlanHitAllocsWithRegistry(t *testing.T) {
 	allocs := hitAllocs(t, Config{Metrics: metrics.NewRegistry()})
 	if allocs > maxRegistryHitAllocs {
 		t.Errorf("a served hit with a registry allocates %v times, want at most %d", allocs, maxRegistryHitAllocs)
+	}
+}
+
+// TestPlanSiblingPermutation is the paper's sibling symmetry at the
+// server: a /v1/plan request listing the same siblings in another order
+// is a different request, a miss under its own key, and its plan is the
+// original's permuted — weights, rectangles and per-sibling costs by
+// name — with the same IterTime.
+func TestPlanSiblingPermutation(t *testing.T) {
+	children := []string{
+		`{"name": "t1", "nx": 394, "ny": 418, "ratio": 3, "off_x": 5, "off_y": 5}`,
+		`{"name": "t2", "nx": 313, "ny": 337, "ratio": 3, "off_x": 140, "off_y": 150}`,
+		`{"name": "t3", "nx": 232, "ny": 202, "ratio": 3, "off_x": 20, "off_y": 200}`,
+	}
+	request := func(order ...int) string {
+		var cs []string
+		for _, i := range order {
+			cs = append(cs, children[i])
+		}
+		return `{"machine": "bgl", "ranks": 256, "strategy": "concurrent", "alloc": "predicted",
+			"mapping": "multilevel", "domain": {"name": "pacific", "nx": 286, "ny": 307,
+			"children": [` + strings.Join(cs, ",") + `]}}`
+	}
+	perm := []int{2, 0, 1}
+	srv := New(Config{})
+	defer srv.Close()
+	plan := func(body, wantCache string) PlanResponse {
+		t.Helper()
+		code, cacheHdr, raw := post(t, srv.Handler(), "/v1/plan", body)
+		if code != http.StatusOK || cacheHdr != wantCache {
+			t.Fatalf("status %d cache %q, want 200 %s: %s", code, cacheHdr, wantCache, raw)
+		}
+		var p PlanResponse
+		if err := json.Unmarshal(raw, &p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a := plan(request(0, 1, 2), "miss")
+	b := plan(request(perm...), "miss")
+	if again := plan(request(perm...), "hit"); !reflect.DeepEqual(again, b) {
+		t.Errorf("the permuted request's hit differs from its miss:\n%+v\n%+v", again, b)
+	}
+	if entries, _, _, _ := srv.CacheStats(); entries != 2 {
+		t.Errorf("%d cache entries, want 2 (one key per order)", entries)
+	}
+	if a.Cost.IterTime != b.Cost.IterTime {
+		t.Errorf("IterTime %v, permuted %v", a.Cost.IterTime, b.Cost.IterTime)
+	}
+	if len(a.Siblings) != len(perm) || len(b.Siblings) != len(perm) ||
+		len(a.Cost.Siblings) != len(perm) || len(b.Cost.Siblings) != len(perm) {
+		t.Fatalf("sibling counts %d, %d, costs %d, %d, want %d", len(a.Siblings), len(b.Siblings), len(a.Cost.Siblings), len(b.Cost.Siblings), len(perm))
+	}
+	for i, j := range perm {
+		if a.Siblings[j] != b.Siblings[i] {
+			t.Errorf("permuted sibling %d: %+v, original sibling %d: %+v", i, b.Siblings[i], j, a.Siblings[j])
+		}
+		if a.Cost.Siblings[j] != b.Cost.Siblings[i] {
+			t.Errorf("permuted sibling %d cost: %+v, original sibling %d: %+v", i, b.Cost.Siblings[i], j, a.Cost.Siblings[j])
+		}
 	}
 }

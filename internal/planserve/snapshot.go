@@ -194,11 +194,10 @@ func validGeometry(seg string) *nest.Domain {
 }
 
 // valueFits reports whether val, a decoded snapshot value, fits a key
-// whose root has n children: every driver.Result in it has at most n
-// siblings (a hit names them from the request's children by index), and
-// a plan has n finite weights, n rectangles tiling its Px x Py grid,
-// and a mapping report keyed by kind names with n sibling averages and
-// no negative or non-finite hop average.
+// whose root has n children: every driver.Result in it passes
+// resultFits, and a plan has n finite weights, n rectangles tiling its
+// Px x Py grid, and a mapping report keyed by kind names with n sibling
+// averages and no negative or non-finite hop average.
 func valueFits(val any, n int) bool {
 	switch v := val.(type) {
 	case *driver.Plan:
@@ -210,15 +209,27 @@ func valueFits(val any, n int) bool {
 				return false
 			}
 		}
-		return len(v.Weights) == n && len(v.Rects) == n && len(v.Cost.Siblings) <= n &&
+		return len(v.Weights) == n && len(v.Rects) == n && resultFits(v.Cost, n) &&
 			(n == 0 || alloc.Validate(v.Rects, v.Px, v.Py) == nil) &&
 			!slices.ContainsFunc(v.Weights, func(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) })
 	case *driver.Comparison:
-		return len(v.Default.Siblings) <= n && len(v.Concurrent.Siblings) <= n
+		return resultFits(v.Default, n) && resultFits(v.Concurrent, n)
 	case *driver.Result:
-		return len(v.Siblings) <= n
+		return resultFits(*v, n)
 	}
 	return false
+}
+
+// resultFits reports whether r has at most n siblings (a hit names them
+// from the request's children by index), no negative time, wait or hop
+// average, and siblings with positive ranks and no negative time.
+func resultFits(r driver.Result, n int) bool {
+	if len(r.Siblings) > n || !(r.IterTime >= 0 && r.IOTime >= 0 && r.WaitAvg >= 0 && r.WaitMax >= 0 && r.HopsAvg >= 0) {
+		return false
+	}
+	return !slices.ContainsFunc(r.Siblings, func(s driver.DomainMetrics) bool {
+		return s.Ranks <= 0 || !(s.StepTime >= 0 && s.PhaseTime >= 0)
+	})
 }
 
 // parseGeometry parses one "(nx,ny,ratio,offx,offy" ... ")" group from

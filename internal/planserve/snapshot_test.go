@@ -2,6 +2,7 @@ package planserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -319,7 +320,7 @@ func TestSnapshotRejectsExtraSiblings(t *testing.T) {
 // request is then a cold miss with a fresh server's body instead of a
 // hit with zero-valued siblings.
 func TestSnapshotRejectsPlanValueMismatch(t *testing.T) {
-	rejectsDoctoredPlan(t, map[string]func(plan map[string]any){
+	rejectsDoctored(t, "plan", map[string]func(plan map[string]any){
 		"weight dropped":    func(plan map[string]any) { plan["Weights"] = plan["Weights"].([]any)[:1] },
 		"rectangle dropped": func(plan map[string]any) { plan["Rects"] = plan["Rects"].([]any)[:1] },
 		"rectangles overlap": func(plan map[string]any) {
@@ -339,7 +340,7 @@ func TestSnapshotRejectsPlanMappingMismatch(t *testing.T) {
 	quality := func(plan map[string]any, kind string) map[string]any {
 		return plan["Mapping"].(map[string]any)[kind].(map[string]any)
 	}
-	rejectsDoctoredPlan(t, map[string]func(plan map[string]any){
+	rejectsDoctored(t, "plan", map[string]func(plan map[string]any){
 		"unknown kind": func(plan map[string]any) {
 			report := plan["Mapping"].(map[string]any)
 			report["sequential"] = report["oblivious"]
@@ -359,16 +360,34 @@ func TestSnapshotRejectsPlanMappingMismatch(t *testing.T) {
 	})
 }
 
-// rejectsDoctoredPlan saves a server's plan for one request, applies
-// each doctor to the snapshot's plan entry, and asserts a fresh server
-// rejects the doctored entry and answers the request as a cold miss
-// with the first server's body.
-func rejectsDoctoredPlan(t *testing.T, doctors map[string]func(plan map[string]any)) {
+// rejectsDoctored saves a server's entry of one kind ("plan",
+// "compare" or "run") for one request, applies each doctor to the
+// snapshot's entry value, and asserts a fresh server rejects the
+// doctored entry and answers the request as a cold miss with the first
+// server's answer.
+func rejectsDoctored(t *testing.T, kind string, doctors map[string]func(val map[string]any)) {
 	t.Helper()
+	// ask sends the kind's request to srv and returns its cache outcome
+	// and answer.
+	ask := func(t *testing.T, srv *Server) (string, []byte) {
+		t.Helper()
+		if kind == "run" {
+			res, hit, err := srv.plans.Run(context.Background(), cacheCfg(), cacheOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := json.Marshal(res)
+			return map[bool]string{false: "miss", true: "hit"}[hit], body
+		}
+		code, cacheHdr, body := post(t, srv.Handler(), "/v1/"+kind, testRequest("concurrent", "predicted", "multilevel"))
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, body)
+		}
+		return cacheHdr, body
+	}
 	path := filepath.Join(t.TempDir(), "plans.snap")
-	body := testRequest("concurrent", "predicted", "multilevel")
 	srvA := New(Config{})
-	_, _, want := post(t, srvA.Handler(), "/v1/plan", body)
+	_, want := ask(t, srvA)
 	if _, err := srvA.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
@@ -384,15 +403,15 @@ func rejectsDoctoredPlan(t *testing.T, doctors map[string]func(plan map[string]a
 			if err := json.Unmarshal(saved, &snap); err != nil {
 				t.Fatal(err)
 			}
-			if len(snap.Entries) != 1 || snap.Entries[0].Kind != "plan" {
+			if len(snap.Entries) != 1 || snap.Entries[0].Kind != kind {
 				t.Fatalf("unexpected snapshot entries %+v", snap.Entries)
 			}
-			var plan map[string]any
-			if err := json.Unmarshal(snap.Entries[0].Value, &plan); err != nil {
+			var val map[string]any
+			if err := json.Unmarshal(snap.Entries[0].Value, &val); err != nil {
 				t.Fatal(err)
 			}
-			doctor(plan)
-			if snap.Entries[0].Value, err = json.Marshal(plan); err != nil {
+			doctor(val)
+			if snap.Entries[0].Value, err = json.Marshal(val); err != nil {
 				t.Fatal(err)
 			}
 			data, _ := json.Marshal(&snap)
@@ -410,15 +429,50 @@ func rejectsDoctoredPlan(t *testing.T, doctors map[string]func(plan map[string]a
 			if loaded != 0 || rejected != 1 {
 				t.Errorf("loaded %d rejected %d, want 0/1", loaded, rejected)
 			}
-			code, cacheHdr, got := post(t, srvB.Handler(), "/v1/plan", body)
-			if code != http.StatusOK || cacheHdr != "miss" {
-				t.Fatalf("after load: status %d cache %q, want 200 miss: %s", code, cacheHdr, got)
+			cacheHdr, got := ask(t, srvB)
+			if cacheHdr != "miss" {
+				t.Fatalf("after load: cache %q, want miss: %s", cacheHdr, got)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("after load: body differs from a fresh server's:\nwant %s\ngot  %s", want, got)
+				t.Errorf("after load: answer differs from a fresh server's:\nwant %s\ngot  %s", want, got)
 			}
 		})
 	}
+}
+
+// TestSnapshotRejectsDoctoredNumbers: a hit serves a plan's Cost, a
+// comparison's Default and Concurrent and a run's result as saved, so
+// an entry with a negative iteration, I/O, wait or hop figure, a
+// negative sibling step or phase time, or a sibling on no ranks must
+// not load; the request is then a cold miss with a fresh server's
+// answer.
+func TestSnapshotRejectsDoctoredNumbers(t *testing.T) {
+	sibling := func(res map[string]any, i int) map[string]any {
+		return res["Siblings"].([]any)[i].(map[string]any)
+	}
+	sub := func(val map[string]any, field string) map[string]any { return val[field].(map[string]any) }
+	rejectsDoctored(t, "plan", map[string]func(val map[string]any){
+		"cost: negative iteration time": func(v map[string]any) { sub(v, "Cost")["IterTime"] = -1.0 },
+		"cost: negative I/O time":       func(v map[string]any) { sub(v, "Cost")["IOTime"] = -1e-3 },
+		"cost: negative mean wait":      func(v map[string]any) { sub(v, "Cost")["WaitAvg"] = -0.5 },
+		"cost: negative worst wait":     func(v map[string]any) { sub(v, "Cost")["WaitMax"] = -0.5 },
+		"cost: negative hop average":    func(v map[string]any) { sub(v, "Cost")["HopsAvg"] = -2.0 },
+		"cost: negative step time":      func(v map[string]any) { sibling(sub(v, "Cost"), 0)["StepTime"] = -1.0 },
+		"cost: negative phase time":     func(v map[string]any) { sibling(sub(v, "Cost"), 1)["PhaseTime"] = -1.0 },
+		"cost: sibling on no ranks":     func(v map[string]any) { sibling(sub(v, "Cost"), 0)["Ranks"] = 0 },
+	})
+	rejectsDoctored(t, "compare", map[string]func(val map[string]any){
+		"compare: negative default iteration time": func(v map[string]any) { sub(v, "Default")["IterTime"] = -1.0 },
+		"compare: negative concurrent worst wait":  func(v map[string]any) { sub(v, "Concurrent")["WaitMax"] = -1.0 },
+		"compare: negative default phase time":     func(v map[string]any) { sibling(sub(v, "Default"), 1)["PhaseTime"] = -1.0 },
+		"compare: concurrent sibling on no ranks":  func(v map[string]any) { sibling(sub(v, "Concurrent"), 0)["Ranks"] = -4 },
+	})
+	rejectsDoctored(t, "run", map[string]func(val map[string]any){
+		"run: negative iteration time": func(v map[string]any) { v["IterTime"] = -1.0 },
+		"run: negative hop average":    func(v map[string]any) { v["HopsAvg"] = -1.0 },
+		"run: negative step time":      func(v map[string]any) { sibling(v, 1)["StepTime"] = -1.0 },
+		"run: sibling on no ranks":     func(v map[string]any) { sibling(v, 0)["Ranks"] = 0 },
+	})
 }
 
 // TestValidGeometry: the snapshot's geometry check accepts every key a
