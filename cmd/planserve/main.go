@@ -34,11 +34,13 @@
 // exercising the cold-miss planning path, and reports cold (miss) and
 // warm (hit) throughput separately.
 //
-// -snapshot makes the plan cache persistent: the server warm-loads the
-// snapshot before accepting traffic (entries whose machine identity no
-// longer matches are rejected), saves it every -snapshot-every, and
-// saves once more on graceful shutdown — so a restarted server answers
-// its first repeat query as a cache hit with a byte-identical body.
+// -snapshot makes the plan cache persistent: the file lists the
+// resident keys, and the server plans each again before accepting
+// traffic (keys whose machine identity no longer matches, or that are
+// not a request the server would plan, are rejected), saves it every
+// -snapshot-every, and saves once more on graceful shutdown — so a
+// restarted server answers its first repeat query as a cache hit with
+// a byte-identical body.
 package main
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"nestwrf/internal/driver"
 	"nestwrf/internal/nest"
 )
 
@@ -323,10 +323,12 @@ func FuzzDecodePlanRequest(f *testing.F) {
 
 // FuzzLoadSnapshot feeds arbitrary bytes to LoadSnapshot as a snapshot
 // file. Nothing may panic; a file-level error loads nothing; otherwise
-// the cache holds exactly the loaded entries and the warm counters
-// match what LoadSnapshot returned. The seeds are a real snapshot with
-// plan, compare and run entries, truncations of it, and a copy whose
-// plan entry lost a weight.
+// the cache holds exactly the loaded entries, the warm counters match
+// what LoadSnapshot returned, and every resident key re-renders byte
+// for byte from the request it names. The seeds are a real snapshot
+// with plan, compare and run keys, truncations of it, and copies whose
+// plan key asks for 1<<21 ranks, strategy 9 or a nest larger than its
+// parent.
 func FuzzLoadSnapshot(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "plans.snap")
 	srv := New(Config{})
@@ -344,7 +346,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	if saved, err := srv.SaveSnapshot(path); err != nil || saved != 3 {
-		f.Fatalf("saved %d entries (%v), want 3", saved, err)
+		f.Fatalf("saved %d keys (%v), want 3", saved, err)
 	}
 	srv.Close()
 	data, err := os.ReadFile(path)
@@ -355,32 +357,18 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, n := range []int{0, 1, len(data) / 3, len(data) / 2, len(data) - 2} {
 		f.Add(data[:n])
 	}
-	// Snapshots whose plan entry lost a weight, whose mapping report
-	// carries a negative hop average, or whose cost a negative
-	// iteration time.
-	for _, doctor := range []func(plan *driver.Plan){
-		func(plan *driver.Plan) { plan.Weights = plan.Weights[:1] },
-		func(plan *driver.Plan) { plan.Cost.IterTime = -plan.Cost.IterTime },
-		func(plan *driver.Plan) {
-			q := plan.Mapping["oblivious"]
-			q.ParentAvgHops = -1
-			plan.Mapping["oblivious"] = q
-		},
+	for _, doctor := range [][2]string{
+		{"|r=64|", fmt.Sprintf("|r=%d|", 1<<21)},
+		{"|s=1|", "|s=9|"},
+		{"(394,", "(3940,"},
 	} {
 		var snap snapshotFile
 		if err := json.Unmarshal(data, &snap); err != nil {
 			f.Fatal(err)
 		}
-		for i, e := range snap.Entries {
-			if e.Kind == "plan" {
-				var plan driver.Plan
-				if err := json.Unmarshal(e.Value, &plan); err != nil {
-					f.Fatal(err)
-				}
-				doctor(&plan)
-				if snap.Entries[i].Value, err = json.Marshal(&plan); err != nil {
-					f.Fatal(err)
-				}
+		for i, key := range snap.Keys {
+			if strings.HasPrefix(key, queryPlan.prefix) {
+				snap.Keys[i] = strings.Replace(key, doctor[0], doctor[1], 1)
 			}
 		}
 		doctored, err := json.Marshal(&snap)
@@ -406,6 +394,13 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		if l, r, _ := p.WarmStats(); l != uint64(loaded) || r != uint64(rejected) {
 			t.Fatalf("warm stats loaded %d rejected %d, LoadSnapshot returned %d/%d", l, r, loaded, rejected)
+		}
+		for el := p.ll.Front(); el != nil; el = el.Next() {
+			key := el.Value.(*lruEntry).key
+			q, cfg, opt, _ := requestOf(key)
+			if cfg == nil || string(appendKey(nil, q.prefix, opt, cfg)) != key {
+				t.Fatalf("resident key %q does not re-render", key)
+			}
 		}
 	})
 }

@@ -2,8 +2,10 @@ package planserve
 
 import (
 	"strconv"
+	"strings"
 
 	"nestwrf/internal/driver"
+	"nestwrf/internal/iosim"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/nest"
 )
@@ -17,8 +19,8 @@ const keyBuf = 512
 // machineKeys maps the name of every machine a request may select —
 // the models machine.Parse returns — to its identity key
 // (driver.AppendMachineKey), formatted once. Request keys take their
-// machine segment from it, and snapshot validation checks entries
-// against it.
+// machine segment from it, and a snapshot load reads a key's machine
+// back from it.
 var machineKeys = func() map[string]string {
 	keys := map[string]string{}
 	for _, m := range []machine.Machine{machine.BGL(), machine.BGP()} {
@@ -72,6 +74,48 @@ func appendOptionsKey(b []byte, opt driver.Options) []byte {
 	return append(b, '|')
 }
 
+// parseOptionsKey is appendOptionsKey's inverse: it reads the options
+// segment from the front of s, each enum through the driver's parser
+// of its String, and returns what follows the segment. ok is false when
+// a field is missing or does not parse; a field that parses but is not
+// canonical ("r=064", "s=9") is left for the caller's re-render to
+// catch.
+func parseOptionsKey(s string) (opt driver.Options, rest string, ok bool) {
+	var f [7]string
+	for i, tag := range [...]string{"|r=", "|s=", "|a=", "|m=", "|io=", "|oe=", "|nc="} {
+		if s, ok = strings.CutPrefix(s, tag); !ok {
+			return opt, s, false
+		}
+		end := strings.IndexByte(s, '|')
+		if end < 0 {
+			return opt, s, false
+		}
+		f[i], s = s[:end], s[end:]
+	}
+	var v [6]int
+	var err error
+	for i := range v {
+		if v[i], err = strconv.Atoi(f[i]); err != nil {
+			return opt, s, false
+		}
+	}
+	opt.Ranks, opt.OutputEverySteps = v[0], v[5]
+	opt.Strategy, err = driver.ParseStrategy(driver.Strategy(v[1]).String())
+	if err == nil {
+		opt.Alloc, err = driver.ParseAllocPolicy(driver.AllocPolicy(v[2]).String())
+	}
+	if err == nil {
+		opt.MapKind, err = driver.ParseMapKind(driver.MapKind(v[3]).String())
+	}
+	if err == nil {
+		opt.IOMode, err = iosim.ParseMode(iosim.Mode(v[4]).String())
+	}
+	if err == nil {
+		opt.NoContention, err = strconv.ParseBool(f[6])
+	}
+	return opt, s[1:], err == nil
+}
+
 // appendField appends tag and v in decimal.
 func appendField(b []byte, tag string, v int) []byte {
 	return strconv.AppendInt(append(b, tag...), int64(v), 10)
@@ -86,6 +130,50 @@ func appendDomainKey(b []byte, d *nest.Domain) []byte {
 		b = appendDomainKey(b, c)
 	}
 	return append(b, ')')
+}
+
+// parseGeometry parses one "(nx,ny,ratio,offx,offy" ... ")" group from
+// the front of s into a child of parent, or into a root when parent is
+// nil, and returns the domain (nil if s does not start with a
+// well-formed group) and what follows the group.
+func parseGeometry(s string, parent *nest.Domain) (*nest.Domain, string) {
+	if !strings.HasPrefix(s, "(") {
+		return nil, s
+	}
+	end := strings.IndexAny(s[1:], "()") + 1
+	if end == 0 {
+		return nil, s
+	}
+	var v [5]int
+	fields := strings.Split(s[1:end], ",")
+	if len(fields) != len(v) {
+		return nil, s
+	}
+	for i, f := range fields {
+		var err error
+		if v[i], err = strconv.Atoi(f); err != nil {
+			return nil, s
+		}
+	}
+	var d *nest.Domain
+	if parent == nil {
+		if v[2] != 1 || v[3] != 0 || v[4] != 0 {
+			return nil, s
+		}
+		d = nest.Root("", v[0], v[1])
+	} else {
+		d = parent.AddChild("", v[0], v[1], v[2], v[3], v[4])
+	}
+	for s = s[end:]; strings.HasPrefix(s, "("); {
+		var c *nest.Domain
+		if c, s = parseGeometry(s, d); c == nil {
+			return nil, s
+		}
+	}
+	if !strings.HasPrefix(s, ")") {
+		return nil, s
+	}
+	return d, s[1:]
 }
 
 // appendSpecKey is appendDomainKey over a spec tree, with sp's own

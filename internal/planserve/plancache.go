@@ -76,9 +76,9 @@ type PlanCache struct {
 
 	hits, misses, evictions, joins uint64
 
-	// Warm-load accounting: entries restored from a persisted snapshot
-	// (loaded), snapshot entries refused at load time (rejected —
-	// machine mismatch, invalid geometry, decode failure, over
+	// Warm-load accounting: snapshot keys planned and inserted at load
+	// time (loaded), keys refused there (rejected — not a request the
+	// server would plan, planning failed, already resident, over
 	// capacity), and warm entries later pushed out by LRU churn
 	// (evicted).
 	warmLoaded, warmRejected, warmEvicted uint64
@@ -89,8 +89,8 @@ type PlanCache struct {
 	mWarmLoaded, mWarmRejected, mWarmEvicted *metrics.Counter
 }
 
-// lruEntry is the list payload. warm marks entries restored from a
-// snapshot rather than computed in this process. body is the response
+// lruEntry is the list payload. warm marks entries planned by a
+// snapshot load rather than by a lookup. body is the response
 // the server encoded from val on the entry's first hit; an entry's val
 // never changes (insert over a resident key replaces the entry), so a
 // stored body always belongs to the val beside it.
@@ -166,6 +166,26 @@ var (
 	queryPlan    = query{"plan", "plancache.plan", "plan|"}
 	queryCompare = query{"compare", "plancache.compare", "compare|"}
 )
+
+// compute is one miss of kind q: the driver call whose value a q entry
+// holds, a *driver.Plan, *driver.Comparison or *driver.Result.
+func (q query) compute(cfg *nest.Domain, opt driver.Options) (any, error) {
+	switch q {
+	case queryPlan:
+		return driver.BuildPlan(cfg, opt)
+	case queryCompare:
+		c, err := driver.Compare(cfg, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &c, nil
+	}
+	r, err := driver.Run(cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
 
 // lookup is the one way into the cache: it returns the value for key,
 // or computes it via miss. At most one miss runs per key at a time:
@@ -281,11 +301,7 @@ func (p *PlanCache) insert(key string, val any) {
 func (p *PlanCache) Run(ctx context.Context, cfg *nest.Domain, opt driver.Options) (driver.Result, bool, error) {
 	var buf [keyBuf]byte
 	v, out, err := p.lookup(ctx, startLookupSpan(opt, queryRun.span), appendKey(buf[:0], queryRun.prefix, opt, cfg), opt, func(opt driver.Options) (any, error) {
-		res, err := driver.Run(cfg, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &res, nil
+		return queryRun.compute(cfg, opt)
 	})
 	if err != nil {
 		return driver.Result{}, out == outcomeHit, err
@@ -323,7 +339,7 @@ func withNames(r driver.Result, name func(i int) string) driver.Result {
 func (p *PlanCache) Plan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (*driver.Plan, bool, error) {
 	var buf [keyBuf]byte
 	v, out, err := p.lookup(ctx, startLookupSpan(opt, queryPlan.span), appendKey(buf[:0], queryPlan.prefix, opt, cfg), opt, func(opt driver.Options) (any, error) {
-		return driver.BuildPlan(cfg, opt)
+		return queryPlan.compute(cfg, opt)
 	})
 	if err != nil {
 		return nil, out == outcomeHit, err

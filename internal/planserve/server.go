@@ -270,9 +270,9 @@ func (s *Server) CacheJoins() uint64 { return s.plans.Joins() }
 // SaveSnapshot persists the server's plan cache to path atomically.
 func (s *Server) SaveSnapshot(path string) (int, error) { return s.plans.SaveSnapshot(path) }
 
-// LoadSnapshot warm-loads a snapshot into the server's plan cache; see
-// PlanCache.LoadSnapshot for the validation rules. Call before serving
-// traffic.
+// LoadSnapshot warm-loads a snapshot into the server's plan cache,
+// planning each key again; see PlanCache.LoadSnapshot for the rules.
+// Call before serving traffic.
 func (s *Server) LoadSnapshot(path string) (loaded, rejected int, err error) {
 	return s.plans.LoadSnapshot(path)
 }
@@ -509,11 +509,7 @@ func (s *Server) buildComparison(ctx context.Context, cfg *nest.Domain, opt driv
 		return nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
-	cmp, err := driver.Compare(cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &cmp, nil
+	return queryCompare.compute(cfg, opt)
 }
 
 // maxBatchBodyBytes bounds /v1/plan/batch bodies; maxBatchItems bounds

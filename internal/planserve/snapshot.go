@@ -3,92 +3,41 @@ package planserve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"slices"
-	"strconv"
 	"strings"
 
-	"nestwrf/internal/alloc"
 	"nestwrf/internal/driver"
+	"nestwrf/internal/machine"
 	"nestwrf/internal/nest"
 )
 
 // SnapshotVersion is the schema tag of persisted plan-cache snapshots.
-// Any incompatible change to cached value encodings or to the key
-// format must bump it; a mismatched snapshot is rejected whole. v2 keys
-// machines by driver.AppendMachineKey (float bit patterns), v1 by
-// %#v.
-const SnapshotVersion = "nestwrf/plan-cache/v2"
+// Any change to the key format must bump it; a mismatched snapshot is
+// rejected whole. v3 holds keys only; v2 held each key's JSON-encoded
+// value, v1 keyed machines by %#v.
+const SnapshotVersion = "nestwrf/plan-cache/v3"
 
-// snapshotFile is the on-disk form of a plan cache: every resident
-// entry with its canonical key and JSON-encoded value, most recently
-// used first, plus the identity keys of the machines the entries were
-// computed against.
+// snapshotFile is the on-disk form of a plan cache: the key of every
+// resident entry, most recently used first. A key names everything its
+// value is computed from, so values are not stored: a load plans them
+// again.
 type snapshotFile struct {
-	Version  string            `json:"version"`
-	Machines map[string]string `json:"machines"` // machine name -> full identity key at save time
-	Entries  []snapshotEntry   `json:"entries"`
+	Version string   `json:"version"`
+	Keys    []string `json:"keys"`
 }
 
-// snapshotEntry is one cached value. Kind selects the decode type
-// ("plan", "compare" or "run"); Machine names the machine whose
-// identity key must still appear in Key for the entry to load — a
-// cost-model change between save and load silently changes every key,
-// so stale entries are rejected instead of shadowing fresh plans.
-type snapshotEntry struct {
-	Key     string          `json:"key"`
-	Kind    string          `json:"kind"`
-	Machine string          `json:"machine"`
-	Value   json.RawMessage `json:"value"`
-}
-
-// SaveSnapshot writes the cache's resident entries to path atomically
-// (a private temp file in the same directory + rename, so concurrent
-// saves and a concurrent load each see a whole file) and returns how
-// many entries were persisted. Entries for machines outside the known
-// set are skipped: their keys could never validate at load time.
+// SaveSnapshot writes the cache's resident keys to path atomically (a
+// private temp file in the same directory + rename, so concurrent saves
+// and a concurrent load each see a whole file) and returns how many
+// keys were persisted.
 func (p *PlanCache) SaveSnapshot(path string) (int, error) {
-	// Entries are immutable but for their stored bodies, so they are
-	// collected under the lock and encoded after it.
+	snap := snapshotFile{Version: SnapshotVersion}
 	p.mu.Lock()
-	resident := make([]*lruEntry, 0, p.ll.Len())
 	for el := p.ll.Front(); el != nil; el = el.Next() {
-		resident = append(resident, el.Value.(*lruEntry))
+		snap.Keys = append(snap.Keys, el.Value.(*lruEntry).key)
 	}
 	p.mu.Unlock()
-
-	snap := snapshotFile{Version: SnapshotVersion, Machines: machineKeys}
-	for _, e := range resident {
-		var kind string
-		switch e.val.(type) {
-		case *driver.Plan:
-			kind = "plan"
-		case *driver.Comparison:
-			kind = "compare"
-		case *driver.Result:
-			kind = "run"
-		default:
-			continue
-		}
-		var mname string // a key holds one machine segment: at most one name matches
-		for name, mkey := range machineKeys {
-			if strings.Contains(e.key, mkey) {
-				mname = name
-			}
-		}
-		if mname == "" {
-			continue
-		}
-		raw, err := json.Marshal(e.val)
-		if err != nil {
-			continue
-		}
-		snap.Entries = append(snap.Entries, snapshotEntry{
-			Key: e.key, Kind: kind, Machine: mname, Value: raw,
-		})
-	}
 
 	data, err := json.Marshal(&snap)
 	if err != nil {
@@ -112,19 +61,19 @@ func (p *PlanCache) SaveSnapshot(path string) (int, error) {
 		os.Remove(tmp.Name())
 		return 0, err
 	}
-	return len(snap.Entries), nil
+	return len(snap.Keys), nil
 }
 
-// LoadSnapshot warm-loads a snapshot into the cache. A file-level
-// problem (unreadable, corrupt JSON, version mismatch) returns an
-// error and loads nothing; per-entry problems (unknown machine, stale
-// machine identity, invalid geometry, undecodable value, a value that
-// does not fit the key's root, over capacity) reject just that entry
-// and increment the warm-rejected counter. A hit is served
-// without validation, so an entry loads only when its key's geometry
-// is a tree nest.Validate accepts and its value fits that tree. Loaded
-// entries keep their saved recency order and are flagged warm, so
-// later LRU churn shows up in the warm-evicted counter.
+// LoadSnapshot warm-loads a snapshot into the cache: each key is
+// planned again with its kind's driver call and inserted behind the
+// entries loaded before it, flagged warm, so the saved LRU order holds
+// and a warm hit serves what a miss computes now. A file-level problem
+// (unreadable, corrupt JSON, version mismatch) returns an error and
+// loads nothing. A key requestOf refuses, a key already resident and
+// any key that finds the cache full are rejected before planning; a
+// key whose planning fails is rejected after it. Each rejection counts
+// in the warm-rejected counter; the hit and miss counters are not
+// touched. A Close stops the load between entries with ErrCacheClosed.
 func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -138,140 +87,69 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 		return 0, 0, fmt.Errorf("planserve: snapshot %s: version %q, want %q",
 			path, snap.Version, SnapshotVersion)
 	}
-	warm := make([]*lruEntry, 0, len(snap.Entries))
-	for _, e := range snap.Entries {
-		mkey, ok := machineKeys[e.Machine]
-		root := validGeometry(e.Key[strings.LastIndexByte(e.Key, '|')+1:])
-		if !ok || !strings.Contains(e.Key, mkey) || root == nil {
-			rejected++
-			continue
-		}
+	// room reports whether key may load now (callers hold p.mu).
+	room := func(key string) bool { return p.ll.Len() < p.max && p.entries[key] == nil }
+	for _, key := range snap.Keys {
+		q, cfg, opt, ok := requestOf(key)
+		p.mu.Lock()
+		ok = ok && room(key)
+		p.mu.Unlock()
 		var val any
-		switch e.Kind {
-		case "plan":
-			val = new(driver.Plan)
-		case "compare":
-			val = new(driver.Comparison)
-		case "run":
-			val = new(driver.Result)
+		if ok {
+			var perr error
+			val, perr = q.compute(cfg, opt)
+			ok = perr == nil
 		}
-		if val == nil || json.Unmarshal(e.Value, val) != nil || !valueFits(val, len(root.Children)) {
-			rejected++
-			continue
-		}
-		warm = append(warm, &lruEntry{key: e.Key, val: val, warm: true})
-	}
 
-	// Each entry lands behind the previously loaded ones, reconstructing
-	// the saved LRU order; the hit/miss counters are not touched.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range warm {
-		if p.closed || p.ll.Len() >= p.max || p.entries[e.key] != nil {
-			rejected++
-			continue
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			return loaded, rejected, ErrCacheClosed
 		}
-		p.entries[e.key] = p.ll.PushBack(e)
-		loaded++
+		if ok && room(key) {
+			p.entries[key] = p.ll.PushBack(&lruEntry{key: key, val: val, warm: true})
+			loaded++
+			p.warmLoaded++
+			p.mWarmLoaded.Inc()
+		} else {
+			rejected++
+			p.warmRejected++
+			p.mWarmRejected.Inc()
+		}
+		p.mu.Unlock()
 	}
-	p.warmLoaded += uint64(loaded)
-	p.mWarmLoaded.Add(float64(loaded))
-	p.warmRejected += uint64(rejected)
-	p.mWarmRejected.Add(float64(rejected))
 	return loaded, rejected, nil
 }
 
-// validGeometry parses seg, a key's geometry segment, and returns its
-// root when seg is appendDomainKey's rendering of a root (ratio 1,
-// offsets 0, as nest.Root sets them) whose tree nest.Validate accepts;
-// otherwise nil.
-func validGeometry(seg string) *nest.Domain {
-	root, rest := parseGeometry(seg, nil)
-	if root == nil || rest != "" || root.Validate() != nil {
-		return nil
-	}
-	return root
-}
-
-// valueFits reports whether val, a decoded snapshot value, fits a key
-// whose root has n children: every driver.Result in it passes
-// resultFits, and a plan has n finite weights, n rectangles tiling its
-// Px x Py grid, and a mapping report keyed by kind names with n sibling
-// averages and no negative or non-finite hop average.
-func valueFits(val any, n int) bool {
-	switch v := val.(type) {
-	case *driver.Plan:
-		for name, q := range v.Mapping {
-			kind, err := driver.ParseMapKind(name)
-			hops := append([]float64{q.ParentAvgHops, q.OverallAvgHops}, q.SiblingAvgHops...)
-			if err != nil || kind.String() != name || len(q.SiblingAvgHops) != n ||
-				slices.ContainsFunc(hops, func(h float64) bool { return !(h >= 0 && h <= math.MaxFloat64) }) {
-				return false
-			}
-		}
-		return len(v.Weights) == n && len(v.Rects) == n && resultFits(v.Cost, n) &&
-			(n == 0 || alloc.Validate(v.Rects, v.Px, v.Py) == nil) &&
-			!slices.ContainsFunc(v.Weights, func(w float64) bool { return math.IsNaN(w) || math.IsInf(w, 0) })
-	case *driver.Comparison:
-		return resultFits(v.Default, n) && resultFits(v.Concurrent, n)
-	case *driver.Result:
-		return resultFits(*v, n)
-	}
-	return false
-}
-
-// resultFits reports whether r has at most n siblings (a hit names them
-// from the request's children by index), no negative time, wait or hop
-// average, and siblings with positive ranks and no negative time.
-func resultFits(r driver.Result, n int) bool {
-	if len(r.Siblings) > n || !(r.IterTime >= 0 && r.IOTime >= 0 && r.WaitAvg >= 0 && r.WaitMax >= 0 && r.HopsAvg >= 0) {
-		return false
-	}
-	return !slices.ContainsFunc(r.Siblings, func(s driver.DomainMetrics) bool {
-		return s.Ranks <= 0 || !(s.StepTime >= 0 && s.PhaseTime >= 0)
-	})
-}
-
-// parseGeometry parses one "(nx,ny,ratio,offx,offy" ... ")" group from
-// the front of s into a child of parent, or into a root when parent is
-// nil, and returns the domain (nil if s does not start with a
-// well-formed group) and what follows the group.
-func parseGeometry(s string, parent *nest.Domain) (*nest.Domain, string) {
-	if !strings.HasPrefix(s, "(") {
-		return nil, s
-	}
-	end := strings.IndexAny(s[1:], "()") + 1
-	if end == 0 {
-		return nil, s
-	}
-	var v [5]int
-	fields := strings.Split(s[1:end], ",")
-	if len(fields) != len(v) {
-		return nil, s
-	}
-	for i, f := range fields {
-		var err error
-		if v[i], err = strconv.Atoi(f); err != nil {
-			return nil, s
+// requestOf reads key back into the query it names: the kind from its
+// prefix, the machine from the machineKeys entry whose identity
+// follows, the options from parseOptionsKey and the tree from
+// parseGeometry. ok holds only when the request passes the checks an
+// HTTP request gets — the rank limit, the driver's enum parsers,
+// Options.Validate and nest.Validate — and appendKey renders it back to
+// key byte for byte, so no field is out of range or non-canonical,
+// nothing follows the tree, and a machine whose cost model changed
+// since the save (its identity key with it) is not found.
+func requestOf(key string) (q query, cfg *nest.Domain, opt driver.Options, ok bool) {
+	rest := key
+	for _, k := range [...]query{queryPlan, queryCompare, queryRun} {
+		if s, found := strings.CutPrefix(key, k.prefix); found {
+			q, rest = k, s
 		}
 	}
-	var d *nest.Domain
-	if parent == nil {
-		if v[2] != 1 || v[3] != 0 || v[4] != 0 {
-			return nil, s
-		}
-		d = nest.Root("", v[0], v[1])
-	} else {
-		d = parent.AddChild("", v[0], v[1], v[2], v[3], v[4])
-	}
-	for s = s[end:]; strings.HasPrefix(s, "("); {
-		var c *nest.Domain
-		if c, s = parseGeometry(s, d); c == nil {
-			return nil, s
+	var m machine.Machine
+	for name, mk := range machineKeys {
+		if s, found := strings.CutPrefix(rest, mk); found {
+			m, _ = machine.Parse(name)
+			rest = s
 		}
 	}
-	if !strings.HasPrefix(s, ")") {
-		return nil, s
+	if opt, rest, ok = parseOptionsKey(rest); !ok || q.prefix == "" || opt.Ranks > maxRanks {
+		return q, nil, opt, false
 	}
-	return d, s[1:]
+	opt.Machine = m
+	cfg, _ = parseGeometry(rest, nil)
+	ok = cfg != nil && opt.Validate() == nil && cfg.Validate() == nil &&
+		string(appendKey(nil, q.prefix, opt, cfg)) == key
+	return q, cfg, opt, ok
 }

@@ -21,9 +21,10 @@
 # spread (inter-quartile range over median, the wider side) above the
 # bound is "unresolved" unless every change run is ahead of (or behind)
 # every parent run; else worse than the bound is "REGRESSION", better
-# than it "better", and anything between "inside bound". A better row
-# also ahead in at least 9 of 10 pairs with a median gap wider than the
-# parent's inter-quartile range passes the claim test.
+# than it "better", and anything between "inside bound". Any row whose
+# change median is ahead, whatever the bound, also gets the claim test:
+# ahead in at least 9 of 10 pairs with a median gap wider than the
+# parent's inter-quartile range.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -117,12 +118,10 @@ for m in spec["end_to_end"]:
         verdict = "unresolved"
     elif worse > bound:
         verdict = "REGRESSION"
-    elif worse < -bound:
-        verdict = "better"
-        if k >= math.ceil(0.9 * n) and abs(cq[1] - pq[1]) > pq[2] - pq[0]:
-            verdict += f" (claim test met: {k}/{n}, gap > parent IQR)"
     else:
-        verdict = "inside bound"
+        verdict = "better" if worse < -bound else "inside bound"
+        if worse < 0 and k >= math.ceil(0.9 * n) and abs(cq[1] - pq[1]) > pq[2] - pq[0]:
+            verdict += f" (claim test met: {k}/{n}, gap > parent IQR)"
     rows.append(f"| {label} | `{name}` | {fmt(pq[1])} ({fmt(pq[0])} – {fmt(pq[2])}) | "
                 f"{fmt(cq[1])} ({fmt(cq[0])} – {fmt(cq[2])}) | {delta * 100:+.1f} % | {k} / {n} | {verdict} |")
     ledger.append(f"Every `{name}`, {m['unit']} (parent / change): "
