@@ -533,14 +533,6 @@ func mappingFor(kind MapKind, g vtopo.Grid, tor torus.Torus, m machine.Machine, 
 	}
 }
 
-// domainIter returns the duration of one step of domain d on subgrid
-// sg, including the nested phases of its children, and the per-sibling
-// metrics for d's immediate children. rects, when non-nil, are the
-// precomputed partitions for d's children (only used at the top level
-// of the concurrent strategy; deeper levels allocate on the fly).
-// mult is the number of times this step executes per parent iteration,
-// used to accumulate per-rank wait times correctly across nesting
-// levels.
 // costs evaluates a phase under the run's contention setting. When a
 // report is being built (and contention is on), the phase's link-
 // congestion summary is captured alongside the costs.
@@ -575,6 +567,14 @@ func (r *run) costs(placements []model.Placement) []model.StepCost {
 	return cs
 }
 
+// domainIter returns the duration of one step of domain d on subgrid
+// sg, including the nested phases of its children, and the per-sibling
+// metrics for d's immediate children. rects, when non-nil, are the
+// precomputed partitions for d's children (only used at the top level
+// of the concurrent strategy; deeper levels allocate on the fly).
+// mult is the number of times this step executes per parent iteration,
+// used to accumulate per-rank wait times correctly across nesting
+// levels.
 func (r *run) domainIter(d *nest.Domain, sg vtopo.Subgrid, rects []alloc.Rect, mult float64) (float64, []DomainMetrics, error) {
 	own := r.costs([]model.Placement{{D: d, SG: sg}})[0]
 	r.account(d.Name, sg, mult, own)

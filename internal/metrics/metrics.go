@@ -1,16 +1,19 @@
 // Package metrics is a race-safe instrumentation substrate: labelled
-// counters, gauges and fixed-bucket histograms registered in a
-// Registry, snapshotted into an immutable value and rendered as text
-// or JSON. The simulator's layers (mpi, netsim, driver, iosim) record
-// into a Registry only when one is supplied, so instrumentation is off
-// the hot path by default; the CLIs surface snapshots with -metrics
-// and publish them over expvar for live profiling.
+// counters, gauges, fixed-bucket histograms and quantile summaries
+// registered in a Registry, snapshotted into an immutable value and
+// rendered as text or JSON. The simulator's layers (mpi, netsim,
+// driver, iosim) record into a Registry only when one is supplied, so
+// instrumentation is off the hot path by default; the CLIs surface
+// snapshots with -metrics and publish them over expvar for live
+// profiling.
 //
 // Instruments are identified by name plus a label set; asking the
-// registry twice for the same identity returns the same instrument.
-// All instrument operations are lock-free atomics and safe for
-// concurrent use; a nil *Registry (and the nil instruments it hands
-// out) is a valid no-op sink, so call sites need no guards.
+// registry twice for the same identity returns the same instrument,
+// and finding an existing one allocates nothing. Counter, gauge and
+// histogram operations are lock-free atomics, a summary's run under
+// its own mutex, and all are safe for concurrent use; a nil *Registry
+// (and the nil instruments it hands out) is a valid no-op sink, so
+// call sites need no guards.
 package metrics
 
 import (
@@ -35,28 +38,28 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// labelID renders a label set in a canonical (sorted, escaped) form
-// used for instrument identity and snapshot ordering.
-func labelID(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Key != ls[j].Key {
-			return ls[i].Key < ls[j].Key
+// appendLabels appends a label set's canonical form, its pairs sorted
+// by (key, value), rendered as fmt's "%s=%q" and joined by commas, to
+// b. Up to four labels are sorted on the stack.
+func appendLabels(b []byte, labels []Label) []byte {
+	var stack [4]Label
+	ls := append(stack[:0], labels...)
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && (ls[j].Key < ls[j-1].Key || ls[j].Key == ls[j-1].Key && ls[j].Value < ls[j-1].Value); j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
 		}
-		return ls[i].Value < ls[j].Value
-	})
-	var b strings.Builder
+	}
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Key + "=" + strconv.Quote(l.Value)) // the bytes of fmt's "%s=%q"
+		b = strconv.AppendQuote(append(append(b, l.Key...), '='), l.Value)
 	}
-	return b.String()
+	return b
 }
+
+// labelID renders a label set in its canonical form.
+func labelID(labels []Label) string { return string(appendLabels(nil, labels)) }
 
 // Counter is a monotonically increasing float64.
 type Counter struct {
@@ -217,42 +220,41 @@ func (s *Summary) Observe(v float64) {
 	s.mu.Unlock()
 }
 
-// Registry holds instruments keyed by (name, label set). The zero
-// value is not usable; use NewRegistry. A nil *Registry is a valid
+// Registry holds instruments keyed by (kind, name, label set). The
+// zero value is not usable; use NewRegistry. A nil *Registry is a valid
 // no-op sink.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	summaries map[string]*Summary
-	meta      map[string]instrumentMeta
+	mu sync.Mutex
+	m  map[string]*entry
 }
 
-type instrumentMeta struct {
+// entry is one instrument: its name, its labels as first given and the
+// *Counter, *Gauge, *Histogram or *Summary itself.
+type entry struct {
 	name   string
 	labels []Label
+	inst   any
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:  map[string]*Counter{},
-		gauges:    map[string]*Gauge{},
-		hists:     map[string]*Histogram{},
-		summaries: map[string]*Summary{},
-		meta:      map[string]instrumentMeta{},
-	}
-}
+func NewRegistry() *Registry { return &Registry{m: map[string]*entry{}} }
 
-// id builds the identity key for an instrument and records its
-// metadata (callers hold r.mu).
-func (r *Registry) id(kind, name string, labels []Label) string {
-	key := kind + "\x00" + name + "\x00" + labelID(labels)
-	if _, ok := r.meta[key]; !ok {
-		r.meta[key] = instrumentMeta{name: name, labels: append([]Label(nil), labels...)}
+// lookup returns the instrument of the given kind and identity,
+// creating it with mk on first use. Its key is the kind, the name and
+// the canonical labels, NUL-separated, built on the stack, so finding
+// an existing instrument allocates nothing.
+func (r *Registry) lookup(kind byte, name string, labels []Label, mk func() any) any {
+	var stack [128]byte
+	key := append(append(append(stack[:0], kind, 0), name...), 0)
+	key = appendLabels(key, labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.m[string(key)]
+	if e == nil {
+		e = &entry{name: name, labels: append([]Label(nil), labels...), inst: mk()}
+		r.m[string(key)] = e
 	}
-	return key
+	return e.inst
 }
 
 // Counter returns the counter with the given identity, creating it on
@@ -261,15 +263,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := r.id("c", name, labels)
-	c, ok := r.counters[key]
-	if !ok {
-		c = &Counter{}
-		r.counters[key] = c
-	}
-	return c
+	return r.lookup('c', name, labels, func() any { return &Counter{} }).(*Counter)
 }
 
 // Gauge returns the gauge with the given identity, creating it on
@@ -278,15 +272,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := r.id("g", name, labels)
-	g, ok := r.gauges[key]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[key] = g
-	}
-	return g
+	return r.lookup('g', name, labels, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram returns the histogram with the given identity, creating it
@@ -296,15 +282,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := r.id("h", name, labels)
-	h, ok := r.hists[key]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[key] = h
-	}
-	return h
+	return r.lookup('h', name, labels, func() any { return newHistogram(bounds) }).(*Histogram)
 }
 
 // Summary returns the summary with the given identity, creating it
@@ -314,15 +292,7 @@ func (r *Registry) Summary(name string, labels ...Label) *Summary {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := r.id("s", name, labels)
-	s, ok := r.summaries[key]
-	if !ok {
-		s = newSummary()
-		r.summaries[key] = s
-	}
-	return s
+	return r.lookup('s', name, labels, func() any { return newSummary() }).(*Summary)
 }
 
 // MetricValue is one counter or gauge reading in a snapshot.
@@ -383,55 +353,41 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	keys := func(m map[string]instrumentMeta, prefix string) []string {
-		var ks []string
-		for k := range m {
-			if strings.HasPrefix(k, prefix) {
-				ks = append(ks, k)
+	keys := make([]string, 0, len(r.m))
+	for k := range r.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		e := r.m[k]
+		labels := append([]Label(nil), e.labels...)
+		switch in := e.inst.(type) {
+		case *Counter:
+			s.Counters = append(s.Counters, MetricValue{Name: e.name, Labels: labels, Value: in.Value()})
+		case *Gauge:
+			s.Gauges = append(s.Gauges, MetricValue{Name: e.name, Labels: labels, Value: in.Value()})
+		case *Histogram:
+			hv := HistogramValue{
+				Name: e.name, Labels: labels,
+				Overflow: in.overflow.Load(),
+				Sum:      math.Float64frombits(in.sumBits.Load()),
+				Count:    in.count.Load(),
+				Buckets:  make([]BucketValue, len(in.bounds)),
 			}
+			for i, b := range in.bounds {
+				hv.Buckets[i] = BucketValue{UpperBound: b, Count: in.counts[i].Load()}
+			}
+			s.Histograms = append(s.Histograms, hv)
+		case *Summary:
+			sv := SummaryValue{Name: e.name, Labels: labels}
+			in.mu.Lock()
+			sv.Sum, sv.Count = in.sum, in.count
+			for _, q := range in.qs {
+				sv.Quantiles = append(sv.Quantiles, QuantileValue{Quantile: q.P, Value: q.Value()})
+			}
+			in.mu.Unlock()
+			s.Summaries = append(s.Summaries, sv)
 		}
-		sort.Strings(ks)
-		return ks
-	}
-	for _, k := range keys(r.meta, "c\x00") {
-		m := r.meta[k]
-		s.Counters = append(s.Counters, MetricValue{
-			Name: m.name, Labels: append([]Label(nil), m.labels...), Value: r.counters[k].Value(),
-		})
-	}
-	for _, k := range keys(r.meta, "g\x00") {
-		m := r.meta[k]
-		s.Gauges = append(s.Gauges, MetricValue{
-			Name: m.name, Labels: append([]Label(nil), m.labels...), Value: r.gauges[k].Value(),
-		})
-	}
-	for _, k := range keys(r.meta, "h\x00") {
-		m := r.meta[k]
-		h := r.hists[k]
-		hv := HistogramValue{
-			Name: m.name, Labels: append([]Label(nil), m.labels...),
-			Overflow: h.overflow.Load(),
-			Sum:      math.Float64frombits(h.sumBits.Load()),
-			Count:    h.count.Load(),
-			Buckets:  make([]BucketValue, len(h.bounds)),
-		}
-		for i, b := range h.bounds {
-			hv.Buckets[i] = BucketValue{UpperBound: b, Count: h.counts[i].Load()}
-		}
-		s.Histograms = append(s.Histograms, hv)
-	}
-	for _, k := range keys(r.meta, "s\x00") {
-		m := r.meta[k]
-		sm := r.summaries[k]
-		sv := SummaryValue{Name: m.name, Labels: append([]Label(nil), m.labels...)}
-		sm.mu.Lock()
-		sv.Sum = sm.sum
-		sv.Count = sm.count
-		for _, q := range sm.qs {
-			sv.Quantiles = append(sv.Quantiles, QuantileValue{Quantile: q.P, Value: q.Value()})
-		}
-		sm.mu.Unlock()
-		s.Summaries = append(s.Summaries, sv)
 	}
 	return s
 }

@@ -1,10 +1,13 @@
 package metrics
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -214,5 +217,137 @@ func TestHistogramIgnoresNaN(t *testing.T) {
 	h.Observe(math.NaN())
 	if s := r.Snapshot(); s.Histograms[0].Count != 0 {
 		t.Fatalf("NaN observed: %+v", s.Histograms[0])
+	}
+}
+
+// richRegistry fills a registry the way four driver runs and a served
+// campaign would, then adds 400 instruments of all four kinds whose
+// identities stress the key: reordered and duplicate label keys, more
+// labels than the lookup's stack holds, quotes, invalid UTF-8, long
+// values and names that share prefixes. Every instrument is looked up
+// at least twice, in another label order the second time.
+func richRegistry() *Registry {
+	r := NewRegistry()
+	loads := []float64{1, 2, 4, 8, 16, 32, 64}
+	for run, strategy := range []string{"concurrent", "sequential", "concurrent", "sequential"} {
+		strat := L("strategy", strategy)
+		mp := []string{"multilevel", "txyz", "partition", "sequential"}[run]
+		r.Counter("driver_runs_total", strat, L("mapping", mp), L("alloc", "predicted")).Inc()
+		r.Gauge("driver_iter_seconds", strat).Set(0.25 * float64(run+1))
+		r.Gauge("driver_hops_avg", strat).Set(1.5 + float64(run))
+		for d, dom := range []string{"parent", "s0", "s1", "s2"} {
+			for c, comp := range []string{"compute", "transfer", "wait"} {
+				r.Counter("driver_phase_seconds", strat, L("domain", dom), L("component", comp)).Add(float64(1+run+d+c) / 8)
+			}
+		}
+		for p, phase := range []string{"parent", "s0+s1+s2", "t1"} {
+			h := r.Histogram("netsim_link_load", loads, strat, L("phase", phase))
+			for i := 0; i < 50; i++ {
+				h.Observe(float64((i*7 + run + p) % 80))
+			}
+			r.Gauge("netsim_max_link_load", strat, L("phase", phase)).Set(float64(40 + run + p))
+		}
+		r.Summary("planserve_request_seconds", L("route", "/v1/plan"), L("cache", []string{"hit", "miss"}[run%2])).Observe(1e-5 * float64(run+1))
+	}
+	names := []string{"x", "x_", "x_total", "xy", "x_y", "a\"b"}
+	keys := []string{"a", "b", "a", "le", "k", "quantile"}
+	values := []string{"", "v", `q"uote`, "\xff\xfe", "héllo", "tab\tnl\n", strings.Repeat("long", 40)}
+	for i := 0; i < 400; i++ {
+		name := names[i%len(names)]
+		if i%5 != 0 {
+			name += strconv.Itoa(i % 150) // "x1", "x10", "x_100", ...
+		}
+		var ls []Label
+		for j := 0; j < i%7; j++ {
+			ls = append(ls, L(keys[(i+j)%len(keys)], values[(i*3+j*5)%len(values)]))
+		}
+		rev := make([]Label, len(ls))
+		for j, l := range ls {
+			rev[len(ls)-1-j] = l
+		}
+		v := float64(i%13) + 0.5
+		switch i % 4 {
+		case 0:
+			r.Counter(name, ls...).Add(v)
+			r.Counter(name, rev...).Add(v)
+		case 1:
+			r.Gauge(name, ls...).Set(v)
+			r.Gauge(name, rev...).Add(-v / 4)
+		case 2:
+			r.Histogram(name, []float64{4, 1, 2, 2}, ls...).Observe(v)
+			r.Histogram(name, nil, rev...).Observe(2 * v)
+		case 3:
+			for k := 0; k < 7; k++ {
+				r.Summary(name, ls...).Observe(v * float64(k))
+				r.Summary(name, rev...).Observe(v + float64(k))
+			}
+		}
+	}
+	return r
+}
+
+// The SHA-256 of richRegistry's snapshot as text and as JSON, recorded
+// on the registry that kept one map per instrument kind and a label
+// metadata map, with keys built by sort.Slice and string concatenation.
+const (
+	richTextSHA = "68c12145cbc1a9ad501653a6b951b7a2e7092c6b3b70a1fcfc5d83f3212577d4"
+	richJSONSHA = "81d7f488eb4d419f084ce7f2b00740e90f7aa6b1466619c381f2a0d63b67305a"
+)
+
+// TestRichRegistryDigests holds the text and JSON renderings of a
+// registry with every kind of identity to the recorded digests: the
+// instruments, their labels as first given and their order.
+func TestRichRegistryDigests(t *testing.T) {
+	s := richRegistry().Snapshot()
+	raw, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(s.Text()))); got != richTextSHA {
+		t.Errorf("text digest %s, want %s", got, richTextSHA)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != richJSONSHA {
+		t.Errorf("JSON digest %s, want %s", got, richJSONSHA)
+	}
+	if n := len(s.Counters) + len(s.Gauges) + len(s.Histograms) + len(s.Summaries); n != 446 {
+		t.Errorf("the rich registry holds %d instruments, want 446", n)
+	}
+}
+
+// TestLookupAllocs looks up existing instruments of all four kinds
+// with zero to four labels, in another order than they were created
+// in, and requires that no lookup allocates: the key is built and the
+// labels sorted on the stack. A key longer than that stack and a set of
+// five labels still find the instrument they created.
+func TestLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	all := []Label{L("strategy", "concurrent"), L("domain", "s1"), L("component", "wait"), L("domain", "s0")}
+	bounds := []float64{1, 2, 4}
+	for n := 0; n <= len(all); n++ {
+		ls := all[:n]
+		rev := slices.Clone(ls)
+		slices.Reverse(rev)
+		c, g := r.Counter("c", ls...), r.Gauge("g", ls...)
+		h, s := r.Histogram("h", bounds, ls...), r.Summary("s", ls...)
+		allocs := testing.AllocsPerRun(100, func() {
+			if r.Counter("c", rev...) != c || r.Gauge("g", rev...) != g ||
+				r.Histogram("h", bounds, rev...) != h || r.Summary("s", rev...) != s {
+				t.Fatalf("%d labels: a lookup returned another instrument", n)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("looking up instruments with %d labels allocates %v times, want 0", n, allocs)
+		}
+	}
+
+	long := strings.Repeat("n", 100)
+	if c := r.Counter(long, all...); r.Counter(long, all...) != c {
+		t.Error("a key over the stack buffer found another counter")
+	}
+	five := append(slices.Clone(all), L("alloc", "predicted"))
+	h := r.Histogram("h", bounds, five...)
+	slices.Reverse(five)
+	if r.Histogram("h", bounds, five...) != h {
+		t.Error("five labels in another order found another histogram")
 	}
 }

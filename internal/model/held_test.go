@@ -296,3 +296,34 @@ func TestRingSteadyStateAllocs(t *testing.T) {
 	}
 	checkRing(t, mps)
 }
+
+// TestRingStoresGeometryOnce prices one fresh geometry from a burst of
+// goroutines that all miss the ring at once, and requires that the ring
+// then holds exactly one table: a miss that finds the table stored by
+// another once it holds the write lock does not store it again.
+func TestRingStoresGeometryOnce(t *testing.T) {
+	m, mp, placements := buildPlacements(t)
+	defer ResetCache()
+	workers := max(runtime.GOMAXPROCS(0), 8)
+	for round := 0; round < 10; round++ {
+		ResetCache()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				contendedCosts(m, mp, placements)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		tables.RLock()
+		held := len(tables.idx)
+		tables.RUnlock()
+		if held != 1 {
+			t.Fatalf("round %d: %d goroutines pricing one geometry left %d tables", round, workers, held)
+		}
+	}
+}

@@ -232,27 +232,41 @@ func releaseNet(h *heldNet) {
 // contendedCosts prices placements under mp from the ring's table of
 // their halo, under the read lock. A miss routes the halo on a network
 // and prices from its table, then copies that into the ring only if no
-// pricer holds it: a miss never waits while it holds a network.
+// pricer holds it and no other miss stored it meanwhile: a miss never
+// waits while it holds a network.
 func contendedCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement) []StepCost {
 	key := mp.Key()
 	tables.RLock()
-	for i := len(tables.idx) - 1; i >= 0; i-- {
+	if i := heldTable(key, placements); i >= 0 {
 		t := &tables.idx[i]
-		if slices.EqualFunc(t.sgs, placements, func(sg vtopo.Subgrid, p Placement) bool { return sg == p.SG }) && t.key == key {
-			out := priceFlows(m, mp, placements, tables.slab[t.off:t.off+t.n])
-			tables.RUnlock()
-			return out
-		}
+		out := priceFlows(m, mp, placements, tables.slab[t.off:t.off+t.n])
+		tables.RUnlock()
+		return out
 	}
 	tables.RUnlock()
 	h := takeNet(m, mp, placements)
 	out := priceFlows(m, mp, placements, h.flows)
 	if key != "" && len(h.flows) <= ringFlows && tables.TryLock() {
-		storeTable(key, placements, h.flows)
+		if heldTable(key, placements) < 0 { // another miss may have stored it since
+			storeTable(key, placements, h.flows)
+		}
 		tables.Unlock()
 	}
 	releaseNet(h)
 	return out
+}
+
+// heldTable returns the index of the ring's table of placements under
+// the mapping keyed key, or -1. The caller holds tables' lock or read
+// lock.
+func heldTable(key string, placements []Placement) int {
+	for i := len(tables.idx) - 1; i >= 0; i-- {
+		t := &tables.idx[i]
+		if slices.EqualFunc(t.sgs, placements, func(sg vtopo.Subgrid, p Placement) bool { return sg == p.SG }) && t.key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // storeTable copies flows into the ring after the last table, or from
