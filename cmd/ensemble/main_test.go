@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nestwrf/internal/ensemble"
@@ -65,6 +66,52 @@ func TestKillResumeReproducesAggregates(t *testing.T) {
 	}
 	if freshAgg != fullAgg {
 		t.Error("fresh rerun diverged from original")
+	}
+}
+
+// -metrics prints the same snapshot for the same flags however the
+// workers interleave: every instrument but the wall-clock *_seconds
+// ones and the cache's hits and joins (which of two workers planning
+// the same geometry joins the other's flight is a race) is observed in
+// commit order.
+func TestMetricsReproducible(t *testing.T) {
+	snapshot := func() string {
+		dir := t.TempDir()
+		out, err := os.Create(filepath.Join(dir, "out"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		errs, err := os.Create(filepath.Join(dir, "metrics"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer errs.Close()
+		args := []string{"-members", "120", "-steps", "10", "-seed", "5", "-workers", "4", "-metrics", "-json"}
+		if code := run(args, out, errs); code != 0 {
+			t.Fatalf("run %v: exit %d", args, code)
+		}
+		raw, err := os.ReadFile(errs.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keep []string
+		for _, line := range strings.Split(string(raw), "\n") {
+			if !strings.Contains(line, "_seconds") &&
+				!strings.HasPrefix(line, "plancache_hits_total") && !strings.HasPrefix(line, "plancache_joins_total") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	first := snapshot()
+	if !strings.Contains(first, "ensemble_improvement_pct_count 120") {
+		t.Fatalf("snapshot lacks the improvement summary:\n%s", first)
+	}
+	for i := 0; i < 3; i++ {
+		if again := snapshot(); again != first {
+			t.Fatalf("metric snapshots differ between identical campaigns:\n%s\n---\n%s", first, again)
+		}
 	}
 }
 

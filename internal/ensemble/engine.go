@@ -429,9 +429,6 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 					mr, err := e.runMember(runCtx, spec, cache, id, msp.ID())
 					dur := time.Since(t0).Seconds()
 					e.Metrics.Summary("ensemble_member_seconds", metrics.L("kind", mr.Kind)).Observe(dur)
-					if err == nil {
-						e.Metrics.Summary("ensemble_improvement_pct").Observe(mr.ImprovementPct)
-					}
 					if msp != nil {
 						msp.Annotate("kind", mr.Kind)
 						if err != nil {
@@ -489,6 +486,9 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 				e.progMu.Unlock()
 				thisRun++
 				e.Metrics.Counter("ensemble_members_total", metrics.L("kind", m.res.Kind)).Inc()
+				// In commit order, like the aggregates: the summary's
+				// estimate and sum then do not depend on scheduling.
+				e.Metrics.Summary("ensemble_improvement_pct").Observe(m.res.ImprovementPct)
 				committedGauge.Set(float64(next))
 				if e.CheckpointPath != "" && thisRun%checkpointEvery == 0 && next < spec.Members {
 					if err := e.writeCheckpoint(spec, next, agg); err != nil {

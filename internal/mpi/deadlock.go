@@ -60,10 +60,3 @@ func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 func errBadRanks(n int) error {
 	return fmt.Errorf("mpi: need at least 1 rank, got %d", n)
 }
-
-// errSplitCache reports a Split member that could not resolve its
-// group's canonical rank list — unreachable unless the split protocol
-// is broken.
-func errSplitCache(id int) error {
-	return fmt.Errorf("mpi: split: no canonical rank list registered for comm %d", id)
-}

@@ -12,17 +12,17 @@
 //
 // The runtime is sharded for scale (DESIGN.md Section 13): each rank
 // owns a private mailbox (lock + condition variable), the
-// blocked/queued/alive bookkeeping is atomic, and payloads recycle
-// through an unlocked per-rank cache over one locked free list per size
-// class, so worlds of 10k+ virtual ranks run without funneling every
-// operation through one mutex. This package's tests pin its virtual
-// clocks, wait times and phase stats to literals recorded on the
-// single-mutex runtime it replaced.
+// blocked/queued/alive bookkeeping is atomic, payloads recycle through
+// an unlocked per-rank cache over one locked free list per size class,
+// and Barrier, Allreduce and Split meet in their communicator's shared
+// slots, so worlds of 10k+ virtual ranks run without funneling every
+// operation through one mutex or one mailbox. This package's tests pin
+// its virtual clocks, wait times and phase stats to literals recorded
+// on the single-mutex runtime it replaced.
 package mpi
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,21 +47,13 @@ func (m AlphaBeta) Transfer(_, _ int, bytes int) float64 {
 	return m.Alpha + float64(bytes)*m.Beta
 }
 
-// message is an in-flight message.
+// message is an in-flight message. Its queue's key already names the
+// sender, communicator and tag, so a message is its payload and its
+// virtual arrival time, held by value in the queue.
 type message struct {
-	src     int // global sender rank
-	tag     int
-	comm    int // communicator id
 	data    []float64
-	arrival float64 // virtual arrival time
+	arrival float64
 }
-
-// msgPool recycles message headers between Send and Recv. Payload
-// slices are pooled separately and explicitly: a receiver that is done
-// with a payload hands it back with Comm.FreePayload, and senders draw
-// scratch from Comm.AllocPayload, so steady-state traffic recycles a
-// fixed set of buffers instead of allocating per message.
-var msgPool = sync.Pool{New: func() any { return new(message) }}
 
 // matchKey identifies a receive queue: global sender rank,
 // communicator id and tag (16 bytes, so a mailbox's scan compares two
@@ -85,18 +77,19 @@ func (k matchKey) waitOf(rank int) RankWait {
 // array is reused, so steady-state delivery never allocates either.
 type msgq struct {
 	key  matchKey // the mailbox scans for it
-	one  *message // the oldest queued message, set only while q is drained
-	q    []*message
+	one  message  // the oldest queued message when full; full only while q is drained
+	full bool
+	q    []message
 	head int
 }
 
 // empty reports whether no message is queued.
-func (q *msgq) empty() bool { return q.one == nil && q.head == len(q.q) }
+func (q *msgq) empty() bool { return !q.full && q.head == len(q.q) }
 
 // push appends msg in arrival order.
-func (q *msgq) push(msg *message) {
+func (q *msgq) push(msg message) {
 	if q.empty() {
-		q.one = msg
+		q.one, q.full = msg, true
 		return
 	}
 	q.q = append(q.q, msg)
@@ -104,13 +97,14 @@ func (q *msgq) push(msg *message) {
 
 // pop removes and returns the queue's head message. The caller must
 // have checked that the queue is non-empty.
-func (q *msgq) pop() *message {
-	if msg := q.one; msg != nil {
-		q.one = nil
+func (q *msgq) pop() message {
+	if q.full {
+		msg := q.one
+		q.one, q.full = message{}, false
 		return msg
 	}
 	msg := q.q[q.head]
-	q.q[q.head] = nil
+	q.q[q.head] = message{}
 	q.head++
 	if q.head == len(q.q) {
 		q.q = q.q[:0]
@@ -133,11 +127,6 @@ type World struct {
 
 	// commSeq allocates world-unique communicator ids (world is 0).
 	commSeq atomic.Int64
-	// splitRanks caches the canonical global-rank list of every
-	// communicator created by Split, keyed by comm id. The split root
-	// registers each group's list once; every member aliases it
-	// read-only, so a split is O(n) total instead of O(n) per rank.
-	splitRanks sync.Map
 	// drops counts freed payloads too large for any pool size class.
 	drops atomic.Uint64
 
@@ -164,9 +153,9 @@ type World struct {
 // returned procs expose final clocks and wait times, indexed by rank.
 //
 // Setup allocates a fixed number of slabs (Procs, world communicators,
-// mailboxes, payload caches, one shared read-only rank list) plus one
-// goroutine and its closure per rank: no per-rank map, queue or
-// communicator object exists until a rank's first message or phase.
+// mailboxes, payload caches, the world group's rank list and slots)
+// plus one goroutine and its closure per rank: no per-rank map, queue
+// or communicator object exists until a rank's first message or phase.
 func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	if n <= 0 {
 		return nil, errBadRanks(n)
@@ -177,6 +166,7 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	for i := range worldRanks {
 		worldRanks[i] = i
 	}
+	worldGroup := newGroup(0, worldRanks)
 	w.alive.Store(int64(n))
 	w.mboxes = make([]mailbox, n)
 	for i := range w.mboxes {
@@ -195,13 +185,16 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	for r := 0; r < n; r++ {
 		p := &procSlab[r]
 		p.w, p.rank, p.pcache = w, r, &caches[r]
-		comms[r] = Comm{w: w, id: 0, ranks: worldRanks, me: r, proc: p}
+		comms[r] = Comm{w: w, g: worldGroup, me: r, proc: p}
 		p.world = &comms[r]
 		procs[r] = p
 		go func() {
 			defer wg.Done()
 			defer w.rankExit(p)
 			errs[r] = fn(p)
+			if p.cur != nil { // close the last phase: Phases after Run only copies
+				p.cur.Wall += time.Since(p.curAt).Seconds()
+			}
 		}()
 	}
 	wg.Wait()
@@ -259,10 +252,10 @@ type PhaseStats struct {
 	SendCount, RecvCount int
 	SendBytes, RecvBytes int
 	// Wall is real (wall-clock) time the rank spent inside the phase,
-	// accrued at BeginPhase transitions (and finalized by Phases), in
-	// seconds. Unlike the virtual-time fields above it measures the
-	// simulator itself, so phase-level trace spans and reports can show
-	// where real execution time goes.
+	// accrued at BeginPhase transitions and when the rank's function
+	// returns, in seconds. Unlike the virtual-time fields above it
+	// measures the simulator itself, so phase-level trace spans and
+	// reports can show where real execution time goes.
 	Wall float64
 }
 
@@ -303,16 +296,14 @@ type Proc struct {
 	pcache *rankCache
 }
 
-// Comm is a communicator: an ordered group of global ranks. Local rank
-// i of the communicator is ranks[i]. The ranks slice is shared
-// read-only: every member of a communicator aliases one canonical
-// list.
+// Comm is one rank's handle on a communicator: an ordered group of
+// global ranks, local rank i being g.ranks[i]. Every member shares the
+// one group (see collective.go).
 type Comm struct {
-	w     *World
-	id    int
-	ranks []int
-	me    int // local rank of the owning Proc
-	proc  *Proc
+	w    *World
+	g    *group
+	me   int // local rank of the owning Proc
+	proc *Proc
 }
 
 // Rank returns the global rank of p.
@@ -359,15 +350,10 @@ func (p *Proc) BeginPhase(name string) {
 }
 
 // Phases returns a copy of the rank's per-phase breakdown in
-// first-BeginPhase order, finalizing the open phase's wall-clock
-// accrual. Call it only after Run returns (or from the rank's own
-// goroutine).
+// first-BeginPhase order. Call it only after Run returns, when every
+// phase is closed (from the rank's own goroutine the open phase lacks
+// the wall time since its BeginPhase).
 func (p *Proc) Phases() []Phase {
-	if p.cur != nil {
-		now := time.Now()
-		p.cur.Wall += now.Sub(p.curAt).Seconds()
-		p.curAt = now
-	}
 	return append([]Phase(nil), p.phases...)
 }
 
@@ -419,10 +405,10 @@ func (p *Proc) Compute(seconds float64) {
 func (c *Comm) Rank() int { return c.me }
 
 // Size returns the number of ranks in c.
-func (c *Comm) Size() int { return len(c.ranks) }
+func (c *Comm) Size() int { return len(c.g.ranks) }
 
 // Global returns the global rank of local rank r in c.
-func (c *Comm) Global(r int) int { return c.ranks[r] }
+func (c *Comm) Global(r int) int { return c.g.ranks[r] }
 
 // Send delivers data to local rank `to` of the communicator with the
 // given tag. Sends are eager (buffered): the sender does not block; its
@@ -441,21 +427,39 @@ func (c *Comm) Send(to, tag int, data []float64) {
 // allocation-free; after the call the sender must not touch data again.
 func (c *Comm) SendOwned(to, tag int, data []float64) {
 	p := c.proc
-	dst := c.ranks[to]
+	dst := c.g.ranks[to]
 	bytes := 8 * len(data)
 	t := c.w.tm.Transfer(p.rank, dst, bytes)
-	msg := msgPool.Get().(*message)
-	msg.src = p.rank
-	msg.tag = tag
-	msg.comm = c.id
-	msg.data = data
-	msg.arrival = p.clock + t
+	arrival := p.clock + t
+	p.sent(t, bytes)
+	c.w.send(dst, matchKey{src: int32(p.rank), comm: int32(c.g.id), tag: tag}, message{data, arrival})
+}
+
+// sent accounts a send of the given transfer time and payload bytes to
+// the open phase.
+func (p *Proc) sent(t float64, bytes int) {
 	if p.cur != nil {
 		p.cur.Transfer += t
 		p.cur.SendCount++
 		p.cur.SendBytes += bytes
 	}
-	c.w.send(dst, matchKey{src: int32(p.rank), comm: int32(c.id), tag: tag}, msg)
+}
+
+// received advances the clock to a received message's arrival,
+// accounting the blocked time as wait, and counts the receive of bytes
+// in the open phase.
+func (p *Proc) received(arrival float64, bytes int) {
+	if arrival > p.clock {
+		if p.cur != nil {
+			p.cur.Wait += arrival - p.clock
+		}
+		p.wait += arrival - p.clock
+		p.clock = arrival
+	}
+	if p.cur != nil {
+		p.cur.RecvCount++
+		p.cur.RecvBytes += bytes
+	}
 }
 
 // AllocPayload returns a length-n scratch slice from the world's
@@ -472,26 +476,12 @@ func (c *Comm) FreePayload(b []float64) { c.w.freePayload(c.proc, b) }
 // tag arrives, advances the virtual clock to the arrival time, and
 // accounts blocked time as wait time.
 func (c *Comm) Recv(from, tag int) ([]float64, error) {
-	p := c.proc
-	msg, err := c.w.recv(p, matchKey{src: int32(c.ranks[from]), comm: int32(c.id), tag: tag})
+	msg, err := c.w.recv(c.proc, matchKey{src: int32(c.g.ranks[from]), comm: int32(c.g.id), tag: tag})
 	if err != nil {
 		return nil, err
 	}
-	data, arrival := msg.data, msg.arrival
-	msg.data = nil // payload ownership passes to the receiver
-	msgPool.Put(msg)
-	if arrival > p.clock {
-		if p.cur != nil {
-			p.cur.Wait += arrival - p.clock
-		}
-		p.wait += arrival - p.clock
-		p.clock = arrival
-	}
-	if p.cur != nil {
-		p.cur.RecvCount++
-		p.cur.RecvBytes += 8 * len(data)
-	}
-	return data, nil
+	c.proc.received(msg.arrival, 8*len(msg.data))
+	return msg.data, nil
 }
 
 // Request is a handle for a nonblocking operation.
@@ -538,207 +528,4 @@ func WaitAll(reqs ...*Request) error {
 		}
 	}
 	return first
-}
-
-// Internal collective tags (user tags must be >= 0).
-const (
-	tagBarrier = -1
-	tagReduce  = -2
-	tagSplit   = -4
-	tagGather  = -5
-)
-
-// Barrier synchronizes the communicator: all clocks advance to the
-// latest participant (plus transfer costs of the gather/release tree).
-// Barrier messages carry no data, so every payload cycles through the
-// world pool and a steady-state Barrier performs no allocations.
-func (c *Comm) Barrier() error {
-	if c.me == 0 {
-		for r := 1; r < c.Size(); r++ {
-			d, err := c.Recv(r, tagBarrier)
-			if err != nil {
-				return err
-			}
-			c.FreePayload(d)
-		}
-		for r := 1; r < c.Size(); r++ {
-			c.SendOwned(r, tagBarrier, c.AllocPayload(0))
-		}
-		return nil
-	}
-	c.SendOwned(0, tagBarrier, c.AllocPayload(0))
-	d, err := c.Recv(0, tagBarrier)
-	if err != nil {
-		return err
-	}
-	c.FreePayload(d)
-	return nil
-}
-
-// gatherScatter funnels per-rank payloads to local root 0, applies
-// combine (if non-nil), and scatters the result back. It is the
-// backbone of the value collectives. Received payloads are recycled
-// into the world pool after combining (the root's own payload at
-// index 0 stays caller-owned).
-func (c *Comm) gatherScatter(tag int, payload []float64, combine func([][]float64) []float64) ([]float64, error) {
-	if c.me == 0 {
-		all := make([][]float64, c.Size())
-		all[0] = payload
-		for r := 1; r < c.Size(); r++ {
-			d, err := c.Recv(r, tag)
-			if err != nil {
-				return nil, err
-			}
-			all[r] = d
-		}
-		var res []float64
-		if combine != nil {
-			res = combine(all)
-		}
-		for r := 1; r < c.Size(); r++ {
-			c.FreePayload(all[r])
-		}
-		for r := 1; r < c.Size(); r++ {
-			c.Send(r, tag, res)
-		}
-		return res, nil
-	}
-	c.Send(0, tag, payload)
-	return c.Recv(0, tag)
-}
-
-// Op is a reduction operator.
-type Op func(a, b float64) float64
-
-// OpSum is the sum reduction.
-var OpSum Op = func(a, b float64) float64 { return a + b }
-
-// Allreduce combines vals element-wise across the communicator with op
-// and returns the result on every rank.
-func (c *Comm) Allreduce(op Op, vals []float64) ([]float64, error) {
-	return c.gatherScatter(tagReduce, vals, func(all [][]float64) []float64 {
-		res := append([]float64(nil), all[0]...)
-		for _, v := range all[1:] {
-			for i := range res {
-				res[i] = op(res[i], v[i])
-			}
-		}
-		return res
-	})
-}
-
-// Gather collects every rank's payload at root (local rank 0 receives
-// a per-rank slice-of-slices; others receive nil). Ownership of payload
-// passes to the collective: the root may FreePayload each returned
-// slice once done, completing the pool round trip.
-func (c *Comm) Gather(payload []float64) ([][]float64, error) {
-	if c.me == 0 {
-		all := make([][]float64, c.Size())
-		all[0] = payload
-		for r := 1; r < c.Size(); r++ {
-			d, err := c.Recv(r, tagGather)
-			if err != nil {
-				return nil, err
-			}
-			all[r] = d
-		}
-		return all, nil
-	}
-	c.SendOwned(0, tagGather, payload)
-	return nil, nil
-}
-
-// Split partitions the communicator by color, ordering members by
-// (key, current local rank), like MPI_Comm_split. Every rank must call
-// it. Ranks passing a negative color receive nil (MPI_UNDEFINED).
-//
-// The exchange is O(n) total: members send their (color, key) to the
-// local root, which computes the groups, registers each group's
-// canonical global-rank list in the world's split cache exactly once,
-// and answers every member with a fixed-size (id, local rank)
-// assignment. Members alias the canonical list — no per-rank copies of
-// the membership table, which previously made a world-wide split
-// O(n²) in both payload bytes and memory.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	w := c.w
-	if c.me != 0 {
-		req := c.AllocPayload(2)
-		req[0], req[1] = float64(color), float64(key)
-		c.SendOwned(0, tagSplit, req)
-		res, err := c.Recv(0, tagSplit)
-		if err != nil {
-			return nil, err
-		}
-		id, me := int(res[0]), int(res[1])
-		c.FreePayload(res)
-		if id < 0 {
-			return nil, nil
-		}
-		ranks, ok := w.splitRanks.Load(id)
-		if !ok {
-			// Unreachable: the root registers every group before
-			// answering any member.
-			return nil, errSplitCache(id)
-		}
-		return &Comm{w: w, id: id, ranks: ranks.([]int), me: me, proc: c.proc}, nil
-	}
-
-	// Root: gather (color, key) in local-rank order.
-	type member struct{ rank, color, key int }
-	ms := make([]member, c.Size())
-	ms[0] = member{0, color, key}
-	for r := 1; r < c.Size(); r++ {
-		d, err := c.Recv(r, tagSplit)
-		if err != nil {
-			return nil, err
-		}
-		ms[r] = member{rank: r, color: int(d[0]), key: int(d[1])}
-		c.FreePayload(d)
-	}
-	colors := map[int][]member{}
-	var order []int
-	for _, m := range ms {
-		if m.color >= 0 {
-			if _, ok := colors[m.color]; !ok {
-				order = append(order, m.color)
-			}
-			colors[m.color] = append(colors[m.color], m)
-		}
-	}
-	sort.Ints(order)
-	// Allocate world-unique communicator ids for the groups, assigned
-	// deterministically by ascending color.
-	firstID := int(w.commSeq.Add(int64(len(order)))) - len(order)
-	type assign struct{ id, me int }
-	asg := make([]assign, c.Size())
-	for i := range asg {
-		asg[i] = assign{id: -1}
-	}
-	for gi, col := range order {
-		members := colors[col]
-		sort.Slice(members, func(a, b int) bool {
-			if members[a].key != members[b].key {
-				return members[a].key < members[b].key
-			}
-			return members[a].rank < members[b].rank
-		})
-		id := firstID + gi
-		globals := make([]int, len(members))
-		for i, m := range members {
-			globals[i] = c.ranks[m.rank]
-			asg[m.rank] = assign{id: id, me: i}
-		}
-		w.splitRanks.Store(id, globals)
-	}
-	for r := 1; r < c.Size(); r++ {
-		res := c.AllocPayload(2)
-		res[0], res[1] = float64(asg[r].id), float64(asg[r].me)
-		c.SendOwned(r, tagSplit, res)
-	}
-	a := asg[0]
-	if a.id < 0 {
-		return nil, nil
-	}
-	ranks, _ := w.splitRanks.Load(a.id)
-	return &Comm{w: w, id: a.id, ranks: ranks.([]int), me: a.me, proc: c.proc}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func tm() AlphaBeta { return AlphaBeta{Alpha: 1e-6, Beta: 1e-9} }
@@ -542,5 +543,33 @@ func TestAggregatePhases(t *testing.T) {
 	}
 	if totals[0].MaxWait != procs[0].WaitTime() {
 		t.Errorf("MaxWait = %v, want rank 0's wait %v", totals[0].MaxWait, procs[0].WaitTime())
+	}
+}
+
+// The last phase of a rank closes when the rank's function returns:
+// AggregatePhases reports its wall time, and Phases after Run is a
+// plain copy that reads the same wall time every call.
+func TestLastPhaseWallCounted(t *testing.T) {
+	const work = 2 * time.Millisecond
+	procs, err := Run(2, tm(), func(p *Proc) error {
+		p.BeginPhase("setup")
+		p.BeginPhase("last")
+		time.Sleep(work)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := AggregatePhases(procs)
+	if len(totals) != 2 || totals[1].Name != "last" {
+		t.Fatalf("totals = %+v", totals)
+	}
+	if got := totals[1].Sum.Wall; got < 2*work.Seconds() {
+		t.Errorf("last phase wall over 2 ranks = %v s, want at least %v", got, 2*work.Seconds())
+	}
+	first := procs[0].Phases()
+	time.Sleep(time.Millisecond)
+	if again := procs[0].Phases(); again[1].Stats.Wall != first[1].Stats.Wall {
+		t.Errorf("Phases after Run: wall %v, then %v", first[1].Stats.Wall, again[1].Stats.Wall)
 	}
 }

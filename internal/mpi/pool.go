@@ -49,18 +49,24 @@ func rankCacheCap(c int) int {
 	switch {
 	case c <= 12:
 		return 2
-	case c <= 18:
+	case c < cachedClasses:
 		return 1
 	default:
 		return 0
 	}
 }
 
-// rankCache is one rank's private payload cache. Only the owning
+// cachedClasses is the number of size classes a rank cache keeps (the
+// ones rankCacheCap gives room).
+const cachedClasses = 19
+
+// rankCache is one rank's private payload cache: fixed slots, so it
+// lives in the world's slab and never allocates. Only the owning
 // goroutine touches it (no lock); its counters and leftover buffers
 // fold into the world pool when the rank exits.
 type rankCache struct {
-	free        [payloadClasses][][]float64
+	free        [cachedClasses][2][]float64 // class c holds free[c][:n[c]]
+	n           [cachedClasses]uint8
 	hits, frees uint64
 }
 
@@ -84,11 +90,10 @@ func (w *World) allocPayload(p *Proc, n int) []float64 {
 	if c >= payloadClasses {
 		return make([]float64, n)
 	}
-	rc := p.pcache
-	if s := rc.free[c]; len(s) > 0 {
-		b := s[len(s)-1]
-		s[len(s)-1] = nil
-		rc.free[c] = s[:len(s)-1]
+	if rc := p.pcache; c < cachedClasses && rc.n[c] > 0 {
+		rc.n[c]--
+		b := rc.free[c][rc.n[c]]
+		rc.free[c][rc.n[c]] = nil
 		rc.hits++
 		return b[:n]
 	}
@@ -121,12 +126,10 @@ func (w *World) freePayload(p *Proc, b []float64) {
 		w.drops.Add(1) // larger than the largest class: not pooled
 		return
 	}
-	if rc := p.pcache; len(rc.free[cl]) < rankCacheCap(cl) {
+	if rc := p.pcache; cl < cachedClasses && int(rc.n[cl]) < rankCacheCap(cl) {
 		rc.frees++
-		if rc.free[cl] == nil {
-			rc.free[cl] = make([][]float64, 0, rankCacheCap(cl)) // full size at once: no regrowth
-		}
-		rc.free[cl] = append(rc.free[cl], b[:0])
+		rc.free[cl][rc.n[cl]] = b[:0]
+		rc.n[cl]++
 		return
 	}
 	cp := &w.classes[cl]
@@ -143,15 +146,14 @@ func (w *World) foldRankCache(rc *rankCache) {
 	w.localHits.Add(rc.hits)
 	w.localFrees.Add(rc.frees)
 	for cl := range rc.free {
-		lst := rc.free[cl]
-		if len(lst) == 0 {
+		if rc.n[cl] == 0 {
 			continue
 		}
 		cp := &w.classes[cl]
 		cp.mu.Lock()
-		cp.free = append(cp.free, lst...)
+		cp.free = append(cp.free, rc.free[cl][:rc.n[cl]]...)
 		cp.mu.Unlock()
-		rc.free[cl] = nil
+		rc.free[cl], rc.n[cl] = [2][]float64{}, 0
 	}
 }
 

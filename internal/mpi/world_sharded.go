@@ -28,12 +28,12 @@ const linearQueues = 32
 // mailbox is one rank's receive state: its queues, its private lock,
 // and the condition variable only the owning rank ever waits on.
 // Senders lock exactly the destination mailbox, so traffic between
-// disjoint rank pairs never contends, and a delivery wakes exactly the
-// receiving rank.
+// disjoint rank pairs never contends, and a delivery wakes the
+// receiving rank only when it waits on the delivered key.
 //
 // Queues sit in one slice in first-use order and are found by a linear
 // scan. Only a mailbox that outgrows linearQueues — the root of a
-// world-wide Split or Gather funnel, with one queue per source — builds
+// world-wide Gather, with one queue per source — builds
 // a map index over the slice, so those lookups stay O(1) while an
 // ordinary rank's mailbox costs no heap object until its first message.
 type mailbox struct {
@@ -106,17 +106,26 @@ func (mb *mailbox) queueFor(key matchKey) *msgq {
 // call, so the deadlock predicate (blocked >= alive && queued == 0)
 // cannot hold while a delivery is in flight, and the count is in place
 // before the sender can next block.
-func (w *World) send(dst int, key matchKey, msg *message) {
+//
+// Only a receiver blocked on key is woken. Any other message is parked
+// on arrival and changes neither counter half, so waking its receiver
+// could not change the deadlock predicate: the last rank to block
+// checks the predicate itself, and an exit that completes it wakes
+// everyone.
+func (w *World) send(dst int, key matchKey, msg message) {
 	mb := &w.mboxes[dst]
 	mb.mu.Lock()
-	if mb.dead || (mb.waiting && mb.wkey != key) {
+	match := mb.waiting && mb.wkey == key
+	if mb.dead || (mb.waiting && !match) {
 		mb.parked++
 	} else {
 		w.packed.Add(1)
 	}
 	mb.count++
 	mb.queueFor(key).push(msg)
-	mb.cond.Signal()
+	if match {
+		mb.cond.Signal()
+	}
 	mb.mu.Unlock()
 }
 
@@ -146,7 +155,7 @@ func (mb *mailbox) unblock() int64 {
 // impossible without a mailbox-lock-free proof, which is why a
 // positive fast-path check is re-confirmed under detectMu in
 // declareDeadlock before anything is declared.
-func (w *World) recv(p *Proc, key matchKey) (*message, error) {
+func (w *World) recv(p *Proc, key matchKey) (message, error) {
 	mb := &w.mboxes[p.rank]
 	blocked := false
 	mb.mu.Lock()
@@ -167,7 +176,7 @@ func (w *World) recv(p *Proc, key matchKey) (*message, error) {
 				w.packed.Add(mb.unblock())
 			}
 			mb.mu.Unlock()
-			return nil, w.failure()
+			return message{}, w.failure()
 		}
 		if !blocked {
 			blocked = true
@@ -188,7 +197,7 @@ func (w *World) recv(p *Proc, key matchKey) (*message, error) {
 			if err != nil {
 				w.packed.Add(mb.unblock())
 				mb.mu.Unlock()
-				return nil, err
+				return message{}, err
 			}
 			continue // raced with a delivery; re-scan the queue
 		}

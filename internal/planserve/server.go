@@ -327,12 +327,12 @@ func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveS
 		s.inflight.Add(-1)
 		s.reg.Gauge("planserve_inflight_requests").Add(-1)
 		s.reg.Counter("planserve_requests_total",
-			metrics.L("endpoint", endpoint), metrics.L("code", strconv.Itoa(code))).Inc()
+			metrics.L("endpoint", endpoint), metrics.L("code", codeLabel(code))).Inc()
 		s.reg.Histogram("planserve_request_seconds", latencyBounds,
 			metrics.L("endpoint", endpoint)).Observe(dur)
 		s.reg.Summary("planserve_request_seconds_summary", metrics.L("endpoint", endpoint)).Observe(dur)
 		if sp != nil {
-			sp.Annotate("code", strconv.Itoa(code))
+			sp.Annotate("code", codeLabel(code))
 			sp.Annotate(attr, detail)
 			sp.End()
 		}
@@ -343,6 +343,25 @@ func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveS
 		}
 	}()
 	code, detail = serve(sp)
+}
+
+// codeLabel is strconv.Itoa(code) without its allocation for the codes
+// the handlers answer with, so recording a request's code allocates
+// nothing, registry or not.
+func codeLabel(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200"
+	case http.StatusBadRequest:
+		return "400"
+	case http.StatusInternalServerError:
+		return "500"
+	case http.StatusServiceUnavailable:
+		return "503"
+	case http.StatusGatewayTimeout:
+		return "504"
+	}
+	return strconv.Itoa(code)
 }
 
 // serveQuery handles both planning endpoints: decode, options, then

@@ -669,10 +669,11 @@ func (w *memWriter) Write(b []byte) (int, error) {
 // registry, on go1.24 linux/amd64. A registry that copied, sorted and
 // keyed the labels on every lookup cost 48. Resolving before the lookup cost 25: the domain tree, a
 // context.WithTimeout deadline (4 on its own) and the rest. The
-// key-first lookup measures 16, among them the decoder's string and
-// children copies, two header value slices, the machine's mode list
+// key-first lookup measured 16, and 15 once the status code's label
+// stopped being formatted per request: among them the decoder's string
+// and children copies, two header value slices, the machine's mode list
 // and the request copy the mux writes into.
-const maxHitAllocs = 16
+const maxHitAllocs = 15
 
 // hitAllocs serves testRequestBench's /v1/plan query on a server built
 // from cfg until it is a stored hit, and returns the allocations of one
