@@ -43,10 +43,13 @@ const (
 
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
-	if s == Sequential {
+	switch s {
+	case Sequential:
 		return "sequential"
+	case Concurrent:
+		return "concurrent"
 	}
-	return "concurrent"
+	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
 // MapKind selects the rank-to-torus mapping.
@@ -187,28 +190,39 @@ var (
 	ErrBadRanks   = errors.New("driver: rank count must be positive")
 	ErrNoSiblings = errors.New("driver: concurrent strategy needs at least one nest")
 	ErrBadMachine = errors.New("driver: machine model incomplete")
+	ErrBadOption  = errors.New("driver: option out of range")
 )
 
 // Validate reports whether the options can drive runs whose derived
-// quantities stay finite: a positive rank count and a machine whose
-// network parameters netsim accepts (positive latency and bandwidth,
-// non-negative overhead, no NaN). Run and BuildPlan refuse such a
-// machine too; layers that build arithmetic on top of run results —
-// the campaign redistribution model divides by Bandwidth*Ranks, the
-// ensemble engine aggregates thousands of members — call Validate up
-// front so a bad rank count surfaces as a typed error as well.
+// quantities stay finite: a positive rank count, a strategy, mapping,
+// allocation policy and I/O mode each one of its named values, and a
+// machine whose network parameters netsim accepts (positive latency
+// and bandwidth, non-negative overhead, no NaN). Run and BuildPlan
+// refuse such options too; layers that build arithmetic on top of run
+// results — the campaign redistribution model divides by
+// Bandwidth*Ranks, the ensemble engine aggregates thousands of members
+// — call Validate up front so a bad rank count surfaces as a typed
+// error as well.
 func (o Options) Validate() error {
 	if o.Ranks <= 0 {
-		return fmt.Errorf("%w: ranks=%d", ErrBadRanks, o.Ranks)
+		return ErrBadRanks
 	}
-	return validMachine(o.Machine)
-}
-
-// validMachine refuses a machine whose network the cost model cannot
-// build.
-func validMachine(m machine.Machine) error {
-	if err := m.Net.Validate(); err != nil {
-		return fmt.Errorf("%w: %q: %w", ErrBadMachine, m.Name, err)
+	var bad fmt.Stringer
+	switch {
+	case o.Strategy < Sequential || o.Strategy > Concurrent:
+		bad = o.Strategy
+	case o.MapKind < MapSequential || o.MapKind > MapMultiLevel:
+		bad = o.MapKind
+	case o.Alloc < AllocPredicted || o.Alloc > AllocStripsPredicted:
+		bad = o.Alloc
+	case o.IOMode != iosim.Collective && o.IOMode != iosim.Split:
+		bad = o.IOMode
+	}
+	if bad != nil {
+		return fmt.Errorf("%w: %v", ErrBadOption, bad)
+	}
+	if err := o.Machine.Net.Validate(); err != nil {
+		return fmt.Errorf("%w: %q: %w", ErrBadMachine, o.Machine.Name, err)
 	}
 	return nil
 }
@@ -384,10 +398,7 @@ func run0(cfg *nest.Domain, opt Options, observe bool, rootW []float64) (res Res
 // and hands both to execute. (A method on the caller's value, not a
 // constructor: the run stays on the caller's stack.)
 func (r *run) begin(cfg *nest.Domain, opt Options, observe bool) error {
-	if opt.Ranks <= 0 {
-		return ErrBadRanks
-	}
-	if err := validMachine(opt.Machine); err != nil {
+	if err := opt.Validate(); err != nil {
 		return err
 	}
 	if err := cfg.Validate(); err != nil {

@@ -296,3 +296,44 @@ func TestBuildPlanMappingDigest(t *testing.T) {
 		t.Errorf("plan mapping reports hash to %s, want %s", got, want)
 	}
 }
+
+// Every enum option outside its named values is a typed error from
+// Validate, Run, BuildPlan and Compare alike, never a silently
+// different plan (regression: Strategy(9) ran the parent step alone,
+// MapKind(9) the oblivious mapping and AllocPolicy(9) the predicted
+// allocation, each with a nil error).
+func TestOptionsRejectOutOfRangeEnums(t *testing.T) {
+	cfg := nest.Root("plan", 286, 307)
+	cfg.AddChild("a", 94, 124, 3, 5, 5)
+	cfg.AddChild("b", 94, 124, 3, 150, 150)
+	base := Options{Machine: machine.BGL(), Ranks: 256, Strategy: Concurrent, MapKind: MapMultiLevel, OutputEverySteps: 10}
+	for _, tc := range []struct {
+		name    string
+		set     func(*Options)
+		compare bool // false: Compare sets the strategy itself
+	}{
+		{"Strategy(9)", func(o *Options) { o.Strategy = 9 }, false},
+		{"Strategy(-1)", func(o *Options) { o.Strategy = -1 }, false},
+		{"MapKind(9)", func(o *Options) { o.MapKind = 9 }, true},
+		{"AllocPolicy(9)", func(o *Options) { o.Alloc = 9 }, true},
+		{"IOMode(9)", func(o *Options) { o.IOMode = 9 }, true},
+	} {
+		opt := base
+		tc.set(&opt)
+		if err := opt.Validate(); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: Validate error %v, want ErrBadOption", tc.name, err)
+		}
+		if _, err := Run(cfg, opt); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: Run error %v, want ErrBadOption", tc.name, err)
+		}
+		if _, err := BuildPlan(cfg, opt); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: BuildPlan error %v, want ErrBadOption", tc.name, err)
+		}
+		if _, err := Compare(cfg, opt); tc.compare && !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s: Compare error %v, want ErrBadOption", tc.name, err)
+		}
+	}
+	if _, err := Run(cfg, base); err != nil {
+		t.Errorf("in-range options: %v", err)
+	}
+}

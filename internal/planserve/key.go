@@ -75,11 +75,10 @@ func appendOptionsKey(b []byte, opt driver.Options) []byte {
 }
 
 // parseOptionsKey is appendOptionsKey's inverse: it reads the options
-// segment from the front of s, each enum through the driver's parser
-// of its String, and returns what follows the segment. ok is false when
-// a field is missing or does not parse; a field that parses but is not
-// canonical ("r=064", "s=9") is left for the caller's re-render to
-// catch.
+// segment from the front of s and returns what follows the segment. ok
+// is false when a field is missing or does not parse; an enum out of
+// range ("s=9") is left for the caller's Options.Validate, and a field
+// that is not canonical ("r=064") for its re-render.
 func parseOptionsKey(s string) (opt driver.Options, rest string, ok bool) {
 	var f [7]string
 	for i, tag := range [...]string{"|r=", "|s=", "|a=", "|m=", "|io=", "|oe=", "|nc="} {
@@ -100,19 +99,9 @@ func parseOptionsKey(s string) (opt driver.Options, rest string, ok bool) {
 		}
 	}
 	opt.Ranks, opt.OutputEverySteps = v[0], v[5]
-	opt.Strategy, err = driver.ParseStrategy(driver.Strategy(v[1]).String())
-	if err == nil {
-		opt.Alloc, err = driver.ParseAllocPolicy(driver.AllocPolicy(v[2]).String())
-	}
-	if err == nil {
-		opt.MapKind, err = driver.ParseMapKind(driver.MapKind(v[3]).String())
-	}
-	if err == nil {
-		opt.IOMode, err = iosim.ParseMode(iosim.Mode(v[4]).String())
-	}
-	if err == nil {
-		opt.NoContention, err = strconv.ParseBool(f[6])
-	}
+	opt.Strategy, opt.Alloc = driver.Strategy(v[1]), driver.AllocPolicy(v[2])
+	opt.MapKind, opt.IOMode = driver.MapKind(v[3]), iosim.Mode(v[4])
+	opt.NoContention, err = strconv.ParseBool(f[6])
 	return opt, s[1:], err == nil
 }
 

@@ -125,8 +125,8 @@ func (p *PlanCache) LoadSnapshot(path string) (loaded, rejected int, err error) 
 // prefix, the machine from the machineKeys entry whose identity
 // follows, the options from parseOptionsKey and the tree from
 // parseGeometry. ok holds only when the request passes the checks an
-// HTTP request gets — the rank limit, the driver's enum parsers,
-// Options.Validate and nest.Validate — and appendKey renders it back to
+// HTTP request gets — the rank limit, Options.Validate (its enums
+// included) and nest.Validate — and appendKey renders it back to
 // key byte for byte, so no field is out of range or non-canonical,
 // nothing follows the tree, and a machine whose cost model changed
 // since the save (its identity key with it) is not found.

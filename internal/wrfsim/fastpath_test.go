@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"nestwrf/internal/alloc"
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/solver"
@@ -84,7 +85,8 @@ func TestRunFastMatchesReference(t *testing.T) {
 
 // couplingRank is one rank's state in the coupling harness: a 32x24
 // parent on a 2x2 grid with one ratio-2 nest decomposed over the same
-// four ranks, wired as rankMain wires a sequential-strategy nest.
+// four ranks, built by newNestPlan on the full rectangle, as Run builds a
+// sequential-strategy nest.
 type couplingRank struct {
 	p      *mpi.Proc
 	cfg    *nest.Domain
@@ -112,6 +114,10 @@ func couplingHarness(t *testing.T, body func(r *couplingRank) error) []*mpi.Proc
 		t.Fatal(err)
 	}
 	grid := vtopo.Grid{Px: 2, Py: 2}
+	np, err := newNestPlan(cfg, grid, 0, alloc.Rect{W: grid.Px, H: grid.Py})
+	if err != nil {
+		t.Fatal(err)
+	}
 	params := solver.DefaultParams()
 	nestParams := params
 	nestParams.Dt = params.Dt / float64(child.Ratio)
@@ -127,11 +133,6 @@ func couplingHarness(t *testing.T, body func(r *couplingRank) error) []*mpi.Proc
 		}
 		parent.Fill(solver.GaussianHill(cfg.NX, cfg.NY, 16, 12, 0.4, 4))
 
-		nc := &nestCtx{d: child, idx: 0, grid: grid, comm: world, phase: "nest:" + child.Name}
-		nc.world = make([]int, grid.Size())
-		for r := range nc.world {
-			nc.world[r] = r
-		}
 		x0, y0, w, h := solver.Decompose(child.NX, child.NY, grid, me)
 		tile, err := solver.NewTile(child.NX, child.NY, x0, y0, w, h, nestParams)
 		if err != nil {
@@ -140,10 +141,7 @@ func couplingHarness(t *testing.T, body func(r *couplingRank) error) []*mpi.Proc
 		tile.Fill(func(gx, gy int) (float64, float64, float64) {
 			return initialParentValue(cfg, child.OffX+gx/child.Ratio, child.OffY+gy/child.Ratio)
 		})
-		nc.tile = tile
-		nc.bcPlan = newBCPlan(bcPattern(cfg, grid, child, nc.grid, nc.world), grid.Size())
-		nc.fbPlan = buildFBPlan(cfg, grid, child, nc.grid, nc.world)
-		nc.fbPayloads = make([][]float64, nc.fbPlan.inboxLen[me])
+		nc := &nestCtx{nestPlan: np, comm: world, tile: tile, fbPayloads: make([][]float64, np.fbPlan.inboxLen[me])}
 		return body(&couplingRank{p: p, cfg: cfg, grid: grid, parent: parent, nc: nc})
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"nestwrf/internal/alloc"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
@@ -147,38 +146,41 @@ type planCase struct {
 	grid  *vtopo.Grid // an extra, explicitly shaped parent grid
 }
 
-// nestGrids returns each child's process grid and world-rank list under
-// the given strategy, exactly as Run derives them.
-func nestGrids(t *testing.T, cfg *nest.Domain, grid vtopo.Grid, s Strategy) ([]vtopo.Grid, [][]int) {
-	t.Helper()
-	grids := make([]vtopo.Grid, len(cfg.Children))
-	worlds := make([][]int, len(cfg.Children))
-	if s == Sequential {
-		id := make([]int, grid.Size())
-		for r := range id {
-			id[r] = r
-		}
-		for i := range cfg.Children {
-			grids[i], worlds[i] = grid, id
-		}
-		return grids, worlds
-	}
-	weights := make([]float64, len(cfg.Children))
-	for i, c := range cfg.Children {
-		weights[i] = float64(c.Points())
-	}
-	rects, err := alloc.Partition(weights, grid.Px, grid.Py)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfg.Children {
-		sg, err := vtopo.NewSubgrid(grid, rects[i])
+// A rank's nest-local index is arithmetic on the nest's rectangle. The
+// oracle is the per-nest table Run once kept (world rank -> position in
+// the nest's world list, -1 outside the nest), and under Sequential the
+// identity list every nest shared: the rectangle is the whole grid.
+func TestNestLocalMatchesRankTable(t *testing.T) {
+	cfg := workload.Table2Config()
+	for _, ranks := range []int{32, 512, 2048} {
+		grid, err := machine.GridFor(ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grids[i], worlds[i] = sg.Grid(), sg.Ranks()
+		for _, s := range []Strategy{Sequential, Concurrent} {
+			plans, err := nestPlans(cfg, grid, Options{Strategy: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, np := range plans {
+				table := make([]int, ranks)
+				for r := range table {
+					table[r] = -1
+				}
+				for l, wr := range np.world {
+					table[wr] = l
+				}
+				for r, want := range table {
+					if s == Sequential && want != r {
+						t.Fatalf("%d ranks sequential %s: world rank %d at local %d, want the identity", ranks, np.d.Name, r, want)
+					}
+					if got := np.local(grid, r); got != want {
+						t.Fatalf("%d ranks strategy=%d %s: local(%d) = %d, want %d", ranks, s, np.d.Name, r, got, want)
+					}
+				}
+			}
+		}
 	}
-	return grids, worlds
 }
 
 // The linear plan builder must produce exactly the plan of the retained
@@ -235,12 +237,13 @@ func TestBuildFBPlanMatchesReference(t *testing.T) {
 				if s == Concurrent && grid.Size() < len(tc.cfg.Children) {
 					continue // fewer ranks than siblings: nothing to partition
 				}
-				cgrids, worlds := nestGrids(t, tc.cfg, grid, s)
-				for i, c := range tc.cfg.Children {
-					label := fmt.Sprintf("%s %dx%d strategy=%d nest=%s", tc.name, grid.Px, grid.Py, s, c.Name)
-					got := buildFBPlan(tc.cfg, grid, c, cgrids[i], worlds[i])
-					want := refBuildFBPlan(tc.cfg, grid, c, cgrids[i], worlds[i])
-					comparePlans(t, label, got, want)
+				plans, err := nestPlans(tc.cfg, grid, Options{Strategy: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, np := range plans {
+					label := fmt.Sprintf("%s %dx%d strategy=%d nest=%s", tc.name, grid.Px, grid.Py, s, np.d.Name)
+					comparePlans(t, label, np.fbPlan, refBuildFBPlan(tc.cfg, grid, np.d, np.grid, np.world))
 				}
 			}
 		}

@@ -48,8 +48,8 @@ type Options struct {
 	TM mpi.TimeModel
 	// PointCost is the virtual compute time per grid point per sub-step.
 	PointCost float64
-	// Weights sets the concurrent partition proportions (default:
-	// sibling point counts).
+	// Weights sets the concurrent partition proportions, one per
+	// sibling in child order (default: sibling point counts).
 	Weights []float64
 	// Solver parameters (default solver.DefaultParams, with the nest
 	// time step scaled by 1/Ratio).
@@ -95,8 +95,10 @@ type Output struct {
 
 // Errors.
 var (
-	ErrTooDeep  = errors.New("wrfsim: functional mode supports one nesting level")
-	ErrBadSteps = errors.New("wrfsim: steps must be positive")
+	ErrTooDeep     = errors.New("wrfsim: functional mode supports one nesting level")
+	ErrBadSteps    = errors.New("wrfsim: steps must be positive")
+	ErrBadWeights  = errors.New("wrfsim: weights must give one per sibling")
+	ErrBadStrategy = errors.New("wrfsim: unknown strategy")
 )
 
 // coupling tags (user space, distinct from solver halo tags).
@@ -116,6 +118,12 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 	}
 	if opt.Steps <= 0 {
 		return nil, ErrBadSteps
+	}
+	if opt.Strategy != Sequential && opt.Strategy != Concurrent {
+		return nil, fmt.Errorf("%w: %d", ErrBadStrategy, opt.Strategy)
+	}
+	if opt.Weights != nil && len(opt.Weights) != len(cfg.Children) {
+		return nil, fmt.Errorf("%w: %d weights for %d siblings", ErrBadWeights, len(opt.Weights), len(cfg.Children))
 	}
 	if opt.TM == nil {
 		opt.TM = mpi.AlphaBeta{Alpha: 1e-6, Beta: 1e-9}
@@ -154,64 +162,9 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Concurrent partitions (computed identically on every rank).
-	var rects []alloc.Rect
-	if opt.Strategy == Concurrent && len(cfg.Children) > 0 {
-		weights := opt.Weights
-		if weights == nil {
-			weights = make([]float64, len(cfg.Children))
-			for i, c := range cfg.Children {
-				weights[i] = float64(c.Points())
-			}
-		}
-		rects, err = alloc.Partition(weights, grid.Px, grid.Py)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Coupling plans and nest process grids depend only on the domain
-	// geometry and the decomposition, so they are built once here and
-	// shared read-only by every rank.
-	plans := make([]*nestPlans, len(cfg.Children))
-	// Sequential nests all share one identity rank list and one
-	// identity local-rank index — O(ranks) total, not per nest.
-	var idWorld []int
-	var idLocal []int32
-	if opt.Strategy == Sequential && len(cfg.Children) > 0 {
-		idWorld = make([]int, grid.Size())
-		idLocal = make([]int32, grid.Size())
-		for r := range idWorld {
-			idWorld[r] = r
-			idLocal[r] = int32(r)
-		}
-	}
-	for i, c := range cfg.Children {
-		np := &nestPlans{phase: "nest:" + c.Name}
-		switch opt.Strategy {
-		case Sequential:
-			np.grid = grid
-			np.world = idWorld
-			np.localOf = idLocal
-		case Concurrent:
-			sg, err := vtopo.NewSubgrid(grid, rects[i])
-			if err != nil {
-				return nil, err
-			}
-			np.grid = sg.Grid()
-			np.world = sg.Ranks()
-			np.localOf = make([]int32, opt.Ranks)
-			for r := range np.localOf {
-				np.localOf[r] = -1
-			}
-			for l, wr := range np.world {
-				np.localOf[wr] = int32(l)
-			}
-		}
-		np.bc = newBCPlan(bcPattern(cfg, grid, c, np.grid, np.world), opt.Ranks)
-		np.fb = buildFBPlan(cfg, grid, c, np.grid, np.world)
-		plans[i] = np
+	plans, err := nestPlans(cfg, grid, opt)
+	if err != nil {
+		return nil, err
 	}
 
 	out = &Output{Nests: make([]*solver.State, len(cfg.Children))}
@@ -242,35 +195,88 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 	return out, nil
 }
 
-// nestPlans is the shared precomputed per-nest state: the nest's
-// process grid and the coupling plans, identical on every rank and
-// read-only during the run.
-type nestPlans struct {
-	grid    vtopo.Grid // the nest's process grid
-	world   []int      // world rank of each nest-local rank
-	localOf []int32    // world rank -> nest-local rank, -1 if not a member
-	phase   string     // phase label ("nest:" + name)
-	bc      *bcPlan
-	fb      *fbPlan
+// nestPlans builds every nest's shared state on its rectangle of the
+// world process grid: the whole grid under Sequential, the nest's
+// Algorithm 1 partition (computed identically on every rank) under
+// Concurrent.
+func nestPlans(cfg *nest.Domain, grid vtopo.Grid, opt Options) ([]*nestPlan, error) {
+	rects := make([]alloc.Rect, len(cfg.Children))
+	for i := range rects {
+		rects[i] = alloc.Rect{W: grid.Px, H: grid.Py}
+	}
+	if opt.Strategy == Concurrent && len(rects) > 0 {
+		weights := opt.Weights
+		if weights == nil {
+			weights = make([]float64, len(cfg.Children))
+			for i, c := range cfg.Children {
+				weights[i] = float64(c.Points())
+			}
+		}
+		var err error
+		if rects, err = alloc.Partition(weights, grid.Px, grid.Py); err != nil {
+			return nil, err
+		}
+	}
+	plans := make([]*nestPlan, len(rects))
+	for i, rect := range rects {
+		np, err := newNestPlan(cfg, grid, i, rect)
+		if err != nil {
+			return nil, err
+		}
+		plans[i] = np
+	}
+	return plans, nil
+}
+
+// nestPlan is one nest's shared state: its rectangle of the world
+// process grid, the process grid and world ranks that rectangle
+// covers, and the coupling plans. It depends only on the domain
+// geometry and the decomposition, so Run builds it once and every rank
+// reads it.
+type nestPlan struct {
+	d      *nest.Domain
+	idx    int
+	rect   alloc.Rect // the nest's rectangle of the world process grid
+	grid   vtopo.Grid // the nest's process grid
+	world  []int      // world rank of each nest-local rank
+	phase  string     // phase label ("nest:" + name)
+	bcPlan *bcPlan
+	fbPlan *fbPlan
+}
+
+// newNestPlan builds child i's shared state on rect of grid.
+func newNestPlan(cfg *nest.Domain, grid vtopo.Grid, i int, rect alloc.Rect) (*nestPlan, error) {
+	sg, err := vtopo.NewSubgrid(grid, rect)
+	if err != nil {
+		return nil, err
+	}
+	c := cfg.Children[i]
+	np := &nestPlan{d: c, idx: i, rect: rect, grid: sg.Grid(), world: sg.Ranks(), phase: "nest:" + c.Name}
+	np.bcPlan = newBCPlan(bcPattern(cfg, grid, c, np.grid, np.world), grid.Size())
+	np.fbPlan = buildFBPlan(cfg, grid, c, np.grid, np.world)
+	return np, nil
+}
+
+// local returns the nest-local rank of world rank r of grid, or -1 if
+// r lies outside the nest's rectangle.
+func (np *nestPlan) local(grid vtopo.Grid, r int) int {
+	x, y := grid.Coord(r)
+	rc := np.rect
+	if x < rc.X || x >= rc.X+rc.W || y < rc.Y || y >= rc.Y+rc.H {
+		return -1
+	}
+	return (y-rc.Y)*rc.W + x - rc.X
 }
 
 // nestCtx holds one rank's view of one nested domain.
 type nestCtx struct {
-	d     *nest.Domain
-	idx   int
-	comm  *mpi.Comm    // sub-communicator (nil if this rank not a member)
-	grid  vtopo.Grid   // the nest's process grid
-	world []int        // world rank of each nest-local rank
-	tile  *solver.Tile // nil if not a member
-	bc    []bcCell     // parent-interpolated boundary values (members only)
-	phase string       // precomputed phase label ("nest:" + name)
-
-	// Coupling plans shared across ranks (see nestPlans), plus this
-	// rank's per-step feedback inbox stash (sized by the rank's own
-	// incoming-transfer count, so total stash memory is O(world), not
-	// O(world²)).
-	bcPlan     *bcPlan
-	fbPlan     *fbPlan
+	*nestPlan
+	comm *mpi.Comm    // sub-communicator (nil if this rank not a member)
+	tile *solver.Tile // nil if not a member
+	bc   []bcCell     // parent-interpolated boundary values (members only)
+	// fbPayloads is this rank's per-step feedback inbox stash (sized by
+	// the rank's own incoming-transfer count, so total stash memory is
+	// O(world), not O(world²)).
 	fbPayloads [][]float64
 
 	// tracer/span, when set (rank 0 of a traced run only), wrap each
@@ -286,7 +292,7 @@ type bcCell struct {
 	h, hu, hv float64
 }
 
-func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans, opt Options, runSpan telemetry.SpanID, out *runOutput) error {
+func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan, opt Options, runSpan telemetry.SpanID, out *runOutput) error {
 	world := p.World()
 	me := world.Rank()
 	p.BeginPhase("init")
@@ -300,20 +306,15 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 	}
 	parent.Fill(pinit)
 
-	// Build per-nest contexts from the shared plans (every rank holds
-	// one per nest, members or not: non-members still source boundary
+	// Build per-nest contexts on the shared plans (every rank holds one
+	// per nest, members or not: non-members still source boundary
 	// conditions from their parent cells and sink feedback into them).
 	nests := make([]*nestCtx, len(cfg.Children))
 	ctxs := make([]nestCtx, len(cfg.Children)) // one slab, not one object per nest per rank
-	for i, c := range cfg.Children {
-		np := plans[i]
+	for i, np := range plans {
 		nc := &ctxs[i]
-		*nc = nestCtx{
-			d: c, idx: i,
-			grid: np.grid, world: np.world, phase: np.phase,
-			bcPlan: np.bc, fbPlan: np.fb,
-			fbPayloads: make([][]float64, np.fb.inboxLen[me]),
-		}
+		nests[i] = nc
+		*nc = nestCtx{nestPlan: np, fbPayloads: make([][]float64, np.fbPlan.inboxLen[me])}
 		if me == 0 && opt.Tracer.Recording() {
 			// Only rank 0 emits coupling spans: one tracing rank keeps
 			// the export readable and the buffer O(steps), while the
@@ -321,35 +322,29 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 			nc.tracer = opt.Tracer
 			nc.span = runSpan
 		}
-		// Local rank within the nest, if a member.
-		local := int(np.localOf[me])
-		switch opt.Strategy {
-		case Sequential:
-			nc.comm = world
-		case Concurrent:
+		local := np.local(grid, me)
+		comm := world
+		if opt.Strategy == Concurrent {
 			color := -1
 			if local >= 0 {
 				color = i
 			}
-			sub, err := world.Split(color, me)
-			if err != nil {
+			if comm, err = world.Split(color, me); err != nil {
 				return err
 			}
-			if color < 0 {
-				// Not a member of this nest; still participates in coupling.
-				nests[i] = nc
-				continue
-			}
-			nc.comm = sub
+		}
+		if local < 0 {
+			continue // not a member of this nest; still participates in coupling
+		}
+		if local != comm.Rank() {
+			return fmt.Errorf("wrfsim: local rank mismatch: %d vs %d", local, comm.Rank())
 		}
 		// Member: build the nest tile.
-		if local != nc.comm.Rank() {
-			return fmt.Errorf("wrfsim: local rank mismatch: %d vs %d", local, nc.comm.Rank())
-		}
+		c := np.d
 		nestParams := opt.Params
 		nestParams.Dt = opt.Params.Dt / float64(c.Ratio)
 		nestParams.Dx = opt.Params.Dx / float64(c.Ratio)
-		x0, y0, w, h := solver.Decompose(c.NX, c.NY, nc.grid, local)
+		x0, y0, w, h := solver.Decompose(c.NX, c.NY, np.grid, local)
 		tile, err := solver.NewTile(c.NX, c.NY, x0, y0, w, h, nestParams)
 		if err != nil {
 			return err
@@ -358,8 +353,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 		tile.Fill(func(gx, gy int) (float64, float64, float64) {
 			return pinit(c.OffX+gx/c.Ratio, c.OffY+gy/c.Ratio)
 		})
-		nc.tile = tile
-		nests[i] = nc
+		nc.comm, nc.tile = comm, tile
 	}
 
 	// Main loop.
@@ -381,20 +375,11 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlans
 			}
 		}
 
-		// Nest sub-steps.
-		switch opt.Strategy {
-		case Sequential:
-			for _, nc := range nests {
+		// Nest sub-steps: each nest this rank holds a tile of.
+		for _, nc := range nests {
+			if nc.tile != nil {
 				if err := nestSubsteps(p, nc, opt); err != nil {
 					return err
-				}
-			}
-		case Concurrent:
-			for _, nc := range nests {
-				if nc.tile != nil {
-					if err := nestSubsteps(p, nc, opt); err != nil {
-						return err
-					}
 				}
 			}
 		}

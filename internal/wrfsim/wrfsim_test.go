@@ -52,6 +52,30 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// Weights name each sibling once and the strategy is one of the two:
+// anything else is a typed error before a rank starts, not a panic or a
+// run on an allocation made for a phantom sibling.
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    Strategy
+		w    []float64
+		want error
+	}{
+		{"one weight for two siblings", Concurrent, []float64{1}, ErrBadWeights},
+		{"three weights for two siblings", Concurrent, []float64{1, 2, 3}, ErrBadWeights},
+		{"sequential with three weights", Sequential, []float64{1, 2, 3}, ErrBadWeights},
+		{"strategy 7", Strategy(7), nil, ErrBadStrategy},
+		{"strategy -1", Strategy(-1), nil, ErrBadStrategy},
+	} {
+		opt := baseOpts(tc.s)
+		opt.Weights = tc.w
+		if _, err := Run(testConfig(), opt); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // A nest too small for its process grid leaves some ranks with an empty
 // tile. They fail at set-up while the ranks with a valid tile block on
 // them: Run must report the cause, not the deadlock it leads to.
