@@ -11,14 +11,15 @@
 //
 // Endpoints:
 //
-//	POST /v1/plan     full plan (weights, partitions, mapping quality, cost)
-//	POST /v1/compare  sequential-vs-concurrent comparison
-//	GET  /v1/stats    plan-cache occupancy and hit/miss/join counters
-//	GET  /healthz     liveness
-//	GET  /metrics     request counters, latency histograms and quantile summaries (text)
+//	POST /v1/plan         full plan (weights, partitions, mapping quality, cost)
+//	POST /v1/compare      sequential-vs-concurrent comparison
+//	POST /v1/plan/batch   up to 256 plan queries in one call, per-item plans or errors
+//	GET  /v1/stats        plan-cache occupancy and hit/miss/join counters
+//	GET  /healthz         liveness
+//	GET  /metrics         request counters, latency histograms and quantile summaries (text)
 //	GET  /debug/progress  live request/cache effectiveness snapshot (JSON)
-//	GET  /debug/vars  expvar (includes the metrics snapshot)
-//	GET  /debug/pprof live profiling
+//	GET  /debug/vars      expvar (includes the metrics snapshot)
+//	GET  /debug/pprof     live profiling
 //
 // Whether a response came from the shared cache is reported in the
 // X-Plan-Cache header ("hit" or "miss"); hit and cold bodies are

@@ -2,12 +2,9 @@ package planserve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 )
 
 // batchBody builds a /v1/plan/batch body from plan-request bodies.
@@ -116,93 +113,5 @@ func TestBatchEndpointErrors(t *testing.T) {
 
 	if code, _, _ := post(t, h, "/v1/plan/batch", `{"requests":[]}`); code != http.StatusBadRequest {
 		t.Errorf("empty batch: status %d, want 400", code)
-	}
-}
-
-// widenWindow sets the coalescer's window to 200 ms for the rest of the
-// test.
-func widenWindow(t *testing.T) {
-	old := coalesceWindow
-	coalesceWindow = 200 * time.Millisecond
-	t.Cleanup(func() { coalesceWindow = old })
-}
-
-// TestMissCoalescing: distinct-key misses arriving within the batch
-// window must plan in shared BuildPlans passes, not one pool pass per
-// miss. The window is generous so slow CI schedulers still land every
-// request inside it.
-func TestMissCoalescing(t *testing.T) {
-	widenWindow(t)
-	srv := New(Config{})
-	defer srv.Close()
-	h := srv.Handler()
-
-	const distinct = 5
-	var wg sync.WaitGroup
-	errs := make(chan error, distinct)
-	for i := 0; i < distinct; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"machine":"bgl","ranks":64,"strategy":"sequential","mapping":"oblivious","domain":{"nx":%d,"ny":64}}`, 64+8*i)
-			if code, _, raw := post(t, h, "/v1/plan", body); code != http.StatusOK {
-				errs <- fmt.Errorf("query %d: status %d: %s", i, code, raw)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	batches, planned := srv.batch.stats()
-	if planned != distinct {
-		t.Errorf("coalescer planned %d, want %d", planned, distinct)
-	}
-	if batches == 0 || batches >= distinct {
-		t.Errorf("%d misses flushed in %d batches, want coalescing (1..%d)", distinct, batches, distinct-1)
-	}
-	_, misses, _ := func() (uint64, uint64, uint64) { return srv.plans.Stats() }()
-	if misses != distinct {
-		t.Errorf("cache misses %d, want %d", misses, distinct)
-	}
-}
-
-// TestRequestTimeoutUnderBurst: with the only worker slot held, a burst
-// of misses that fills a coalescer batch must still answer every
-// request 504 at its deadline — the request whose submit filled the
-// batch included. The slot frees after two seconds, so a flush that
-// holds its submitter fails the test instead of hanging it.
-func TestRequestTimeoutUnderBurst(t *testing.T) {
-	widenWindow(t)
-	srv := New(Config{Workers: 1, RequestTimeout: 50 * time.Millisecond})
-	h := srv.Handler()
-	srv.sem <- struct{}{}
-	release := time.AfterFunc(2*time.Second, func() { <-srv.sem })
-	defer func() {
-		if release.Stop() {
-			<-srv.sem
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, coalesceMax)
-	for i := 0; i < coalesceMax; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"machine":"bgl","ranks":64,"strategy":"sequential","mapping":"oblivious","domain":{"nx":%d,"ny":64}}`, 64+i)
-			start := time.Now()
-			code, _, raw := post(t, h, "/v1/plan", body)
-			if took := time.Since(start); code != http.StatusGatewayTimeout || took > time.Second {
-				errs <- fmt.Errorf("query %d: status %d after %v, want 504 within 1s: %s", i, code, took, raw)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }

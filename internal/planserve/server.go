@@ -209,15 +209,12 @@ type Config struct {
 }
 
 // Server is the planning service: share one across all connections.
-// Every /v1/plan miss goes through the coalescer: the first of a burst
-// of distinct-key misses waits coalesceWindow for the others, then all
-// pending plans are built in one driver.BuildPlans pass under one
-// worker-pool slot.
+// Every cache miss, plan or comparison, plans under one slot of sem, so
+// at most Config.Workers driver calls run at once.
 type Server struct {
 	cfg    Config
 	plans  *PlanCache
 	sem    chan struct{}
-	batch  *coalescer
 	reg    *metrics.Registry
 	tracer *telemetry.Tracer
 	log    *slog.Logger
@@ -247,7 +244,6 @@ func New(cfg Config) *Server {
 		tracer: cfg.Tracer,
 		log:    cfg.Log,
 	}
-	s.batch = &coalescer{sem: s.sem, reg: s.reg}
 	s.plans.Instrument(cfg.Metrics)
 	return s
 }
@@ -278,7 +274,8 @@ func (s *Server) LoadSnapshot(path string) (loaded, rejected int, err error) {
 }
 
 // Handler returns the service mux: POST /v1/plan, POST /v1/compare,
-// GET /v1/stats, GET /healthz, GET /metrics.
+// POST /v1/plan/batch, GET /v1/stats, GET /debug/progress,
+// GET /healthz, GET /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
@@ -467,10 +464,9 @@ func childNames(spec *DomainSpec) []string {
 // Only that resident hit returns the entry's stored-body slot. A
 // non-resident key builds and validates the tree (outcomeNone when that
 // fails), arms the request deadline on ctx and enters PlanCache.lookup,
-// where a miss plans through the coalescer (plans) or under a
-// worker-pool slot (comparisons); a key inserted meanwhile is a hit
-// there, encoded afresh. Every outcome but outcomeNone counts once in
-// planserve_cache_total.
+// where a miss plans under a worker-pool slot (Server.build); a key
+// inserted meanwhile is a hit there, encoded afresh. Every outcome but
+// outcomeNone counts once in planserve_cache_total.
 func (s *Server) lookup(ctx context.Context, q query, req *PlanRequest, opt driver.Options) (any, *atomic.Pointer[storedBody], cacheOutcome, error) {
 	var buf [keyBuf]byte
 	key := appendRequestKey(buf[:0], q.prefix, opt, &req.Domain)
@@ -488,10 +484,7 @@ func (s *Server) lookup(ctx context.Context, q query, req *PlanRequest, opt driv
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	v, out, err := s.plans.lookup(ctx, sp, key, opt, func(opt driver.Options) (any, error) {
-		if q == queryCompare {
-			return s.buildComparison(ctx, cfg, opt)
-		}
-		return s.buildPlan(ctx, cfg, opt)
+		return s.build(ctx, q, cfg, opt)
 	})
 	s.countOutcome(q, out)
 	return v, nil, out, err
@@ -503,32 +496,17 @@ func (s *Server) countOutcome(q query, out cacheOutcome) {
 		metrics.L("endpoint", q.name), metrics.L("result", out.String())).Inc()
 }
 
-// buildPlan plans one miss: it parks in the coalescer until the batch
-// it joined is built.
-func (s *Server) buildPlan(ctx context.Context, cfg *nest.Domain, opt driver.Options) (any, error) {
-	j := &planJob{cfg: cfg, opt: opt, done: make(chan struct{})}
-	s.batch.submit(j)
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if j.err != nil {
-		return nil, j.err
-	}
-	return j.plan, nil
-}
-
-// buildComparison runs one comparison miss under a worker-pool slot;
-// singleflight joiners wait on the flight, not the pool.
-func (s *Server) buildComparison(ctx context.Context, cfg *nest.Domain, opt driver.Options) (any, error) {
+// build computes one miss of kind q under a worker-pool slot, waiting
+// for the slot no longer than ctx allows; singleflight joiners wait on
+// the flight, not the pool.
+func (s *Server) build(ctx context.Context, q query, cfg *nest.Domain, opt driver.Options) (any, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
-	return queryCompare.compute(cfg, opt)
+	return q.compute(cfg, opt)
 }
 
 // maxBatchBodyBytes bounds /v1/plan/batch bodies; maxBatchItems bounds
@@ -539,9 +517,9 @@ const (
 )
 
 // BatchRequest is the JSON body of /v1/plan/batch: a list of plan
-// queries answered in one round trip. Concurrently planned distinct
-// geometries coalesce into shared BuildPlans passes server-side, so
-// cold queries submitted together plan batched instead of serially.
+// queries answered in one round trip. Each item is a /v1/plan lookup of
+// its own, so distinct cold items plan in parallel, each miss under its
+// own worker-pool slot.
 type BatchRequest struct {
 	Requests []PlanRequest `json:"requests"`
 }
@@ -647,12 +625,9 @@ func compareResponse(spec *DomainSpec, opt driver.Options, c *driver.Comparison)
 func (s *Server) serveStats(w http.ResponseWriter, _ *http.Request) {
 	entries, hits, misses, evictions := s.CacheStats()
 	warmLoaded, warmRejected, warmEvicted := s.plans.WarmStats()
-	batches, batched := s.batch.stats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"entries": entries, "hits": hits, "misses": misses, "evictions": evictions,
 		"joins":         s.CacheJoins(),
-		"batches":       batches,
-		"batched_plans": batched,
 		"warm_loaded":   warmLoaded,
 		"warm_rejected": warmRejected,
 		"warm_evicted":  warmEvicted,

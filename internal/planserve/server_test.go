@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"nestwrf/internal/metrics"
+	"nestwrf/internal/telemetry"
 )
 
 // testRequest is a three-nest BG/L configuration shared by the tests.
@@ -305,6 +307,109 @@ func TestRequestTimeout(t *testing.T) {
 	code, _, body := post(t, h, "/v1/plan", testRequest("concurrent", "predicted", "multilevel"))
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", code, body)
+	}
+}
+
+// TestRequestTimeoutUnderBurst: with the only worker slot held, every
+// miss of a burst must answer 504 at its own deadline. The slot frees
+// after two seconds, so a miss that outwaits its deadline fails the
+// test instead of hanging it.
+func TestRequestTimeoutUnderBurst(t *testing.T) {
+	srv := New(Config{Workers: 1, RequestTimeout: 50 * time.Millisecond})
+	h := srv.Handler()
+	srv.sem <- struct{}{}
+	release := time.AfterFunc(2*time.Second, func() { <-srv.sem })
+	defer func() {
+		if release.Stop() {
+			<-srv.sem
+		}
+	}()
+
+	const burst = 64
+	var wg sync.WaitGroup
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"machine":"bgl","ranks":64,"strategy":"sequential","mapping":"oblivious","domain":{"nx":%d,"ny":64}}`, 64+i)
+			start := time.Now()
+			code, _, raw := post(t, h, "/v1/plan", body)
+			if took := time.Since(start); code != http.StatusGatewayTimeout || took > time.Second {
+				errs <- fmt.Errorf("query %d: status %d after %v, want 504 within 1s: %s", i, code, took, raw)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestWorkersBoundPlanning: Config.Workers bounds concurrent planning.
+// A burst of distinct /v1/plan misses must never run more driver runs
+// at once than the server has worker slots, read off the driver-layer
+// spans of the request traces.
+func TestWorkersBoundPlanning(t *testing.T) {
+	const workers, burst = 2, 256
+	tr := telemetry.New(telemetry.Config{MaxSpans: 1 << 20})
+	srv := New(Config{Workers: workers, Tracer: tr})
+	defer srv.Close()
+	h := srv.Handler()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"machine":"bgl","ranks":1024,"domain":{"nx":%d,"ny":307,"children":[
+				{"nx":394,"ny":418,"ratio":3,"off_x":5,"off_y":5},
+				{"nx":313,"ny":337,"ratio":3,"off_x":140,"off_y":150}]}}`, 286+i)
+			if code, _, raw := post(t, h, "/v1/plan", body); code != http.StatusOK {
+				errs <- fmt.Errorf("query %d: status %d: %s", i, code, raw)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	d := tr.Dump()
+	if d.Dropped != 0 {
+		t.Fatalf("tracer dropped %d spans", d.Dropped)
+	}
+	// An edge is a driver run starting (+1) or ending (-1); at equal
+	// instants an end sorts first, so touching runs do not overlap.
+	type edge struct {
+		at    float64
+		delta int
+	}
+	var edges []edge
+	for _, s := range d.Spans {
+		if s.Layer == telemetry.LayerDriver {
+			edges = append(edges, edge{s.Start, 1}, edge{s.End, -1})
+		}
+	}
+	if len(edges) != 2*burst {
+		t.Fatalf("%d driver runs traced, want %d", len(edges)/2, burst)
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].delta < edges[j].delta
+	})
+	open, peak := 0, 0
+	for _, e := range edges {
+		open += e.delta
+		peak = max(peak, open)
+	}
+	if peak > workers {
+		t.Errorf("%d driver runs overlapped with Workers %d", peak, workers)
 	}
 }
 

@@ -14,7 +14,7 @@
 #
 # With -churn the loadgen cycles through distinct jittered sibling-rect
 # geometries instead of repeating one query, exercising the cold-miss
-# planning path (BuildPlan + miss coalescing); the report separates
+# planning path (BuildPlan under the worker pool); the report separates
 # cold (miss) from warm (hit) throughput, and the closing benchmark is
 # the all-miss plan-churn workload instead of the cache-hot path.
 set -eu
