@@ -145,10 +145,6 @@ type Options struct {
 	TraceParent telemetry.SpanID
 }
 
-// OutputBytesPerPoint is the forecast output volume per horizontal grid
-// point (3D fields over all vertical levels).
-const OutputBytesPerPoint = 4500.0
-
 // DomainMetrics reports the per-sibling timings behind Figs. 9 and 10.
 type DomainMetrics struct {
 	Name string
@@ -774,7 +770,7 @@ func (r *run) ioTime(cfg *nest.Domain, rects []alloc.Rect) float64 {
 	// write models one domain's forecast file and records the event in
 	// the report when one is being built.
 	write := func(d *nest.Domain, writers int) float64 {
-		bytes := float64(d.Points()) * OutputBytesPerPoint
+		bytes := float64(d.Points()) * iosim.OutputBytesPerPoint
 		t := p.WriteTime(mode, writers, bytes)
 		if r.rep != nil {
 			r.rep.io = append(r.rep.io, WriteReport{

@@ -18,6 +18,10 @@ import (
 	"strings"
 )
 
+// OutputBytesPerPoint is the forecast output volume per horizontal grid
+// point (3D fields over all vertical levels).
+const OutputBytesPerPoint = 4500.0
+
 // Params are the I/O cost-model parameters. Times in seconds, sizes in
 // bytes.
 type Params struct {

@@ -148,12 +148,24 @@ func TestMailboxFillsCacheLines(t *testing.T) {
 	}
 }
 
+// The payload pool's class lists sit in one array, and every payload
+// takes its class's lock: the padding after one class's lock and
+// counters must span a whole 64-byte cache line, so no line holds hot
+// bytes of two classes, whatever the array's alignment.
+func TestClassPoolSeparatesCacheLines(t *testing.T) {
+	var cp classPool
+	hot := unsafe.Offsetof(cp.frees) + unsafe.Sizeof(cp.frees)
+	if sz := unsafe.Sizeof(cp); sz-hot < 64 {
+		t.Errorf("classPool is %d bytes with %d hot: %d bytes of padding, want at least 64", sz, hot, sz-hot)
+	}
+}
+
 // World set-up must cost a constant number of heap objects per rank:
-// the Procs, communicators, mailboxes and payload caches come from
-// slabs, and no map, queue or phase table exists before first use. What
-// remains per rank is its goroutine's closure (measured: 1034 objects
-// for 1024 ranks), plus a goroutine descriptor whenever the runtime has
-// none to reuse, hence the budget of 2.
+// the Procs, communicators and mailboxes come from slabs, and no map,
+// queue or phase table exists before first use. What remains per rank
+// is its goroutine's closure (measured: 1034 objects for 1024 ranks),
+// plus a goroutine descriptor whenever the runtime has none to reuse,
+// hence the budget of 2.
 func TestRunSetupAllocsPerRank(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -262,12 +274,12 @@ func pingPongAllocs() float64 {
 // maxPingPongAllocs is pingPongAllocs as measured on go1.24
 // linux/amd64: the world's set-up, two mailbox queues and the payload
 // buffers. Pooled message headers, which every collection emptied, and
-// rank caches made per class on first free measured 38.
+// per-rank payload caches made per class on first free measured 38.
 const maxPingPongAllocs = 18
 
-// A message is a value in its queue and a payload cycles through the
-// fixed slots of the rank caches, so steady ping-pong allocates nothing
-// once a world runs, collections or not.
+// A message is a value in its queue and a payload cycles through its
+// size class's free list, whose backing array is reused, so steady
+// ping-pong allocates nothing once a world runs, collections or not.
 func TestPingPongAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

@@ -13,8 +13,8 @@
 // The runtime is sharded for scale (DESIGN.md Section 13): each rank
 // owns a private mailbox (lock + condition variable), the
 // blocked/queued/alive bookkeeping is atomic, payloads recycle through
-// an unlocked per-rank cache over one locked free list per size class,
-// and Barrier, Allreduce and Split meet in their communicator's shared
+// one locked free list per size class shared by every rank, and
+// Barrier, Allreduce and Split meet in their communicator's shared
 // slots, so worlds of 10k+ virtual ranks run without funneling every
 // operation through one mutex or one mailbox. This package's tests pin
 // its virtual clocks, wait times and phase stats to literals recorded
@@ -131,10 +131,8 @@ type World struct {
 	drops atomic.Uint64
 
 	mboxes []mailbox
-	// classes are the per-size-class overflow pools; localHits and
-	// localFrees accumulate exited ranks' private-cache counters.
-	classes               [payloadClasses]classPool
-	localHits, localFrees atomic.Uint64
+	// classes are the payload pool's per-size-class free lists.
+	classes [payloadClasses]classPool
 	// packed holds blocked<<32 | queued in one atomic word so the
 	// deadlock predicate reads a consistent snapshot of both counters.
 	// blocked counts ranks currently waiting in Recv; queued counts
@@ -153,7 +151,7 @@ type World struct {
 // returned procs expose final clocks and wait times, indexed by rank.
 //
 // Setup allocates a fixed number of slabs (Procs, world communicators,
-// mailboxes, payload caches, the world group's rank list and slots)
+// mailboxes, the world group's rank list and slots)
 // plus one goroutine and its closure per rank: no per-rank map, queue
 // or communicator object exists until a rank's first message or phase.
 func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
@@ -177,14 +175,13 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	// number of heap objects plus one goroutine (and its closure) per rank.
 	procSlab := make([]Proc, n)
 	comms := make([]Comm, n)
-	caches := make([]rankCache, n)
 	procs := make([]*Proc, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for r := 0; r < n; r++ {
 		p := &procSlab[r]
-		p.w, p.rank, p.pcache = w, r, &caches[r]
+		p.w, p.rank = w, r
 		comms[r] = Comm{w: w, g: worldGroup, me: r, proc: p}
 		p.world = &comms[r]
 		procs[r] = p
@@ -219,7 +216,6 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 // they re-check. In a clean run nothing is blocked here and no one is
 // woken.
 func (w *World) rankExit(p *Proc) {
-	w.foldRankCache(p.pcache)
 	// Whatever the rank left unreceived can unblock no one.
 	mb := &w.mboxes[p.rank]
 	mb.mu.Lock()
@@ -290,10 +286,6 @@ type Proc struct {
 	cur    *PhaseStats
 	curAt  time.Time // wall-clock entry into the current phase
 	phases []Phase
-
-	// pcache is the rank's private payload cache, a slot of the
-	// world's slab set up by Run. See pool.go.
-	pcache *rankCache
 }
 
 // Comm is one rank's handle on a communicator: an ordered group of
@@ -415,7 +407,7 @@ func (c *Comm) Global(r int) int { return c.g.ranks[r] }
 // clock advances by the local share of the transfer. The payload is
 // copied (into a pooled buffer), so the caller keeps ownership of data.
 func (c *Comm) Send(to, tag int, data []float64) {
-	buf := c.w.allocPayload(c.proc, len(data))
+	buf := c.w.allocPayload(len(data))
 	copy(buf, data)
 	c.SendOwned(to, tag, buf)
 }
@@ -465,12 +457,12 @@ func (p *Proc) received(arrival float64, bytes int) {
 // AllocPayload returns a length-n scratch slice from the world's
 // payload pool, for building a message passed to SendOwned. Contents
 // are unspecified.
-func (c *Comm) AllocPayload(n int) []float64 { return c.w.allocPayload(c.proc, n) }
+func (c *Comm) AllocPayload(n int) []float64 { return c.w.allocPayload(n) }
 
 // FreePayload recycles a payload (typically one returned by Recv) into
 // the world pool. The caller must be done with it, and must not free
 // the same slice twice.
-func (c *Comm) FreePayload(b []float64) { c.w.freePayload(c.proc, b) }
+func (c *Comm) FreePayload(b []float64) { c.w.freePayload(b) }
 
 // Recv blocks until a message with the given source (local rank) and
 // tag arrives, advances the virtual clock to the arrival time, and

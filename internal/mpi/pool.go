@@ -6,26 +6,17 @@ import (
 )
 
 // Payload pooling. Buffers are size-classed by power of two and
-// recycled through free lists. Payloads flow sender → receiver, so the
-// world pools in two tiers chosen to keep supply and demand meeting
-// without a global lock:
+// recycled through one locked free list per class. The lists are
+// sharded by class, not by rank: a class's frees and allocs always meet
+// in the same list, so a buffer any rank frees serves every rank's next
+// miss of its class, and different classes never contend with each
+// other.
 //
-//   - a lock-free per-rank cache (only the owning goroutine touches
-//     it), which absorbs the symmetric steady state — halo and
-//     coupling exchanges where a rank frees about what it allocates
-//     each step;
-//   - per-size-class locked overflow lists for the asymmetric residue.
-//     Sharding the overflow by class (not by rank) matters: a class's
-//     frees and allocs always meet in the same list, so cross-rank
-//     producer/consumer flows still recycle, while different classes
-//     never contend with each other.
-//
-// The overflow lists are not capped: a list keeps every buffer freed
-// into it. For pool-made buffers (what AllocPayload, Send and Recv hand
-// out) that is bounded by construction — a buffer is only made on a
-// miss, when every buffer of its class is live or parked in a rank's
-// private cache, so a class never holds more than its peak
-// live-plus-cached population, and the lists die with the world when
+// The lists are not capped: a list keeps every buffer freed into it.
+// For pool-made buffers (what AllocPayload, Send and Recv hand out)
+// that is bounded by construction — a buffer is only made on a miss,
+// when every buffer of its class is live, so a class never holds more
+// than its peak live population, and the lists die with the world when
 // Run returns. The pool counts hits/misses/frees/drops for
 // World.PoolStats.
 
@@ -42,60 +33,26 @@ func payloadClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// rankCacheCap bounds one size class in a rank's private cache. Kept
-// small: across 10k ranks even a few buffers per class add up, and
-// anything beyond the cap still pools via the overflow lists.
-func rankCacheCap(c int) int {
-	switch {
-	case c <= 12:
-		return 2
-	case c < cachedClasses:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// cachedClasses is the number of size classes a rank cache keeps (the
-// ones rankCacheCap gives room).
-const cachedClasses = 19
-
-// rankCache is one rank's private payload cache: fixed slots, so it
-// lives in the world's slab and never allocates. Only the owning
-// goroutine touches it (no lock); its counters and leftover buffers
-// fold into the world pool when the rank exits.
-type rankCache struct {
-	free        [cachedClasses][2][]float64 // class c holds free[c][:n[c]]
-	n           [cachedClasses]uint8
-	hits, frees uint64
-}
-
-// classPool is one size class's overflow free list with its own lock,
-// padded apart so neighboring classes' locks do not false-share.
+// classPool is one size class's free list with its own lock, padded to
+// two 64-byte cache lines so neighboring classes' locks and counters
+// never share a line, whatever the array's alignment.
 type classPool struct {
 	mu                  sync.Mutex
 	free                [][]float64
 	hits, misses, frees uint64
-	_                   [48]byte
+	_                   [72]byte
 }
 
 // allocPayload returns a length-n scratch slice drawn from the world
 // pool (or freshly allocated on a pool miss or an over-sized request).
 // Contents are unspecified; callers overwrite every element.
-func (w *World) allocPayload(p *Proc, n int) []float64 {
+func (w *World) allocPayload(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
 	c := payloadClass(n)
 	if c >= payloadClasses {
 		return make([]float64, n)
-	}
-	if rc := p.pcache; c < cachedClasses && rc.n[c] > 0 {
-		rc.n[c]--
-		b := rc.free[c][rc.n[c]]
-		rc.free[c][rc.n[c]] = nil
-		rc.hits++
-		return b[:n]
 	}
 	cp := &w.classes[c]
 	cp.mu.Lock()
@@ -114,7 +71,7 @@ func (w *World) allocPayload(p *Proc, n int) []float64 {
 
 // freePayload returns a buffer to the world pool. The caller must not
 // touch b afterwards, and must not free the same buffer twice.
-func (w *World) freePayload(p *Proc, b []float64) {
+func (w *World) freePayload(b []float64) {
 	c := cap(b)
 	if c == 0 {
 		return
@@ -126,12 +83,6 @@ func (w *World) freePayload(p *Proc, b []float64) {
 		w.drops.Add(1) // larger than the largest class: not pooled
 		return
 	}
-	if rc := p.pcache; cl < cachedClasses && int(rc.n[cl]) < rankCacheCap(cl) {
-		rc.frees++
-		rc.free[cl][rc.n[cl]] = b[:0]
-		rc.n[cl]++
-		return
-	}
 	cp := &w.classes[cl]
 	cp.mu.Lock()
 	cp.frees++
@@ -139,36 +90,18 @@ func (w *World) freePayload(p *Proc, b []float64) {
 	cp.mu.Unlock()
 }
 
-// foldRankCache folds an exiting rank's private cache into the
-// overflow lists and the world's folded counters, so post-run
-// PoolStats sees the complete picture.
-func (w *World) foldRankCache(rc *rankCache) {
-	w.localHits.Add(rc.hits)
-	w.localFrees.Add(rc.frees)
-	for cl := range rc.free {
-		if rc.n[cl] == 0 {
-			continue
-		}
-		cp := &w.classes[cl]
-		cp.mu.Lock()
-		cp.free = append(cp.free, rc.free[cl][:rc.n[cl]]...)
-		cp.mu.Unlock()
-		rc.free[cl], rc.n[cl] = [2][]float64{}, 0
-	}
-}
-
 // PoolStats describes the world payload pool: how traffic hit the free
 // lists and what the lists currently retain.
 type PoolStats struct {
 	// Hits and Misses count allocPayload requests served from a free
-	// list (per-rank cache or shared lists) vs. freshly allocated.
+	// list vs. freshly allocated.
 	Hits, Misses uint64
 	// Frees counts buffers recycled into the lists; Drops counts
 	// freed buffers discarded because they are larger than the largest
 	// size class (the lists themselves never drop).
 	Frees, Drops uint64
 	// Buffers and Bytes describe the currently retained free-list
-	// population (excluding ranks' private caches until they exit).
+	// population.
 	Buffers int
 	Bytes   int64
 }
@@ -184,15 +117,11 @@ func (s PoolStats) HitRate() float64 {
 }
 
 // PoolStats snapshots the world's payload-pool counters. Safe to call
-// concurrently with a running world (the snapshot is per-class
-// consistent, not globally atomic); per-rank cache activity folds in
-// when each rank exits, so post-run snapshots are complete.
+// concurrently with a running world: every buffer and counter lives in
+// the class lists, so a snapshot describes the whole pool, consistent
+// per class though not globally atomic.
 func (w *World) PoolStats() PoolStats {
-	s := PoolStats{
-		Hits:  w.localHits.Load(),
-		Frees: w.localFrees.Load(),
-		Drops: w.drops.Load(),
-	}
+	s := PoolStats{Drops: w.drops.Load()}
 	for c := range w.classes {
 		cp := &w.classes[c]
 		cp.mu.Lock()

@@ -251,8 +251,7 @@ func TestDeadlockSampleBounded(t *testing.T) {
 }
 
 // poolSizes are the payload lengths the pool property test draws from:
-// classes 0, 2, 4, 7, 10, 13 and 14 (the last two past a rank cache's
-// two-buffer classes).
+// classes 0, 2, 4, 7, 10, 13 and 14.
 var poolSizes = []int{1, 3, 16, 100, 1000, 5000, 9000}
 
 // poolSendCount is how many owned buffers rank `from` sends its right
@@ -265,8 +264,7 @@ func poolSendCount(seed uint64, round, from int) int {
 // The payload pools keep every buffer freed into them, and that is
 // bounded: under seeded random alloc/free interleavings across ranks
 // and size classes, with cross-rank owned sends, each class retains at
-// most its peak simultaneously-live population (plus what the rank
-// caches can park, which a miss cannot see), and the counters balance
+// most its peak simultaneously-live population, and the counters balance
 // — hits+misses = allocations, frees+drops = frees, no drops for
 // in-class buffers.
 func TestPoolBoundedAndStats(t *testing.T) {
@@ -346,12 +344,51 @@ func TestPoolBoundedAndStats(t *testing.T) {
 		}
 		w := procs[0].w
 		for c := range peak {
-			retained, bound := len(w.classes[c].free), peak[c]+n*rankCacheCap(c)
-			if retained > bound {
-				t.Errorf("seed=%d: class %d retains %d buffers, peak live %d, bound %d",
-					seed, c, retained, peak[c], bound)
+			if retained := len(w.classes[c].free); retained > peak[c] {
+				t.Errorf("seed=%d: class %d retains %d buffers, more than its peak live %d",
+					seed, c, retained, peak[c])
 			}
 		}
+	}
+}
+
+// A buffer one rank frees serves another rank's next miss of its class:
+// rank 1 allocates six payloads and sends them to rank 0, which frees
+// them; rank 1's next six allocations must all hit. The second Barrier
+// keeps rank 0 running until rank 1 is done, so nothing a rank holds
+// back could reach the lists at its exit in time.
+func TestPoolRecyclesAcrossRanks(t *testing.T) {
+	const k, size = 6, 100
+	procs, err := Run(2, tm(), func(p *Proc) error {
+		w := p.World()
+		if p.Rank() == 1 {
+			for i := 0; i < k; i++ {
+				w.SendOwned(0, i, w.AllocPayload(size))
+			}
+		} else {
+			for i := 0; i < k; i++ {
+				d, err := w.Recv(1, i)
+				if err != nil {
+					return err
+				}
+				w.FreePayload(d)
+			}
+		}
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		if p.Rank() == 1 {
+			for i := 0; i < k; i++ {
+				w.AllocPayload(size)
+			}
+		}
+		return w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := procs[0].PoolStats(); s.Misses != k || s.Hits != k {
+		t.Errorf("misses/hits = %d/%d, want %d/%d: freed buffers did not serve the other rank", s.Misses, s.Hits, k, k)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"nestwrf/internal/iosim"
+	"nestwrf/internal/machine"
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/output"
@@ -12,18 +13,9 @@ import (
 	"nestwrf/internal/vtopo"
 )
 
-// outputBytesPerPoint is the forecast volume per horizontal grid point
-// (all fields and levels), matching the driver's I/O model.
-const outputBytesPerPoint = 4500.0
-
-// ioModel is the write-cost model of forecast output: a PnetCDF-like
-// collective write profile.
-var ioModel = iosim.Params{
-	BaseLatency:         5e-3,
-	PerWriterOverhead:   3.5e-4,
-	AggregateBandwidth:  2.0e9,
-	PerProcessBandwidth: 8e6,
-}
+// ioModel is the write-cost model of forecast output: BG/P's
+// PnetCDF-like collective write profile.
+var ioModel = machine.BGP().IO
 
 // runOutput is one run's Output together with the lock that guards its
 // Snapshots, which the communicator roots of different domains
@@ -46,7 +38,7 @@ func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.
 	if err != nil {
 		return err
 	}
-	p.Compute(ioModel.CollectiveWriteTime(world.Size(), float64(cfg.Points())*outputBytesPerPoint))
+	p.Compute(ioModel.CollectiveWriteTime(world.Size(), float64(cfg.Points())*iosim.OutputBytesPerPoint))
 	if st != nil {
 		out.record(output.Snapshot{Domain: cfg.Name, Step: step, State: st})
 	}
@@ -63,7 +55,7 @@ func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.
 		if err != nil {
 			return err
 		}
-		p.Compute(ioModel.CollectiveWriteTime(nc.comm.Size(), float64(nc.d.Points())*outputBytesPerPoint))
+		p.Compute(ioModel.CollectiveWriteTime(nc.comm.Size(), float64(nc.d.Points())*iosim.OutputBytesPerPoint))
 		if sub != nil {
 			out.record(output.Snapshot{Domain: nc.d.Name, Step: step, State: sub})
 		}
