@@ -12,9 +12,10 @@
 //	ensemble -members 1000 -checkpoint camp.ckpt -stop-after 200
 //	ensemble -members 1000 -checkpoint camp.ckpt           # resumes
 //
-// A checkpointed campaign killed mid-run (SIGINT/SIGTERM, or
-// -stop-after for rehearsals) resumes from its checkpoint and
-// reproduces the uninterrupted run's aggregates bit for bit.
+// A checkpointed campaign stopped mid-run (SIGINT/SIGTERM, or
+// -stop-after for rehearsals) writes its committed frontier before it
+// exits, resumes from that checkpoint and reproduces the uninterrupted
+// run's aggregates bit for bit.
 package main
 
 import (
@@ -54,7 +55,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	ranks := fs.Int("ranks", 1024, "base processor count")
 	steps := fs.Int("steps", 100, "steps per storyline phase")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
-	window := fs.Int("window", 0, "members in flight (0 = 4*workers)")
 	cacheSize := fs.Int("cache-size", 4096, "plan cache entries")
 	checkpoint := fs.String("checkpoint", "", "checkpoint file (enables kill/resume)")
 	every := fs.Int("checkpoint-every", 64, "commits between checkpoint writes")
@@ -107,7 +107,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			StepsPerPhase: *steps,
 		},
 		Workers:         *workers,
-		Window:          *window,
 		Cache:           cache,
 		Metrics:         reg,
 		CheckpointPath:  *checkpoint,

@@ -84,17 +84,13 @@ func Run(phases []Phase, opt driver.Options) (Result, error) {
 	return RunWith(phases, opt, driver.Run)
 }
 
-// RunWith is Run with a pluggable phase runner (nil falls back to
-// driver.Run).
+// RunWith is Run with a pluggable phase runner.
 func RunWith(phases []Phase, opt driver.Options, run Runner) (Result, error) {
 	if len(phases) == 0 {
 		return Result{}, ErrNoPhases
 	}
 	if err := opt.Validate(); err != nil {
 		return Result{}, fmt.Errorf("%w: %w", ErrBadOptions, err)
-	}
-	if run == nil {
-		run = driver.Run
 	}
 	var res Result
 	var prevRects []alloc.Rect // previous partition layout, for change detection

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nestwrf/internal/campaign"
@@ -184,18 +185,15 @@ type Summary struct {
 	MembersPerSec float64 `json:"members_per_sec"`
 }
 
-// Engine executes a campaign: a bounded worker pool realizes and
-// simulates members through a shared plan cache, and a single committer
-// folds results into the streaming aggregates strictly in member-ID
-// order, so aggregates are independent of scheduling. In-flight memory
-// is bounded by Window members.
+// Engine executes a campaign: a pool of workers realizes and simulates
+// members through a shared plan cache, and one committer folds their
+// results into the streaming aggregates strictly in member-ID order,
+// so the aggregates do not depend on scheduling. At most 4*Workers
+// members are in flight, and every worker has returned before Run does.
 type Engine struct {
 	Spec Spec
 	// Workers is the pool size. Default: GOMAXPROCS.
 	Workers int
-	// Window bounds members in flight (dispatched but not yet
-	// committed). Default: 4*Workers.
-	Window int
 	// Cache is the shared plan cache. Nil allocates a private one for
 	// the run. Every phase run of every member is looked up in it: a
 	// miss plans on the worker that found it, and concurrent identical
@@ -204,14 +202,15 @@ type Engine struct {
 	// Metrics, when non-nil, receives progress instrumentation.
 	Metrics *metrics.Registry
 	// CheckpointPath enables kill/resume: the engine resumes from the
-	// file when it exists and writes it periodically and on exit.
+	// file when it exists, and writes it periodically and whenever Run
+	// returns, unless a write has failed.
 	CheckpointPath string
 	// CheckpointEvery is the commit interval between periodic
 	// checkpoint writes. Default: 64.
 	CheckpointEvery int
 	// StopAfter, when positive, stops the run after that many commits
-	// this run (simulating a kill for resume testing). The summary has
-	// Stopped=true and a nil error.
+	// this run (simulating a kill for resume testing); no member past
+	// them is started. The summary has Stopped=true and a nil error.
 	StopAfter int
 	// Tracer, when non-nil, records one campaign-layer span for the
 	// run, with member-layer spans for head-sampled members (every
@@ -221,21 +220,12 @@ type Engine struct {
 	// per sampled member. Nil keeps tracing off the hot path.
 	Tracer *telemetry.Tracer
 	// Log, when non-nil, receives structured campaign lifecycle lines
-	// (start, checkpoints, completion) and one line per sampled
+	// (start, a failed member, completion) and one line per sampled
 	// member, each carrying the campaign/member span IDs that join
 	// against exported trace dumps.
 	Log *slog.Logger
 
-	// Live progress state behind Progress(); guarded by progMu. The
-	// committer updates it as members are ingested.
-	progMu   sync.Mutex
-	progOn   bool // a run has started populating the fields below
-	progDone int
-	progFrom int
-	progTot  int
-	progAt   time.Time
-	progAgg  *Aggregates
-	progCch  *planserve.PlanCache
+	live atomic.Pointer[liveRun] // the latest run's record; nil before Run
 }
 
 // Progress is a live snapshot of a running (or finished) campaign:
@@ -268,45 +258,69 @@ type Progress struct {
 // it returns a zero Progress with ok=false. Safe for concurrent use
 // with a running campaign: the /debug/progress endpoint polls it.
 func (e *Engine) Progress() (Progress, bool) {
-	e.progMu.Lock()
-	defer e.progMu.Unlock()
-	if !e.progOn {
+	l := e.live.Load()
+	if l == nil {
 		return Progress{}, false
 	}
-	p := Progress{
-		Done:        e.progDone,
-		Total:       e.progTot,
-		ResumedFrom: e.progFrom,
-		ElapsedSec:  time.Since(e.progAt).Seconds(),
+	_, p := l.report()
+	return p, true
+}
+
+// liveRun is one run's record. The committer advances done and the
+// aggregates under mu; report reads both the Summary Run returns and
+// every Progress from it.
+type liveRun struct {
+	mu    sync.Mutex
+	spec  Spec
+	from  int // the checkpoint frontier the run resumed at
+	done  int // members committed, the restored ones included
+	begin time.Time
+	agg   *Aggregates
+	cache *planserve.PlanCache
+}
+
+// report reads the run as it stands. A run that returns no error ends
+// short of the campaign only through StopAfter, so Stopped is
+// done < Members.
+func (l *liveRun) report() (*Summary, Progress) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	sum := &Summary{Spec: l.spec, Committed: l.done, ResumedFrom: l.from,
+		Stopped: l.done < l.spec.Members, Aggregates: l.agg,
+		ElapsedSec: time.Since(l.begin).Seconds()}
+	sum.CacheHits, sum.CacheMisses, _ = l.cache.Stats()
+	if ran := l.done - l.from; ran > 0 && sum.ElapsedSec > 0 {
+		sum.MembersPerSec = float64(ran) / sum.ElapsedSec
 	}
-	if ran := e.progDone - e.progFrom; ran > 0 && p.ElapsedSec > 0 {
-		p.MembersPerSec = float64(ran) / p.ElapsedSec
-		p.EtaSec = float64(e.progTot-e.progDone) / p.MembersPerSec
+	p := Progress{Done: l.done, Total: l.spec.Members, ResumedFrom: l.from,
+		ElapsedSec: sum.ElapsedSec, MembersPerSec: sum.MembersPerSec,
+		CacheHits: sum.CacheHits, CacheMisses: sum.CacheMisses}
+	if p.MembersPerSec > 0 {
+		p.EtaSec = float64(p.Total-p.Done) / p.MembersPerSec
 	}
-	if g := e.progAgg.ImprovementPct; g != nil && g.Count > 0 {
+	if g := l.agg.ImprovementPct; g.Count > 0 {
 		p.GainMean = g.Mean
 		p.GainP10, _ = g.Quantile(0.1)
 		p.GainP50, _ = g.Quantile(0.5)
 		p.GainP90, _ = g.Quantile(0.9)
 	}
-	if e.progCch != nil {
-		p.CacheHits, p.CacheMisses, _ = e.progCch.Stats()
-		if lookups := p.CacheHits + p.CacheMisses; lookups > 0 {
-			p.CacheHitRate = float64(p.CacheHits) / float64(lookups)
-		}
+	if lookups := p.CacheHits + p.CacheMisses; lookups > 0 {
+		p.CacheHitRate = float64(p.CacheHits) / float64(lookups)
 	}
-	return p, true
+	return sum, p
 }
 
-// commitMsg carries one worker's outcome to the committer.
-type commitMsg struct {
-	id  int
+// outcome is one member's result, left in its ring cell for the
+// committer.
+type outcome struct {
 	res MemberResult
 	err error
 }
 
 // Run executes the campaign until completion, StopAfter, a member
-// error, or context cancellation.
+// error, a failed checkpoint write or context cancellation. Whichever
+// ends it, its workers have returned and, unless a write failed, the
+// checkpoint holds the committed frontier.
 func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 	spec := e.Spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -316,10 +330,7 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	window := e.Window
-	if window <= 0 {
-		window = 4 * workers
-	}
+	window := 4 * workers
 	checkpointEvery := e.CheckpointEvery
 	if checkpointEvery <= 0 {
 		checkpointEvery = 64
@@ -347,22 +358,12 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 		defer cache.Close()
 	}
 
-	sum := &Summary{Spec: spec, ResumedFrom: start, Aggregates: agg}
 	committedGauge := e.Metrics.Gauge("ensemble_committed")
 	committedGauge.Set(float64(start))
-	begin := time.Now()
-
-	e.progMu.Lock()
-	e.progOn = true
-	e.progDone, e.progFrom, e.progTot = start, start, spec.Members
-	e.progAt = begin
-	e.progAgg = agg
-	e.progCch = cache
-	e.progMu.Unlock()
+	live := &liveRun{spec: spec, from: start, done: start, begin: time.Now(), agg: agg, cache: cache}
+	e.live.Store(live)
 
 	next := start
-	thisRun := 0
-	stopped := false
 	var firstErr error
 
 	// The campaign span is the root every sampled member parents
@@ -384,161 +385,142 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 	if e.Log != nil {
 		e.Log.Info("campaign start",
 			"members", spec.Members, "resumed_from", start,
-			"workers", workers, "window", window, "campaign", campID.String())
+			"workers", workers, "campaign", campID.String())
 	}
 
-	if start < spec.Members {
+	// end is the first member this run does not start.
+	end := spec.Members
+	if e.StopAfter > 0 {
+		end = min(end, start+e.StopAfter)
+	}
+	writeFailed := false
+	if start < end {
 		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-
-		sem := make(chan struct{}, window) // in-flight window tokens
-		jobs := make(chan int)
-		results := make(chan commitMsg, window)
-
-		go func() { // dispatcher
-			defer close(jobs)
-			for id := start; id < spec.Members; id++ {
-				select {
-				case sem <- struct{}{}:
-				case <-runCtx.Done():
-					return
-				}
-				select {
-				case jobs <- id:
-				case <-runCtx.Done():
-					return
-				}
-			}
-		}()
-
+		// A worker takes one of window tokens before it claims the next
+		// member ID, and the committer hands one back per commit, so the
+		// IDs in flight always lie in [next, next+window) and no two of
+		// them share a ring cell.
+		tokens := make(chan struct{}, window)
+		ring := make([]chan outcome, window)
+		for i := range ring {
+			ring[i] = make(chan outcome, 1)
+		}
+		var claimed atomic.Int64
+		claimed.Store(int64(start))
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for range workers {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for id := range jobs {
-					// Head sampling: every SampleEvery-th member gets a
-					// member-layer span under the campaign; the rest run
-					// with tracing fully off.
-					var msp *telemetry.ActiveSpan
-					if e.Tracer.Recording() && e.Tracer.Sampled(id) {
-						msp = e.Tracer.Start(campID, "member", telemetry.LayerMember)
-						msp.Annotate("member", strconv.Itoa(id))
-					}
-					t0 := time.Now()
-					mr, err := e.runMember(runCtx, spec, cache, id, msp.ID())
-					dur := time.Since(t0).Seconds()
-					e.Metrics.Summary("ensemble_member_seconds", metrics.L("kind", mr.Kind)).Observe(dur)
-					if msp != nil {
-						msp.Annotate("kind", mr.Kind)
-						if err != nil {
-							msp.Annotate("error", err.Error())
-						} else {
-							msp.Annotate("improvement_pct",
-								strconv.FormatFloat(mr.ImprovementPct, 'g', -1, 64))
-						}
-						msp.End()
-						if e.Log != nil {
-							e.Log.Info("member sampled",
-								"member", id, "kind", mr.Kind, "seconds", dur,
-								"campaign", campID.String(), "span", msp.ID().String())
-						}
-					}
+				for {
 					select {
-					case results <- commitMsg{id: id, res: mr, err: err}:
+					case tokens <- struct{}{}:
 					case <-runCtx.Done():
 						return
 					}
+					id := int(claimed.Add(1) - 1)
+					if id >= end || runCtx.Err() != nil {
+						return
+					}
+					mr, err := e.traceMember(runCtx, spec, cache, id, campID)
+					ring[id%window] <- outcome{mr, err} // the cell's last ID, id-window, is committed
 				}
 			}()
 		}
-		go func() { wg.Wait(); close(results) }()
 
-		// Committer: ingest strictly in member-ID order. Out-of-order
-		// completions wait in pending, which the window token bounds.
-		pending := make(map[int]commitMsg, window)
-	commitLoop:
-		for msg := range results {
-			if msg.err != nil {
-				firstErr = fmt.Errorf("ensemble: member %d: %w", msg.id, msg.err)
-				if e.Log != nil {
-					e.Log.Error("member failed",
-						"member", msg.id, "error", msg.err, "campaign", campID.String())
-				}
-				cancel()
+		for next < end {
+			var o outcome
+			select {
+			case o = <-ring[next%window]:
+			case <-ctx.Done():
+			}
+			if ctx.Err() != nil {
+				firstErr = context.Cause(ctx)
 				break
 			}
-			pending[msg.id] = msg
-			for {
-				m, ok := pending[next]
-				if !ok {
+			if o.err != nil {
+				firstErr = fmt.Errorf("ensemble: member %d: %w", next, o.err)
+				if e.Log != nil {
+					e.Log.Error("member failed",
+						"member", next, "error", o.err, "campaign", campID.String())
+				}
+				break
+			}
+			// Ingest under the record's lock so Progress() can snapshot
+			// the streaming aggregates mid-run without racing the P²
+			// marker updates.
+			live.mu.Lock()
+			agg.Ingest(o.res)
+			next++
+			live.done = next
+			live.mu.Unlock()
+			<-tokens
+			e.Metrics.Counter("ensemble_members_total", metrics.L("kind", o.res.Kind)).Inc()
+			// In commit order, like the aggregates: the summary's
+			// estimate and sum then do not depend on scheduling.
+			e.Metrics.Summary("ensemble_improvement_pct").Observe(o.res.ImprovementPct)
+			committedGauge.Set(float64(next))
+			if e.CheckpointPath != "" && (next-start)%checkpointEvery == 0 && next < end {
+				if err := e.writeCheckpoint(spec, next, agg); err != nil {
+					firstErr, writeFailed = err, true
 					break
 				}
-				delete(pending, next)
-				<-sem // release the window slot
-				// Ingest under progMu so Progress() can snapshot the
-				// streaming aggregates mid-run without racing the P²
-				// marker updates.
-				e.progMu.Lock()
-				agg.Ingest(m.res)
-				next++
-				e.progDone = next
-				e.progMu.Unlock()
-				thisRun++
-				e.Metrics.Counter("ensemble_members_total", metrics.L("kind", m.res.Kind)).Inc()
-				// In commit order, like the aggregates: the summary's
-				// estimate and sum then do not depend on scheduling.
-				e.Metrics.Summary("ensemble_improvement_pct").Observe(m.res.ImprovementPct)
-				committedGauge.Set(float64(next))
-				if e.CheckpointPath != "" && thisRun%checkpointEvery == 0 && next < spec.Members {
-					if err := e.writeCheckpoint(spec, next, agg); err != nil {
-						firstErr = err
-						cancel()
-						break commitLoop
-					}
-				}
-				if e.StopAfter > 0 && thisRun >= e.StopAfter && next < spec.Members {
-					stopped = true
-					cancel()
-					break commitLoop
-				}
 			}
 		}
-		if firstErr == nil && !stopped && next < spec.Members {
-			// The pool wound down early without an error of its own:
-			// the caller's context was cancelled.
-			firstErr = context.Cause(ctx)
-			if firstErr == nil {
-				firstErr = ctx.Err()
-			}
-		}
+		cancel()
+		wg.Wait()
 	}
 
-	if e.CheckpointPath != "" && firstErr == nil {
+	if e.CheckpointPath != "" && !writeFailed {
 		if err := e.writeCheckpoint(spec, next, agg); err != nil {
-			firstErr = err
+			firstErr = errors.Join(firstErr, err)
 		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
 
-	elapsed := time.Since(begin)
-	sum.Committed = next
-	sum.Stopped = stopped
-	sum.CacheHits, sum.CacheMisses, _ = cache.Stats()
-	sum.ElapsedSec = elapsed.Seconds()
-	if thisRun > 0 && elapsed > 0 {
-		sum.MembersPerSec = float64(thisRun) / elapsed.Seconds()
-	}
+	sum, _ := live.report()
 	if e.Log != nil {
 		e.Log.Info("campaign done",
-			"committed", next, "stopped", stopped,
+			"committed", next, "stopped", sum.Stopped,
 			"members_per_sec", sum.MembersPerSec,
 			"cache_hits", sum.CacheHits, "cache_misses", sum.CacheMisses,
 			"campaign", campID.String())
 	}
 	return sum, nil
+}
+
+// traceMember runs member id on a worker: it times the member into
+// ensemble_member_seconds and, for a head-sampled member, wraps it in a
+// member-layer span under the campaign span; the rest run with tracing
+// fully off.
+func (e *Engine) traceMember(ctx context.Context, spec Spec, cache *planserve.PlanCache, id int, campID telemetry.SpanID) (MemberResult, error) {
+	var msp *telemetry.ActiveSpan
+	if e.Tracer.Recording() && e.Tracer.Sampled(id) {
+		msp = e.Tracer.Start(campID, "member", telemetry.LayerMember)
+		msp.Annotate("member", strconv.Itoa(id))
+	}
+	t0 := time.Now()
+	mr, err := e.runMember(ctx, spec, cache, id, msp.ID())
+	dur := time.Since(t0).Seconds()
+	e.Metrics.Summary("ensemble_member_seconds", metrics.L("kind", mr.Kind)).Observe(dur)
+	if msp != nil {
+		msp.Annotate("kind", mr.Kind)
+		if err != nil {
+			msp.Annotate("error", err.Error())
+		} else {
+			msp.Annotate("improvement_pct",
+				strconv.FormatFloat(mr.ImprovementPct, 'g', -1, 64))
+		}
+		msp.End()
+		if e.Log != nil {
+			e.Log.Info("member sampled",
+				"member", id, "kind", mr.Kind, "seconds", dur,
+				"campaign", campID.String(), "span", msp.ID().String())
+		}
+	}
+	return mr, err
 }
 
 func (e *Engine) writeCheckpoint(spec Spec, committed int, agg *Aggregates) error {

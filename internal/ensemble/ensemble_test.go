@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"nestwrf/internal/metrics"
 	"nestwrf/internal/planserve"
+	"nestwrf/internal/telemetry"
 )
 
 // sharedCache is reused across tests: member geometries are drawn from
@@ -259,11 +263,13 @@ func TestCheckpointSpecMismatchRejected(t *testing.T) {
 	}
 }
 
-// Worker-pool burst under the race detector: many members, small
-// window, cancellation mid-flight. Run with -race in CI.
+// Worker-pool burst under the race detector: many members through a
+// small ring (3 workers, so 12 cells for 120 members: every cell is
+// reused ten times), and a run whose context is already cancelled. Run
+// with -race in CI.
 func TestEngineBurst(t *testing.T) {
 	spec := Spec{Generator: GenMixed, Members: 120, Seed: 3, Ranks: 256, StepsPerPhase: 5}
-	sum, err := (&Engine{Spec: spec, Workers: 8, Window: 9, Cache: sharedCache, Metrics: metrics.NewRegistry()}).Run(context.Background())
+	sum, err := (&Engine{Spec: spec, Workers: 3, Cache: sharedCache, Metrics: metrics.NewRegistry()}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +284,205 @@ func TestEngineBurst(t *testing.T) {
 	cancel()
 	if _, err := (&Engine{Spec: spec, Workers: 8, Cache: sharedCache}).Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run: %v", err)
+	}
+}
+
+// Progress reads the same live record the returned Summary comes from:
+// nothing before Run, and after Run the Summary's frontier, resume
+// point, gain quantiles and cache counters, for a stopped run and for
+// the run that resumes it.
+func TestProgressMatchesSummary(t *testing.T) {
+	spec := Spec{Generator: GenMixed, Members: 30, Seed: 8, Ranks: 256, StepsPerPhase: 5}
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	check := func(e *Engine, wantFrom, wantDone int) {
+		t.Helper()
+		if p, ok := e.Progress(); ok {
+			t.Fatalf("Progress before Run: %+v, ok", p)
+		}
+		sum, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := e.Progress()
+		if !ok {
+			t.Fatal("Progress after Run: not ok")
+		}
+		if p.Done != sum.Committed || p.Done != wantDone || p.Total != spec.Members ||
+			p.ResumedFrom != wantFrom || sum.ResumedFrom != wantFrom {
+			t.Errorf("progress %+v, summary committed %d resumed from %d; want done %d of %d from %d",
+				p, sum.Committed, sum.ResumedFrom, wantDone, spec.Members, wantFrom)
+		}
+		gain := sum.Aggregates.ImprovementPct
+		for _, q := range []struct {
+			p   float64
+			got float64
+		}{{0.1, p.GainP10}, {0.5, p.GainP50}, {0.9, p.GainP90}} {
+			if want, _ := gain.Quantile(q.p); q.got != want {
+				t.Errorf("gain p%v: progress %v, aggregates %v", q.p*100, q.got, want)
+			}
+		}
+		if p.GainMean != gain.Mean {
+			t.Errorf("gain mean: progress %v, aggregates %v", p.GainMean, gain.Mean)
+		}
+		if p.CacheHits != sum.CacheHits || p.CacheMisses != sum.CacheMisses {
+			t.Errorf("cache: progress %d/%d, summary %d/%d", p.CacheHits, p.CacheMisses, sum.CacheHits, sum.CacheMisses)
+		}
+	}
+	check(&Engine{Spec: spec, Workers: 3, Cache: sharedCache, CheckpointPath: path, StopAfter: 12}, 0, 12)
+	check(&Engine{Spec: spec, Workers: 3, Cache: sharedCache, CheckpointPath: path}, 12, spec.Members)
+}
+
+// cancelAfter makes e cancel its run once it has committed at least n
+// members: e traces and logs every member, and the handler cancels on
+// the log line of member window+n-1. A worker claims a member only
+// while fewer than window IDs are claimed and uncommitted, so by then
+// the frontier is at least n.
+func cancelAfter(e *Engine, n int, cancel context.CancelFunc) {
+	e.Tracer = telemetry.New(telemetry.Config{SampleEvery: 1})
+	e.Log = slog.New(cancelOnMember{id: 4*e.Workers + n - 1, cancel: cancel})
+}
+
+// cancelOnMember is a slog handler that cancels once it sees the
+// "member sampled" line of member id or a later one.
+type cancelOnMember struct {
+	id     int
+	cancel context.CancelFunc
+}
+
+func (h cancelOnMember) Enabled(context.Context, slog.Level) bool { return true }
+func (h cancelOnMember) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h cancelOnMember) WithGroup(string) slog.Handler            { return h }
+
+func (h cancelOnMember) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "member sampled" {
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "member" && a.Value.Int64() >= int64(h.id) {
+				h.cancel()
+			}
+			return true
+		})
+	}
+	return nil
+}
+
+// memberSeconds is how many member durations reg has observed.
+func memberSeconds(reg *metrics.Registry) uint64 {
+	var n uint64
+	for _, s := range reg.Snapshot().Summaries {
+		if s.Name == "ensemble_member_seconds" {
+			n += s.Count
+		}
+	}
+	return n
+}
+
+// engineGoroutines returns the stacks of the goroutines running engine
+// code.
+func engineGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	var out []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "ensemble.(*Engine)") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// Run returns only after its last worker has: after StopAfter, a
+// member error and a cancellation alike, the goroutine count at the
+// return, read without yielding, is back to its value before Run, and
+// no member is observed after the return. StopAfter starts no member
+// past the ones it commits. A count that differs only because some
+// goroutine outside the engine (a finished subtest, the finalizer) is
+// starting or ending passes: the stacks must show no engine code
+// running.
+func TestRunLeavesNoWorkers(t *testing.T) {
+	cases := []struct {
+		name   string
+		spec   Spec
+		stop   int
+		cancel bool
+		ok     func(*Summary, error) bool
+	}{
+		{"stop after", Spec{Generator: GenMixed, Members: 200, Seed: 21, Ranks: 256, StepsPerPhase: 5}, 10, false,
+			func(s *Summary, err error) bool { return err == nil && s.Stopped && s.Committed == 10 }},
+		// Two ranks cannot hold a hierarchy member with three regional
+		// nests, so some member fails with a driver error.
+		{"member error", Spec{Generator: GenHierarchy, Members: 200, Seed: 21, Ranks: 2, StepsPerPhase: 5}, 0, false,
+			func(s *Summary, err error) bool { return err != nil && !errors.Is(err, context.Canceled) }},
+		{"cancel", Spec{Generator: GenMixed, Members: 200, Seed: 22, Ranks: 256, StepsPerPhase: 5}, 0, true,
+			func(s *Summary, err error) bool { return errors.Is(err, context.Canceled) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cache := planserve.NewPlanCache(8192)
+			defer cache.Close()
+			reg := metrics.NewRegistry()
+			e := &Engine{Spec: c.spec, Workers: 8, Cache: cache, Metrics: reg, StopAfter: c.stop}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if c.cancel {
+				cancelAfter(e, 5, cancel)
+			}
+			before := runtime.NumGoroutine()
+			sum, err := e.Run(ctx)
+			observed := memberSeconds(reg)
+			if !c.ok(sum, err) {
+				t.Fatalf("run: summary %+v, err %v", sum, err)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				if live := engineGoroutines(); len(live) > 0 {
+					t.Errorf("%d goroutines after Run, %d before; in the engine:\n%s",
+						after, before, strings.Join(live, "\n\n"))
+				}
+			}
+			if again := memberSeconds(reg); again != observed {
+				t.Errorf("ensemble_member_seconds count %d at return, %d later", observed, again)
+			}
+			if c.stop > 0 && observed != uint64(c.stop) {
+				t.Errorf("StopAfter %d started %d members", c.stop, observed)
+			}
+		})
+	}
+}
+
+// A cancelled run writes its committed frontier, so an interrupted
+// campaign loses no commits however rarely it checkpoints, and the run
+// that resumes from it ends on the uninterrupted run's aggregates.
+func TestCancelWritesCheckpoint(t *testing.T) {
+	spec := Spec{Generator: GenMixed, Members: 200, Seed: 23, Ranks: 256, StepsPerPhase: 5}
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := &Engine{Spec: spec, Workers: 4, Cache: planserve.NewPlanCache(8192),
+		CheckpointPath: path, CheckpointEvery: spec.Members}
+	defer e.Cache.Close()
+	cancelAfter(e, 5, cancel)
+	_, err := e.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: %v", err)
+	}
+	p, _ := e.Progress()
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("no checkpoint after cancellation: %v", err)
+	}
+	if cp.Committed != p.Done || p.Done < 5 {
+		t.Fatalf("checkpoint frontier %d, progress %d (want >= 5)", cp.Committed, p.Done)
+	}
+	resumed, err := (&Engine{Spec: spec, Workers: 4, Cache: e.Cache, CheckpointPath: path}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.ResumedFrom != cp.Committed || resumed.Committed != spec.Members {
+		t.Fatalf("resumed from %d to %d, want %d to %d", resumed.ResumedFrom, resumed.Committed, cp.Committed, spec.Members)
+	}
+	full, err := (&Engine{Spec: spec, Workers: 4, Cache: e.Cache}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := aggJSON(t, full.Aggregates), aggJSON(t, resumed.Aggregates); a != b {
+		t.Errorf("resume after cancellation diverged:\nfull:    %s\nresumed: %s", a, b)
 	}
 }
