@@ -144,8 +144,11 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	sum, err := eng.Run(ctx)
-	// Traces are worth writing even for failed or interrupted
-	// campaigns — that is when they are most needed.
+	// Metrics and traces are worth writing even for failed or
+	// interrupted campaigns — that is when they are most needed.
+	if *showMetrics {
+		reg.Snapshot().WriteText(stderr)
+	}
 	if werr := tracer.WriteFiles("ensemble campaign", *traceOut, *spansOut); werr != nil {
 		fmt.Fprintf(stderr, "ensemble: %v\n", werr)
 		if err == nil {
@@ -153,14 +156,11 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 	if err != nil {
-		fmt.Fprintf(stderr, "ensemble: %v\n", err)
+		fmt.Fprintln(stderr, err) // the engine's errors carry the "ensemble: " prefix
 		if errors.Is(err, context.Canceled) && *checkpoint != "" {
 			fmt.Fprintf(stderr, "ensemble: interrupted; rerun with -checkpoint %s to resume\n", *checkpoint)
 		}
 		return 1
-	}
-	if *showMetrics {
-		reg.Snapshot().WriteText(stderr)
 	}
 	if *asJSON {
 		encErr := json.NewEncoder(stdout).Encode(sum)

@@ -128,3 +128,34 @@ func TestBadFlagsFail(t *testing.T) {
 		t.Error("zero members accepted")
 	}
 }
+
+// A campaign whose checkpoint cannot be written still dumps -metrics
+// and names the failure once, under one "ensemble: " prefix.
+func TestFailedRunDumpsMetrics(t *testing.T) {
+	dir := t.TempDir()
+	out, err := os.Create(filepath.Join(dir, "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	errs, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errs.Close()
+	ckpt := filepath.Join(dir, "missing", "cp.json")
+	if code := run([]string{"-members", "20", "-steps", "5", "-metrics", "-checkpoint", ckpt}, out, errs); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	raw, err := os.ReadFile(errs.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	if !strings.Contains(text, "ensemble_members_total") {
+		t.Errorf("no metrics on stderr:\n%s", text)
+	}
+	if !strings.Contains(text, "\nensemble: checkpoint: ") || strings.Contains(text, "ensemble: ensemble:") {
+		t.Errorf("stderr does not name the checkpoint failure once:\n%s", text)
+	}
+}

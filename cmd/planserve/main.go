@@ -17,7 +17,6 @@
 //	GET  /v1/stats        plan-cache occupancy and hit/miss/join counters
 //	GET  /healthz         liveness
 //	GET  /metrics         request counters, latency histograms and quantile summaries (text)
-//	GET  /debug/progress  live request/cache effectiveness snapshot (JSON)
 //	GET  /debug/vars      expvar (includes the metrics snapshot)
 //	GET  /debug/pprof     live profiling
 //
@@ -152,11 +151,9 @@ func serve(o serveOpts) int {
 	expvar.Publish("nestwrf_planserve_metrics", expvar.Func(func() any { return reg.Snapshot() }))
 
 	// The service mux handles its own routes; /debug/* (expvar, pprof)
-	// falls through to the default mux, except /debug/progress, which
-	// the service itself serves and would otherwise be shadowed.
+	// goes to the default mux.
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.Handle("GET /debug/progress", srv.Handler())
 	mux.Handle("/debug/", http.DefaultServeMux)
 
 	ln, err := net.Listen("tcp", o.addr)

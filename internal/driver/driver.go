@@ -21,7 +21,6 @@ import (
 	"nestwrf/internal/metrics"
 	"nestwrf/internal/model"
 	"nestwrf/internal/nest"
-	"nestwrf/internal/netsim"
 	"nestwrf/internal/predict"
 	"nestwrf/internal/stats"
 	"nestwrf/internal/telemetry"
@@ -541,8 +540,8 @@ func mappingFor(kind MapKind, g vtopo.Grid, tor torus.Torus, m machine.Machine, 
 }
 
 // costs evaluates a phase under the run's contention setting. When a
-// report is being built (and contention is on), the phase's link-
-// congestion summary is captured alongside the costs.
+// report is being built (and contention is on), the report also reads
+// the phase's link-congestion summary.
 func (r *run) costs(placements []model.Placement) []model.StepCost {
 	var sp *telemetry.ActiveSpan
 	if r.opt.Tracer.Recording() {
@@ -550,15 +549,13 @@ func (r *run) costs(placements []model.Placement) []model.StepCost {
 		sp = r.opt.Tracer.Start(r.sp.ID(), phaseName(placements), telemetry.LayerPhase)
 	}
 	var cs []model.StepCost
-	switch {
-	case r.opt.NoContention:
+	if r.opt.NoContention {
 		cs = model.PhaseCostsNoContention(r.opt.Machine, r.mp, placements)
-	case r.rep != nil:
-		var cong netsim.Congestion
-		cs, cong = model.PhaseCostsCongestion(r.opt.Machine, r.mp, placements)
-		r.rep.observeCongestion(phaseName(placements), cong)
-	default:
+	} else {
 		cs = model.PhaseCosts(r.opt.Machine, r.mp, placements)
+		if r.rep != nil {
+			r.observeCongestion(placements)
+		}
 	}
 	if sp != nil {
 		var longest float64

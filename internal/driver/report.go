@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"nestwrf/internal/alloc"
@@ -198,7 +199,6 @@ func DecodeComparisonReport(r io.Reader) (*ComparisonReport, error) {
 type reportBuilder struct {
 	phaseIdx   map[string]*PhaseBreakdown
 	phaseOrder []string
-	congSeen   map[string]bool
 	congestion []CongestionPhase
 	io         []WriteReport
 }
@@ -206,7 +206,6 @@ type reportBuilder struct {
 func newReportBuilder() *reportBuilder {
 	return &reportBuilder{
 		phaseIdx: map[string]*PhaseBreakdown{},
-		congSeen: map[string]bool{},
 	}
 }
 
@@ -221,14 +220,15 @@ func (b *reportBuilder) phase(name string, ranks int) *PhaseBreakdown {
 	return p
 }
 
-// observeCongestion records a phase's congestion summary once (repeat
-// evaluations of the same phase are identical, so the first wins).
-func (b *reportBuilder) observeCongestion(phase string, c netsim.Congestion) {
-	if b.congSeen[phase] {
+// observeCongestion records the congestion summary of a phase the
+// first time its name is seen (repeat evaluations of a phase are
+// identical).
+func (r *run) observeCongestion(placements []model.Placement) {
+	name := phaseName(placements)
+	if slices.ContainsFunc(r.rep.congestion, func(c CongestionPhase) bool { return c.Phase == name }) {
 		return
 	}
-	b.congSeen[phase] = true
-	b.congestion = append(b.congestion, CongestionPhase{Phase: phase, Congestion: c})
+	r.rep.congestion = append(r.rep.congestion, CongestionPhase{Phase: name, Congestion: model.PhaseCongestion(r.opt.Machine, r.mp, placements)})
 }
 
 // phaseName labels a costs() evaluation: the lone domain, or the

@@ -435,7 +435,7 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 			case <-ctx.Done():
 			}
 			if ctx.Err() != nil {
-				firstErr = context.Cause(ctx)
+				firstErr = fmt.Errorf("ensemble: %w", context.Cause(ctx))
 				break
 			}
 			if o.err != nil {

@@ -13,12 +13,6 @@ import (
 // Ablation experiments: the design choices DESIGN.md calls out,
 // isolated one at a time. They go beyond the paper's own evaluation
 // but answer the questions its design raises.
-func init() {
-	register("abl-contention", "Ablation: link-contention model on vs off (what topology-awareness removes)", ablContention)
-	register("abl-shape", "Ablation: Algorithm 1's square-like bisection vs strips with the same predicted weights", ablShape)
-	register("abl-exchanges", "Ablation: sensitivity to halo-exchange message granularity", ablExchanges)
-}
-
 // ablContention compares mappings with the congestion model enabled and
 // disabled. With contention off, only hop latency separates the
 // mappings, showing that most of the topology-aware gain comes from

@@ -7,10 +7,6 @@ import (
 	"nestwrf/internal/vtopo"
 )
 
-func init() {
-	register("bgq", "Future work: generalized fold on the 5D torus of Blue Gene/Q (Section 6)", bgq)
-}
-
 // bgqTori are Blue Gene/Q-style 5D core-tori: the 16 cores of a node
 // folded into the node torus's dimensions, with the E dimension of
 // real BG/Q hardware (2) last.

@@ -8,10 +8,6 @@ import (
 	"nestwrf/internal/stats"
 )
 
-func init() {
-	register("campaign", "Dynamic regions of interest: a typhoon-season campaign with nest spawning and re-planning", campaignExp)
-}
-
 // campaignExp runs the five-phase typhoon-season storyline: nests form,
 // multiply, intensify and decay; the concurrent strategy re-plans at
 // every change and pays the state-redistribution cost.

@@ -8,10 +8,6 @@ import (
 	"nestwrf/internal/planserve"
 )
 
-func init() {
-	register("ensemble", "Ensemble campaigns: perturbed-scenario families with streaming aggregate statistics", ensembleExp)
-}
-
 // ensembleExp runs one campaign per generator family and tabulates the
 // streamed aggregates: the concurrent strategy's gain distribution over
 // storm-track jitter, sampled nest hierarchies, and machine/allocation

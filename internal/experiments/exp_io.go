@@ -10,12 +10,6 @@ import (
 	"nestwrf/internal/workload"
 )
 
-func init() {
-	register("fig1314", "Integration, I/O and total per-iteration time vs BG/P cores with high-frequency output (Figs. 13-14)", fig1314)
-	register("alloceff", "Processor-allocation efficiency: naive strips vs Algorithm 1 (Section 4.6)", allocEff)
-	register("fig15", "Scalability and speedup, two 259x229 siblings on 32-1024 cores (Fig. 15)", fig15)
-}
-
 // fig1314 reproduces Figs. 13 and 14: per-iteration integration, I/O
 // and total times under high-frequency output, plus the I/O fraction.
 func fig1314() (*Table, error) {

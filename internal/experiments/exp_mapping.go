@@ -11,11 +11,6 @@ import (
 	"nestwrf/internal/workload"
 )
 
-func init() {
-	register("tab4fig11", "Mappings on 1024 BG/L cores: execution and MPI_Wait times (Table 4, Fig. 11)", tab4fig11)
-	register("tab5fig12", "Mappings on 4096 BG/P cores: execution, MPI_Wait and hops (Table 5, Fig. 12)", tab5fig12)
-}
-
 // mappingRow runs one configuration under the default strategy and all
 // four mappings of the concurrent strategy.
 type mappingRow struct {

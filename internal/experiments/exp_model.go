@@ -16,14 +16,6 @@ import (
 	"nestwrf/internal/workload"
 )
 
-func init() {
-	register("fig2", "WRF scalability with a subdomain on BG/L (286x307 parent + 415x445 nest)", fig2)
-	register("predict", "Performance-prediction accuracy: interpolation vs naive models (Section 3.1)", predictExp)
-	register("fig3", "Processor-space partitions in the ratio 0.15:0.3:0.35:0.2 (Fig. 3b)", fig3)
-	register("fig4", "Partitioning along the longer vs shorter dimension, k=3 (Fig. 4)", fig4)
-	register("fig56", "2D-to-3D mappings of 32 ranks on a 4x4x2 torus (Figs. 5-6)", fig56)
-}
-
 // fig2 sweeps the processor count for the Fig. 2 configuration under
 // the default strategy and reports per-iteration times.
 func fig2() (*Table, error) {

@@ -12,16 +12,6 @@ import (
 	"nestwrf/internal/workload"
 )
 
-func init() {
-	register("periter", "Per-iteration improvement over 85 random Pacific configs, 1024 BG/L cores (Section 4.3.1)", perIter85)
-	register("fig8", "Improvement incl./excl. I/O on 512-4096 BG/P cores, 30 configs (Fig. 8)", fig8)
-	register("tab1", "Average and maximum MPI_Wait improvement (Table 1)", tab1)
-	register("tab2fig9", "Sibling execution times, 4 siblings on 1024 BG/L cores (Table 2, Fig. 9)", tab2fig9)
-	register("fig10", "Large siblings on 1024-8192 BG/P cores (Fig. 10)", fig10)
-	register("nsib", "Improvement vs number of siblings (Section 4.3.4)", nsib)
-	register("tab3", "Improvement vs maximum nest size on 8192 BG/P cores (Table 3)", tab3)
-}
-
 // comparePair runs one configuration as the baseline pair: the default
 // strategy on the oblivious mapping, then the concurrent strategy on
 // kind, with the same I/O settings.

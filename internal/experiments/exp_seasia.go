@@ -10,10 +10,6 @@ import (
 	"nestwrf/internal/workload"
 )
 
-func init() {
-	register("seasia", "South-East Asia configurations (Section 4.1.1): eight fixed setups, three with second-level siblings", seasia)
-}
-
 // seasia evaluates the eight fixed SE-Asia configurations, including
 // the two-level nesting cases, on 4096 BG/P cores.
 func seasia() (*Table, error) {

@@ -8,10 +8,6 @@ import (
 	"nestwrf/internal/workload"
 )
 
-func init() {
-	register("steer", "Future work: closed-loop steering of the sibling allocation from measured phase times", steerExp)
-}
-
 // steerExp bootstraps the allocation from the worst policy (equal
 // split) and lets measured phase times correct it round by round.
 func steerExp() (*Table, error) {

@@ -14,7 +14,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,48 +101,45 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Experiment is a registered experiment.
+// Experiment is one entry of the registry.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func() (*Table, error)
 }
 
-var registry []Experiment
-
-func register(id, title string, run func() (*Table, error)) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+// registry lists the experiments in the paper's presentation order,
+// followed by the beyond-the-paper additions.
+var registry = []Experiment{
+	{"fig2", "WRF scalability with a subdomain on BG/L (286x307 parent + 415x445 nest)", fig2},
+	{"predict", "Performance-prediction accuracy: interpolation vs naive models (Section 3.1)", predictExp},
+	{"fig3", "Processor-space partitions in the ratio 0.15:0.3:0.35:0.2 (Fig. 3b)", fig3},
+	{"fig4", "Partitioning along the longer vs shorter dimension, k=3 (Fig. 4)", fig4},
+	{"fig56", "2D-to-3D mappings of 32 ranks on a 4x4x2 torus (Figs. 5-6)", fig56},
+	{"periter", "Per-iteration improvement over 85 random Pacific configs, 1024 BG/L cores (Section 4.3.1)", perIter85},
+	{"fig8", "Improvement incl./excl. I/O on 512-4096 BG/P cores, 30 configs (Fig. 8)", fig8},
+	{"tab1", "Average and maximum MPI_Wait improvement (Table 1)", tab1},
+	{"tab2fig9", "Sibling execution times, 4 siblings on 1024 BG/L cores (Table 2, Fig. 9)", tab2fig9},
+	{"fig10", "Large siblings on 1024-8192 BG/P cores (Fig. 10)", fig10},
+	{"nsib", "Improvement vs number of siblings (Section 4.3.4)", nsib},
+	{"tab3", "Improvement vs maximum nest size on 8192 BG/P cores (Table 3)", tab3},
+	{"tab4fig11", "Mappings on 1024 BG/L cores: execution and MPI_Wait times (Table 4, Fig. 11)", tab4fig11},
+	{"tab5fig12", "Mappings on 4096 BG/P cores: execution, MPI_Wait and hops (Table 5, Fig. 12)", tab5fig12},
+	{"fig1314", "Integration, I/O and total per-iteration time vs BG/P cores with high-frequency output (Figs. 13-14)", fig1314},
+	{"alloceff", "Processor-allocation efficiency: naive strips vs Algorithm 1 (Section 4.6)", allocEff},
+	{"fig15", "Scalability and speedup, two 259x229 siblings on 32-1024 cores (Fig. 15)", fig15},
+	{"seasia", "South-East Asia configurations (Section 4.1.1): eight fixed setups, three with second-level siblings", seasia},
+	{"abl-contention", "Ablation: link-contention model on vs off (what topology-awareness removes)", ablContention},
+	{"abl-shape", "Ablation: Algorithm 1's square-like bisection vs strips with the same predicted weights", ablShape},
+	{"abl-exchanges", "Ablation: sensitivity to halo-exchange message granularity", ablExchanges},
+	{"bgq", "Future work: generalized fold on the 5D torus of Blue Gene/Q (Section 6)", bgq},
+	{"campaign", "Dynamic regions of interest: a typhoon-season campaign with nest spawning and re-planning", campaignExp},
+	{"steer", "Future work: closed-loop steering of the sibling allocation from measured phase times", steerExp},
+	{"ensemble", "Ensemble campaigns: perturbed-scenario families with streaming aggregate statistics", ensembleExp},
 }
 
-// canonicalOrder lists the experiment ids in the paper's presentation
-// order, followed by the beyond-the-paper additions.
-var canonicalOrder = []string{
-	"fig2", "predict", "fig3", "fig4", "fig56",
-	"periter", "fig8", "tab1", "tab2fig9", "fig10", "nsib", "tab3",
-	"tab4fig11", "tab5fig12", "fig1314", "alloceff", "fig15", "seasia",
-	"abl-contention", "abl-shape", "abl-exchanges", "bgq", "campaign", "steer",
-	"ensemble",
-}
-
-// All returns the registered experiments in the paper's presentation
-// order (unknown ids follow in registration order).
-func All() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
-	rank := map[string]int{}
-	for i, id := range canonicalOrder {
-		rank[id] = i
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, iok := rank[out[i].ID]
-		rj, jok := rank[out[j].ID]
-		if iok && jok {
-			return ri < rj
-		}
-		return iok && !jok
-	})
-	return out
-}
+// All returns the experiments in the paper's presentation order.
+func All() []Experiment { return slices.Clone(registry) }
 
 // ByID returns the experiment with the given id.
 func ByID(id string) (Experiment, bool) {

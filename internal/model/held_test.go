@@ -110,7 +110,7 @@ func checkRing(t *testing.T, mps map[string]*mapping.Mapping) {
 }
 
 // TestHeldGeometryMatchesDefinition cycles 67 geometries through
-// PhaseCosts and PhaseCostsCongestion from GOMAXPROCS goroutines: five
+// PhaseCosts and PhaseCongestion from GOMAXPROCS goroutines: five
 // mapping constructors × five rectangle sets on a 256-rank grid, two ×
 // three on a 13x1 row (every set of several rectangles also listed in
 // reverse), and ringCases' twelve on a 4096-rank grid, whose flows
@@ -182,10 +182,10 @@ func TestHeldGeometryMatchesDefinition(t *testing.T) {
 					c := cases[(w*len(cases)/workers+k)%len(cases)]
 					got := PhaseCosts(c.m, c.mp, c.placements)
 					ring := contendedCosts(c.m, c.mp, c.placements)
-					inst, cong := PhaseCostsCongestion(c.m, c.mp, c.placements)
-					if !reflect.DeepEqual(got, c.want) || !reflect.DeepEqual(ring, c.want) || !reflect.DeepEqual(inst, c.want) {
-						t.Errorf("worker %d %s %v: PhaseCosts %+v, from the ring %+v, PhaseCostsCongestion %+v, definition %+v",
-							w, c.mp.Name, c.placements[0].SG.Rect, got, ring, inst, c.want)
+					cong := PhaseCongestion(c.m, c.mp, c.placements)
+					if !reflect.DeepEqual(got, c.want) || !reflect.DeepEqual(ring, c.want) {
+						t.Errorf("worker %d %s %v: PhaseCosts %+v, from the ring %+v, definition %+v",
+							w, c.mp.Name, c.placements[0].SG.Rect, got, ring, c.want)
 					}
 					if !reflect.DeepEqual(cong, c.cong) {
 						t.Errorf("worker %d %s %v: congestion %+v, definition %+v", w, c.mp.Name, c.placements[0].SG.Rect, cong, c.cong)

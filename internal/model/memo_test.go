@@ -110,23 +110,6 @@ func TestMemoKeyDistinguishes(t *testing.T) {
 	}
 }
 
-// TestPhaseCostsCongestionMatchesPhaseCosts pins the instrumented
-// entry point to the plain one: same costs, and congestion totals that
-// agree with an independently constructed network.
-func TestPhaseCostsCongestionMatchesPhaseCosts(t *testing.T) {
-	m, mp, placements := buildPlacements(t)
-	plain := PhaseCosts(m, mp, placements)
-	inst, cong := PhaseCostsCongestion(m, mp, placements)
-	for i := range plain {
-		if plain[i] != inst[i] {
-			t.Errorf("placement %d: PhaseCosts %+v, PhaseCostsCongestion %+v", i, plain[i], inst[i])
-		}
-	}
-	if cong.Links == 0 || cong.TotalHops == 0 || cong.MaxLoad == 0 {
-		t.Errorf("empty congestion summary: %+v", cong)
-	}
-}
-
 // TestPhaseCacheBounded asserts the memo never holds more than
 // maxPhaseEntries phases however many distinct ones are evaluated, and
 // that a phase evaluated before and after the cache was dropped still

@@ -69,17 +69,13 @@ func PhaseCostsNoContention(m machine.Machine, mp *mapping.Mapping, placements [
 	return phaseCosts(m, mp, placements, false)
 }
 
-// PhaseCostsCongestion is PhaseCosts plus the congestion summary of
-// the phase's accumulated link loads — the observability variant used
-// when a run assembles a structured report. It is deliberately a
-// separate entry point so the uninstrumented path stays allocation-
-// identical.
-func PhaseCostsCongestion(m machine.Machine, mp *mapping.Mapping, placements []Placement) ([]StepCost, netsim.Congestion) {
+// PhaseCongestion is the congestion summary of the link loads the
+// placements' halo exchanges put on the torus under mp — the phase
+// PhaseCosts prices. Only reports read it, once per phase they record.
+func PhaseCongestion(m machine.Machine, mp *mapping.Mapping, placements []Placement) netsim.Congestion {
 	h := takeNet(m, mp, placements)
-	out := priceFlows(m, mp, placements, h.flows)
-	stats := h.net.Stats()
-	releaseNet(h)
-	return out, stats
+	defer releaseNet(h)
+	return h.net.Stats()
 }
 
 // Phase-cost memoization (DESIGN.md Section 8). A phase's StepCosts

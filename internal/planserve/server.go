@@ -218,11 +218,6 @@ type Server struct {
 	reg    *metrics.Registry
 	tracer *telemetry.Tracer
 	log    *slog.Logger
-
-	// requests and inflight back /debug/progress independently of the
-	// registry (which may be absent).
-	requests atomic.Uint64
-	inflight atomic.Int64
 }
 
 // New builds a Server from cfg (zero-value fields are defaulted).
@@ -274,8 +269,9 @@ func (s *Server) LoadSnapshot(path string) (loaded, rejected int, err error) {
 }
 
 // Handler returns the service mux: POST /v1/plan, POST /v1/compare,
-// POST /v1/plan/batch, GET /v1/stats, GET /debug/progress,
-// GET /healthz, GET /metrics.
+// POST /v1/plan/batch, GET /v1/stats, GET /healthz, GET /metrics.
+// It claims no /debug/ path, so a caller may mount expvar and pprof
+// there.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
@@ -286,7 +282,6 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/plan/batch", s.serveBatch)
 	mux.HandleFunc("GET /v1/stats", s.serveStats)
-	mux.HandleFunc("GET /debug/progress", s.serveProgress)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -313,15 +308,12 @@ var latencyBounds = []float64{
 // (attr: the cache outcome of a query, the item count of a batch).
 func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveSpan) (code int, detail string)) {
 	start := time.Now()
-	s.requests.Add(1)
-	s.inflight.Add(1)
 	s.reg.Gauge("planserve_inflight_requests").Add(1)
 	sp := s.tracer.Start(0, "planserve."+endpoint, telemetry.LayerServe)
 	sp.Annotate("endpoint", endpoint)
 	code, detail := http.StatusInternalServerError, "" // what a panicking serve leaves behind
 	defer func() {
 		dur := time.Since(start).Seconds()
-		s.inflight.Add(-1)
 		s.reg.Gauge("planserve_inflight_requests").Add(-1)
 		s.reg.Counter("planserve_requests_total",
 			metrics.L("endpoint", endpoint), metrics.L("code", codeLabel(code))).Inc()
@@ -631,26 +623,6 @@ func (s *Server) serveStats(w http.ResponseWriter, _ *http.Request) {
 		"warm_loaded":   warmLoaded,
 		"warm_rejected": warmRejected,
 		"warm_evicted":  warmEvicted,
-	})
-}
-
-// serveProgress reports live serving state: requests handled so far,
-// requests in flight, and cache effectiveness as a hit rate over
-// completed lookups.
-func (s *Server) serveProgress(w http.ResponseWriter, _ *http.Request) {
-	entries, hits, misses, evictions := s.CacheStats()
-	var hitRate float64
-	if lookups := hits + misses; lookups > 0 {
-		hitRate = float64(hits) / float64(lookups)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"requests": s.requests.Load(),
-		"inflight": s.inflight.Load(),
-		"cache": map[string]any{
-			"entries": entries, "hits": hits, "misses": misses,
-			"evictions": evictions, "joins": s.CacheJoins(),
-			"hit_rate": hitRate,
-		},
 	})
 }
 

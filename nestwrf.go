@@ -222,19 +222,18 @@ type topologyTime struct {
 	params netsim.Params
 }
 
-// Transfer implements TimeModel: overhead + hops*latency +
-// bytes/bandwidth between the mapped torus nodes of the two ranks.
-// Ranks outside the mapping (should not happen in a consistent run)
-// are charged the torus diameter.
+// Transfer implements TimeModel: the network's price of an
+// uncontended message between the mapped torus nodes of the two ranks,
+// the one the phase-cost model charges. Ranks outside the mapping
+// (should not happen in a consistent run) are charged the torus
+// diameter.
 func (t *topologyTime) Transfer(src, dst, bytes int) float64 {
 	tor := t.m.Torus
 	hops := tor.X/2 + tor.Y/2 + tor.Z/2
 	if n := t.m.Grid.Size(); src >= 0 && src < n && dst >= 0 && dst < n {
 		hops = t.m.Hops(src, dst)
 	}
-	return t.params.Overhead +
-		float64(hops)*t.params.LatencyPerHop +
-		float64(bytes)/t.params.Bandwidth
+	return t.params.MessageTime(hops, 1, bytes)
 }
 
 // FunctionalOutput is a functional run's final fields and virtual-time

@@ -57,6 +57,24 @@ func TestTopologyTimeModelScalesWithHops(t *testing.T) {
 	}
 }
 
+// A message prices as in the phase-cost model: a rank sending to
+// itself pays the per-message overhead alone. Ranks that share a node
+// are distinct points of the core torus (TXYZ puts BG/L's ranks 0 and 1
+// one Z hop apart), so they pay one hop.
+func TestTopologyTimeModelMessagePrice(t *testing.T) {
+	m := nestwrf.BlueGeneL()
+	tm, err := nestwrf.NewTopologyTimeModel(nestwrf.MapTXYZ, m, 32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tm.Transfer(3, 3, 4096); got != m.Net.Overhead {
+		t.Errorf("self transfer = %v, want the overhead %v", got, m.Net.Overhead)
+	}
+	if got, want := tm.Transfer(0, 1, 4096), m.Net.Overhead+m.Net.LatencyPerHop+4096/m.Net.Bandwidth; got != want {
+		t.Errorf("same-node transfer = %v, want one hop %v", got, want)
+	}
+}
+
 // The end-to-end topology claim, functionally: the same mini-WRF run
 // finishes in less virtual time under the multi-level fold than under
 // the oblivious mapping, with identical fields.
