@@ -57,13 +57,6 @@ type Plan struct {
 	Cost Result
 }
 
-// Shared predictor cache. Predictors are deterministic functions of
-// the machine's full identity (the paper's 13 profiling runs produce
-// the same model every time), so one trained model is shared by every
-// run, experiment and server request on the same machine. The key
-// covers every field of the machine, not just its name: two machines
-// that share a name but differ in any cost-model parameter must not
-// share a predictor.
 // predEntry is one machine's singleflight training slot: the first
 // caller trains inside the Once, and every concurrent first-touch
 // caller waits on the same slot instead of training a redundant copy
@@ -74,6 +67,13 @@ type predEntry struct {
 	err  error
 }
 
+// Shared predictor cache. Predictors are deterministic functions of
+// the machine's full identity (the paper's 13 profiling runs produce
+// the same model every time), so one trained model is shared by every
+// run, experiment and server request on the same machine. The key
+// covers every field of the machine, not just its name: two machines
+// that share a name but differ in any cost-model parameter must not
+// share a predictor.
 var (
 	predMu    sync.Mutex
 	predCache = map[string]*predEntry{}

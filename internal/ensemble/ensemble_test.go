@@ -377,16 +377,41 @@ func memberSeconds(reg *metrics.Registry) uint64 {
 }
 
 // engineGoroutines returns the stacks of the goroutines running engine
-// code.
+// code. A worker whose only engine frame is running its deferred
+// sync.(*WaitGroup).Done counts as exited: Wait may return once Done
+// has dropped the counter, before Done's own last instructions have
+// run, so any WaitGroup exit leaves that window open.
 func engineGoroutines() []string {
 	buf := make([]byte, 1<<20)
 	var out []string
 	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "ensemble.(*Engine)") {
+		if strings.Contains(g, "ensemble.(*Engine)") && !inWaitGroupDone(g) {
 			out = append(out, g)
 		}
 	}
 	return out
+}
+
+// inWaitGroupDone reports whether goroutine stack g has exactly one
+// engine frame and that frame is calling sync.(*WaitGroup).Done. The
+// "created by" line names the engine too and is not a frame.
+func inWaitGroupDone(g string) bool {
+	var frames []string
+	for _, line := range strings.Split(g, "\n")[1:] {
+		if line != "" && !strings.HasPrefix(line, "\t") && !strings.HasPrefix(line, "created by ") {
+			frames = append(frames, line)
+		}
+	}
+	engine := -1
+	for i, f := range frames {
+		if strings.Contains(f, "ensemble.(*Engine)") {
+			if engine >= 0 {
+				return false
+			}
+			engine = i
+		}
+	}
+	return engine > 0 && strings.HasPrefix(frames[engine-1], "sync.(*WaitGroup).Done(")
 }
 
 // Run returns only after its last worker has: after StopAfter, a
@@ -444,6 +469,32 @@ func TestRunLeavesNoWorkers(t *testing.T) {
 				t.Errorf("StopAfter %d started %d members", c.stop, observed)
 			}
 		})
+	}
+}
+
+// inWaitGroupDone passes only a worker that is running its deferred
+// Done: one still in engine code, or engine code calling Done from a
+// second engine frame, is alive.
+func TestInWaitGroupDone(t *testing.T) {
+	const created = "created by nestwrf/internal/ensemble.(*Engine).Run in goroutine 7\n\tensemble/engine.go:413 +0x7a5"
+	for _, c := range []struct {
+		stack string
+		want  bool
+	}{
+		{"goroutine 41 [runnable]:\nsync.(*WaitGroup).Done(...)\n\tsync/waitgroup.go:110\n" +
+			"nestwrf/internal/ensemble.(*Engine).Run.func2()\n\tensemble/engine.go:430 +0x2f1\n" + created, true},
+		{"goroutine 41 [running]:\ninternal/race.ReleaseMerge(0xc0001)\n\trace/race.go:40\n" +
+			"sync.(*WaitGroup).Add(0xc0001, 0xffffffffffffffff)\n\tsync/waitgroup.go:64 +0x1c\n" +
+			"sync.(*WaitGroup).Done(0xc0001)\n\tsync/waitgroup.go:110 +0x2c\n" +
+			"nestwrf/internal/ensemble.(*Engine).Run.func2()\n\tensemble/engine.go:430 +0x2f1\n" + created, true},
+		{"goroutine 41 [chan send]:\nnestwrf/internal/ensemble.(*Engine).Run.func2()\n\tensemble/engine.go:426 +0x1a0\n" + created, false},
+		{"goroutine 41 [runnable]:\nsync.(*WaitGroup).Done(...)\n\tsync/waitgroup.go:110\n" +
+			"nestwrf/internal/ensemble.(*Engine).traceMember(0xc0002)\n\tensemble/engine.go:300 +0x10\n" +
+			"nestwrf/internal/ensemble.(*Engine).Run.func2()\n\tensemble/engine.go:425 +0x2f1\n" + created, false},
+	} {
+		if got := inWaitGroupDone(c.stack); got != c.want {
+			t.Errorf("inWaitGroupDone = %v, want %v, for\n%s", got, c.want, c.stack)
+		}
 	}
 }
 

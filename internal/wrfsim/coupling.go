@@ -1,8 +1,9 @@
 package wrfsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
@@ -61,17 +62,101 @@ func span(n, parts, i int) (start, size int) {
 	return start, size
 }
 
-// bcTransfer is one (src, dst) message of the boundary-condition
-// exchange: parent cells read at src, halo cells written at dst.
-type bcTransfer struct {
-	src, dst int      // world ranks
-	pcells   [][2]int // parent global cells, in message order
-	hcells   [][2]int // child halo cells (child-global), in message order
+// rect is a rectangle of source-domain cells, in global coordinates.
+type rect struct{ x0, y0, w, h int }
+
+// transfer is one (src, dst) message of a coupling exchange, in either
+// direction: the sender packs the cells of rects from its source tile
+// (each rectangle row-major, three floats per cell) and the receiver
+// stashes the payload in its inbox at slot.
+type transfer struct {
+	src, dst int // world ranks
+	rects    []rect
+	floats   int // payload length: 3 * total cells
+	slot     int // index in dst's inbox (the per-rank payload stash)
+}
+
+// cellRef locates one (h, hu, hv) triple inside a rank's inbox: the
+// slot of its payload and the float offset within it. Slots are per
+// destination rank, so a rank's stash is sized by its own incoming
+// transfers, not the nest's — the latter made per-rank stash memory
+// O(world) and the whole run O(world²) at startup.
+type cellRef struct {
+	slot int32
+	off  int32
+}
+
+// target is one cell a rank writes from its inbox: its tile-local
+// coordinates and the triples it is made of, pre-resolved to payload
+// positions (for feedback, its child block in canonical child-global
+// row-major order; for a boundary condition, the one parent value).
+type target struct {
+	lx, ly int
+	srcs   []cellRef
+}
+
+// couplingPlan is one direction of one nest's coupling, precomputed:
+// the transfers sorted by (src, dst), each world rank's send and receive
+// lists and inbox size, and each rank's targets. It depends only on the
+// domain geometry and process grids, so Run builds it once and shares it
+// read-only across ranks (the inboxes live on each rank's nestCtx).
+type couplingPlan struct {
+	transfers []*transfer
+	// Per-rank indexes over transfers, in sorted order (so per-rank
+	// message order matches a filtered scan of transfers): sendByRank
+	// includes self-transfers, recvByRank excludes them, and inboxLen is
+	// each rank's stash size (slots cover both).
+	sendByRank [][]*transfer
+	recvByRank [][]*transfer
+	inboxLen   []int
+	targets    [][]target // by world rank
+}
+
+// newCouplingPlan indexes one direction's transfers by world rank: it
+// sorts them by (src, dst), gives each its slot in its destination's
+// inbox, and carves the per-rank lists: a rank's sends are one run of
+// the sorted list, its receives (self-transfers excluded) come from one
+// slab. The plan points into trs; the builder fills the targets.
+func newCouplingPlan(trs []transfer, nranks int) *couplingPlan {
+	plan := &couplingPlan{
+		transfers:  make([]*transfer, len(trs)),
+		sendByRank: make([][]*transfer, nranks),
+		recvByRank: make([][]*transfer, nranks),
+		inboxLen:   make([]int, nranks),
+		targets:    make([][]target, nranks),
+	}
+	for i := range trs {
+		plan.transfers[i] = &trs[i]
+	}
+	slices.SortFunc(plan.transfers, func(a, b *transfer) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+	})
+	for _, tr := range plan.transfers {
+		tr.slot = plan.inboxLen[tr.dst]
+		plan.inboxLen[tr.dst]++
+	}
+	recvSlab := make([]*transfer, len(trs))
+	run := 0
+	for i, tr := range plan.transfers {
+		if j := i + 1; j == len(trs) || plan.transfers[j].src != tr.src {
+			plan.sendByRank[tr.src] = plan.transfers[run:j:j]
+			run = j
+		}
+		if tr.dst == tr.src {
+			continue
+		}
+		if plan.recvByRank[tr.dst] == nil {
+			n := plan.inboxLen[tr.dst]
+			plan.recvByRank[tr.dst], recvSlab = recvSlab[:0:n], recvSlab[n:]
+		}
+		plan.recvByRank[tr.dst] = append(plan.recvByRank[tr.dst], tr)
+	}
+	return plan
 }
 
 // haloRing enumerates the child's halo-ring cells in canonical order.
 func haloRing(c *nest.Domain) [][2]int {
-	var out [][2]int
+	out := make([][2]int, 0, 2*(c.NX+2)+2*c.NY)
 	for x := -1; x <= c.NX; x++ {
 		out = append(out, [2]int{x, -1}, [2]int{x, c.NY})
 	}
@@ -81,196 +166,75 @@ func haloRing(c *nest.Domain) [][2]int {
 	return out
 }
 
-// bcPlan indexes a nest's BC transfer pattern by world rank, so each
-// rank walks only its own sends and receives instead of scanning the
-// full pattern (which is O(world) per rank per step at scale). Both
-// lists preserve global pattern order, so per-rank message order — and
-// therefore every virtual clock — is identical to a filtered scan of
-// the full pattern.
-type bcPlan struct {
-	send [][]*bcTransfer // by world rank: transfers sourced there (incl. self)
-	recv [][]*bcTransfer // by world rank: remote transfers received there
-}
-
-// newBCPlan indexes pattern by rank.
-func newBCPlan(pattern []*bcTransfer, nranks int) *bcPlan {
-	p := &bcPlan{
-		send: make([][]*bcTransfer, nranks),
-		recv: make([][]*bcTransfer, nranks),
+// buildBCPlan computes the boundary-condition plan of one nest. Each
+// halo-ring cell is fed by the parent cell under it, read at its owner
+// (src), and written on the child tile adjacent to it (dst). There is
+// one transfer per (src, dst), carrying its cells in halo-ring order as
+// 1×1 rectangles; a parent cell under several halo cells is sent once
+// for each. Each member's targets are its halo-ring cells, one triple
+// apiece.
+func buildBCPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.Grid, cworld []int) *couplingPlan {
+	type ringCell struct {
+		src, dst int
+		parent   rect
+		lx, ly   int // in dst's tile
 	}
-	for _, tr := range pattern {
-		p.send[tr.src] = append(p.send[tr.src], tr)
-		if tr.dst != tr.src {
-			p.recv[tr.dst] = append(p.recv[tr.dst], tr)
+	ring := haloRing(c)
+	cells := make([]ringCell, len(ring))
+	for i, hc := range ring {
+		rx := ownerIdx(c.NX, cgrid.Px, clampInt(hc[0], 0, c.NX-1))
+		ry := ownerIdx(c.NY, cgrid.Py, clampInt(hc[1], 0, c.NY-1))
+		x0, _ := span(c.NX, cgrid.Px, rx)
+		y0, _ := span(c.NY, cgrid.Py, ry)
+		px := clampInt(c.OffX+floorDiv(hc[0], c.Ratio), 0, cfg.NX-1)
+		py := clampInt(c.OffY+floorDiv(hc[1], c.Ratio), 0, cfg.NY-1)
+		cells[i] = ringCell{
+			src: ownerOf(cfg.NX, cfg.NY, grid, px, py), dst: cworld[cgrid.Rank(rx, ry)],
+			parent: rect{px, py, 1, 1}, lx: hc[0] - x0, ly: hc[1] - y0,
 		}
 	}
-	return p
-}
+	pair := func(a, b ringCell) int { return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst)) }
+	slices.SortStableFunc(cells, pair)
 
-// bcPattern computes the full deterministic BC exchange pattern of one
-// nest: which world rank sends which parent cells to which world rank.
-// It depends only on the domain geometry and process grids, so Run
-// builds it once (indexed by rank, see bcPlan) and shares it read-only
-// across ranks.
-func bcPattern(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.Grid, cworld []int) []*bcTransfer {
-	byPair := map[[2]int]*bcTransfer{}
-	var order [][2]int
-	for _, hc := range haloRing(c) {
-		hx, hy := hc[0], hc[1]
-		// Owning child rank: the tile adjacent to the halo cell.
-		ox := clampInt(hx, 0, c.NX-1)
-		oy := clampInt(hy, 0, c.NY-1)
-		childLocal := ownerOf(c.NX, c.NY, cgrid, ox, oy)
-		dst := cworld[childLocal]
-		// Parent cell supplying the value.
-		pgx := clampInt(c.OffX+floorDiv(hx, c.Ratio), 0, cfg.NX-1)
-		pgy := clampInt(c.OffY+floorDiv(hy, c.Ratio), 0, cfg.NY-1)
-		src := ownerOf(cfg.NX, cfg.NY, grid, pgx, pgy)
-		key := [2]int{src, dst}
-		tr, ok := byPair[key]
-		if !ok {
-			tr = &bcTransfer{src: src, dst: dst}
-			byPair[key] = tr
-			order = append(order, key)
+	// One transfer per run of equal (src, dst), its rectangles carved
+	// from one slab.
+	rects := make([]rect, len(cells))
+	n := 0
+	for i := range cells {
+		rects[i] = cells[i].parent
+		if i == 0 || pair(cells[i-1], cells[i]) != 0 {
+			n++
 		}
-		tr.pcells = append(tr.pcells, [2]int{pgx, pgy})
-		tr.hcells = append(tr.hcells, [2]int{hx, hy})
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i][0] != order[j][0] {
-			return order[i][0] < order[j][0]
+	trs := make([]transfer, 0, n)
+	for i, j := 0, 1; i < len(cells); i, j = j, j+1 {
+		for j < len(cells) && pair(cells[i], cells[j]) == 0 {
+			j++
 		}
-		return order[i][1] < order[j][1]
-	})
-	out := make([]*bcTransfer, len(order))
-	for i, k := range order {
-		out[i] = byPair[k]
+		trs = append(trs, transfer{src: cells[i].src, dst: cells[i].dst, rects: rects[i:j:j], floats: 3 * (j - i)})
 	}
-	return out
-}
+	plan := newCouplingPlan(trs, grid.Size())
 
-// exchangeBC moves parent boundary values to the nest's halo owners and
-// stores them in nc.bc (cleared first). Every rank participates as a
-// potential sender; only nest members receive.
-//
-// It walks the plan cached on the nest context (built once in Run) and
-// moves payloads through the pooled owned-send path, so a steady-state
-// coupling step performs no allocations; reference_test.go keeps the
-// recompute-and-copy variant as the oracle.
-func exchangeBC(world *mpi.Comm, parent *solver.Tile, nc *nestCtx) error {
-	if nc.tracer.Recording() {
-		sp := nc.tracer.Start(nc.span, "bc:"+nc.d.Name, telemetry.LayerPhase)
-		defer sp.End()
+	// Targets, carved per destination rank from one slab.
+	count := make([]int, grid.Size())
+	for _, cl := range cells {
+		count[cl.dst]++
 	}
-	me := world.Rank()
-	sends, recvs := nc.bcPlan.send[me], nc.bcPlan.recv[me]
-	tag := tagBC + nc.idx
-
-	if nc.tile != nil {
-		nc.bc = nc.bc[:0]
+	slab := make([]target, len(cells))
+	for r, k := range count {
+		plan.targets[r], slab = slab[:0:k], slab[k:]
 	}
-
-	// Post sends (and handle self-transfers locally).
-	for _, tr := range sends {
-		n := 3 * len(tr.pcells)
-		data := world.AllocPayload(n)
-		for i, pc := range tr.pcells {
-			data[3*i], data[3*i+1], data[3*i+2] = parent.Cell(pc[0]-parent.X0, pc[1]-parent.Y0)
+	refs := make([]cellRef, len(cells))
+	i := 0
+	for t := range trs {
+		tr := &trs[t]
+		for k := range tr.rects {
+			refs[i] = cellRef{slot: int32(tr.slot), off: int32(3 * k)}
+			plan.targets[tr.dst] = append(plan.targets[tr.dst], target{lx: cells[i].lx, ly: cells[i].ly, srcs: refs[i : i+1 : i+1]})
+			i++
 		}
-		if tr.dst == me {
-			storeBC(nc, tr, data)
-			world.FreePayload(data)
-			continue
-		}
-		world.SendOwned(tr.dst, tag, data)
 	}
-	// Receive in deterministic pattern order.
-	for _, tr := range recvs {
-		data, err := world.Recv(tr.src, tag)
-		if err != nil {
-			return err
-		}
-		if len(data) != 3*len(tr.pcells) {
-			return fmt.Errorf("wrfsim: BC payload %d for %d cells", len(data), len(tr.pcells))
-		}
-		storeBC(nc, tr, data)
-		world.FreePayload(data)
-	}
-	return nil
-}
-
-// storeBC appends received boundary values as local halo cells of the
-// receiving rank's nest tile.
-func storeBC(nc *nestCtx, tr *bcTransfer, data []float64) {
-	t := nc.tile
-	for i, hc := range tr.hcells {
-		nc.bc = append(nc.bc, bcCell{
-			lx: hc[0] - t.X0,
-			ly: hc[1] - t.Y0,
-			h:  data[3*i],
-			hu: data[3*i+1],
-			hv: data[3*i+2],
-		})
-	}
-}
-
-// fbEntry is one parent cell's feedback contribution from one child
-// rank: the intersection of the child-cell block with that rank's tile.
-// The message carries the raw child cells of the rectangle (row-major,
-// 3 values per cell) rather than a partial sum, so the parent owner can
-// accumulate every block in one canonical order — the property that
-// makes feedback, and therefore the whole functional run, bit-identical
-// across process decompositions.
-type fbEntry struct {
-	pcell  [2]int // parent global cell
-	x0, y0 int    // child-global intersection origin
-	w, h   int
-	off    int // float offset of this entry's cells in the transfer payload
-}
-
-// fbTransfer is one (src, dst) message of the feedback exchange.
-type fbTransfer struct {
-	src, dst int
-	entries  []fbEntry
-	floats   int // payload length: 3 * total cells
-	slot     int // index in dst's inbox (the per-rank payload stash)
-}
-
-// fbCellRef locates one child cell's (h, hu, hv) triple inside the
-// step's received payloads: the destination rank's inbox slot and the
-// float offset within that payload. Slots are per destination rank, so
-// a rank's stash is sized by its own inbox, not the nest's global
-// transfer count — the latter made per-rank stash memory O(world) and
-// the whole run O(world²) at startup.
-type fbCellRef struct {
-	slot int32
-	off  int32
-}
-
-// fbOwnedCell is the accumulation recipe for one parent cell owned by
-// this rank: its child-block cells in canonical (child-global
-// row-major) order, pre-resolved to payload positions.
-type fbOwnedCell struct {
-	lx, ly int     // parent-local coordinates
-	n      float64 // block cell count (the averaging denominator)
-	srcs   []fbCellRef
-}
-
-// fbPlan is the complete precomputed feedback exchange of one nest:
-// the deterministic transfer pattern plus every rank's canonical
-// accumulation recipe. It depends only on the domain geometry and
-// process grids, so Run builds it once and shares it read-only across
-// ranks (per-step payload stashes live on the rank's nestCtx).
-type fbPlan struct {
-	transfers   []*fbTransfer
-	ownedByRank [][]fbOwnedCell // indexed by parent world rank
-	// Per-rank indexes over transfers, in global pattern order (so
-	// per-rank message order matches a filtered scan of transfers):
-	// sendByRank includes self-transfers, recvByRank excludes them, and
-	// inboxLen is each rank's stash size (slots cover both).
-	sendByRank [][]*fbTransfer
-	recvByRank [][]*fbTransfer
-	inboxLen   []int
+	return plan
 }
 
 // fbAxis is one dimension of a nest's feedback geometry. The block
@@ -338,27 +302,32 @@ func (a *fbAxis) fed(r, d, ratio int) int {
 }
 
 // buildFBPlan computes the feedback plan of one nest in time and memory
-// linear in what the plan holds: the transfers are enumerated up front
-// from the per-axis tables (child tile r feeds exactly the rectangle of
-// parent ranks its footprint touches), so one pass over the footprint
-// fills every entry and every accumulation recipe by index arithmetic,
-// and all entries, recipes and per-rank lists are carved from per-plan
+// linear in what the plan holds. A feedback message carries the raw
+// child cells of each (parent cell block ∩ child tile) rectangle rather
+// than a partial sum, so the parent owner can accumulate every block in
+// one canonical order — the property that makes feedback, and therefore
+// the whole functional run, bit-identical across process
+// decompositions. The transfers are enumerated up front from the
+// per-axis tables (child tile r feeds exactly the rectangle of parent
+// ranks its footprint touches), so one pass over the footprint fills
+// every rectangle and every target by index arithmetic, and all
+// rectangles, targets and per-rank lists are carved from per-plan
 // slabs. reference_test.go keeps the scan-every-tile builder this
 // replaced as the oracle.
-func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.Grid, cworld []int) *fbPlan {
+func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.Grid, cworld []int) *couplingPlan {
 	ratio := c.Ratio
 	ax := newFBAxis(cfg.NX, grid.Px, c.OffX, c.NX, cgrid.Px, ratio)
 	ay := newFBAxis(cfg.NY, grid.Py, c.OffY, c.NY, cgrid.Py, ratio)
 
 	// Transfers of child tile r start at tbase[r], ordered by ascending
-	// destination rank; each gets its exact entry capacity.
+	// destination rank; each gets its exact rectangle capacity.
 	tbase := make([]int, cgrid.Size()+1)
 	for r := range tbase[1:] {
 		rx, ry := cgrid.Coord(r)
 		tbase[r+1] = tbase[r] + ax.nd[rx]*ay.nd[ry]
 	}
-	trs := make([]fbTransfer, tbase[cgrid.Size()])
-	entries := make([]fbEntry, ax.overlaps*ay.overlaps)
+	trs := make([]transfer, tbase[cgrid.Size()])
+	rects := make([]rect, ax.overlaps*ay.overlaps)
 	for r := 0; r < cgrid.Size(); r++ {
 		rx, ry := cgrid.Coord(r)
 		i := tbase[r]
@@ -366,65 +335,25 @@ func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.
 			ny := ay.fed(ry, ay.d0[ry]+ky, ratio)
 			for kx := 0; kx < ax.nd[rx]; kx++ {
 				n := ny * ax.fed(rx, ax.d0[rx]+kx, ratio)
-				trs[i] = fbTransfer{src: cworld[r], dst: grid.Rank(ax.d0[rx]+kx, ay.d0[ry]+ky)}
-				trs[i].entries, entries = entries[:0:n], entries[n:]
+				trs[i] = transfer{src: cworld[r], dst: grid.Rank(ax.d0[rx]+kx, ay.d0[ry]+ky)}
+				trs[i].rects, rects = rects[:0:n], rects[n:]
 				i++
 			}
 		}
 	}
-	nranks := grid.Size()
-	plan := &fbPlan{
-		transfers:   make([]*fbTransfer, len(trs)),
-		ownedByRank: make([][]fbOwnedCell, nranks),
-		sendByRank:  make([][]*fbTransfer, nranks),
-		recvByRank:  make([][]*fbTransfer, nranks),
-		inboxLen:    make([]int, nranks),
-	}
-	for i := range trs {
-		plan.transfers[i] = &trs[i]
-	}
-	sort.Slice(plan.transfers, func(i, j int) bool {
-		a, b := plan.transfers[i], plan.transfers[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.dst < b.dst
-	})
-	// Per-rank indexes: a rank's sends are one run of the sorted list;
-	// its receives (self-transfers excluded) are carved from one slab.
-	for _, tr := range plan.transfers {
-		tr.slot = plan.inboxLen[tr.dst]
-		plan.inboxLen[tr.dst]++
-	}
-	recvSlab := make([]*fbTransfer, len(trs))
-	run := 0
-	for i, tr := range plan.transfers {
-		if j := i + 1; j == len(trs) || plan.transfers[j].src != tr.src {
-			plan.sendByRank[tr.src] = plan.transfers[run:j:j]
-			run = j
-		}
-		if tr.dst == tr.src {
-			continue
-		}
-		if plan.recvByRank[tr.dst] == nil {
-			n := plan.inboxLen[tr.dst]
-			plan.recvByRank[tr.dst], recvSlab = recvSlab[:0:n], recvSlab[n:]
-		}
-		plan.recvByRank[tr.dst] = append(plan.recvByRank[tr.dst], tr)
-	}
+	plan := newCouplingPlan(trs, grid.Size())
 
-	// Accumulation recipes: each parent rank's owned footprint cells, in
-	// footprint row-major order, with every block's child cells in
-	// child-global row-major order regardless of how the nest is
-	// decomposed.
-	ownedSlab := make([]fbOwnedCell, len(ax.owner)*len(ay.owner))
+	// Targets: each parent rank's owned footprint cells, in footprint
+	// row-major order, with every block's child cells in child-global
+	// row-major order regardless of how the nest is decomposed.
+	ownedSlab := make([]target, len(ax.owner)*len(ay.owner))
 	for ky, ny := range ay.cells {
 		for kx, nx := range ax.cells {
 			r := grid.Rank(ax.p0+kx, ay.p0+ky)
-			plan.ownedByRank[r], ownedSlab = ownedSlab[:0:nx*ny], ownedSlab[nx*ny:]
+			plan.targets[r], ownedSlab = ownedSlab[:0:nx*ny], ownedSlab[nx*ny:]
 		}
 	}
-	arena := make([]fbCellRef, c.NX*c.NY)
+	arena := make([]cellRef, c.NX*c.NY)
 	for fy := range ay.owner {
 		by0 := fy * ratio
 		by1 := min(by0+ratio, c.NY)
@@ -433,7 +362,7 @@ func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.
 			bx1 := min(bx0+ratio, c.NX)
 			bw := bx1 - bx0
 			n := bw * (by1 - by0)
-			var srcs []fbCellRef
+			var srcs []cellRef
 			srcs, arena = arena[:n:n], arena[n:]
 			for ry := ay.lo[fy]; ry <= ay.hi[fy]; ry++ {
 				iy0, iy1 := max(by0, ay.t0[ry]), min(by1, ay.t1[ry])
@@ -441,103 +370,104 @@ func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.
 					ix0, ix1 := max(bx0, ax.t0[rx]), min(bx1, ax.t1[rx])
 					tr := &trs[tbase[cgrid.Rank(rx, ry)]+(ay.owner[fy]-ay.d0[ry])*ax.nd[rx]+ax.owner[fx]-ax.d0[rx]]
 					w, off := ix1-ix0, tr.floats
-					tr.entries = append(tr.entries, fbEntry{
-						pcell: [2]int{c.OffX + fx, c.OffY + fy},
-						x0:    ix0, y0: iy0, w: w, h: iy1 - iy0,
-						off: off,
-					})
+					tr.rects = append(tr.rects, rect{x0: ix0, y0: iy0, w: w, h: iy1 - iy0})
 					tr.floats += 3 * w * (iy1 - iy0)
 					for y := iy0; y < iy1; y++ {
 						row := srcs[(y-by0)*bw+ix0-bx0:]
 						for x := 0; x < w; x++ {
-							row[x] = fbCellRef{slot: int32(tr.slot), off: int32(off)}
+							row[x] = cellRef{slot: int32(tr.slot), off: int32(off)}
 							off += 3
 						}
 					}
 				}
 			}
 			owner := grid.Rank(ax.owner[fx], ay.owner[fy])
-			plan.ownedByRank[owner] = append(plan.ownedByRank[owner], fbOwnedCell{
-				lx: ax.local[fx], ly: ay.local[fy],
-				n:    float64(n),
-				srcs: srcs,
-			})
+			plan.targets[owner] = append(plan.targets[owner], target{lx: ax.local[fx], ly: ay.local[fy], srcs: srcs})
 		}
 	}
 	return plan
 }
 
-// exchangeFeedback averages each nest's solution back onto the parent
-// cells it overlaps: child owners send their cells of each block, and
-// the parent owner accumulates every block in canonical child-global
-// row-major order before normalizing. It follows the plan cached on the
-// nest context, with nc.fbPayloads as this rank's inbox stash (one slot
-// per incoming transfer, including self-transfers) and pooled payload
-// buffers; reference_test.go keeps the rebuild-and-copy variant as the
-// oracle.
-func exchangeFeedback(world *mpi.Comm, parent *solver.Tile, nc *nestCtx) error {
+// exchange moves one coupling direction's payloads for this rank: it
+// packs each of its sends from src (the parent tile for boundary
+// conditions, the nest tile for feedback) into a pooled buffer, sends it
+// owned or, for a self-transfer, stashes it, and receives the rest in
+// plan order. On return inbox holds every payload addressed to this
+// rank by slot; the caller applies them and then releases them.
+func (nc *nestCtx) exchange(world *mpi.Comm, kind string, tag int, p *couplingPlan, src *solver.Tile, inbox [][]float64) error {
 	if nc.tracer.Recording() {
-		sp := nc.tracer.Start(nc.span, "fb:"+nc.d.Name, telemetry.LayerPhase)
+		sp := nc.tracer.Start(nc.span, kind+":"+nc.d.Name, telemetry.LayerPhase)
 		defer sp.End()
 	}
-	tag := tagFeedback + nc.idx
-	plan, payloads := nc.fbPlan, nc.fbPayloads
 	me := world.Rank()
-	t := nc.tile
-
-	// Sends (self-transfers stash their payload directly).
-	for _, tr := range plan.sendByRank[me] {
+	for _, tr := range p.sendByRank[me] {
 		buf := world.AllocPayload(tr.floats)
 		k := 0
-		for _, e := range tr.entries {
-			for y := e.y0; y < e.y0+e.h; y++ {
-				for x := e.x0; x < e.x0+e.w; x++ {
-					buf[k], buf[k+1], buf[k+2] = t.Cell(x-t.X0, y-t.Y0)
+		for _, r := range tr.rects {
+			for y := r.y0; y < r.y0+r.h; y++ {
+				for x := r.x0; x < r.x0+r.w; x++ {
+					buf[k], buf[k+1], buf[k+2] = src.Cell(x-src.X0, y-src.Y0)
 					k += 3
 				}
 			}
 		}
 		if tr.dst == me {
-			payloads[tr.slot] = buf
+			inbox[tr.slot] = buf
 			continue
 		}
 		world.SendOwned(tr.dst, tag, buf)
 	}
-	// Receive in deterministic pattern order.
-	for _, tr := range plan.recvByRank[me] {
+	for _, tr := range p.recvByRank[me] {
 		data, err := world.Recv(tr.src, tag)
 		if err != nil {
 			return err
 		}
 		if len(data) != tr.floats {
-			return fmt.Errorf("wrfsim: feedback payload %d floats, want %d", len(data), tr.floats)
+			return fmt.Errorf("wrfsim: %s payload %d floats, want %d", kind, len(data), tr.floats)
 		}
-		payloads[tr.slot] = data
-	}
-
-	// Canonical accumulation into the owned parent cells.
-	owned := plan.ownedByRank[me]
-	for i := range owned {
-		oc := &owned[i]
-		var h, hu, hv float64
-		for _, ref := range oc.srcs {
-			p := payloads[ref.slot]
-			h += p[ref.off]
-			hu += p[ref.off+1]
-			hv += p[ref.off+2]
-		}
-		parent.SetHaloCell(oc.lx, oc.ly, h/oc.n, hu/oc.n, hv/oc.n)
-	}
-
-	// Recycle the step's payloads.
-	for i, b := range payloads {
-		if b == nil {
-			continue
-		}
-		world.FreePayload(b)
-		payloads[i] = nil
+		inbox[tr.slot] = data
 	}
 	return nil
+}
+
+// applyBC writes this rank's halo-ring cells of its nest tile from the
+// BC inbox, each triple copied exactly (so -0 stays -0).
+func (nc *nestCtx) applyBC() {
+	for _, c := range nc.bc.targets[nc.me] {
+		r := c.srcs[0]
+		p := nc.bcInbox[r.slot]
+		nc.tile.SetHaloCell(c.lx, c.ly, p[r.off], p[r.off+1], p[r.off+2])
+	}
+}
+
+// applyFeedback averages the feedback inbox onto the parent cells this
+// rank owns under the nest: each block's child cells are accumulated
+// from zero in canonical child-global row-major order, then divided by
+// their count.
+func (nc *nestCtx) applyFeedback(parent *solver.Tile) {
+	ts := nc.fb.targets[nc.me]
+	for i := range ts {
+		c := &ts[i]
+		var h, hu, hv float64
+		for _, r := range c.srcs {
+			p := nc.fbInbox[r.slot]
+			h += p[r.off]
+			hu += p[r.off+1]
+			hv += p[r.off+2]
+		}
+		n := float64(len(c.srcs))
+		parent.SetHaloCell(c.lx, c.ly, h/n, hu/n, hv/n)
+	}
+}
+
+// release returns an inbox's payloads to the world pool.
+func release(c *mpi.Comm, inbox [][]float64) {
+	for i, b := range inbox {
+		if b != nil {
+			c.FreePayload(b)
+			inbox[i] = nil
+		}
+	}
 }
 
 // collectStates gathers the parent and all nest states at world rank 0.

@@ -141,8 +141,9 @@ func couplingHarness(t *testing.T, body func(r *couplingRank) error) []*mpi.Proc
 		tile.Fill(func(gx, gy int) (float64, float64, float64) {
 			return initialParentValue(cfg, child.OffX+gx/child.Ratio, child.OffY+gy/child.Ratio)
 		})
-		nc := &nestCtx{nestPlan: np, comm: world, tile: tile, fbPayloads: make([][]float64, np.fbPlan.inboxLen[me])}
-		return body(&couplingRank{p: p, cfg: cfg, grid: grid, parent: parent, nc: nc})
+		nc := newNestCtx(np, me)
+		nc.comm, nc.tile = world, tile
+		return body(&couplingRank{p: p, cfg: cfg, grid: grid, parent: parent, nc: &nc})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,12 +152,12 @@ func couplingHarness(t *testing.T, body func(r *couplingRank) error) []*mpi.Proc
 }
 
 // Steady-state coupling must be allocation-free: plans are prebuilt,
-// payloads come from the world pool, and the boundary-cell store reuses
-// its backing array. The allocation counter is process-global, so
-// rank 0 measures while the other ranks run the identical call
-// sequence bare: their coupling work overlaps rank 0's window (message
-// dependencies keep the ranks in lockstep), so any allocation on any
-// rank is caught, without testing machinery polluting the count.
+// payloads come from the world pool, and the inboxes are fixed slots.
+// The allocation counter is process-global, so rank 0 measures while
+// the other ranks run the identical call sequence bare: their coupling
+// work overlaps rank 0's window (message dependencies keep the ranks
+// in lockstep), so any allocation on any rank is caught, without
+// testing machinery polluting the count.
 func TestCouplingZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -165,13 +166,18 @@ func TestCouplingZeroAllocs(t *testing.T) {
 	var cplAvg float64
 	couplingHarness(t, func(r *couplingRank) error {
 		world := r.p.World()
+		nc := r.nc
 		couple := func() {
-			if err := exchangeBC(world, r.parent, r.nc); err != nil {
+			if err := nc.exchange(world, "bc", tagBC+nc.idx, nc.bc, r.parent, nc.bcInbox); err != nil {
 				t.Error(err)
 			}
-			if err := exchangeFeedback(world, r.parent, r.nc); err != nil {
+			nc.applyBC()
+			release(world, nc.bcInbox)
+			if err := nc.exchange(world, "fb", tagFeedback+nc.idx, nc.fb, nc.tile, nc.fbInbox); err != nil {
 				t.Error(err)
 			}
+			nc.applyFeedback(r.parent)
+			release(world, nc.fbInbox)
 		}
 		for i := 0; i < 3; i++ {
 			couple()
@@ -189,7 +195,7 @@ func TestCouplingZeroAllocs(t *testing.T) {
 		return world.Barrier()
 	})
 	if cplAvg != 0 {
-		t.Errorf("exchangeBC+exchangeFeedback: %v allocs per coupling step, want 0", cplAvg)
+		t.Errorf("BC and feedback exchange, apply and release: %v allocs per coupling step, want 0", cplAvg)
 	}
 }
 

@@ -240,8 +240,7 @@ type nestPlan struct {
 	grid   vtopo.Grid // the nest's process grid
 	world  []int      // world rank of each nest-local rank
 	phase  string     // phase label ("nest:" + name)
-	bcPlan *bcPlan
-	fbPlan *fbPlan
+	bc, fb *couplingPlan
 }
 
 // newNestPlan builds child i's shared state on rect of grid.
@@ -252,8 +251,8 @@ func newNestPlan(cfg *nest.Domain, grid vtopo.Grid, i int, rect alloc.Rect) (*ne
 	}
 	c := cfg.Children[i]
 	np := &nestPlan{d: c, idx: i, rect: rect, grid: sg.Grid(), world: sg.Ranks(), phase: "nest:" + c.Name}
-	np.bcPlan = newBCPlan(bcPattern(cfg, grid, c, np.grid, np.world), grid.Size())
-	np.fbPlan = buildFBPlan(cfg, grid, c, np.grid, np.world)
+	np.bc = buildBCPlan(cfg, grid, c, np.grid, np.world)
+	np.fb = buildFBPlan(cfg, grid, c, np.grid, np.world)
 	return np, nil
 }
 
@@ -271,13 +270,13 @@ func (np *nestPlan) local(grid vtopo.Grid, r int) int {
 // nestCtx holds one rank's view of one nested domain.
 type nestCtx struct {
 	*nestPlan
+	me   int          // world rank
 	comm *mpi.Comm    // sub-communicator (nil if this rank not a member)
 	tile *solver.Tile // nil if not a member
-	bc   []bcCell     // parent-interpolated boundary values (members only)
-	// fbPayloads is this rank's per-step feedback inbox stash (sized by
-	// the rank's own incoming-transfer count, so total stash memory is
-	// O(world), not O(world²)).
-	fbPayloads [][]float64
+	// bcInbox and fbInbox are this rank's per-step payload stashes, one
+	// slot per incoming transfer of each direction, so total stash
+	// memory is O(world), not O(world²).
+	bcInbox, fbInbox [][]float64
 
 	// tracer/span, when set (rank 0 of a traced run only), wrap each
 	// coupling exchange in a phase-layer span under the run span. The
@@ -286,10 +285,12 @@ type nestCtx struct {
 	span   telemetry.SpanID
 }
 
-// bcCell is one child halo cell awaiting a parent value.
-type bcCell struct {
-	lx, ly    int // local halo coordinates in the child tile
-	h, hu, hv float64
+// newNestCtx starts world rank me's view of a nest, with both inboxes
+// carved from one slab.
+func newNestCtx(np *nestPlan, me int) nestCtx {
+	nb := np.bc.inboxLen[me]
+	inbox := make([][]float64, nb+np.fb.inboxLen[me])
+	return nestCtx{nestPlan: np, me: me, bcInbox: inbox[:nb:nb], fbInbox: inbox[nb:]}
 }
 
 func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan, opt Options, runSpan telemetry.SpanID, out *runOutput) error {
@@ -314,7 +315,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 	for i, np := range plans {
 		nc := &ctxs[i]
 		nests[i] = nc
-		*nc = nestCtx{nestPlan: np, fbPayloads: make([][]float64, np.fbPlan.inboxLen[me])}
+		*nc = newNestCtx(np, me)
 		if me == 0 && opt.Tracer.Recording() {
 			// Only rank 0 emits coupling spans: one tracing rank keeps
 			// the export readable and the buffer O(steps), while the
@@ -370,7 +371,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 		// child-owner.
 		p.BeginPhase("coupling")
 		for _, nc := range nests {
-			if err := exchangeBC(world, parent, nc); err != nil {
+			if err := nc.exchange(world, "bc", tagBC+nc.idx, nc.bc, parent, nc.bcInbox); err != nil {
 				return err
 			}
 		}
@@ -387,9 +388,11 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 		// Feedback child -> parent.
 		p.BeginPhase("coupling")
 		for _, nc := range nests {
-			if err := exchangeFeedback(world, parent, nc); err != nil {
+			if err := nc.exchange(world, "fb", tagFeedback+nc.idx, nc.fb, nc.tile, nc.fbInbox); err != nil {
 				return err
 			}
+			nc.applyFeedback(parent)
+			release(world, nc.fbInbox)
 		}
 
 		// Forecast output.
@@ -420,8 +423,9 @@ func recordPoolMetrics(reg *metrics.Registry, ps mpi.PoolStats) {
 	reg.Gauge("mpi_payload_pool_hit_rate").Set(ps.HitRate())
 }
 
-// nestSubsteps advances one nest Ratio sub-steps with its stored
-// boundary conditions applied after every halo exchange.
+// nestSubsteps advances one nest Ratio sub-steps with the boundary
+// conditions in its BC inbox applied after every halo exchange, then
+// releases the inbox.
 func nestSubsteps(p *mpi.Proc, nc *nestCtx, opt Options) error {
 	p.BeginPhase(nc.phase)
 	t := nc.tile
@@ -430,11 +434,10 @@ func nestSubsteps(p *mpi.Proc, nc *nestCtx, opt Options) error {
 		if err := t.Exchange(nc.comm, nc.grid); err != nil {
 			return err
 		}
-		for _, b := range nc.bc {
-			t.SetHaloCell(b.lx, b.ly, b.h, b.hu, b.hv)
-		}
+		nc.applyBC()
 		p.Compute(opt.PointCost * cells)
 		t.Step()
 	}
+	release(nc.comm, nc.bcInbox)
 	return nil
 }
