@@ -16,7 +16,7 @@
 //	POST /v1/plan/batch   up to 256 plan queries in one call, per-item plans or errors
 //	GET  /v1/stats        plan-cache occupancy and hit/miss/join counters
 //	GET  /healthz         liveness
-//	GET  /metrics         request counters, latency histograms and quantile summaries (text)
+//	GET  /metrics         request counters and latency histograms (text)
 //	GET  /debug/vars      expvar (includes the metrics snapshot)
 //	GET  /debug/pprof     live profiling
 //

@@ -198,7 +198,6 @@ func DecodeComparisonReport(r io.Reader) (*ComparisonReport, error) {
 // pays a single nil check per accounting call.
 type reportBuilder struct {
 	phaseIdx   map[string]*PhaseBreakdown
-	phaseOrder []string
 	congestion []CongestionPhase
 	io         []WriteReport
 }
@@ -215,7 +214,6 @@ func (b *reportBuilder) phase(name string, ranks int) *PhaseBreakdown {
 	if !ok {
 		p = &PhaseBreakdown{Domain: name, Ranks: ranks}
 		b.phaseIdx[name] = p
-		b.phaseOrder = append(b.phaseOrder, name)
 	}
 	return p
 }
@@ -299,8 +297,8 @@ func (r *run) buildReport(cfg *nest.Domain, res Result) (*Report, error) {
 		rep.Config.IOMode = r.opt.IOMode.String()
 		rep.Config.OutputEverySteps = r.opt.OutputEverySteps
 	}
-	// Phases in domain-tree order (stable regardless of evaluation
-	// order), falling back to first-observation order for any leftovers.
+	// Phases in domain-tree order, stable regardless of evaluation
+	// order: every phase is accounted under a tree domain's name.
 	seen := map[string]bool{}
 	cfg.Walk(func(d *nest.Domain) {
 		if p, ok := b.phaseIdx[d.Name]; ok && !seen[d.Name] {
@@ -308,12 +306,6 @@ func (r *run) buildReport(cfg *nest.Domain, res Result) (*Report, error) {
 			rep.Phases = append(rep.Phases, *p)
 		}
 	})
-	for _, name := range b.phaseOrder {
-		if !seen[name] {
-			seen[name] = true
-			rep.Phases = append(rep.Phases, *b.phaseIdx[name])
-		}
-	}
 
 	// Predicted vs. realized sibling phase times.
 	if len(res.Siblings) > 0 {

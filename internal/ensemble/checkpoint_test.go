@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,6 +29,23 @@ func TestLoadCheckpointRejectsMalformed(t *testing.T) {
 				t.Errorf("err = %v, want ErrBadCheckpoint", err)
 			}
 		})
+	}
+}
+
+// A checkpoint is readable by other users, as a plan-cache snapshot
+// is: the temp file it is renamed from starts at CreateTemp's 0600.
+func TestCheckpointReadableByOthers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	spec := Spec{Generator: GenMixed, Members: 4, Seed: 3, Ranks: 256, StepsPerPhase: 5}
+	if _, err := (&Engine{Spec: spec, Cache: sharedCache, CheckpointPath: path}).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := fi.Mode().Perm(); mode != 0o644 {
+		t.Errorf("checkpoint mode %v, want -rw-r--r--", mode)
 	}
 }
 

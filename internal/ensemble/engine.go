@@ -36,6 +36,13 @@ var (
 // checkpointVersion tags the on-disk format.
 const checkpointVersion = "nestwrf/ensemble-checkpoint/v1"
 
+// improvementBounds are the ensemble_improvement_pct buckets: 5 pp
+// wide from -20 % to 60 %. The exact gain quantiles are the
+// aggregates' (Progress, Summary).
+var improvementBounds = []float64{
+	-20, -15, -10, -5, 0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60,
+}
+
 // MemberResult is the per-member outcome that feeds the aggregates:
 // campaign wall time under the default and concurrent strategies (for
 // storyline members: the whole storyline; for single-configuration
@@ -146,20 +153,20 @@ func (cp *Checkpoint) save(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(raw)
+	if err == nil {
+		err = tmp.Chmod(0o644) // CreateTemp's 0600 would lock other readers out
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Summary reports a finished (or stopped) campaign run.
@@ -456,9 +463,9 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 			live.mu.Unlock()
 			<-tokens
 			e.Metrics.Counter("ensemble_members_total", metrics.L("kind", o.res.Kind)).Inc()
-			// In commit order, like the aggregates: the summary's
-			// estimate and sum then do not depend on scheduling.
-			e.Metrics.Summary("ensemble_improvement_pct").Observe(o.res.ImprovementPct)
+			// In commit order, like the aggregates: the histogram's sum
+			// then does not depend on scheduling.
+			e.Metrics.Histogram("ensemble_improvement_pct", improvementBounds).Observe(o.res.ImprovementPct)
 			committedGauge.Set(float64(next))
 			if e.CheckpointPath != "" && (next-start)%checkpointEvery == 0 && next < end {
 				if err := e.writeCheckpoint(spec, next, agg); err != nil {
@@ -504,7 +511,7 @@ func (e *Engine) traceMember(ctx context.Context, spec Spec, cache *planserve.Pl
 	t0 := time.Now()
 	mr, err := e.runMember(ctx, spec, cache, id, msp.ID())
 	dur := time.Since(t0).Seconds()
-	e.Metrics.Summary("ensemble_member_seconds", metrics.L("kind", mr.Kind)).Observe(dur)
+	e.Metrics.Histogram("ensemble_member_seconds", metrics.LatencyBounds, metrics.L("kind", mr.Kind)).Observe(dur)
 	if msp != nil {
 		msp.Annotate("kind", mr.Kind)
 		if err != nil {

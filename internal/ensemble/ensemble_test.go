@@ -368,9 +368,9 @@ func (h cancelOnMember) Handle(_ context.Context, r slog.Record) error {
 // memberSeconds is how many member durations reg has observed.
 func memberSeconds(reg *metrics.Registry) uint64 {
 	var n uint64
-	for _, s := range reg.Snapshot().Summaries {
-		if s.Name == "ensemble_member_seconds" {
-			n += s.Count
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == "ensemble_member_seconds" {
+			n += h.Count
 		}
 	}
 	return n

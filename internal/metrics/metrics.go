@@ -1,19 +1,18 @@
 // Package metrics is a race-safe instrumentation substrate: labelled
-// counters, gauges, fixed-bucket histograms and quantile summaries
-// registered in a Registry, snapshotted into an immutable value and
-// rendered as text or JSON. The simulator's layers (mpi, netsim,
-// driver, iosim) record into a Registry only when one is supplied, so
-// instrumentation is off the hot path by default; the CLIs surface
-// snapshots with -metrics and publish them over expvar for live
-// profiling.
+// counters, gauges and fixed-bucket histograms registered in a
+// Registry, snapshotted into an immutable value and rendered as text or
+// JSON. The simulator's layers (mpi, netsim, driver, iosim) record into
+// a Registry only when one is supplied, so instrumentation is off the
+// hot path by default; the CLIs surface snapshots with -metrics and
+// publish them over expvar for live profiling.
 //
 // Instruments are identified by name plus a label set; asking the
 // registry twice for the same identity returns the same instrument,
-// and finding an existing one allocates nothing. Counter, gauge and
-// histogram operations are lock-free atomics, a summary's run under
-// its own mutex, and all are safe for concurrent use; a nil *Registry
-// (and the nil instruments it hands out) is a valid no-op sink, so
-// call sites need no guards.
+// and finding an existing one allocates nothing. All three kinds are
+// lock-free atomics, safe for concurrent use; a nil *Registry (and the
+// nil instruments it hands out) is a valid no-op sink, so call sites
+// need no guards. A distribution is a Histogram: request and member
+// latencies share the LatencyBounds buckets.
 package metrics
 
 import (
@@ -25,8 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"nestwrf/internal/stats"
 )
 
 // Label is one name/value dimension of an instrument.
@@ -179,45 +176,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// DefaultQuantiles are the probabilities every Summary tracks: the
-// p10/p50/p90 the ensemble aggregates and the serving latency reports
-// standardize on.
-var DefaultQuantiles = []float64{0.1, 0.5, 0.9}
-
-// Summary estimates arbitrary quantiles of an observation stream with
-// O(1) memory: one stats.P2 estimator per tracked probability, plus
-// sum and count. Unlike Histogram its quantile readings adapt to the
-// data instead of quantizing to fixed bucket bounds. Observations are
-// serialized under a mutex (the P² update is stateful), so Observe is
-// safe for concurrent use; a nil *Summary is a valid no-op sink.
-type Summary struct {
-	mu    sync.Mutex
-	qs    []*stats.P2
-	sum   float64
-	count uint64
-}
-
-// newSummary builds a summary over DefaultQuantiles.
-func newSummary() *Summary {
-	s := &Summary{}
-	for _, p := range DefaultQuantiles {
-		s.qs = append(s.qs, stats.NewP2(p))
-	}
-	return s
-}
-
-// Observe records one value. Safe on a nil receiver.
-func (s *Summary) Observe(v float64) {
-	if s == nil || math.IsNaN(v) {
-		return
-	}
-	s.mu.Lock()
-	s.sum += v
-	s.count++
-	for _, q := range s.qs {
-		q.Add(v)
-	}
-	s.mu.Unlock()
+// LatencyBounds are the duration buckets, in seconds, of every
+// latency histogram: cache hits land in the microsecond buckets, cold
+// plans and campaign members in the hundreds of milliseconds.
+var LatencyBounds = []float64{
+	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1, 2.5, 5,
 }
 
 // Registry holds instruments keyed by (kind, name, label set). The
@@ -229,7 +193,7 @@ type Registry struct {
 }
 
 // entry is one instrument: its name, its labels as first given and the
-// *Counter, *Gauge, *Histogram or *Summary itself.
+// *Counter, *Gauge or *Histogram itself.
 type entry struct {
 	name   string
 	labels []Label
@@ -285,16 +249,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	return r.lookup('h', name, labels, func() any { return newHistogram(bounds) }).(*Histogram)
 }
 
-// Summary returns the summary with the given identity, creating it
-// over DefaultQuantiles on first use. A nil registry returns a nil
-// (no-op) summary.
-func (r *Registry) Summary(name string, labels ...Label) *Summary {
-	if r == nil {
-		return nil
-	}
-	return r.lookup('s', name, labels, func() any { return newSummary() }).(*Summary)
-}
-
 // MetricValue is one counter or gauge reading in a snapshot.
 type MetricValue struct {
 	Name   string  `json:"name"`
@@ -319,21 +273,6 @@ type HistogramValue struct {
 	Count    uint64  `json:"count"`
 }
 
-// QuantileValue is one quantile estimate in a summary snapshot.
-type QuantileValue struct {
-	Quantile float64 `json:"quantile"`
-	Value    float64 `json:"value"`
-}
-
-// SummaryValue is one summary reading in a snapshot.
-type SummaryValue struct {
-	Name      string          `json:"name"`
-	Labels    []Label         `json:"labels,omitempty"`
-	Quantiles []QuantileValue `json:"quantiles"`
-	Sum       float64         `json:"sum"`
-	Count     uint64          `json:"count"`
-}
-
 // Snapshot is an immutable, deeply copied view of a registry at one
 // instant, ordered by (name, label set) within each section. Mutating
 // a snapshot never affects the registry, and vice versa.
@@ -341,7 +280,6 @@ type Snapshot struct {
 	Counters   []MetricValue    `json:"counters"`
 	Gauges     []MetricValue    `json:"gauges"`
 	Histograms []HistogramValue `json:"histograms"`
-	Summaries  []SummaryValue   `json:"summaries,omitempty"`
 }
 
 // Snapshot captures the registry's current state. A nil registry
@@ -378,15 +316,6 @@ func (r *Registry) Snapshot() Snapshot {
 				hv.Buckets[i] = BucketValue{UpperBound: b, Count: in.counts[i].Load()}
 			}
 			s.Histograms = append(s.Histograms, hv)
-		case *Summary:
-			sv := SummaryValue{Name: e.name, Labels: labels}
-			in.mu.Lock()
-			sv.Sum, sv.Count = in.sum, in.count
-			for _, q := range in.qs {
-				sv.Quantiles = append(sv.Quantiles, QuantileValue{Quantile: q.P, Value: q.Value()})
-			}
-			in.mu.Unlock()
-			s.Summaries = append(s.Summaries, sv)
 		}
 	}
 	return s
@@ -431,20 +360,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", h.Name, labelSuffix(h.Labels), h.Count); err != nil {
-			return err
-		}
-	}
-	for _, sm := range s.Summaries {
-		for _, q := range sm.Quantiles {
-			ls := append(append([]Label(nil), sm.Labels...), L("quantile", fmt.Sprintf("%g", q.Quantile)))
-			if _, err := fmt.Fprintf(w, "%s%s %g\n", sm.Name, labelSuffix(ls), q.Value); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", sm.Name, labelSuffix(sm.Labels), sm.Sum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", sm.Name, labelSuffix(sm.Labels), sm.Count); err != nil {
 			return err
 		}
 	}

@@ -220,12 +220,13 @@ func TestHistogramIgnoresNaN(t *testing.T) {
 	}
 }
 
-// richRegistry fills a registry the way four driver runs and a served
-// campaign would, then adds 400 instruments of all four kinds whose
-// identities stress the key: reordered and duplicate label keys, more
-// labels than the lookup's stack holds, quotes, invalid UTF-8, long
-// values and names that share prefixes. Every instrument is looked up
-// at least twice, in another label order the second time.
+// richRegistry fills a registry the way four driver runs would, then
+// walks 400 identities, registering instruments of all three kinds on
+// three in four of them, that stress the key: reordered and duplicate
+// label keys, more labels than the lookup's stack holds, quotes,
+// invalid UTF-8, long values and names that share prefixes. Every
+// instrument is looked up at least twice, in another label order the
+// second time.
 func richRegistry() *Registry {
 	r := NewRegistry()
 	loads := []float64{1, 2, 4, 8, 16, 32, 64}
@@ -247,7 +248,6 @@ func richRegistry() *Registry {
 			}
 			r.Gauge("netsim_max_link_load", strat, L("phase", phase)).Set(float64(40 + run + p))
 		}
-		r.Summary("planserve_request_seconds", L("route", "/v1/plan"), L("cache", []string{"hit", "miss"}[run%2])).Observe(1e-5 * float64(run+1))
 	}
 	names := []string{"x", "x_", "x_total", "xy", "x_y", "a\"b"}
 	keys := []string{"a", "b", "a", "le", "k", "quantile"}
@@ -276,22 +276,18 @@ func richRegistry() *Registry {
 		case 2:
 			r.Histogram(name, []float64{4, 1, 2, 2}, ls...).Observe(v)
 			r.Histogram(name, nil, rev...).Observe(2 * v)
-		case 3:
-			for k := 0; k < 7; k++ {
-				r.Summary(name, ls...).Observe(v * float64(k))
-				r.Summary(name, rev...).Observe(v + float64(k))
-			}
 		}
 	}
 	return r
 }
 
 // The SHA-256 of richRegistry's snapshot as text and as JSON, recorded
-// on the registry that kept one map per instrument kind and a label
-// metadata map, with keys built by sort.Slice and string concatenation.
+// on the registry that still had a fourth, mutex-guarded summary kind
+// (and, before it, one map per instrument kind and a label metadata
+// map, whose digests this fixture's wider form matched).
 const (
-	richTextSHA = "68c12145cbc1a9ad501653a6b951b7a2e7092c6b3b70a1fcfc5d83f3212577d4"
-	richJSONSHA = "81d7f488eb4d419f084ce7f2b00740e90f7aa6b1466619c381f2a0d63b67305a"
+	richTextSHA = "d334e7bb016b45ba9b40011ed42477168d0f6aabe448b79f61d376582033a768"
+	richJSONSHA = "a963ee16b606fbb08eaed810ef76d35ff62622a0e018686447b0eec478aa00c4"
 )
 
 // TestRichRegistryDigests holds the text and JSON renderings of a
@@ -309,12 +305,12 @@ func TestRichRegistryDigests(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != richJSONSHA {
 		t.Errorf("JSON digest %s, want %s", got, richJSONSHA)
 	}
-	if n := len(s.Counters) + len(s.Gauges) + len(s.Histograms) + len(s.Summaries); n != 446 {
-		t.Errorf("the rich registry holds %d instruments, want 446", n)
+	if n := len(s.Counters) + len(s.Gauges) + len(s.Histograms); n != 344 {
+		t.Errorf("the rich registry holds %d instruments, want 344", n)
 	}
 }
 
-// TestLookupAllocs looks up existing instruments of all four kinds
+// TestLookupAllocs looks up existing instruments of all three kinds
 // with zero to four labels, in another order than they were created
 // in, and requires that no lookup allocates: the key is built and the
 // labels sorted on the stack. A key longer than that stack and a set of
@@ -328,10 +324,10 @@ func TestLookupAllocs(t *testing.T) {
 		rev := slices.Clone(ls)
 		slices.Reverse(rev)
 		c, g := r.Counter("c", ls...), r.Gauge("g", ls...)
-		h, s := r.Histogram("h", bounds, ls...), r.Summary("s", ls...)
+		h := r.Histogram("h", bounds, ls...)
 		allocs := testing.AllocsPerRun(100, func() {
 			if r.Counter("c", rev...) != c || r.Gauge("g", rev...) != g ||
-				r.Histogram("h", bounds, rev...) != h || r.Summary("s", rev...) != s {
+				r.Histogram("h", bounds, rev...) != h {
 				t.Fatalf("%d labels: a lookup returned another instrument", n)
 			}
 		})

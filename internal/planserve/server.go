@@ -293,17 +293,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// latencyBounds are the request-duration histogram buckets (seconds):
-// cache hits land in the microsecond buckets, cold plans in the
-// hundreds of milliseconds.
-var latencyBounds = []float64{
-	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1, 2.5, 5,
-}
-
 // account wraps one planning request in the service's bookkeeping —
 // request and in-flight counts, the serve-layer span, the latency
-// histogram and summary, the structured log line — around serve, which
+// histogram, the structured log line — around serve, which
 // returns the HTTP status it wrote and the endpoint's own attribute
 // (attr: the cache outcome of a query, the item count of a batch).
 func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveSpan) (code int, detail string)) {
@@ -317,9 +309,8 @@ func (s *Server) account(endpoint, attr string, serve func(sp *telemetry.ActiveS
 		s.reg.Gauge("planserve_inflight_requests").Add(-1)
 		s.reg.Counter("planserve_requests_total",
 			metrics.L("endpoint", endpoint), metrics.L("code", codeLabel(code))).Inc()
-		s.reg.Histogram("planserve_request_seconds", latencyBounds,
+		s.reg.Histogram("planserve_request_seconds", metrics.LatencyBounds,
 			metrics.L("endpoint", endpoint)).Observe(dur)
-		s.reg.Summary("planserve_request_seconds_summary", metrics.L("endpoint", endpoint)).Observe(dur)
 		if sp != nil {
 			sp.Annotate("code", codeLabel(code))
 			sp.Annotate(attr, detail)
