@@ -63,7 +63,6 @@ var testOnlyAllowed = map[string]string{
 	"nestwrf.AllocNaivePoints":     "AllocPolicy value ParseAllocPolicy returns",
 	"nestwrf.AllocStripsPredicted": "AllocPolicy value ParseAllocPolicy returns",
 	"nestwrf.IOSplit":              "I/O mode ParseIOMode returns",
-	"nestwrf.FunctionalStrategy":   "type of FunctionalOptions.Strategy and FunctionalSequential/FunctionalConcurrent; internal otherwise",
 	"nestwrf.NewTopologyTimeModel": "documented in README; crossval_test.go drives the functional runtime through it",
 }
 

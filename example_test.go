@@ -61,12 +61,12 @@ func ExampleRunFunctional() {
 	cfg.AddChild("nest", 36, 36, 3, 4, 4)
 
 	opt := nestwrf.FunctionalOptions{Ranks: 8, Steps: 2}
-	opt.Strategy = nestwrf.FunctionalSequential
+	opt.Strategy = nestwrf.StrategySequential
 	seq, err := nestwrf.RunFunctional(cfg, opt)
 	if err != nil {
 		panic(err)
 	}
-	opt.Strategy = nestwrf.FunctionalConcurrent
+	opt.Strategy = nestwrf.StrategyConcurrent
 	con, err := nestwrf.RunFunctional(cfg, opt)
 	if err != nil {
 		panic(err)

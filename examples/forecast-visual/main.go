@@ -35,7 +35,7 @@ func main() {
 		res, err := nestwrf.RunFunctional(cfg, nestwrf.FunctionalOptions{
 			Ranks:    16,
 			Steps:    steps,
-			Strategy: nestwrf.FunctionalConcurrent,
+			Strategy: nestwrf.StrategyConcurrent,
 			Params:   nestwrf.GeophysicalSolverParams(),
 		})
 		if err != nil {

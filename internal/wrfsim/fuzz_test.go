@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nestwrf/internal/alloc"
+	"nestwrf/internal/driver"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
@@ -18,8 +19,9 @@ import (
 // fuzzInput draws one small functional run from seed: a parent of at
 // most 48x48 points with up to three siblings (a footprint now and then
 // one cell past the parent's edge), at most 24 ranks, 1–2 steps, output
-// every step in half the draws, either strategy, and explicit weights
-// in a third of them.
+// every step in half the draws, either strategy, and in a third of them
+// explicit rectangles: Algorithm 1's partition of random weights on the
+// run's process grid.
 func fuzzInput(seed uint64) (*nest.Domain, Options) {
 	rng := rand.New(rand.NewPCG(seed, 0x5eed))
 	root := nest.Root("parent", 4+rng.IntN(45), 4+rng.IntN(45))
@@ -45,9 +47,14 @@ func fuzzInput(seed uint64) (*nest.Domain, Options) {
 		opt.OutputEverySteps = 1
 	}
 	if kids > 0 && rng.IntN(3) == 0 {
-		opt.Weights = make([]float64, kids)
-		for i := range opt.Weights {
-			opt.Weights[i] = 0.1 + rng.Float64()
+		weights := make([]float64, kids)
+		for i := range weights {
+			weights[i] = 0.1 + rng.Float64()
+		}
+		// Where Partition finds the grid too small for the siblings,
+		// Rects stay nil and the run takes its default partition.
+		if g, err := machine.GridFor(opt.Ranks); err == nil {
+			opt.Rects, _ = alloc.Partition(weights, g.Px, g.Py)
 		}
 	}
 	return root, opt
@@ -57,7 +64,7 @@ func fuzzInput(seed uint64) (*nest.Domain, Options) {
 // input with; a deadlock is not among them.
 var runErrors = []error{
 	nest.ErrBadSize, nest.ErrBadRatio, nest.ErrOutOfBound,
-	ErrTooDeep, ErrBadSteps, ErrBadWeights, ErrBadStrategy,
+	ErrTooDeep, ErrBadSteps, driver.ErrBadOption,
 	machine.ErrBadCores, solver.ErrBadTile, solver.ErrBadDecomp,
 	alloc.ErrNoDomains, alloc.ErrBadGrid, alloc.ErrTooManyDomains,
 	alloc.ErrBadWeight, alloc.ErrInfeasible,

@@ -1,9 +1,9 @@
-// Package wrfsim is the functional weather-simulation substrate: a
-// miniature WRF that integrates a parent shallow-water domain with
-// nested sibling domains on the mpi runtime, under either the default
-// sequential strategy (every nest on all ranks, one after another) or
-// the paper's concurrent strategy (siblings simultaneously on disjoint
-// processor partitions via communicator splits).
+// Package wrfsim is the functional weather-simulation substrate, the
+// second executor of a driver.Plan: a miniature WRF that integrates a
+// parent shallow-water domain with nested sibling domains on the mpi
+// runtime, either every nest on all ranks in turn (Sequential, default
+// WRF) or the siblings at once on the plan's disjoint rectangles of the
+// process grid via communicator splits (Concurrent, the paper's).
 //
 // Both strategies compute the same physics: each parent step, every
 // nest receives boundary conditions interpolated from the parent
@@ -20,6 +20,7 @@ import (
 	"strconv"
 
 	"nestwrf/internal/alloc"
+	"nestwrf/internal/driver"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/metrics"
 	"nestwrf/internal/mpi"
@@ -31,12 +32,12 @@ import (
 )
 
 // Strategy selects sequential or concurrent sibling execution.
-type Strategy int
+type Strategy = driver.Strategy
 
-// Strategies.
+// Strategies: driver's, for callers that still spell them here.
 const (
-	Sequential Strategy = iota
-	Concurrent
+	Sequential = driver.Sequential
+	Concurrent = driver.Concurrent
 )
 
 // Options configure a functional run.
@@ -48,9 +49,10 @@ type Options struct {
 	TM mpi.TimeModel
 	// PointCost is the virtual compute time per grid point per sub-step.
 	PointCost float64
-	// Weights sets the concurrent partition proportions, one per
-	// sibling in child order (default: sibling point counts).
-	Weights []float64
+	// Rects are a driver.Plan's sibling rectangles, which must tile the
+	// machine.GridFor(Ranks) grid; they place the nests under Concurrent
+	// only. Nil runs Algorithm 1 on the siblings' point counts.
+	Rects []alloc.Rect
 	// Solver parameters (default solver.DefaultParams, with the nest
 	// time step scaled by 1/Ratio).
 	Params solver.Params
@@ -95,10 +97,8 @@ type Output struct {
 
 // Errors.
 var (
-	ErrTooDeep     = errors.New("wrfsim: functional mode supports one nesting level")
-	ErrBadSteps    = errors.New("wrfsim: steps must be positive")
-	ErrBadWeights  = errors.New("wrfsim: weights must give one per sibling")
-	ErrBadStrategy = errors.New("wrfsim: unknown strategy")
+	ErrTooDeep  = errors.New("wrfsim: functional mode supports one nesting level")
+	ErrBadSteps = errors.New("wrfsim: steps must be positive")
 )
 
 // coupling tags (user space, distinct from solver halo tags).
@@ -120,10 +120,7 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 		return nil, ErrBadSteps
 	}
 	if opt.Strategy != Sequential && opt.Strategy != Concurrent {
-		return nil, fmt.Errorf("%w: %d", ErrBadStrategy, opt.Strategy)
-	}
-	if opt.Weights != nil && len(opt.Weights) != len(cfg.Children) {
-		return nil, fmt.Errorf("%w: %d weights for %d siblings", ErrBadWeights, len(opt.Weights), len(cfg.Children))
+		return nil, fmt.Errorf("%w: %v", driver.ErrBadOption, opt.Strategy)
 	}
 	if opt.TM == nil {
 		opt.TM = mpi.AlphaBeta{Alpha: 1e-6, Beta: 1e-9}
@@ -141,7 +138,7 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 		sp = opt.Tracer.Start(0, "wrfsim.run", telemetry.LayerDriver)
 		sp.Annotate("ranks", strconv.Itoa(opt.Ranks))
 		sp.Annotate("steps", strconv.Itoa(opt.Steps))
-		sp.Annotate("strategy", map[Strategy]string{Sequential: "sequential", Concurrent: "concurrent"}[opt.Strategy])
+		sp.Annotate("strategy", opt.Strategy.String())
 		runSpan = sp.ID()
 		defer func() {
 			if err != nil {
@@ -196,21 +193,28 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 }
 
 // nestPlans builds every nest's shared state on its rectangle of the
-// world process grid: the whole grid under Sequential, the nest's
-// Algorithm 1 partition (computed identically on every rank) under
-// Concurrent.
+// world process grid: the whole grid under Sequential; under Concurrent
+// opt.Rects, or by default the siblings' Algorithm 1 partition
+// (computed identically on every rank).
 func nestPlans(cfg *nest.Domain, grid vtopo.Grid, opt Options) ([]*nestPlan, error) {
-	rects := make([]alloc.Rect, len(cfg.Children))
-	for i := range rects {
-		rects[i] = alloc.Rect{W: grid.Px, H: grid.Py}
+	rects := opt.Rects
+	if rects != nil {
+		if len(rects) != len(cfg.Children) {
+			return nil, fmt.Errorf("%w: %d rectangles for %d siblings", driver.ErrBadOption, len(rects), len(cfg.Children))
+		}
+		if err := alloc.Validate(rects, grid.Px, grid.Py); err != nil {
+			return nil, fmt.Errorf("%w: %w", driver.ErrBadOption, err)
+		}
 	}
-	if opt.Strategy == Concurrent && len(rects) > 0 {
-		weights := opt.Weights
-		if weights == nil {
-			weights = make([]float64, len(cfg.Children))
-			for i, c := range cfg.Children {
-				weights[i] = float64(c.Points())
-			}
+	if opt.Strategy == Sequential || len(cfg.Children) == 0 {
+		rects = make([]alloc.Rect, len(cfg.Children))
+		for i := range rects {
+			rects[i] = alloc.Rect{W: grid.Px, H: grid.Py}
+		}
+	} else if rects == nil {
+		weights := make([]float64, len(cfg.Children))
+		for i, c := range cfg.Children {
+			weights[i] = float64(c.Points())
 		}
 		var err error
 		if rects, err = alloc.Partition(weights, grid.Px, grid.Py); err != nil {

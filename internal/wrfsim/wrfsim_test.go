@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"nestwrf/internal/alloc"
+	"nestwrf/internal/driver"
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
 	"nestwrf/internal/solver"
@@ -52,26 +54,35 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// Weights name each sibling once and the strategy is one of the two:
-// anything else is a typed error before a rank starts, not a panic or a
-// run on an allocation made for a phantom sibling.
+// Rects give each sibling one rectangle and tile the 8x4 grid, under
+// either strategy, and the strategy is one of the two: anything else is
+// a driver.ErrBadOption before a rank starts, not a panic or a run on
+// an allocation made for a phantom sibling.
 func TestRunRejectsBadOptions(t *testing.T) {
+	left, right := alloc.Rect{W: 5, H: 4}, alloc.Rect{X: 5, W: 3, H: 4}
 	for _, tc := range []struct {
-		name string
-		s    Strategy
-		w    []float64
-		want error
+		name  string
+		rects []alloc.Rect
 	}{
-		{"one weight for two siblings", Concurrent, []float64{1}, ErrBadWeights},
-		{"three weights for two siblings", Concurrent, []float64{1, 2, 3}, ErrBadWeights},
-		{"sequential with three weights", Sequential, []float64{1, 2, 3}, ErrBadWeights},
-		{"strategy 7", Strategy(7), nil, ErrBadStrategy},
-		{"strategy -1", Strategy(-1), nil, ErrBadStrategy},
+		{"one rect for two siblings", []alloc.Rect{{W: 8, H: 4}}},
+		{"three rects for two siblings", []alloc.Rect{left, {X: 5, W: 3, H: 2}, {X: 5, Y: 2, W: 3, H: 2}}},
+		{"overlapping rects", []alloc.Rect{left, {X: 3, W: 5, H: 4}}},
+		{"rect off the grid", []alloc.Rect{left, {X: 5, W: 4, H: 4}}},
+		{"uncovered cells", []alloc.Rect{left, {X: 5, W: 3, H: 3}}},
 	} {
-		opt := baseOpts(tc.s)
-		opt.Weights = tc.w
-		if _, err := Run(testConfig(), opt); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		for _, s := range []Strategy{Sequential, Concurrent} {
+			opt := baseOpts(s)
+			opt.Rects = tc.rects
+			if _, err := Run(testConfig(), opt); !errors.Is(err, driver.ErrBadOption) {
+				t.Errorf("%s, %v: err = %v, want driver.ErrBadOption", tc.name, s, err)
+			}
+		}
+	}
+	for _, s := range []Strategy{7, -1} {
+		opt := baseOpts(s)
+		opt.Rects = []alloc.Rect{left, right}
+		if _, err := Run(testConfig(), opt); !errors.Is(err, driver.ErrBadOption) {
+			t.Errorf("strategy %d: err = %v, want driver.ErrBadOption", int(s), err)
 		}
 	}
 }
@@ -85,7 +96,7 @@ func TestRunReportsBadTileNotDeadlock(t *testing.T) {
 	cfg.AddChild("sliver", 3, 36, 3, 30, 30) // 3 columns over an 8-wide grid
 	for _, s := range []Strategy{Sequential, Concurrent} {
 		opt := baseOpts(s)
-		opt.Weights = []float64{1, 1} // concurrent: 4 grid columns for the sliver's 3
+		opt.Rects = []alloc.Rect{{W: 4, H: 4}, {X: 4, W: 4, H: 4}} // concurrent: 4 grid columns for the sliver's 3
 		_, err := Run(cfg, opt)
 		if !errors.Is(err, solver.ErrBadTile) || errors.Is(err, mpi.ErrDeadlock) {
 			t.Errorf("strategy %v: err = %v, want solver.ErrBadTile", s, err)
@@ -201,20 +212,6 @@ func TestDeterministicVirtualTime(t *testing.T) {
 	}
 	if d := a.Parent.MaxDiff(b.Parent); d != 0 {
 		t.Errorf("fields differ between identical runs by %v", d)
-	}
-}
-
-// Custom weights steer the partition sizes.
-func TestCustomWeights(t *testing.T) {
-	cfg := testConfig()
-	opt := baseOpts(Concurrent)
-	opt.Weights = []float64{3, 1}
-	out, err := Run(cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Parent == nil {
-		t.Fatal("no parent state")
 	}
 }
 

@@ -184,8 +184,8 @@ type Comparison = driver.Comparison
 // reports the improvements the paper's tables quote.
 func Compare(cfg *Domain, opt Options) (Comparison, error) { return driver.Compare(cfg, opt) }
 
-// FunctionalOptions configure an end-to-end functional run of the
-// shallow-water mini-WRF on the goroutine MPI runtime.
+// FunctionalOptions configure a functional run of the mini-WRF on the
+// goroutine MPI runtime; Rects take an ExecutionPlan's partitions.
 type FunctionalOptions = wrfsim.Options
 
 // AlphaBeta is the latency/bandwidth virtual transfer-time model of the
@@ -239,16 +239,6 @@ func (t *topologyTime) Transfer(src, dst, bytes int) float64 {
 // FunctionalOutput is a functional run's final fields and virtual-time
 // metrics.
 type FunctionalOutput = wrfsim.Output
-
-// FunctionalStrategy selects the functional mini-WRF's execution
-// strategy.
-type FunctionalStrategy = wrfsim.Strategy
-
-// Functional strategies.
-const (
-	FunctionalSequential = wrfsim.Sequential
-	FunctionalConcurrent = wrfsim.Concurrent
-)
 
 // RunFunctional executes the functional mini-WRF: real shallow-water
 // numerics with nesting, halo exchanges and communicator splits. Both

@@ -143,7 +143,7 @@ func TestRunFunctionalSmoke(t *testing.T) {
 	out, err := nestwrf.RunFunctional(cfg, nestwrf.FunctionalOptions{
 		Ranks:    8,
 		Steps:    2,
-		Strategy: nestwrf.FunctionalConcurrent,
+		Strategy: nestwrf.StrategyConcurrent,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestForecastFacadeRoundTrip(t *testing.T) {
 	out, err := nestwrf.RunFunctional(cfg, nestwrf.FunctionalOptions{
 		Ranks:    4,
 		Steps:    2,
-		Strategy: nestwrf.FunctionalSequential,
+		Strategy: nestwrf.StrategySequential,
 		Params:   nestwrf.GeophysicalSolverParams(),
 	})
 	if err != nil {

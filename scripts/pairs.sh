@@ -10,7 +10,8 @@
 # `bench --workload <workload> --seconds <seconds> --seed <seed>`
 # (defaults 8 and 1), each binary from its own checkout: odd pairs run
 # the parent first, even pairs the change first. Every run's last JSON
-# line is kept in a temporary directory, whose path is printed. Then,
+# line is kept in a temporary directory, whose path is printed; the
+# worktree and both binaries are removed on exit. Then,
 # for every end-to-end metric of BENCHMARK.json, it prints:
 #   - the EXPERIMENTS.md verdict row: median (q1 – q3) of each side, the
 #     change in the median, how many pairs the change is ahead in, and
@@ -42,7 +43,7 @@ cd "$ROOT"
 TMP=$(mktemp -d)
 PARENT="$TMP/parent"
 git worktree add --quiet --detach "$PARENT" "$REV"
-trap 'git -C "$ROOT" worktree remove --force "$PARENT"' EXIT
+trap 'git -C "$ROOT" worktree remove --force "$PARENT"; rm -f "$TMP/bench-parent" "$TMP/bench-change"' EXIT
 
 (cd "$PARENT" && go build -o "$TMP/bench-parent" ./bench)
 go build -o "$TMP/bench-change" ./bench

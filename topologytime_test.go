@@ -87,7 +87,7 @@ func TestTopologyTimeModelMappingGain(t *testing.T) {
 		out, err := nestwrf.RunFunctional(cfg, nestwrf.FunctionalOptions{
 			Ranks:     32,
 			Steps:     3,
-			Strategy:  nestwrf.FunctionalConcurrent,
+			Strategy:  nestwrf.StrategyConcurrent,
 			PointCost: 1e-6,
 			TM:        topoModel(t, kind),
 		})
