@@ -38,6 +38,7 @@ type group struct {
 	id      int
 	ranks   []int
 	slots   []slot       // one per local rank
+	comms   []Comm       // local rank i's handle, its proc set when it joins
 	arrived atomic.Int32 // members in the open collective, reset by the root
 	res     []float64    // Allreduce: the root's copy of the result
 }
@@ -49,13 +50,17 @@ type slot struct {
 	vals    []float64 // Allreduce: the member's operand
 	color   int       // Split: the member's request
 	key     int
-	sub     *group // Split: the member's new group, nil for a negative color
-	me      int    // Split: its local rank in sub
+	sub     *Comm // Split: the member's handle on its new group, nil for a negative color
 }
 
-// newGroup makes the group of communicator id over ranks.
-func newGroup(id int, ranks []int) *group {
-	return &group{id: id, ranks: ranks, slots: make([]slot, len(ranks))}
+// newGroup makes the group of communicator id over ranks, with every
+// member's handle in one slab.
+func newGroup(w *World, id int, ranks []int) *group {
+	g := &group{id: id, ranks: ranks, slots: make([]slot, len(ranks)), comms: make([]Comm, len(ranks))}
+	for i := range g.comms {
+		g.comms[i] = Comm{w: w, g: g, me: i}
+	}
+	return g
 }
 
 // arrive is a member's (local rank > 0) half of a collective: it
@@ -196,9 +201,10 @@ const splitBytes = 16
 // it. Ranks passing a negative color receive nil (MPI_UNDEFINED).
 //
 // The root reads every (color, key) from the rendezvous, makes each new
-// communicator's group once and writes each member its group and local
-// rank: members share the group's canonical rank list, so a split is
-// O(n) in time and memory.
+// communicator's group once and writes each member its handle from the
+// group's slab: members share the group's canonical rank list and
+// handles, so a split is O(n) in time and memory and makes a constant
+// number of heap objects per new group.
 func (c *Comm) Split(color, key int) (*Comm, error) {
 	g := c.g
 	s := &g.slots[c.me]
@@ -242,9 +248,9 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		for i, r := range members {
 			globals[i] = g.ranks[r]
 		}
-		sub := newGroup(firstID+gi, globals)
+		sub := newGroup(c.w, firstID+gi, globals)
 		for i, r := range members {
-			g.slots[r].sub, g.slots[r].me = sub, i
+			g.slots[r].sub = &sub.comms[i]
 		}
 	}
 	c.release(tagSplit, splitBytes)
@@ -252,9 +258,10 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 }
 
 // joined returns the communicator Split's answer in s names, or nil.
+// The handle lives in its group's slab; only its member writes proc.
 func (c *Comm) joined(s *slot) (*Comm, error) {
-	if s.sub == nil {
-		return nil, nil
+	if s.sub != nil {
+		s.sub.proc = c.proc
 	}
-	return &Comm{w: c.w, g: s.sub, me: s.me, proc: c.proc}, nil
+	return s.sub, nil
 }

@@ -16,7 +16,15 @@
 // one locked free list per size class shared by every rank, and
 // Barrier, Allreduce and Split meet in their communicator's shared
 // slots, so worlds of 10k+ virtual ranks run without funneling every
-// operation through one mutex or one mailbox. This package's tests pin
+// operation through one mutex or one mailbox.
+//
+// Per-rank state lives in slabs that its owner holds, never in objects
+// of its own: Run's slabs hold the Procs with their phase tables, the
+// mailboxes and the world communicators; the world's queue slab, made
+// on its first message, holds every mailbox's first queues; a split
+// communicator's group holds its members' handles. A queue keeps two
+// messages inline and spills into its mailbox's reused overflow, so
+// steady-state delivery allocates nothing. This package's tests pin
 // its virtual clocks, wait times and phase stats to literals recorded
 // on the single-mutex runtime it replaced.
 package mpi
@@ -69,50 +77,6 @@ func (k matchKey) waitOf(rank int) RankWait {
 	return RankWait{Rank: rank, Src: int(k.src), Tag: k.tag, Comm: int(k.comm)}
 }
 
-// msgq is one (src, tag, comm) receive queue. Queues are created on
-// first use and then live for the world's lifetime. A queue holds its
-// head message inline: eager sends are usually received before the next
-// one arrives, so most queues never hold two messages and never
-// allocate; a queue that does back up spills into q, whose backing
-// array is reused, so steady-state delivery never allocates either.
-type msgq struct {
-	key  matchKey // the mailbox scans for it
-	one  message  // the oldest queued message when full; full only while q is drained
-	full bool
-	q    []message
-	head int
-}
-
-// empty reports whether no message is queued.
-func (q *msgq) empty() bool { return !q.full && q.head == len(q.q) }
-
-// push appends msg in arrival order.
-func (q *msgq) push(msg message) {
-	if q.empty() {
-		q.one, q.full = msg, true
-		return
-	}
-	q.q = append(q.q, msg)
-}
-
-// pop removes and returns the queue's head message. The caller must
-// have checked that the queue is non-empty.
-func (q *msgq) pop() message {
-	if q.full {
-		msg := q.one
-		q.one, q.full = message{}, false
-		return msg
-	}
-	msg := q.q[q.head]
-	q.q[q.head] = message{}
-	q.head++
-	if q.head == len(q.q) {
-		q.q = q.q[:0]
-		q.head = 0
-	}
-	return msg
-}
-
 // World is one simulated job: n ranks plus their mailboxes.
 //
 // Each rank owns a mailbox with its own lock and condition variable:
@@ -131,6 +95,12 @@ type World struct {
 	drops atomic.Uint64
 
 	mboxes []mailbox
+	// queues holds every mailbox's first queueBlock queues, carved by
+	// rank index. It is made on the world's first message, so a world
+	// that sends nothing never pays for it and an idle rank's mailbox
+	// stays empty.
+	queuesOnce sync.Once
+	queues     []msgq
 	// classes are the payload pool's per-size-class free lists.
 	classes [payloadClasses]classPool
 	// packed holds blocked<<32 | queued in one atomic word so the
@@ -150,10 +120,13 @@ type World struct {
 // produced one, else the deadlock error if the world deadlocked. The
 // returned procs expose final clocks and wait times, indexed by rank.
 //
-// Setup allocates a fixed number of slabs (Procs, world communicators,
-// mailboxes, the world group's rank list and slots)
-// plus one goroutine and its closure per rank: no per-rank map, queue
-// or communicator object exists until a rank's first message or phase.
+// Setup allocates a fixed number of slabs (Procs with their phase
+// tables, mailboxes, the world group's rank list, slots and
+// communicators) plus one goroutine and its closure per rank. Per-rank
+// state made later also comes from slabs its owner holds: a mailbox's
+// first queues from the world's queue slab, a split communicator from
+// its group's, so no per-rank map, queue or communicator object is
+// ever made on its own.
 func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	if n <= 0 {
 		return nil, errBadRanks(n)
@@ -164,7 +137,7 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	for i := range worldRanks {
 		worldRanks[i] = i
 	}
-	worldGroup := newGroup(0, worldRanks)
+	worldGroup := newGroup(w, 0, worldRanks)
 	w.alive.Store(int64(n))
 	w.mboxes = make([]mailbox, n)
 	for i := range w.mboxes {
@@ -174,7 +147,6 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	// Per-rank state comes from slabs, so a world costs a constant
 	// number of heap objects plus one goroutine (and its closure) per rank.
 	procSlab := make([]Proc, n)
-	comms := make([]Comm, n)
 	procs := make([]*Proc, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -182,8 +154,8 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	for r := 0; r < n; r++ {
 		p := &procSlab[r]
 		p.w, p.rank = w, r
-		comms[r] = Comm{w: w, g: worldGroup, me: r, proc: p}
-		p.world = &comms[r]
+		p.world = &worldGroup.comms[r]
+		p.world.proc = p
 		procs[r] = p
 		go func() {
 			defer wg.Done()
@@ -282,11 +254,17 @@ type Proc struct {
 	world *Comm
 
 	// Phase instrumentation: nil until the first BeginPhase, so
-	// uninstrumented runs pay only a nil check per operation.
-	cur    *PhaseStats
-	curAt  time.Time // wall-clock entry into the current phase
-	phases []Phase
+	// uninstrumented runs pay only a nil check per operation. The
+	// table starts in phaseBuf, inside the world's Proc slab.
+	cur      *PhaseStats
+	curAt    time.Time // wall-clock entry into the current phase
+	phases   []Phase
+	phaseBuf [phaseBlock]Phase
 }
+
+// phaseBlock is how many phases a rank records before its table
+// leaves the Proc slab: wrfsim's concurrent ranks open five.
+const phaseBlock = 8
 
 // Comm is one rank's handle on a communicator: an ordered group of
 // global ranks, local rank i being g.ranks[i]. Every member shares the
@@ -333,7 +311,7 @@ func (p *Proc) BeginPhase(name string) {
 	}
 	if i == len(p.phases) {
 		if p.phases == nil {
-			p.phases = make([]Phase, 0, 8)
+			p.phases = p.phaseBuf[:0]
 		}
 		p.phases = append(p.phases, Phase{Name: name})
 	}

@@ -25,6 +25,36 @@ const queuedMask = (1 << 32) - 1
 // (src, tag, comm) keys, fewer than a hash costs.
 const linearQueues = 32
 
+// inlineMsgs is how many messages a queue holds inline: a halo
+// neighbor one step ahead leaves two on one key.
+const inlineMsgs = 2
+
+// msgq is one (src, tag, comm) receive queue. Queues are created on
+// first use and then live for the world's lifetime. A queue holds its
+// inlineMsgs oldest messages in an inline ring, so a stencil code's
+// queues never allocate; a message that finds the ring full, or the
+// queue already spilled, waits in its mailbox's overflow. Every inline
+// message is thus older than every spilled one. The overflow lives in
+// the mailbox, not here, so a queue stays 88 bytes: the queue slab is
+// most of a high-rank world's mailbox memory, and a larger queue cost
+// the 8192-rank benchmark ≈ 7 % of its peak RSS.
+type msgq struct {
+	key         matchKey // the mailbox scans for it
+	in          [inlineMsgs]message
+	first, held uint8 // the ring: held messages from in[first]
+	spilled     int32 // this queue's messages in the mailbox's overflow
+}
+
+// empty reports whether no message is queued.
+func (q *msgq) empty() bool { return q.held == 0 && q.spilled == 0 }
+
+// spilledMsg is a message in its mailbox's overflow, with the index
+// of its queue.
+type spilledMsg struct {
+	q   int32
+	msg message
+}
+
 // mailbox is one rank's receive state: its queues, its private lock,
 // and the condition variable only the owning rank ever waits on.
 // Senders lock exactly the destination mailbox, so traffic between
@@ -32,15 +62,23 @@ const linearQueues = 32
 // receiving rank only when it waits on the delivered key.
 //
 // Queues sit in one slice in first-use order and are found by a linear
-// scan. Only a mailbox that outgrows linearQueues — the root of a
-// world-wide Gather, with one queue per source — builds
-// a map index over the slice, so those lookups stay O(1) while an
-// ordinary rank's mailbox costs no heap object until its first message.
+// scan. The slice starts as the rank's block of the world's queue slab;
+// only a mailbox that outgrows it gets an array of its own, and only
+// one that outgrows linearQueues — the root of a world-wide Gather,
+// with one queue per source — builds a map index over the slice, so
+// those lookups stay O(1) while an ordinary rank's mailbox costs no
+// heap object at all.
 type mailbox struct {
 	mu   sync.Mutex
 	cond sync.Cond // L is &mu, set at world setup
 	qs   []msgq
 	idx  map[matchKey]int32 // key -> index in qs; nil up to linearQueues
+
+	// over holds, from overHead on and in arrival order, the messages
+	// their queues spilled. Its backing array is reused once drained, so
+	// steady-state delivery never allocates.
+	over     []spilledMsg
+	overHead int32
 
 	// count is the number of messages held; parked of them are not in
 	// World.packed's queued half (all while dead, the ones not matching
@@ -54,38 +92,44 @@ type mailbox struct {
 	waiting, dead bool
 	wkey          matchKey
 
-	// The fields above fill 128 bytes, two whole cache lines, so in the
-	// world's mailbox slab neighboring ranks' hot send/recv locks never
-	// share a line (TestMailboxFillsCacheLines).
+	// Pad to 192 bytes, three whole cache lines, so in the world's
+	// mailbox slab neighboring ranks' hot send/recv locks never share a
+	// line (TestMailboxFillsCacheLines).
+	_ [40]byte
 }
 
-// queue returns the mailbox's queue for key, or nil when no message
-// with that key was ever sent. The pointer is valid until the next
-// queueFor call. Caller holds mb.mu.
-func (mb *mailbox) queue(key matchKey) *msgq {
+// queue returns the index in mb.qs of the mailbox's queue for key, or
+// -1 when no message with that key was ever sent. Caller holds mb.mu.
+func (mb *mailbox) queue(key matchKey) int32 {
 	if mb.idx != nil {
 		if i, ok := mb.idx[key]; ok {
-			return &mb.qs[i]
+			return i
 		}
-		return nil
+		return -1
 	}
 	for i := range mb.qs {
 		if mb.qs[i].key == key {
-			return &mb.qs[i]
+			return int32(i)
 		}
 	}
-	return nil
+	return -1
 }
 
-// queueFor is queue, creating the queue on first use.
-func (mb *mailbox) queueFor(key matchKey) *msgq {
-	if q := mb.queue(key); q != nil {
-		return q
+// queueBlock is the number of queues a mailbox takes from the world's
+// queue slab: at 8192 ranks of the paper's four-sibling domain 91 % of
+// mailboxes hold 7-16 queues, so an ordinary rank never allocates one.
+const queueBlock = 16
+
+// queueFor returns the index of dst's mailbox queue for key, creating
+// the queue on first use. Caller holds the mailbox's lock.
+func (w *World) queueFor(dst int, key matchKey) int32 {
+	mb := &w.mboxes[dst]
+	if i := mb.queue(key); i >= 0 {
+		return i
 	}
 	if mb.qs == nil {
-		// One allocation covers an ordinary rank: at 8192 ranks of the
-		// paper's four-sibling domain 97 % of mailboxes hold 7-16 queues.
-		mb.qs = make([]msgq, 0, 16)
+		w.queuesOnce.Do(func() { w.queues = make([]msgq, queueBlock*w.n) })
+		mb.qs = w.queues[dst*queueBlock : dst*queueBlock : (dst+1)*queueBlock]
 	}
 	mb.qs = append(mb.qs, msgq{key: key})
 	n := len(mb.qs)
@@ -98,7 +142,52 @@ func (mb *mailbox) queueFor(key matchKey) *msgq {
 			mb.idx[mb.qs[i].key] = int32(i)
 		}
 	}
-	return &mb.qs[n-1]
+	return int32(n - 1)
+}
+
+// push appends msg to queue qi in arrival order. Caller holds mb.mu.
+func (mb *mailbox) push(qi int32, msg message) {
+	q := &mb.qs[qi]
+	if q.held < inlineMsgs && q.spilled == 0 {
+		q.in[(q.first+q.held)%inlineMsgs] = msg
+		q.held++
+		return
+	}
+	mb.over = append(mb.over, spilledMsg{qi, msg})
+	q.spilled++
+}
+
+// pop removes and returns queue qi's oldest message: the ring's first,
+// else the queue's first in the overflow. Caller holds mb.mu and has
+// checked that the queue is non-empty.
+func (mb *mailbox) pop(qi int32) message {
+	q := &mb.qs[qi]
+	if q.held > 0 {
+		msg := q.in[q.first]
+		q.in[q.first] = message{}
+		q.first = (q.first + 1) % inlineMsgs
+		q.held--
+		return msg
+	}
+	i := mb.overHead
+	for mb.over[i].q != qi {
+		i++
+	}
+	msg := mb.over[i].msg
+	if i == mb.overHead {
+		mb.over[i] = spilledMsg{}
+		mb.overHead++
+	} else { // keep the other queues' messages in arrival order
+		last := len(mb.over) - 1
+		copy(mb.over[i:], mb.over[i+1:])
+		mb.over[last] = spilledMsg{}
+		mb.over = mb.over[:last]
+	}
+	if int(mb.overHead) == len(mb.over) {
+		mb.over, mb.overHead = mb.over[:0], 0
+	}
+	q.spilled--
+	return msg
 }
 
 // send queues msg for dst, counting it as queued unless it is
@@ -122,7 +211,7 @@ func (w *World) send(dst int, key matchKey, msg message) {
 		w.packed.Add(1)
 	}
 	mb.count++
-	mb.queueFor(key).push(msg)
+	mb.push(w.queueFor(dst, key), msg)
 	if match {
 		mb.cond.Signal()
 	}
@@ -160,8 +249,8 @@ func (w *World) recv(p *Proc, key matchKey) (message, error) {
 	blocked := false
 	mb.mu.Lock()
 	for {
-		if q := mb.queue(key); q != nil && !q.empty() {
-			msg := q.pop()
+		if qi := mb.queue(key); qi >= 0 && !mb.qs[qi].empty() {
+			msg := mb.pop(qi)
 			mb.count--
 			if blocked {
 				w.packed.Add(mb.unblock() - 1) // leave blocked, un-park, consume queued

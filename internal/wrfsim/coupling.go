@@ -471,7 +471,7 @@ func release(c *mpi.Comm, inbox [][]float64) {
 }
 
 // collectStates gathers the parent and all nest states at world rank 0.
-func collectStates(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nests []*nestCtx, out *Output) error {
+func collectStates(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nests []nestCtx, out *Output) error {
 	st, err := solver.Gather(world, parent)
 	if err != nil {
 		return err
@@ -479,7 +479,8 @@ func collectStates(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nests 
 	if st != nil {
 		out.Parent = st
 	}
-	for i, nc := range nests {
+	for i := range nests {
+		nc := &nests[i]
 		tag := tagState + i
 		if nc.tile != nil {
 			sub, err := solver.Gather(nc.comm, nc.tile)
@@ -493,7 +494,9 @@ func collectStates(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nests 
 					continue
 				}
 				if world.Rank() == root {
-					world.Send(0, tag, encodeState(sub))
+					buf := world.AllocPayload(stateLen(sub))
+					encodeState(buf, sub)
+					world.SendOwned(0, tag, buf)
 				}
 			}
 		}
@@ -503,18 +506,23 @@ func collectStates(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nests 
 				return err
 			}
 			out.Nests[i] = decodeState(data)
+			world.FreePayload(data)
 		}
 	}
 	return nil
 }
 
-func encodeState(s *solver.State) []float64 {
-	out := make([]float64, 0, 2+3*len(s.H))
-	out = append(out, float64(s.NX), float64(s.NY))
-	out = append(out, s.H...)
-	out = append(out, s.HU...)
-	out = append(out, s.HV...)
-	return out
+// stateLen is the length of s's encoding.
+func stateLen(s *solver.State) int { return 2 + 3*len(s.H) }
+
+// encodeState writes s into buf, which holds stateLen(s) floats:
+// (NX, NY), then H, HU and HV.
+func encodeState(buf []float64, s *solver.State) {
+	buf[0], buf[1] = float64(s.NX), float64(s.NY)
+	n := len(s.H)
+	copy(buf[2:], s.H)
+	copy(buf[2+n:], s.HU)
+	copy(buf[2+2*n:], s.HV)
 }
 
 func decodeState(d []float64) *solver.State {

@@ -141,9 +141,9 @@ func couplingHarness(t *testing.T, body func(r *couplingRank) error) []*mpi.Proc
 		tile.Fill(func(gx, gy int) (float64, float64, float64) {
 			return initialParentValue(cfg, child.OffX+gx/child.Ratio, child.OffY+gy/child.Ratio)
 		})
-		nc := newNestCtx(np, me)
+		nc := &newNestCtxs([]*nestPlan{np}, me)[0]
 		nc.comm, nc.tile = world, tile
-		return body(&couplingRank{p: p, cfg: cfg, grid: grid, parent: parent, nc: &nc})
+		return body(&couplingRank{p: p, cfg: cfg, grid: grid, parent: parent, nc: nc})
 	})
 	if err != nil {
 		t.Fatal(err)

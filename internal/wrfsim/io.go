@@ -32,7 +32,7 @@ type runOutput struct {
 // (collective writes block all writers), and the root records the
 // snapshot.
 func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile,
-	nests []*nestCtx, cfg *nest.Domain, step int, out *runOutput) error {
+	nests []nestCtx, cfg *nest.Domain, step int, out *runOutput) error {
 	// Parent file: all ranks write.
 	st, err := solver.Gather(world, parent)
 	if err != nil {
@@ -47,7 +47,8 @@ func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.
 	// the concurrent strategy the writer groups are disjoint partitions,
 	// so the writes overlap in virtual time; in the sequential strategy
 	// every rank participates in every file.
-	for _, nc := range nests {
+	for i := range nests {
+		nc := &nests[i]
 		if nc.tile == nil {
 			continue
 		}

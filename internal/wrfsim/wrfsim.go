@@ -289,12 +289,23 @@ type nestCtx struct {
 	span   telemetry.SpanID
 }
 
-// newNestCtx starts world rank me's view of a nest, with both inboxes
-// carved from one slab.
-func newNestCtx(np *nestPlan, me int) nestCtx {
-	nb := np.bc.inboxLen[me]
-	inbox := make([][]float64, nb+np.fb.inboxLen[me])
-	return nestCtx{nestPlan: np, me: me, bcInbox: inbox[:nb:nb], fbInbox: inbox[nb:]}
+// newNestCtxs starts world rank me's view of every nest: the contexts
+// are one slab, and every inbox of both directions is carved from
+// another, sized from the plans, so a rank's coupling state is two heap
+// objects whatever the number of nests.
+func newNestCtxs(plans []*nestPlan, me int) []nestCtx {
+	n := 0
+	for _, np := range plans {
+		n += np.bc.inboxLen[me] + np.fb.inboxLen[me]
+	}
+	inbox := make([][]float64, n)
+	ctxs := make([]nestCtx, len(plans))
+	for i, np := range plans {
+		nb, nf := np.bc.inboxLen[me], np.fb.inboxLen[me]
+		ctxs[i] = nestCtx{nestPlan: np, me: me, bcInbox: inbox[:nb:nb], fbInbox: inbox[nb : nb+nf : nb+nf]}
+		inbox = inbox[nb+nf:]
+	}
+	return ctxs
 }
 
 func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan, opt Options, runSpan telemetry.SpanID, out *runOutput) error {
@@ -314,12 +325,9 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 	// Build per-nest contexts on the shared plans (every rank holds one
 	// per nest, members or not: non-members still source boundary
 	// conditions from their parent cells and sink feedback into them).
-	nests := make([]*nestCtx, len(cfg.Children))
-	ctxs := make([]nestCtx, len(cfg.Children)) // one slab, not one object per nest per rank
+	nests := newNestCtxs(plans, me)
 	for i, np := range plans {
-		nc := &ctxs[i]
-		nests[i] = nc
-		*nc = newNestCtx(np, me)
+		nc := &nests[i]
 		if me == 0 && opt.Tracer.Recording() {
 			// Only rank 0 emits coupling spans: one tracing rank keeps
 			// the export readable and the buffer O(steps), while the
@@ -374,15 +382,16 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 		// Boundary conditions for every nest, moved parent-owner ->
 		// child-owner.
 		p.BeginPhase("coupling")
-		for _, nc := range nests {
+		for i := range nests {
+			nc := &nests[i]
 			if err := nc.exchange(world, "bc", tagBC+nc.idx, nc.bc, parent, nc.bcInbox); err != nil {
 				return err
 			}
 		}
 
 		// Nest sub-steps: each nest this rank holds a tile of.
-		for _, nc := range nests {
-			if nc.tile != nil {
+		for i := range nests {
+			if nc := &nests[i]; nc.tile != nil {
 				if err := nestSubsteps(p, nc, opt); err != nil {
 					return err
 				}
@@ -391,7 +400,8 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 
 		// Feedback child -> parent.
 		p.BeginPhase("coupling")
-		for _, nc := range nests {
+		for i := range nests {
+			nc := &nests[i]
 			if err := nc.exchange(world, "fb", tagFeedback+nc.idx, nc.fb, nc.tile, nc.fbInbox); err != nil {
 				return err
 			}
