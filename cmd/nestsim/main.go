@@ -87,19 +87,25 @@ func main() {
 	}
 
 	if *plan {
-		p, err := nestwrf.Plan(cfg, m, *ranks)
+		p, err := nestwrf.Plan(cfg, nestwrf.Options{
+			Machine:  m,
+			Ranks:    *ranks,
+			Strategy: nestwrf.StrategyConcurrent,
+			MapKind:  kind,
+			Alloc:    alloc,
+		})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("virtual processor grid: %dx%d\n", p.Px, p.Py)
-		fmt.Println("predicted execution-time shares and partitions (Algorithm 1):")
+		fmt.Printf("predicted execution-time shares and partitions (%v allocation):\n", p.Alloc)
 		for i, c := range cfg.Children {
 			fmt.Printf("  %-10s weight %.3f -> %s (%d cores)\n",
 				c.Name, p.Weights[i], p.Rects[i], p.Rects[i].Area())
 		}
 		fmt.Println("\nmapping quality (average torus hops between neighbours):")
 		for _, name := range []string{"oblivious", "txyz", "partition", "multilevel"} {
-			if rep, ok := p.MappingReports[name]; ok {
+			if rep, ok := p.Mapping[name]; ok {
 				fmt.Printf("  %-10s parent %.2f, overall %.2f\n", name, rep.ParentAvgHops, rep.OverallAvgHops)
 			}
 		}

@@ -3,7 +3,7 @@ package nestwrf_test
 // Cross-validation between the two worlds of the library: the
 // virtual-time cost model (driver) and the functional mini-WRF (wrfsim)
 // must agree on the paper's qualitative claims for the same plan — one
-// driver.Plan's rectangles run in both — concurrent beats sequential,
+// nestwrf.Plan's rectangles run in both — concurrent beats sequential,
 // the mappings rank alike, and the equal split is the worst allocation.
 
 import (
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"nestwrf"
-	"nestwrf/internal/driver"
 )
 
 func crossConfig() *nestwrf.Domain {
@@ -22,15 +21,15 @@ func crossConfig() *nestwrf.Domain {
 	return cfg
 }
 
-// crossPlan is the driver's concurrent plan for crossConfig on 32 BG/L
+// crossPlan is the facade's concurrent plan for crossConfig on 32 BG/L
 // ranks under the given allocation policy. Its rectangles are what
 // both worlds run.
-func crossPlan(t *testing.T, policy nestwrf.AllocPolicy) *driver.Plan {
+func crossPlan(t *testing.T, policy nestwrf.AllocPolicy) *nestwrf.ExecutionPlan {
 	t.Helper()
-	p, err := driver.BuildPlan(crossConfig(), driver.Options{
+	p, err := nestwrf.Plan(crossConfig(), nestwrf.Options{
 		Machine:  nestwrf.BlueGeneL(),
 		Ranks:    32,
-		Strategy: driver.Concurrent,
+		Strategy: nestwrf.StrategyConcurrent,
 		Alloc:    policy,
 	})
 	if err != nil {
@@ -184,7 +183,7 @@ func TestEveryAllocPolicyRunsFunctionally(t *testing.T) {
 }
 
 func TestPartitionsSVGFacade(t *testing.T) {
-	plan, err := nestwrf.Plan(table2(), nestwrf.BlueGeneL(), 1024)
+	plan, err := nestwrf.Plan(table2(), nestwrf.Options{Machine: nestwrf.BlueGeneL(), Ranks: 1024, Strategy: nestwrf.StrategyConcurrent})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,9 @@ func ExamplePlan() {
 	cfg.AddChild("east", 394, 418, 3, 5, 5)
 	cfg.AddChild("west", 313, 337, 3, 140, 150)
 
-	plan, err := nestwrf.Plan(cfg, nestwrf.BlueGeneL(), 1024)
+	plan, err := nestwrf.Plan(cfg, nestwrf.Options{
+		Machine: nestwrf.BlueGeneL(), Ranks: 1024, Strategy: nestwrf.StrategyConcurrent,
+	})
 	if err != nil {
 		panic(err)
 	}

@@ -20,7 +20,9 @@ func main() {
 	cfg.AddChild("nest-east", 60, 48, 3, 2, 2)
 	cfg.AddChild("nest-west", 48, 36, 3, 30, 30)
 
-	plan, err := nestwrf.Plan(cfg, nestwrf.BlueGeneL(), 32)
+	plan, err := nestwrf.Plan(cfg, nestwrf.Options{
+		Machine: nestwrf.BlueGeneL(), Ranks: 32, Strategy: nestwrf.StrategyConcurrent,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

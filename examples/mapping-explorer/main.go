@@ -19,7 +19,9 @@ func main() {
 	cfg.AddChild("sibling1", 144, 144, 3, 0, 0)
 	cfg.AddChild("sibling2", 144, 144, 3, 48, 0)
 
-	plan, err := nestwrf.Plan(cfg, nestwrf.BlueGeneL(), 32)
+	plan, err := nestwrf.Plan(cfg, nestwrf.Options{
+		Machine: nestwrf.BlueGeneL(), Ranks: 32, Strategy: nestwrf.StrategyConcurrent,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func main() {
 	fmt.Println("average torus hops between neighbouring ranks (4x4x2 torus):")
 	fmt.Printf("%-12s %-8s %-8s %-8s\n", "mapping", "parent", "sib1", "sib2")
 	for _, name := range []string{"oblivious", "txyz", "partition", "multilevel"} {
-		rep, ok := plan.MappingReports[name]
+		rep, ok := plan.Mapping[name]
 		if !ok {
 			continue
 		}

@@ -23,7 +23,14 @@ func main() {
 	// Step 1: the paper's pipeline — predict sibling execution times,
 	// partition the 32x32 processor grid with Algorithm 1, and assess
 	// the torus mappings.
-	plan, err := nestwrf.Plan(cfg, machine, ranks)
+	opt := nestwrf.Options{
+		Machine:  machine,
+		Ranks:    ranks,
+		Strategy: nestwrf.StrategyConcurrent,
+		MapKind:  nestwrf.MapMultiLevel,
+		Alloc:    nestwrf.AllocPredicted,
+	}
+	plan, err := nestwrf.Plan(cfg, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,17 +40,12 @@ func main() {
 			c.Name, plan.Weights[i], plan.Rects[i])
 	}
 	fmt.Printf("  avg hops: oblivious %.2f vs multi-level fold %.2f\n\n",
-		plan.MappingReports["oblivious"].OverallAvgHops,
-		plan.MappingReports["multilevel"].OverallAvgHops)
+		plan.Mapping["oblivious"].OverallAvgHops,
+		plan.Mapping["multilevel"].OverallAvgHops)
 
 	// Step 2: simulate both strategies and compare, with the
 	// topology-aware multi-level mapping for the concurrent run.
-	cmp, err := nestwrf.Compare(cfg, nestwrf.Options{
-		Machine: machine,
-		Ranks:   ranks,
-		MapKind: nestwrf.MapMultiLevel,
-		Alloc:   nestwrf.AllocPredicted,
-	})
+	cmp, err := nestwrf.Compare(cfg, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

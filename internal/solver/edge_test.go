@@ -84,8 +84,9 @@ func TestDryCellsHandled(t *testing.T) {
 	}
 	for y := 0; y < 10; y++ {
 		for x := 0; x < 10; x++ {
-			h, hu, hv := tile.Cell(x, y)
-			if math.IsNaN(h) || math.IsNaN(hu) || math.IsNaN(hv) {
+			var c [3]float64
+			tile.Pack(c[:], x, y, 1, 1)
+			if math.IsNaN(c[0]) || math.IsNaN(c[1]) || math.IsNaN(c[2]) {
 				t.Fatalf("NaN at (%d,%d) after dry-cell run", x, y)
 			}
 		}

@@ -9,6 +9,12 @@
 // cell's update reads the same values in the same order regardless of
 // the decomposition, so integration tests can verify halo exchange and
 // nesting logic exactly.
+//
+// The package owns the two conventions every message about a tile
+// rests on: the payload layout (Tile.Pack, row-major (h, hu, hv)
+// triples; the halo exchange, Gather and wrfsim's coupling transfers
+// all pack through it) and the block decomposition (Span and its
+// inverse Part per axis, Decompose and its inverse Owner per grid).
 package solver
 
 import (
@@ -235,10 +241,32 @@ func (t *Tile) SetHaloCell(x, y int, h, hu, hv float64) {
 	t.h[i], t.hu[i], t.hv[i] = h, hu, hv
 }
 
-// Cell returns the values of a local cell (halo positions allowed).
-func (t *Tile) Cell(x, y int) (h, hu, hv float64) {
-	i := t.idx(x, y)
-	return t.h[i], t.hu[i], t.hv[i]
+// Pack copies the w x h rectangle of local cells at (x, y) (halo
+// positions allowed) into buf row by row, three floats (h, hu, hv) per
+// cell, and returns the number of floats written. It is the layout of
+// every message a tile's cells travel in: halo edges, Gather's interior
+// and the nesting coupler's transfers.
+func (t *Tile) Pack(buf []float64, x, y, w, h int) int {
+	k := 0
+	for row := y; row < y+h; row++ {
+		for i, end := t.idx(x, row), t.idx(x+w, row); i < end; i++ {
+			buf[k], buf[k+1], buf[k+2] = t.h[i], t.hu[i], t.hv[i]
+			k += 3
+		}
+	}
+	return k
+}
+
+// unpack is Pack's inverse: it writes buf's triples into the w x h
+// rectangle of local cells at (x, y).
+func (t *Tile) unpack(buf []float64, x, y, w, h int) {
+	k := 0
+	for row := y; row < y+h; row++ {
+		for i, end := t.idx(x, row), t.idx(x+w, row); i < end; i++ {
+			t.h[i], t.hu[i], t.hv[i] = buf[k], buf[k+1], buf[k+2]
+			k += 3
+		}
+	}
 }
 
 // fillFluxLine evaluates the six flux components of every cell of the
@@ -350,65 +378,23 @@ var dirTag = [4]int{
 	vtopo.North: tagNorth,
 }
 
-// edgeCells returns the number of boundary cells on the given edge.
-func (t *Tile) edgeCells(dir vtopo.Direction) int {
-	if dir == vtopo.West || dir == vtopo.East {
-		return t.H
+// side returns the rectangle of local cells along the edge facing d:
+// the owned boundary column or row, or with halo the halo column or row
+// beyond it.
+func (t *Tile) side(d vtopo.Direction, halo bool) (x, y, w, h int) {
+	beyond := 0
+	if halo {
+		beyond = 1
 	}
-	return t.W
-}
-
-// packEdge writes the owned boundary row/column facing dir into buf
-// (3 values per cell).
-func (t *Tile) packEdge(dir vtopo.Direction, buf []float64) {
-	switch dir {
+	switch d {
 	case vtopo.West:
-		for y := 0; y < t.H; y++ {
-			i := t.idx(0, y)
-			buf[3*y], buf[3*y+1], buf[3*y+2] = t.h[i], t.hu[i], t.hv[i]
-		}
+		return -beyond, 0, 1, t.H
 	case vtopo.East:
-		for y := 0; y < t.H; y++ {
-			i := t.idx(t.W-1, y)
-			buf[3*y], buf[3*y+1], buf[3*y+2] = t.h[i], t.hu[i], t.hv[i]
-		}
+		return t.W - 1 + beyond, 0, 1, t.H
 	case vtopo.South:
-		for x := 0; x < t.W; x++ {
-			i := t.idx(x, 0)
-			buf[3*x], buf[3*x+1], buf[3*x+2] = t.h[i], t.hu[i], t.hv[i]
-		}
+		return 0, -beyond, t.W, 1
 	default: // North
-		for x := 0; x < t.W; x++ {
-			i := t.idx(x, t.H-1)
-			buf[3*x], buf[3*x+1], buf[3*x+2] = t.h[i], t.hu[i], t.hv[i]
-		}
-	}
-}
-
-// unpackEdge writes a neighbour's boundary data into the halo cells
-// facing dir.
-func (t *Tile) unpackEdge(dir vtopo.Direction, data []float64) {
-	switch dir {
-	case vtopo.West:
-		for y := 0; y < t.H; y++ {
-			i := t.idx(-1, y)
-			t.h[i], t.hu[i], t.hv[i] = data[3*y], data[3*y+1], data[3*y+2]
-		}
-	case vtopo.East:
-		for y := 0; y < t.H; y++ {
-			i := t.idx(t.W, y)
-			t.h[i], t.hu[i], t.hv[i] = data[3*y], data[3*y+1], data[3*y+2]
-		}
-	case vtopo.South:
-		for x := 0; x < t.W; x++ {
-			i := t.idx(x, -1)
-			t.h[i], t.hu[i], t.hv[i] = data[3*x], data[3*x+1], data[3*x+2]
-		}
-	default: // North
-		for x := 0; x < t.W; x++ {
-			i := t.idx(x, t.H)
-			t.h[i], t.hu[i], t.hv[i] = data[3*x], data[3*x+1], data[3*x+2]
-		}
+		return 0, t.H - 1 + beyond, t.W, 1
 	}
 }
 
@@ -432,8 +418,9 @@ func (t *Tile) Exchange(c *mpi.Comm, grid vtopo.Grid) error {
 		if nb < 0 {
 			continue
 		}
-		buf := c.AllocPayload(3 * t.edgeCells(d))
-		t.packEdge(d, buf)
+		x, y, w, h := t.side(d, false)
+		buf := c.AllocPayload(3 * w * h)
+		t.Pack(buf, x, y, w, h)
 		c.SendOwned(nb, dirTag[d], buf)
 	}
 	for d := vtopo.West; d <= vtopo.North; d++ {
@@ -447,7 +434,8 @@ func (t *Tile) Exchange(c *mpi.Comm, grid vtopo.Grid) error {
 		if err != nil {
 			return err
 		}
-		t.unpackEdge(d, data)
+		x, y, w, h := t.side(d, true)
+		t.unpack(data, x, y, w, h)
 		c.FreePayload(data)
 	}
 	t.SetReflective()
@@ -455,25 +443,42 @@ func (t *Tile) Exchange(c *mpi.Comm, grid vtopo.Grid) error {
 }
 
 // Decompose returns the owned rectangle of local rank r in a Px x Py
-// block decomposition of an nx x ny domain: start/size with remainders
-// spread over the leading ranks.
+// block decomposition of an nx x ny domain: the product of one Span per
+// axis. Owner is its inverse.
 func Decompose(nx, ny int, grid vtopo.Grid, r int) (x0, y0, w, h int) {
-	px, py := grid.Px, grid.Py
 	cx, cy := grid.Coord(r)
-	w, x0 = share(nx, px, cx)
-	h, y0 = share(ny, py, cy)
+	x0, w = Span(nx, grid.Px, cx)
+	y0, h = Span(ny, grid.Py, cy)
 	return x0, y0, w, h
 }
 
-func share(n, parts, i int) (size, start int) {
-	base := n / parts
-	rem := n % parts
+// Owner returns the local rank whose Decompose rectangle holds global
+// cell (gx, gy).
+func Owner(nx, ny int, grid vtopo.Grid, gx, gy int) int {
+	return grid.Rank(Part(nx, grid.Px, gx), Part(ny, grid.Py, gy))
+}
+
+// Span returns part i's cells [start, start+size) when n cells are
+// split into parts blocks, the remainder spread one apiece over the
+// leading parts.
+func Span(n, parts, i int) (start, size int) {
+	base, rem := n/parts, n%parts
 	size = base
 	if i < rem {
 		size++
 	}
-	start = i*base + min(i, rem)
-	return size, start
+	return i*base + min(i, rem), size
+}
+
+// Part is Span's inverse: the part holding cell g, 0 <= g < n.
+func Part(n, parts, g int) int {
+	base, rem := n/parts, n%parts
+	// The first rem parts have size base+1; with more parts than cells
+	// (base 0) they hold every cell, so base never divides.
+	if bound := rem * (base + 1); g >= bound {
+		return rem + (g-bound)/base
+	}
+	return g / (base + 1)
 }
 
 // RunSerial integrates the full domain on a single tile for the given
@@ -502,14 +507,7 @@ func Gather(c *mpi.Comm, t *Tile) (*State, error) {
 	payload := c.AllocPayload(4 + 3*t.W*t.H)
 	payload[0], payload[1] = float64(t.X0), float64(t.Y0)
 	payload[2], payload[3] = float64(t.W), float64(t.H)
-	k := 4
-	for y := 0; y < t.H; y++ {
-		for x := 0; x < t.W; x++ {
-			i := t.idx(x, y)
-			payload[k], payload[k+1], payload[k+2] = t.h[i], t.hu[i], t.hv[i]
-			k += 3
-		}
-	}
+	t.Pack(payload[4:], 0, 0, t.W, t.H)
 	all, err := c.Gather(payload)
 	if err != nil {
 		return nil, err

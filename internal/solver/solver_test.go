@@ -2,7 +2,10 @@ package solver
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/vtopo"
@@ -142,6 +145,8 @@ func TestWaveSpreads(t *testing.T) {
 	}
 }
 
+// Decompose's rectangles tile the domain, and Owner names the rank of
+// each cell's rectangle.
 func TestDecomposeCoversDomain(t *testing.T) {
 	for _, tc := range []struct{ nx, ny, px, py int }{
 		{40, 30, 4, 3}, {41, 31, 4, 3}, {7, 5, 3, 2}, {100, 1, 8, 1},
@@ -160,6 +165,9 @@ func TestDecomposeCoversDomain(t *testing.T) {
 						t.Fatalf("%+v: cell (%d,%d) covered twice", tc, x, y)
 					}
 					covered[i] = true
+					if o := Owner(tc.nx, tc.ny, grid, x, y); o != r {
+						t.Fatalf("%+v: Owner(%d,%d) = %d, want %d", tc, x, y, o, r)
+					}
 				}
 			}
 		}
@@ -167,6 +175,30 @@ func TestDecomposeCoversDomain(t *testing.T) {
 			if !c {
 				t.Fatalf("%+v: cell %d not covered", tc, i)
 			}
+		}
+	}
+}
+
+// Part inverts Span: cell g lies in part Part(n, parts, g)'s span, and
+// the spans are consecutive and cover [0, n) — with more parts than
+// cells too, where the trailing parts are empty.
+func TestPartInvertsSpan(t *testing.T) {
+	for _, tc := range []struct{ n, parts int }{{40, 4}, {41, 4}, {7, 3}, {5, 8}, {1, 3}, {12, 12}} {
+		next := 0
+		for i := 0; i < tc.parts; i++ {
+			start, size := Span(tc.n, tc.parts, i)
+			if start != next || size < 0 {
+				t.Fatalf("Span(%d,%d,%d) = [%d,+%d), want start %d", tc.n, tc.parts, i, start, size, next)
+			}
+			for g := start; g < start+size; g++ {
+				if got := Part(tc.n, tc.parts, g); got != i {
+					t.Fatalf("Part(%d,%d,%d) = %d, want %d", tc.n, tc.parts, g, got, i)
+				}
+			}
+			next = start + size
+		}
+		if next != tc.n {
+			t.Fatalf("%+v: spans cover [0,%d), want [0,%d)", tc, next, tc.n)
 		}
 	}
 }
@@ -257,15 +289,82 @@ func TestParallelMassConservation(t *testing.T) {
 	}
 }
 
-func TestCellAndSetHaloCell(t *testing.T) {
+// Pack and unpack move exactly the cells of one rectangle of the
+// halo-extended tile, bit for bit (-0 included), in Pack's row-major
+// triple layout: unpacking a packed rectangle into a second tile of the
+// same shape reproduces those cells and changes no other, and Pack
+// writes 3*w*h floats and no more. The fixed case reads one halo cell
+// back through a 1x1 Pack.
+func TestPackUnpack(t *testing.T) {
 	tile, err := NewTile(10, 10, 0, 0, 5, 5, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tile.SetHaloCell(-1, 2, 1.5, 0.1, -0.2)
-	h, hu, hv := tile.Cell(-1, 2)
-	if h != 1.5 || hu != 0.1 || hv != -0.2 {
-		t.Errorf("halo cell = %v %v %v", h, hu, hv)
+	var cell [3]float64
+	if n := tile.Pack(cell[:], -1, 2, 1, 1); n != 3 || cell != [3]float64{1.5, 0.1, -0.2} {
+		t.Errorf("halo cell = %v (%d floats)", cell, n)
+	}
+
+	negZero := math.Copysign(0, -1)
+	f := func(seed int64, tw, th, rx, ry, rw, rh uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w, h := 1+int(tw)%9, 1+int(th)%9
+		// A rectangle [x, x+rw) x [y, y+rh) inside the halo-extended
+		// tile [-1, w+1) x [-1, h+1); empty ones included.
+		x, y := -1+int(rx)%(w+2), -1+int(ry)%(h+2)
+		rectW, rectH := int(rw)%(w+2-x), int(rh)%(h+2-y)
+		fill := func() *Tile {
+			tl, err := NewTile(w, h, 0, 0, w, h, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cy := -1; cy <= h; cy++ {
+				for cx := -1; cx <= w; cx++ {
+					v := [3]float64{rng.NormFloat64(), rng.NormFloat64(), negZero}
+					rng.Shuffle(3, func(i, j int) { v[i], v[j] = v[j], v[i] })
+					tl.SetHaloCell(cx, cy, v[0], v[1], v[2])
+				}
+			}
+			return tl
+		}
+		src, dst := fill(), fill()
+		before := slices.Clone(dst.h)
+		beforeU, beforeV := slices.Clone(dst.hu), slices.Clone(dst.hv)
+		const sentinel = 12345.0
+		n := 3 * rectW * rectH
+		buf := make([]float64, n+3)
+		for i := range buf {
+			buf[i] = sentinel
+		}
+		if got := src.Pack(buf, x, y, rectW, rectH); got != n {
+			t.Logf("Pack returned %d floats, want %d", got, n)
+			return false
+		}
+		if buf[n] != sentinel || buf[n+1] != sentinel || buf[n+2] != sentinel {
+			t.Logf("Pack wrote past %d floats", n)
+			return false
+		}
+		dst.unpack(buf, x, y, rectW, rectH)
+		bits := math.Float64bits
+		for cy := -1; cy <= h; cy++ {
+			for cx := -1; cx <= w; cx++ {
+				i := dst.idx(cx, cy)
+				want := [3]float64{before[i], beforeU[i], beforeV[i]}
+				if cx >= x && cx < x+rectW && cy >= y && cy < y+rectH {
+					want = [3]float64{src.h[i], src.hu[i], src.hv[i]}
+				}
+				if bits(dst.h[i]) != bits(want[0]) || bits(dst.hu[i]) != bits(want[1]) || bits(dst.hv[i]) != bits(want[2]) {
+					t.Logf("%dx%d tile, rect (%d,%d)+%dx%d: cell (%d,%d) = (%v, %v, %v), want %v",
+						w, h, x, y, rectW, rectH, cx, cy, dst.h[i], dst.hu[i], dst.hv[i], want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -32,43 +32,13 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// ownerOf returns the rank (in the given process grid) owning global
-// cell (gx, gy) of an nx x ny domain under the block decomposition of
-// solver.Decompose.
-func ownerOf(nx, ny int, grid vtopo.Grid, gx, gy int) int {
-	return grid.Rank(ownerIdx(nx, grid.Px, gx), ownerIdx(ny, grid.Py, gy))
-}
-
-// ownerIdx inverts solver.Decompose's share function along one
-// dimension.
-func ownerIdx(n, parts, g int) int {
-	base := n / parts
-	rem := n % parts
-	// The first rem parts have size base+1.
-	bound := rem * (base + 1)
-	if g < bound {
-		return g / (base + 1)
-	}
-	if base == 0 {
-		return rem // degenerate: more parts than cells
-	}
-	return rem + (g-bound)/base
-}
-
-// span returns part i's cells [start, start+size) along one dimension
-// of solver.Decompose's block decomposition; ownerIdx is its inverse.
-func span(n, parts, i int) (start, size int) {
-	start, _, size, _ = solver.Decompose(n, 1, vtopo.Grid{Px: parts, Py: 1}, i)
-	return start, size
-}
-
 // rect is a rectangle of source-domain cells, in global coordinates.
 type rect struct{ x0, y0, w, h int }
 
 // transfer is one (src, dst) message of a coupling exchange, in either
-// direction: the sender packs the cells of rects from its source tile
-// (each rectangle row-major, three floats per cell) and the receiver
-// stashes the payload in its inbox at slot.
+// direction: the sender packs the cells of rects from its source tile,
+// one solver.Tile.Pack per rectangle, and the receiver stashes the
+// payload in its inbox at slot.
 type transfer struct {
 	src, dst int // world ranks
 	rects    []rect
@@ -182,14 +152,12 @@ func buildBCPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.
 	ring := haloRing(c)
 	cells := make([]ringCell, len(ring))
 	for i, hc := range ring {
-		rx := ownerIdx(c.NX, cgrid.Px, clampInt(hc[0], 0, c.NX-1))
-		ry := ownerIdx(c.NY, cgrid.Py, clampInt(hc[1], 0, c.NY-1))
-		x0, _ := span(c.NX, cgrid.Px, rx)
-		y0, _ := span(c.NY, cgrid.Py, ry)
+		cr := solver.Owner(c.NX, c.NY, cgrid, clampInt(hc[0], 0, c.NX-1), clampInt(hc[1], 0, c.NY-1))
+		x0, y0, _, _ := solver.Decompose(c.NX, c.NY, cgrid, cr)
 		px := clampInt(c.OffX+floorDiv(hc[0], c.Ratio), 0, cfg.NX-1)
 		py := clampInt(c.OffY+floorDiv(hc[1], c.Ratio), 0, cfg.NY-1)
 		cells[i] = ringCell{
-			src: ownerOf(cfg.NX, cfg.NY, grid, px, py), dst: cworld[cgrid.Rank(rx, ry)],
+			src: solver.Owner(cfg.NX, cfg.NY, grid, px, py), dst: cworld[cr],
 			parent: rect{px, py, 1, 1}, lx: hc[0] - x0, ly: hc[1] - y0,
 		}
 	}
@@ -267,19 +235,19 @@ func newFBAxis(pn, pparts, off, cn, cparts, ratio int) fbAxis {
 		owner: ft[:f], local: ft[f : 2*f], lo: ft[2*f : 3*f], hi: ft[3*f:],
 		t0: pt[:cparts], t1: pt[cparts : 2*cparts], d0: pt[2*cparts : 3*cparts], nd: pt[3*cparts:],
 	}
-	a.p0 = ownerIdx(pn, pparts, off)
-	a.cells = make([]int, ownerIdx(pn, pparts, off+f-1)-a.p0+1)
+	a.p0 = solver.Part(pn, pparts, off)
+	a.cells = make([]int, solver.Part(pn, pparts, off+f-1)-a.p0+1)
 	for i := 0; i < f; i++ {
-		o := ownerIdx(pn, pparts, off+i)
-		start, _ := span(pn, pparts, o)
+		o := solver.Part(pn, pparts, off+i)
+		start, _ := solver.Span(pn, pparts, o)
 		a.owner[i], a.local[i] = o, off+i-start
 		a.cells[o-a.p0]++
-		a.lo[i] = ownerIdx(cn, cparts, i*ratio)
-		a.hi[i] = ownerIdx(cn, cparts, min((i+1)*ratio, cn)-1)
+		a.lo[i] = solver.Part(cn, cparts, i*ratio)
+		a.hi[i] = solver.Part(cn, cparts, min((i+1)*ratio, cn)-1)
 		a.overlaps += a.hi[i] - a.lo[i] + 1
 	}
 	for r := 0; r < cparts; r++ {
-		start, size := span(cn, cparts, r)
+		start, size := solver.Span(cn, cparts, r)
 		a.t0[r], a.t1[r] = start, start+size
 		if size > 0 {
 			a.d0[r] = a.owner[start/ratio]
@@ -404,12 +372,7 @@ func (nc *nestCtx) exchange(world *mpi.Comm, kind string, tag int, p *couplingPl
 		buf := world.AllocPayload(tr.floats)
 		k := 0
 		for _, r := range tr.rects {
-			for y := r.y0; y < r.y0+r.h; y++ {
-				for x := r.x0; x < r.x0+r.w; x++ {
-					buf[k], buf[k+1], buf[k+2] = src.Cell(x-src.X0, y-src.Y0)
-					k += 3
-				}
-			}
+			k += src.Pack(buf[k:], r.x0-src.X0, r.y0-src.Y0, r.w, r.h)
 		}
 		if tr.dst == me {
 			inbox[tr.slot] = buf
@@ -471,7 +434,7 @@ func release(c *mpi.Comm, inbox [][]float64) {
 }
 
 // collectStates gathers the parent and all nest states at world rank 0.
-func collectStates(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nests []nestCtx, out *Output) error {
+func collectStates(world *mpi.Comm, parent *solver.Tile, nests []nestCtx, out *Output) error {
 	st, err := solver.Gather(world, parent)
 	if err != nil {
 		return err

@@ -10,7 +10,6 @@ import (
 	"nestwrf/internal/nest"
 	"nestwrf/internal/output"
 	"nestwrf/internal/solver"
-	"nestwrf/internal/vtopo"
 )
 
 // ioModel is the write-cost model of forecast output: BG/P's
@@ -31,7 +30,7 @@ type runOutput struct {
 // modeled write cost is charged to every participating rank's clock
 // (collective writes block all writers), and the root records the
 // snapshot.
-func writeOutputs(p *mpi.Proc, world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile,
+func writeOutputs(p *mpi.Proc, world *mpi.Comm, parent *solver.Tile,
 	nests []nestCtx, cfg *nest.Domain, step int, out *runOutput) error {
 	// Parent file: all ranks write.
 	st, err := solver.Gather(world, parent)

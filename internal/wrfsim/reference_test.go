@@ -20,8 +20,8 @@ import (
 // it stood before the linear rewrite. For every parent footprint cell it
 // scans all child tiles for the ones overlapping the cell's block, keys
 // transfers and rectangles by Go maps, resolves each target cell through
-// ownerOf and the rectangle map, and allocates one srcs slice per cell.
-// It shares only the types, ownerOf and solver.Decompose with the fast
+// solver.Owner and the rectangle map, and allocates one srcs slice per
+// cell. It shares only the types and solver's decomposition with the fast
 // builder, so reflect.DeepEqual plans check the per-axis tables, the
 // transfer enumeration, the indexer and every slab offset at once.
 func refBuildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.Grid, cworld []int) *couplingPlan {
@@ -43,7 +43,7 @@ func refBuildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vto
 	rectRef := map[rectKey]rectLoc{}
 	for py := c.OffY; py < c.OffY+c.FootprintY(); py++ {
 		for px := c.OffX; px < c.OffX+c.FootprintX(); px++ {
-			dst := ownerOf(cfg.NX, cfg.NY, grid, px, py)
+			dst := solver.Owner(cfg.NX, cfg.NY, grid, px, py)
 			// Child-cell block of this parent cell.
 			bx0 := (px - c.OffX) * c.Ratio
 			by0 := (py - c.OffY) * c.Ratio
@@ -110,7 +110,7 @@ func refBuildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vto
 	}
 	for py := c.OffY; py < c.OffY+c.FootprintY(); py++ {
 		for px := c.OffX; px < c.OffX+c.FootprintX(); px++ {
-			owner := ownerOf(cfg.NX, cfg.NY, grid, px, py)
+			owner := solver.Owner(cfg.NX, cfg.NY, grid, px, py)
 			bx0 := (px - c.OffX) * c.Ratio
 			by0 := (py - c.OffY) * c.Ratio
 			bx1 := min(bx0+c.Ratio, c.NX)
@@ -118,7 +118,7 @@ func refBuildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vto
 			srcs := make([]cellRef, 0, (bx1-bx0)*(by1-by0))
 			for cy := by0; cy < by1; cy++ {
 				for cx := bx0; cx < bx1; cx++ {
-					src := cworld[ownerOf(c.NX, c.NY, cgrid, cx, cy)]
+					src := cworld[solver.Owner(c.NX, c.NY, cgrid, cx, cy)]
 					loc := rectRef[rectKey{px, py, src}]
 					tr := byPair[loc.pair]
 					e := &tr.rects[loc.ri]
@@ -155,12 +155,12 @@ func refBCPattern(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo
 		// Owning child rank: the tile adjacent to the halo cell.
 		ox := clampInt(hx, 0, c.NX-1)
 		oy := clampInt(hy, 0, c.NY-1)
-		childLocal := ownerOf(c.NX, c.NY, cgrid, ox, oy)
+		childLocal := solver.Owner(c.NX, c.NY, cgrid, ox, oy)
 		dst := cworld[childLocal]
 		// Parent cell supplying the value.
 		pgx := clampInt(c.OffX+floorDiv(hx, c.Ratio), 0, cfg.NX-1)
 		pgy := clampInt(c.OffY+floorDiv(hy, c.Ratio), 0, cfg.NY-1)
-		src := ownerOf(cfg.NX, cfg.NY, grid, pgx, pgy)
+		src := solver.Owner(cfg.NX, cfg.NY, grid, pgx, pgy)
 		key := [2]int{src, dst}
 		tr, ok := byPair[key]
 		if !ok {
@@ -495,7 +495,7 @@ func refExchangeBC(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nc *ne
 	for _, tr := range sends {
 		data := make([]float64, 3*len(tr.pcells))
 		for i, pc := range tr.pcells {
-			data[3*i], data[3*i+1], data[3*i+2] = parent.Cell(pc[0]-parent.X0, pc[1]-parent.Y0)
+			parent.Pack(data[3*i:], pc[0]-parent.X0, pc[1]-parent.Y0, 1, 1)
 		}
 		if tr.dst == me {
 			store(tr, data)
@@ -554,8 +554,7 @@ func refExchangeFeedback(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, 
 		for _, e := range tr.rects {
 			for y := e.y0; y < e.y0+e.h; y++ {
 				for x := e.x0; x < e.x0+e.w; x++ {
-					buf[k], buf[k+1], buf[k+2] = t.Cell(x-t.X0, y-t.Y0)
-					k += 3
+					k += t.Pack(buf[k:], x-t.X0, y-t.Y0, 1, 1)
 				}
 			}
 		}
@@ -608,8 +607,11 @@ func TestCouplingMatchesReference(t *testing.T) {
 	const steps = 4
 	opt := Options{PointCost: 1e-6}
 	negZero := math.Copysign(0, -1)
-	bits := func(out []uint64, h, hu, hv float64) []uint64 {
-		return append(out, math.Float64bits(h), math.Float64bits(hu), math.Float64bits(hv))
+	// bits appends the IEEE-754 bits of local cell (x, y) of tl.
+	bits := func(out []uint64, tl *solver.Tile, x, y int) []uint64 {
+		var c [3]float64
+		tl.Pack(c[:], x, y, 1, 1)
+		return append(out, math.Float64bits(c[0]), math.Float64bits(c[1]), math.Float64bits(c[2]))
 	}
 	run := func(ref bool) ([]rankState, []*mpi.Proc) {
 		states := make([]rankState, 4)
@@ -646,8 +648,7 @@ func TestCouplingMatchesReference(t *testing.T) {
 				for _, hc := range haloRing(c) {
 					ox, oy := clampInt(hc[0], 0, c.NX-1), clampInt(hc[1], 0, c.NY-1)
 					if ox >= tl.X0 && ox < tl.X0+tl.W && oy >= tl.Y0 && oy < tl.Y0+tl.H {
-						h, hu, hv := tl.Cell(hc[0]-tl.X0, hc[1]-tl.Y0)
-						halo = bits(halo, h, hu, hv)
+						halo = bits(halo, tl, hc[0]-tl.X0, hc[1]-tl.Y0)
 					}
 				}
 				if ref {
@@ -666,8 +667,7 @@ func TestCouplingMatchesReference(t *testing.T) {
 				out := make([]uint64, 0, 3*tl.W*tl.H)
 				for y := 0; y < tl.H; y++ {
 					for x := 0; x < tl.W; x++ {
-						h, hu, hv := tl.Cell(x, y)
-						out = bits(out, h, hu, hv)
+						out = bits(out, tl, x, y)
 					}
 				}
 				return out

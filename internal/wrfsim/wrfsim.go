@@ -9,9 +9,12 @@
 // nest receives boundary conditions interpolated from the parent
 // (moved with real point-to-point messages between the owning ranks),
 // advances Ratio sub-steps, and feeds its solution back to the parent
-// cells it overlaps. Integration tests verify that the two strategies
-// produce matching fields while the concurrent strategy finishes in
-// less virtual time — the paper's claim, demonstrated end to end.
+// cells it overlaps. Which rank owns a cell and how a rectangle of
+// cells becomes a payload are solver's (Decompose and its inverse
+// Owner, Tile.Pack): the coupling plans only choose the rectangles.
+// Integration tests verify that the two strategies produce matching
+// fields while the concurrent strategy finishes in less virtual time —
+// the paper's claim, demonstrated end to end.
 package wrfsim
 
 import (
@@ -412,7 +415,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 		// Forecast output.
 		if opt.OutputEverySteps > 0 && (step+1)%opt.OutputEverySteps == 0 {
 			p.BeginPhase("output")
-			if err := writeOutputs(p, world, grid, parent, nests, cfg, step+1, out); err != nil {
+			if err := writeOutputs(p, world, parent, nests, cfg, step+1, out); err != nil {
 				return err
 			}
 		}
@@ -420,7 +423,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 
 	// Gather final states at world rank 0.
 	p.BeginPhase("collect")
-	if err := collectStates(world, grid, parent, nests, out.Output); err != nil {
+	if err := collectStates(world, parent, nests, out.Output); err != nil {
 		return err
 	}
 	return nil

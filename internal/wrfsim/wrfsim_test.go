@@ -228,35 +228,6 @@ func TestSingleRankRun(t *testing.T) {
 	}
 }
 
-func TestOwnerIdxMatchesDecompose(t *testing.T) {
-	for _, tc := range []struct{ n, parts int }{{40, 4}, {41, 4}, {7, 3}, {5, 8}} {
-		// Build the ownership from Decompose's share and compare.
-		starts := make([]int, tc.parts+1)
-		pos := 0
-		for i := 0; i < tc.parts; i++ {
-			base := tc.n / tc.parts
-			if i < tc.n%tc.parts {
-				base++
-			}
-			starts[i] = pos
-			pos += base
-		}
-		starts[tc.parts] = pos
-		for g := 0; g < tc.n; g++ {
-			want := 0
-			for i := 0; i < tc.parts; i++ {
-				if g >= starts[i] && g < starts[i+1] {
-					want = i
-					break
-				}
-			}
-			if got := ownerIdx(tc.n, tc.parts, g); got != want {
-				t.Fatalf("ownerIdx(%d,%d,%d) = %d, want %d", tc.n, tc.parts, g, got, want)
-			}
-		}
-	}
-}
-
 func TestFloorDiv(t *testing.T) {
 	cases := []struct{ a, b, want int }{
 		{-1, 3, -1}, {0, 3, 0}, {2, 3, 0}, {3, 3, 1}, {-3, 3, -1}, {-4, 3, -2},

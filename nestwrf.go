@@ -25,13 +25,14 @@
 //	cfg.AddChild("typhoon1", 394, 418, 3, 5, 5)
 //	cfg.AddChild("typhoon2", 313, 337, 3, 140, 150)
 //
-//	plan, err := nestwrf.Plan(cfg, nestwrf.BlueGeneL(), 1024)
+//	opt := nestwrf.Options{
+//	    Machine: nestwrf.BlueGeneL(), Ranks: 1024,
+//	    Strategy: nestwrf.StrategyConcurrent, MapKind: nestwrf.MapMultiLevel,
+//	}
+//	plan, err := nestwrf.Plan(cfg, opt)
 //	// plan.Weights: predicted time shares; plan.Rects: partitions
 //
-//	cmp, err := nestwrf.Compare(cfg, nestwrf.Options{
-//	    Machine: nestwrf.BlueGeneL(), Ranks: 1024,
-//	    MapKind: nestwrf.MapMultiLevel,
-//	})
+//	cmp, err := nestwrf.Compare(cfg, opt)
 //	// cmp.ImprovementPct: gain of the paper's strategy over default WRF
 package nestwrf
 
@@ -135,41 +136,15 @@ func ParseAllocPolicy(s string) (AllocPolicy, error) { return driver.ParseAllocP
 
 // ExecutionPlan is the outcome of the paper's pipeline for one
 // configuration: predicted sibling weights, the processor partitions of
-// Algorithm 1, and the mapping quality on the machine's torus.
-type ExecutionPlan struct {
-	// Ranks is the total processor count; the virtual grid is Px x Py.
-	Ranks, Px, Py int
-	// Weights are the predicted relative execution times of the
-	// first-level siblings (summing to 1).
-	Weights []float64
-	// Rects are the processor partitions, one per sibling.
-	Rects []Rect
-	// MappingReports summarize hop counts per mapping kind.
-	MappingReports map[string]MappingReport
-}
+// the allocation policy, the mapping quality on the machine's torus
+// (Mapping, keyed by mapping name) and the predicted per-iteration cost.
+type ExecutionPlan = driver.Plan
 
-// MappingReport summarizes the communication locality of one mapping.
-type MappingReport = driver.MappingQuality
-
-// Plan runs performance prediction, processor allocation and mapping
-// analysis for cfg on the given machine and rank count.
-func Plan(cfg *Domain, m Machine, ranks int) (*ExecutionPlan, error) {
-	p, err := driver.BuildPlan(cfg, driver.Options{
-		Machine:  m,
-		Ranks:    ranks,
-		Strategy: driver.Concurrent,
-		Alloc:    driver.AllocPredicted,
-	})
-	if err != nil {
-		return nil, err
-	}
-	plan := &ExecutionPlan{
-		Ranks: p.Ranks, Px: p.Px, Py: p.Py,
-		Weights: p.Weights, Rects: p.Rects,
-		MappingReports: p.Mapping,
-	}
-	return plan, nil
-}
+// Plan runs performance prediction, processor allocation under
+// opt.Alloc and mapping analysis for cfg on opt's machine and rank
+// count. The partitions are the same under either strategy; opt.Strategy
+// and opt.MapKind select what the plan's Cost prices.
+func Plan(cfg *Domain, opt Options) (*ExecutionPlan, error) { return driver.BuildPlan(cfg, opt) }
 
 // Simulate runs one configuration under the given options on the
 // virtual-time simulator and returns per-iteration metrics.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"nestwrf"
+	"nestwrf/internal/alloc"
 	"nestwrf/internal/driver"
 )
 
@@ -21,7 +23,7 @@ func table2() *nestwrf.Domain {
 }
 
 func TestPlanPipeline(t *testing.T) {
-	plan, err := nestwrf.Plan(table2(), nestwrf.BlueGeneL(), 1024)
+	plan, err := nestwrf.Plan(table2(), nestwrf.Options{Machine: nestwrf.BlueGeneL(), Ranks: 1024, Strategy: nestwrf.StrategyConcurrent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestPlanPipeline(t *testing.T) {
 	}
 	// All four mappings are feasible at this size.
 	for _, name := range []string{"oblivious", "txyz", "partition", "multilevel"} {
-		rep, ok := plan.MappingReports[name]
+		rep, ok := plan.Mapping[name]
 		if !ok {
 			t.Errorf("missing mapping report %q", name)
 			continue
@@ -56,15 +58,40 @@ func TestPlanPipeline(t *testing.T) {
 			t.Errorf("%s: overall hops %v", name, rep.OverallAvgHops)
 		}
 	}
-	if plan.MappingReports["multilevel"].OverallAvgHops >=
-		plan.MappingReports["oblivious"].OverallAvgHops {
+	if plan.Mapping["multilevel"].OverallAvgHops >=
+		plan.Mapping["oblivious"].OverallAvgHops {
 		t.Error("multilevel mapping should reduce average hops")
+	}
+}
+
+// Plan partitions with the requested allocation policy: under
+// AllocEqual its rectangles are the equal strips, not Algorithm 1's.
+func TestPlanHonoursAllocPolicy(t *testing.T) {
+	opt := nestwrf.Options{Machine: nestwrf.BlueGeneL(), Ranks: 1024, Strategy: nestwrf.StrategyConcurrent}
+	predicted, err := nestwrf.Plan(table2(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Alloc = nestwrf.AllocEqual
+	equal, err := nestwrf.Plan(table2(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := alloc.EqualSplit(len(table2().Children), equal.Px, equal.Py)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(equal.Rects, want) || equal.Alloc != nestwrf.AllocEqual {
+		t.Errorf("AllocEqual plan: %v rects %v, want EqualSplit's %v", equal.Alloc, equal.Rects, want)
+	}
+	if slices.Equal(predicted.Rects, want) {
+		t.Errorf("AllocPredicted plan has the equal strips %v", want)
 	}
 }
 
 func TestPlanRejectsInvalidConfig(t *testing.T) {
 	bad := nestwrf.NewDomain("bad", -3, 10)
-	if _, err := nestwrf.Plan(bad, nestwrf.BlueGeneL(), 64); err == nil {
+	if _, err := nestwrf.Plan(bad, nestwrf.Options{Machine: nestwrf.BlueGeneL(), Ranks: 64}); err == nil {
 		t.Error("invalid domain should fail")
 	}
 }
@@ -94,7 +121,7 @@ func TestSimulateRejectsBadMachine(t *testing.T) {
 			if _, err := nestwrf.Simulate(table2(), opt); !errors.Is(err, driver.ErrBadMachine) {
 				t.Errorf("%s: Simulate error %v, want ErrBadMachine", tc.name, err)
 			}
-			if _, err := nestwrf.Plan(table2(), m, 256); !errors.Is(err, driver.ErrBadMachine) {
+			if _, err := nestwrf.Plan(table2(), opt); !errors.Is(err, driver.ErrBadMachine) {
 				t.Errorf("%s: Plan error %v, want ErrBadMachine", tc.name, err)
 			}
 		}()
