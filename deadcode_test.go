@@ -52,6 +52,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/geom.Point.String":        "fmt.Stringer",
 	"internal/machine.Mode.String":      "fmt.Stringer",
 	"internal/nest.Domain.String":       "fmt.Stringer",
+	"internal/output.tally.Write":       "io.Writer: output.RecordOf encodes into it",
 	"internal/torus.Coord.String":       "fmt.Stringer, printed by Link and route diagnostics",
 	"internal/torus.Dim.String":         "fmt.Stringer",
 	"internal/vtopo.Direction.String":   "fmt.Stringer",

@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"nestwrf/internal/solver"
 )
@@ -38,6 +39,54 @@ type Snapshot struct {
 	State  *solver.State
 }
 
+// Record is what writing a snapshot leaves behind: its domain and step,
+// and the length and CRC-32 trailer of its encoding.
+type Record struct {
+	Domain string
+	Step   int
+	Bytes  int64
+	CRC    uint32
+}
+
+// RecordOf encodes s into a writer that keeps only the encoding's
+// length and trailer.
+func RecordOf(s Snapshot) (Record, error) {
+	var t tally
+	if err := Encode(&t, s); err != nil {
+		return Record{}, err
+	}
+	return Record{Domain: s.Domain, Step: s.Step, Bytes: t.n, CRC: le.Uint32(t.tail[:])}, nil
+}
+
+// tally discards what it is given, keeping its length and the last
+// four bytes of its last write of at least four, which for Encode is
+// the trailer: Encode writes it in one piece.
+type tally struct {
+	n    int64
+	tail [4]byte
+}
+
+func (t *tally) Write(p []byte) (int, error) {
+	t.n += int64(len(p))
+	if len(p) >= len(t.tail) {
+		copy(t.tail[:], p[len(p)-len(t.tail):])
+	}
+	return len(p), nil
+}
+
+var le = binary.LittleEndian
+
+// chunkLen is the size of the buffer both codecs move field bytes
+// through, a multiple of 8 so that no value straddles two chunks.
+const chunkLen = 64 << 10
+
+// maxFieldAlloc is the most cells Decode allocates for a field before
+// its bytes arrive: 8 MiB, more than any domain of the paper has.
+const maxFieldAlloc = 1 << 20
+
+// chunks recycles the codecs' buffers, so neither allocates per field.
+var chunks = sync.Pool{New: func() any { return new([chunkLen]byte) }}
+
 // Encode writes the snapshot to w:
 //
 //	magic[4] version[u32] nameLen[u32] name
@@ -48,96 +97,119 @@ func Encode(w io.Writer, s Snapshot) error {
 	if s.State == nil || len(s.Domain) == 0 {
 		return fmt.Errorf("output: snapshot needs a domain name and state")
 	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-
-	if _, err := mw.Write([]byte(magic)); err != nil {
+	chunk := chunks.Get().(*[chunkLen]byte)
+	defer chunks.Put(chunk)
+	var sum uint32
+	emit := func(b []byte) error {
+		sum = crc32.Update(sum, crc32.IEEETable, b)
+		_, err := w.Write(b)
 		return err
 	}
-	hdr := []uint32{version, uint32(len(s.Domain))}
-	for _, v := range hdr {
-		if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if _, err := mw.Write([]byte(s.Domain)); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint64(s.Step)); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(s.State.NX)); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(s.State.NY)); err != nil {
+	b := append(chunk[:0], magic...)
+	b = le.AppendUint32(b, version)
+	b = le.AppendUint32(b, uint32(len(s.Domain)))
+	b = append(b, s.Domain...)
+	b = le.AppendUint64(b, uint64(s.Step))
+	b = le.AppendUint32(b, uint32(s.State.NX))
+	b = le.AppendUint32(b, uint32(s.State.NY))
+	if err := emit(b); err != nil {
 		return err
 	}
 	for _, field := range [][]float64{s.State.H, s.State.HU, s.State.HV} {
-		if err := binary.Write(mw, binary.LittleEndian, field); err != nil {
-			return err
+		for len(field) > 0 {
+			n := min(len(field), chunkLen/8)
+			b := chunk[:8*n]
+			for i, v := range field[:n] {
+				le.PutUint64(b[8*i:], math.Float64bits(v))
+			}
+			if err := emit(b); err != nil {
+				return err
+			}
+			field = field[n:]
 		}
 	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
+	_, err := w.Write(le.AppendUint32(chunk[:0], sum))
+	return err
 }
 
 // Decode reads one snapshot from r, verifying the checksum.
 func Decode(r io.Reader) (Snapshot, error) {
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
+	chunk := chunks.Get().(*[chunkLen]byte)
+	defer chunks.Put(chunk)
+	var sum uint32
+	// read reads the record's next n bytes into the chunk and adds them
+	// to the checksum.
+	read := func(n int) ([]byte, error) {
+		b := chunk[:n]
+		_, err := io.ReadFull(r, b)
+		sum = crc32.Update(sum, crc32.IEEETable, b)
+		return b, err
+	}
 
 	var s Snapshot
-	m := make([]byte, 4)
-	if _, err := io.ReadFull(tr, m); err != nil {
+	b, err := read(4)
+	if err != nil {
 		return s, err
 	}
-	if string(m) != magic {
+	if string(b) != magic {
 		return s, ErrBadMagic
 	}
-	var ver, nameLen uint32
-	if err := binary.Read(tr, binary.LittleEndian, &ver); err != nil {
+	if b, err = read(4); err != nil {
 		return s, err
 	}
-	if ver != version {
+	if ver := le.Uint32(b); ver != version {
 		return s, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	if err := binary.Read(tr, binary.LittleEndian, &nameLen); err != nil {
+	if b, err = read(4); err != nil {
 		return s, err
 	}
+	nameLen := le.Uint32(b)
 	if nameLen == 0 || nameLen > 4096 {
 		return s, fmt.Errorf("%w: name length %d", ErrCorrupt, nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(tr, name); err != nil {
+	if b, err = read(int(nameLen)); err != nil {
 		return s, err
 	}
-	s.Domain = string(name)
-	var step uint64
-	if err := binary.Read(tr, binary.LittleEndian, &step); err != nil {
+	s.Domain = string(b)
+	if b, err = read(8); err != nil {
 		return s, err
 	}
-	s.Step = int(step)
-	var nx, ny uint32
-	if err := binary.Read(tr, binary.LittleEndian, &nx); err != nil {
+	s.Step = int(le.Uint64(b))
+	if b, err = read(4); err != nil {
 		return s, err
 	}
-	if err := binary.Read(tr, binary.LittleEndian, &ny); err != nil {
+	nx := le.Uint32(b)
+	if b, err = read(4); err != nil {
 		return s, err
 	}
+	ny := le.Uint32(b)
 	if nx == 0 || ny == 0 || uint64(nx)*uint64(ny) > 1<<28 {
 		return s, fmt.Errorf("%w: dims %dx%d", ErrCorrupt, nx, ny)
 	}
-	st := solver.NewState(int(nx), int(ny))
-	for _, field := range [][]float64{st.H, st.HU, st.HV} {
-		if err := binary.Read(tr, binary.LittleEndian, field); err != nil {
-			return s, err
+	n := int(nx) * int(ny)
+	st := &solver.State{NX: int(nx), NY: int(ny)}
+	for _, field := range []*[]float64{&st.H, &st.HU, &st.HV} {
+		// A field grows as its bytes arrive, so a header that claims
+		// more cells than the input holds costs at most maxFieldAlloc.
+		f := make([]float64, 0, min(n, maxFieldAlloc))
+		for len(f) < n {
+			k := min(n-len(f), chunkLen/8)
+			if b, err = read(8 * k); err != nil {
+				if err == io.EOF && len(f) > 0 {
+					err = io.ErrUnexpectedEOF // the field, not the chunk, was cut short
+				}
+				return s, err
+			}
+			for i := range k {
+				f = append(f, math.Float64frombits(le.Uint64(b[8*i:])))
+			}
 		}
+		*field = f
 	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
+	if _, err := io.ReadFull(r, chunk[:4]); err != nil {
 		return s, err
 	}
-	if got != want {
+	if le.Uint32(chunk[:4]) != sum {
 		return s, ErrBadChecksum
 	}
 	s.State = st

@@ -49,7 +49,7 @@ func TestSingleCellTiles(t *testing.T) {
 			}
 			tile.Step()
 		}
-		st, err := Gather(c, tile)
+		st, err := Gather(c, tile, nil)
 		if err != nil {
 			return err
 		}

@@ -96,7 +96,7 @@ func TestFastExchangeMatchesReference(t *testing.T) {
 				}
 				tile.Step()
 			}
-			st, err := Gather(c, tile)
+			st, err := Gather(c, tile, nil)
 			if err != nil {
 				return err
 			}

@@ -123,7 +123,7 @@ func TestGeophysicalParallelMatchesSerial(t *testing.T) {
 			}
 			tile.Step()
 		}
-		st, err := Gather(c, tile)
+		st, err := Gather(c, tile, nil)
 		if err != nil {
 			return err
 		}

@@ -435,6 +435,9 @@ func (t *Tile) Exchange(c *mpi.Comm, grid vtopo.Grid) error {
 			return err
 		}
 		x, y, w, h := t.side(d, true)
+		if len(data) != 3*w*h {
+			return fmt.Errorf("%w: halo payload %d for %dx%d edge", ErrBadDecomp, len(data), w, h)
+		}
 		t.unpack(data, x, y, w, h)
 		c.FreePayload(data)
 	}
@@ -500,9 +503,10 @@ func RunSerial(nx, ny, steps int, p Params, init InitFunc) (*State, error) {
 }
 
 // Gather assembles the full state from every rank's tile at local rank
-// 0 of the communicator; other ranks receive nil. Payloads travel as
+// 0 of the communicator, in into when its dims match the domain's and
+// in a new state otherwise; other ranks receive nil. Payloads travel as
 // pooled owned buffers and are recycled at the root after decoding.
-func Gather(c *mpi.Comm, t *Tile) (*State, error) {
+func Gather(c *mpi.Comm, t *Tile, into *State) (*State, error) {
 	// Payload: x0, y0, w, h, then fields.
 	payload := c.AllocPayload(4 + 3*t.W*t.H)
 	payload[0], payload[1] = float64(t.X0), float64(t.Y0)
@@ -515,7 +519,10 @@ func Gather(c *mpi.Comm, t *Tile) (*State, error) {
 	if all == nil {
 		return nil, nil
 	}
-	out := NewState(t.GNX, t.GNY)
+	out := into
+	if out == nil || out.NX != t.GNX || out.NY != t.GNY {
+		out = NewState(t.GNX, t.GNY)
+	}
 	for _, d := range all {
 		x0, y0 := int(d[0]), int(d[1])
 		w, h := int(d[2]), int(d[3])

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -230,7 +231,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 				tile.Step()
 			}
-			st, err := Gather(c, tile)
+			st, err := Gather(c, tile, nil)
 			if err != nil {
 				return err
 			}
@@ -377,7 +378,7 @@ func TestGatherPayloadValidation(t *testing.T) {
 			return err
 		}
 		tile.Fill(GaussianHill(nx, ny, 4, 3, 0.2, 2))
-		st, err := Gather(proc.World(), tile)
+		st, err := Gather(proc.World(), tile, nil)
 		if err != nil {
 			return err
 		}
@@ -386,10 +387,52 @@ func TestGatherPayloadValidation(t *testing.T) {
 		if st.MaxDiff(want) != 0 {
 			t.Error("gathered state differs from tile interior")
 		}
+		// A state of the domain's dims is filled in place; any other
+		// is left alone for a new one.
+		into := NewState(nx, ny)
+		if st, err = Gather(proc.World(), tile, into); err != nil {
+			return err
+		}
+		if st != into || st.MaxDiff(want) != 0 {
+			t.Error("gather into a state of the domain's dims did not fill it")
+		}
+		small := NewState(nx-1, ny)
+		if st, err = Gather(proc.World(), tile, small); err != nil {
+			return err
+		}
+		if st == small || st.NX != nx || st.MaxDiff(want) != 0 {
+			t.Error("gather into a state of other dims did not make a new one")
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Two tiles whose rows differ (one from a 6-row domain, one from an
+// 8-row domain) send each other edges of the wrong length: Exchange
+// must answer ErrBadDecomp on both ranks, not index past a short
+// payload or read part of a long one.
+func TestExchangeRejectsMismatchedHalo(t *testing.T) {
+	grid := vtopo.Grid{Px: 2, Py: 1}
+	_, err := mpi.Run(2, tm(), func(proc *mpi.Proc) error {
+		c := proc.World()
+		ny := 6 + 2*c.Rank()
+		x0, y0, w, h := Decompose(8, ny, grid, c.Rank())
+		tile, err := NewTile(8, ny, x0, y0, w, h, DefaultParams())
+		if err != nil {
+			return err
+		}
+		tile.Fill(GaussianHill(8, ny, 4, 3, 0.2, 2))
+		err = tile.Exchange(c, grid)
+		if !errors.Is(err, ErrBadDecomp) {
+			t.Errorf("rank %d: Exchange = %v, want ErrBadDecomp", c.Rank(), err)
+		}
+		return err
+	})
+	if !errors.Is(err, ErrBadDecomp) {
+		t.Errorf("Run = %v, want ErrBadDecomp", err)
 	}
 }
 

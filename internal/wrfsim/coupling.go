@@ -433,9 +433,10 @@ func release(c *mpi.Comm, inbox [][]float64) {
 	}
 }
 
-// collectStates gathers the parent and all nest states at world rank 0.
-func collectStates(world *mpi.Comm, parent *solver.Tile, nests []nestCtx, out *Output) error {
-	st, err := solver.Gather(world, parent)
+// collectStates gathers the parent and all nest states at world rank 0,
+// into the states the domain roots kept for output.
+func collectStates(world *mpi.Comm, parent *solver.Tile, pstate *solver.State, nests []nestCtx, out *Output) error {
+	st, err := solver.Gather(world, parent, pstate)
 	if err != nil {
 		return err
 	}
@@ -446,7 +447,7 @@ func collectStates(world *mpi.Comm, parent *solver.Tile, nests []nestCtx, out *O
 		nc := &nests[i]
 		tag := tagState + i
 		if nc.tile != nil {
-			sub, err := solver.Gather(nc.comm, nc.tile)
+			sub, err := solver.Gather(nc.comm, nc.tile, nc.state)
 			if err != nil {
 				return err
 			}

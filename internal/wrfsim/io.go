@@ -1,8 +1,7 @@
 package wrfsim
 
 import (
-	"sort"
-	"sync"
+	"strings"
 
 	"nestwrf/internal/iosim"
 	"nestwrf/internal/machine"
@@ -16,65 +15,55 @@ import (
 // PnetCDF-like collective write profile.
 var ioModel = machine.BGP().IO
 
-// runOutput is one run's Output together with the lock that guards its
-// Snapshots, which the communicator roots of different domains
-// (distinct goroutines) append to. Each run has its own, so concurrent
-// runs never serialise on each other's records.
-type runOutput struct {
-	*Output
-	snapMu sync.Mutex
-}
-
-// writeOutputs performs one forecast-output event: every domain's
-// fields are gathered to its communicator root with real messages, the
-// modeled write cost is charged to every participating rank's clock
-// (collective writes block all writers), and the root records the
-// snapshot.
-func writeOutputs(p *mpi.Proc, world *mpi.Comm, parent *solver.Tile,
-	nests []nestCtx, cfg *nest.Domain, step int, out *runOutput) error {
-	// Parent file: all ranks write.
-	st, err := solver.Gather(world, parent)
-	if err != nil {
-		return err
-	}
-	p.Compute(ioModel.CollectiveWriteTime(world.Size(), float64(cfg.Points())*iosim.OutputBytesPerPoint))
-	if st != nil {
-		out.record(output.Snapshot{Domain: cfg.Name, Step: step, State: st})
-	}
-
-	// Sibling files: each nest's communicator writes its own file. In
-	// the concurrent strategy the writer groups are disjoint partitions,
-	// so the writes overlap in virtual time; in the sequential strategy
-	// every rank participates in every file.
-	for i := range nests {
-		nc := &nests[i]
-		if nc.tile == nil {
+// writeOutputs performs one forecast-output event. Each domain k (0 the
+// parent, 1+i nest i) is gathered to its communicator root, into the
+// state that root keeps for the whole run (*pstate for the parent,
+// nc.state for a nest); the modeled write cost is charged to every
+// participating rank's clock (collective writes block all writers);
+// and the root fills the domain's slot of records, the event's records
+// in name order. In the concurrent strategy the nests' writer groups
+// are disjoint partitions, so their writes overlap in virtual time; in
+// the sequential strategy every rank writes every file.
+func writeOutputs(p *mpi.Proc, world *mpi.Comm, parent *solver.Tile, pstate **solver.State,
+	nests []nestCtx, cfg *nest.Domain, step int, records []output.Record) error {
+	for k := 0; k <= len(nests); k++ {
+		c, t, st, d := world, parent, pstate, cfg
+		if k > 0 {
+			nc := &nests[k-1]
+			c, t, st, d = nc.comm, nc.tile, &nc.state, nc.d
+		}
+		if t == nil {
 			continue
 		}
-		sub, err := solver.Gather(nc.comm, nc.tile)
-		if err != nil {
+		var err error
+		if *st, err = solver.Gather(c, t, *st); err != nil {
 			return err
 		}
-		p.Compute(ioModel.CollectiveWriteTime(nc.comm.Size(), float64(nc.d.Points())*iosim.OutputBytesPerPoint))
-		if sub != nil {
-			out.record(output.Snapshot{Domain: nc.d.Name, Step: step, State: sub})
+		p.Compute(ioModel.CollectiveWriteTime(c.Size(), float64(d.Points())*iosim.OutputBytesPerPoint))
+		if *st == nil {
+			continue
+		}
+		if records[slotOf(cfg, k)], err = output.RecordOf(output.Snapshot{Domain: d.Name, Step: step, State: *st}); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (out *runOutput) record(s output.Snapshot) {
-	out.snapMu.Lock()
-	out.Snapshots = append(out.Snapshots, s)
-	out.snapMu.Unlock()
-}
-
-// sortSnapshots orders the records deterministically by (step, domain).
-func sortSnapshots(snaps []output.Snapshot) {
-	sort.Slice(snaps, func(i, j int) bool {
-		if snaps[i].Step != snaps[j].Step {
-			return snaps[i].Step < snaps[j].Step
+// slotOf is domain k's offset among an output event's records (k = 0
+// the parent, 1+i child i): its rank in name order, ties broken by k.
+func slotOf(cfg *nest.Domain, k int) int {
+	name := func(j int) string {
+		if j == 0 {
+			return cfg.Name
 		}
-		return snaps[i].Domain < snaps[j].Domain
-	})
+		return cfg.Children[j-1].Name
+	}
+	slot := 0
+	for j := 0; j <= len(cfg.Children); j++ {
+		if c := strings.Compare(name(j), name(k)); c < 0 || c == 0 && j < k {
+			slot++
+		}
+	}
+	return slot
 }

@@ -1,7 +1,11 @@
 package wrfsim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"nestwrf/internal/output"
 )
 
 func ioOpts(s Strategy) Options {
@@ -19,32 +23,79 @@ func baseOptsForIO(s Strategy) Options {
 	}
 }
 
+// Records come ordered by step and then domain name, ties in tree
+// order, whatever order the tree lists its domains in. A record's size
+// is a 32-byte frame, the name and three float64 fields.
 func TestOutputsCaptured(t *testing.T) {
-	out, err := Run(testConfig(), ioOpts(Sequential))
-	if err != nil {
-		t.Fatal(err)
+	type dom struct {
+		name   string
+		points int
 	}
-	// 3 steps x (parent + 2 nests) = 9 records.
-	if len(out.Snapshots) != 9 {
-		t.Fatalf("snapshots = %d, want 9", len(out.Snapshots))
-	}
-	// Deterministic order: by step then domain name.
-	for i := 1; i < len(out.Snapshots); i++ {
-		a, b := out.Snapshots[i-1], out.Snapshots[i]
-		if a.Step > b.Step || (a.Step == b.Step && a.Domain > b.Domain) {
-			t.Fatalf("snapshots unordered at %d: %v then %v", i, a, b)
+	parent, nest1, nest2 := 64*64, 60*48, 48*36
+	for _, tc := range []struct {
+		names [3]string // parent, nest1, nest2
+		want  []dom     // one step's records
+	}{
+		{[3]string{"parent", "nest1", "nest2"}, []dom{{"nest1", nest1}, {"nest2", nest2}, {"parent", parent}}},
+		{[3]string{"m", "z", "a"}, []dom{{"a", nest2}, {"m", parent}, {"z", nest1}}},
+		{[3]string{"m", "a", "a"}, []dom{{"a", nest1}, {"a", nest2}, {"m", parent}}},
+	} {
+		cfg := testConfig()
+		cfg.Name, cfg.Children[0].Name, cfg.Children[1].Name = tc.names[0], tc.names[1], tc.names[2]
+		out, err := Run(cfg, ioOpts(Sequential))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 3 steps x (parent + 2 nests) = 9 records.
+		if len(out.Snapshots) != 9 {
+			t.Fatalf("%v: snapshots = %d, want 9", tc.names, len(out.Snapshots))
+		}
+		for i, got := range out.Snapshots {
+			d := tc.want[i%3]
+			if got.Domain != d.name || got.Step != 1+i/3 || got.Bytes != int64(32+len(d.name)+24*d.points) {
+				t.Errorf("%v: record %d is %s step %d, %d bytes; want %s step %d, %d bytes",
+					tc.names, i, got.Domain, got.Step, got.Bytes, d.name, 1+i/3, 32+len(d.name)+24*d.points)
+			}
 		}
 	}
-	// Snapshot dims match the domains.
-	for _, s := range out.Snapshots {
-		switch s.Domain {
-		case "parent":
-			if s.State.NX != 64 {
-				t.Errorf("parent snapshot %dx%d", s.State.NX, s.State.NY)
+}
+
+// Each record is the size and checksum of what output.Encode writes for
+// its domain's fields at its step: the final state of a run stopped
+// there. The fields are kept only as the run's final states, so the
+// records of a 3-step run are checked against 1-, 2- and 3-step runs
+// without output, whose final gathers start from no kept state.
+func TestRecordsMatchEncodedStates(t *testing.T) {
+	for _, s := range []Strategy{Sequential, Concurrent} {
+		out, err := Run(testConfig(), ioOpts(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Snapshots) != 9 {
+			t.Fatalf("%v: %d records, want 9", s, len(out.Snapshots))
+		}
+		for _, rec := range out.Snapshots {
+			opt := ioOpts(s)
+			opt.Steps, opt.OutputEverySteps = rec.Step, 0 // no output path in the oracle
+			stop, err := Run(testConfig(), opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case "nest1":
-			if s.State.NX != 60 || s.State.NY != 48 {
-				t.Errorf("nest1 snapshot %dx%d", s.State.NX, s.State.NY)
+			st := stop.Parent
+			for i, c := range testConfig().Children {
+				if c.Name == rec.Domain {
+					st = stop.Nests[i]
+				}
+			}
+			var buf bytes.Buffer
+			if err := output.Encode(&buf, output.Snapshot{Domain: rec.Domain, Step: rec.Step, State: st}); err != nil {
+				t.Fatal(err)
+			}
+			b := buf.Bytes()
+			crc := binary.LittleEndian.Uint32(b[len(b)-4:])
+			if rec.Bytes != int64(len(b)) || rec.CRC != crc {
+				t.Errorf("%v %s step %d: record %d bytes crc %08x, encoding %d bytes crc %08x",
+					s, rec.Domain, rec.Step, rec.Bytes, rec.CRC, len(b), crc)
 			}
 		}
 	}
@@ -62,17 +113,13 @@ func TestConcurrentIOFasterFunctionally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Identical forecasts on disk.
+	// Identical forecasts on disk: every record's size and checksum.
 	if len(seq.Snapshots) != len(con.Snapshots) {
 		t.Fatalf("snapshot counts differ: %d vs %d", len(seq.Snapshots), len(con.Snapshots))
 	}
 	for i := range seq.Snapshots {
-		a, b := seq.Snapshots[i], con.Snapshots[i]
-		if a.Domain != b.Domain || a.Step != b.Step {
-			t.Fatalf("snapshot %d metadata differs: %v vs %v", i, a, b)
-		}
-		if d := a.State.MaxDiff(b.State); d != 0 {
-			t.Errorf("snapshot %d (%s step %d) differs by %v", i, a.Domain, a.Step, d)
+		if a, b := seq.Snapshots[i], con.Snapshots[i]; a != b {
+			t.Errorf("record %d differs: %+v vs %+v", i, a, b)
 		}
 	}
 	t.Logf("makespan with output every step: sequential %.6f, concurrent %.6f",

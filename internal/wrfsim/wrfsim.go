@@ -90,9 +90,11 @@ type Output struct {
 	// collection): where the virtual time went, and the message traffic
 	// of each phase.
 	Phases []mpi.PhaseTotal
-	// Snapshots are the forecast records written during the run (in
-	// write order), when OutputEverySteps is enabled.
-	Snapshots []output.Snapshot
+	// Snapshots are the forecast records written during the run, when
+	// OutputEverySteps is enabled: one per domain and output event,
+	// ordered by step and then domain name. A record keeps the size and
+	// checksum of its encoding, not the fields.
+	Snapshots []output.Record
 	// Pools is the run's final mpi payload-pool snapshot (hit rate,
 	// retained buffers), for capacity diagnostics at high rank counts.
 	Pools mpi.PoolStats
@@ -168,14 +170,15 @@ func Run(cfg *nest.Domain, opt Options) (out *Output, err error) {
 	}
 
 	out = &Output{Nests: make([]*solver.State, len(cfg.Children))}
-	ro := &runOutput{Output: out}
+	if opt.OutputEverySteps > 0 {
+		out.Snapshots = make([]output.Record, opt.Steps/opt.OutputEverySteps*(1+len(cfg.Children)))
+	}
 	procs, err := mpi.Run(opt.Ranks, opt.TM, func(p *mpi.Proc) error {
-		return rankMain(p, cfg, grid, plans, opt, runSpan, ro)
+		return rankMain(p, cfg, grid, plans, opt, runSpan, out)
 	})
 	if err != nil {
 		return nil, err
 	}
-	sortSnapshots(out.Snapshots)
 	out.Phases = mpi.AggregatePhases(procs)
 	out.Pools = procs[0].PoolStats()
 	if opt.Metrics != nil {
@@ -277,9 +280,10 @@ func (np *nestPlan) local(grid vtopo.Grid, r int) int {
 // nestCtx holds one rank's view of one nested domain.
 type nestCtx struct {
 	*nestPlan
-	me   int          // world rank
-	comm *mpi.Comm    // sub-communicator (nil if this rank not a member)
-	tile *solver.Tile // nil if not a member
+	me    int           // world rank
+	comm  *mpi.Comm     // sub-communicator (nil if this rank not a member)
+	tile  *solver.Tile  // nil if not a member
+	state *solver.State // the gathered nest on its communicator root
 	// bcInbox and fbInbox are this rank's per-step payload stashes, one
 	// slot per incoming transfer of each direction, so total stash
 	// memory is O(world), not O(world²).
@@ -311,7 +315,7 @@ func newNestCtxs(plans []*nestPlan, me int) []nestCtx {
 	return ctxs
 }
 
-func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan, opt Options, runSpan telemetry.SpanID, out *runOutput) error {
+func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan, opt Options, runSpan telemetry.SpanID, out *Output) error {
 	world := p.World()
 	me := world.Rank()
 	p.BeginPhase("init")
@@ -324,6 +328,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 		return err
 	}
 	parent.Fill(pinit)
+	var pstate *solver.State // the gathered parent on world rank 0
 
 	// Build per-nest contexts on the shared plans (every rank holds one
 	// per nest, members or not: non-members still source boundary
@@ -413,9 +418,10 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 		}
 
 		// Forecast output.
-		if opt.OutputEverySteps > 0 && (step+1)%opt.OutputEverySteps == 0 {
+		if every := opt.OutputEverySteps; every > 0 && (step+1)%every == 0 {
 			p.BeginPhase("output")
-			if err := writeOutputs(p, world, parent, nests, cfg, step+1, out); err != nil {
+			n, e := len(nests)+1, (step+1)/every-1
+			if err := writeOutputs(p, world, parent, &pstate, nests, cfg, step+1, out.Snapshots[e*n:(e+1)*n]); err != nil {
 				return err
 			}
 		}
@@ -423,7 +429,7 @@ func rankMain(p *mpi.Proc, cfg *nest.Domain, grid vtopo.Grid, plans []*nestPlan,
 
 	// Gather final states at world rank 0.
 	p.BeginPhase("collect")
-	if err := collectStates(world, parent, nests, out.Output); err != nil {
+	if err := collectStates(world, parent, pstate, nests, out); err != nil {
 		return err
 	}
 	return nil
