@@ -23,6 +23,7 @@ import (
 
 	"nestwrf"
 	"nestwrf/internal/machine"
+	"nestwrf/internal/workload"
 )
 
 type nestFlags []string
@@ -38,7 +39,7 @@ func main() {
 	machineName := flag.String("machine", "bgl", "machine model: bgl or bgp")
 	ranks := flag.Int("ranks", 1024, "number of cores (ranks in VN mode)")
 	parent := flag.String("parent", "286x307", "parent domain size WxH")
-	ratio := flag.Int("ratio", 3, "parent-to-nest refinement ratio")
+	ratio := flag.Int("ratio", 3, "parent-to-nest refinement ratio of -nest domains (presets keep their own)")
 	preset := flag.String("preset", "", "named configuration: table2, fig10, fig15, fig2")
 	mapKind := flag.String("map", "oblivious", "mapping: oblivious, txyz, partition, multilevel")
 	allocPolicy := flag.String("alloc", "predicted", "allocation: predicted, strips-predicted, naive-points, equal")
@@ -68,18 +69,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	kind, err := pickMap(*mapKind)
+	kind, err := nestwrf.ParseMapKind(*mapKind)
 	if err != nil {
 		fatal(err)
 	}
-	alloc, err := pickAlloc(*allocPolicy)
+	alloc, err := nestwrf.ParseAllocPolicy(*allocPolicy)
 	if err != nil {
 		fatal(err)
 	}
 
 	if !*jsonOut {
 		fmt.Printf("configuration: %s parent %dx%d, %d nests, ratio %d\n",
-			cfg.Name, cfg.NX, cfg.NY, len(cfg.Children), *ratio)
+			cfg.Name, cfg.NX, cfg.NY, len(cfg.Children), cfg.Children[0].Ratio)
 		for _, c := range cfg.Children {
 			fmt.Printf("  %-10s %4dx%-4d at (%d,%d)\n", c.Name, c.NX, c.NY, c.OffX, c.OffY)
 		}
@@ -278,33 +279,20 @@ func buildConfig(preset, parent string, ratio int, nests nestFlags) (*nestwrf.Do
 	return cfg, nil
 }
 
+// presets are the paper's named configurations, one definition each
+// in internal/workload.
+var presets = map[string]func() *nestwrf.Domain{
+	"table2": workload.Table2Config,
+	"fig10":  workload.Fig10Config,
+	"fig15":  workload.Fig15Config,
+	"fig2":   workload.Fig2Config,
+}
+
 func presetConfig(name string) (*nestwrf.Domain, error) {
-	mk := func(pnx, pny int, sibs [][4]int) *nestwrf.Domain {
-		cfg := nestwrf.NewDomain(name, pnx, pny)
-		for i, s := range sibs {
-			cfg.AddChild(fmt.Sprintf("sibling%d", i+1), s[0], s[1], 3, s[2], s[3])
-		}
-		return cfg
-	}
-	switch name {
-	case "table2":
-		return mk(286, 307, [][4]int{{394, 418, 5, 5}, {232, 202, 150, 10}, {232, 256, 10, 160}, {313, 337, 140, 150}}), nil
-	case "fig10":
-		return mk(640, 660, [][4]int{{586, 643, 10, 10}, {856, 919, 230, 10}, {925, 850, 10, 330}}), nil
-	case "fig15":
-		return mk(286, 307, [][4]int{{259, 229, 10, 20}, {259, 229, 150, 180}}), nil
-	case "fig2":
-		return mk(286, 307, [][4]int{{415, 445, 50, 50}}), nil
+	if mk, ok := presets[name]; ok {
+		return mk(), nil
 	}
 	return nil, fmt.Errorf("unknown preset %q (table2, fig10, fig15, fig2)", name)
-}
-
-func pickMap(name string) (nestwrf.MapKind, error) {
-	return nestwrf.ParseMapKind(name)
-}
-
-func pickAlloc(name string) (nestwrf.AllocPolicy, error) {
-	return nestwrf.ParseAllocPolicy(name)
 }
 
 func fatal(err error) {

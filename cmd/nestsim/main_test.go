@@ -1,10 +1,47 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"nestwrf"
 )
+
+// TestMain makes the test binary nestsim itself when
+// NESTSIM_RUN_MAIN=1, so a test can run the command end to end in a
+// child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("NESTSIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestHeaderRatio runs nestsim and checks the ratio its header prints
+// is the nests': a preset keeps its own whatever -ratio says, and
+// -ratio sets the ratio of -nest domains.
+func TestHeaderRatio(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-preset", "table2", "-ratio", "5"}, "4 nests, ratio 3\n"},
+		{[]string{"-nest", "100x100@5,5", "-ratio", "5"}, "1 nests, ratio 5\n"},
+	} {
+		cmd := exec.Command(os.Args[0], append(c.args, "-ranks", "64", "-plan")...)
+		cmd.Env = append(os.Environ(), "NESTSIM_RUN_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("nestsim %v: %v", c.args, err)
+		}
+		if header, _, _ := strings.Cut(string(out), "\n"); !strings.HasSuffix(header+"\n", c.want) {
+			t.Errorf("nestsim %v header %q, want it to end in %q", c.args, header, c.want)
+		}
+	}
+}
 
 func TestBuildConfigCustom(t *testing.T) {
 	cfg, err := buildConfig("", "286x307", 3, nestFlags{"394x418@5,5", "313x337@140,150"})
@@ -49,27 +86,32 @@ func TestPresets(t *testing.T) {
 	}
 }
 
+// TestPickers covers every -map spelling nestsim accepts, and the
+// rejection of unknown -map and -alloc names, through the facade
+// parsers it calls.
 func TestPickers(t *testing.T) {
-	for _, name := range []string{"oblivious", "txyz", "partition", "multilevel"} {
-		if _, err := pickMap(name); err != nil {
-			t.Errorf("map %s: %v", name, err)
+	maps := map[string]nestwrf.MapKind{
+		"oblivious":  nestwrf.MapOblivious,
+		"txyz":       nestwrf.MapTXYZ,
+		"partition":  nestwrf.MapPartition,
+		"multilevel": nestwrf.MapMultiLevel,
+	}
+	for in, want := range maps {
+		if got, err := nestwrf.ParseMapKind(in); err != nil || got != want {
+			t.Errorf("ParseMapKind(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := pickMap("x"); err == nil {
+	if _, err := nestwrf.ParseMapKind("x"); err == nil {
 		t.Error("unknown map should fail")
 	}
-	for _, name := range []string{"predicted", "points", "equal"} {
-		if _, err := pickAlloc(name); err != nil {
-			t.Errorf("alloc %s: %v", name, err)
-		}
-	}
-	if _, err := pickAlloc("x"); err == nil {
+	if _, err := nestwrf.ParseAllocPolicy("x"); err == nil {
 		t.Error("unknown alloc should fail")
 	}
 }
 
+// TestPickAllocAliases covers every -alloc spelling nestsim accepts.
 func TestPickAllocAliases(t *testing.T) {
-	cases := map[string]nestwrf.AllocPolicy{
+	allocs := map[string]nestwrf.AllocPolicy{
 		"predicted":        nestwrf.AllocPredicted,
 		"points":           nestwrf.AllocNaivePoints,
 		"naive":            nestwrf.AllocNaivePoints,
@@ -78,10 +120,9 @@ func TestPickAllocAliases(t *testing.T) {
 		"strips-predicted": nestwrf.AllocStripsPredicted,
 		"strips":           nestwrf.AllocStripsPredicted,
 	}
-	for in, want := range cases {
-		got, err := pickAlloc(in)
-		if err != nil || got != want {
-			t.Errorf("pickAlloc(%q) = %v, %v; want %v", in, got, err, want)
+	for in, want := range allocs {
+		if got, err := nestwrf.ParseAllocPolicy(in); err != nil || got != want {
+			t.Errorf("ParseAllocPolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
 }

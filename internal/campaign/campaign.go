@@ -11,6 +11,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"nestwrf/internal/alloc"
 	"nestwrf/internal/driver"
@@ -111,7 +112,7 @@ func RunWith(phases []Phase, opt driver.Options, run Runner) (Result, error) {
 		// bisection-ish capacity; a simple aggregate-bandwidth model
 		// (#ranks/4 concurrent links) captures the scale.
 		redist := 0.0
-		if !havePrev || !rectsEqual(prevRects, con.Rects) {
+		if !havePrev || !slices.Equal(prevRects, con.Rects) {
 			if havePrev {
 				res.Replans++
 				var bytes float64
@@ -137,22 +138,6 @@ func RunWith(phases []Phase, opt driver.Options, run Runner) (Result, error) {
 		res.TotalConcurrent += float64(ph.Steps)*con.IterTime + redist
 	}
 	return res, nil
-}
-
-// rectsEqual reports whether two partition layouts are identical
-// rect-for-rect. Comparing the slices directly (rather than a
-// formatted rendering) keeps layout-change detection exact and
-// allocation-free.
-func rectsEqual(a, b []alloc.Rect) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Season builds a typical typhoon-season storyline on the Pacific

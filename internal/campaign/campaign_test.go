@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"nestwrf/internal/alloc"
 	"nestwrf/internal/driver"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/nest"
@@ -152,27 +151,6 @@ func TestInvalidOptionsRejected(t *testing.T) {
 		t.Errorf("zero bandwidth: %v", err)
 	} else if !errors.Is(err, driver.ErrBadMachine) {
 		t.Errorf("zero bandwidth should carry the driver cause: %v", err)
-	}
-}
-
-// An unchanged layout must not replan even when the comparison crosses
-// distinct (but geometrically equal) Rect slices.
-func TestRectsEqual(t *testing.T) {
-	a := []alloc.Rect{{X: 0, Y: 0, W: 16, H: 32}, {X: 16, Y: 0, W: 16, H: 32}}
-	b := []alloc.Rect{{X: 0, Y: 0, W: 16, H: 32}, {X: 16, Y: 0, W: 16, H: 32}}
-	if !rectsEqual(a, b) {
-		t.Error("equal layouts compared unequal")
-	}
-	if rectsEqual(a, b[:1]) {
-		t.Error("length mismatch compared equal")
-	}
-	c := append([]alloc.Rect(nil), b...)
-	c[1].X = 17
-	if rectsEqual(a, c) {
-		t.Error("shifted rect compared equal")
-	}
-	if !rectsEqual(nil, nil) {
-		t.Error("nil layouts should compare equal")
 	}
 }
 

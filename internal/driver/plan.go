@@ -1,9 +1,7 @@
 package driver
 
 import (
-	"math"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -89,50 +87,9 @@ var (
 // singleflight holds under concurrency.
 func TrainCalls() int64 { return trainCount.Load() }
 
-// AppendMachineKey appends the machine's full identity for cache keying
-// to b and returns the extended slice: any cost-model difference yields
-// distinct bytes. The segment is printable and delimited by "m{" and
-// "}" — the quoted name, then every integer and mode in decimal and
-// every float as its IEEE-754 bit pattern in hex, in field order — so
-// it appears verbatim inside any key built around it.
-func AppendMachineKey(b []byte, m machine.Machine) []byte {
-	b = append(b, "m{"...)
-	b = strconv.AppendQuote(b, m.Name)
-	b = appendBits(b, m.ClockHz)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(m.CoresPerNode), 10)
-	b = append(b, ",["...)
-	for i, mode := range m.Modes {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(mode), 10)
-	}
-	b = append(b, ']')
-	b = appendBits(b, m.PointCost)
-	b = appendBits(b, m.StepOverhead)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(m.ExchangesPerStep), 10)
-	b = appendBits(b, m.BytesPerPoint)
-	b = appendBits(b, m.Net.LatencyPerHop)
-	b = appendBits(b, m.Net.Overhead)
-	b = appendBits(b, m.Net.Bandwidth)
-	b = appendBits(b, m.IO.BaseLatency)
-	b = appendBits(b, m.IO.PerWriterOverhead)
-	b = appendBits(b, m.IO.AggregateBandwidth)
-	b = appendBits(b, m.IO.PerProcessBandwidth)
-	return append(b, '}')
-}
-
 // machineKeyBuf sizes the stack buffers machine keys are built in: a
 // Blue Gene model's key is ≈ 215 bytes, so lookups do not allocate.
 const machineKeyBuf = 256
-
-// appendBits appends ",<hex bit pattern of f>": exact, and cheaper to
-// format than any decimal rendering.
-func appendBits(b []byte, f float64) []byte {
-	return strconv.AppendUint(append(b, ','), math.Float64bits(f), 16)
-}
 
 // CachedPredictor returns the shared predictor for m, training it on
 // first use. Training is deterministic, so the cached model is
@@ -140,7 +97,7 @@ func appendBits(b []byte, f float64) []byte {
 // callers for the same machine share a single training pass.
 func CachedPredictor(m machine.Machine) (*predict.Model, error) {
 	var buf [machineKeyBuf]byte
-	key := AppendMachineKey(buf[:0], m)
+	key := m.AppendKey(buf[:0])
 	predMu.Lock()
 	e, ok := predCache[string(key)]
 	if !ok {

@@ -12,6 +12,8 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"nestwrf/internal/iosim"
@@ -129,6 +131,44 @@ func BGP() Machine {
 			PerProcessBandwidth: 8e6,
 		},
 	}
+}
+
+// AppendKey appends the machine's full identity, the key of every cache
+// keyed on a machine, to b: any difference in any field yields distinct
+// bytes. The segment is printable and delimited by "m{" and "}" — the
+// quoted name, then every integer and mode in decimal and every float
+// as its IEEE-754 bit pattern in hex, in field order.
+func (m Machine) AppendKey(b []byte) []byte {
+	b = append(b, "m{"...)
+	b = strconv.AppendQuote(b, m.Name)
+	b = appendBits(b, m.ClockHz)
+	b = strconv.AppendInt(append(b, ','), int64(m.CoresPerNode), 10)
+	b = append(b, ",["...)
+	for i, mode := range m.Modes {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(mode), 10)
+	}
+	b = append(b, ']')
+	b = appendBits(b, m.PointCost)
+	b = appendBits(b, m.StepOverhead)
+	b = strconv.AppendInt(append(b, ','), int64(m.ExchangesPerStep), 10)
+	b = appendBits(b, m.BytesPerPoint)
+	b = appendBits(b, m.Net.LatencyPerHop)
+	b = appendBits(b, m.Net.Overhead)
+	b = appendBits(b, m.Net.Bandwidth)
+	b = appendBits(b, m.IO.BaseLatency)
+	b = appendBits(b, m.IO.PerWriterOverhead)
+	b = appendBits(b, m.IO.AggregateBandwidth)
+	b = appendBits(b, m.IO.PerProcessBandwidth)
+	return append(b, '}')
+}
+
+// appendBits appends ",<hex bit pattern of f>": exact, and cheaper to
+// format than any decimal rendering.
+func appendBits(b []byte, f float64) []byte {
+	return strconv.AppendUint(append(b, ','), math.Float64bits(f), 16)
 }
 
 // Parse resolves a machine name as requests, ensemble specs and

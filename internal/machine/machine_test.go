@@ -135,3 +135,20 @@ func TestParse(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendKeyPinned pins the identity bytes of both Blue Gene models.
+// Plan-cache snapshot keys embed this segment, so a change here must
+// come with a new planserve.SnapshotVersion.
+func TestAppendKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		m    Machine
+		want string
+	}{
+		{BGL(), `m{"BlueGene/L",41c4dc9380000000,2,[0 1],3f53a92a30553261,3f747ae147ae147b,36,40d86a0000000000,3eae32f0ee144531,3f4a36e2eb1c432d,41a4dc9380000000,3f747ae147ae147b,3f36f0068db8bac7,41cdcd6500000000,414e848000000000}`},
+		{BGP(), `m{"BlueGene/P",41c954fc40000000,4,[2 3 1],3f464840e1719f80,3f647ae147ae147b,36,40d86a0000000000,3ea0c6f7a0b5ed8d,3f3a36e2eb1c432d,41b954fc40000000,3f747ae147ae147b,3f36f0068db8bac7,41ddcd6500000000,415e848000000000}`},
+	} {
+		if got := string(c.m.AppendKey([]byte("prefix|"))); got != "prefix|"+c.want {
+			t.Errorf("%s key:\n got %s\nwant prefix|%s", c.m.Name, got, c.want)
+		}
+	}
+}

@@ -215,9 +215,9 @@ func TestHeldGeometryMatchesDefinition(t *testing.T) {
 
 // maxHeldMissAllocs bounds the allocations of a phase-memo miss on a
 // geometry whose flow table the ring holds, on go1.24 linux/amd64: the
-// memo key's byte buffer and string, and the result slice. Routing
-// nothing, it takes no network.
-const maxHeldMissAllocs = 3
+// memo key's string, made only on insert (its bytes are built on the
+// stack), and the result slice. Routing nothing, it takes no network.
+const maxHeldMissAllocs = 2
 
 // TestHeldMissAllocs holds a memo miss on a geometry the ring holds to
 // maxHeldMissAllocs, and checks that the miss prices from the ring: with
@@ -237,7 +237,7 @@ func TestHeldMissAllocs(t *testing.T) {
 		idle.nets = nets
 		idle.Unlock()
 	}()
-	key, _ := phaseKey(m, mp, placements, true)
+	key, _ := memoKey(m, mp, placements, true)
 	miss := func() {
 		phaseMu.Lock()
 		delete(phaseCache, key)

@@ -9,7 +9,6 @@
 package model
 
 import (
-	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -79,10 +78,10 @@ func PhaseCongestion(m machine.Machine, mp *mapping.Mapping, placements []Placem
 }
 
 // Phase-cost memoization (DESIGN.md Section 8). A phase's StepCosts
-// are fully determined by the machine's cost parameters, the mapping's
-// rank-to-node table, the contention flag, and the placements' domain
-// extents and subgrid rectangles — all of which the key below encodes
-// exactly (floats by their IEEE-754 bit patterns). Sweep experiments
+// are fully determined by the machine, the mapping's rank-to-node
+// table, the contention flag, and the placements' domain extents and
+// subgrid rectangles — all of which appendPhaseKey encodes exactly
+// (floats by their IEEE-754 bit patterns). Sweep experiments
 // re-evaluate identical phases across steps, strategies and repeated
 // configurations, so this is the model-layer analogue of the
 // experiment harness's shared predictor cache.
@@ -109,27 +108,19 @@ func ResetCache() {
 	tables.Unlock()
 }
 
-// appendBits appends the exact bit pattern of a float64 to a cache key.
-func appendBits(b []byte, v float64) []byte {
-	return strconv.AppendUint(append(b, ':'), math.Float64bits(v), 16)
-}
+// phaseKeyBuf sizes phaseCosts' stack key buffer: a mapping key, a
+// machine segment (≈ 215 bytes) and five placements fit.
+const phaseKeyBuf = 512
 
-// phaseKey renders the memoization key for one phase evaluation, or
+// appendPhaseKey appends the memoization key of one phase evaluation to
+// b: mapping key, m.AppendKey, contention mark and placements; or
 // ok=false when the mapping carries no content key (hand-built).
-func phaseKey(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) (string, bool) {
+func appendPhaseKey(b []byte, m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) ([]byte, bool) {
 	mk := mp.Key()
 	if mk == "" {
-		return "", false
+		return b, false
 	}
-	b := make([]byte, 0, 160+32*len(placements))
-	b = append(b, mk...)
-	b = appendBits(b, m.PointCost)
-	b = appendBits(b, m.StepOverhead)
-	b = appendBits(b, m.BytesPerPoint)
-	b = appendBits(b, m.Net.LatencyPerHop)
-	b = appendBits(b, m.Net.Overhead)
-	b = appendBits(b, m.Net.Bandwidth)
-	b = strconv.AppendInt(append(b, ':'), int64(m.ExchangesPerStep), 10)
+	b = m.AppendKey(append(b, mk...))
 	if contention {
 		b = append(b, '+')
 	}
@@ -151,7 +142,7 @@ func phaseKey(m machine.Machine, mp *mapping.Mapping, placements []Placement, co
 		b = append(b, 'x')
 		b = strconv.AppendInt(b, int64(p.SG.Parent.Py), 10)
 	}
-	return string(b), true
+	return b, true
 }
 
 // maxIdleNets bounds the idle scratch networks (DESIGN.md Section 8).
@@ -297,10 +288,11 @@ func storeTable(key string, placements []Placement, flows []flowLoad) {
 }
 
 func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
-	key, cacheable := phaseKey(m, mp, placements, contention)
+	var buf [phaseKeyBuf]byte
+	key, cacheable := appendPhaseKey(buf[:0], m, mp, placements, contention)
 	if cacheable {
 		phaseMu.RLock()
-		cached, ok := phaseCache[key]
+		cached, ok := phaseCache[string(key)]
 		phaseMu.RUnlock()
 		if ok {
 			return cached
@@ -317,7 +309,7 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 		if len(phaseCache) >= maxPhaseEntries {
 			phaseCache = map[string][]StepCost{}
 		}
-		phaseCache[key] = out
+		phaseCache[string(key)] = out
 		phaseMu.Unlock()
 	}
 	return out

@@ -17,14 +17,14 @@ import (
 const keyBuf = 512
 
 // machineKeys maps the name of every machine a request may select —
-// the models machine.Parse returns — to its identity key
-// (driver.AppendMachineKey), formatted once. Request keys take their
-// machine segment from it, and a snapshot load reads a key's machine
-// back from it.
+// the models machine.Parse returns — to its identity key, formatted
+// once by machine.Machine.AppendKey, the one rendering every cache
+// keyed on a machine uses. Request keys take their machine segment
+// from it, and a snapshot load reads a key's machine back from it.
 var machineKeys = func() map[string]string {
 	keys := map[string]string{}
 	for _, m := range []machine.Machine{machine.BGL(), machine.BGP()} {
-		keys[m.Name] = string(driver.AppendMachineKey(nil, m))
+		keys[m.Name] = string(m.AppendKey(nil))
 	}
 	return keys
 }()
@@ -42,7 +42,7 @@ var machineKeys = func() map[string]string {
 // the others are left out, is pinned by TestKeyCoversEveryField.
 func appendKey(b []byte, prefix string, opt driver.Options, cfg *nest.Domain) []byte {
 	b = append(b, prefix...)
-	b = driver.AppendMachineKey(b, opt.Machine)
+	b = opt.Machine.AppendKey(b)
 	return appendDomainKey(appendOptionsKey(b, opt), cfg)
 }
 
@@ -56,7 +56,7 @@ func appendRequestKey(b []byte, prefix string, opt driver.Options, spec *DomainS
 	if mk, ok := machineKeys[opt.Machine.Name]; ok {
 		b = append(b, mk...)
 	} else {
-		b = driver.AppendMachineKey(b, opt.Machine)
+		b = opt.Machine.AppendKey(b)
 	}
 	return appendSpecKey(appendOptionsKey(b, opt), spec, 1, 0, 0)
 }

@@ -211,8 +211,8 @@ func TestSnapshotRejectsBadKeys(t *testing.T) {
 	}{
 		{"unknown prefix", "plan", swap("plan|", "sim|")},
 		{"no prefix", "plan", func(key string) string { return strings.TrimPrefix(key, "plan|") }},
-		{"machine mismatch", "plan", swap(bgl, string(driver.AppendMachineKey(nil, stale)))},
-		{"unknown machine", "compare", swap(bgl, string(driver.AppendMachineKey(nil, unknown)))},
+		{"machine mismatch", "plan", swap(bgl, string(stale.AppendKey(nil)))},
+		{"unknown machine", "compare", swap(bgl, string(unknown.AppendKey(nil)))},
 		{"ranks 0", "plan", swap("|r=64|", "|r=0|")},
 		{"ranks above the limit", "compare", swap("|r=64|", fmt.Sprintf("|r=%d|", maxRanks+1))},
 		{"ranks 1<<21", "run", swap("|r=256|", fmt.Sprintf("|r=%d|", 1<<21))},
